@@ -40,7 +40,6 @@ __all__ = [
     "L_op",
     "gamma_op",
     "project",
-    "graded_product",
     "star_wedge",
     "bracket_0_1",
     "star_bracket_star",
@@ -260,31 +259,21 @@ def star_bracket_star(x: GForm, y: GForm) -> GForm:
     return GForm(field, 0, tuple(out))
 
 
-def graded_product(x: GForm, y: GForm, kind: str) -> GForm:
-    """Product selector over the graded pairings used by the flow equations.
-
-    :param kind: ``"star_wedge"`` (1,1)->1, ``"bracket"`` (0,1)->1, or
-        ``"star_bracket_star"`` (1,1)->0.
-    """
-    if kind == "star_wedge":
-        return star_wedge(x, y)
-    if kind == "bracket":
-        return bracket_0_1(x, y)
-    if kind == "star_bracket_star":
-        return star_bracket_star(x, y)
-    raise ValueError(f"unknown graded product {kind!r}")
-
-
 def e_bracket(phi: GForm) -> GForm:
     """``[e, phi]`` for a 0-form ``phi`` (a V0-valued 1-form)."""
     return -bracket_0_1(phi, vierbein(phi.field))
 
 
 def L_op(a: GForm) -> GForm:
-    """``L(a) = *[e, a]`` on degree-1 forms."""
+    """``L(a) = *[e, a]`` on degree-1 forms, in closed form
+    ``L(a) = tr(a) I - a^T``."""
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
-    return star_wedge(vierbein(a.field), a)
+    c = a.coeffs
+    tr = c[0][0] + c[1][1] + c[2][2]
+    return GForm(a.field, 1, tuple(
+        tuple(tr - c[s][r] if r == s else -c[s][r] for s in range(3))
+        for r in range(3)))
 
 
 def gamma_op(a: GForm) -> GForm:
@@ -297,25 +286,30 @@ def gamma_op(a: GForm) -> GForm:
 def project(a: GForm, part: EigenPart, sigma: int = 1) -> GForm:
     """Spectral projection of a degree-1 form onto ``V-``, ``V0`` or ``V+``.
 
-    Built by Lagrange interpolation in ``L``: apply ``(L - mu)`` for the two
-    complementary eigenvalues and divide by ``prod(lambda - mu)``.  Exact in
-    rational scalars.
+    The eigenspaces of ``L(a) = tr(a) I - a^T`` are the trace line, the
+    antisymmetric and the symmetric traceless coefficient matrices, so
+
+        ``V-: tr(a)/3 I``,  ``V0: (a - a^T)/2``,  ``V+: (a + a^T)/2 - tr(a)/3 I``.
+
+    Exact in rational scalars; :class:`SigmaModule` builds the same
+    projectors by Lagrange interpolation in ``L`` as an independent route.
     """
     if a.degree != 1:
         raise ValueError("project needs a degree-1 form")
     if sigma != 1:
         raise ValueError("the concrete 3x3 realization has sigma=1; "
                          "use SigmaModule for higher sigma")
-    lam = part.eigenvalue(1)
-    out = a
-    denom = 1
-    for other in EigenPart:
-        if other is part:
-            continue
-        mu = other.eigenvalue(1)
-        out = L_op(out) - out.scale(mu)
-        denom *= lam - mu
-    return out.divide(denom)
+    c = a.coeffs
+    zero = a.field.zero
+    third = (c[0][0] + c[1][1] + c[2][2]) / 3
+    if part is EigenPart.Minus:
+        rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
+    elif part is EigenPart.Zero:
+        rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
+    else:
+        rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2
+                 for j in range(3)] for i in range(3)]
+    return GForm(a.field, 1, tuple(tuple(r) for r in rows))
 
 
 def cal_L(k, a: GForm) -> GForm:

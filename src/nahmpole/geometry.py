@@ -43,7 +43,6 @@ __all__ = [
     "metricity_residual",
     "connection_form",
     "star_d",
-    "star_curvature",
     "ricci_tensor",
     "is_einstein",
     "d_omega",
@@ -217,11 +216,6 @@ class FrameBackground:
 
     def __repr__(self):
         return f"FrameBackground({self.name!r})"
-
-
-def star_curvature(bg: FrameBackground) -> GForm:
-    """The dual curvature ``*F_omega`` of a background."""
-    return bg.starF
 
 
 def is_einstein(bg: FrameBackground) -> bool:

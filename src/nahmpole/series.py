@@ -36,7 +36,6 @@ from fractions import Fraction
 from .algebra import (
     EigenPart,
     GForm,
-    ResonantOrder,
     bracket_0_1,
     e_bracket,
     gamma_op,
@@ -162,18 +161,15 @@ class FreeData:
     :param c_plus: V+ part of ``b_1`` (the order-1 kernel of ``1 + L``).
     :param c_zero: V0 part of ``a_2``; forces ``(phi_y)_2 = -1/2 Gamma c0``.
     :param c_minus: V- part of ``a_2`` (the lambda = 2 resonance kernel).
-    :param higher_kernel: map ``(k, p, EigenPart) -> GForm`` of injected
-        values for resonances beyond the ones above.  The SU(2)/SO(3) engine
-        never hits such a resonance at k >= 2 (divisors k+2, k+1, k-1 and
-        lambda = k+1 stay nonzero); the slot exists for forward compatibility
-        and any attempt to need it raises.
+
+    These are all the kernels: beyond k = 2 the divisors k+2, k+1, k-1 and
+    lambda = k+1 of the solve steps stay nonzero.
 
     Missing fields default to zero.  Each field must lie in its declared
     eigenspace; that is checked eagerly.
     """
 
-    def __init__(self, field=None, c_plus=None, c_zero=None, c_minus=None,
-                 higher_kernel=None):
+    def __init__(self, field=None, c_plus=None, c_zero=None, c_minus=None):
         if field is None:
             for form in (c_plus, c_zero, c_minus):
                 if form is not None:
@@ -185,7 +181,6 @@ class FreeData:
         self.c_plus = c_plus if c_plus is not None else GForm.zero(field, 1)
         self.c_zero = c_zero if c_zero is not None else GForm.zero(field, 1)
         self.c_minus = c_minus if c_minus is not None else GForm.zero(field, 1)
-        self.higher_kernel = dict(higher_kernel or {})
         for form, part, label in (
             (self.c_plus, EigenPart.Plus, "c_plus"),
             (self.c_zero, EigenPart.Zero, "c_zero"),
@@ -199,8 +194,6 @@ class FreeData:
         return FreeData(field=field)
 
     def __add__(self, other: "FreeData") -> "FreeData":
-        if self.higher_kernel or other.higher_kernel:
-            raise ValueError("cannot add free data with kernel injections")
         return FreeData(
             field=self.field,
             c_plus=self.c_plus + other.c_plus,
@@ -278,23 +271,25 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
 
     ``Qa``/``Qphi`` feed the order k+1 equations (their pairs sum to k);
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
-    entries contribute; absent coefficients are zero.
+    entries contribute; absent coefficients are zero (stored entries never
+    are, so a table miss is the zero test).
     """
     field = series.field
+    A, B, PHI = series._a, series._b, series._phi
     Qa = GForm.zero(field, 1)
     Qphi = GForm.zero(field, 0)
     for k1 in range(1, k):
         k2 = k - k1
         for p1 in range(p + 1):
             p2 = p - p1
-            b2 = series.get_b(k2, p2)
-            if not b2.is_zero():
-                a1 = series.get_a(k1, p1)
-                if not a1.is_zero():
+            b2 = B.get((k2, p2))
+            if b2 is not None:
+                a1 = A.get((k1, p1))
+                if a1 is not None:
                     Qa = Qa + star_wedge(a1, b2)
                     Qphi = Qphi - star_bracket_star(a1, b2)
-                phi1 = series.get_phi(k1, p1)
-                if not phi1.is_zero():
+                phi1 = PHI.get((k1, p1))
+                if phi1 is not None:
                     Qa = Qa + bracket_0_1(phi1, b2)
 
     Qb = GForm.zero(field, 1)
@@ -302,51 +297,30 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
         k2 = (k - 1) - k1
         for p1 in range(p + 1):
             p2 = p - p1
-            a1 = series.get_a(k1, p1)
-            a2f = series.get_a(k2, p2)
-            if not a1.is_zero() and not a2f.is_zero():
+            a1 = A.get((k1, p1))
+            a2f = A.get((k2, p2))
+            if a1 is not None and a2f is not None:
                 Qb = Qb + star_wedge(a1, a2f).scale(_HALF)
-            b1f = series.get_b(k1, p1)
-            b2f = series.get_b(k2, p2)
-            if not b1f.is_zero() and not b2f.is_zero():
+            b1f = B.get((k1, p1))
+            b2f = B.get((k2, p2))
+            if b1f is not None and b2f is not None:
                 Qb = Qb - star_wedge(b1f, b2f).scale(_HALF)
-            phi2f = series.get_phi(k2, p2)
-            if not a1.is_zero() and not phi2f.is_zero():
+            phi2f = PHI.get((k2, p2))
+            if a1 is not None and phi2f is not None:
                 # [a, phi_y] = -[phi_y, a]
                 Qb = Qb - bracket_0_1(phi2f, a1)
     return QuadSource(Qa=Qa, Qb=Qb, Qphi=Qphi)
 
 
-def _solve_resonant(series, k, p, rhs, exc: ResonantOrder):
-    """Resolve a resonant ``k + L`` solve through injected kernel values.
-
-    Unreachable for the SU(2)/SO(3) engine at k >= 2; kept so that a future
-    sigma > 1 recursion fails loudly at a well-defined point instead of
-    dividing by zero.
-    """
-    free = series.free
-    out = GForm.zero(series.field, 1)
-    for part in EigenPart:
-        piece = project(rhs, part)
-        div = k + part.eigenvalue()
-        if div != 0:
-            out = out + piece.divide(series.field.from_int(div))
-            continue
-        if not piece.is_zero():
-            raise ResonantOrder(k, exc.parts)
-        injected = None if free is None else free.higher_kernel.get((k, p, part))
-        if injected is None:
-            raise ResonantOrder(k, exc.parts)
-        out = out + injected
-    return out
-
-
 def advance_order(series: PhgSeries, k: int) -> None:
     """Compute ``b_k`` and ``(a, phi_y)_{k+1}`` at every log depth.
 
-    Works down from a log depth that is certainly above anything reachable
-    (depth at order k never exceeds k), since the ``(p+1)``-ladder couples
-    each depth to the one above.  For each p:
+    Works down from log depth ``2 * series.max_p() + 1``, since the
+    ``(p+1)``-ladder couples each depth to the one above.  Nothing nonzero
+    can land above ``2 * max_p`` (max_p taken before the walk): the
+    quadratic sources pair stored depths with p1 + p2 = p, and the linear
+    terms read either stored entries at depth p or the walk's own results
+    at depth p+1.  For each p:
 
     * ``b_{k,p}`` solves ``(k + L) b = *d_w a_{k-1,p} + d_w (phi_y)_{k-1,p}
       - (p+1) b_{k,p+1} + Qb``;
@@ -361,16 +335,13 @@ def advance_order(series: PhgSeries, k: int) -> None:
         raise ValueError("advance_order starts at k = 2; lower orders are seeded")
     bg = series.background
     field = series.field
-    for p in range(2 * k + 1, -1, -1):
+    for p in range(2 * series.max_p() + 1, -1, -1):
         q = quadratic_source(series, k, p)
         rhs_b = (star_d_omega(bg, series.get_a(k - 1, p))
                  + d_omega(bg, series.get_phi(k - 1, p))
                  - series.get_b(k, p + 1).scale(field.from_int(p + 1))
                  + q.Qb)
-        try:
-            b_kp = invert_cal_L(k, rhs_b)
-        except ResonantOrder as exc:
-            b_kp = _solve_resonant(series, k, p, rhs_b, exc)
+        b_kp = invert_cal_L(k, rhs_b)
         series._store(k, p, b=b_kp)
 
         R = (star_d_omega(bg, b_kp)
@@ -428,7 +399,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
 
     Assembled directly from the stored table with its own convolution loops
     -- no shared code with the solver path -- so that a sign or index error
-    in either shows up as a nonzero residual.
+    in either shows up as a nonzero residual.  Absent entries are zero and
+    contribute no term.
     """
     bg = series.background
     field = series.field
@@ -452,21 +424,31 @@ def residual_at(series: PhgSeries, K: int, p: int):
             + gamma_op(aK)
             - d_omega_star(bg, series.get_b(K - 1, p)))
 
+    A, B, PHI = series._a, series._b, series._phi
     for k1 in range(1, K):
         k2 = (K - 1) - k1
         if k2 < 1:
             continue
         for p1 in range(p + 1):
             p2 = p - p1
-            a1 = series.get_a(k1, p1)
-            b2 = series.get_b(k2, p2)
-            phi1 = series.get_phi(k1, p1)
-            Ra = Ra - star_wedge(a1, b2) - bracket_0_1(phi1, b2)
-            Rb = (Rb
-                  - star_wedge(a1, series.get_a(k2, p2)).scale(_HALF)
-                  + star_wedge(series.get_b(k1, p1), b2).scale(_HALF)
-                  + bracket_0_1(series.get_phi(k2, p2), a1))
-            Rphi = Rphi + star_bracket_star(a1, b2)
+            a1 = A.get((k1, p1))
+            b2 = B.get((k2, p2))
+            phi1 = PHI.get((k1, p1))
+            if a1 is not None and b2 is not None:
+                Ra = Ra - star_wedge(a1, b2)
+            if phi1 is not None and b2 is not None:
+                Ra = Ra - bracket_0_1(phi1, b2)
+            a2 = A.get((k2, p2))
+            b1 = B.get((k1, p1))
+            phi2 = PHI.get((k2, p2))
+            if a1 is not None and a2 is not None:
+                Rb = Rb - star_wedge(a1, a2).scale(_HALF)
+            if b1 is not None and b2 is not None:
+                Rb = Rb + star_wedge(b1, b2).scale(_HALF)
+            if phi2 is not None and a1 is not None:
+                Rb = Rb + bracket_0_1(phi2, a1)
+            if a1 is not None and b2 is not None:
+                Rphi = Rphi + star_bracket_star(a1, b2)
     return Ra, Rb, Rphi
 
 

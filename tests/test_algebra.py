@@ -284,6 +284,12 @@ class TestResolveCoupled:
             resolve_coupled(Fraction(3), theta, rand_zero_form(rng, field))
 
 
+def _sigma_one_vector(x):
+    """A 3x3 form as a vector of the sigma=1 module, whose degree-1 monomial
+    basis is ordered (z, y, x): su(2) index a sits in harmonic slot 2 - a."""
+    return [x.coeffs[2 - slot // 3][slot % 3] for slot in range(9)]
+
+
 class TestSigmaModule:
     @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
     def test_dimensions(self, sigma):
@@ -348,20 +354,11 @@ class TestSigmaModule:
                     assert LP[r][c] == lam * P[r][c]
 
     def test_sigma_one_matches_concrete_L(self, field, rng):
-        # the abstract sigma=1 module must act exactly like L on 3x3 forms;
-        # its degree-1 monomial basis is ordered (z, y, x), so su(2) index a
-        # sits in harmonic slot 2 - a
+        # the abstract sigma=1 module must act exactly like L on 3x3 forms
         mod = SigmaModule(1)
         x = rand_one_form(rng, field)
-        want = L_op(x)
-        vec = [field.zero] * 9
-        for a in range(3):
-            for i in range(3):
-                vec[(2 - a) * 3 + i] = x.coeffs[a][i]
-        got = mod.apply_L(vec)
-        for a in range(3):
-            for i in range(3):
-                assert got[(2 - a) * 3 + i] == want.coeffs[a][i]
+        vec = _sigma_one_vector(x)
+        assert mod.apply_L(vec) == _sigma_one_vector(L_op(x))
         # eigen-projections stay eigen under apply_L
         for part in EigenPart:
             pv = mod.project_vector(vec, part)
@@ -369,6 +366,16 @@ class TestSigmaModule:
             lv = mod.apply_L(pv)
             for r in range(9):
                 assert lv[r] == lam * pv[r]
+
+    def test_sigma_one_projectors_match_concrete_project(self, field, rng):
+        # the module builds its projectors by Lagrange interpolation in L, an
+        # independent route to the closed forms of ``project``
+        mod = SigmaModule(1)
+        for _ in range(25):
+            x = rand_one_form(rng, field)
+            for part in EigenPart:
+                assert (mod.project_vector(_sigma_one_vector(x), part)
+                        == _sigma_one_vector(project(x, part)))
 
     def test_sigma_below_one_rejected(self):
         with pytest.raises(ValueError):

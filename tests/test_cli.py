@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, formats, loaders, verify suites."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from nahmpole import cli
 from nahmpole.geometry import load_background
-from nahmpole.series import from_json, to_json
+from nahmpole.series import expand, from_json, to_json
 
 
 MATCHED_S3 = {"c_minus": [["-2/3", "0", "0"],
@@ -94,6 +95,31 @@ class TestExpand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["background"] == "round-s3"
+
+    def test_float64_squashed_berger_tracks_rational(self, capsys, field):
+        # squash=5 coefficients grow large enough that round-off in a
+        # non-antisymmetric V0 projection used to trip the "Theta must lie
+        # in V0" check at 64 bits
+        bg = "builtin:berger-s3?squash=5"
+        code = cli.main(["expand", "--background", bg, "--order", "12",
+                         "--scalar", "float", "--prec", "64",
+                         "--format", "json"])
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)
+        exact = json.loads(to_json(expand(load_background(bg, field), N=12)))
+
+        def values(doc):
+            return {(e["k"], e["p"]): [Fraction(v) for v in
+                                       [*e["a"][0], *e["a"][1], *e["a"][2],
+                                        *e["b"][0], *e["b"][1], *e["b"][2],
+                                        *e["phi_y"]]]
+                    for e in doc["entries"]}
+
+        got, exact = values(got), values(exact)
+        assert set(got) == set(exact)
+        for addr, want in exact.items():
+            for g, w in zip(got[addr], want):
+                assert abs(g - w) <= Fraction(1, 10**15) * max(abs(w), 1)
 
     def test_unknown_background(self, capsys):
         assert cli.main(["expand", "--background", "builtin:nosuch"]) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nahmpole.algebra import EigenPart, GForm, cal_L, project, vierbein
+from nahmpole.algebra import EigenPart, cal_L, project, vierbein
 from nahmpole.geometry import builtin, load_background
 from nahmpole.scalars import FloatField
 from nahmpole.series import (
@@ -102,12 +102,6 @@ class TestFreeData:
         s = f1 + f2
         assert s.c_plus == f1.c_plus + f2.c_plus
         assert s.c_minus == f1.c_minus + f2.c_minus
-
-    def test_addition_rejects_kernel_injections(self, field):
-        f = FreeData(field=field,
-                     higher_kernel={(3, 0, PLUS): GForm.zero(field, 1)})
-        with pytest.raises(ValueError):
-            f + FreeData.zero(field)
 
     def test_needs_field_or_form(self):
         with pytest.raises(ValueError):
