@@ -8,7 +8,8 @@ Four subcommands::
     nahmpole ode-compare SOLUTION           series-vs-closed-form table
 
 Exit codes: 0 success, 1 usage or bad input, 2 mathematical failure
-(unexpected resonance or singular solve), 3 verification failure.  Set
+(unexpected resonance, singular solve, or the integrator's step size
+underflowing), 3 verification failure.  Set
 ``NAHM_COLOR=0`` to force plain output.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -44,6 +46,7 @@ from .geometry import (
     star_d_omega,
 )
 from .oracle import (
+    StepUnderflow,
     closed_solution,
     closed_solution_names,
     convergence_csv,
@@ -472,13 +475,21 @@ def _cmd_ode_compare(args) -> int:
     if any(n < 2 for n in orders):
         print("orders must be >= 2", file=sys.stderr)
         return 1
-    rows = convergence_table(sol, orders, args.y_min, args.y_max)
-    _emit(convergence_csv(rows), args.out)
-
-    # one integration sanity pass: series state at y_min driven to y_max
+    if not (0 < args.y_min < 1 and args.y_min < args.y_max < math.inf):
+        print("need 0 < --y-min < --y-max, with --y-min below 1",
+              file=sys.stderr)
+        return 1
+    if not 0 < args.tol < math.inf:
+        print("--tol must be a positive number", file=sys.stderr)
+        return 1
     n_max = max(orders)
     free = matched_free_data(sol.name, sol.background.field)
     series = expand(sol.background, free, n_max)
+    rows = convergence_table(sol, orders, args.y_min, args.y_max,
+                             series=series)
+    _emit(convergence_csv(rows), args.out)
+
+    # one integration sanity pass: series state at y_min driven to y_max
     start = state_from_series(series, args.y_min, n_max)
     traj = integrate_flow(sol.background, start, args.y_max, tol=args.tol)
     end = traj[-1]
@@ -585,7 +596,8 @@ def main(argv=None) -> int:
             return 1
     try:
         return args.func(args)
-    except (ResonantOrder, SingularLambda, ZeroDivisionError) as exc:
+    except (ResonantOrder, SingularLambda, StepUnderflow,
+            ZeroDivisionError) as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return 2
 

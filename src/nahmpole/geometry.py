@@ -118,11 +118,12 @@ def _star_d(field, c, x: GForm) -> GForm:
 
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.
     """
+    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [[field.zero] * 3 for _ in range(3)]
     for j, k, m, s in _EPS:
         for a in range(3):
             for i in range(3):
-                out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * Fraction(s, 2)
+                out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * half[s]
     return GForm(field, 1, tuple(tuple(r) for r in out))
 
 

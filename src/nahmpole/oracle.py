@@ -9,10 +9,10 @@ recursion:
 * **Exact Taylor oracles** for those profiles, computed by rational power
   series arithmetic on the series of ``e^{2y}`` -- every coefficient a
   Fraction, no engine code involved.
-* **A flow integrator**: the three flow equations as a 21-component ODE
-  system in the subtracted variables ``(a, b, phi_y) = (A - W, Phi - e/y,
-  Phi_y)``, with an embedded Dormand-Prince 5(4) pair, plus an exact
-  field-generic right-hand side for pointwise residuals.
+* **A flow integrator**: the three flow equations, stated once in the
+  field-generic ``flow_rhs``, as a 21-component ODE system in the subtracted
+  variables ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
+  embedded Dormand-Prince 5(4) pair on an operator polarized from it.
 
 Convention lock-in: the orientation and the curvature sign of the frame
 backgrounds are pinned by requiring the closed-form profiles below to solve
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -360,30 +360,19 @@ def taylor_profile(sol: ProfileSolution, N: int):
 
 
 class _Float64Kit:
-    """Minimal scalar-field shim over native floats, for flow states."""
+    """Minimal scalar-field shim over native floats, for flow states and the
+    float64 polarization probes: only the members those paths call."""
 
     name = "float64"
     exact = False
     zero = 0.0
     one = 1.0
 
-    def from_int(self, n):
-        return float(n)
-
     def from_fraction(self, q):
         return float(q)
 
-    def parse(self, text):
-        return float(text)
-
-    def format(self, x):
-        return repr(float(x))
-
     def to_float(self, x):
         return float(x)
-
-    def to_fraction(self, x):
-        return Fraction(x)
 
     def is_zero(self, x):
         return x == 0.0
@@ -395,12 +384,15 @@ class _Float64Kit:
 _F64 = _Float64Kit()
 
 
-def _gform1(arr) -> GForm:
-    return GForm.one_form(_F64, [[float(v) for v in row] for row in arr])
+#: Size of the packed state ``v = (a, b, phi_y)``: 9 + 9 + 3 coefficients.
+_NV = 21
 
 
-def _gform0(vec) -> GForm:
-    return GForm.zero_form(_F64, [float(v) for v in vec])
+def _forms(field, v):
+    """The GForms ``(a, b, phi_y)`` of a packed state (entries may be arrays)."""
+    rows = [tuple(v[i:i + 3]) for i in range(0, 18, 3)]
+    return (GForm(field, 1, tuple(rows[:3])), GForm(field, 1, tuple(rows[3:])),
+            GForm(field, 0, tuple(v[18:21])))
 
 
 @dataclass(frozen=True)
@@ -417,24 +409,22 @@ class FlowState:
     phi_y: GForm
 
 
+def _float_state(y, A, phi, phi_y) -> FlowState:
+    full = np.concatenate([np.ravel(A), np.ravel(phi), phi_y])
+    return FlowState(float(y), *_forms(_F64, full.tolist()))
+
+
 def profile_state(sol: ProfileSolution, y) -> FlowState:
     """Evaluate a closed-form solution into a :class:`FlowState`."""
     y = float(y)
     W = np.array(sol.background.W.to_floats(), dtype=float)
-    e = np.eye(3)
-    return FlowState(
-        y=y,
-        A=_gform1(W * sol.fA.value(y)),
-        phi=_gform1(e * sol.fPhi.value(y)),
-        phi_y=_gform0(np.zeros(3)),
-    )
+    return _float_state(y, W * sol.fA.value(y), np.eye(3) * sol.fPhi.value(y),
+                        np.zeros(3))
 
 
 def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
     """Evaluate a truncated expansion into a :class:`FlowState` (float)."""
-    A, Phi, Phi_y = evaluate_series(series, y, N)
-    return FlowState(y=float(y), A=_gform1(A), phi=_gform1(Phi),
-                     phi_y=_gform0(Phi_y))
+    return _float_state(y, *evaluate_series(series, y, N))
 
 
 def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
@@ -451,7 +441,7 @@ def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
     Exact over exact scalars (the flat model's zero state has an exactly zero
     right-hand side in rational arithmetic).
     """
-    half = Fraction(1, 2)
+    half = bg.field.from_fraction(Fraction(1, 2))
     da = ((L_op(a) - e_bracket(phi_y)).divide(y)
           + star_d_omega(bg, b) + star_wedge(a, b) + bracket_0_1(phi_y, b))
     db = (d_omega(bg, phi_y) - bracket_0_1(phi_y, a) + bg.starF
@@ -496,59 +486,45 @@ def flow_residual(sol: ProfileSolution, y):
 # Numeric integration of the flow.
 # ---------------------------------------------------------------------------
 
-_EPS_T = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
-    _EPS_T[_i, _j, _k] = _s
+def _polarize(bg: FrameBackground, one):
+    """``(c, M0, M1, Q)`` with ``flow_rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)``.
+
+    The flow is quadratic in the packed state ``v`` with a linear 1/y part, so
+    it is read off ``flow_rhs`` itself at the 274 probes 0, +-e_i (y = 1), e_i
+    (y = 1/2) and e_i + e_j (i < j, y = 1), sent through one call as numpy
+    arrays of scalars: float64 for ``one = 1.0`` (``bg`` over float scalars),
+    Fractions for ``one = Fraction(1)``.  ``Q[k, i, j]`` is symmetric in i, j.
+    """
+    n = _NV
+    eye = np.eye(n, dtype=int)
+    iu, ju = np.triu_indices(n, 1)
+    v = np.concatenate([np.zeros((1, n), int), eye, -eye, eye,
+                        eye[iu] + eye[ju]]).T * one
+    y = np.array([one] * (1 + 2 * n) + [one / 2] * n + [one] * len(iu))
+    da, db, dphi = flow_rhs(bg, y, *_forms(bg.field, v))
+    f = np.array(np.broadcast_arrays(*da.entries(), *db.entries(),
+                                     *dphi.entries()))
+    c = f[:, 0]
+    plus, minus, at_half, pairs = np.split(f[:, 1:], [n, 2 * n, 3 * n], axis=1)
+    lin = (plus - minus) / 2                 # (M0 + M1) e_i
+    diag = (plus + minus) / 2 - c[:, None]   # Q(e_i, e_i)
+    M1 = at_half - plus
+    Q = np.zeros((n, n, n), dtype=f.dtype)
+    Q[:, iu, ju] = Q[:, ju, iu] = (pairs - c[:, None] - lin[:, iu] - lin[:, ju]
+                                   - diag[:, iu] - diag[:, ju]) / 2
+    Q[:, np.arange(n), np.arange(n)] = diag
+    return c, lin - M1, M1, Q
 
 
-class _GeoArrays:
-    """Float tensors of a background, precomputed for the ODE right-hand side."""
-
-    def __init__(self, bg: FrameBackground):
-        f = bg.field.to_float
-        self.C = np.array([[[f(v) for v in row] for row in plane]
-                           for plane in bg.c])
-        self.W = np.array(bg.W.to_floats())
-        self.starF = np.array(bg.starF.to_floats())
-        self.tau = np.einsum("kik->i", self.C)
-
-    def star_d(self, x):
-        return -0.5 * np.einsum("ai,ijk,jkm->am", x, self.C, _EPS_T)
-
-    def star_d_omega(self, x):
-        return self.star_d(x) + _sw(self.W, x)
-
-
-def _sw(x, y):
-    return np.einsum("ijk,abc,ai,bj->ck", _EPS_T, _EPS_T, x, y)
-
-
-def _L(x):
-    return np.trace(x) * np.eye(3) - x.T
-
-
-def _rhs_np(geo: _GeoArrays, y, v):
-    a = v[0:9].reshape(3, 3)
-    b = v[9:18].reshape(3, 3)
-    f = v[18:21]
-    ebr_f = np.einsum("aci,a->ci", _EPS_T, f)
-    da = ((_L(a) - ebr_f) / y
-          + geo.star_d_omega(b)
-          + _sw(a, b)
-          + np.einsum("abc,a,bi->ci", _EPS_T, f, b))
-    db = (np.einsum("abc,ai,b->ci", _EPS_T, geo.W, f)
-          - np.einsum("abc,a,bi->ci", _EPS_T, f, a)
-          + geo.starF
-          + geo.star_d_omega(a)
-          + 0.5 * _sw(a, a)
-          - _L(b) / y
-          - 0.5 * _sw(b, b))
-    df = (b @ geo.tau
-          - np.einsum("abc,ai,bi->c", _EPS_T, geo.W, b)
-          - np.einsum("abc,ab->c", _EPS_T, a) / y
-          - np.einsum("abc,ai,bi->c", _EPS_T, a, b))
-    return np.concatenate([da.ravel(), db.ravel(), df])
+def _flow_operator(bg: FrameBackground):
+    """:func:`_polarize` over a float64 copy of ``bg``: the float operator
+    of the integrator, stated by :func:`flow_rhs` alone."""
+    return _polarize(replace(
+        bg, field=_F64,
+        c=tuple(tuple(tuple(map(bg.field.to_float, row)) for row in plane)
+                for plane in bg.c),
+        W=GForm(_F64, 1, tuple(map(tuple, bg.W.to_floats()))),
+        starF=GForm(_F64, 1, tuple(map(tuple, bg.starF.to_floats())))), 1.0)
 
 
 # Dormand-Prince 5(4) embedded pair.
@@ -575,7 +551,9 @@ for _row, _c in zip(_DP_A, _DP_C):
     assert sum(_row, Fraction(0)) == _c, "tableau row/node mismatch"
 assert sum(_DP_B5) == 1 and sum(_DP_B4) == 1, "tableau weights must sum to 1"
 
-_DP_A_F = [np.array([float(x) for x in row]) for row in _DP_A]
+_DP_C_F = np.array([float(x) for x in _DP_C])
+_DP_A_F = np.array([[float(x) for x in row] + [0.0] * (7 - len(row))
+                    for row in _DP_A])
 _DP_B5_F = np.array([float(x) for x in _DP_B5])
 _DP_ERR_F = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 
@@ -602,12 +580,11 @@ def _pack_state(bg, state: FlowState):
     return np.concatenate([a.ravel(), b.ravel(), f])
 
 
-def _unpack_state(bg, y, v) -> FlowState:
-    W = np.array(bg.W.to_floats())
-    A = v[0:9].reshape(3, 3) + W
-    phi = v[9:18].reshape(3, 3) + np.eye(3) / y
-    return FlowState(y=float(y), A=_gform1(A), phi=_gform1(phi),
-                     phi_y=_gform0(v[18:21]))
+def _unpack_state(W, y, v) -> FlowState:
+    """Full-variable state from a packed one; ``W`` is the raveled float
+    connection form."""
+    return _float_state(y, v[0:9] + W, v[9:18] + np.eye(3).ravel() / y,
+                        v[18:21])
 
 
 def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
@@ -632,7 +609,8 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     y1 = float(y_target)
     if y0 <= 0 or y1 <= 0:
         raise ValueError("the flow lives on y > 0")
-    geo = _GeoArrays(bg)
+    c, M0, M1, Q = _flow_operator(bg)
+    W = np.ravel(bg.W.to_floats())
     v = _pack_state(bg, init)
     traj = [init]
     if y1 == y0:
@@ -640,15 +618,17 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     span = abs(y1 - y0)
     direction = 1.0 if y1 > y0 else -1.0
 
+    Q = Q.reshape(_NV * _NV, _NV)
+    K = np.zeros((7, _NV))
+
+    def rhs(y, v):
+        return c + (M0 + M1 / y + (Q @ v).reshape(_NV, _NV)) @ v
+
     def step_once(y, v, h):
-        k = [_rhs_np(geo, y, v)]
-        for s in range(1, 7):
-            vs = v + h * sum(aij * kj for aij, kj in zip(_DP_A_F[s], k))
-            k.append(_rhs_np(geo, y + float(_DP_C[s]) * h, vs))
-        v5 = v + h * sum(bi * ki for bi, ki in zip(_DP_B5_F, k))
-        err = abs(h) * float(np.max(np.abs(
-            sum(ei * ki for ei, ki in zip(_DP_ERR_F, k)))))
-        return v5, err
+        for s in range(7):
+            K[s] = rhs(y + _DP_C_F[s] * h, v + h * (_DP_A_F[s, :s] @ K[:s]))
+        err = abs(h) * float(np.max(np.abs(_DP_ERR_F @ K)))
+        return v + h * (_DP_B5_F @ K), err
 
     if fixed_step is not None:
         h = abs(float(fixed_step)) * direction
@@ -659,7 +639,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
             hh = direction * min(abs(h), abs(y1 - y))
             v, _err = step_once(y, v, hh)
             y = y1 if abs(y1 - (y + hh)) < 1e-15 * span else y + hh
-            traj.append(_unpack_state(bg, y, v))
+            traj.append(_unpack_state(W, y, v))
         raise RuntimeError("fixed-step budget exceeded")
 
     y = y0
@@ -674,7 +654,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
         if math.isfinite(err) and err <= budget:
             y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
             v = v_new
-            traj.append(_unpack_state(bg, y, v))
+            traj.append(_unpack_state(W, y, v))
             grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
         else:
@@ -791,7 +771,8 @@ def global_report(series: PhgSeries) -> GlobalReport:
 # ---------------------------------------------------------------------------
 
 
-def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12):
+def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
+                      series=None):
     """Max absolute deviation of the truncated expansion from the closed form.
 
     For each N the matched expansion is evaluated on a log grid; the
@@ -804,6 +785,8 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12):
     measures truncation error alone -- there is no float noise floor, and the
     smallest entries (~1e-16 at N = 6) remain meaningful.
 
+    :param series: the matched expansion through ``max(orders)``, when the
+        caller already has it; expanded here otherwise.
     :return: one row per N:
         ``{"N", "max_err", "slope", "errors": [(y, err), ...]}``.
         The slope of an exactly reproduced solution (flat) is NaN.
@@ -813,19 +796,19 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12):
     bg = sol.background
     if not bg.field.exact:
         raise ValueError("the convergence oracle needs exact scalars")
-    free = matched_free_data(sol.name, bg.field)
-    ser = expand(bg, free, max(orders))
+    ser = series if series is not None else expand(
+        bg, matched_free_data(sol.name, bg.field), max(orders))
     if not all(p == 0 for _, p in ser.addresses()):
         raise ValueError("the convergence oracle needs a log-free expansion")
     W = bg.W
     e = vierbein(bg.field)
     grid = [Fraction(float(v)) for v in np.geomspace(y_lo, y_hi, samples)]
+    closed = [(W.scale(-(sol.fA.value_exact(yq) - 1)),
+               e.scale(-(sol.fPhi.value_exact(yq) - 1 / yq))) for yq in grid]
     rows = []
     for N in orders:
         errors = []
-        for yq in grid:
-            da = W.scale(-(sol.fA.value_exact(yq) - 1))
-            db = e.scale(-(sol.fPhi.value_exact(yq) - 1 / yq))
+        for yq, (da, db) in zip(grid, closed):
             dphi = GForm.zero(bg.field, 0)
             for k, p in ser.addresses():
                 if k > N:

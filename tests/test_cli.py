@@ -229,6 +229,28 @@ class TestOdeCompare:
     def test_orders_below_two(self, capsys):
         assert cli.main(["ode-compare", "flat", "--order", "1,2"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--y-min", "0"],
+        ["--y-max", "0"],
+        ["--y-min", "1.5"],
+        ["--y-min", "0.2", "--y-max", "0.05"],
+        ["--tol", "0"],
+    ], ids=["y-min-zero", "y-max-zero", "y-min-above-one", "y-range-reversed",
+            "tol-zero"])
+    def test_bad_input_is_one_line(self, capsys, flags):
+        assert cli.main(["ode-compare", "s3", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_step_underflow_is_a_math_error(self, capsys):
+        # a valid but unreachable tolerance: the step shrinks to the floor
+        assert cli.main(["ode-compare", "s3", "--order", "2",
+                         "--tol", "1e-30"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("math error: step size underflow")
+
 
 class TestUsage:
     def test_no_command(self):

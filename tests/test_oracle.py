@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from nahmpole.oracle import (
     convergence_csv,
     convergence_table,
     flow_residual,
+    flow_rhs,
     global_report,
     integrate_flow,
     matched_free_data,
@@ -25,7 +27,11 @@ from nahmpole.oracle import (
     taylor_profile,
     trajectory_csv,
 )
+from nahmpole.oracle import _flow_operator, _polarize
+from nahmpole.scalars import RationalField
 from nahmpole.series import expand, from_json, to_json
+
+from conftest import CATALOG, rand_one_form, rand_zero_form
 
 
 def _state_dev(s1: FlowState, s2: FlowState) -> float:
@@ -164,6 +170,37 @@ class TestFlowResidual:
         assert isinstance(rphi, Fraction) and rphi == 0
 
 
+@pytest.fixture(scope="module", params=CATALOG,
+                ids=[uri.split(":")[1] for uri, _ in CATALOG])
+def exact_operator(request):
+    """A catalog background with its flow operator polarized in rationals."""
+    bg = load_background(request.param[0], RationalField())
+    return bg, _polarize(bg, Fraction(1))
+
+
+class TestFlowOperator:
+    """The integrator's ``c + M0 v + M1 v/y + Q(v, v)`` is ``flow_rhs``."""
+
+    def test_exact_operator_is_flow_rhs(self, exact_operator):
+        bg, (c, M0, M1, Q) = exact_operator
+        rng = random.Random(20180)
+        for _ in range(3):
+            y = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            a, b = rand_one_form(rng, bg.field), rand_one_form(rng, bg.field)
+            phi_y = rand_zero_form(rng, bg.field)
+            v = np.array([*a.entries(), *b.entries(), *phi_y.entries()],
+                         dtype=object)
+            got = c + M0.dot(v) + M1.dot(v) / y + Q.dot(v).dot(v)
+            da, db, dphi = flow_rhs(bg, y, a, b, phi_y)
+            assert list(got) == [*da.entries(), *db.entries(), *dphi.entries()]
+
+    def test_float_build_is_float_of_exact_build(self, exact_operator):
+        bg, exact = exact_operator
+        for got, want in zip(_flow_operator(bg), exact):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.vectorize(float, otypes=[float])(want))
+
+
 class TestIntegrator:
     def test_s3_forward_accuracy(self):
         sol = closed_solution("s3")
@@ -202,15 +239,16 @@ class TestIntegrator:
         # on the closed form too
         from scipy.integrate import solve_ivp
 
-        from nahmpole.oracle import _GeoArrays, _pack_state, _rhs_np, _unpack_state
+        from nahmpole.oracle import _pack_state, _unpack_state
 
         sol = closed_solution("s3")
-        geo = _GeoArrays(sol.background)
+        c, M0, M1, Q = _flow_operator(sol.background)
         v0 = _pack_state(sol.background, profile_state(sol, 0.2))
-        out = solve_ivp(lambda y, v: _rhs_np(geo, y, v), (0.2, 1.0), v0,
-                        rtol=1e-11, atol=1e-12, method="RK45")
+        out = solve_ivp(lambda y, v: c + M0 @ v + M1 @ v / y + (Q @ v) @ v,
+                        (0.2, 1.0), v0, rtol=1e-11, atol=1e-12, method="RK45")
         assert out.success
-        final = _unpack_state(sol.background, 1.0, out.y[:, -1])
+        W = np.ravel(sol.background.W.to_floats())
+        final = _unpack_state(W, 1.0, out.y[:, -1])
         assert _state_dev(final, profile_state(sol, 1.0)) <= 1e-8
 
     def test_series_to_ode_pipeline(self, field):
