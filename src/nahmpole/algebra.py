@@ -62,6 +62,8 @@ _EPS = (
     (2, 1, 0, -1),
     (1, 0, 2, -1),
 )
+#: The even permutations of (0, 1, 2), where the Levi-Civita symbol is +1.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class ResonantOrder(Exception):
@@ -219,29 +221,29 @@ def vierbein(field=None) -> GForm:
 def star_wedge(x: GForm, y: GForm) -> GForm:
     """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments.
 
-    Coefficients: ``out[c][k] = sum eps_{ijk} eps_{abc} x[a][i] y[b][j]``.
+    Coefficients: ``out[c][k] = sum eps_{ijk} eps_{abc} x[a][i] y[b][j]``,
+    written out over the cyclic triples ``(i, j, k)`` and ``(a, b, c)``.
     """
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_wedge needs two degree-1 forms")
-    field = x.field
-    out = [[field.zero] * 3 for _ in range(3)]
-    for i, j, k, s1 in _EPS:
-        for a, b, c, s2 in _EPS:
-            v = x.coeffs[a][i] * y.coeffs[b][j]
-            out[c][k] = out[c][k] + v * (s1 * s2)
-    return GForm(field, 1, tuple(tuple(r) for r in out))
+    X, Y = x.coeffs, y.coeffs
+    out = [[None] * 3 for _ in range(3)]
+    for i, j, k in _CYCLIC:
+        for a, b, c in _CYCLIC:
+            out[c][k] = (X[a][i] * Y[b][j] - X[b][i] * Y[a][j]
+                         - X[a][j] * Y[b][i] + X[b][j] * Y[a][i])
+    return GForm(x.field, 1, tuple(tuple(r) for r in out))
 
 
 def bracket_0_1(phi: GForm, x: GForm) -> GForm:
     """``[phi, x]`` of a 0-form with a 1-form (antisymmetric pairing)."""
     if phi.degree != 0 or x.degree != 1:
         raise ValueError("bracket_0_1 needs a 0-form then a 1-form")
-    field = phi.field
-    out = [[field.zero] * 3 for _ in range(3)]
-    for a, b, c, s in _EPS:
-        for i in range(3):
-            out[c][i] = out[c][i] + phi.coeffs[a] * x.coeffs[b][i] * s
-    return GForm(field, 1, tuple(tuple(r) for r in out))
+    P, X = phi.coeffs, x.coeffs
+    out = [None] * 3
+    for a, b, c in _CYCLIC:
+        out[c] = tuple(P[a] * X[b][i] - P[b] * X[a][i] for i in range(3))
+    return GForm(phi.field, 1, tuple(out))
 
 
 def star_bracket_star(x: GForm, y: GForm) -> GForm:
@@ -251,12 +253,12 @@ def star_bracket_star(x: GForm, y: GForm) -> GForm:
     """
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_bracket_star needs two degree-1 forms")
-    field = x.field
-    out = [field.zero] * 3
-    for a, b, c, s in _EPS:
-        for i in range(3):
-            out[c] = out[c] + x.coeffs[a][i] * y.coeffs[b][i] * s
-    return GForm(field, 0, tuple(out))
+    X, Y = x.coeffs, y.coeffs
+    out = [None] * 3
+    for a, b, c in _CYCLIC:
+        out[c] = (X[a][0] * Y[b][0] + X[a][1] * Y[b][1] + X[a][2] * Y[b][2]
+                  - X[b][0] * Y[a][0] - X[b][1] * Y[a][1] - X[b][2] * Y[a][2])
+    return GForm(x.field, 0, tuple(out))
 
 
 def e_bracket(phi: GForm) -> GForm:

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     _EPS,
@@ -116,13 +117,16 @@ def connection_form(field, conn) -> GForm:
 def _star_d(field, c, x: GForm) -> GForm:
     """``*(d x)`` of a frame-constant degree-1 form.
 
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.
+    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zero structure
+    constants are skipped; they are background scalars, never form entries.
     """
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [[field.zero] * 3 for _ in range(3)]
     for j, k, m, s in _EPS:
-        for a in range(3):
-            for i in range(3):
+        for i in range(3):
+            if c[i][j][k] == 0:
+                continue
+            for a in range(3):
                 out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * half[s]
     return GForm(field, 1, tuple(tuple(r) for r in out))
 
@@ -215,6 +219,13 @@ class FrameBackground:
     def is_einstein(self) -> bool:
         return is_einstein(self)
 
+    @cached_property
+    def _compiled(self):
+        # per instance, not a field: a dataclasses.replace copy over other
+        # scalars must compile its own
+        return {name: _compile(self, op, n)
+                for name, (n, op) in _DEFINITIONS.items()}
+
     def __repr__(self):
         return f"FrameBackground({self.name!r})"
 
@@ -222,6 +233,45 @@ class FrameBackground:
 def is_einstein(bg: FrameBackground) -> bool:
     """True iff ``(*F_omega)^+`` vanishes (exactly / below field tolerance)."""
     return project(bg.starF, EigenPart.Plus).is_zero()
+
+
+#: The linear maps of the flow, name -> (input entries, definition); the
+#: public functions apply the tables :func:`_compile` reads off these.
+_DEFINITIONS = {
+    "star_d_omega": (9, lambda bg, x: _star_d(bg.field, bg.c, x)
+                     + star_wedge(bg.W, x)),
+    "d_omega": (3, lambda bg, x: -bracket_0_1(x, bg.W)),
+    # (d_omega^* x)_a = sum_i x[a][i] (sum_k c^k_ik) - (*[W, *x])_a
+    "d_omega_star": (9, lambda bg, x: GForm(bg.field, 0, tuple(
+        sum((x.coeffs[a][i] * bg.c[k][i][k] for i in range(3) for k in range(3)),
+            bg.field.zero) - w
+        for a, w in enumerate(star_bracket_star(bg.W, x).coeffs)))),
+}
+
+
+def _form(field, v) -> GForm:
+    """The form with the flat coefficient list ``v`` (3 or 9 entries)."""
+    if len(v) == 3:
+        return GForm(field, 0, tuple(v))
+    return GForm(field, 1, (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
+
+
+def _compile(bg: FrameBackground, op, n):
+    """Per output entry of ``op(bg, .)`` on ``n``-entry forms, the ``(input
+    index, coefficient)`` pairs of its nonzero coefficients at unit forms."""
+    field = bg.field
+    cols = [op(bg, _form(field, [field.one if i == j else field.zero
+                                 for i in range(n)])).entries()
+            for j in range(n)]
+    return tuple(tuple((j, col[r]) for j, col in enumerate(cols) if col[r] != 0)
+                 for r in range(len(cols[0])))
+
+
+def _apply(bg: FrameBackground, name, x: GForm) -> GForm:
+    """The compiled map ``name`` at ``x`` (entries may be numpy arrays)."""
+    v = x.entries()
+    return _form(bg.field, [sum((coef * v[j] for j, coef in row), bg.field.zero)
+                            for row in bg._compiled[name]])
 
 
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
@@ -232,7 +282,7 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     its Hodge dual, so it is returned as the degree-1 form ``*(d_omega x)``.
     """
     if x.degree == 0:
-        return -bracket_0_1(x, bg.W)
+        return _apply(bg, "d_omega", x)
     return star_d_omega(bg, x)
 
 
@@ -240,7 +290,7 @@ def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
-    return _star_d(bg.field, bg.c, x) + star_wedge(bg.W, x)
+    return _apply(bg, "star_d_omega", x)
 
 
 def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
@@ -252,18 +302,7 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    field = bg.field
-    out = [field.zero] * 3
-    for a in range(3):
-        s = field.zero
-        for i in range(3):
-            tr = field.zero
-            for k in range(3):
-                tr = tr + bg.c[k][i][k]
-            s = s + x.coeffs[a][i] * tr
-        out[a] = s
-    correction = star_bracket_star(bg.W, x)
-    return GForm(field, 0, tuple(o - c for o, c in zip(out, correction.coeffs)))
+    return _apply(bg, "d_omega_star", x)
 
 
 # ---------------------------------------------------------------------------

@@ -109,19 +109,26 @@ class PhgSeries:
 
     # -- storage ---------------------------------------------------------
 
-    def _put(self, table, k, p, form):
-        if form is None or form.is_zero():
-            table.pop((k, p), None)
-        else:
-            table[(k, p)] = form
+    def _store(self, k, p, a=None, b=None, phi_y=None, terms=None):
+        """Store the given forms at (k, p), dropping zero ones.
 
-    def _store(self, k, p, a=None, b=None, phi_y=None):
-        if a is not None:
-            self._put(self._a, k, p, a)
-        if b is not None:
-            self._put(self._b, k, p, b)
-        if phi_y is not None:
-            self._put(self._phi, k, p, phi_y)
+        ``terms`` set the scale: a solve step's terms and the entries they
+        read, or a parsed entry's own forms.  Over float scalars a form is
+        then zero when no entry exceeds the field tolerance times their
+        largest entry; an absolute floor also drops genuine small values.
+        """
+        exact = terms is None or self.field.exact
+        tol = None if exact else self.field.tolerance * max(
+            abs(v) for t in terms for v in t.entries())
+        for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
+            if form is None:
+                continue
+            zero = (form.is_zero() if exact
+                    else all(abs(v) <= tol for v in form.entries()))
+            if zero:
+                table.pop((k, p), None)
+            else:
+                table[(k, p)] = form
 
     def get_a(self, k, p) -> GForm:
         got = self._a.get((k, p))
@@ -145,10 +152,6 @@ class PhgSeries:
     def max_p(self) -> int:
         addrs = self.addresses()
         return max((p for _, p in addrs), default=0)
-
-    def max_p_at(self, k: int) -> int:
-        ps = [p for (kk, p) in self.addresses() if kk == k]
-        return max(ps, default=-1)
 
     def __repr__(self):
         return (f"PhgSeries({self.background_name!r}, order={self.order}, "
@@ -208,7 +211,7 @@ class FreeData:
 
 @dataclass(frozen=True)
 class QuadSource:
-    """Quadratic convolution sources entering one solve step."""
+    """Quadratic convolution sources of one solve step (None: no pairs)."""
 
     Qa: GForm
     Qb: GForm
@@ -272,12 +275,11 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     ``Qa``/``Qphi`` feed the order k+1 equations (their pairs sum to k);
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
     entries contribute; absent coefficients are zero (stored entries never
-    are, so a table miss is the zero test).
+    are, so a table miss is the zero test), and a source no pair reaches is
+    None.
     """
-    field = series.field
     A, B, PHI = series._a, series._b, series._phi
-    Qa = GForm.zero(field, 1)
-    Qphi = GForm.zero(field, 0)
+    Qa, Qb, Qphi = [], [], []
     for k1 in range(1, k):
         k2 = k - k1
         for p1 in range(p + 1):
@@ -286,13 +288,12 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
             if b2 is not None:
                 a1 = A.get((k1, p1))
                 if a1 is not None:
-                    Qa = Qa + star_wedge(a1, b2)
-                    Qphi = Qphi - star_bracket_star(a1, b2)
+                    Qa.append(star_wedge(a1, b2))
+                    Qphi.append(-star_bracket_star(a1, b2))
                 phi1 = PHI.get((k1, p1))
                 if phi1 is not None:
-                    Qa = Qa + bracket_0_1(phi1, b2)
+                    Qa.append(bracket_0_1(phi1, b2))
 
-    Qb = GForm.zero(field, 1)
     for k1 in range(1, k - 1):
         k2 = (k - 1) - k1
         for p1 in range(p + 1):
@@ -300,27 +301,36 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
             a1 = A.get((k1, p1))
             a2f = A.get((k2, p2))
             if a1 is not None and a2f is not None:
-                Qb = Qb + star_wedge(a1, a2f).scale(_HALF)
+                Qb.append(star_wedge(a1, a2f).scale(_HALF))
             b1f = B.get((k1, p1))
             b2f = B.get((k2, p2))
             if b1f is not None and b2f is not None:
-                Qb = Qb - star_wedge(b1f, b2f).scale(_HALF)
+                Qb.append(star_wedge(b1f, b2f).scale(-_HALF))
             phi2f = PHI.get((k2, p2))
             if a1 is not None and phi2f is not None:
                 # [a, phi_y] = -[phi_y, a]
-                Qb = Qb - bracket_0_1(phi2f, a1)
-    return QuadSource(Qa=Qa, Qb=Qb, Qphi=Qphi)
+                Qb.append(-bracket_0_1(phi2f, a1))
+    return QuadSource(*(sum(q[1:], q[0]) if q else None for q in (Qa, Qb, Qphi)))
+
+
+def _top_depth(series: PhgSeries, k: int) -> int:
+    """Highest log depth order k can reach (-1 for none): the depths its
+    linear terms read at order k-1, and the sums ``p1 + p2`` of the stored
+    pairs its quadratic sources convolve (``k1 + k2`` in {k-1, k})."""
+    depth = {}
+    for kk, p in series.addresses():
+        depth[kk] = max(depth.get(kk, -1), p)
+    return max([depth.get(k - 1, -1)] + [
+        p1 + depth[n - k1] for k1, p1 in depth.items() for n in (k - 1, k)
+        if n - k1 in depth])
 
 
 def advance_order(series: PhgSeries, k: int) -> None:
     """Compute ``b_k`` and ``(a, phi_y)_{k+1}`` at every log depth.
 
-    Works down from log depth ``2 * series.max_p() + 1``, since the
-    ``(p+1)``-ladder couples each depth to the one above.  Nothing nonzero
-    can land above ``2 * max_p`` (max_p taken before the walk): the
-    quadratic sources pair stored depths with p1 + p2 = p, and the linear
-    terms read either stored entries at depth p or the walk's own results
-    at depth p+1.  For each p:
+    Works down from the highest depth order k can reach (:func:`_top_depth`),
+    since the ``(p+1)``-ladder couples each depth to the one above.  For
+    each p:
 
     * ``b_{k,p}`` solves ``(k + L) b = *d_w a_{k-1,p} + d_w (phi_y)_{k-1,p}
       - (p+1) b_{k,p+1} + Qb``;
@@ -329,31 +339,40 @@ def advance_order(series: PhgSeries, k: int) -> None:
       of ``a_{k+1,p}`` are ``R`` over k+2 and k-1, while the V0 part couples
       to ``phi_y`` through the 2x2 solve at lambda = k+1.
 
-    Exactly-zero results are not stored.
+    A term enters only where its table entries are present; a step with no
+    terms is skipped.  Zero results are not stored.
     """
     if k < 2:
         raise ValueError("advance_order starts at k = 2; lower orders are seeded")
     bg = series.background
     field = series.field
-    for p in range(2 * series.max_p() + 1, -1, -1):
+    A, B, PHI = series._a, series._b, series._phi
+    zero1 = GForm.zero(field, 1)
+    for p in range(_top_depth(series, k), -1, -1):
         q = quadratic_source(series, k, p)
-        rhs_b = (star_d_omega(bg, series.get_a(k - 1, p))
-                 + d_omega(bg, series.get_phi(k - 1, p))
-                 - series.get_b(k, p + 1).scale(field.from_int(p + 1))
-                 + q.Qb)
-        b_kp = invert_cal_L(k, rhs_b)
-        series._store(k, p, b=b_kp)
+        pp1 = field.from_int(p + 1)
+        # GForms are truthy: ``x and f(x)`` is None just when x is absent
+        a, phi, b = A.get((k - 1, p)), PHI.get((k - 1, p)), B.get((k, p + 1))
+        rhs_b = [*filter(None, (a and star_d_omega(bg, a), phi and d_omega(bg, phi),
+                                b and b.scale(-pp1), q.Qb))]
+        if rhs_b:  # the entries read join the scale: a curl can be round-off
+            series._store(k, p, b=invert_cal_L(k, sum(rhs_b, zero1)),
+                          terms=rhs_b + [*filter(None, (a, phi))])
 
-        R = (star_d_omega(bg, b_kp)
-             - series.get_a(k + 1, p + 1).scale(field.from_int(p + 1))
-             + q.Qa)
-        S = (d_omega_star(bg, b_kp)
-             - series.get_phi(k + 1, p + 1).scale(field.from_int(p + 1))
-             + q.Qphi)
-        a_plus = project(R, EigenPart.Plus).divide(field.from_int(k + 2))
-        a_minus = project(R, EigenPart.Minus).divide(field.from_int(k - 1))
-        a_zero, phi_next = resolve_coupled(k + 1, project(R, EigenPart.Zero), S)
-        series._store(k + 1, p, a=a_plus + a_minus + a_zero, phi_y=phi_next)
+        b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
+        R = [*filter(None, (b and star_d_omega(bg, b), a and a.scale(-pp1), q.Qa))]
+        S = [*filter(None, (b and d_omega_star(bg, b), phi and phi.scale(-pp1),
+                            q.Qphi))]
+        if not (R or S):
+            continue
+        R_sum = sum(R, zero1)
+        S_sum = sum(S, GForm.zero(field, 0))
+        a_plus = project(R_sum, EigenPart.Plus).divide(field.from_int(k + 2))
+        a_minus = project(R_sum, EigenPart.Minus).divide(field.from_int(k - 1))
+        a_zero, phi_next = resolve_coupled(
+            k + 1, project(R_sum, EigenPart.Zero), S_sum)
+        series._store(k + 1, p, a=a_plus + a_minus + a_zero, phi_y=phi_next,
+                      terms=R + S + ([b] if b else []))
 
 
 def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
@@ -406,25 +425,25 @@ def residual_at(series: PhgSeries, K: int, p: int):
     field = series.field
     if bg is None:
         raise ValueError("series has no background attached")
-    aK = series.get_a(K, p)
-    bK = series.get_b(K, p)
-    phiK = series.get_phi(K, p)
+    A, B, PHI = series._a, series._b, series._phi
     pp1 = field.from_int(p + 1)
     kf = field.from_int(K)
 
-    Ra = (aK.scale(kf) + series.get_a(K, p + 1).scale(pp1)
-          - L_op(aK) + e_bracket(phiK)
-          - star_d_omega(bg, series.get_b(K - 1, p)))
-    Rb = (bK.scale(kf) + L_op(bK) + series.get_b(K, p + 1).scale(pp1)
-          - star_d_omega(bg, series.get_a(K - 1, p))
-          - d_omega(bg, series.get_phi(K - 1, p)))
-    if K == 1 and p == 0:
-        Rb = Rb - bg.starF
-    Rphi = (phiK.scale(kf) + series.get_phi(K, p + 1).scale(pp1)
-            + gamma_op(aK)
-            - d_omega_star(bg, series.get_b(K - 1, p)))
+    def total(degree, *terms):
+        return sum((t for t in terms if t is not None), GForm.zero(field, degree))
 
-    A, B, PHI = series._a, series._b, series._phi
+    aK, bK, phiK = (t.get((K, p)) for t in (A, B, PHI))
+    aU, bU, phiU = (t.get((K, p + 1)) for t in (A, B, PHI))
+    aD, bD, phiD = (t.get((K - 1, p)) for t in (A, B, PHI))
+    # GForms are truthy: a term ``x and f(x)`` is None just when x is absent
+    Ra = total(1, aK and aK.scale(kf) - L_op(aK), aU and aU.scale(pp1),
+               phiK and e_bracket(phiK), bD and -star_d_omega(bg, bD))
+    Rb = total(1, bK and bK.scale(kf) + L_op(bK), bU and bU.scale(pp1),
+               aD and -star_d_omega(bg, aD), phiD and -d_omega(bg, phiD),
+               -bg.starF if (K, p) == (1, 0) else None)
+    Rphi = total(0, phiK and phiK.scale(kf), phiU and phiU.scale(pp1),
+                 aK and gamma_op(aK), bD and -d_omega_star(bg, bD))
+
     for k1 in range(1, K):
         k2 = (K - 1) - k1
         if k2 < 1:
@@ -566,5 +585,5 @@ def from_json(text: str, background: FrameBackground = None,
         b = GForm.one_form(field, [[field.parse(v) for v in row]
                                    for row in entry["b"]])
         phi = GForm.zero_form(field, [field.parse(v) for v in entry["phi_y"]])
-        series._store(k, p, a=a, b=b, phi_y=phi)
+        series._store(k, p, a=a, b=b, phi_y=phi, terms=(a, b, phi))
     return series

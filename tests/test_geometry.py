@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nahmpole import geometry
 from nahmpole.algebra import EigenPart, GForm, project, vierbein
 from nahmpole.geometry import (
     FrameBackground,
@@ -22,7 +23,11 @@ from nahmpole.geometry import (
     torsion_residual,
 )
 
-from conftest import rand_antisym_c, rand_frame_c, rand_one_form
+from nahmpole.geometry import _DEFINITIONS
+from nahmpole.scalars import FloatField
+
+from conftest import (CATALOG, rand_antisym_c, rand_frame_c, rand_one_form,
+                      rand_zero_form)
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus
 
@@ -220,6 +225,44 @@ class TestDeactionRules:
             bg = FrameBackground.from_structure_constants(
                 f"deact-{trial}", rand_frame_c(rng), field)
             self._check(bg, field, rng)
+
+
+def _compiled_and_defined(bg, rng):
+    """``(public map, its definition)`` at seeded random forms, for each
+    linear map the background compiles."""
+    for name, (n, definition) in _DEFINITIONS.items():
+        for _ in range(4):
+            x = (rand_zero_form if n == 3 else rand_one_form)(rng, bg.field)
+            yield getattr(geometry, name)(bg, x), definition(bg, x)
+
+
+class TestCompiledOperators:
+    """``star_d_omega``, ``d_omega`` on 0-forms and ``d_omega_star`` apply
+    sparse tables read off their definitions; the tables must reproduce
+    the definitions."""
+
+    def test_exact_on_catalog(self, catalog_case, rng):
+        bg, _ = catalog_case
+        for got, want in _compiled_and_defined(bg, rng):
+            assert got == want
+
+    def test_exact_on_background_file(self, field, rng, tmp_path):
+        # a rotated, rescaled Berger frame fills most structure constants
+        bg = FrameBackground.from_structure_constants(
+            "rotated-berger", rand_frame_c(rng, "builtin:berger-s3?squash=2"),
+            field)
+        path = tmp_path / "rotated.json"
+        path.write_text(background_to_json(bg))
+        bg = load_background(str(path), field)
+        for got, want in _compiled_and_defined(bg, rng):
+            assert got == want
+
+    @pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG])
+    def test_float128_within_tolerance(self, uri, rng):
+        f128 = FloatField(128)
+        bg = load_background(uri, f128)
+        for got, want in _compiled_and_defined(bg, rng):
+            assert (got - want).is_zero()
 
 
 class TestLoaders:

@@ -6,7 +6,7 @@ import pytest
 
 from nahmpole.algebra import EigenPart, cal_L, project, vierbein
 from nahmpole.geometry import builtin, load_background
-from nahmpole.scalars import FloatField
+from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import (
     FreeData,
     PhgSeries,
@@ -220,6 +220,22 @@ class TestResiduals:
         assert not Rb.is_zero()
         assert check_residuals(s) != []
 
+    @pytest.mark.parametrize("uri, table, k, p", [
+        ("builtin:round-s3", "_a", 3, 0),            # an odd-k a
+        ("builtin:hyperbolic-h3", "_a", 4, 1),       # a log on an Einstein table
+        ("builtin:berger-s3?squash=2", "_b", 3, 4),  # at the top stored depth
+    ])
+    def test_isolated_entry_is_detected(self, field, rng, uri, table, k, p):
+        # nothing is stored next to (k, p), so the residual terms that skip
+        # absent entries must still read the spurious one
+        s = expand(load_background(uri, field), N=8)
+        around = {(k - 1, p), (k + 1, p), (k, p - 1), (k, p + 1)}
+        assert (k, p) not in getattr(s, table)
+        assert not around & set(s.addresses())
+        assert p >= s.max_p()  # at or above the top stored depth
+        getattr(s, table)[(k, p)] = rand_one_form(rng, field)
+        assert (k, p, table[1:]) in check_residuals(s)
+
     def test_requires_background(self, field):
         s = PhgSeries(field=field, order=2, background_name="detached")
         with pytest.raises(ValueError):
@@ -312,3 +328,32 @@ class TestSerialization:
         text = to_json(s)
         again = from_json(text, background=bg)
         assert to_json(again) == text
+
+
+#: The float sweep: the Einstein models and the Berger sphere over a small,
+#: a moderate and a large scale, plus the two parameterless models.
+SWEEP = [f"{name}?{param}={value}"
+         for name, param in (("round-s3", "scale"), ("hyperbolic-h3", "scale"),
+                             ("berger-s3", "squash"))
+         for value in ("1/5", "2", "5")] + ["flat", "h2xr"]
+
+
+@pytest.mark.parametrize("uri", SWEEP)
+def test_float_tracks_rational(uri):
+    """Float mode keeps the rational address set at N = 16 -- genuine small
+    coefficients included (b_{13,0} ~ 3.6e-17 on round-s3?scale=1/5), also
+    through a JSON round trip -- and agrees per entry to
+    |float - exact| <= rtol * max(|exact|, 1)."""
+    exact = expand(load_background(f"builtin:{uri}", RationalField()), N=16)
+    for bits, rtol in ((64, Fraction(1, 10**15)), (128, Fraction(1, 10**30))):
+        field = FloatField(bits)
+        got = expand(load_background(f"builtin:{uri}", field), N=16)
+        assert got.addresses() == exact.addresses(), bits
+        again = from_json(to_json(got), field=field)
+        assert again.addresses() == exact.addresses(), bits
+        for k, p in exact.addresses():
+            for name in ("a", "b", "phi_y"):
+                pairs = zip(getattr(got.at(k, p), name).entries(),
+                            getattr(exact.at(k, p), name).entries())
+                for g, w in pairs:
+                    assert abs(field.to_fraction(g) - w) <= rtol * max(abs(w), 1)
