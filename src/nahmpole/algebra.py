@@ -98,13 +98,6 @@ class EigenPart(enum.IntEnum):
     def eigenvalue(self, sigma: int = 1) -> int:
         return {EigenPart.Minus: sigma + 1, EigenPart.Zero: 1, EigenPart.Plus: -sigma}[self]
 
-    def dim(self, sigma: int = 1) -> int:
-        return {
-            EigenPart.Minus: 2 * sigma - 1,
-            EigenPart.Zero: 2 * sigma + 1,
-            EigenPart.Plus: 2 * sigma + 3,
-        }[self]
-
 
 @dataclass(frozen=True, eq=False)
 class GForm:
@@ -139,6 +132,13 @@ class GForm:
         if len(vec) != 3:
             raise ValueError("degree-0 coefficients must be a 3-vector")
         return GForm(field, 0, vec)
+
+    @staticmethod
+    def from_entries(field, v) -> "GForm":
+        """The form whose :meth:`entries` are ``v`` (3 or 9, may be arrays)."""
+        if len(v) == 3:
+            return GForm(field, 0, tuple(v))
+        return GForm(field, 1, (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
 
     # -- linear structure ---------------------------------------------------
 
@@ -285,7 +285,7 @@ def gamma_op(a: GForm) -> GForm:
     return star_bracket_star(a, vierbein(a.field))
 
 
-def project(a: GForm, part: EigenPart, sigma: int = 1) -> GForm:
+def project(a: GForm, part: EigenPart) -> GForm:
     """Spectral projection of a degree-1 form onto ``V-``, ``V0`` or ``V+``.
 
     The eigenspaces of ``L(a) = tr(a) I - a^T`` are the trace line, the
@@ -298,9 +298,6 @@ def project(a: GForm, part: EigenPart, sigma: int = 1) -> GForm:
     """
     if a.degree != 1:
         raise ValueError("project needs a degree-1 form")
-    if sigma != 1:
-        raise ValueError("the concrete 3x3 realization has sigma=1; "
-                         "use SigmaModule for higher sigma")
     c = a.coeffs
     zero = a.field.zero
     third = (c[0][0] + c[1][1] + c[2][2]) / 3
@@ -622,8 +619,6 @@ def leading_order_structure(sigma: int) -> LeadingOrders:
     assumption); the leading orders are ``a, phi_y ~ y^(sigma+1)`` and
     ``b ~ y^sigma``.
     """
-    if sigma < 1:
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
     dims = SigmaModule(sigma).part_dims()
     return LeadingOrders(
         a_order=sigma + 1,

@@ -38,6 +38,7 @@ from .algebra import (
     vierbein,
 )
 from .geometry import (
+    _is_array3,
     builtin,
     builtin_names,
     d_omega_star,
@@ -130,6 +131,8 @@ def _load_free_data(path: str, field) -> FreeData:
         mat = doc.get(key)
         if mat is None:
             continue
+        if not _is_array3(mat, 2):
+            raise ValueError(f"{key} must be a 3x3 matrix")
         form = GForm.one_form(
             field, [[field.parse(str(v)) for v in row] for row in mat])
         proj = project(form, part)
@@ -197,7 +200,7 @@ def _pretty_series(series) -> str:
         coeff = series.at(k, p)
         for label, form in (("a", coeff.a), ("b", coeff.b),
                             ("phi_y", coeff.phi_y)):
-            if form is not None and not form.is_zero():
+            if not form.is_zero():
                 out.append(f"  {label}:")
                 out.extend(_pretty_form(field, form, "    "))
     return "\n".join(out) + "\n"
@@ -223,14 +226,14 @@ def _cmd_expand(args) -> int:
     field = _make_field(args)
     try:
         bg = load_background(args.background, field)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load background: {exc}", file=sys.stderr)
         return 1
     free = None
     if args.free_data:
         try:
             free = _load_free_data(args.free_data, field)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot load free data: {exc}", file=sys.stderr)
             return 1
     series = expand(bg, free, args.order)
@@ -586,11 +589,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "order", None) is not None and args.command == "expand":
+    if args.command == "expand":
         if args.order < 2:
             print("expansion order must be >= 2", file=sys.stderr)
             return 1
-    if getattr(args, "prec", None) is not None and args.command == "expand":
         if args.scalar == "float" and args.prec < 64:
             print("float precision must be >= 64 bits", file=sys.stderr)
             return 1

@@ -249,19 +249,12 @@ _DEFINITIONS = {
 }
 
 
-def _form(field, v) -> GForm:
-    """The form with the flat coefficient list ``v`` (3 or 9 entries)."""
-    if len(v) == 3:
-        return GForm(field, 0, tuple(v))
-    return GForm(field, 1, (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
-
-
 def _compile(bg: FrameBackground, op, n):
     """Per output entry of ``op(bg, .)`` on ``n``-entry forms, the ``(input
     index, coefficient)`` pairs of its nonzero coefficients at unit forms."""
     field = bg.field
-    cols = [op(bg, _form(field, [field.one if i == j else field.zero
-                                 for i in range(n)])).entries()
+    cols = [op(bg, GForm.from_entries(field, [field.one if i == j else field.zero
+                                              for i in range(n)])).entries()
             for j in range(n)]
     return tuple(tuple((j, col[r]) for j, col in enumerate(cols) if col[r] != 0)
                  for r in range(len(cols[0])))
@@ -270,20 +263,18 @@ def _compile(bg: FrameBackground, op, n):
 def _apply(bg: FrameBackground, name, x: GForm) -> GForm:
     """The compiled map ``name`` at ``x`` (entries may be numpy arrays)."""
     v = x.entries()
-    return _form(bg.field, [sum((coef * v[j] for j, coef in row), bg.field.zero)
-                            for row in bg._compiled[name]])
+    return GForm.from_entries(bg.field, [
+        sum((coef * v[j] for j, coef in row), bg.field.zero)
+        for row in bg._compiled[name]])
 
 
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
-    """Exterior covariant derivative of a frame-constant form.
-
-    Degree 0: returns the 1-form ``[W, x]`` (the ``d`` part vanishes on
-    invariant functions).  Degree 1: the 2-form is only ever consumed through
-    its Hodge dual, so it is returned as the degree-1 form ``*(d_omega x)``.
-    """
-    if x.degree == 0:
-        return _apply(bg, "d_omega", x)
-    return star_d_omega(bg, x)
+    """Exterior covariant derivative ``[W, x]`` of a frame-constant 0-form
+    (the ``d`` part vanishes on invariant functions); on a 1-form, whose
+    2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
+    if x.degree != 0:
+        raise ValueError("d_omega needs a degree-0 form")
+    return _apply(bg, "d_omega", x)
 
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
@@ -382,8 +373,14 @@ def _parse_builtin_uri(uri: str, field) -> FrameBackground:
         expected = _BUILTINS.get(name, (None, ""))[0]
         if expected is None or key != expected:
             raise ValueError(f"builtin {name!r} does not take parameter {key!r}")
-        param = Fraction(value)
+        param = RationalField().parse(value)
     return builtin(name, param=param, field=field)
+
+
+def _is_array3(x, rank: int) -> bool:
+    """Whether ``x`` is a 3 x ... x 3 array (``rank`` levels) of lists."""
+    return rank == 0 or (isinstance(x, list) and len(x) == 3
+                         and all(_is_array3(r, rank - 1) for r in x))
 
 
 def load_background(source: str, field=None) -> FrameBackground:
@@ -400,10 +397,14 @@ def load_background(source: str, field=None) -> FrameBackground:
         c_raw = doc["c"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed background file {source!r}: {exc}") from exc
-    c = [[[Fraction(str(v)) for v in row] for row in plane] for plane in c_raw]
+    if not _is_array3(c_raw, 3):
+        raise ValueError(f"malformed background file {source!r}: "
+                         "c must be a 3x3x3 array")
+    rat = RationalField()
+    c = [[[rat.parse(str(v)) for v in row] for row in plane] for plane in c_raw]
     volume = doc.get("volume")
     if volume is not None:
-        volume = Fraction(str(volume))
+        volume = rat.parse(str(volume))
     return FrameBackground.from_structure_constants(name, c, field=field, volume=volume)
 
 

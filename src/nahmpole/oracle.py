@@ -19,9 +19,8 @@ backgrounds are pinned by requiring the closed-form profiles below to solve
 the flow equations to round-off (see ``flow_residual``); every other test in
 the package inherits these choices.  Sources that state a profile over a
 frame normalized as ``[t_a, t_b] = 2 eps_{abc} t_c`` are converted to the
-internal ``eps`` convention when the solution object is built;
-``ProfileSolution.bracket_scale`` records that conversion factor and is never
-multiplied in anywhere (the stored coefficients are already internal).
+internal ``eps`` convention when the solution object is built, so the stored
+coefficients are already internal.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def _ts_exp2(n):
     return out
 
 
-def _exp_fraction(x: Fraction, terms: int = 40) -> Fraction:
+def _exp_fraction(x: Fraction) -> Fraction:
     """Rational lower bound for e^x by Taylor truncation.
 
     For |x| <= 1/2 the dropped tail is below x^41/41! < 1e-60 -- far under
@@ -109,7 +108,7 @@ def _exp_fraction(x: Fraction, terms: int = 40) -> Fraction:
     """
     acc = Fraction(1)
     term = Fraction(1)
-    for k in range(1, terms + 1):
+    for k in range(1, 41):
         term = term * x / k
         acc += term
     return acc
@@ -245,16 +244,13 @@ class ProfileSolution:
     0`` over an invariant background.
 
     ``fPhi ~ 1/y`` as ``y -> 0`` (the pole boundary condition); both profiles
-    are smooth on (0, inf).  ``bracket_scale`` records the frame-normalization
-    conversion applied when the solution was transcribed (see module
-    docstring); it is informational and never enters evaluation.
+    are smooth on (0, inf).
     """
 
     name: str
     fA: object
     fPhi: object
     background: FrameBackground
-    bracket_scale: int = 1
 
 
 def _build_s3(field):
@@ -264,18 +260,17 @@ def _build_s3(field):
         fA=ExpRational([0, 6], [1, 4, 1]),
         fPhi=ExpRational([0, 6, 6], [-1, -3, 3, 1]),
         background=builtin("round-s3", field=field),
-        bracket_scale=1,
     )
 
 
 def _build_hyperbolic(field):
-    # fA = 1 (the connection stays Levi-Civita), fPhi = coth y = (u+1)/(u-1)
+    # fA = 1 (the connection stays Levi-Civita), fPhi = coth y = (u+1)/(u-1);
+    # transcribed over [t_a, t_b] = 2 eps_abc t_c, stored in the eps convention
     return ProfileSolution(
         name="hyperbolic",
         fA=ConstantProfile(1),
         fPhi=ExpRational([1, 1], [-1, 1]),
         background=builtin("hyperbolic-h3", field=field),
-        bracket_scale=2,
     )
 
 
@@ -285,7 +280,6 @@ def _build_flat(field):
         fA=ConstantProfile(1),
         fPhi=InverseY(),
         background=builtin("flat", field=field),
-        bracket_scale=1,
     )
 
 
@@ -363,8 +357,6 @@ class _Float64Kit:
     """Minimal scalar-field shim over native floats, for flow states and the
     float64 polarization probes: only the members those paths call."""
 
-    name = "float64"
-    exact = False
     zero = 0.0
     one = 1.0
 
@@ -373,12 +365,6 @@ class _Float64Kit:
 
     def to_float(self, x):
         return float(x)
-
-    def is_zero(self, x):
-        return x == 0.0
-
-    def __repr__(self):
-        return "_Float64Kit()"
 
 
 _F64 = _Float64Kit()
@@ -390,9 +376,8 @@ _NV = 21
 
 def _forms(field, v):
     """The GForms ``(a, b, phi_y)`` of a packed state (entries may be arrays)."""
-    rows = [tuple(v[i:i + 3]) for i in range(0, 18, 3)]
-    return (GForm(field, 1, tuple(rows[:3])), GForm(field, 1, tuple(rows[3:])),
-            GForm(field, 0, tuple(v[18:21])))
+    return (GForm.from_entries(field, v[0:9]), GForm.from_entries(field, v[9:18]),
+            GForm.from_entries(field, v[18:21]))
 
 
 @dataclass(frozen=True)
@@ -554,7 +539,6 @@ assert sum(_DP_B5) == 1 and sum(_DP_B4) == 1, "tableau weights must sum to 1"
 _DP_C_F = np.array([float(x) for x in _DP_C])
 _DP_A_F = np.array([[float(x) for x in row] + [0.0] * (7 - len(row))
                     for row in _DP_A])
-_DP_B5_F = np.array([float(x) for x in _DP_B5])
 _DP_ERR_F = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 
 
@@ -601,20 +585,22 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
         (sign is inferred); used to expose the raw order of the method.
     :return: list of :class:`FlowState` at the accepted steps, including the
         initial and final states.
+    :raises ValueError: for end points off ``0 < y < inf``, or a fixed step
+        that is zero or not finite.
     :raises StepUnderflow: when no acceptable step above the floor exists
         (e.g. integrating into a finite-y blow-up); carries the last good
         state.
     """
     y0 = float(init.y)
     y1 = float(y_target)
-    if y0 <= 0 or y1 <= 0:
-        raise ValueError("the flow lives on y > 0")
+    if not (0 < y0 < math.inf and 0 < y1 < math.inf):
+        raise ValueError("the flow lives on finite y > 0")
+    if fixed_step is not None and not 0 < abs(float(fixed_step)) < math.inf:
+        raise ValueError("fixed_step must be a nonzero finite number")
     c, M0, M1, Q = _flow_operator(bg)
     W = np.ravel(bg.W.to_floats())
     v = _pack_state(bg, init)
     traj = [init]
-    if y1 == y0:
-        return traj
     span = abs(y1 - y0)
     direction = 1.0 if y1 > y0 else -1.0
 
@@ -624,45 +610,39 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     def rhs(y, v):
         return c + (M0 + M1 / y + (Q @ v).reshape(_NV, _NV)) @ v
 
-    def step_once(y, v, h):
-        for s in range(7):
-            K[s] = rhs(y + _DP_C_F[s] * h, v + h * (_DP_A_F[s, :s] @ K[:s]))
-        err = abs(h) * float(np.max(np.abs(_DP_ERR_F @ K)))
-        return v + h * (_DP_B5_F @ K), err
-
-    if fixed_step is not None:
-        h = abs(float(fixed_step)) * direction
-        y = y0
-        for _ in range(max_steps):
-            if (y1 - y) * direction <= 1e-15 * span:
-                return traj
-            hh = direction * min(abs(h), abs(y1 - y))
-            v, _err = step_once(y, v, hh)
-            y = y1 if abs(y1 - (y + hh)) < 1e-15 * span else y + hh
-            traj.append(_unpack_state(W, y, v))
-        raise RuntimeError("fixed-step budget exceeded")
-
     y = y0
-    h = direction * span / 64.0
+    h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
     floor = 1e-13 * max(1.0, abs(y0), abs(y1))
+    K[0] = rhs(y, v)
     for _ in range(max_steps):
         if (y1 - y) * direction <= 1e-15 * span:
             return traj
         h = direction * min(abs(h), abs(y1 - y))
-        v_new, err = step_once(y, v, h)
-        budget = tol * abs(h) / span
-        if math.isfinite(err) and err <= budget:
+        # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
+        # last stage's input u is the step's result and K[6] the next K[0]
+        for s in range(1, 7):
+            u = v + h * (_DP_A_F[s, :s] @ K[:s])
+            K[s] = rhs(y + _DP_C_F[s] * h, u)
+        accepted = fixed_step is not None
+        if not accepted:
+            err = abs(h) * float(np.max(np.abs(_DP_ERR_F @ K)))
+            budget = tol * abs(h) / span
+            accepted = math.isfinite(err) and err <= budget
+        if accepted:
             y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
-            v = v_new
+            v = u
             traj.append(_unpack_state(W, y, v))
-            grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
-            h = h * min(5.0, max(0.2, grow))
-        else:
-            shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
-            h = h * min(0.9, max(0.1, shrink))
-        if abs(h) < floor:
-            raise StepUnderflow(traj[-1])
-    raise RuntimeError("adaptive step budget exceeded")
+            K[0] = K[6]
+        if fixed_step is None:
+            if accepted:
+                grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
+                h = h * min(5.0, max(0.2, grow))
+            else:
+                shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
+                h = h * min(0.9, max(0.1, shrink))
+            if abs(h) < floor:
+                raise StepUnderflow(traj[-1])
+    raise RuntimeError("step budget exceeded")
 
 
 def trajectory_csv(traj) -> str:

@@ -48,8 +48,12 @@ class RationalField:
         return Fraction(q)
 
     def parse(self, text: str) -> Fraction:
-        """Parse ``"p/q"`` (or a plain integer / decimal literal)."""
-        return Fraction(text.strip())
+        """Parse ``"p/q"`` (or a plain integer / decimal literal); anything
+        else, a zero denominator included, raises ``ValueError``."""
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def format(self, x) -> str:
         """Canonical ``"p/q"`` form, lowest terms, positive denominator."""
@@ -215,10 +219,18 @@ class FloatField:
         )
 
     def parse(self, text: str) -> BigFloat:
+        """Parse a finite decimal literal or ``"p/q"``; anything else raises
+        ``ValueError``, as :meth:`RationalField.parse` does."""
         text = text.strip()
         if "/" in text:
-            return self.from_fraction(Fraction(text))
-        return BigFloat(self.ctx.plus(decimal.Decimal(text)), self.ctx)
+            return self.from_fraction(RationalField().parse(text))
+        try:
+            value = self.ctx.plus(decimal.Decimal(text))
+            if value.is_finite():
+                return BigFloat(value, self.ctx)
+        except (decimal.InvalidOperation, decimal.Overflow):
+            pass
+        raise ValueError(f"not a finite decimal literal: {text!r}")
 
     def format(self, x: BigFloat) -> str:
         return str(x.val)

@@ -94,7 +94,7 @@ class PhgSeries:
     """
 
     def __init__(self, background=None, field=None, order=0,
-                 background_name=None, free=None):
+                 background_name=None):
         if background is None and field is None:
             raise ValueError("need a background or an explicit scalar field")
         self.background = background
@@ -102,7 +102,6 @@ class PhgSeries:
         self.order = order
         self.background_name = background_name or (
             background.name if background is not None else "?")
-        self.free = free
         self._a = {}
         self._b = {}
         self._phi = {}
@@ -241,7 +240,7 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     field = bg.field
     if free is None:
         free = FreeData.zero(field)
-    series = PhgSeries(background=bg, order=2, free=free)
+    series = PhgSeries(background=bg, order=2)
 
     starF = bg.starF
     b11 = project(starF, EigenPart.Plus)

@@ -139,6 +139,46 @@ class TestExpand:
                          "--scalar", "float", "--prec", "32"]) == 1
         assert "precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("background, free, scalar", [
+        ({"name": "x", "c": [[["0"]]]}, None, "rational"),
+        ({"name": "x", "c": 5}, None, "rational"),
+        ("builtin:round-s3", {"c_plus": 5}, "rational"),
+        ("builtin:round-s3", {"c_plus": [["abc"] * 3] * 3}, "float"),
+        ("builtin:round-s3", {"c_plus": [["nan"] * 3] * 3}, "float"),
+        ("builtin:round-s3", {"c_plus": [["1e99999999"] * 3] * 3}, "float"),
+        ("builtin:round-s3", {"c_plus": [["1/0"] * 3] * 3}, "rational"),
+        ("builtin:round-s3?scale=1/0", None, "rational"),
+    ], ids=["c-not-3x3x3", "c-not-a-list", "free-slot-not-a-matrix",
+            "float-bad-literal", "float-nan-literal", "float-overflow-literal",
+            "free-zero-denominator",
+            "builtin-zero-denominator"])
+    def test_bad_input_is_one_line(self, capsys, tmp_path, background, free,
+                                   scalar):
+        if not isinstance(background, str):
+            background = _write_json(tmp_path, "bg.json", background)
+        argv = ["expand", "--background", background, "--scalar", scalar]
+        if free is not None:
+            argv += ["--free-data", _write_json(tmp_path, "free.json", free)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_pretty_renders_every_part(self, capsys, tmp_path):
+        # a V0 free datum gives a V0 part of a_2 and a degree-0 phi_y
+        c_zero = {"c_zero": [["0", "1", "0"], ["-1", "0", "2"], ["0", "-2", "0"]]}
+        free = _write_json(tmp_path, "free.json", c_zero)
+        assert cli.main(["expand", "--background", "builtin:round-s3",
+                         "--free-data", free, "--order", "4",
+                         "--format", "pretty"]) == 0
+        out = capsys.readouterr().out
+        assert ("y^2:\n  a:\n    V0-part: axial (2/1, 0/1, 1/1)\n"
+                "  phi_y:\n    (-2/1, 0/1, -1/1)\n") in out
+        assert cli.main(["expand", "--background", "builtin:flat",
+                         "--format", "pretty"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1] == "(zero series: every coefficient vanishes)"
+
 
 class TestFreeDataLoader:
     def test_rejects_off_eigenspace_exact(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from nahmpole.oracle import (
     taylor_profile,
     trajectory_csv,
 )
-from nahmpole.oracle import _flow_operator, _polarize
+from nahmpole.oracle import _DP_A, _DP_B5, _DP_C, _flow_operator, _polarize
 from nahmpole.scalars import RationalField
 from nahmpole.series import expand, from_json, to_json
 
@@ -292,6 +293,52 @@ class TestIntegrator:
             integrate_flow(sol.background, st, -1.0)
         same = integrate_flow(sol.background, st, 0.5)
         assert same == [st]
+        # refused before any work: these used to return [init] (inf) or run
+        # the whole step budget (nan, a zero or nan step)
+        for y_target in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate_flow(sol.background, st, y_target)
+        with pytest.raises(ValueError):
+            integrate_flow(sol.background, replace(st, y=math.nan), 1.0)
+        for h in (0.0, -0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                integrate_flow(sol.background, st, 1.0, fixed_step=h)
+
+    def test_fixed_step_equals_plain_seven_stage_steps(self):
+        # the integrator reuses the last stage of a step as the first of the
+        # next; a reference step that evaluates all seven stages must give
+        # the same bits
+        from nahmpole.oracle import _pack_state, _unpack_state
+
+        bg = load_background("builtin:round-s3")
+        ser = expand(bg, matched_free_data("s3", bg.field), N=6)
+        init = state_from_series(ser, 0.01, 6)
+        c, M0, M1, Q = _flow_operator(bg)
+        Q = Q.reshape(21 * 21, 21)
+        A = np.array([[float(x) for x in row] + [0.0] * (7 - len(row))
+                      for row in _DP_A])
+        C = np.array([float(x) for x in _DP_C])
+        B5 = np.array([float(x) for x in _DP_B5])
+        W = np.ravel(bg.W.to_floats())
+
+        def rhs(y, v):
+            return c + (M0 + M1 / y + (Q @ v).reshape(21, 21)) @ v
+
+        y, v, want = 0.01, _pack_state(bg, init), []
+        while y < 1.0:
+            h = min(0.01, 1.0 - y)
+            K = np.zeros((7, 21))
+            for s in range(7):
+                K[s] = rhs(y + C[s] * h, v + h * (A[s, :s] @ K[:s]))
+            v = v + h * (B5 @ K)
+            y = 1.0 if abs(1.0 - (y + h)) < 1e-15 * 0.99 else y + h
+            want.append(_unpack_state(W, y, v))
+
+        got = integrate_flow(bg, init, 1.0, fixed_step=0.01)[1:]
+        assert len(got) == len(want) == 99
+        for g, w in zip(got, want):
+            assert g.y == w.y
+            assert np.array_equal(_pack_state(bg, g), _pack_state(bg, w))
 
 
 class TestTrajectoryCsv:

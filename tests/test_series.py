@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nahmpole.algebra import EigenPart, cal_L, project, vierbein
+from nahmpole.algebra import EigenPart, GForm, cal_L, project, vierbein
 from nahmpole.geometry import builtin, load_background
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import (
@@ -22,7 +23,7 @@ from nahmpole.series import (
     to_json,
 )
 
-from conftest import CATALOG, rand_fraction, rand_one_form
+from conftest import CATALOG, rand_fraction, rand_one_form, rand_zero_form
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus
 
@@ -188,6 +189,14 @@ class TestStructuralTheorems:
         s = expand(bg, rand_free_data(rng, field), N=8)
         assert assert_parity(s) == []
 
+    def test_parity_violations_are_listed(self, field, rng):
+        s = expand(load_background("builtin:berger-s3?squash=2", field), N=6)
+        s._a[(5, 1)] = s._a[(3, 0)] = rand_one_form(rng, field)
+        s._b[(4, 2)] = rand_one_form(rng, field)
+        s._phi[(7, 0)] = rand_zero_form(rng, field)
+        assert assert_parity(s) == [("a", 3, 0), ("a", 5, 1), ("b", 4, 2),
+                                    ("phi_y", 7, 0)]
+
     def test_free_data_enters_affinely_at_low_order(self, field, rng):
         bg = load_background("builtin:round-s3", field)
         f1 = rand_free_data(rng, field)
@@ -294,6 +303,24 @@ class TestEvaluate:
         assert abs(A[0][0] - 1.0) < 0.2
         assert abs(Phi[0][0] - 2.0) < 0.2
         assert abs(Phi_y[0]) < 1e-14
+
+    def test_matches_exact_sum(self, field):
+        # a V0 free datum makes phi_y nonzero, so all three sums are used
+        c_zero = GForm.one_form(field, [[0, 1, 0], [-1, 0, 2], [0, -2, 0]])
+        bg = load_background("builtin:round-s3", field)
+        s = expand(bg, FreeData(field=field, c_zero=c_zero), N=4)
+        assert is_log_free(s) and s._phi
+        y = Fraction(1, 10)
+        want = [bg.W, vierbein(field).divide(y), GForm.zero(field, 0)]
+        for k, _ in s.addresses():
+            if k > s.order:
+                continue
+            for i, form in enumerate((s.get_a(k, 0), s.get_b(k, 0),
+                                      s.get_phi(k, 0))):
+                want[i] = want[i] + form.scale(y ** k)
+        for got, w in zip(evaluate(s, float(y)), want):
+            w = np.array(w.to_floats())
+            assert np.max(np.abs(got - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 class TestSerialization:
