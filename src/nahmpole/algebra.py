@@ -21,6 +21,11 @@ A sign fact this module relies on throughout: the bracket-wedge of two
 g-valued **1-forms** is symmetric, ``[x, y]^ = [y, x]^`` (so ``x^y + y^x =
 [x,y]^`` and ``a^a = (1/2)[a,a]^``), while the 0-form/1-form bracket is
 antisymmetric.  All graded products below are written against that grading.
+
+The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
+``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
+import, and applied by one sparse routine, :func:`accumulate`, that skips
+exact scalar zeros only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import RationalField, nullspace, rref, solve_dense
+from .scalars import RationalField, exact_zero, nullspace, rref, solve_dense
 
 __all__ = [
     "EigenPart",
@@ -40,6 +45,7 @@ __all__ = [
     "L_op",
     "gamma_op",
     "project",
+    "accumulate",
     "star_wedge",
     "bracket_0_1",
     "star_bracket_star",
@@ -62,8 +68,6 @@ _EPS = (
     (2, 1, 0, -1),
     (1, 0, 2, -1),
 )
-#: The even permutations of (0, 1, 2), where the Levi-Civita symbol is +1.
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class ResonantOrder(Exception):
@@ -177,9 +181,8 @@ class GForm:
     # -- queries ------------------------------------------------------------
 
     def entries(self):
-        if self.degree == 0:
-            return self.coeffs
-        return tuple(v for row in self.coeffs for v in row)
+        c = self.coeffs
+        return c if self.degree == 0 else c[0] + c[1] + c[2]
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(v) for v in self.entries())
@@ -218,47 +221,70 @@ def vierbein(field=None) -> GForm:
 # ---------------------------------------------------------------------------
 
 
-def star_wedge(x: GForm, y: GForm) -> GForm:
-    """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments.
+def _table(terms):
+    """Per x entry, the ``(y entry, out entry, sign)`` of a bilinear map's
+    ``(x entry, y entry, out entry, sign)`` terms."""
+    rows = [[] for _ in range(9)]
+    for i, *term in terms:
+        rows[i].append(term)
+    return rows
 
-    Coefficients: ``out[c][k] = sum eps_{ijk} eps_{abc} x[a][i] y[b][j]``,
-    written out over the cyclic triples ``(i, j, k)`` and ``(a, b, c)``.
+
+def accumulate(kernel, x: GForm, y: GForm, out, sign=1):
+    """Add ``sign * kernel(x, y)`` into the slot list ``out`` (in
+    :meth:`GForm.entries` order) without building a form, and return ``out``.
+
+    ``kernel`` is :func:`star_wedge`, :func:`bracket_0_1` or
+    :func:`star_bracket_star`; degrees are not checked.  Only entries that
+    are exact scalar zeros (:func:`exact_zero`) are skipped, so the work
+    scales with the nonzero entries.
     """
+    table = _TABLES[kernel]
+    ys = [None if exact_zero(v) else v for v in y.entries()]
+    for i, xi in enumerate(x.entries()):
+        if not exact_zero(xi):
+            for j, o, s in table[i]:
+                yj = ys[j]
+                if yj is not None:
+                    out[o] = out[o] + xi * yj if s == sign else out[o] - xi * yj
+    return out
+
+
+def star_wedge(x: GForm, y: GForm) -> GForm:
+    """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_wedge needs two degree-1 forms")
-    X, Y = x.coeffs, y.coeffs
-    out = [[None] * 3 for _ in range(3)]
-    for i, j, k in _CYCLIC:
-        for a, b, c in _CYCLIC:
-            out[c][k] = (X[a][i] * Y[b][j] - X[b][i] * Y[a][j]
-                         - X[a][j] * Y[b][i] + X[b][j] * Y[a][i])
-    return GForm(x.field, 1, tuple(tuple(r) for r in out))
+    return GForm.from_entries(x.field, accumulate(star_wedge, x, y, [x.field.zero] * 9))
 
 
 def bracket_0_1(phi: GForm, x: GForm) -> GForm:
     """``[phi, x]`` of a 0-form with a 1-form (antisymmetric pairing)."""
     if phi.degree != 0 or x.degree != 1:
         raise ValueError("bracket_0_1 needs a 0-form then a 1-form")
-    P, X = phi.coeffs, x.coeffs
-    out = [None] * 3
-    for a, b, c in _CYCLIC:
-        out[c] = tuple(P[a] * X[b][i] - P[b] * X[a][i] for i in range(3))
-    return GForm(phi.field, 1, tuple(out))
+    return GForm.from_entries(phi.field, accumulate(bracket_0_1, phi, x,
+                                                    [phi.field.zero] * 9))
 
 
 def star_bracket_star(x: GForm, y: GForm) -> GForm:
-    """``*[x, *y]`` of two degree-1 forms (a 0-form; antisymmetric).
-
-    Coefficients: ``out[c] = sum eps_{abc} x[a][i] y[b][i]``.
-    """
+    """``*[x, *y]`` of two degree-1 forms (a 0-form; antisymmetric)."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_bracket_star needs two degree-1 forms")
-    X, Y = x.coeffs, y.coeffs
-    out = [None] * 3
-    for a, b, c in _CYCLIC:
-        out[c] = (X[a][0] * Y[b][0] + X[a][1] * Y[b][1] + X[a][2] * Y[b][2]
-                  - X[b][0] * Y[a][0] - X[b][1] * Y[a][1] - X[b][2] * Y[a][2])
-    return GForm(x.field, 0, tuple(out))
+    return GForm.from_entries(x.field, accumulate(star_bracket_star, x, y,
+                                                  [x.field.zero] * 3))
+
+
+#: The table of each bilinear kernel, entry ``3a + i`` standing for ``x[a][i]``.
+_TABLES = {
+    # out[c][k] = sum eps_{ijk} eps_{abc} x[a][i] y[b][j]
+    star_wedge: _table((3 * a + i, 3 * b + j, 3 * c + k, s * t)
+                       for i, j, k, s in _EPS for a, b, c, t in _EPS),
+    # out[c][i] = sum eps_{abc} phi[a] x[b][i]
+    bracket_0_1: _table((a, 3 * b + i, 3 * c + i, s)
+                        for a, b, c, s in _EPS for i in range(3)),
+    # out[c] = sum eps_{abc} x[a][i] y[b][i]
+    star_bracket_star: _table((3 * a + i, 3 * b + i, c, s)
+                              for a, b, c, s in _EPS for i in range(3)),
+}
 
 
 def e_bracket(phi: GForm) -> GForm:

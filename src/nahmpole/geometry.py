@@ -35,7 +35,7 @@ from .algebra import (
     star_bracket_star,
     star_wedge,
 )
-from .scalars import RationalField
+from .scalars import RationalField, exact_zero
 
 __all__ = [
     "FrameBackground",
@@ -118,7 +118,7 @@ def _star_d(field, c, x: GForm) -> GForm:
     """``*(d x)`` of a frame-constant degree-1 form.
 
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zero structure
-    constants are skipped; they are background scalars, never form entries.
+    constants and exact zero entries of ``x`` are skipped.
     """
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [[field.zero] * 3 for _ in range(3)]
@@ -127,7 +127,8 @@ def _star_d(field, c, x: GForm) -> GForm:
             if c[i][j][k] == 0:
                 continue
             for a in range(3):
-                out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * half[s]
+                if not exact_zero(x.coeffs[a][i]):
+                    out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * half[s]
     return GForm(field, 1, tuple(tuple(r) for r in out))
 
 
@@ -243,8 +244,8 @@ _DEFINITIONS = {
     "d_omega": (3, lambda bg, x: -bracket_0_1(x, bg.W)),
     # (d_omega^* x)_a = sum_i x[a][i] (sum_k c^k_ik) - (*[W, *x])_a
     "d_omega_star": (9, lambda bg, x: GForm(bg.field, 0, tuple(
-        sum((x.coeffs[a][i] * bg.c[k][i][k] for i in range(3) for k in range(3)),
-            bg.field.zero) - w
+        sum((x.coeffs[a][i] * bg.c[k][i][k] for i in range(3) for k in range(3)
+             if not exact_zero(x.coeffs[a][i])), bg.field.zero) - w
         for a, w in enumerate(star_bracket_star(bg.W, x).coeffs)))),
 }
 
@@ -256,7 +257,8 @@ def _compile(bg: FrameBackground, op, n):
     cols = [op(bg, GForm.from_entries(field, [field.one if i == j else field.zero
                                               for i in range(n)])).entries()
             for j in range(n)]
-    return tuple(tuple((j, col[r]) for j, col in enumerate(cols) if col[r] != 0)
+    return tuple(tuple((j, col[r]) for j, col in enumerate(cols)
+                       if not exact_zero(col[r]))
                  for r in range(len(cols[0])))
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "RationalField",
     "FloatField",
     "BigFloat",
+    "exact_zero",
     "solve_dense",
     "rref",
     "nullspace",
@@ -246,6 +247,15 @@ class FloatField:
 
     def __repr__(self) -> str:
         return f"FloatField(bits={self.bits})"
+
+
+def exact_zero(x) -> bool:
+    """Whether ``x`` is an exact zero int, float, Fraction or BigFloat; any
+    other value, numpy arrays and scalars included, counts as nonzero."""
+    t = type(x)
+    if t is Fraction or t is int or t is float:
+        return not x
+    return t is BigFloat and x.val.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from fractions import Fraction
 from .algebra import (
     EigenPart,
     GForm,
+    accumulate,
     bracket_0_1,
     e_bracket,
     gamma_op,
@@ -48,7 +49,7 @@ from .algebra import (
     vierbein,
 )
 from .geometry import FrameBackground, d_omega, d_omega_star, star_d_omega
-from .scalars import RationalField
+from .scalars import RationalField, exact_zero
 
 __all__ = [
     "PhgCoeff",
@@ -79,6 +80,17 @@ class PhgCoeff:
     a: GForm
     b: GForm
     phi_y: GForm
+
+
+def _negligible(field, terms):
+    """The zero test of an entry of a form built from ``terms``: exact over
+    exact scalars; over floats, at most the field tolerance times the
+    largest entry of ``terms``."""
+    if field.exact:
+        return field.is_zero
+    tol = field.tolerance * max((abs(v) for t in terms for v in t.entries()),
+                                default=field.zero)
+    return lambda v: abs(v) <= tol
 
 
 class PhgSeries:
@@ -116,15 +128,11 @@ class PhgSeries:
         then zero when no entry exceeds the field tolerance times their
         largest entry; an absolute floor also drops genuine small values.
         """
-        exact = terms is None or self.field.exact
-        tol = None if exact else self.field.tolerance * max(
-            abs(v) for t in terms for v in t.entries())
+        zero = self.field.is_zero if terms is None else _negligible(self.field, terms)
         for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
             if form is None:
                 continue
-            zero = (form.is_zero() if exact
-                    else all(abs(v) <= tol for v in form.entries()))
-            if zero:
+            if all(map(zero, form.entries())):
                 table.pop((k, p), None)
             else:
                 table[(k, p)] = form
@@ -275,41 +283,47 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
     entries contribute; absent coefficients are zero (stored entries never
     are, so a table miss is the zero test), and a source no pair reaches is
-    None.
+    None.  Each source is accumulated straight into one slot list.  The
+    ``a^a`` and ``b^b`` sums of ``Qb`` are symmetric, so each unordered pair
+    is taken once: ``1/2 (x^y + y^x) = x^y`` off the diagonal, and only the
+    diagonal pair is halved.
     """
     A, B, PHI = series._a, series._b, series._phi
-    Qa, Qb, Qphi = [], [], []
-    for k1 in range(1, k):
-        k2 = k - k1
-        for p1 in range(p + 1):
-            p2 = p - p1
-            b2 = B.get((k2, p2))
-            if b2 is not None:
-                a1 = A.get((k1, p1))
-                if a1 is not None:
-                    Qa.append(star_wedge(a1, b2))
-                    Qphi.append(-star_bracket_star(a1, b2))
-                phi1 = PHI.get((k1, p1))
-                if phi1 is not None:
-                    Qa.append(bracket_0_1(phi1, b2))
+    field = series.field
+    slots = {}  # source name -> slot list, made by the first pair it takes
 
-    for k1 in range(1, k - 1):
-        k2 = (k - 1) - k1
+    def into(name, n=9):
+        return slots.setdefault(name, [field.zero] * n)
+
+    for k1 in range(1, k):
         for p1 in range(p + 1):
-            p2 = p - p1
-            a1 = A.get((k1, p1))
-            a2f = A.get((k2, p2))
-            if a1 is not None and a2f is not None:
-                Qb.append(star_wedge(a1, a2f).scale(_HALF))
-            b1f = B.get((k1, p1))
-            b2f = B.get((k2, p2))
-            if b1f is not None and b2f is not None:
-                Qb.append(star_wedge(b1f, b2f).scale(-_HALF))
-            phi2f = PHI.get((k2, p2))
-            if a1 is not None and phi2f is not None:
+            b2 = B.get((k - k1, p - p1))
+            if b2 is None:
+                continue
+            a1, phi1 = A.get((k1, p1)), PHI.get((k1, p1))
+            if a1 is not None:
+                accumulate(star_wedge, a1, b2, into("Qa"))
+                accumulate(star_bracket_star, a1, b2, into("Qphi", 3), -1)
+            if phi1 is not None:
+                accumulate(bracket_0_1, phi1, b2, into("Qa"))
+
+    symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
+    for k1 in range(1, k - 1):
+        for p1 in range(p + 1):
+            at1, at2 = (k1, p1), (k - 1 - k1, p - p1)
+            a1, phi2 = A.get(at1), PHI.get(at2)
+            if a1 is not None and phi2 is not None:
                 # [a, phi_y] = -[phi_y, a]
-                Qb.append(-bracket_0_1(phi2f, a1))
-    return QuadSource(*(sum(q[1:], q[0]) if q else None for q in (Qa, Qb, Qphi)))
+                accumulate(bracket_0_1, phi2, a1, into("Qb"), -1)
+            if at1 <= at2:
+                for table, sign in symmetric:
+                    if at1 in table and at2 in table:
+                        accumulate(star_wedge, table[at1], table[at2],
+                                   into("Qb" if at1 < at2 else "diag"), sign)
+    if "diag" in slots:
+        slots["Qb"] = [q + d * _HALF for q, d in zip(into("Qb"), slots["diag"])]
+    return QuadSource(*(slots.get(name) and GForm.from_entries(field, slots[name])
+                        for name in ("Qa", "Qb", "Qphi")))
 
 
 def _top_depth(series: PhgSeries, k: int) -> int:
@@ -412,14 +426,12 @@ def assert_parity(series: PhgSeries):
     return bad
 
 
-def residual_at(series: PhgSeries, K: int, p: int):
-    """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
-
-    Assembled directly from the stored table with its own convolution loops
-    -- no shared code with the solver path -- so that a sign or index error
-    in either shows up as a nonzero residual.  Absent entries are zero and
-    contribute no term.
-    """
+def _residual_terms(series: PhgSeries, K: int, p: int):
+    """The terms (LHS - RHS) of the three coefficient equations at (K, p),
+    as ``(equation, term, read)``.  ``read`` is the stored form a linear term
+    is computed from, None for the other terms: a linear term can cancel to
+    round-off (``K b + L(b)`` on V+, a curl), so over floats it joins the
+    scale the residual is judged by."""
     bg = series.background
     field = series.field
     if bg is None:
@@ -428,46 +440,57 @@ def residual_at(series: PhgSeries, K: int, p: int):
     pp1 = field.from_int(p + 1)
     kf = field.from_int(K)
 
-    def total(degree, *terms):
-        return sum((t for t in terms if t is not None), GForm.zero(field, degree))
-
     aK, bK, phiK = (t.get((K, p)) for t in (A, B, PHI))
     aU, bU, phiU = (t.get((K, p + 1)) for t in (A, B, PHI))
     aD, bD, phiD = (t.get((K - 1, p)) for t in (A, B, PHI))
     # GForms are truthy: a term ``x and f(x)`` is None just when x is absent
-    Ra = total(1, aK and aK.scale(kf) - L_op(aK), aU and aU.scale(pp1),
-               phiK and e_bracket(phiK), bD and -star_d_omega(bg, bD))
-    Rb = total(1, bK and bK.scale(kf) + L_op(bK), bU and bU.scale(pp1),
-               aD and -star_d_omega(bg, aD), phiD and -d_omega(bg, phiD),
-               -bg.starF if (K, p) == (1, 0) else None)
-    Rphi = total(0, phiK and phiK.scale(kf), phiU and phiU.scale(pp1),
-                 aK and gamma_op(aK), bD and -d_omega_star(bg, bD))
+    for i, term, read in (
+            (0, aK and aK.scale(kf) - L_op(aK), aK), (0, aU and aU.scale(pp1), aU),
+            (0, phiK and e_bracket(phiK), phiK), (0, bD and -star_d_omega(bg, bD), bD),
+            (1, bK and bK.scale(kf) + L_op(bK), bK), (1, bU and bU.scale(pp1), bU),
+            (1, aD and -star_d_omega(bg, aD), aD), (1, phiD and -d_omega(bg, phiD), phiD),
+            (1, -bg.starF if (K, p) == (1, 0) else None, None),
+            (2, phiK and phiK.scale(kf), phiK), (2, phiU and phiU.scale(pp1), phiU),
+            (2, aK and gamma_op(aK), aK), (2, bD and -d_omega_star(bg, bD), bD)):
+        if term is not None:
+            yield i, term, read
 
-    for k1 in range(1, K):
+    for k1 in range(1, K - 1):
         k2 = (K - 1) - k1
-        if k2 < 1:
-            continue
         for p1 in range(p + 1):
-            p2 = p - p1
-            a1 = A.get((k1, p1))
-            b2 = B.get((k2, p2))
-            phi1 = PHI.get((k1, p1))
+            a1, b1, phi1 = (t.get((k1, p1)) for t in (A, B, PHI))
+            a2, b2, phi2 = (t.get((k2, p - p1)) for t in (A, B, PHI))
             if a1 is not None and b2 is not None:
-                Ra = Ra - star_wedge(a1, b2)
+                yield 0, -star_wedge(a1, b2), None
+                yield 2, star_bracket_star(a1, b2), None
             if phi1 is not None and b2 is not None:
-                Ra = Ra - bracket_0_1(phi1, b2)
-            a2 = A.get((k2, p2))
-            b1 = B.get((k1, p1))
-            phi2 = PHI.get((k2, p2))
+                yield 0, -bracket_0_1(phi1, b2), None
             if a1 is not None and a2 is not None:
-                Rb = Rb - star_wedge(a1, a2).scale(_HALF)
+                yield 1, -star_wedge(a1, a2).scale(_HALF), None
             if b1 is not None and b2 is not None:
-                Rb = Rb + star_wedge(b1, b2).scale(_HALF)
+                yield 1, star_wedge(b1, b2).scale(_HALF), None
             if phi2 is not None and a1 is not None:
-                Rb = Rb + bracket_0_1(phi2, a1)
-            if a1 is not None and b2 is not None:
-                Rphi = Rphi + star_bracket_star(a1, b2)
-    return Ra, Rb, Rphi
+                yield 1, bracket_0_1(phi2, a1), None
+
+
+def residual_at(series: PhgSeries, K: int, p: int):
+    """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
+
+    Assembled directly from the stored table with its own convolution loops
+    -- no shared code with the solver path -- so that a sign or index error
+    in either shows up as a nonzero residual.  Absent entries are zero and
+    contribute no term.  Over float scalars, an entry negligible next to the
+    largest term that entered it (the rule of :meth:`PhgSeries._store`) is
+    returned as an exact zero.
+    """
+    field = series.field
+    R, seen = [GForm.zero(field, degree) for degree in (1, 1, 0)], [[], [], []]
+    for i, term, read in _residual_terms(series, K, p):
+        R[i] = R[i] + term
+        seen[i] += [term, read] if read else [term]
+    return tuple(GForm.from_entries(field, [field.zero if zero(v) else v
+                                            for v in r.entries()])
+                 for r, zero in zip(R, (_negligible(field, s) for s in seen)))
 
 
 def check_residuals(series: PhgSeries, through: int = None):
@@ -477,20 +500,18 @@ def check_residuals(series: PhgSeries, through: int = None):
     K = order+1 (whose coefficients the last solve step determined), at every
     log depth up to one past the stored maximum.  Returns the list of
     ``(K, p, name)`` addresses with nonzero residual -- empty means the
-    series is an exact solution of the coefficient system.
+    series is an exact solution of the coefficient system.  Over float
+    scalars a residual is zero when :func:`residual_at` returns it as exact
+    zeros, i.e. when it is negligible next to the terms that entered it.
     """
     N = through if through is not None else series.order
     pmax = series.max_p() + 1
     bad = []
     for K in range(1, N + 2):
         for p in range(pmax, -1, -1):
-            Ra, Rb, Rphi = residual_at(series, K, p)
-            if not Ra.is_zero():
-                bad.append((K, p, "a"))
-            if K <= N and not Rb.is_zero():
-                bad.append((K, p, "b"))
-            if not Rphi.is_zero():
-                bad.append((K, p, "phi_y"))
+            for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y")):
+                if (name != "b" or K <= N) and not all(map(exact_zero, R.entries())):
+                    bad.append((K, p, name))
     return bad
 
 

@@ -1,13 +1,16 @@
 """Shared helpers: seeded random forms and the background catalog."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nahmpole.algebra import GForm
 from nahmpole.geometry import load_background
 from nahmpole.scalars import RationalField, solve_dense
+from nahmpole.series import FreeData
 
 
 #: (builtin URI, is Einstein) for the whole catalog, h2xr included.
@@ -18,6 +21,18 @@ CATALOG = (
     ("builtin:berger-s3?squash=2", False),
     ("builtin:h2xr", False),
 )
+
+
+#: The free data the benchmark draws from seed 0 (dense ``c_plus`` and
+#: ``c_zero``, so every table entry is hit), as pinned by the N = 12 hashes.
+SEED0_FREE_DATA = json.loads((Path(__file__).resolve().parent
+                              / "to_json_sha256.json").read_text())["free_data"]
+
+
+def free_data_from_doc(field, doc):
+    return FreeData(field=field, **{
+        key: GForm.one_form(field, [[Fraction(v) for v in row] for row in rows])
+        for key, rows in doc.items()})
 
 
 def rand_fraction(rng, span=9, den=7):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nahmpole.algebra import (
@@ -10,6 +11,7 @@ from nahmpole.algebra import (
     ResonantOrder,
     SigmaModule,
     SingularLambda,
+    accumulate,
     bracket_0_1,
     cal_L,
     e_bracket,
@@ -99,6 +101,112 @@ class TestProducts:
                     if cc == c:
                         want = want + phi.coeffs[a] * x.coeffs[b][k] * field.from_int(s)
                 assert got.coeffs[c][k] == want
+
+
+# Dense reference formulas of the three bilinear kernels, written out over
+# the cyclic triples: every product is taken, zero or not.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def dense_star_wedge(x, y):
+    X, Y = x.coeffs, y.coeffs
+    out = [[None] * 3 for _ in range(3)]
+    for i, j, k in _CYCLIC:
+        for a, b, c in _CYCLIC:
+            out[c][k] = (X[a][i] * Y[b][j] - X[b][i] * Y[a][j]
+                         - X[a][j] * Y[b][i] + X[b][j] * Y[a][i])
+    return GForm(x.field, 1, tuple(tuple(r) for r in out))
+
+
+def dense_bracket_0_1(phi, x):
+    P, X = phi.coeffs, x.coeffs
+    out = [None] * 3
+    for a, b, c in _CYCLIC:
+        out[c] = tuple(P[a] * X[b][i] - P[b] * X[a][i] for i in range(3))
+    return GForm(phi.field, 1, tuple(out))
+
+
+def dense_star_bracket_star(x, y):
+    X, Y = x.coeffs, y.coeffs
+    out = [None] * 3
+    for a, b, c in _CYCLIC:
+        out[c] = (X[a][0] * Y[b][0] + X[a][1] * Y[b][1] + X[a][2] * Y[b][2]
+                  - X[b][0] * Y[a][0] - X[b][1] * Y[a][1] - X[b][2] * Y[a][2])
+    return GForm(x.field, 0, tuple(out))
+
+
+#: (sparse kernel, dense reference, degree of the first argument)
+KERNELS = ((star_wedge, dense_star_wedge, 1),
+           (bracket_0_1, dense_bracket_0_1, 0),
+           (star_bracket_star, dense_star_bracket_star, 1))
+kernels = pytest.mark.parametrize("kernel, dense, degree", KERNELS,
+                                  ids=[k[0].__name__ for k in KERNELS])
+
+
+def shaped_pairs(rng, field, degree):
+    """Random argument pairs of the shapes the engine meets, by entry
+    pattern: dense, diagonal (every zero-free-data table entry), one unit
+    entry (the operator tables are read off these), a sparse off-diagonal
+    pattern and free-data eigenspace parts; each in both orders."""
+    def form(keep):
+        return GForm.from_entries(field, [
+            field.from_fraction(rand_fraction(rng)) if keep(i) else field.zero
+            for i in range(9)])
+
+    unit = rng.randrange(9)
+    pairs = [(form(keep), form(lambda i: True)) for keep in (
+        lambda i: True, lambda i: i % 4 == 0, lambda i: i == unit,
+        lambda i: i in (1, 2, 5))]
+    x = rand_one_form(rng, field)
+    pairs += [(project(x, PLUS), project(x, ZERO)),
+              (project(x, ZERO), project(x, MINUS)),
+              (GForm.zero(field, 1), x)]
+    for x, y in pairs + [(y, x) for x, y in pairs]:
+        # a 0-form first argument takes the diagonal of the 1-form
+        yield (x if degree else GForm.from_entries(field, x.entries()[::4])), y
+
+
+class TestSparseKernels:
+    """The table-driven kernels against their dense formulas."""
+
+    @kernels
+    def test_rational_exact(self, field, rng, kernel, dense, degree):
+        for _ in range(10):
+            for x, y in shaped_pairs(rng, field, degree):
+                assert kernel(x, y) == dense(x, y)
+
+    @kernels
+    def test_float128_within_tolerance(self, rng, kernel, dense, degree):
+        ff = FloatField(128)
+        for x, y in shaped_pairs(rng, ff, degree):
+            got, want = kernel(x, y).entries(), dense(x, y).entries()
+            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
+
+    @kernels
+    @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])
+    def test_numpy_array_entries(self, field, kernel, dense, degree, one):
+        # what the flow polarization sends: one array of scalars per entry,
+        # all-zero arrays included (an array is never skipped as a zero)
+        ints = np.random.default_rng(5).integers(1, 3, size=(3, 9, 6))
+        ints[2] = ints[1]
+        ints[2, 4] = 0
+        arrays = ints * one if isinstance(one, float) else ints.astype(object) * one
+        x = GForm.from_entries(field, list(arrays[0] if degree else arrays[0, :3]))
+        for y in (GForm.from_entries(field, list(arrays[1])),
+                  GForm.from_entries(field, list(arrays[2]))):
+            for g, w in zip(kernel(x, y).entries(), dense(x, y).entries()):
+                assert np.array_equal(g, w)
+
+    @kernels
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_accumulate_adds_signed_kernel(self, field, rng, kernel, dense, degree, sign):
+        for x, y in shaped_pairs(rng, field, degree):
+            want = dense(x, y)
+            start = GForm.from_entries(field, [field.from_fraction(rand_fraction(rng))
+                                               for _ in want.entries()])
+            out = accumulate(kernel, x, y, list(start.entries()), sign)
+            want = start + want.scale(field.from_int(sign))
+            assert GForm.from_entries(field, out) == want
 
 
 class TestLAndGamma:

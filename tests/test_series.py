@@ -5,7 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nahmpole.algebra import EigenPart, GForm, cal_L, project, vierbein
+from nahmpole import series as series_module
+from nahmpole.algebra import (
+    EigenPart,
+    GForm,
+    bracket_0_1,
+    cal_L,
+    project,
+    star_bracket_star,
+    star_wedge,
+    vierbein,
+)
 from nahmpole.geometry import builtin, load_background
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import (
@@ -23,7 +33,14 @@ from nahmpole.series import (
     to_json,
 )
 
-from conftest import CATALOG, rand_fraction, rand_one_form, rand_zero_form
+from conftest import (
+    CATALOG,
+    SEED0_FREE_DATA,
+    free_data_from_doc,
+    rand_fraction,
+    rand_one_form,
+    rand_zero_form,
+)
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus
 
@@ -152,6 +169,51 @@ class TestClosedFormCoefficients:
         assert list(s.addresses()) == []
         assert is_log_free(s)
         assert check_residuals(s) == []
+
+
+def reference_source(series, k, p):
+    """The quadratic sources as plain per-pair sums over ordered pairs, each
+    product a form of its own and each a^a, b^b pair halved on its own."""
+    A, B, PHI = series._a, series._b, series._phi
+    Qa, Qb, Qphi = [], [], []
+    for k1 in range(1, k):
+        for p1 in range(p + 1):
+            a1, phi1, b2 = A.get((k1, p1)), PHI.get((k1, p1)), B.get((k - k1, p - p1))
+            if a1 is not None and b2 is not None:
+                Qa.append(star_wedge(a1, b2))
+                Qphi.append(-star_bracket_star(a1, b2))
+            if phi1 is not None and b2 is not None:
+                Qa.append(bracket_0_1(phi1, b2))
+    for k1 in range(1, k - 1):
+        for p1 in range(p + 1):
+            at1, at2 = (k1, p1), (k - 1 - k1, p - p1)
+            if at1 in A and at2 in A:
+                Qb.append(star_wedge(A[at1], A[at2]).scale(Fraction(1, 2)))
+            if at1 in B and at2 in B:
+                Qb.append(star_wedge(B[at1], B[at2]).scale(Fraction(-1, 2)))
+            if at1 in A and at2 in PHI:
+                Qb.append(-bracket_0_1(PHI[at2], A[at1]))
+    return series_module.QuadSource(
+        *(sum(q[1:], q[0]) if q else None for q in (Qa, Qb, Qphi)))
+
+
+class TestQuadraticSource:
+    @pytest.mark.parametrize("uri", ["berger-s3?squash=2", "h2xr"])
+    @pytest.mark.parametrize("free", [False, True], ids=["zero", "seed0"])
+    def test_fused_source_equals_pair_sum(self, field, monkeypatch, uri, free):
+        # at every (k, p) the solver visits, on the table as it stands then
+        fused, seen = series_module.quadratic_source, []
+
+        def checked(series, k, p):
+            got, want = fused(series, k, p), reference_source(series, k, p)
+            assert got == want, (k, p)
+            seen.append((k, p))
+            return got
+
+        monkeypatch.setattr(series_module, "quadratic_source", checked)
+        data = free_data_from_doc(field, SEED0_FREE_DATA) if free else None
+        expand(load_background(f"builtin:{uri}", field), data, N=12)
+        assert len(seen) >= 11
 
 
 class TestStructuralTheorems:
@@ -384,3 +446,22 @@ def test_float_tracks_rational(uri):
                             getattr(exact.at(k, p), name).entries())
                 for g, w in pairs:
                     assert abs(field.to_fraction(g) - w) <= rtol * max(abs(w), 1)
+
+
+@pytest.mark.parametrize("uri", SWEEP + ["round-s3?scale=7"])
+def test_float_residuals_vanish(uri):
+    """Over float scalars each residual is judged against the largest term
+    that entered it, so tables that track the rational ones pass."""
+    for bits in (64, 128):
+        got = expand(load_background(f"builtin:{uri}", FloatField(bits)), N=16)
+        assert check_residuals(got) == [], bits
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_residuals_see_relative_errors(bits):
+    # a relative error far above round-off, in one entry, is still reported
+    field = FloatField(bits)
+    s = expand(load_background("builtin:berger-s3?squash=5", field), N=8)
+    b = s.get_b(5, 1)
+    s._b[(5, 1)] = b + b.scale(field.from_fraction(Fraction(1, 10**12)))
+    assert (5, 1, "b") in check_residuals(s)
