@@ -184,8 +184,8 @@ class GForm:
         c = self.coeffs
         return c if self.degree == 0 else c[0] + c[1] + c[2]
 
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(v) for v in self.entries())
+    def is_zero(self, scale=None) -> bool:
+        return all(self.field.is_zero(v, scale) for v in self.entries())
 
     def trace(self):
         if self.degree != 1:
@@ -381,7 +381,7 @@ def resolve_coupled(lam, Theta: GForm, Xi: GForm):
     denom = lam_s * lam_s - lam_s - field.from_int(2)
     if field.is_zero(denom):
         raise SingularLambda(lam)
-    if not (Theta - project(Theta, EigenPart.Zero)).is_zero():
+    if not (Theta - project(Theta, EigenPart.Zero)).is_zero(field.scale(Theta.entries())):
         raise ValueError("Theta must lie in V0")
     a = (Theta.scale(lam_s) - e_bracket(Xi)).divide(denom)
     phi = (Xi.scale(lam_s - field.one) - gamma_op(Theta)).divide(denom)

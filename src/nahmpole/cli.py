@@ -166,18 +166,18 @@ def _pretty_form(field, form: GForm, indent: str):
         vec = ", ".join(field.format(v) for v in form.coeffs)
         lines.append(f"{indent}({vec})")
         return lines
-    three = field.from_int(3)
-    e_part = form.trace() / three
-    if not field.is_zero(e_part):
+    scale = field.scale(form.entries())
+    e_part = form.trace() / field.from_int(3)
+    if not field.is_zero(e_part, scale):
         lines.append(f"{indent}e-part:  {field.format(e_part)} * e")
     zero = project(form, EigenPart.Zero)
-    if not zero.is_zero():
+    if not zero.is_zero(scale):
         two = field.from_int(2)
         w = [(zero.coeffs[i][j] - zero.coeffs[j][i]) / two for i, j in _AXIAL]
         vec = ", ".join(field.format(v) for v in w)
         lines.append(f"{indent}V0-part: axial ({vec})")
     plus = project(form, EigenPart.Plus)
-    if not plus.is_zero():
+    if not plus.is_zero(scale):
         lines.append(f"{indent}V+-part:")
         for row in plus.coeffs:
             lines.append(f"{indent}  [" +
@@ -200,7 +200,7 @@ def _pretty_series(series) -> str:
         coeff = series.at(k, p)
         for label, form in (("a", coeff.a), ("b", coeff.b),
                             ("phi_y", coeff.phi_y)):
-            if not form.is_zero():
+            if not form.is_zero(field.scale(form.entries())):
                 out.append(f"  {label}:")
                 out.extend(_pretty_form(field, form, "    "))
     return "\n".join(out) + "\n"

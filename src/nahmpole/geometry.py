@@ -192,23 +192,22 @@ class FrameBackground:
         field = field or RationalField()
         c = [[[field.from_fraction(v) if isinstance(v, (int, Fraction)) else v
                for v in row] for row in plane] for plane in c_rows]
+        scale = field.scale(v for plane in c for row in plane for v in row)
         for k in range(3):
             for i in range(3):
                 for j in range(3):
-                    if not field.is_zero(c[k][i][j] + c[k][j][i]):
+                    if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
                         raise ValueError(
                             f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}"
                         )
         c = _freeze3(c)
         conn = levi_civita(field, c)
-        for plane in torsion_residual(field, c, conn):
-            for row in plane:
-                for v in row:
-                    if not field.is_zero(v):
-                        raise AssertionError("Koszul output has torsion")
+        if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
+                   for row in plane for v in row):
+            raise AssertionError("Koszul output has torsion")
         W = connection_form(field, conn)
         starF = star_curvature_from(field, c, W)
-        if not project(starF, EigenPart.Zero).is_zero():
+        if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "
                 "constants do not define a homogeneous Riemannian geometry"
@@ -231,9 +230,15 @@ class FrameBackground:
         return f"FrameBackground({self.name!r})"
 
 
+def _curvature_scale(field, W: GForm):
+    """Scale of zero tests on ``*F``: its terms are ``c W``, ``W W``; |c| <= 2 max|W|."""
+    return field.scale(w * w for w in W.entries())
+
+
 def is_einstein(bg: FrameBackground) -> bool:
-    """True iff ``(*F_omega)^+`` vanishes (exactly / below field tolerance)."""
-    return project(bg.starF, EigenPart.Plus).is_zero()
+    """True iff ``(*F_omega)^+`` is zero by the field's rule: exactly over
+    exact scalars, against the scale of the terms of ``*F`` over floats."""
+    return project(bg.starF, EigenPart.Plus).is_zero(_curvature_scale(bg.field, bg.W))
 
 
 #: The linear maps of the flow, name -> (input entries, definition); the

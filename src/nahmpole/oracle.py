@@ -725,7 +725,8 @@ def global_report(series: PhgSeries) -> GlobalReport:
         raise ValueError("series has no background attached")
     field = series.field
 
-    a21_trace = series.get_a(2, 1).trace() * Fraction(-1, 2)
+    a21 = series.get_a(2, 1)
+    a21_trace = a21.trace() * Fraction(-1, 2)
     k_density = -series.get_a(2, 0).trace()
     W = bg.W
     cs_density = (_pairing(W, star_d(bg, W)) * Fraction(-1, 2)
@@ -742,7 +743,7 @@ def global_report(series: PhgSeries) -> GlobalReport:
         k_number=k_number,
         cs_density=cs_density,
         volume=bg.volume,
-        a21_vanishes=field.is_zero(a21_trace),
+        a21_vanishes=field.is_zero(a21_trace, field.scale(a21.entries())),
     )
 
 

@@ -67,7 +67,11 @@ class RationalField:
     def to_fraction(self, x) -> Fraction:
         return Fraction(x)
 
-    def is_zero(self, x) -> bool:
+    def scale(self, values) -> None:
+        """Exact zero tests need no scale, so ``values`` are not read."""
+        return None
+
+    def is_zero(self, x, scale=None) -> bool:
         return x == 0
 
     def __repr__(self) -> str:
@@ -234,7 +238,9 @@ class FloatField:
         raise ValueError(f"not a finite decimal literal: {text!r}")
 
     def format(self, x: BigFloat) -> str:
-        return str(x.val)
+        """Canonical decimal literal: equal values give equal strings (no
+        trailing zeros, and every zero, ``-0`` included, is ``"0"``)."""
+        return "0" if x.val.is_zero() else str(x.val.normalize(self.ctx))
 
     def to_float(self, x: BigFloat) -> float:
         return float(x)
@@ -242,8 +248,14 @@ class FloatField:
     def to_fraction(self, x: BigFloat) -> Fraction:
         return Fraction(x.val)
 
-    def is_zero(self, x: BigFloat) -> bool:
-        return abs(x) <= self.tolerance
+    def scale(self, values) -> BigFloat:
+        """The largest ``|v|`` of ``values`` (zero if none): the scale of
+        :meth:`is_zero` for a value built from them."""
+        return max(map(abs, values), default=self.zero)
+
+    def is_zero(self, x: BigFloat, scale=None) -> bool:
+        """``|x| <= tolerance * scale``, with scale 1 when none is given."""
+        return abs(x) <= (self.tolerance if scale is None else self.tolerance * scale)
 
     def __repr__(self) -> str:
         return f"FloatField(bits={self.bits})"

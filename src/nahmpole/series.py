@@ -82,17 +82,6 @@ class PhgCoeff:
     phi_y: GForm
 
 
-def _negligible(field, terms):
-    """The zero test of an entry of a form built from ``terms``: exact over
-    exact scalars; over floats, at most the field tolerance times the
-    largest entry of ``terms``."""
-    if field.exact:
-        return field.is_zero
-    tol = field.tolerance * max((abs(v) for t in terms for v in t.entries()),
-                                default=field.zero)
-    return lambda v: abs(v) <= tol
-
-
 class PhgSeries:
     """Sparse polyhomogeneous series: map ``(k, p) -> PhgCoeff``.
 
@@ -120,19 +109,18 @@ class PhgSeries:
 
     # -- storage ---------------------------------------------------------
 
-    def _store(self, k, p, a=None, b=None, phi_y=None, terms=None):
+    def _store(self, k, p, terms, a=None, b=None, phi_y=None):
         """Store the given forms at (k, p), dropping zero ones.
 
-        ``terms`` set the scale: a solve step's terms and the entries they
-        read, or a parsed entry's own forms.  Over float scalars a form is
-        then zero when no entry exceeds the field tolerance times their
-        largest entry; an absolute floor also drops genuine small values.
+        ``terms`` set the scale of the field's zero test: a solve step's
+        terms and the entries they read, or a parsed entry's own forms.  So
+        over float scalars, small genuine values stay and round-off goes.
         """
-        zero = self.field.is_zero if terms is None else _negligible(self.field, terms)
+        scale = self.field.scale(v for t in terms for v in t.entries())
         for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
             if form is None:
                 continue
-            if all(map(zero, form.entries())):
+            if form.is_zero(scale):
                 table.pop((k, p), None)
             else:
                 table[(k, p)] = form
@@ -196,20 +184,12 @@ class FreeData:
             (self.c_zero, EigenPart.Zero, "c_zero"),
             (self.c_minus, EigenPart.Minus, "c_minus"),
         ):
-            if not (form - project(form, part)).is_zero():
+            if not (form - project(form, part)).is_zero(field.scale(form.entries())):
                 raise ValueError(f"{label} is not in its declared eigenspace")
 
     @staticmethod
     def zero(field) -> "FreeData":
         return FreeData(field=field)
-
-    def __add__(self, other: "FreeData") -> "FreeData":
-        return FreeData(
-            field=self.field,
-            c_plus=self.c_plus + other.c_plus,
-            c_zero=self.c_zero + other.c_zero,
-            c_minus=self.c_minus + other.c_minus,
-        )
 
     def __repr__(self):
         return (f"FreeData(c_plus={self.c_plus!r}, c_zero={self.c_zero!r}, "
@@ -243,7 +223,8 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
 
     All other k <= 2 coefficients vanish.  The k = 1 and k = 2 coefficient
     equations hold exactly for these seeds; the residual suite re-checks that
-    rather than trusting the formulas.
+    rather than trusting the formulas.  Stores are judged as in
+    :func:`advance_order`, and ``b_1``, ``b_{1,1}`` are read back from the table.
     """
     field = bg.field
     if free is None:
@@ -251,19 +232,19 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     series = PhgSeries(background=bg, order=2)
 
     starF = bg.starF
-    b11 = project(starF, EigenPart.Plus)
-    b1 = (free.c_plus
-          + project(starF, EigenPart.Zero).scale(_HALF)
-          + project(starF, EigenPart.Minus).scale(_THIRD))
-    series._store(1, 1, b=b11)
-    series._store(1, 0, b=b1)
+    series._store(1, 1, [starF], b=project(starF, EigenPart.Plus))
+    series._store(1, 0, [starF, free.c_plus],
+                  b=(free.c_plus + project(starF, EigenPart.Zero).scale(_HALF)
+                     + project(starF, EigenPart.Minus).scale(_THIRD)))
+    b11, b1 = series.get_b(1, 1), series.get_b(1, 0)
 
     sdb11 = star_d_omega(bg, b11)
     sdb11_plus = project(sdb11, EigenPart.Plus)
     sdb11_zero = project(sdb11, EigenPart.Zero)
-    a21 = (sdb11_plus + sdb11_zero).scale(_THIRD)
-    phi21 = d_omega_star(bg, b11).scale(_THIRD)
-    series._store(2, 1, a=a21, phi_y=phi21)
+    dsb11 = d_omega_star(bg, b11)
+    series._store(2, 1, [sdb11, dsb11, b11],
+                  a=(sdb11_plus + sdb11_zero).scale(_THIRD),
+                  phi_y=dsb11.scale(_THIRD))
 
     sdb1 = star_d_omega(bg, b1)
     a2 = (sdb11_plus.scale(Fraction(-1, 9))
@@ -271,8 +252,8 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
           + free.c_zero + free.c_minus
           + sdb11_zero.scale(Fraction(-1, 3))
           + project(sdb1, EigenPart.Zero))
-    phi2 = gamma_op(free.c_zero).scale(Fraction(-1, 2))
-    series._store(2, 0, a=a2, phi_y=phi2)
+    series._store(2, 0, [sdb11, sdb1, b11, b1, free.c_zero, free.c_minus], a=a2,
+                  phi_y=gamma_op(free.c_zero).scale(Fraction(-1, 2)))
     return series
 
 
@@ -369,8 +350,8 @@ def advance_order(series: PhgSeries, k: int) -> None:
         rhs_b = [*filter(None, (a and star_d_omega(bg, a), phi and d_omega(bg, phi),
                                 b and b.scale(-pp1), q.Qb))]
         if rhs_b:  # the entries read join the scale: a curl can be round-off
-            series._store(k, p, b=invert_cal_L(k, sum(rhs_b, zero1)),
-                          terms=rhs_b + [*filter(None, (a, phi))])
+            series._store(k, p, rhs_b + [*filter(None, (a, phi))],
+                          b=invert_cal_L(k, sum(rhs_b, zero1)))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
         R = [*filter(None, (b and star_d_omega(bg, b), a and a.scale(-pp1), q.Qa))]
@@ -384,8 +365,8 @@ def advance_order(series: PhgSeries, k: int) -> None:
         a_minus = project(R_sum, EigenPart.Minus).divide(field.from_int(k - 1))
         a_zero, phi_next = resolve_coupled(
             k + 1, project(R_sum, EigenPart.Zero), S_sum)
-        series._store(k + 1, p, a=a_plus + a_minus + a_zero, phi_y=phi_next,
-                      terms=R + S + ([b] if b else []))
+        series._store(k + 1, p, R + S + ([b] if b else []),
+                      a=a_plus + a_minus + a_zero, phi_y=phi_next)
 
 
 def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
@@ -479,8 +460,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
     Assembled directly from the stored table with its own convolution loops
     -- no shared code with the solver path -- so that a sign or index error
     in either shows up as a nonzero residual.  Absent entries are zero and
-    contribute no term.  Over float scalars, an entry negligible next to the
-    largest term that entered it (the rule of :meth:`PhgSeries._store`) is
+    contribute no term.  An entry that is zero against the largest term that
+    entered it (the field's rule, as in :meth:`PhgSeries._store`) is
     returned as an exact zero.
     """
     field = series.field
@@ -488,9 +469,10 @@ def residual_at(series: PhgSeries, K: int, p: int):
     for i, term, read in _residual_terms(series, K, p):
         R[i] = R[i] + term
         seen[i] += [term, read] if read else [term]
-    return tuple(GForm.from_entries(field, [field.zero if zero(v) else v
-                                            for v in r.entries()])
-                 for r, zero in zip(R, (_negligible(field, s) for s in seen)))
+    return tuple(GForm.from_entries(field, [field.zero if field.is_zero(v, scale)
+                                            else v for v in r.entries()])
+                 for r, scale in zip(R, (field.scale(v for t in s for v in t.entries())
+                                         for s in seen)))
 
 
 def check_residuals(series: PhgSeries, through: int = None):
@@ -605,5 +587,5 @@ def from_json(text: str, background: FrameBackground = None,
         b = GForm.one_form(field, [[field.parse(v) for v in row]
                                    for row in entry["b"]])
         phi = GForm.zero_form(field, [field.parse(v) for v in entry["phi_y"]])
-        series._store(k, p, a=a, b=b, phi_y=phi, terms=(a, b, phi))
+        series._store(k, p, (a, b, phi), a=a, b=b, phi_y=phi)
     return series

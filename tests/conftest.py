@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from nahmpole.algebra import GForm
-from nahmpole.geometry import load_background
+from nahmpole.geometry import FrameBackground, background_to_json, load_background
 from nahmpole.scalars import RationalField, solve_dense
 from nahmpole.series import FreeData
 
@@ -62,17 +62,21 @@ def rand_antisym_c(rng):
     return c
 
 
-def rand_rotation(rng):
-    """Exact random rotation matrix via the Cayley transform of a random
-    antisymmetric matrix: R = (I + K)^-1 (I - K) is orthogonal with
+def cayley_rotation(k1, k2, k3):
+    """Exact rotation matrix via the Cayley transform of the antisymmetric
+    matrix K of (k1, k2, k3): R = (I + K)^-1 (I - K) is orthogonal with
     determinant one and rational entries."""
-    k1, k2, k3 = (rand_fraction(rng, span=3, den=3) for _ in range(3))
     K = [[Fraction(0), k1, k2], [-k1, Fraction(0), k3], [-k2, -k3, Fraction(0)]]
     M = [[(1 if r == c else 0) + K[r][c] for c in range(3)] for r in range(3)]
     N = [[(1 if r == c else 0) - K[r][c] for c in range(3)] for r in range(3)]
     field = RationalField()
     cols = [solve_dense(field, M, [N[r][j] for r in range(3)]) for j in range(3)]
     return [[cols[j][r] for j in range(3)] for r in range(3)]
+
+
+def rand_rotation(rng):
+    """Exact random rotation matrix (:func:`cayley_rotation`)."""
+    return cayley_rotation(*(rand_fraction(rng, span=3, den=3) for _ in range(3)))
 
 
 def rand_frame_c(rng, base_uri=None):
@@ -82,9 +86,13 @@ def rand_frame_c(rng, base_uri=None):
     satisfy the Jacobi identity, so curvature retains its symmetries."""
     uris = [uri for uri, _ in CATALOG]
     uri = base_uri or uris[rng.randrange(len(uris))]
-    bg = load_background(uri, RationalField())
     s = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-    R = rand_rotation(rng)
+    return frame_c(load_background(uri, RationalField()).c, s, rand_rotation(rng))
+
+
+def frame_c(c, s, R):
+    """Structure constants ``c`` rescaled by ``s`` and conjugated by the
+    rotation ``R``, exactly."""
     out = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
         for i in range(3):
@@ -93,9 +101,23 @@ def rand_frame_c(rng, base_uri=None):
                 for kk in range(3):
                     for ii in range(3):
                         for jj in range(3):
-                            acc += R[k][kk] * R[i][ii] * R[j][jj] * bg.c[kk][ii][jj]
+                            acc += R[k][kk] * R[i][ii] * R[j][jj] * c[kk][ii][jj]
                 out[k][i][j] = s * acc
     return out
+
+
+def rotated_h3_file(tmp_path, scale):
+    """A background file of hyperbolic space at ``scale``, rotated exactly by
+    the Cayley transform of (1/3, 2/7, -3/5) so that every structure
+    constant is filled: at large scales its curls and curvature carry
+    round-off far above the field tolerance in absolute terms."""
+    R = cayley_rotation(Fraction(1, 3), Fraction(2, 7), Fraction(-3, 5))
+    c = frame_c(load_background("builtin:hyperbolic-h3", RationalField()).c,
+                Fraction(scale), R)
+    path = tmp_path / f"rotated-h3-{scale}.json"
+    path.write_text(background_to_json(FrameBackground.from_structure_constants(
+        f"rotated-h3?scale={scale}", c)))
+    return str(path)
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ from nahmpole import cli
 from nahmpole.geometry import load_background
 from nahmpole.series import expand, from_json, to_json
 
+from conftest import rotated_h3_file
+
 
 MATCHED_S3 = {"c_minus": [["-2/3", "0", "0"],
                           ["0", "-2/3", "0"],
@@ -120,6 +122,16 @@ class TestExpand:
         for addr, want in exact.items():
             for g, w in zip(got[addr], want):
                 assert abs(g - w) <= Fraction(1, 10**15) * max(abs(w), 1)
+
+    def test_float64_rotated_frame_is_log_free(self, capsys, tmp_path):
+        # at scale 1e5 the curvature's round-off exceeds the 64-bit tolerance
+        # in absolute terms; judged against its scale, the frame loads and
+        # keeps the rational verdicts
+        code = cli.main(["expand", "--background", rotated_h3_file(tmp_path, 10**5),
+                         "--order", "6", "--scalar", "float", "--prec", "64"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "log_free=true einstein=true parity=ok" in err
 
     def test_unknown_background(self, capsys):
         assert cli.main(["expand", "--background", "builtin:nosuch"]) == 1

@@ -26,8 +26,8 @@ from nahmpole.geometry import (
 from nahmpole.geometry import _DEFINITIONS
 from nahmpole.scalars import FloatField
 
-from conftest import (CATALOG, rand_antisym_c, rand_frame_c, rand_one_form,
-                      rand_zero_form)
+from conftest import (CATALOG, cayley_rotation, frame_c, rand_antisym_c,
+                      rand_frame_c, rand_one_form, rand_zero_form)
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus
 
@@ -166,6 +166,19 @@ class TestCatalogFrozenValues:
         bg, expected = catalog_case
         assert bg.is_einstein() is expected
         assert is_einstein(bg) is expected
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_float_rotated_flat_frame_is_einstein(self, bits):
+        # E(2) is flat; rotated and scaled, its float *F is pure round-off of
+        # the products c W and W W, so it is judged against |W|^2, not itself
+        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][1][2], c[0][2][1], c[1][2][0], c[1][0][2] = 1, -1, 1, -1
+        c = frame_c(c, 1000, cayley_rotation(Fraction(1, 3), Fraction(2, 7),
+                                             Fraction(-3, 5)))
+        assert FrameBackground.from_structure_constants("e2", c).starF.is_zero()
+        bg = FrameBackground.from_structure_constants("e2", c, FloatField(bits))
+        assert not bg.starF.is_zero(bg.field.zero)  # the round-off is there
+        assert is_einstein(bg)
 
 
 class TestRicciOracle:

@@ -44,6 +44,14 @@ class TestRationalField:
         f = RationalField()
         assert f.is_zero(Fraction(0))
         assert not f.is_zero(Fraction(1, 10**40))
+        # exact: a scale changes nothing, and none is computed
+        assert not f.is_zero(Fraction(1, 10**40), Fraction(10**40))
+
+        def unread():
+            raise AssertionError("an exact field read the scale's values")
+            yield
+
+        assert f.scale(unread()) is None
 
 
 class TestFloatField:
@@ -89,6 +97,30 @@ class TestFloatField:
             tiny = tiny / f.from_int(10)
         assert f.is_zero(tiny * tiny)
         assert not f.is_zero(f.parse("1e-3"))
+
+    def test_zero_test_is_relative_to_scale(self):
+        f = FloatField(64)
+        x = f.parse("1e-10")
+        assert not f.is_zero(x)
+        assert f.is_zero(x, f.parse("1e10"))
+        assert not f.is_zero(x, f.parse("1e4"))
+        assert f.scale([f.parse("-3"), f.parse("2")]) == 3
+        assert f.scale([]) == 0
+
+    def test_format_is_canonical(self):
+        # equal values built by different paths print the same literal
+        f = FloatField(128)
+        third = f.from_fraction(Fraction(1, 3))
+        zeros = [f.zero, f.parse("0.000"), f.parse("0E-98"), f.parse("-0"),
+                 -f.zero, f.from_int(-1) * f.zero, third - third,
+                 f.parse("1.5") - f.from_fraction(Fraction(3, 2))]
+        assert {f.format(z) for z in zeros} == {"0"}
+        ones = [f.one, f.parse("1.000"), f.parse("1.0"), f.from_int(1),
+                f.parse("0.25") * 4, f.parse("10") / f.from_int(10)]
+        assert {f.format(v) for v in ones} == {"1"}
+        assert f.format(f.parse("2.50")) == f.format(f.from_fraction(Fraction(5, 2)))
+        for v in (third, f.parse("-1234.5e-40"), f.from_int(1000)):
+            assert f.parse(f.format(v)) == v
 
     def test_to_fraction(self):
         f = FloatField(64)
