@@ -97,12 +97,19 @@ def _status(ok: bool, stream) -> str:
     return word
 
 
-def _emit(text: str, out):
-    if out:
+def _emit(text: str, out) -> bool:
+    """Write ``text`` to the file ``out``, or to stdout; False, after one
+    stderr line, if the file cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _make_field(args):
@@ -243,7 +250,8 @@ def _cmd_expand(args) -> int:
         text = _csv_series(series)
     else:
         text = _pretty_series(series)
-    _emit(text, args.out)
+    if not _emit(text, args.out):
+        return 1
     parity = assert_parity(series)
     print(
         f"log_free={str(is_log_free(series)).lower()} "
@@ -490,7 +498,8 @@ def _cmd_ode_compare(args) -> int:
     series = expand(sol.background, free, n_max)
     rows = convergence_table(sol, orders, args.y_min, args.y_max,
                              series=series)
-    _emit(convergence_csv(rows), args.out)
+    if not _emit(convergence_csv(rows), args.out):
+        return 1
 
     # one integration sanity pass: series state at y_min driven to y_max
     start = state_from_series(series, args.y_min, n_max)

@@ -7,7 +7,10 @@ connection form ``W``, the dual curvature ``*F_omega`` and its eigenspace
 split, and the Einstein test ``(*F_omega)^+ = 0``.
 
 Only frame-constant data is admitted, so every differential operator in the
-package reduces to finite-dimensional exact linear algebra.
+package reduces to finite-dimensional exact linear algebra.  The linear maps
+of the flow, ``*d_omega``, ``d_omega`` and ``d_omega^*``, are the bilinear
+kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, applied by
+:func:`~nahmpole.algebra.accumulate`, plus a term in ``c``.
 
 Curvature sign under the package conventions: constant-curvature models come
 out as ``*F_omega = C e`` with ``C = -s^2`` for the round 3-sphere of scale
@@ -24,12 +27,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import (
     _EPS,
     EigenPart,
     GForm,
+    accumulate,
     bracket_0_1,
     project,
     star_bracket_star,
@@ -56,12 +59,10 @@ __all__ = [
 ]
 
 
-def _zero3x3x3(field):
-    return [[[field.zero] * 3 for _ in range(3)] for _ in range(3)]
-
-
-def _freeze3(t):
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+def _tensor3(f):
+    """The 3x3x3 tuple ``t[k][i][j] = f(k, i, j)``."""
+    return tuple(tuple(tuple(f(k, i, j) for j in range(3)) for i in range(3))
+                 for k in range(3))
 
 
 def levi_civita(field, c):
@@ -73,32 +74,17 @@ def levi_civita(field, c):
     frame connection (both residuals checkable below).
     """
     half = field.from_fraction(Fraction(1, 2))
-    conn = _zero3x3x3(field)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                conn[k][i][j] = (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half
-    return _freeze3(conn)
+    return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
 
 
 def torsion_residual(field, c, conn):
     """``G^k_ij - G^k_ji - c^k_ij`` (identically zero for Levi-Civita)."""
-    out = _zero3x3x3(field)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                out[k][i][j] = conn[k][i][j] - conn[k][j][i] - c[k][i][j]
-    return _freeze3(out)
+    return _tensor3(lambda k, i, j: conn[k][i][j] - conn[k][j][i] - c[k][i][j])
 
 
 def metricity_residual(field, conn):
     """``G^k_ij + G^j_ik`` (zero iff the frame metric is parallel)."""
-    out = _zero3x3x3(field)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                out[k][i][j] = conn[k][i][j] + conn[j][i][k]
-    return _freeze3(out)
+    return _tensor3(lambda k, i, j: conn[k][i][j] + conn[j][i][k])
 
 
 def connection_form(field, conn) -> GForm:
@@ -114,22 +100,24 @@ def connection_form(field, conn) -> GForm:
     return GForm(field, 1, tuple(tuple(r) for r in rows))
 
 
-def _star_d(field, c, x: GForm) -> GForm:
-    """``*(d x)`` of a frame-constant degree-1 form.
+def _star_d(field, c, x: GForm):
+    """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
+    :meth:`GForm.entries` order.
 
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zero structure
-    constants and exact zero entries of ``x`` are skipped.
+    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Exact zeros
+    (:func:`exact_zero`) of ``c`` and ``x`` are skipped.
     """
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
-    out = [[field.zero] * 3 for _ in range(3)]
+    out = [field.zero] * 9
     for j, k, m, s in _EPS:
         for i in range(3):
-            if c[i][j][k] == 0:
-                continue
-            for a in range(3):
-                if not exact_zero(x.coeffs[a][i]):
-                    out[a][m] = out[a][m] - x.coeffs[a][i] * c[i][j][k] * half[s]
-    return GForm(field, 1, tuple(tuple(r) for r in out))
+            cijk = c[i][j][k]
+            if not exact_zero(cijk):
+                for a in range(3):
+                    xai = x.coeffs[a][i]
+                    if not exact_zero(xai):
+                        out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
+    return out
 
 
 def star_d(bg, x: GForm) -> GForm:
@@ -137,12 +125,13 @@ def star_d(bg, x: GForm) -> GForm:
     connection term; compare :func:`star_d_omega`)."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
-    return _star_d(bg.field, bg.c, x)
+    return GForm.from_entries(bg.field, _star_d(bg.field, bg.c, x))
 
 
 def star_curvature_from(field, c, W: GForm) -> GForm:
     """``*F = *(dW) + 1/2 *[W, W]^``."""
-    return _star_d(field, c, W) + star_wedge(W, W).scale(Fraction(1, 2))
+    return (GForm.from_entries(field, _star_d(field, c, W))
+            + star_wedge(W, W).scale(Fraction(1, 2)))
 
 
 def ricci_tensor(field, c, conn):
@@ -190,8 +179,8 @@ class FrameBackground:
     @staticmethod
     def from_structure_constants(name, c_rows, field=None, volume=None):
         field = field or RationalField()
-        c = [[[field.from_fraction(v) if isinstance(v, (int, Fraction)) else v
-               for v in row] for row in plane] for plane in c_rows]
+        c = tuple(tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction))
+                              else v for v in row) for row in plane) for plane in c_rows)
         scale = field.scale(v for plane in c for row in plane for v in row)
         for k in range(3):
             for i in range(3):
@@ -200,7 +189,6 @@ class FrameBackground:
                         raise ValueError(
                             f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}"
                         )
-        c = _freeze3(c)
         conn = levi_civita(field, c)
         if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
                    for row in plane for v in row):
@@ -219,13 +207,6 @@ class FrameBackground:
     def is_einstein(self) -> bool:
         return is_einstein(self)
 
-    @cached_property
-    def _compiled(self):
-        # per instance, not a field: a dataclasses.replace copy over other
-        # scalars must compile its own
-        return {name: _compile(self, op, n)
-                for name, (n, op) in _DEFINITIONS.items()}
-
     def __repr__(self):
         return f"FrameBackground({self.name!r})"
 
@@ -241,66 +222,45 @@ def is_einstein(bg: FrameBackground) -> bool:
     return project(bg.starF, EigenPart.Plus).is_zero(_curvature_scale(bg.field, bg.W))
 
 
-#: The linear maps of the flow, name -> (input entries, definition); the
-#: public functions apply the tables :func:`_compile` reads off these.
-_DEFINITIONS = {
-    "star_d_omega": (9, lambda bg, x: _star_d(bg.field, bg.c, x)
-                     + star_wedge(bg.W, x)),
-    "d_omega": (3, lambda bg, x: -bracket_0_1(x, bg.W)),
-    # (d_omega^* x)_a = sum_i x[a][i] (sum_k c^k_ik) - (*[W, *x])_a
-    "d_omega_star": (9, lambda bg, x: GForm(bg.field, 0, tuple(
-        sum((x.coeffs[a][i] * bg.c[k][i][k] for i in range(3) for k in range(3)
-             if not exact_zero(x.coeffs[a][i])), bg.field.zero) - w
-        for a, w in enumerate(star_bracket_star(bg.W, x).coeffs)))),
-}
-
-
-def _compile(bg: FrameBackground, op, n):
-    """Per output entry of ``op(bg, .)`` on ``n``-entry forms, the ``(input
-    index, coefficient)`` pairs of its nonzero coefficients at unit forms."""
-    field = bg.field
-    cols = [op(bg, GForm.from_entries(field, [field.one if i == j else field.zero
-                                              for i in range(n)])).entries()
-            for j in range(n)]
-    return tuple(tuple((j, col[r]) for j, col in enumerate(cols)
-                       if not exact_zero(col[r]))
-                 for r in range(len(cols[0])))
-
-
-def _apply(bg: FrameBackground, name, x: GForm) -> GForm:
-    """The compiled map ``name`` at ``x`` (entries may be numpy arrays)."""
-    v = x.entries()
-    return GForm.from_entries(bg.field, [
-        sum((coef * v[j] for j, coef in row), bg.field.zero)
-        for row in bg._compiled[name]])
-
-
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """Exterior covariant derivative ``[W, x]`` of a frame-constant 0-form
     (the ``d`` part vanishes on invariant functions); on a 1-form, whose
     2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
     if x.degree != 0:
         raise ValueError("d_omega needs a degree-0 form")
-    return _apply(bg, "d_omega", x)
+    return GForm.from_entries(bg.field, accumulate(
+        bracket_0_1, x, bg.W, [bg.field.zero] * 9, -1))
 
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
-    return _apply(bg, "star_d_omega", x)
+    return GForm.from_entries(bg.field, accumulate(
+        star_wedge, bg.W, x, _star_d(bg.field, bg.c, x)))
 
 
 def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     """Codifferential ``d_omega^* x = -*d_omega(*x)`` of a degree-1 form.
 
-    For frame-constant coefficients this reduces to
-    ``(d_omega^* x)_a = sum_i x[a][i] (sum_k c^k_ik) - (*[W, *x])_a``;
-    the trace term is nonzero exactly on the non-unimodular models.
+    For frame-constant coefficients this is the trace term
+    ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
+    models, minus ``*[W, *x]``.  Exact zeros (:func:`exact_zero`) of ``c``
+    and ``x`` are skipped.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    return _apply(bg, "d_omega_star", x)
+    c, out = bg.c, [bg.field.zero] * 3
+    for i in range(3):
+        for k in range(3):
+            ckik = c[k][i][k]
+            if not exact_zero(ckik):
+                for a in range(3):
+                    xai = x.coeffs[a][i]
+                    if not exact_zero(xai):
+                        out[a] = out[a] + xai * ckik
+    return GForm.from_entries(bg.field, accumulate(
+        star_bracket_star, bg.W, x, out, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +364,9 @@ def load_background(source: str, field=None) -> FrameBackground:
         c_raw = doc["c"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed background file {source!r}: {exc}") from exc
+    if not isinstance(name, str):
+        raise ValueError(f"malformed background file {source!r}: "
+                         "name must be a string")
     if not _is_array3(c_raw, 3):
         raise ValueError(f"malformed background file {source!r}: "
                          "c must be a 3x3x3 array")

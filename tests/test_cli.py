@@ -154,13 +154,15 @@ class TestExpand:
     @pytest.mark.parametrize("background, free, scalar", [
         ({"name": "x", "c": [[["0"]]]}, None, "rational"),
         ({"name": "x", "c": 5}, None, "rational"),
+        ({"name": 5, "c": [[["0"] * 3] * 3] * 3}, None, "rational"),
         ("builtin:round-s3", {"c_plus": 5}, "rational"),
         ("builtin:round-s3", {"c_plus": [["abc"] * 3] * 3}, "float"),
         ("builtin:round-s3", {"c_plus": [["nan"] * 3] * 3}, "float"),
         ("builtin:round-s3", {"c_plus": [["1e99999999"] * 3] * 3}, "float"),
         ("builtin:round-s3", {"c_plus": [["1/0"] * 3] * 3}, "rational"),
         ("builtin:round-s3?scale=1/0", None, "rational"),
-    ], ids=["c-not-3x3x3", "c-not-a-list", "free-slot-not-a-matrix",
+    ], ids=["c-not-3x3x3", "c-not-a-list", "name-not-a-string",
+            "free-slot-not-a-matrix",
             "float-bad-literal", "float-nan-literal", "float-overflow-literal",
             "free-zero-denominator",
             "builtin-zero-denominator"])
@@ -175,6 +177,15 @@ class TestExpand:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_unwritable_out_is_one_line(self, capsys, tmp_path):
+        out_file = str(tmp_path / "missing" / "x.json")
+        assert cli.main(["expand", "--background", "builtin:flat",
+                         "--out", out_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cannot write output:")
 
     def test_pretty_renders_every_part(self, capsys, tmp_path):
         # a V0 free datum gives a V0 part of a_2 and a degree-0 phi_y
@@ -270,6 +281,15 @@ class TestOdeCompare:
         assert lines[0] == "N,max_err,slope"
         assert len(lines) == 3
         assert "ode check:" in capsys.readouterr().err
+
+    def test_unwritable_out_is_one_line(self, capsys, tmp_path):
+        out_file = str(tmp_path / "missing" / "x.csv")
+        assert cli.main(["ode-compare", "flat", "--order", "2",
+                         "--out", out_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cannot write output:")
 
     def test_unknown_solution(self, capsys):
         assert cli.main(["ode-compare", "bogus"]) == 1

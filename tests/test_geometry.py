@@ -22,12 +22,12 @@ from nahmpole.geometry import (
     star_d_omega,
     torsion_residual,
 )
-
-from nahmpole.geometry import _DEFINITIONS
 from nahmpole.scalars import FloatField
 
 from conftest import (CATALOG, cayley_rotation, frame_c, rand_antisym_c,
                       rand_frame_c, rand_one_form, rand_zero_form)
+from test_algebra import (dense_bracket_0_1, dense_star_bracket_star,
+                          dense_star_wedge)
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus
 
@@ -240,23 +240,55 @@ class TestDeactionRules:
             self._check(bg, field, rng)
 
 
-def _compiled_and_defined(bg, rng):
-    """``(public map, its definition)`` at seeded random forms, for each
-    linear map the background compiles."""
-    for name, (n, definition) in _DEFINITIONS.items():
-        for _ in range(4):
-            x = (rand_zero_form if n == 3 else rand_one_form)(rng, bg.field)
-            yield getattr(geometry, name)(bg, x), definition(bg, x)
+def dense_linear_maps(bg):
+    """``name -> (reference, input degree)`` for the three linear maps of the
+    flow, by a dense route: the dense kernels with ``W`` fixed, the epsilon
+    formula ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}`` and the trace
+    term ``sum_i x[a][i] sum_k c^k_ik``."""
+    F, c, W = bg.field, bg.c, bg.W
+    idx = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    eps = {(i, j, k): F.from_fraction(Fraction((i - j) * (j - k) * (k - i), 4))
+           for i, j, k in idx}  # eps_{ijk} / 2
+
+    def star_d_omega(x):
+        X = x.coeffs
+        curl = GForm(F, 1, tuple(tuple(
+            sum((X[a][i] * c[i][j][k] * eps[j, k, m] for i, j, k in idx), F.zero)
+            for m in range(3)) for a in range(3)))
+        return dense_star_wedge(W, x) - curl
+
+    def d_omega_star(x):
+        X = x.coeffs
+        trace = GForm(F, 0, tuple(
+            sum((X[a][i] * c[k][i][k] for i in range(3) for k in range(3)), F.zero)
+            for a in range(3)))
+        return trace - dense_star_bracket_star(W, x)
+
+    return {"star_d_omega": (star_d_omega, 1),
+            "d_omega": (lambda x: -dense_bracket_0_1(x, W), 0),
+            "d_omega_star": (d_omega_star, 1)}
 
 
-class TestCompiledOperators:
-    """``star_d_omega``, ``d_omega`` on 0-forms and ``d_omega_star`` apply
-    sparse tables read off their definitions; the tables must reproduce
-    the definitions."""
+def _maps_and_references(bg, rng):
+    """``(public map, dense reference)`` of each linear map at seeded random
+    forms, dense and with about half their entries zeroed."""
+    for name, (reference, degree) in dense_linear_maps(bg).items():
+        for trial in range(6):
+            x = (rand_one_form if degree else rand_zero_form)(rng, bg.field)
+            if trial % 2:
+                x = GForm.from_entries(bg.field, [
+                    bg.field.zero if rng.random() < 0.5 else v
+                    for v in x.entries()])
+            yield getattr(geometry, name)(bg, x), reference(x)
+
+
+class TestLinearMaps:
+    """``star_d_omega``, ``d_omega`` on 0-forms and ``d_omega_star`` against
+    a dense reference that shares no code with :mod:`nahmpole.geometry`."""
 
     def test_exact_on_catalog(self, catalog_case, rng):
         bg, _ = catalog_case
-        for got, want in _compiled_and_defined(bg, rng):
+        for got, want in _maps_and_references(bg, rng):
             assert got == want
 
     def test_exact_on_background_file(self, field, rng, tmp_path):
@@ -267,14 +299,14 @@ class TestCompiledOperators:
         path = tmp_path / "rotated.json"
         path.write_text(background_to_json(bg))
         bg = load_background(str(path), field)
-        for got, want in _compiled_and_defined(bg, rng):
+        for got, want in _maps_and_references(bg, rng):
             assert got == want
 
     @pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG])
     def test_float128_within_tolerance(self, uri, rng):
         f128 = FloatField(128)
         bg = load_background(uri, f128)
-        for got, want in _compiled_and_defined(bg, rng):
+        for got, want in _maps_and_references(bg, rng):
             assert (got - want).is_zero()
 
 
