@@ -12,7 +12,12 @@ recursion:
 * **A flow integrator**: the three flow equations, stated once in the
   field-generic ``flow_rhs``, as a 21-component ODE system in the subtracted
   variables ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
-  embedded Dormand-Prince 5(4) pair on an operator polarized from it.
+  embedded Dormand-Prince 5(4) pair on an operator polarized from it and
+  applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
+
+The convergence table compares the exact expansion with the closed forms in
+rational arithmetic, summing each series part over small denominators and
+meeting the closed form's one large denominator once per truncation order.
 
 Convention lock-in: the orientation and the curvature sign of the frame
 backgrounds are pinned by requiring the closed-form profiles below to solve
@@ -50,6 +55,7 @@ from .geometry import (
     star_d,
     star_d_omega,
 )
+from .scalars import RationalField
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
 __all__ = [
@@ -101,17 +107,20 @@ def _ts_exp2(n):
 
 
 def _exp_fraction(x: Fraction) -> Fraction:
-    """Rational lower bound for e^x by Taylor truncation.
+    """e^x truncated after the x^40 term, as an exact Fraction.
 
     For |x| <= 1/2 the dropped tail is below x^41/41! < 1e-60 -- far under
-    anything the convergence table can resolve.
+    anything the convergence table can resolve.  The 41 terms are summed as
+    integers over the common denominator 40! d^40 of ``x = n/d``.
     """
-    acc = Fraction(1)
-    term = Fraction(1)
+    # the k-th numerator n^k d^(40-k) 40!/k! divides exactly out of the last
+    n, d = x.numerator, x.denominator
+    den = math.factorial(40) * d ** 40
+    term = acc = den
     for k in range(1, 41):
-        term = term * x / k
+        term = term * n // (d * k)
         acc += term
-    return acc
+    return Fraction(acc, den)
 
 
 def _ts_poly(poly, base, n):
@@ -156,7 +165,7 @@ class ConstantProfile:
     def value(self, y):
         return self.c if isinstance(y, Fraction) else float(self.c)
 
-    def value_exact(self, y: Fraction) -> Fraction:
+    def value_exact(self, y: Fraction, u=None) -> Fraction:
         return self.c
 
     def derivative(self, y):
@@ -172,7 +181,7 @@ class InverseY:
     def value(self, y):
         return 1 / y
 
-    def value_exact(self, y: Fraction) -> Fraction:
+    def value_exact(self, y: Fraction, u=None) -> Fraction:
         return 1 / y
 
     def derivative(self, y):
@@ -207,10 +216,13 @@ class ExpRational:
         u = math.exp(2.0 * float(y))
         return self._polyval(self.P, u) / self._polyval(self.Q, u)
 
-    def value_exact(self, y: Fraction) -> Fraction:
+    def value_exact(self, y: Fraction, u=None) -> Fraction:
         """Value as a Fraction, with e^{2y} itself replaced by its rational
-        Taylor truncation (error under 1e-60 for |y| <= 1/4)."""
-        u = _exp_fraction(2 * Fraction(y))
+        Taylor truncation (error under 1e-60 for |y| <= 1/4); a caller that
+        evaluates several profiles at one ``y`` passes that truncation as
+        ``u``."""
+        if u is None:
+            u = _exp_fraction(2 * Fraction(y))
         num = Fraction(0)
         den = Fraction(0)
         for c in reversed(self.P):
@@ -294,16 +306,19 @@ def closed_solution_names():
     return list(_SOLUTIONS)
 
 
-def closed_solution(name: str, field=None) -> ProfileSolution:
-    """Look up a registered closed-form solution by name."""
+def _solution_builder(name: str):
     try:
-        builder = _SOLUTIONS[name]
+        return _SOLUTIONS[name]
     except KeyError:
         raise ValueError(
             f"no closed-form solution registered under {name!r}; "
             f"known: {', '.join(_SOLUTIONS)}"
         ) from None
-    return builder(field)
+
+
+def closed_solution(name: str, field=None) -> ProfileSolution:
+    """Look up a registered closed-form solution by name."""
+    return _solution_builder(name)(field)
 
 
 def matched_free_data(name: str, field=None) -> FreeData:
@@ -311,9 +326,13 @@ def matched_free_data(name: str, field=None) -> FreeData:
 
     Only the round sphere needs a nonzero choice: its ``a_2 = -2/3 e`` sits in
     the free V- slot.  The hyperbolic and flat solutions match zero free data.
+    ``field`` defaults to rationals, as for the solution's background, which
+    is not built here.
+
+    :raises ValueError: for a name with no registered solution.
     """
-    sol = closed_solution(name, field)
-    field = sol.background.field
+    _solution_builder(name)
+    field = field or RationalField()
     if name == "s3":
         e = vierbein(field)
         return FreeData(field=field, c_minus=e.scale(Fraction(-2, 3)))
@@ -512,6 +531,33 @@ def _flow_operator(bg: FrameBackground):
         starF=GForm(_F64, 1, tuple(map(tuple, bg.starF.to_floats())))), 1.0)
 
 
+def _stacked_rhs(c, M0, M1, Q):
+    """``rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)`` applied as one stacked
+    matrix: ``c + G z`` with ``G = [M0 | M1 | Qp]`` and
+    ``z = (v, v/y, v[I] v[J])``.
+
+    ``Qp`` keeps the pair columns ``i <= j`` of the symmetric ``Q`` that are
+    nonzero for some component, the off-diagonal ones doubled (126 of the 441
+    pairs on the round sphere).  Exact over Fraction arrays; over float64 it
+    sums in another order than the dense form, so it agrees to round-off.
+    """
+    I, J = np.triu_indices(_NV)
+    QP = Q[:, I, J] * np.where(I == J, 1, 2)
+    keep = np.any(QP != 0, axis=0)
+    I, J = I[keep], J[keep]
+    G = np.concatenate([M0, M1, QP[:, keep]], axis=1)
+
+    def rhs(y, v):
+        return c + G @ np.concatenate((v, v / y, v[I] * v[J]))
+    return rhs
+
+
+def _flow_rhs(bg: FrameBackground):
+    """The integrator's right-hand side ``rhs(y, v)`` on packed float64
+    states: :func:`_stacked_rhs` of :func:`_flow_operator`."""
+    return _stacked_rhs(*_flow_operator(bg))
+
+
 # Dormand-Prince 5(4) embedded pair.
 _DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5),
          Fraction(8, 9), Fraction(1), Fraction(1)]
@@ -540,6 +586,9 @@ _DP_C_F = np.array([float(x) for x in _DP_C])
 _DP_A_F = np.array([[float(x) for x in row] + [0.0] * (7 - len(row))
                     for row in _DP_A])
 _DP_ERR_F = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
+#: Stages 1..6 as ``(s, row of A, node)``; stage 0 is the last of the
+#: previous step (first same as last).
+_DP_STAGES = [(s, _DP_A_F[s, :s], _DP_C_F[s]) for s in range(1, 7)]
 
 
 class StepUnderflow(RuntimeError):
@@ -564,11 +613,18 @@ def _pack_state(bg, state: FlowState):
     return np.concatenate([a.ravel(), b.ravel(), f])
 
 
-def _unpack_state(W, y, v) -> FlowState:
-    """Full-variable state from a packed one; ``W`` is the raveled float
+def _unpack_states(W, ys, V):
+    """Full-variable states from the packed states in the rows of ``V``, in
+    one batched pass that overwrites ``V``; ``W`` is the raveled float
     connection form."""
-    return _float_state(y, v[0:9] + W, v[9:18] + np.eye(3).ravel() / y,
-                        v[18:21])
+    V[:, 0:9] += W
+    V[:, 9:18] += np.eye(3).ravel() / np.array(ys)[:, None]
+    return [FlowState(y, *_forms(_F64, row.tolist())) for y, row in zip(ys, V)]
+
+
+def _unpack_state(W, y, v) -> FlowState:
+    """Full-variable state from a packed one (see :func:`_unpack_states`)."""
+    return _unpack_states(W, [float(y)], np.array([v], dtype=float))[0]
 
 
 def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
@@ -579,7 +635,10 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     estimate stays within the share of ``tol`` proportional to the step
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
-    in either direction.
+    in either direction.  Each stage applies the polarized flow as one stacked
+    matrix (:func:`_stacked_rhs`), and the last stage of an accepted step is
+    the first of the next.  The accepted states are kept packed and turned
+    into :class:`FlowState` objects in one pass on return.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
@@ -597,18 +656,17 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
         raise ValueError("the flow lives on finite y > 0")
     if fixed_step is not None and not 0 < abs(float(fixed_step)) < math.inf:
         raise ValueError("fixed_step must be a nonzero finite number")
-    c, M0, M1, Q = _flow_operator(bg)
+    rhs = _flow_rhs(bg)
     W = np.ravel(bg.W.to_floats())
     v = _pack_state(bg, init)
-    traj = [init]
+    # accepted steps: their y and, in the rows of a doubling buffer, their
+    # packed states; the FlowStates are built on return
+    ys, vs = [], np.empty((64, _NV))
     span = abs(y1 - y0)
     direction = 1.0 if y1 > y0 else -1.0
 
-    Q = Q.reshape(_NV * _NV, _NV)
     K = np.zeros((7, _NV))
-
-    def rhs(y, v):
-        return c + (M0 + M1 / y + (Q @ v).reshape(_NV, _NV)) @ v
+    stages = [(s, a, node, K[:s]) for s, a, node in _DP_STAGES]
 
     y = y0
     h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
@@ -616,22 +674,25 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     K[0] = rhs(y, v)
     for _ in range(max_steps):
         if (y1 - y) * direction <= 1e-15 * span:
-            return traj
+            return [init] + _unpack_states(W, ys, vs[:len(ys)])
         h = direction * min(abs(h), abs(y1 - y))
         # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
         # last stage's input u is the step's result and K[6] the next K[0]
-        for s in range(1, 7):
-            u = v + h * (_DP_A_F[s, :s] @ K[:s])
-            K[s] = rhs(y + _DP_C_F[s] * h, u)
+        for s, a, node, Ks in stages:
+            u = v + h * (a @ Ks)
+            K[s] = rhs(y + node * h, u)
         accepted = fixed_step is not None
         if not accepted:
-            err = abs(h) * float(np.max(np.abs(_DP_ERR_F @ K)))
+            err = abs(h) * float(np.abs(_DP_ERR_F @ K).max())
             budget = tol * abs(h) / span
             accepted = math.isfinite(err) and err <= budget
         if accepted:
             y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
             v = u
-            traj.append(_unpack_state(W, y, v))
+            if len(ys) == len(vs):
+                vs = np.concatenate([vs, np.empty_like(vs)])
+            vs[len(ys)] = v
+            ys.append(y)
             K[0] = K[6]
         if fixed_step is None:
             if accepted:
@@ -641,7 +702,8 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
                 shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
                 h = h * min(0.9, max(0.1, shrink))
             if abs(h) < floor:
-                raise StepUnderflow(traj[-1])
+                raise StepUnderflow(_unpack_state(W, ys[-1], vs[len(ys) - 1])
+                                    if ys else init)
     raise RuntimeError("step budget exceeded")
 
 
@@ -764,7 +826,11 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     Every deviation is computed in exact rational arithmetic (the only
     approximation is the 1e-60 Taylor truncation of e^{2y}), so the table
     measures truncation error alone -- there is no float noise floor, and the
-    smallest entries (~1e-16 at N = 6) remain meaningful.
+    smallest entries (~1e-16 at N = 6) remain meaningful.  Per grid point,
+    e^{2y} is summed once over one common denominator and shared by both
+    profiles; the series part is a running sum over the sorted orders, added
+    to the closed form once per N; each error is the float of the exact
+    maximum.  ``orders`` may be unsorted or repeat an N.
 
     :param series: the matched expansion through ``max(orders)``, when the
         caller already has it; expanded here otherwise.
@@ -784,24 +850,33 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     W = bg.W
     e = vierbein(bg.field)
     grid = [Fraction(float(v)) for v in np.geomspace(y_lo, y_hi, samples)]
-    closed = [(W.scale(-(sol.fA.value_exact(yq) - 1)),
-               e.scale(-(sol.fPhi.value_exact(yq) - 1 / yq))) for yq in grid]
+    terms = sorted(((k, [*ser.get_a(k, p).entries(), *ser.get_b(k, p).entries(),
+                         *ser.get_phi(k, p).entries()])
+                    for k, p in ser.addresses()), key=lambda t: t[0])
+    wanted = sorted(set(orders))
+    errors = {N: [] for N in wanted}
+    for yq in grid:
+        u = _exp_fraction(2 * yq)
+        closed = [*W.scale(1 - sol.fA.value_exact(yq, u)).entries(),
+                  *e.scale(1 / yq - sol.fPhi.value_exact(yq, u)).entries(),
+                  0, 0, 0]
+        # the series part over small denominators, extended order by order;
+        # it meets the closed form's huge denominators once per N
+        partial, i = [0] * _NV, 0
+        for N in wanted:
+            while i < len(terms) and terms[i][0] <= N:
+                k, coeffs = terms[i]
+                w = yq ** k
+                partial = [s + x * w if x else s for s, x in zip(partial, coeffs)]
+                i += 1
+            # float() is correctly rounded, hence monotone: this is the
+            # float of the exact maximum
+            errors[N].append((float(yq), max(abs(float(x + s))
+                                             for x, s in zip(closed, partial))))
     rows = []
     for N in orders:
-        errors = []
-        for yq, (da, db) in zip(grid, closed):
-            dphi = GForm.zero(bg.field, 0)
-            for k, p in ser.addresses():
-                if k > N:
-                    continue
-                w = yq ** k
-                da = da + ser.get_a(k, p).scale(w)
-                db = db + ser.get_b(k, p).scale(w)
-                dphi = dphi + ser.get_phi(k, p).scale(w)
-            err = max(abs(v) for v in
-                      (*da.entries(), *db.entries(), *dphi.entries()))
-            errors.append((float(yq), float(err)))
-        pos = [(y, e_) for y, e_ in errors if e_ > 0.0]
+        errs = list(errors[N])
+        pos = [(y, e_) for y, e_ in errs if e_ > 0.0]
         if len(pos) >= 2:
             ly = np.log([y for y, _ in pos])
             le = np.log([e_ for _, e_ in pos])
@@ -810,9 +885,9 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
             slope = float("nan")
         rows.append({
             "N": N,
-            "max_err": max(e_ for _, e_ in errors),
+            "max_err": max(e_ for _, e_ in errs),
             "slope": slope,
-            "errors": errors,
+            "errors": errs,
         })
     return rows
 

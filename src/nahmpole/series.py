@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
     EigenPart,
@@ -409,10 +410,12 @@ def assert_parity(series: PhgSeries):
 
 def _residual_terms(series: PhgSeries, K: int, p: int):
     """The terms (LHS - RHS) of the three coefficient equations at (K, p),
-    as ``(equation, term, read)``.  ``read`` is the stored form a linear term
-    is computed from, None for the other terms: a linear term can cancel to
-    round-off (``K b + L(b)`` on V+, a curl), so over floats it joins the
-    scale the residual is judged by."""
+    as ``(equation, term, read, frame)``.  ``read`` is the stored form a
+    linear term is computed from, None for the other terms: a linear term can
+    cancel to round-off (``K b + L(b)`` on V+, a curl), so over floats it
+    joins the scale the residual is judged by.  ``frame`` is True for the
+    frame operators, whose products multiply ``read`` by entries of ``c`` or
+    ``W``."""
     bg = series.background
     field = series.field
     if bg is None:
@@ -425,16 +428,22 @@ def _residual_terms(series: PhgSeries, K: int, p: int):
     aU, bU, phiU = (t.get((K, p + 1)) for t in (A, B, PHI))
     aD, bD, phiD = (t.get((K - 1, p)) for t in (A, B, PHI))
     # GForms are truthy: a term ``x and f(x)`` is None just when x is absent
-    for i, term, read in (
-            (0, aK and aK.scale(kf) - L_op(aK), aK), (0, aU and aU.scale(pp1), aU),
-            (0, phiK and e_bracket(phiK), phiK), (0, bD and -star_d_omega(bg, bD), bD),
-            (1, bK and bK.scale(kf) + L_op(bK), bK), (1, bU and bU.scale(pp1), bU),
-            (1, aD and -star_d_omega(bg, aD), aD), (1, phiD and -d_omega(bg, phiD), phiD),
-            (1, -bg.starF if (K, p) == (1, 0) else None, None),
-            (2, phiK and phiK.scale(kf), phiK), (2, phiU and phiU.scale(pp1), phiU),
-            (2, aK and gamma_op(aK), aK), (2, bD and -d_omega_star(bg, bD), bD)):
+    for i, term, read, frame in (
+            (0, aK and aK.scale(kf) - L_op(aK), aK, False),
+            (0, aU and aU.scale(pp1), aU, False),
+            (0, phiK and e_bracket(phiK), phiK, False),
+            (0, bD and -star_d_omega(bg, bD), bD, True),
+            (1, bK and bK.scale(kf) + L_op(bK), bK, False),
+            (1, bU and bU.scale(pp1), bU, False),
+            (1, aD and -star_d_omega(bg, aD), aD, True),
+            (1, phiD and -d_omega(bg, phiD), phiD, True),
+            (1, -bg.starF if (K, p) == (1, 0) else None, None, False),
+            (2, phiK and phiK.scale(kf), phiK, False),
+            (2, phiU and phiU.scale(pp1), phiU, False),
+            (2, aK and gamma_op(aK), aK, False),
+            (2, bD and -d_omega_star(bg, bD), bD, True)):
         if term is not None:
-            yield i, term, read
+            yield i, term, read, frame
 
     for k1 in range(1, K - 1):
         k2 = (K - 1) - k1
@@ -442,16 +451,16 @@ def _residual_terms(series: PhgSeries, K: int, p: int):
             a1, b1, phi1 = (t.get((k1, p1)) for t in (A, B, PHI))
             a2, b2, phi2 = (t.get((k2, p - p1)) for t in (A, B, PHI))
             if a1 is not None and b2 is not None:
-                yield 0, -star_wedge(a1, b2), None
-                yield 2, star_bracket_star(a1, b2), None
+                yield 0, -star_wedge(a1, b2), None, False
+                yield 2, star_bracket_star(a1, b2), None, False
             if phi1 is not None and b2 is not None:
-                yield 0, -bracket_0_1(phi1, b2), None
+                yield 0, -bracket_0_1(phi1, b2), None, False
             if a1 is not None and a2 is not None:
-                yield 1, -star_wedge(a1, a2).scale(_HALF), None
+                yield 1, -star_wedge(a1, a2).scale(_HALF), None, False
             if b1 is not None and b2 is not None:
-                yield 1, star_wedge(b1, b2).scale(_HALF), None
+                yield 1, star_wedge(b1, b2).scale(_HALF), None, False
             if phi2 is not None and a1 is not None:
-                yield 1, bracket_0_1(phi2, a1), None
+                yield 1, bracket_0_1(phi2, a1), None, False
 
 
 def residual_at(series: PhgSeries, K: int, p: int):
@@ -462,17 +471,31 @@ def residual_at(series: PhgSeries, K: int, p: int):
     in either shows up as a nonzero residual.  Absent entries are zero and
     contribute no term.  An entry that is zero against the largest term that
     entered it (the field's rule, as in :meth:`PhgSeries._store`) is
-    returned as an exact zero.
+    returned as an exact zero.  The largest terms include the products
+    inside the frame operators, ``|x|`` times the largest ``|c|`` or ``|W|``
+    entry for each form ``x`` they read, so that the verdict does not hang
+    on their summation order.  A rational field reads no scale, so none of
+    these magnitudes is computed there.
     """
-    field = series.field
-    R, seen = [GForm.zero(field, degree) for degree in (1, 1, 0)], [[], [], []]
-    for i, term, read in _residual_terms(series, K, p):
+    field, bg = series.field, series.background
+    R = [GForm.zero(field, degree) for degree in (1, 1, 0)]
+    seen, framed = [[], [], []], [[], [], []]
+    for i, term, read, frame in _residual_terms(series, K, p):
         R[i] = R[i] + term
         seen[i] += [term, read] if read else [term]
+        if frame:
+            framed[i].append(read)
+    frame_scale = field.scale(chain(bg.W.entries(),
+                                    (v for plane in bg.c for row in plane for v in row)))
+
+    def magnitudes(i):
+        yield from (v for t in seen[i] for v in t.entries())
+        if framed[i]:
+            yield frame_scale * field.scale(v for x in framed[i] for v in x.entries())
+
     return tuple(GForm.from_entries(field, [field.zero if field.is_zero(v, scale)
                                             else v for v in r.entries()])
-                 for r, scale in zip(R, (field.scale(v for t in s for v in t.entries())
-                                         for s in seen)))
+                 for r, scale in zip(R, map(field.scale, map(magnitudes, range(3)))))
 
 
 def check_residuals(series: PhgSeries, through: int = None):

@@ -1,5 +1,6 @@
 """Closed-form profiles, flow residuals, the integrator, global reports."""
 
+import hashlib
 import json
 import math
 import random
@@ -28,7 +29,16 @@ from nahmpole.oracle import (
     taylor_profile,
     trajectory_csv,
 )
-from nahmpole.oracle import _DP_A, _DP_B5, _DP_C, _flow_operator, _polarize
+from nahmpole.oracle import (
+    _DP_A,
+    _DP_B5,
+    _DP_C,
+    _exp_fraction,
+    _flow_operator,
+    _flow_rhs,
+    _polarize,
+    _stacked_rhs,
+)
 from nahmpole.scalars import RationalField
 from nahmpole.series import expand, from_json, to_json
 
@@ -89,6 +99,29 @@ class TestRegistry:
         for name in ("hyperbolic", "flat"):
             z = matched_free_data(name, field)
             assert z.c_plus.is_zero() and z.c_minus.is_zero() and z.c_zero.is_zero()
+
+    def test_matched_free_data_unknown_name(self):
+        with pytest.raises(ValueError, match="s3"):
+            matched_free_data("nosuch")
+
+    def test_ode_compare_builds_one_background(self, monkeypatch, capsys):
+        # the closed form's background is the only one: the matched free
+        # data needs just the field
+        from nahmpole import cli, geometry, oracle
+
+        calls = []
+
+        def counting(*args, real=geometry.builtin, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "builtin", counting)
+        monkeypatch.setattr(oracle, "builtin", counting)
+        assert matched_free_data("s3").c_minus == vierbein(
+            RationalField()).scale(Fraction(-2, 3))
+        assert calls == []
+        assert cli.main(["ode-compare", "s3", "--order", "2"]) == 0
+        assert calls == ["round-s3"]
 
 
 class TestTaylorProfiles:
@@ -195,6 +228,19 @@ class TestFlowOperator:
             da, db, dphi = flow_rhs(bg, y, a, b, phi_y)
             assert list(got) == [*da.entries(), *db.entries(), *dphi.entries()]
 
+    def test_stacked_operator_is_dense_operator(self, exact_operator):
+        # the integrator's stacked form c + [M0 | M1 | Qp] (v, v/y, v_i v_j)
+        # is the dense c + M0 v + M1 v/y + Q(v, v), exactly
+        bg, (c, M0, M1, Q) = exact_operator
+        rhs = _stacked_rhs(c, M0, M1, Q)
+        rng = random.Random(52817)
+        for _ in range(3):
+            y = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            v = np.array([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(21)], dtype=object)
+            want = c + M0.dot(v) + M1.dot(v) / y + Q.dot(v).dot(v)
+            assert list(rhs(y, v)) == list(want)
+
     def test_float_build_is_float_of_exact_build(self, exact_operator):
         bg, exact = exact_operator
         for got, want in zip(_flow_operator(bg), exact):
@@ -243,10 +289,9 @@ class TestIntegrator:
         from nahmpole.oracle import _pack_state, _unpack_state
 
         sol = closed_solution("s3")
-        c, M0, M1, Q = _flow_operator(sol.background)
         v0 = _pack_state(sol.background, profile_state(sol, 0.2))
-        out = solve_ivp(lambda y, v: c + M0 @ v + M1 @ v / y + (Q @ v) @ v,
-                        (0.2, 1.0), v0, rtol=1e-11, atol=1e-12, method="RK45")
+        out = solve_ivp(_flow_rhs(sol.background), (0.2, 1.0), v0,
+                        rtol=1e-11, atol=1e-12, method="RK45")
         assert out.success
         W = np.ravel(sol.background.W.to_floats())
         final = _unpack_state(W, 1.0, out.y[:, -1])
@@ -313,16 +358,12 @@ class TestIntegrator:
         bg = load_background("builtin:round-s3")
         ser = expand(bg, matched_free_data("s3", bg.field), N=6)
         init = state_from_series(ser, 0.01, 6)
-        c, M0, M1, Q = _flow_operator(bg)
-        Q = Q.reshape(21 * 21, 21)
+        rhs = _flow_rhs(bg)
         A = np.array([[float(x) for x in row] + [0.0] * (7 - len(row))
                       for row in _DP_A])
         C = np.array([float(x) for x in _DP_C])
         B5 = np.array([float(x) for x in _DP_B5])
         W = np.ravel(bg.W.to_floats())
-
-        def rhs(y, v):
-            return c + (M0 + M1 / y + (Q @ v).reshape(21, 21)) @ v
 
         y, v, want = 0.01, _pack_state(bg, init), []
         while y < 1.0:
@@ -406,7 +447,52 @@ class TestGlobalReport:
         float(doc["k_number"])  # decimal literal
 
 
+def _exp_reference(x):
+    """e^x truncated after x^40/40!, summed term by term."""
+    acc = term = Fraction(1)
+    for k in range(1, 41):
+        term = term * x / k
+        acc += term
+    return acc
+
+
+#: sha256 of ``convergence_csv`` per (solution, orders, keyword arguments),
+#: taken from the term-by-term implementation the current one replaced.
+CONVERGENCE_SHA256 = [
+    ("s3", (2, 4, 6), {},
+     "f44aa867ef2ab79db6215e0d2b65728a4b4d7051499b91b8b377131281efd82c"),
+    ("hyperbolic", (2, 4, 6), {},
+     "8540cf5497c5d20f7bd61768cb6bad03517ab66b30f4681dde3104c10263dc2a"),
+    ("flat", (2, 4), {},
+     "d931d2dc7380ab3cd3df13f8cf4308607d012fb98fc7dbc49013eb1702a8e157"),
+    ("s3", (6, 2, 4, 4), {},
+     "5cc0524c25654bba89a2541145cdf09e7e04180d5f6c7729ed0ff835aea7855e"),
+    ("s3", (2, 4), {"y_lo": 0.003, "y_hi": 0.25, "samples": 7},
+     "a7402db6273a3891695383c400f5ac52b40e53e1554fc64d5e6e49a478817f76"),
+    ("hyperbolic", (3, 5), {"y_lo": 0.02, "y_hi": 0.3},
+     "bbbc51fbe6197a23da30fabdf64f857376126127019b7dc185f5575c99b58f18"),
+]
+
+
 class TestConvergence:
+    def test_exp_fraction_is_term_by_term_sum(self):
+        grid = [Fraction(float(v)) for v in np.geomspace(0.01, 0.1, 12)]
+        points = ([2 * q for q in grid] + [-2 * q for q in grid]
+                  + [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11),
+                     Fraction(-1, 2), Fraction(0)])
+        for x in points:
+            assert _exp_fraction(x) == _exp_reference(x), x
+
+    @pytest.mark.parametrize("name,orders,kwargs,digest", CONVERGENCE_SHA256)
+    def test_csv_bytes_pinned(self, name, orders, kwargs, digest):
+        text = convergence_csv(convergence_table(name, orders, **kwargs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_duplicate_orders_get_equal_rows(self):
+        rows = convergence_table("s3", orders=(4, 2, 4), samples=4)
+        assert [r["N"] for r in rows] == [4, 2, 4]
+        assert rows[0] == rows[2] and rows[0]["errors"] is not rows[2]["errors"]
+
     def test_s3_slopes(self):
         rows = convergence_table("s3", orders=(2, 4, 6))
         assert [r["N"] for r in rows] == [2, 4, 6]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nahmpole import series as series_module
+from nahmpole import geometry, series as series_module
 from nahmpole.algebra import (
     EigenPart,
     GForm,
@@ -496,6 +496,31 @@ def test_float_residuals_vanish(uri, tmp_path):
     for bits in (64, 128):
         got = expand(load_background(source, FloatField(bits)), N=16)
         assert check_residuals(got) == [], bits
+
+
+def _cyclic_star_d(field, c, x):
+    """``*(dx)`` summed over the cyclic pairs (j, k, m) without the 1/2: the
+    same map as ``geometry._star_d``, with another float summation order."""
+    out = [field.zero] * 9
+    for j, k, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for i in range(3):
+            for a in range(3):
+                out[3 * a + m] = out[3 * a + m] - x.coeffs[a][i] * c[i][j][k]
+    return out
+
+
+def test_float_residual_scale_covers_frame_products(tmp_path, monkeypatch):
+    # the frame operators' terms cancel below their products |x| |c| and
+    # |x| |W| on this frame; a scale without those products rejected
+    # (8, 0, 'phi_y') once *dx summed in this order
+    source = rotated_h3_file(tmp_path, 10**5)
+    exact = load_background(source, RationalField())
+    x = exact.W + exact.starF
+    assert (_cyclic_star_d(exact.field, exact.c, x)
+            == geometry._star_d(exact.field, exact.c, x))
+    monkeypatch.setattr(geometry, "_star_d", _cyclic_star_d)
+    got = expand(load_background(source, FloatField(64)), N=16)
+    assert check_residuals(got) == []
 
 
 @pytest.mark.parametrize("bits", [64, 128])
