@@ -25,7 +25,13 @@ antisymmetric.  All graded products below are written against that grading.
 The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
 import, and applied by one sparse routine, :func:`accumulate`, that skips
-exact scalar zeros only.
+exact scalar zeros only.  On all-``Fraction`` operands it works on integer
+numerators over one common denominator per operand.
+
+The two solves of the expansion are closed forms that act entrywise, with no
+spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
+:func:`resolve_coupled` solves the whole a/phi_y step, ``(lam - L) a +
+[e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import RationalField, exact_zero, nullspace, rref, solve_dense
 
@@ -238,10 +245,33 @@ def accumulate(kernel, x: GForm, y: GForm, out, sign=1):
     :func:`star_bracket_star`; degrees are not checked.  Only entries that
     are exact scalar zeros (:func:`exact_zero`) are skipped, so the work
     scales with the nonzero entries.
+
+    When every entry of both operands is a ``Fraction`` (checked by type:
+    the flow polarization sends numpy arrays), each operand is put over one
+    common denominator and the products are summed as integers, so each
+    output slot takes one ``Fraction(total, dx * dy)`` instead of two gcds
+    per product.  Other operands take the generic scalar loop.
     """
     table = _TABLES[kernel]
-    ys = [None if exact_zero(v) else v for v in y.entries()]
-    for i, xi in enumerate(x.entries()):
+    xs, ys = x.entries(), y.entries()
+    if set(map(type, (*xs, *ys))) == {Fraction}:
+        xs = [v.as_integer_ratio() for v in xs]
+        ys = [v.as_integer_ratio() for v in ys]
+        dx, dy = lcm(*[q for _, q in xs]), lcm(*[q for _, q in ys])
+        ny = [n and n * (dy // q) for n, q in ys]
+        totals = [0] * len(out)
+        for i, (n, q) in enumerate(xs):
+            if n:
+                n *= dx // q
+                for j, o, s in table[i]:
+                    if ny[j]:
+                        totals[o] += n * ny[j] if s == sign else -n * ny[j]
+        for o, total in enumerate(totals):
+            if total:
+                out[o] = out[o] + Fraction(total, dx * dy)
+        return out
+    ys = [None if exact_zero(v) else v for v in ys]
+    for i, xi in enumerate(xs):
         if not exact_zero(xi):
             for j, o, s in table[i]:
                 yj = ys[j]
@@ -345,8 +375,13 @@ def cal_L(k, a: GForm) -> GForm:
 def invert_cal_L(k: int, rhs: GForm) -> GForm:
     """Unique preimage of ``rhs`` under ``k + L``.
 
-    Scalar division by ``k + eigenvalue`` on each eigenspace, so the divisors
-    are ``k+2, k+1, k-1`` and the singular orders are ``k in {-2, -1, 1}``.
+    On the eigenspaces this is division by ``k + eigenvalue``, so the
+    divisors are ``k+2, k+1, k-1`` and the singular orders are
+    ``k in {-2, -1, 1}``.  Summed over the three projections, the inverse
+    acts entrywise::
+
+        x_ij = (k r_ij + r_ji) / (k^2 - 1)              (i != j)
+        x_ii = r_ii / (k - 1) - tr(r) / ((k + 2)(k - 1))
 
     :raises ResonantOrder: when ``k`` hits a singular order, carrying the
         offending eigenspace(s).
@@ -354,38 +389,56 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     singular = [part for part in EigenPart if k + part.eigenvalue(1) == 0]
     if singular:
         raise ResonantOrder(k, singular)
-    out = GForm.zero(rhs.field, 1)
-    for part in EigenPart:
-        out = out + project(rhs, part).divide(k + part.eigenvalue(1))
-    return out
+    r = rhs.coeffs
+    trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
+    return GForm(rhs.field, 1, tuple(
+        tuple(r[i][i] / (k - 1) - trace_part if i == j
+              else (k * r[i][j] + r[j][i]) / (k * k - 1) for j in range(3))
+        for i in range(3)))
 
 
-def resolve_coupled(lam, Theta: GForm, Xi: GForm):
-    """Closed-form solve of the coupled (V0 1-form, 0-form) system.
+def resolve_coupled(lam, R: GForm, S: GForm):
+    """Closed-form solve of the a/phi_y step at ``lambda = lam``.
 
-    Unknowns ``(a, phi)`` with ``(lam - 1) a = Theta - [e, phi]`` and
-    ``lam phi = -Gamma(a) + Xi``::
+    Unknowns ``(a, phi)``, a degree-1 and a degree-0 form, with::
 
-        a   = (lam Theta - [e, Xi]) / (lam^2 - lam - 2)
-        phi = ((lam - 1) Xi - Gamma(Theta)) / (lam^2 - lam - 2)
+        (lam - L) a + [e, phi] = R,      lam phi + Gamma(a) = S.
+
+    ``L`` and ``Gamma`` leave ``V+`` and ``V-`` uncoupled, so ``a`` is
+    ``R`` over ``lam + 1`` there and over ``lam - 2`` on ``V-``; on ``V0``
+    the system couples to ``phi`` with determinant ``d = (lam - 2)(lam + 1)``.
+    With ``t = tr(R)/3``, ``Theta = (R - R^T)/2``, ``[e, S]_ij = eps_ijm S_m``
+    and ``Gamma(Theta)_m = eps_mij Theta_ij``::
+
+        a_ii  = (R_ii - t) / (lam + 1) + t / (lam - 2)
+        a_ij  = (R_ij + R_ji) / (2 (lam + 1)) + (lam Theta_ij - [e, S]_ij) / d
+        phi   = ((lam - 1) S - Gamma(Theta)) / d
 
     :param lam: scalar, anything outside {2, -1}.
-    :param Theta: degree-1 form lying in V0 (checked).
-    :param Xi: degree-0 form.
+    :param R: degree-1 form.
+    :param S: degree-0 form.
     :raises SingularLambda: at ``lam in {2, -1}``.
     """
-    if Theta.degree != 1 or Xi.degree != 0:
+    if R.degree != 1 or S.degree != 0:
         raise ValueError("resolve_coupled needs (degree-1, degree-0) data")
-    field = Theta.field
-    lam_s = field.from_fraction(lam) if isinstance(lam, (int, Fraction)) else lam
-    denom = lam_s * lam_s - lam_s - field.from_int(2)
-    if field.is_zero(denom):
+    field = R.field
+    lam_s = field.from_fraction(lam) if isinstance(lam, Fraction) else lam
+    plus, minus = lam_s + 1, lam_s - 2  # the divisors on V+ and V-
+    d = plus * minus
+    if field.is_zero(d):
         raise SingularLambda(lam)
-    if not (Theta - project(Theta, EigenPart.Zero)).is_zero(field.scale(Theta.entries())):
-        raise ValueError("Theta must lie in V0")
-    a = (Theta.scale(lam_s) - e_bracket(Xi)).divide(denom)
-    phi = (Xi.scale(lam_s - field.one) - gamma_op(Theta)).divide(denom)
-    return a, phi
+    r, s = R.coeffs, S.coeffs
+    t = (r[0][0] + r[1][1] + r[2][2]) / 3
+    a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]
+         for i in range(3)]
+    phi = [None] * 3
+    for i, j, m, _ in _EPS[:3]:  # the cyclic triples, eps_ijm = 1
+        sym = (r[i][j] + r[j][i]) / (2 * plus)
+        curl = r[i][j] - r[j][i]  # 2 Theta_ij = Gamma(Theta)_m
+        anti = (lam_s * curl / 2 - s[m]) / d
+        a[i][j], a[j][i] = sym + anti, sym - anti
+        phi[m] = ((lam_s - 1) * s[m] - curl) / d
+    return GForm(field, 1, tuple(map(tuple, a))), GForm(field, 0, tuple(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,11 @@ def _suite_identities():
     ok = True
     detail = ""
     for lam in (3, 4, -3):
-        theta = project(_rand_one_form(rng, field), EigenPart.Zero)
-        xi = _rand_zero_form(rng, field)
-        a, phi = resolve_coupled(lam, theta, xi)
-        r1 = a.scale(lam - 1) + e_bracket(phi) - theta
-        r2 = phi.scale(lam) + gamma_op(a) - xi
+        R = _rand_one_form(rng, field)
+        S = _rand_zero_form(rng, field)
+        a, phi = resolve_coupled(lam, R, S)
+        r1 = a.scale(lam) - L_op(a) + e_bracket(phi) - R
+        r2 = phi.scale(lam) + gamma_op(a) - S
         if not (r1.is_zero() and r2.is_zero()):
             ok, detail = False, f"coupled solve fails at lambda={lam}"
     checks.append(("coupled (a, phi_y) solve satisfies its system", ok, detail))

@@ -320,6 +320,11 @@ def _top_depth(series: PhgSeries, k: int) -> int:
         if n - k1 in depth])
 
 
+def _total(forms, field, degree):
+    """The sum of ``forms``, started from the first (zero form if none)."""
+    return sum(forms[1:], forms[0]) if forms else GForm.zero(field, degree)
+
+
 def advance_order(series: PhgSeries, k: int) -> None:
     """Compute ``b_k`` and ``(a, phi_y)_{k+1}`` at every log depth.
 
@@ -328,11 +333,13 @@ def advance_order(series: PhgSeries, k: int) -> None:
     each p:
 
     * ``b_{k,p}`` solves ``(k + L) b = *d_w a_{k-1,p} + d_w (phi_y)_{k-1,p}
-      - (p+1) b_{k,p+1} + Qb``;
+      - (p+1) b_{k,p+1} + Qb`` by the entrywise closed form of
+      :func:`invert_cal_L`;
     * with ``R = *d_w b_{k,p} - (p+1) a_{k+1,p+1} + Qa`` and
-      ``S = d_w^* b_{k,p} - (p+1) (phi_y)_{k+1,p+1} + Qphi``, the V+/V- parts
-      of ``a_{k+1,p}`` are ``R`` over k+2 and k-1, while the V0 part couples
-      to ``phi_y`` through the 2x2 solve at lambda = k+1.
+      ``S = d_w^* b_{k,p} - (p+1) (phi_y)_{k+1,p+1} + Qphi``,
+      ``(a, phi_y)_{k+1,p}`` is one :func:`resolve_coupled` call at
+      lambda = k+1: ``R`` over k+2 on V+ and k-1 on V-, and the coupled
+      V0 / 0-form block.
 
     A term enters only where its table entries are present; a step with no
     terms is skipped.  Zero results are not stored.
@@ -342,7 +349,6 @@ def advance_order(series: PhgSeries, k: int) -> None:
     bg = series.background
     field = series.field
     A, B, PHI = series._a, series._b, series._phi
-    zero1 = GForm.zero(field, 1)
     for p in range(_top_depth(series, k), -1, -1):
         q = quadratic_source(series, k, p)
         pp1 = field.from_int(p + 1)
@@ -352,7 +358,7 @@ def advance_order(series: PhgSeries, k: int) -> None:
                                 b and b.scale(-pp1), q.Qb))]
         if rhs_b:  # the entries read join the scale: a curl can be round-off
             series._store(k, p, rhs_b + [*filter(None, (a, phi))],
-                          b=invert_cal_L(k, sum(rhs_b, zero1)))
+                          b=invert_cal_L(k, _total(rhs_b, field, 1)))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
         R = [*filter(None, (b and star_d_omega(bg, b), a and a.scale(-pp1), q.Qa))]
@@ -360,14 +366,10 @@ def advance_order(series: PhgSeries, k: int) -> None:
                             q.Qphi))]
         if not (R or S):
             continue
-        R_sum = sum(R, zero1)
-        S_sum = sum(S, GForm.zero(field, 0))
-        a_plus = project(R_sum, EigenPart.Plus).divide(field.from_int(k + 2))
-        a_minus = project(R_sum, EigenPart.Minus).divide(field.from_int(k - 1))
-        a_zero, phi_next = resolve_coupled(
-            k + 1, project(R_sum, EigenPart.Zero), S_sum)
+        a_next, phi_next = resolve_coupled(k + 1, _total(R, field, 1),
+                                           _total(S, field, 0))
         series._store(k + 1, p, R + S + ([b] if b else []),
-                      a=a_plus + a_minus + a_zero, phi_y=phi_next)
+                      a=a_next, phi_y=phi_next)
 
 
 def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
@@ -508,8 +510,13 @@ def check_residuals(series: PhgSeries, through: int = None):
     series is an exact solution of the coefficient system.  Over float
     scalars a residual is zero when :func:`residual_at` returns it as exact
     zeros, i.e. when it is negligible next to the terms that entered it.
+
+    ``through`` stops the check at a lower order; it must lie in
+    ``1..order``, since no later coefficient was computed.
     """
     N = through if through is not None else series.order
+    if not 1 <= N <= series.order:
+        raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
     pmax = series.max_p() + 1
     bad = []
     for K in range(1, N + 2):

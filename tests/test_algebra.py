@@ -209,6 +209,68 @@ class TestSparseKernels:
             assert GForm.from_entries(field, out) == want
 
 
+#: Distinct primes, so the denominators of a form are pairwise coprime and
+#: its common denominator is their full product.
+_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+           2**521 - 1, 2**607 - 1, 10**9 + 7, 10**9 + 9)
+
+
+class TestIntegerKernelPath:
+    """All-Fraction operands take the integer-numerator loop of
+    :func:`accumulate`; any other entry type sends them down the generic one.
+    Both are held against the dense formulas."""
+
+    @kernels
+    def test_large_coprime_denominators(self, field, rng, kernel, dense, degree):
+        for _ in range(5):
+            x, y = (GForm.from_entries(field, [
+                Fraction(rng.randint(-10**40, 10**40), q)
+                for q in rng.sample(_PRIMES, 9)]) for _ in range(2))
+            if not degree:
+                x = GForm.from_entries(field, x.entries()[:3])
+            assert kernel(x, y) == dense(x, y)
+
+    @kernels
+    def test_sparse_and_single_entry_forms(self, field, rng, kernel, dense, degree):
+        def form(nonzero, n=9):
+            return GForm.from_entries(field, [
+                Fraction(rng.randint(1, 99), rng.randint(1, 50)) * rng.choice((1, -1))
+                if i in nonzero else field.zero for i in range(n)])
+
+        n = 9 if degree else 3
+        for i in range(n):
+            for j in range(9):
+                x, y = form({i}, n), form({j})
+                assert kernel(x, y) == dense(x, y)
+        for _ in range(20):
+            x, y = form(set(rng.sample(range(n), 2)), n), form(set(rng.sample(range(9), 2)))
+            assert kernel(x, y) == dense(x, y)
+            zero = GForm.zero(field, x.degree)
+            assert kernel(zero, y) == dense(zero, y)
+
+    @kernels
+    def test_fraction_against_bigfloat_form(self, field, rng, kernel, dense, degree):
+        ff = FloatField(128)
+        for x, y in shaped_pairs(rng, field, degree):
+            yf = GForm.from_entries(ff, [ff.from_fraction(v) for v in y.entries()])
+            got, want = kernel(x, yf).entries(), dense(x, yf).entries()
+            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
+            exact = kernel(x, y).entries()
+            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, exact))
+
+    @kernels
+    @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])
+    def test_fraction_against_numpy_form(self, field, rng, kernel, dense, degree, one):
+        ints = np.random.default_rng(7).integers(-3, 4, size=(9, 4))
+        arrays = ints * one if isinstance(one, float) else ints.astype(object) * one
+        y = GForm.from_entries(field, list(arrays))
+        for x, _ in shaped_pairs(rng, field, degree):
+            for g, w in zip(kernel(x, y).entries(), dense(x, y).entries()):
+                g, w = np.broadcast_arrays(g, w)  # a slot no product reached is a scalar
+                assert np.allclose(g.astype(float), w.astype(float), rtol=1e-13, atol=0)
+                assert isinstance(one, float) or np.array_equal(g, w)
+
+
 class TestLAndGamma:
     def test_L_closed_form(self, field, rng):
         # L(x) = tr(x) I - x^T
@@ -308,7 +370,32 @@ class TestDivergenceCurlIdentities:
                 self._check(bg, rand_one_form(rng, field))
 
 
+def spectral_inverse(k, rhs):
+    """Reference inverse of ``k + L``: each projection over its divisor."""
+    out = GForm.zero(rhs.field, 1)
+    for part in EigenPart:
+        out = out + project(rhs, part).divide(rhs.field.from_int(k + part.eigenvalue(1)))
+    return out
+
+
+NON_RESONANT = [k for k in range(-5, 9) if k not in (-2, -1, 1)]
+
+
 class TestInvertCalL:
+    @pytest.mark.parametrize("k", NON_RESONANT)
+    def test_closed_form_is_spectral_sum(self, field, rng, k):
+        for _ in range(10):
+            rhs = rand_one_form(rng, field)
+            assert invert_cal_L(k, rhs) == spectral_inverse(k, rhs)
+
+    @pytest.mark.parametrize("k", NON_RESONANT)
+    def test_closed_form_is_spectral_sum_float128(self, rng, k):
+        ff = FloatField(128)
+        for _ in range(10):
+            rhs = rand_one_form(rng, ff)
+            got, want = invert_cal_L(k, rhs).entries(), spectral_inverse(k, rhs).entries()
+            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
+
     def test_round_trip(self, field, rng):
         for k in range(-5, 9):
             if k in (-2, -1, 1):
@@ -328,7 +415,7 @@ class TestInvertCalL:
 
 
 class TestResolveCoupled:
-    def _dense_solve(self, field, lam, theta, xi):
+    def _dense_solve(self, field, lam, R, S):
         """Independent 12x12 solve of the coupled system, row by row."""
         eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
                (2, 1, 0): -1, (0, 2, 1): -1, (1, 0, 2): -1}
@@ -336,23 +423,28 @@ class TestResolveCoupled:
         A = [[field.zero for _ in range(n)] for _ in range(n)]
         rhs = [field.zero] * n
         lam_s = field.from_fraction(lam)
-        # (lam - 1) a_{ci} + [e, phi]_{ci} = Theta_{ci}; [e, phi]_{ci} = eps_{cia} phi_a
+        # (lam - L) a_{ci} + [e, phi]_{ci} = R_{ci}, with
+        # L(a)_{ci} = delta_{ci} tr(a) - a_{ic} and [e, phi]_{ci} = eps_{cia} phi_a
         for c in range(3):
             for i in range(3):
                 r = 3 * c + i
-                A[r][3 * c + i] = lam_s - field.one
+                A[r][3 * c + i] = lam_s
+                A[r][3 * i + c] = A[r][3 * i + c] + field.one
+                if c == i:
+                    for j in range(3):
+                        A[r][4 * j] = A[r][4 * j] - field.one
                 for (cc, ii, a), s in eps.items():
                     if ii == i and cc == c:
                         A[r][9 + a] = A[r][9 + a] + field.from_int(s)
-                rhs[r] = theta.coeffs[c][i]
-        # lam phi_c + Gamma(a)_c = Xi_c; Gamma(a)_c = eps_{cij} a_{ij}
+                rhs[r] = R.coeffs[c][i]
+        # lam phi_c + Gamma(a)_c = S_c; Gamma(a)_c = eps_{cij} a_{ij}
         for c in range(3):
             r = 9 + c
             A[r][9 + c] = lam_s
             for (cc, i, j), s in eps.items():
                 if cc == c:
                     A[r][3 * i + j] = A[r][3 * i + j] + field.from_int(s)
-            rhs[r] = xi.coeffs[c]
+            rhs[r] = S.coeffs[c]
         sol = solve_dense(field, A, rhs)
         a = GForm.one_form(field, [sol[0:3], sol[3:6], sol[6:9]])
         phi = GForm.zero_form(field, sol[9:12])
@@ -386,10 +478,29 @@ class TestResolveCoupled:
                 resolve_coupled(lam, theta, xi)
             assert err.value.lam == lam
 
-    def test_rejects_theta_outside_V0(self, field, rng):
-        theta = vierbein(field)  # pure V-, not V0
-        with pytest.raises(ValueError):
-            resolve_coupled(Fraction(3), theta, rand_zero_form(rng, field))
+    def test_general_R_against_dense_oracle(self, field, rng):
+        # R is any degree-1 form: its V+ and V- parts divide by lam+1, lam-2
+        for _ in range(50):
+            lam = rand_fraction(rng)
+            if lam in (Fraction(2), Fraction(-1)):
+                lam = Fraction(7, 2)
+            R = rand_one_form(rng, field)
+            S = rand_zero_form(rng, field)
+            a, phi = resolve_coupled(lam, R, S)
+            assert (a, phi) == self._dense_solve(field, lam, R, S)
+            assert a.scale(lam) - L_op(a) + e_bracket(phi) == R
+            assert phi.scale(lam) + gamma_op(a) == S
+            for part, mu in ((PLUS, -1), (MINUS, 2)):
+                assert project(a, part) == project(R, part).divide(lam - mu)
+
+    def test_singular_lambdas_general_R(self, field, rng):
+        S = rand_zero_form(rng, field)
+        for R in (rand_one_form(rng, field), vierbein(field),
+                  project(rand_one_form(rng, field), PLUS)):
+            for lam in (Fraction(2), Fraction(-1), 2, -1):
+                with pytest.raises(SingularLambda) as err:
+                    resolve_coupled(lam, R, S)
+                assert err.value.lam == lam
 
 
 def _sigma_one_vector(x):

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, formats, loaders, verify suites."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,14 @@ class TestOdeCompare:
 
 
 class TestUsage:
+    def test_runs_as_module(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "nahmpole", "backgrounds"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "builtin:round-s3" in done.stdout
+
     def test_no_command(self):
         assert cli.main([]) == 1
 

@@ -303,6 +303,19 @@ class TestResiduals:
         getattr(s, table)[(k, p)] = rand_one_form(rng, field)
         assert (k, p, table[1:]) in check_residuals(s)
 
+    def test_through_checks_a_lower_order(self, field):
+        s = expand(load_background("builtin:round-s3", field), matched_s3_free(field), N=4)
+        for through in (1, 3, 4):
+            assert check_residuals(s, through=through) == []
+
+    @pytest.mark.parametrize("through", [5, 6, 0, -1])
+    def test_through_outside_computed_orders_rejected(self, field, through):
+        # b_5 was never computed, so through=6 would report it as a violation;
+        # a negative through would check nothing
+        s = expand(load_background("builtin:round-s3", field), matched_s3_free(field), N=4)
+        with pytest.raises(ValueError, match="outside the computed orders"):
+            check_residuals(s, through=through)
+
     def test_requires_background(self, field):
         s = PhgSeries(field=field, order=2, background_name="detached")
         with pytest.raises(ValueError):
