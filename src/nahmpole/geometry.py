@@ -12,6 +12,11 @@ of the flow, ``*d_omega``, ``d_omega`` and ``d_omega^*``, are the bilinear
 kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, applied by
 :func:`~nahmpole.algebra.accumulate`, plus a term in ``c``.
 
+The flow equations are stated once, as data beside those operators: the
+term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, which
+``oracle.flow_rhs`` sums at a point and ``series.residual_at`` reads at one
+power of the series.
+
 Curvature sign under the package conventions: constant-curvature models come
 out as ``*F_omega = C e`` with ``C = -s^2`` for the round 3-sphere of scale
 ``s`` (structure constants ``2 s eps``) and ``C = +s^2`` for hyperbolic space.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +38,11 @@ from .algebra import (
     _EPS,
     EigenPart,
     GForm,
+    L_op,
     accumulate,
     bracket_0_1,
+    e_bracket,
+    gamma_op,
     project,
     star_bracket_star,
     star_wedge,
@@ -52,6 +61,10 @@ __all__ = [
     "d_omega",
     "star_d_omega",
     "d_omega_star",
+    "POLE_TERMS",
+    "FRAME_TERMS",
+    "PAIR_TERMS",
+    "times",
     "builtin",
     "builtin_names",
     "load_background",
@@ -264,6 +277,51 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
 
 
 # ---------------------------------------------------------------------------
+# The flow equations.
+# ---------------------------------------------------------------------------
+# With A = W + a and Phi = e/y + b, the flow of the packed state
+# v = (a, b, phi_y) is  v' = M1 v / y + *F_w + M0 v + Q(v, v),  with *F_w in
+# the b equation only.  Each row is (equation, operator, components read,
+# coefficient); equations and components count (a, b, phi_y) as 0, 1, 2.
+
+#: The pole part ``M1``: ``coefficient * op(x)`` over ``y``.
+POLE_TERMS = (
+    (0, L_op, 0, 1),                   # a'     = L(a)/y
+    (0, e_bracket, 2, -1),             #          - [e, phi_y]/y
+    (1, L_op, 1, -1),                  # b'     = -L(b)/y
+    (2, gamma_op, 0, -1),              # phi_y' = -Gamma(a)/y
+)
+
+#: The frame part ``M0``: ``coefficient * op(bg, x)``.
+FRAME_TERMS = (
+    (0, star_d_omega, 1, 1),           # *d_w b
+    (1, d_omega, 2, 1),                # d_w phi_y
+    (1, star_d_omega, 0, 1),           # *d_w a
+    (2, d_omega_star, 1, 1),           # d_w^* b
+)
+
+#: The pair part: ``Q(v, v)`` sums ``coefficient * op(x, y)``, ``x`` and
+#: ``y`` read from ``v``; over a series, from each ordered pair of addresses.
+PAIR_TERMS = (
+    (0, star_wedge, (0, 1), 1),        # *[a, b]
+    (0, bracket_0_1, (2, 1), 1),       # [phi_y, b]
+    (1, bracket_0_1, (2, 0), -1),      # [a, phi_y]
+    (1, star_wedge, (0, 0), Fraction(1, 2)),    # 1/2 *[a, a]
+    (1, star_wedge, (1, 1), Fraction(-1, 2)),   # -1/2 *[b, b]
+    (2, star_bracket_star, (0, 1), -1),         # -*[a, *b]
+)
+
+
+def times(coefficient, form: GForm) -> GForm:
+    """``coefficient * form`` for a table coefficient; a sign is no product."""
+    if coefficient == 1:
+        return form
+    if coefficient == -1:
+        return -form
+    return form.scale(form.field.from_fraction(coefficient))
+
+
+# ---------------------------------------------------------------------------
 # Builtin catalog.
 # ---------------------------------------------------------------------------
 
@@ -281,6 +339,16 @@ _BUILTINS = {
 
 def builtin_names():
     return list(_BUILTINS)
+
+
+def _volume(pname, ratio: Fraction) -> float:
+    """``2 pi^2 ratio`` as a float (inf past the float range); a ValueError
+    names ``pname`` when that is not a normal positive float."""
+    volume = _TWO_PI_SQ * float(min(ratio, Fraction(sys.float_info.max)))
+    if not sys.float_info.min <= volume < math.inf:
+        raise ValueError(f"{pname} out of range: the volume is not a normal "
+                         "positive float")
+    return volume
 
 
 def builtin(name: str, param=None, field=None) -> FrameBackground:
@@ -314,7 +382,7 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
         s = param
         for k, i, j, sgn in _EPS:
             c[k][i][j] = 2 * s * sgn
-        volume = _TWO_PI_SQ / float(s) ** 3
+        volume = _volume(pname, s ** -3)
     elif name == "hyperbolic-h3":
         s = param
         c[0][0][2], c[0][2][0] = -s, s
@@ -324,7 +392,7 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
         c[0][1][2], c[0][2][1] = 2 * t, -2 * t
         c[1][2][0], c[1][0][2] = 2 / t, -2 / t
         c[2][0][1], c[2][1][0] = 2 / t, -2 / t
-        volume = _TWO_PI_SQ * float(t)
+        volume = _volume(pname, t)
     elif name == "h2xr":
         c[0][0][1], c[0][1][0] = Fraction(-1), Fraction(1)
 
@@ -375,6 +443,9 @@ def load_background(source: str, field=None) -> FrameBackground:
     volume = doc.get("volume")
     if volume is not None:
         volume = rat.parse(str(volume))
+        if volume <= 0:
+            raise ValueError(f"malformed background file {source!r}: "
+                             "volume must be positive")
     return FrameBackground.from_structure_constants(name, c, field=field, volume=volume)
 
 

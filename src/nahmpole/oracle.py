@@ -9,9 +9,10 @@ recursion:
 * **Exact Taylor oracles** for those profiles, computed by rational power
   series arithmetic on the series of ``e^{2y}`` -- every coefficient a
   Fraction, no engine code involved.
-* **A flow integrator**: the three flow equations, stated once in the
-  field-generic ``flow_rhs``, as a 21-component ODE system in the subtracted
-  variables ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
+* **A flow integrator**: the three flow equations, stated once in the term
+  tables of :mod:`nahmpole.geometry` (which the series residual reads too)
+  and summed by the field-generic ``flow_rhs``, as a 21-component ODE system
+  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
   embedded Dormand-Prince 5(4) pair on an operator polarized from it and
   applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
 
@@ -37,24 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
-    GForm,
-    L_op,
-    bracket_0_1,
-    e_bracket,
-    gamma_op,
-    star_bracket_star,
-    star_wedge,
-    vierbein,
-)
-from .geometry import (
-    FrameBackground,
-    builtin,
-    d_omega,
-    d_omega_star,
-    star_d,
-    star_d_omega,
-)
+from .algebra import GForm, star_wedge, vierbein
+from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
+                       builtin, star_d, times)
 from .scalars import RationalField
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
@@ -97,13 +83,7 @@ def _ts_mul(x, y, n):
 
 def _ts_exp2(n):
     """Series of e^{2y} through y^n."""
-    out = [Fraction(0)] * (n + 1)
-    c = Fraction(1)
-    out[0] = c
-    for k in range(1, n + 1):
-        c = c * 2 / k
-        out[k] = c
-    return out
+    return [Fraction(2**k, math.factorial(k)) for k in range(n + 1)]
 
 
 def _exp_fraction(x: Fraction) -> Fraction:
@@ -223,13 +203,16 @@ class ExpRational:
         ``u``."""
         if u is None:
             u = _exp_fraction(2 * Fraction(y))
-        num = Fraction(0)
-        den = Fraction(0)
-        for c in reversed(self.P):
-            num = num * u + c
-        for c in reversed(self.Q):
-            den = den * u + c
-        return num / den
+        # P and Q homogenized to degree m in u = n/d, over the lcm D of their
+        # denominators, are integers: the one gcd is the quotient's
+        n, d, m = u.numerator, u.denominator, max(len(self.P), len(self.Q)) - 1
+
+        def homogenized(poly):
+            D = math.lcm(*(c.denominator for c in poly))
+            return sum(c.numerator * (D // c.denominator) * n**i * d**(m - i)
+                       for i, c in enumerate(poly) if c), D
+        (p, dp), (q, dq) = homogenized(self.P), homogenized(self.Q)
+        return Fraction(p * dq, q * dp)
 
     def derivative(self, y):
         u = math.exp(2.0 * float(y))
@@ -432,33 +415,25 @@ def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
 
 
 def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
-    """Right-hand side of the flow equations in subtracted variables.
+    """Right-hand side of the flow equations in subtracted variables
+    ``A = W + a``, ``Phi = e/y + b`` (the poles cancel in ``Phi ^ Phi``).
 
-    With ``A = W + a`` and ``Phi = e/y + b`` the pole terms cancel against
-    the quadratic ``Phi ^ Phi`` term and what remains is::
-
-        a'     = (L(a) - [e, phi_y])/y + *d_w b + *[a,b] + [phi_y, b]
-        b'     = d_w phi_y + [a, phi_y] + *F_w + *d_w a + 1/2 *[a,a]
-                 - L(b)/y - 1/2 *[b,b]
-        phi_y' = d_w^* b - Gamma(a)/y - *[a, *b]
-
-    Exact over exact scalars (the flat model's zero state has an exactly zero
-    right-hand side in rational arithmetic).
+    It sums the term tables of :mod:`nahmpole.geometry` in one order: the
+    pole rows, divided by ``y`` once per equation, then ``*F_w``, the frame
+    rows and the pair rows.  Exact over exact scalars (the flat model's zero
+    state has an exactly zero right-hand side in rational arithmetic).
     """
-    half = bg.field.from_fraction(Fraction(1, 2))
-    da = ((L_op(a) - e_bracket(phi_y)).divide(y)
-          + star_d_omega(bg, b) + star_wedge(a, b) + bracket_0_1(phi_y, b))
-    db = (d_omega(bg, phi_y) - bracket_0_1(phi_y, a) + bg.starF
-          + star_d_omega(bg, a) + star_wedge(a, a).scale(half)
-          - L_op(b).divide(y) - star_wedge(b, b).scale(half))
-    dphi = (d_omega_star(bg, b) - gamma_op(a).divide(y)
-            - star_bracket_star(a, b))
-    return da, db, dphi
-
-
-def _max_abs(form: GForm):
-    vals = [abs(v) for v in form.entries()]
-    return max(vals) if vals else 0
+    v = (a, b, phi_y)
+    pole = [[], [], []]
+    for i, op, j, coefficient in POLE_TERMS:
+        pole[i].append(times(coefficient, op(v[j])))
+    out = [sum(terms[1:], terms[0]).divide(y) for terms in pole]
+    out[1] = out[1] + bg.starF
+    for i, op, j, coefficient in FRAME_TERMS:
+        out[i] = out[i] + times(coefficient, op(bg, v[j]))
+    for i, op, (j, k), coefficient in PAIR_TERMS:
+        out[i] = out[i] + times(coefficient, op(v[j], v[k]))
+    return tuple(out)
 
 
 def flow_residual(sol: ProfileSolution, y):
@@ -483,7 +458,7 @@ def flow_residual(sol: ProfileSolution, y):
     ra = W.scale(sol.fA.derivative(y)) - da
     rb = e.scale(sol.fPhi.derivative(y) + one / (y * y)) - db
     rphi = -dphi
-    return _max_abs(ra), _max_abs(rb), _max_abs(rphi)
+    return tuple(max(map(abs, r.entries())) for r in (ra, rb, rphi))
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +742,9 @@ class GlobalReport:
                 return f"{v.numerator}/{v.denominator}"
             return repr(float(v))
 
-        doc = {
-            "a21_trace": fmt(self.a21_trace),
-            "k_density": fmt(self.k_density),
-            "k_number": fmt(self.k_number),
-            "cs_density": fmt(self.cs_density),
-            "volume": fmt(self.volume),
-            "a21_vanishes": self.a21_vanishes,
-        }
+        doc = {name: fmt(getattr(self, name)) for name in
+               ("a21_trace", "k_density", "k_number", "cs_density", "volume")}
+        doc["a21_vanishes"] = self.a21_vanishes
         return json.dumps(doc, indent=2) + "\n"
 
 

@@ -7,23 +7,20 @@ Solves the flow equations in the boundary-expansion ansatz
     Phi_y = sum (phi_y)_{k,p} y^k (log y)^p,
 
 over a fixed :class:`~nahmpole.geometry.FrameBackground`.  Matching powers of
-``y`` and ``log y`` turns the three flow equations into the coefficient
-equations (all sums over k1+k2 = K-1, p1+p2 = p; absent entries are zero)
+``y`` and ``log y`` turns the flow of ``v = (a, b, phi_y)``, ``v' = M1 v/y +
+*F_w + M0 v + Q(v, v)`` as stated by the term tables of
+:mod:`nahmpole.geometry`, into the coefficient equations (sums over k1+k2 =
+K-1, p1+p2 = p; absent entries are zero; ``*F_w`` enters the b equation)
 
-    K a_{K,p} + (p+1) a_{K,p+1} - L(a_{K,p}) + [e, (phi_y)_{K,p}]
-        = *d_w b_{K-1,p} + sum (*[a,b] + [phi_y, b])
-    K b_{K,p} + L(b_{K,p}) + (p+1) b_{K,p+1}
-        = d_{K1,p0} *F_w + *d_w a_{K-1,p} + d_w (phi_y)_{K-1,p}
-          + sum (1/2 *[a,a] - 1/2 *[b,b] + [a, phi_y])
-    K (phi_y)_{K,p} + (p+1)(phi_y)_{K,p+1} + Gamma(a_{K,p})
-        = d_w^* b_{K-1,p} - sum *[a, *b]
+    K v_{K,p} + (p+1) v_{K,p+1} = M1 v_{K,p} + M0 v_{K-1,p}
+        + d_{K1,p0} *F_w + sum Q(v_{k1,p1}, v_{k2,p2})
 
 The engine seeds k <= 2 (where the free data c+, c0, c- enters through the
 kernels at k=1 and the resonance at lambda=2), then advances order by order:
 ``b_k`` by inverting ``k + L`` and ``(a_{k+1}, (phi_y)_{k+1})`` by the
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
-rational scalar field; the independently assembled residuals of the three
-equations above are the master self-test.
+rational scalar field.  The master self-test is :func:`residual_at`, which
+reads those tables (as ``oracle.flow_rhs`` does) but no solver code.
 """
 
 from __future__ import annotations
@@ -39,17 +36,16 @@ from .algebra import (
     GForm,
     accumulate,
     bracket_0_1,
-    e_bracket,
     gamma_op,
     invert_cal_L,
-    L_op,
     project,
     resolve_coupled,
     star_bracket_star,
     star_wedge,
     vierbein,
 )
-from .geometry import FrameBackground, d_omega, d_omega_star, star_d_omega
+from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
+                       d_omega, d_omega_star, star_d_omega, times)
 from .scalars import RationalField, exact_zero
 
 __all__ = [
@@ -397,96 +393,63 @@ def assert_parity(series: PhgSeries):
     """List parity violations: stored ``a``/``phi_y`` at odd k or ``b`` at
     even k, as ``(component, k, p)`` tuples.  Empty means parity-clean.
     """
-    bad = []
-    for (k, p) in sorted(series._a):
-        if k % 2 == 1:
-            bad.append(("a", k, p))
-    for (k, p) in sorted(series._b):
-        if k % 2 == 0:
-            bad.append(("b", k, p))
-    for (k, p) in sorted(series._phi):
-        if k % 2 == 1:
-            bad.append(("phi_y", k, p))
-    return bad
-
-
-def _residual_terms(series: PhgSeries, K: int, p: int):
-    """The terms (LHS - RHS) of the three coefficient equations at (K, p),
-    as ``(equation, term, read, frame)``.  ``read`` is the stored form a
-    linear term is computed from, None for the other terms: a linear term can
-    cancel to round-off (``K b + L(b)`` on V+, a curl), so over floats it
-    joins the scale the residual is judged by.  ``frame`` is True for the
-    frame operators, whose products multiply ``read`` by entries of ``c`` or
-    ``W``."""
-    bg = series.background
-    field = series.field
-    if bg is None:
-        raise ValueError("series has no background attached")
-    A, B, PHI = series._a, series._b, series._phi
-    pp1 = field.from_int(p + 1)
-    kf = field.from_int(K)
-
-    aK, bK, phiK = (t.get((K, p)) for t in (A, B, PHI))
-    aU, bU, phiU = (t.get((K, p + 1)) for t in (A, B, PHI))
-    aD, bD, phiD = (t.get((K - 1, p)) for t in (A, B, PHI))
-    # GForms are truthy: a term ``x and f(x)`` is None just when x is absent
-    for i, term, read, frame in (
-            (0, aK and aK.scale(kf) - L_op(aK), aK, False),
-            (0, aU and aU.scale(pp1), aU, False),
-            (0, phiK and e_bracket(phiK), phiK, False),
-            (0, bD and -star_d_omega(bg, bD), bD, True),
-            (1, bK and bK.scale(kf) + L_op(bK), bK, False),
-            (1, bU and bU.scale(pp1), bU, False),
-            (1, aD and -star_d_omega(bg, aD), aD, True),
-            (1, phiD and -d_omega(bg, phiD), phiD, True),
-            (1, -bg.starF if (K, p) == (1, 0) else None, None, False),
-            (2, phiK and phiK.scale(kf), phiK, False),
-            (2, phiU and phiU.scale(pp1), phiU, False),
-            (2, aK and gamma_op(aK), aK, False),
-            (2, bD and -d_omega_star(bg, bD), bD, True)):
-        if term is not None:
-            yield i, term, read, frame
-
-    for k1 in range(1, K - 1):
-        k2 = (K - 1) - k1
-        for p1 in range(p + 1):
-            a1, b1, phi1 = (t.get((k1, p1)) for t in (A, B, PHI))
-            a2, b2, phi2 = (t.get((k2, p - p1)) for t in (A, B, PHI))
-            if a1 is not None and b2 is not None:
-                yield 0, -star_wedge(a1, b2), None, False
-                yield 2, star_bracket_star(a1, b2), None, False
-            if phi1 is not None and b2 is not None:
-                yield 0, -bracket_0_1(phi1, b2), None, False
-            if a1 is not None and a2 is not None:
-                yield 1, -star_wedge(a1, a2).scale(_HALF), None, False
-            if b1 is not None and b2 is not None:
-                yield 1, star_wedge(b1, b2).scale(_HALF), None, False
-            if phi2 is not None and a1 is not None:
-                yield 1, bracket_0_1(phi2, a1), None, False
+    return [(name, k, p)
+            for name, table, wrong in (("a", series._a, 1), ("b", series._b, 0),
+                                       ("phi_y", series._phi, 1))
+            for k, p in sorted(table) if k % 2 == wrong]
 
 
 def residual_at(series: PhgSeries, K: int, p: int):
     """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
 
-    Assembled directly from the stored table with its own convolution loops
-    -- no shared code with the solver path -- so that a sign or index error
-    in either shows up as a nonzero residual.  Absent entries are zero and
-    contribute no term.  An entry that is zero against the largest term that
-    entered it (the field's rule, as in :meth:`PhgSeries._store`) is
-    returned as an exact zero.  The largest terms include the products
-    inside the frame operators, ``|x|`` times the largest ``|c|`` or ``|W|``
-    entry for each form ``x`` they read, so that the verdict does not hang
-    on their summation order.  A rational field reads no scale, so none of
-    these magnitudes is computed there.
+    The flow's term tables (:mod:`nahmpole.geometry`) read at ``y^(K-1)
+    (log y)^p``: ``K v_{K,p} + (p+1) v_{K,p+1}`` less the pole rows on
+    ``v_{K,p}``, the frame rows on ``v_{K-1,p}``, ``*F_w`` at (1, 0) and the
+    pair rows on each ordered pair of stored addresses summing to (K-1, p).
+    It shares no code with the solver, so a sign or index error in either
+    shows up here.  Absent entries contribute no term.
+
+    An entry is returned as an exact zero when the field's rule (as in
+    :meth:`PhgSeries._store`) finds it zero against the largest term that
+    entered it, the stored form each linear term reads (one can cancel to
+    round-off: ``K b + L(b)`` on V+, a curl) and ``|x| max(|c|, |W|)`` for
+    each form ``x`` a frame row reads, so the verdict does not hang on the
+    summation order.  A rational field reads no scale.
     """
     field, bg = series.field, series.background
+    if bg is None:
+        raise ValueError("series has no background attached")
+    tables = (series._a, series._b, series._phi)
+    here, up, down = ([t.get(at) for t in tables]
+                      for at in ((K, p), (K, p + 1), (K - 1, p)))
     R = [GForm.zero(field, degree) for degree in (1, 1, 0)]
     seen, framed = [[], [], []], [[], [], []]
-    for i, term, read, frame in _residual_terms(series, K, p):
+
+    def enter(i, term, read=None):
         R[i] = R[i] + term
         seen[i] += [term, read] if read else [term]
-        if frame:
-            framed[i].append(read)
+
+    # GForms are truthy: an entry is None just when it is absent
+    for n, at in ((K, here), (p + 1, up)):
+        for i, x in enumerate(at):
+            if x:
+                enter(i, x.scale(field.from_int(n)), x)
+    for i, op, j, coefficient in POLE_TERMS:
+        if here[j]:
+            enter(i, times(-coefficient, op(here[j])), here[j])
+    for i, op, j, coefficient in FRAME_TERMS:
+        if down[j]:
+            enter(i, times(-coefficient, op(bg, down[j])), down[j])
+            framed[i].append(down[j])
+    if (K, p) == (1, 0):
+        enter(1, -bg.starF)
+    for k1 in range(1, K - 1):
+        for p1 in range(p + 1):
+            v1 = [t.get((k1, p1)) for t in tables]
+            v2 = [t.get((K - 1 - k1, p - p1)) for t in tables]
+            for i, op, (j1, j2), coefficient in PAIR_TERMS:
+                if v1[j1] and v2[j2]:
+                    enter(i, times(-coefficient, op(v1[j1], v2[j2])))
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 
@@ -548,15 +511,10 @@ def evaluate(series: PhgSeries, y, N: int = None):
     A = np.array(series.background.W.to_floats(), dtype=float)
     Phi = np.array(vierbein(series.field).to_floats(), dtype=float) / y
     Phi_y = np.zeros(3)
-    for (k, p), form in series._a.items():
-        if k <= N:
-            A += np.array(form.to_floats()) * y**k * ly**p
-    for (k, p), form in series._b.items():
-        if k <= N:
-            Phi += np.array(form.to_floats()) * y**k * ly**p
-    for (k, p), form in series._phi.items():
-        if k <= N:
-            Phi_y += np.array(form.to_floats()) * y**k * ly**p
+    for total, table in ((A, series._a), (Phi, series._b), (Phi_y, series._phi)):
+        for (k, p), form in table.items():
+            if k <= N:
+                total += np.array(form.to_floats()) * y**k * ly**p
     return A, Phi, Phi_y
 
 

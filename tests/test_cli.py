@@ -165,11 +165,23 @@ class TestExpand:
         ("builtin:round-s3", {"c_plus": [["1e99999999"] * 3] * 3}, "float"),
         ("builtin:round-s3", {"c_plus": [["1/0"] * 3] * 3}, "rational"),
         ("builtin:round-s3?scale=1/0", None, "rational"),
+        ("builtin:round-s3?scale=1e103", None, "rational"),
+        ("builtin:round-s3?scale=1e103", None, "float"),
+        ("builtin:round-s3?scale=1e400", None, "rational"),
+        ("builtin:round-s3?scale=1e-400", None, "float"),
+        ("builtin:berger-s3?squash=1e308", None, "rational"),
+        ("builtin:berger-s3?squash=1e-400", None, "float"),
+        ({"name": "x", "c": [[["0"] * 3] * 3] * 3, "volume": "-3"}, None, "rational"),
+        ({"name": "x", "c": [[["0"] * 3] * 3] * 3, "volume": "0"}, None, "rational"),
     ], ids=["c-not-3x3x3", "c-not-a-list", "name-not-a-string",
             "free-slot-not-a-matrix",
             "float-bad-literal", "float-nan-literal", "float-overflow-literal",
             "free-zero-denominator",
-            "builtin-zero-denominator"])
+            "builtin-zero-denominator",
+            "builtin-volume-underflow", "builtin-volume-underflow-float",
+            "builtin-scale-past-float", "builtin-scale-below-float",
+            "builtin-volume-inf", "builtin-volume-zero",
+            "volume-negative", "volume-zero"])
     def test_bad_input_is_one_line(self, capsys, tmp_path, background, free,
                                    scalar):
         if not isinstance(background, str):

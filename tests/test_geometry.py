@@ -332,6 +332,15 @@ class TestLoaders:
         with pytest.raises(ValueError):
             builtin("round-s3", bad, field)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("round-s3", Fraction(10**103)), ("round-s3", Fraction(1, 10**400)),
+        ("berger-s3", Fraction(10**308)), ("berger-s3", Fraction(1, 10**400))])
+    def test_parameter_outside_float_volume(self, field, name, bad):
+        # the volume 2 pi^2 / s^3 or 2 pi^2 t must be a normal positive float
+        pname = "scale" if name == "round-s3" else "squash"
+        with pytest.raises(ValueError, match=f"^{pname} out of range"):
+            builtin(name, bad, field)
+
     def test_nonantisymmetric_rejected(self, field):
         c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         c[0][1][2] = Fraction(1)  # missing the antisymmetric partner

@@ -40,7 +40,7 @@ from nahmpole.oracle import (
     _stacked_rhs,
 )
 from nahmpole.scalars import RationalField
-from nahmpole.series import expand, from_json, to_json
+from nahmpole.series import PhgSeries, expand, from_json, residual_at, to_json
 
 from conftest import CATALOG, rand_one_form, rand_zero_form
 
@@ -246,6 +246,45 @@ class TestFlowOperator:
         for got, want in zip(_flow_operator(bg), exact):
             assert got.dtype == np.float64
             assert np.array_equal(got, np.vectorize(float, otypes=[float])(want))
+
+
+class TestResidualIsFlowPolynomial:
+    """``residual_at`` is the flow's polynomial form at ``y^(K-1) (log y)^p``:
+    ``(K - M1) v[K,p] + (p+1) v[K,p+1] - M0 v[K-1,p] - [(K,p) = (1,0)] c
+    - sum Q(v1, v2)`` over the ordered address pairs summing to (K-1, p)."""
+
+    def test_random_table(self, exact_operator):
+        bg, (c, M0, M1, Q) = exact_operator
+        rng = random.Random(18080)
+        s = PhgSeries(background=bg, order=4)
+        for at in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 2), (4, 1)):
+            forms = {"a": rand_one_form(rng, bg.field),
+                     "b": rand_one_form(rng, bg.field),
+                     "phi_y": rand_zero_form(rng, bg.field)}
+            forms = {k: f for k, f in forms.items() if rng.random() < 0.7}
+            s._store(*at, list(forms.values()), **forms)
+
+        def v(k, p):
+            return np.array([*s.get_a(k, p).entries(), *s.get_b(k, p).entries(),
+                             *s.get_phi(k, p).entries()], dtype=object)
+
+        nonzero = list(zip(*np.nonzero(Q)))
+
+        def pair(x, y):
+            out = np.array([Fraction(0)] * 21, dtype=object)
+            for k, i, j in nonzero:
+                out[k] += Q[k, i, j] * x[i] * y[j]
+            return out
+
+        for K in range(1, 6):
+            for p in range(4):
+                want = (K * v(K, p) - M1.dot(v(K, p)) + (p + 1) * v(K, p + 1)
+                        - M0.dot(v(K - 1, p)) - (c if (K, p) == (1, 0) else 0))
+                for k1 in range(1, K - 1):
+                    for p1 in range(p + 1):
+                        want = want - pair(v(k1, p1), v(K - 1 - k1, p - p1))
+                got = [x for r in residual_at(s, K, p) for x in r.entries()]
+                assert got == list(want), (K, p)
 
 
 class TestIntegrator:
@@ -482,6 +521,21 @@ class TestConvergence:
                      Fraction(-1, 2), Fraction(0)])
         for x in points:
             assert _exp_fraction(x) == _exp_reference(x), x
+
+    @pytest.mark.parametrize("name", ["s3", "hyperbolic"])
+    def test_value_exact_is_fraction_horner(self, name):
+        sol = closed_solution(name)
+        for y in (Fraction(1, 100), Fraction(-2, 7), Fraction(1, 4)):
+            u = _exp_fraction(2 * y)
+            for profile in (sol.fA, sol.fPhi):
+                if hasattr(profile, "P"):
+                    num = den = Fraction(0)
+                    for c in reversed(profile.P):
+                        num = num * u + c
+                    for c in reversed(profile.Q):
+                        den = den * u + c
+                    assert profile.value_exact(y) == num / den
+                    assert profile.value_exact(y, u) == num / den
 
     @pytest.mark.parametrize("name,orders,kwargs,digest", CONVERGENCE_SHA256)
     def test_csv_bytes_pinned(self, name, orders, kwargs, digest):

@@ -277,6 +277,18 @@ class TestResiduals:
         s = expand(bg, rand_free_data(rng, field), N=8)
         assert check_residuals(s) == []
 
+    def test_independent_of_the_solver(self, field, rng, monkeypatch):
+        # the residual reads the flow's term tables; no solve step may run
+        s = expand(load_background("builtin:berger-s3?squash=2", field),
+                   rand_free_data(rng, field), N=8)
+
+        def solver(*args, **kwargs):
+            raise AssertionError("the residual ran solver code")
+        for name in ("seed_leading", "advance_order", "quadratic_source",
+                     "invert_cal_L", "resolve_coupled"):
+            monkeypatch.setattr(series_module, name, solver)
+        assert check_residuals(s) == []
+
     def test_corrupted_coefficient_is_detected(self, field):
         bg = load_background("builtin:round-s3", field)
         s = expand(bg, matched_s3_free(field), N=4)
