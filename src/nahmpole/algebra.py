@@ -26,7 +26,8 @@ The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
 import, and applied by one sparse routine, :func:`accumulate`, that skips
 exact scalar zeros only.  On all-``Fraction`` operands it works on integer
-numerators over one common denominator per operand.
+numerators over one common denominator per operand; :class:`FormSum` sums
+whole equations of such terms over one running denominator.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -44,26 +45,11 @@ from math import lcm
 from .scalars import RationalField, exact_zero, nullspace, rref, solve_dense
 
 __all__ = [
-    "EigenPart",
-    "GForm",
-    "ResonantOrder",
-    "SingularLambda",
-    "vierbein",
-    "L_op",
-    "gamma_op",
-    "project",
-    "accumulate",
-    "star_wedge",
-    "bracket_0_1",
-    "star_bracket_star",
-    "e_bracket",
-    "cal_L",
-    "invert_cal_L",
-    "resolve_coupled",
-    "SigmaModule",
-    "LeadingOrders",
-    "FreeDims",
-    "leading_order_structure",
+    "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
+    "L_op", "gamma_op", "project", "accumulate", "times", "FormSum",
+    "star_wedge", "bracket_0_1", "star_bracket_star", "e_bracket", "cal_L",
+    "invert_cal_L", "resolve_coupled", "SigmaModule", "LeadingOrders",
+    "FreeDims", "leading_order_structure",
 ]
 
 # Nonzero entries of the Levi-Civita symbol as (i, j, k, sign).
@@ -237,6 +223,30 @@ def _table(terms):
     return rows
 
 
+def _integer_view(form: GForm):
+    """``(integer numerators, common denominator)`` of ``form``'s entries
+    when every one is a ``Fraction`` or an int (checked by type: the flow
+    polarization sends numpy arrays), else None."""
+    entries = form.entries()
+    if not set(map(type, entries)) <= {Fraction, int}:
+        return None
+    ratios = [v.as_integer_ratio() for v in entries]
+    d = lcm(*[q for _, q in ratios])
+    return [n and n * (d // q) for n, q in ratios], d
+
+
+def _products(table, xs, ys, totals, sign=1):
+    """Add ``sign * kernel(xs, ys)`` of integer entry lists into the integer
+    slot list ``totals``, skipping zero entries, and return ``totals``."""
+    for i, n in enumerate(xs):
+        if n:
+            for j, o, s in table[i]:
+                m = ys[j]
+                if m:
+                    totals[o] += n * m if s == sign else -n * m
+    return totals
+
+
 def accumulate(kernel, x: GForm, y: GForm, out, sign=1):
     """Add ``sign * kernel(x, y)`` into the slot list ``out`` (in
     :meth:`GForm.entries` order) without building a form, and return ``out``.
@@ -246,30 +256,21 @@ def accumulate(kernel, x: GForm, y: GForm, out, sign=1):
     are exact scalar zeros (:func:`exact_zero`) are skipped, so the work
     scales with the nonzero entries.
 
-    When every entry of both operands is a ``Fraction`` (checked by type:
-    the flow polarization sends numpy arrays), each operand is put over one
-    common denominator and the products are summed as integers, so each
-    output slot takes one ``Fraction(total, dx * dy)`` instead of two gcds
-    per product.  Other operands take the generic scalar loop.
+    When both operands have an integer view (``Fraction`` or int entries), the
+    products are summed as integers over ``dx * dy``, so each output slot
+    takes one ``Fraction`` instead of two gcds per product.  Other operands
+    take the generic scalar loop.
     """
     table = _TABLES[kernel]
-    xs, ys = x.entries(), y.entries()
-    if set(map(type, (*xs, *ys))) == {Fraction}:
-        xs = [v.as_integer_ratio() for v in xs]
-        ys = [v.as_integer_ratio() for v in ys]
-        dx, dy = lcm(*[q for _, q in xs]), lcm(*[q for _, q in ys])
-        ny = [n and n * (dy // q) for n, q in ys]
-        totals = [0] * len(out)
-        for i, (n, q) in enumerate(xs):
-            if n:
-                n *= dx // q
-                for j, o, s in table[i]:
-                    if ny[j]:
-                        totals[o] += n * ny[j] if s == sign else -n * ny[j]
+    vx = _integer_view(x)
+    vy = vx and _integer_view(y)
+    if vy:
+        totals = _products(table, vx[0], vy[0], [0] * len(out), sign)
         for o, total in enumerate(totals):
             if total:
-                out[o] = out[o] + Fraction(total, dx * dy)
+                out[o] = out[o] + Fraction(total, vx[1] * vy[1])
         return out
+    xs, ys = x.entries(), y.entries()
     ys = [None if exact_zero(v) else v for v in ys]
     for i, xi in enumerate(xs):
         if not exact_zero(xi):
@@ -315,6 +316,82 @@ _TABLES = {
     star_bracket_star: _table((3 * a + i, 3 * b + i, c, s)
                               for a, b, c, s in _EPS for i in range(3)),
 }
+
+
+def times(coefficient, form: GForm) -> GForm:
+    """``coefficient * form`` for a table coefficient; a sign is no product."""
+    if coefficient == 1:
+        return form
+    if coefficient == -1:
+        return -form
+    return form.scale(form.field.from_fraction(coefficient))
+
+
+class FormSum:
+    """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
+    linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``, into
+    one form.
+
+    Terms whose operands have integer views (``Fraction`` or int entries) add
+    into integer slot totals over one running denominator, widened by
+    ``lcm`` only when a term's denominator does not divide it: ``op`` acts
+    on the integer numerators, a coefficient's numerator multiplies and its
+    denominator joins the term's (a 1/2 is no ``Fraction`` product), and
+    :meth:`form` normalizes each slot once.  Operands are read once per
+    ``views`` dict, which a caller may share across sums.  Other operands
+    take the field's scalar loop; the terms built there are kept in ``terms``.
+    """
+
+    def __init__(self, field, degree: int, views=None):
+        self.field, self.views = field, {} if views is None else views
+        self.totals, self.den = [0] * (9 if degree else 3), 1
+        self.slots, self.terms = None, []
+
+    def _view(self, form: GForm):
+        got = self.views.get(id(form))  # the entry holds the form: ids stay unique
+        if got is None:
+            got = self.views[id(form)] = form, _integer_view(form)
+        return got[1]
+
+    def add(self, coefficient, x: GForm, op=None, y: GForm = None):
+        """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``."""
+        vx, vy = self._view(x), y is None or self._view(y)
+        if not (vx and vy):
+            term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
+            self.terms.append(term)
+            self.slots = [s + v for s, v in zip(
+                self.slots or [self.field.zero] * len(self.totals), term.entries())]
+            return
+        xs, den = vx
+        if y is not None:
+            den *= vy[1]
+        elif op is not None:
+            xs, d = _integer_view(op(GForm.from_entries(self.field, xs)))
+            den *= d
+        num, d = coefficient.as_integer_ratio()
+        den *= d
+        if self.den % den:
+            wider = lcm(self.den, den)
+            self.totals = [t * (wider // self.den) for t in self.totals]
+            self.den = wider
+        num *= self.den // den
+        if y is None:
+            self.totals = [t + num * n for t, n in zip(self.totals, xs)]
+        else:
+            _products(_TABLES[op], xs if abs(num) == 1 else [n * abs(num) for n in xs],
+                      vy[0], self.totals, 1 if num > 0 else -1)
+
+    def form(self, scale=None) -> GForm:
+        """The sum: one ``Fraction`` per nonzero integer total, added to the
+        scalar slots when any term took the scalar loop.  A slot the field
+        finds zero against ``scale`` is returned as an exact zero."""
+        if self.slots is None:
+            out = [Fraction(t, self.den) if t else self.field.zero for t in self.totals]
+        else:
+            out = [self.field.zero if self.field.is_zero(v, scale) else v for v in (
+                s + Fraction(t, self.den) if t else s
+                for s, t in zip(self.slots, self.totals))]
+        return GForm.from_entries(self.field, out)
 
 
 def e_bracket(phi: GForm) -> GForm:

@@ -24,47 +24,21 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
-    EigenPart,
-    GForm,
-    L_op,
-    ResonantOrder,
-    SingularLambda,
-    cal_L,
-    e_bracket,
-    gamma_op,
-    invert_cal_L,
-    project,
-    resolve_coupled,
-    vierbein,
+    EigenPart, GForm, L_op, ResonantOrder, SingularLambda, cal_L, e_bracket,
+    gamma_op, invert_cal_L, project, resolve_coupled, vierbein,
 )
 from .geometry import (
-    _is_array3,
-    builtin,
-    builtin_names,
-    d_omega_star,
-    is_einstein,
-    load_background,
-    star_d_omega,
+    _is_array3, builtin, builtin_names, d_omega_star, einstein_undecided,
+    is_einstein, load_background, star_d_omega,
 )
 from .oracle import (
-    StepUnderflow,
-    closed_solution,
-    closed_solution_names,
-    convergence_csv,
-    convergence_table,
-    integrate_flow,
-    matched_free_data,
-    profile_state,
-    state_from_series,
-    taylor_profile,
+    StepUnderflow, closed_solution, closed_solution_names, convergence_csv,
+    convergence_table, integrate_flow, matched_free_data, profile_state,
+    state_from_series, taylor_profile,
 )
 from .scalars import FloatField, RationalField
 from .series import (
-    FreeData,
-    assert_parity,
-    check_residuals,
-    expand,
-    is_log_free,
+    FreeData, assert_parity, check_residuals, expand, is_log_free,
     to_json as series_to_json,
 )
 
@@ -235,6 +209,11 @@ def _cmd_expand(args) -> int:
         bg = load_background(args.background, field)
     except (OSError, ValueError) as exc:
         print(f"cannot load background: {exc}", file=sys.stderr)
+        return 1
+    if einstein_undecided(bg):
+        print(f"cannot decide at {args.prec} bits whether {bg.name} is Einstein: "
+              "(*F)^+ is below the round-off of the terms of *F; raise --prec "
+              "or use --scalar rational", file=sys.stderr)
         return 1
     free = None
     if args.free_data:

@@ -35,40 +35,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS,
-    EigenPart,
-    GForm,
-    L_op,
-    accumulate,
-    bracket_0_1,
-    e_bracket,
-    gamma_op,
-    project,
-    star_bracket_star,
-    star_wedge,
+    _EPS, EigenPart, GForm, L_op, accumulate, bracket_0_1, e_bracket, gamma_op,
+    project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, exact_zero
 
 __all__ = [
-    "FrameBackground",
-    "levi_civita",
-    "torsion_residual",
-    "metricity_residual",
-    "connection_form",
-    "star_d",
-    "ricci_tensor",
-    "is_einstein",
-    "d_omega",
-    "star_d_omega",
-    "d_omega_star",
-    "POLE_TERMS",
-    "FRAME_TERMS",
-    "PAIR_TERMS",
-    "times",
-    "builtin",
-    "builtin_names",
-    "load_background",
-    "background_to_json",
+    "FrameBackground", "levi_civita", "torsion_residual", "metricity_residual",
+    "connection_form", "star_d", "ricci_tensor", "is_einstein",
+    "einstein_undecided", "d_omega", "star_d_omega", "d_omega_star",
+    "POLE_TERMS", "FRAME_TERMS", "PAIR_TERMS", "builtin", "builtin_names",
+    "load_background", "background_to_json",
 ]
 
 
@@ -231,8 +208,18 @@ def _curvature_scale(field, W: GForm):
 
 def is_einstein(bg: FrameBackground) -> bool:
     """True iff ``(*F_omega)^+`` is zero by the field's rule: exactly over
-    exact scalars, against the scale of the terms of ``*F`` over floats."""
+    exact scalars, against the scale of the terms of ``*F`` over floats.
+    ``series.seed_leading`` stores the obstruction ``b_{1,1}`` by this verdict."""
     return project(bg.starF, EigenPart.Plus).is_zero(_curvature_scale(bg.field, bg.W))
+
+
+def einstein_undecided(bg: FrameBackground) -> bool:
+    """Whether the field's precision cannot decide :func:`is_einstein`:
+    ``(*F_omega)^+`` is zero against the terms of ``*F`` but not against
+    ``*F`` itself, a visible part of the curvature below the round-off of
+    the terms that make it.  Never over exact scalars."""
+    return is_einstein(bg) and not project(bg.starF, EigenPart.Plus).is_zero(
+        bg.field.scale(bg.starF.entries()))
 
 
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
@@ -310,15 +297,6 @@ PAIR_TERMS = (
     (1, star_wedge, (1, 1), Fraction(-1, 2)),   # -1/2 *[b, b]
     (2, star_bracket_star, (0, 1), -1),         # -*[a, *b]
 )
-
-
-def times(coefficient, form: GForm) -> GForm:
-    """``coefficient * form`` for a table coefficient; a sign is no product."""
-    if coefficient == 1:
-        return form
-    if coefficient == -1:
-        return -form
-    return form.scale(form.field.from_fraction(coefficient))
 
 
 # ---------------------------------------------------------------------------

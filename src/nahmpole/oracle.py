@@ -38,30 +38,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GForm, star_wedge, vierbein
+from .algebra import GForm, star_wedge, times, vierbein
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
-                       builtin, star_d, times)
+                       builtin, star_d)
 from .scalars import RationalField
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
 __all__ = [
-    "ProfileSolution",
-    "FlowState",
-    "GlobalReport",
-    "StepUnderflow",
-    "closed_solution",
-    "closed_solution_names",
-    "matched_free_data",
-    "taylor_profile",
-    "profile_state",
-    "state_from_series",
-    "flow_rhs",
-    "flow_residual",
-    "integrate_flow",
-    "trajectory_csv",
-    "global_report",
-    "convergence_table",
-    "convergence_csv",
+    "ProfileSolution", "FlowState", "GlobalReport", "StepUnderflow",
+    "closed_solution", "closed_solution_names", "matched_free_data",
+    "taylor_profile", "profile_state", "state_from_series", "flow_rhs",
+    "flow_residual", "integrate_flow", "trajectory_csv", "global_report",
+    "convergence_table", "convergence_csv",
 ]
 
 

@@ -22,13 +22,8 @@ import decimal
 from fractions import Fraction
 
 __all__ = [
-    "RationalField",
-    "FloatField",
-    "BigFloat",
-    "exact_zero",
-    "solve_dense",
-    "rref",
-    "nullspace",
+    "RationalField", "FloatField", "BigFloat", "exact_zero", "solve_dense",
+    "rref", "nullspace",
 ]
 
 

@@ -20,7 +20,9 @@ kernels at k=1 and the resonance at lambda=2), then advances order by order:
 ``b_k`` by inverting ``k + L`` and ``(a_{k+1}, (phi_y)_{k+1})`` by the
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
 rational scalar field.  The master self-test is :func:`residual_at`, which
-reads those tables (as ``oracle.flow_rhs`` does) but no solver code.
+reads those tables (as ``oracle.flow_rhs`` does) but no solver code, and sums
+each rational equation as integers over one common denominator
+(:class:`~nahmpole.algebra.FormSum`).
 """
 
 from __future__ import annotations
@@ -29,40 +31,21 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from .algebra import (
-    EigenPart,
-    GForm,
-    accumulate,
-    bracket_0_1,
-    gamma_op,
-    invert_cal_L,
-    project,
-    resolve_coupled,
-    star_bracket_star,
-    star_wedge,
-    vierbein,
+    EigenPart, FormSum, GForm, accumulate, bracket_0_1, gamma_op, invert_cal_L,
+    project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
-                       d_omega, d_omega_star, star_d_omega, times)
+                       d_omega, d_omega_star, is_einstein, star_d_omega)
 from .scalars import RationalField, exact_zero
 
 __all__ = [
-    "PhgCoeff",
-    "PhgSeries",
-    "FreeData",
-    "QuadSource",
-    "seed_leading",
-    "quadratic_source",
-    "advance_order",
-    "expand",
-    "is_log_free",
-    "assert_parity",
-    "residual_at",
-    "check_residuals",
-    "evaluate",
-    "to_json",
+    "PhgCoeff", "PhgSeries", "FreeData", "QuadSource", "seed_leading",
+    "quadratic_source", "advance_order", "expand", "is_log_free",
+    "assert_parity", "residual_at", "check_residuals", "evaluate", "to_json",
     "from_json",
 ]
 
@@ -103,6 +86,7 @@ class PhgSeries:
         self._a = {}
         self._b = {}
         self._phi = {}
+        self._views = None  # integer views, during one check_residuals call
 
     # -- storage ---------------------------------------------------------
 
@@ -209,8 +193,9 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     the linearized problem sits, so these coefficients mix curvature data with
     the free constants:
 
-    * ``b_{1,1} = (*F_w)^+`` -- the obstruction term; nonzero exactly when the
-      background is not Einstein, and the root of every log term.
+    * ``b_{1,1} = (*F_w)^+`` -- the obstruction term; stored exactly when
+      :func:`~nahmpole.geometry.is_einstein` is false, and the root of every
+      log term.
     * ``b_1 = c+ + 1/2 (*F_w)^0 + 1/3 (*F_w)^-``.
     * ``a_{2,1} = 1/3 (*d_w b_{1,1})^+ + 1/3 (*d_w b_{1,1})^0`` and
       ``(phi_y)_{2,1} = 1/3 d_w^* b_{1,1}``.
@@ -229,7 +214,8 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     series = PhgSeries(background=bg, order=2)
 
     starF = bg.starF
-    series._store(1, 1, [starF], b=project(starF, EigenPart.Plus))
+    if not is_einstein(bg):  # the obstruction, by the Einstein verdict's rule
+        series._b[(1, 1)] = project(starF, EigenPart.Plus)
     series._store(1, 0, [starF, free.c_plus],
                   b=(free.c_plus + project(starF, EigenPart.Zero).scale(_HALF)
                      + project(starF, EigenPart.Minus).scale(_THIRD)))
@@ -409,6 +395,12 @@ def residual_at(series: PhgSeries, K: int, p: int):
     It shares no code with the solver, so a sign or index error in either
     shows up here.  Absent entries contribute no term.
 
+    Each equation is one :class:`~nahmpole.algebra.FormSum`: over rational
+    scalars every term adds into integer slot totals over one common
+    denominator, a pair row straight from the integer numerators of its
+    operands, and each slot is normalized once.  Each stored form is read as
+    integers once per call, or once per :func:`check_residuals` call.
+
     An entry is returned as an exact zero when the field's rule (as in
     :meth:`PhgSeries._store`) finds it zero against the largest term that
     entered it, the stored form each linear term reads (one can cancel to
@@ -422,45 +414,45 @@ def residual_at(series: PhgSeries, K: int, p: int):
     tables = (series._a, series._b, series._phi)
     here, up, down = ([t.get(at) for t in tables]
                       for at in ((K, p), (K, p + 1), (K - 1, p)))
-    R = [GForm.zero(field, degree) for degree in (1, 1, 0)]
-    seen, framed = [[], [], []], [[], [], []]
-
-    def enter(i, term, read=None):
-        R[i] = R[i] + term
-        seen[i] += [term, read] if read else [term]
+    views = {} if series._views is None else series._views
+    R = [FormSum(field, degree, views) for degree in (1, 1, 0)]
+    read, framed = [[], [], []], [[], [], []]
 
     # GForms are truthy: an entry is None just when it is absent
     for n, at in ((K, here), (p + 1, up)):
         for i, x in enumerate(at):
             if x:
-                enter(i, x.scale(field.from_int(n)), x)
+                R[i].add(n, x)
+                read[i].append(x)
     for i, op, j, coefficient in POLE_TERMS:
         if here[j]:
-            enter(i, times(-coefficient, op(here[j])), here[j])
+            R[i].add(-coefficient, here[j], op)
+            read[i].append(here[j])
     for i, op, j, coefficient in FRAME_TERMS:
         if down[j]:
-            enter(i, times(-coefficient, op(bg, down[j])), down[j])
+            R[i].add(-coefficient, down[j], partial(op, bg))
+            read[i].append(down[j])
             framed[i].append(down[j])
     if (K, p) == (1, 0):
-        enter(1, -bg.starF)
-    for k1 in range(1, K - 1):
-        for p1 in range(p + 1):
-            v1 = [t.get((k1, p1)) for t in tables]
-            v2 = [t.get((K - 1 - k1, p - p1)) for t in tables]
+        R[1].add(-1, bg.starF)
+    stored = series.addresses()
+    present = set(stored)
+    for at1 in stored:  # in (k1, p1) order: the ordered pairs, both stored
+        at2 = (K - 1 - at1[0], p - at1[1])
+        if 1 <= at1[0] <= K - 2 and at1[1] <= p and at2 in present:
+            v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
             for i, op, (j1, j2), coefficient in PAIR_TERMS:
                 if v1[j1] and v2[j2]:
-                    enter(i, times(-coefficient, op(v1[j1], v2[j2])))
+                    R[i].add(-coefficient, v1[j1], op, v2[j2])
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 
     def magnitudes(i):
-        yield from (v for t in seen[i] for v in t.entries())
+        yield from (v for t in R[i].terms + read[i] for v in t.entries())
         if framed[i]:
             yield frame_scale * field.scale(v for x in framed[i] for v in x.entries())
 
-    return tuple(GForm.from_entries(field, [field.zero if field.is_zero(v, scale)
-                                            else v for v in r.entries()])
-                 for r, scale in zip(R, map(field.scale, map(magnitudes, range(3)))))
+    return tuple(r.form(field.scale(magnitudes(i))) for i, r in enumerate(R))
 
 
 def check_residuals(series: PhgSeries, through: int = None):
@@ -474,6 +466,10 @@ def check_residuals(series: PhgSeries, through: int = None):
     scalars a residual is zero when :func:`residual_at` returns it as exact
     zeros, i.e. when it is negligible next to the terms that entered it.
 
+    The :func:`residual_at` calls of one check share one integer view of the
+    table: each stored form is read as integer numerators over a common
+    denominator once, and the view is dropped when the check returns.
+
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.
     """
@@ -482,11 +478,15 @@ def check_residuals(series: PhgSeries, through: int = None):
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
     pmax = series.max_p() + 1
     bad = []
-    for K in range(1, N + 2):
-        for p in range(pmax, -1, -1):
-            for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y")):
-                if (name != "b" or K <= N) and not all(map(exact_zero, R.entries())):
-                    bad.append((K, p, name))
+    series._views = {}
+    try:
+        for K in range(1, N + 2):
+            for p in range(pmax, -1, -1):
+                for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y")):
+                    if (name != "b" or K <= N) and not all(map(exact_zero, R.entries())):
+                        bad.append((K, p, name))
+    finally:
+        series._views = None
     return bad
 
 

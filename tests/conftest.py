@@ -6,11 +6,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from nahmpole.algebra import GForm
 from nahmpole.geometry import FrameBackground, background_to_json, load_background
 from nahmpole.scalars import RationalField, solve_dense
 from nahmpole.series import FreeData
+
+#: Property tests are part of tier-1, so they are deterministic, bounded and
+#: leave no example database behind.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None, max_examples=20)
+settings.load_profile("tier1")
 
 
 #: (builtin URI, is Einstein) for the whole catalog, h2xr included.

@@ -137,6 +137,29 @@ class TestExpand:
         err = capsys.readouterr().err
         assert "log_free=true einstein=true parity=ok" in err
 
+    @pytest.mark.parametrize("squash, bits", [("1e-8", 64), ("1e-10", 64),
+                                              ("1e-20", 128)])
+    def test_float_undecidable_einstein_verdict_is_refused(self, capsys, squash,
+                                                           bits):
+        # (*F)^+ ~ 2.67 is a visible part of *F (~4) but below the round-off
+        # of its terms |W|^2 ~ 4 / squash^2: mixed verdicts were printed here
+        code = cli.main(["expand", "--background",
+                         f"builtin:berger-s3?squash={squash}", "--order", "4",
+                         "--scalar", "float", "--prec", str(bits)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert f"cannot decide at {bits} bits" in err
+
+    @pytest.mark.parametrize("squash, bits", [("1e-8", 128), ("2", 64),
+                                              ("2", 128), ("5", 64), ("5", 128)])
+    def test_float_einstein_verdict_is_rational(self, capsys, squash, bits):
+        code = cli.main(["expand", "--background",
+                         f"builtin:berger-s3?squash={squash}", "--order", "4",
+                         "--scalar", "float", "--prec", str(bits)])
+        assert code == 0
+        assert "log_free=false einstein=false parity=ok" in capsys.readouterr().err
+
     def test_unknown_background(self, capsys):
         assert cli.main(["expand", "--background", "builtin:nosuch"]) == 1
         assert "cannot load background" in capsys.readouterr().err
