@@ -24,10 +24,10 @@ antisymmetric.  All graded products below are written against that grading.
 
 The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
-import, and applied by one sparse routine, :func:`accumulate`, that skips
-exact scalar zeros only.  On all-``Fraction`` operands it works on integer
-numerators over one common denominator per operand; :class:`FormSum` sums
-whole equations of such terms over one running denominator.
+import, and applied by one sparse routine, :class:`FormSum`, that skips
+exact scalar zeros only and sums whole equations of such terms: over
+integer numerators and one running denominator on all-``Fraction``
+operands, and one product at a time into scalar slots on any others.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -46,7 +46,7 @@ from .scalars import RationalField, exact_zero, nullspace, rref, solve_dense
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
-    "L_op", "gamma_op", "project", "accumulate", "times", "FormSum",
+    "L_op", "gamma_op", "project", "times", "FormSum",
     "star_wedge", "bracket_0_1", "star_bracket_star", "e_bracket", "cal_L",
     "invert_cal_L", "resolve_coupled", "SigmaModule", "LeadingOrders",
     "FreeDims", "leading_order_structure",
@@ -223,85 +223,38 @@ def _table(terms):
     return rows
 
 
-def _integer_view(form: GForm):
-    """``(integer numerators, common denominator)`` of ``form``'s entries
-    when every one is a ``Fraction`` or an int (checked by type: the flow
-    polarization sends numpy arrays), else None."""
+def _read(form: GForm):
+    """``(integer numerators, common denominator)`` of ``form`` when every
+    entry is a ``Fraction`` or an int (checked by type: the flow polarization
+    sends numpy arrays), else ``(entries, None)`` with exact zeros as None."""
     entries = form.entries()
-    if not set(map(type, entries)) <= {Fraction, int}:
-        return None
+    exact = {Fraction, int}
+    if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
+        return [None if exact_zero(v) else v for v in entries], None
     ratios = [v.as_integer_ratio() for v in entries]
     d = lcm(*[q for _, q in ratios])
     return [n and n * (d // q) for n, q in ratios], d
-
-
-def _products(table, xs, ys, totals, sign=1):
-    """Add ``sign * kernel(xs, ys)`` of integer entry lists into the integer
-    slot list ``totals``, skipping zero entries, and return ``totals``."""
-    for i, n in enumerate(xs):
-        if n:
-            for j, o, s in table[i]:
-                m = ys[j]
-                if m:
-                    totals[o] += n * m if s == sign else -n * m
-    return totals
-
-
-def accumulate(kernel, x: GForm, y: GForm, out, sign=1):
-    """Add ``sign * kernel(x, y)`` into the slot list ``out`` (in
-    :meth:`GForm.entries` order) without building a form, and return ``out``.
-
-    ``kernel`` is :func:`star_wedge`, :func:`bracket_0_1` or
-    :func:`star_bracket_star`; degrees are not checked.  Only entries that
-    are exact scalar zeros (:func:`exact_zero`) are skipped, so the work
-    scales with the nonzero entries.
-
-    When both operands have an integer view (``Fraction`` or int entries), the
-    products are summed as integers over ``dx * dy``, so each output slot
-    takes one ``Fraction`` instead of two gcds per product.  Other operands
-    take the generic scalar loop.
-    """
-    table = _TABLES[kernel]
-    vx = _integer_view(x)
-    vy = vx and _integer_view(y)
-    if vy:
-        totals = _products(table, vx[0], vy[0], [0] * len(out), sign)
-        for o, total in enumerate(totals):
-            if total:
-                out[o] = out[o] + Fraction(total, vx[1] * vy[1])
-        return out
-    xs, ys = x.entries(), y.entries()
-    ys = [None if exact_zero(v) else v for v in ys]
-    for i, xi in enumerate(xs):
-        if not exact_zero(xi):
-            for j, o, s in table[i]:
-                yj = ys[j]
-                if yj is not None:
-                    out[o] = out[o] + xi * yj if s == sign else out[o] - xi * yj
-    return out
 
 
 def star_wedge(x: GForm, y: GForm) -> GForm:
     """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_wedge needs two degree-1 forms")
-    return GForm.from_entries(x.field, accumulate(star_wedge, x, y, [x.field.zero] * 9))
+    return FormSum(x.field, 1).add(1, x, star_wedge, y).form()
 
 
 def bracket_0_1(phi: GForm, x: GForm) -> GForm:
     """``[phi, x]`` of a 0-form with a 1-form (antisymmetric pairing)."""
     if phi.degree != 0 or x.degree != 1:
         raise ValueError("bracket_0_1 needs a 0-form then a 1-form")
-    return GForm.from_entries(phi.field, accumulate(bracket_0_1, phi, x,
-                                                    [phi.field.zero] * 9))
+    return FormSum(phi.field, 1).add(1, phi, bracket_0_1, x).form()
 
 
 def star_bracket_star(x: GForm, y: GForm) -> GForm:
     """``*[x, *y]`` of two degree-1 forms (a 0-form; antisymmetric)."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_bracket_star needs two degree-1 forms")
-    return GForm.from_entries(x.field, accumulate(star_bracket_star, x, y,
-                                                  [x.field.zero] * 3))
+    return FormSum(x.field, 0).add(1, x, star_bracket_star, y).form()
 
 
 #: The table of each bilinear kernel, entry ``3a + i`` standing for ``x[a][i]``.
@@ -329,68 +282,112 @@ def times(coefficient, form: GForm) -> GForm:
 
 class FormSum:
     """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
-    linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``, into
-    one form.
+    linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
+    (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
+    into one form; the one routine that applies a kernel's table.  A sum is
+    true once a term was added.  Operands are read once per ``views`` dict,
+    which a caller may share across sums.
 
     Terms whose operands have integer views (``Fraction`` or int entries) add
     into integer slot totals over one running denominator, widened by
     ``lcm`` only when a term's denominator does not divide it: ``op`` acts
     on the integer numerators, a coefficient's numerator multiplies and its
     denominator joins the term's (a 1/2 is no ``Fraction`` product), and
-    :meth:`form` normalizes each slot once.  Operands are read once per
-    ``views`` dict, which a caller may share across sums.  Other operands
-    take the field's scalar loop; the terms built there are kept in ``terms``.
+    :meth:`form` normalizes each slot once.  On other operands (float
+    scalars, numpy arrays) a kernel term with coefficient +-1 adds each
+    product straight into scalar slots, skipping exact scalar zeros only,
+    and any other term is built as a form and added.  ``terms`` lists these
+    as forms, building a kernel term only when read (a float residual reads
+    them for its scale).
     """
 
+    __slots__ = ("field", "views", "size", "totals", "den", "slots", "_terms")
+
     def __init__(self, field, degree: int, views=None):
-        self.field, self.views = field, {} if views is None else views
-        self.totals, self.den = [0] * (9 if degree else 3), 1
-        self.slots, self.terms = None, []
+        self.field, self.views = field, views
+        self.size, self.den, self._terms = 9 if degree else 3, 1, []
+        self.totals = self.slots = None  # made by the first term of each kind
+
+    def __bool__(self):
+        return self.totals is not None or self.slots is not None
 
     def _view(self, form: GForm):
+        if self.views is None:
+            return _read(form)
         got = self.views.get(id(form))  # the entry holds the form: ids stay unique
         if got is None:
-            got = self.views[id(form)] = form, _integer_view(form)
+            got = self.views[id(form)] = form, _read(form)
         return got[1]
 
-    def add(self, coefficient, x: GForm, op=None, y: GForm = None):
-        """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``."""
-        vx, vy = self._view(x), y is None or self._view(y)
-        if not (vx and vy):
-            term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
-            self.terms.append(term)
-            self.slots = [s + v for s, v in zip(
-                self.slots or [self.field.zero] * len(self.totals), term.entries())]
-            return
-        xs, den = vx
-        if y is not None:
-            den *= vy[1]
-        elif op is not None:
-            xs, d = _integer_view(op(GForm.from_entries(self.field, xs)))
+    def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
+        """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
+        and return the sum."""
+        xs, den = self._view(x)
+        ys, dy = (None, 1) if y is None else self._view(y)
+        if den and dy:
+            den *= dy
+            if y is None and op is not None:
+                xs, d = _read(op(GForm.from_entries(self.field, xs)))
+                den *= d
+            num, d = coefficient.as_integer_ratio()
             den *= d
-        num, d = coefficient.as_integer_ratio()
-        den *= d
-        if self.den % den:
-            wider = lcm(self.den, den)
-            self.totals = [t * (wider // self.den) for t in self.totals]
-            self.den = wider
-        num *= self.den // den
-        if y is None:
-            self.totals = [t + num * n for t, n in zip(self.totals, xs)]
+            if self.totals is None:
+                self.totals, self.den = [0] * self.size, den
+            elif self.den % den:
+                wider = lcm(self.den, den)
+                self.totals = [t * (wider // self.den) for t in self.totals]
+                self.den = wider
+            num *= self.den // den
+            if y is None:
+                self.totals = [t + num * n for t, n in zip(self.totals, xs)]
+                return self
+            totals, sign = self.totals, 1 if num > 0 else -1
+            for i, n in enumerate(xs if abs(num) == 1 else [n * abs(num) for n in xs]):
+                if n:
+                    for j, o, s in _TABLES[op][i]:
+                        m = ys[j]
+                        if m:
+                            totals[o] += n * m if s == sign else -n * m
+        elif y is None or coefficient not in (1, -1):
+            term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
+            self._terms.append(term)
+            self.slots = (list(term.entries()) if self.slots is None else
+                          [s + v for s, v in zip(self.slots, term.entries())])
         else:
-            _products(_TABLES[op], xs if abs(num) == 1 else [n * abs(num) for n in xs],
-                      vy[0], self.totals, 1 if num > 0 else -1)
+            self._terms.append((coefficient, x, op, y))
+            slots = self.slots = self.slots or [self.field.zero] * self.size
+            # an exact operand beside a scalar one is read as its entries
+            xs = [v or None for v in x.entries()] if den else xs
+            ys = [v or None for v in y.entries()] if dy else ys
+            for i, xi in enumerate(xs):
+                if xi is not None:
+                    for j, o, s in _TABLES[op][i]:
+                        yj = ys[j]
+                        if yj is not None:
+                            slots[o] = (slots[o] + xi * yj if s == coefficient
+                                        else slots[o] - xi * yj)
+        return self
+
+    @property
+    def terms(self):
+        """The scalar-loop terms, as forms."""
+        return [t if isinstance(t, GForm) else times(t[0], t[2](t[1], t[3]))
+                for t in self._terms]
 
     def form(self, scale=None) -> GForm:
         """The sum: one ``Fraction`` per nonzero integer total, added to the
-        scalar slots when any term took the scalar loop.  A slot the field
-        finds zero against ``scale`` is returned as an exact zero."""
-        if self.slots is None:
-            out = [Fraction(t, self.den) if t else self.field.zero for t in self.totals]
+        scalar slots when any term took the scalar loop.  Given a ``scale``,
+        a slot the field finds zero against it is returned as an exact zero."""
+        zero = self.field.zero
+        if self.totals is None:
+            out = self.slots or [zero] * self.size
+        elif self.slots is None:
+            out = [Fraction(t, self.den) if t else zero for t in self.totals]
         else:
-            out = [self.field.zero if self.field.is_zero(v, scale) else v for v in (
-                s + Fraction(t, self.den) if t else s
-                for s, t in zip(self.slots, self.totals))]
+            out = [s + Fraction(t, self.den) if t else s
+                   for s, t in zip(self.slots, self.totals)]
+        if scale is not None:
+            out = [zero if self.field.is_zero(v, scale) else v for v in out]
         return GForm.from_entries(self.field, out)
 
 

@@ -96,7 +96,7 @@ def _load_free_data(path: str, field) -> FreeData:
     """Read a free-data file: raw 3x3 matrices under keys ``c_plus`` /
     ``c_zero`` / ``c_minus``.  Each matrix is projected onto its declared
     eigenspace; inputs whose projection residual is nonzero (exact mode) or
-    above 1e-10 (float mode) are rejected.
+    above 1e-10 times the matrix's largest entry (float mode) are rejected.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -125,7 +125,7 @@ def _load_free_data(path: str, field) -> FreeData:
                     "(nonzero projection residual)")
         else:
             worst = max(abs(field.to_float(v)) for v in resid.entries())
-            if worst > 1e-10:
+            if worst > 1e-10 * max(abs(field.to_float(v)) for v in form.entries()):
                 raise ValueError(
                     f"{key} is off its declared eigenspace by {worst:g}")
         kwargs[key] = proj

@@ -9,8 +9,8 @@ split, and the Einstein test ``(*F_omega)^+ = 0``.
 Only frame-constant data is admitted, so every differential operator in the
 package reduces to finite-dimensional exact linear algebra.  The linear maps
 of the flow, ``*d_omega``, ``d_omega`` and ``d_omega^*``, are the bilinear
-kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, applied by
-:func:`~nahmpole.algebra.accumulate`, plus a term in ``c``.
+kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, plus a term
+in ``c``, each summed by one :class:`~nahmpole.algebra.FormSum`.
 
 The flow equations are stated once, as data beside those operators: the
 term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, which
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, EigenPart, GForm, L_op, accumulate, bracket_0_1, e_bracket, gamma_op,
+    _EPS, EigenPart, FormSum, GForm, L_op, bracket_0_1, e_bracket, gamma_op,
     project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, exact_zero
@@ -228,16 +228,14 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
     if x.degree != 0:
         raise ValueError("d_omega needs a degree-0 form")
-    return GForm.from_entries(bg.field, accumulate(
-        bracket_0_1, x, bg.W, [bg.field.zero] * 9, -1))
+    return FormSum(bg.field, 1).add(-1, x, bracket_0_1, bg.W).form()
 
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
-    return GForm.from_entries(bg.field, accumulate(
-        star_wedge, bg.W, x, _star_d(bg.field, bg.c, x)))
+    return FormSum(bg.field, 1).add(1, star_d(bg, x)).add(1, bg.W, star_wedge, x).form()
 
 
 def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
@@ -250,17 +248,18 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    c, out = bg.c, [bg.field.zero] * 3
-    for i in range(3):
-        for k in range(3):
-            ckik = c[k][i][k]
-            if not exact_zero(ckik):
-                for a in range(3):
-                    xai = x.coeffs[a][i]
-                    if not exact_zero(xai):
-                        out[a] = out[a] + xai * ckik
-    return GForm.from_entries(bg.field, accumulate(
-        star_bracket_star, bg.W, x, out, -1))
+    c, total = bg.c, FormSum(bg.field, 0)
+    traces = [(i, c[k][i][k]) for i in range(3) for k in range(3)
+              if not exact_zero(c[k][i][k])]
+    if traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
+        out = [bg.field.zero] * 3
+        for i, ckik in traces:
+            for a in range(3):
+                xai = x.coeffs[a][i]
+                if not exact_zero(xai):
+                    out[a] = out[a] + xai * ckik
+        total.add(1, GForm.from_entries(bg.field, out))
+    return total.add(-1, bg.W, star_bracket_star, x).form()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from functools import partial
 from itertools import chain
 
 from .algebra import (
-    EigenPart, FormSum, GForm, accumulate, bracket_0_1, gamma_op, invert_cal_L,
+    EigenPart, FormSum, GForm, bracket_0_1, gamma_op, invert_cal_L,
     project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
@@ -247,18 +247,15 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
     entries contribute; absent coefficients are zero (stored entries never
     are, so a table miss is the zero test), and a source no pair reaches is
-    None.  Each source is accumulated straight into one slot list.  The
-    ``a^a`` and ``b^b`` sums of ``Qb`` are symmetric, so each unordered pair
-    is taken once: ``1/2 (x^y + y^x) = x^y`` off the diagonal, and only the
-    diagonal pair is halved.
+    None.  Each source is one :class:`~nahmpole.algebra.FormSum` over all
+    its pairs, normalized once.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
+    symmetric, so each unordered pair is taken once: ``1/2 (x^y + y^x) =
+    x^y`` off the diagonal, and the diagonal pair, added last, keeps its
+    coefficient +-1/2.
     """
     A, B, PHI = series._a, series._b, series._phi
-    field = series.field
-    slots = {}  # source name -> slot list, made by the first pair it takes
-
-    def into(name, n=9):
-        return slots.setdefault(name, [field.zero] * n)
-
+    views = {}
+    Qa, Qb, Qphi = (FormSum(series.field, degree, views) for degree in (1, 1, 0))
     for k1 in range(1, k):
         for p1 in range(p + 1):
             b2 = B.get((k - k1, p - p1))
@@ -266,10 +263,10 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
                 continue
             a1, phi1 = A.get((k1, p1)), PHI.get((k1, p1))
             if a1 is not None:
-                accumulate(star_wedge, a1, b2, into("Qa"))
-                accumulate(star_bracket_star, a1, b2, into("Qphi", 3), -1)
+                Qa.add(1, a1, star_wedge, b2)
+                Qphi.add(-1, a1, star_bracket_star, b2)
             if phi1 is not None:
-                accumulate(bracket_0_1, phi1, b2, into("Qa"))
+                Qa.add(1, phi1, bracket_0_1, b2)
 
     symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
     for k1 in range(1, k - 1):
@@ -277,17 +274,17 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
             at1, at2 = (k1, p1), (k - 1 - k1, p - p1)
             a1, phi2 = A.get(at1), PHI.get(at2)
             if a1 is not None and phi2 is not None:
-                # [a, phi_y] = -[phi_y, a]
-                accumulate(bracket_0_1, phi2, a1, into("Qb"), -1)
-            if at1 <= at2:
+                Qb.add(-1, phi2, bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
+            if at1 < at2:
                 for table, sign in symmetric:
                     if at1 in table and at2 in table:
-                        accumulate(star_wedge, table[at1], table[at2],
-                                   into("Qb" if at1 < at2 else "diag"), sign)
-    if "diag" in slots:
-        slots["Qb"] = [q + d * _HALF for q, d in zip(into("Qb"), slots["diag"])]
-    return QuadSource(*(slots.get(name) and GForm.from_entries(field, slots[name])
-                        for name in ("Qa", "Qb", "Qphi")))
+                        Qb.add(sign, table[at1], star_wedge, table[at2])
+    if k % 2 and p % 2 == 0:
+        at = ((k - 1) // 2, p // 2)  # the diagonal pair, at1 == at2
+        for table, sign in symmetric:
+            if at in table:
+                Qb.add(sign * _HALF, table[at], star_wedge, table[at])
+    return QuadSource(*(q.form() if q else None for q in (Qa, Qb, Qphi)))
 
 
 def _top_depth(series: PhgSeries, k: int) -> int:

@@ -11,7 +11,7 @@ from nahmpole.algebra import (
     ResonantOrder,
     SigmaModule,
     SingularLambda,
-    accumulate,
+    FormSum,
     bracket_0_1,
     cal_L,
     e_bracket,
@@ -204,9 +204,8 @@ class TestSparseKernels:
             want = dense(x, y)
             start = GForm.from_entries(field, [field.from_fraction(rand_fraction(rng))
                                                for _ in want.entries()])
-            out = accumulate(kernel, x, y, list(start.entries()), sign)
-            want = start + want.scale(field.from_int(sign))
-            assert GForm.from_entries(field, out) == want
+            got = FormSum(field, want.degree).add(1, start).add(sign, x, kernel, y)
+            assert got.form() == start + want.scale(field.from_int(sign))
 
 
 #: Distinct primes, so the denominators of a form are pairwise coprime and
@@ -217,7 +216,7 @@ _PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
 
 class TestIntegerKernelPath:
     """All-Fraction operands take the integer-numerator loop of
-    :func:`accumulate`; any other entry type sends them down the generic one.
+    :class:`FormSum`; any other entry type sends them down its scalar loop.
     Both are held against the dense formulas."""
 
     @kernels

@@ -285,6 +285,27 @@ class TestFreeDataLoader:
         assert code == 1
         assert "eigenspace" in capsys.readouterr().err
 
+    def test_float_mode_rejects_small_off_eigenspace(self, tmp_path, capsys):
+        # a third of this matrix lies in V-: off V+ relative to its own size,
+        # though every entry is below 1e-10 (rational mode rejects it too)
+        small = {"c_plus": [["1e-12", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
+        free = _write_json(tmp_path, "small.json", small)
+        for scalar in ("float", "rational"):
+            code = cli.main(["expand", "--background", "builtin:round-s3",
+                             "--free-data", free, "--scalar", scalar, "--order", "2"])
+            assert code == 1
+            assert "eigenspace" in capsys.readouterr().err
+
+    def test_float_mode_accepts_large_near_eigenspace(self, tmp_path, capsys):
+        # a V+ matrix at scale 1e12 whose trace is 1e-2: off by a relative 3e-15
+        large = {"c_plus": [["1e12", "0", "0"], ["0", "-5e11", "0"],
+                            ["0", "0", "-499999999999.99"]]}
+        free = _write_json(tmp_path, "large.json", large)
+        code = cli.main(["expand", "--background", "builtin:round-s3",
+                         "--free-data", free, "--scalar", "float",
+                         "--prec", "128", "--order", "2"])
+        assert code == 0, capsys.readouterr().err
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["s3", "hyperbolic", "flat",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nahmpole import geometry, series as series_module
 from nahmpole.algebra import (
@@ -208,6 +209,38 @@ class TestQuadraticSource:
         data = free_data_from_doc(field, SEED0_FREE_DATA) if free else None
         expand(load_background(f"builtin:{uri}", field), data, N=12)
         assert len(seen) >= 11
+
+
+#: Entry denominators: 1 and pairwise coprime primes, so a source's running
+#: denominator has to widen as the pairs of other entries arrive.
+_COPRIME = (1, 2, 3, 5, 7, 11, 13, 17)
+_entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_COPRIME))
+_forms = st.fixed_dictionaries({}, optional={
+    "a": st.lists(_entry, min_size=9, max_size=9),
+    "b": st.lists(_entry, min_size=9, max_size=9),
+    "phi_y": st.lists(_entry, min_size=3, max_size=3)})
+
+
+@st.composite
+def random_source_tables(draw):
+    """Random rational forms (not a solution) at a few addresses k <= 7,
+    p <= 3; every stored a or b also pairs with itself on a diagonal."""
+    field = RationalField()
+    series = PhgSeries(field=field, order=7)
+    for k, p in sorted(draw(st.sets(st.tuples(st.integers(1, 7), st.integers(0, 3)),
+                                    min_size=1, max_size=8))):
+        forms = {name: GForm.from_entries(field, v)
+                 for name, v in draw(_forms).items()}
+        series._store(k, p, list(forms.values()), **forms)
+    return series
+
+
+@given(random_source_tables())
+def test_quadratic_source_is_the_pair_sum(series):
+    # every (k, p) a pair of stored entries can reach: k1 + k2 <= 14, p1 + p2 <= 6
+    for k in range(2, 16):
+        for p in range(7):
+            assert quadratic_source(series, k, p) == reference_source(series, k, p), (k, p)
 
 
 class TestStructuralTheorems:
