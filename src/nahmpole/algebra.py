@@ -32,7 +32,9 @@ operands, and one product at a time into scalar slots on any others.
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
 :func:`resolve_coupled` solves the whole a/phi_y step, ``(lam - L) a +
-[e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.
+[e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.  On
+``Fraction`` input at an integer order they apply their closed forms to the
+integer numerators over one common divisor and normalize each slot once.
 """
 
 from __future__ import annotations
@@ -236,6 +238,11 @@ def _read(form: GForm):
     return [n and n * (d // q) for n, q in ratios], d
 
 
+def _over(field, totals, den):
+    """The slots ``totals / den``: one ``Fraction`` per nonzero total."""
+    return [Fraction(t, den) if t else field.zero for t in totals]
+
+
 def star_wedge(x: GForm, y: GForm) -> GForm:
     """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments."""
     if x.degree != 1 or y.degree != 1:
@@ -321,7 +328,9 @@ class FormSum:
 
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
         """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
-        and return the sum."""
+        and return the sum; an absent ``x`` (None) adds nothing."""
+        if x is None:
+            return self
         xs, den = self._view(x)
         ys, dy = (None, 1) if y is None else self._view(y)
         if den and dy:
@@ -382,7 +391,7 @@ class FormSum:
         if self.totals is None:
             out = self.slots or [zero] * self.size
         elif self.slots is None:
-            out = [Fraction(t, self.den) if t else zero for t in self.totals]
+            out = _over(self.field, self.totals, self.den)
         else:
             out = [s + Fraction(t, self.den) if t else s
                    for s, t in zip(self.slots, self.totals)]
@@ -452,7 +461,8 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     On the eigenspaces this is division by ``k + eigenvalue``, so the
     divisors are ``k+2, k+1, k-1`` and the singular orders are
     ``k in {-2, -1, 1}``.  Summed over the three projections, the inverse
-    acts entrywise::
+    acts entrywise (on the numerators of ``rhs = n / D`` over the one divisor
+    ``D (k+2)(k^2-1)``, one gcd per slot, for exact entries and integer k)::
 
         x_ij = (k r_ij + r_ji) / (k^2 - 1)              (i != j)
         x_ii = r_ii / (k - 1) - tr(r) / ((k + 2)(k - 1))
@@ -463,6 +473,13 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     singular = [part for part in EigenPart if k + part.eigenvalue(1) == 0]
     if singular:
         raise ResonantOrder(k, singular)
+    n, D = _read(rhs)
+    if D and type(k) is int:
+        tr = n[0] + n[4] + n[8]
+        return GForm.from_entries(rhs.field, _over(rhs.field, [
+            (n[4 * i] * (k + 2) - tr) * (k + 1) if i == j
+            else (k * n[3 * i + j] + n[3 * j + i]) * (k + 2)
+            for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1)))
     r = rhs.coeffs
     trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
     return GForm(rhs.field, 1, tuple(
@@ -482,7 +499,9 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     ``R`` over ``lam + 1`` there and over ``lam - 2`` on ``V-``; on ``V0``
     the system couples to ``phi`` with determinant ``d = (lam - 2)(lam + 1)``.
     With ``t = tr(R)/3``, ``Theta = (R - R^T)/2``, ``[e, S]_ij = eps_ijm S_m``
-    and ``Gamma(Theta)_m = eps_mij Theta_ij``::
+    and ``Gamma(Theta)_m = eps_mij Theta_ij`` (on the numerators of ``R = n /
+    D``, ``S = s / D_S`` over the one divisor ``6 D D_S (lam+1)(lam-2)``, one
+    gcd per slot, for exact entries and integer lam)::
 
         a_ii  = (R_ii - t) / (lam + 1) + t / (lam - 2)
         a_ij  = (R_ij + R_ji) / (2 (lam + 1)) + (lam Theta_ij - [e, S]_ij) / d
@@ -501,6 +520,18 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     d = plus * minus
     if field.is_zero(d):
         raise SingularLambda(lam)
+    (n, D), (s, DS) = _read(R), _read(S)
+    if D and DS and type(lam) in (int, Fraction) and lam.denominator == 1:
+        lam, tr, a, phi = int(lam), n[0] + n[4] + n[8], [0] * 9, [0] * 3
+        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
+            a[4 * i] = 2 * DS * ((3 * n[4 * i] - tr) * (lam - 2) + tr * (lam + 1))
+            curl = n[3 * i + j] - n[3 * j + i]
+            sym = 3 * DS * (lam - 2) * (n[3 * i + j] + n[3 * j + i])
+            anti = 3 * (lam * DS * curl - 2 * D * s[m])
+            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
+            phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
+        den = 6 * D * DS * (lam + 1) * (lam - 2)
+        return tuple(GForm.from_entries(field, _over(field, v, den)) for v in (a, phi))
     r, s = R.coeffs, S.coeffs
     t = (r[0][0] + r[1][1] + r[2][2]) / 3
     a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]

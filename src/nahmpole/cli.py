@@ -32,9 +32,9 @@ from .geometry import (
     is_einstein, load_background, star_d_omega,
 )
 from .oracle import (
-    StepUnderflow, closed_solution, closed_solution_names, convergence_csv,
-    convergence_table, integrate_flow, matched_free_data, profile_state,
-    state_from_series, taylor_profile,
+    _Y_EXACT_MAX, StepUnderflow, closed_solution, closed_solution_names,
+    convergence_csv, convergence_table, integrate_flow, matched_free_data,
+    profile_state, state_from_series, taylor_profile,
 )
 from .scalars import FloatField, RationalField
 from .series import (
@@ -125,9 +125,10 @@ def _load_free_data(path: str, field) -> FreeData:
                     "(nonzero projection residual)")
         else:
             worst = max(abs(field.to_float(v)) for v in resid.entries())
-            if worst > 1e-10 * max(abs(field.to_float(v)) for v in form.entries()):
-                raise ValueError(
-                    f"{key} is off its declared eigenspace by {worst:g}")
+            largest = max(abs(field.to_float(v)) for v in form.entries())
+            if worst > 1e-10 * largest:
+                raise ValueError(f"{key} is off its declared eigenspace by "
+                                 f"{worst / largest:g} of its largest entry (bound 1e-10)")
         kwargs[key] = proj
     return FreeData(field=field, **kwargs)
 
@@ -465,9 +466,9 @@ def _cmd_ode_compare(args) -> int:
     if any(n < 2 for n in orders):
         print("orders must be >= 2", file=sys.stderr)
         return 1
-    if not (0 < args.y_min < 1 and args.y_min < args.y_max < math.inf):
-        print("need 0 < --y-min < --y-max, with --y-min below 1",
-              file=sys.stderr)
+    if not 0 < args.y_min < args.y_max <= _Y_EXACT_MAX:
+        print(f"need 0 < --y-min < --y-max <= {_Y_EXACT_MAX}: the table's "
+              "rational e^(2y) is exact only up to there", file=sys.stderr)
         return 1
     if not 0 < args.tol < math.inf:
         print("--tol must be a positive number", file=sys.stderr)

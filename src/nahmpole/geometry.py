@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, EigenPart, FormSum, GForm, L_op, bracket_0_1, e_bracket, gamma_op,
-    project, star_bracket_star, star_wedge,
+    _EPS, EigenPart, FormSum, GForm, L_op, _over, _read, bracket_0_1, e_bracket,
+    gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, exact_zero
 
@@ -95,18 +95,27 @@ def _star_d(field, c, x: GForm):
     :meth:`GForm.entries` order.
 
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Exact zeros
-    (:func:`exact_zero`) of ``c`` and ``x`` are skipped.
+    (:func:`exact_zero`) of ``c`` and ``x`` are skipped.  On ``Fraction`` or
+    int entries the sum is over the integer numerators of ``x`` and ``c``
+    (read once per call), with one denominator and one gcd per slot.
     """
+    terms = [(i, m, s, c[i][j][k]) for j, k, m, s in _EPS for i in range(3)
+             if not exact_zero(c[i][j][k])]
+    xs, dx = _read(x)
+    if dx and {type(t[3]) for t in terms} <= {Fraction, int}:
+        dc, out = math.lcm(*[t[3].denominator for t in terms]), [0] * 9
+        for i, m, s, cijk in terms:
+            w = s * cijk.numerator * (dc // cijk.denominator)
+            for a in range(3):
+                out[3 * a + m] -= w * xs[3 * a + i]
+        return _over(field, out, 2 * dx * dc)
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [field.zero] * 9
-    for j, k, m, s in _EPS:
-        for i in range(3):
-            cijk = c[i][j][k]
-            if not exact_zero(cijk):
-                for a in range(3):
-                    xai = x.coeffs[a][i]
-                    if not exact_zero(xai):
-                        out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
+    for i, m, s, cijk in terms:
+        for a in range(3):
+            xai = x.coeffs[a][i]
+            if not exact_zero(xai):
+                out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
     return out
 
 

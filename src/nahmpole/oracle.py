@@ -77,7 +77,7 @@ def _ts_exp2(n):
 def _exp_fraction(x: Fraction) -> Fraction:
     """e^x truncated after the x^40 term, as an exact Fraction.
 
-    For |x| <= 1/2 the dropped tail is below x^41/41! < 1e-60 -- far under
+    For 0 <= x <= 1 the dropped tail is below 2e-50 of e^x -- far under
     anything the convergence table can resolve.  The 41 terms are summed as
     integers over the common denominator 40! d^40 of ``x = n/d``.
     """
@@ -186,9 +186,9 @@ class ExpRational:
 
     def value_exact(self, y: Fraction, u=None) -> Fraction:
         """Value as a Fraction, with e^{2y} itself replaced by its rational
-        Taylor truncation (error under 1e-60 for |y| <= 1/4); a caller that
-        evaluates several profiles at one ``y`` passes that truncation as
-        ``u``."""
+        Taylor truncation (under 2e-50 relative for 0 <= y <= 1/2); a caller
+        that evaluates several profiles at one ``y`` passes that truncation
+        as ``u``."""
         if u is None:
             u = _exp_fraction(2 * Fraction(y))
         # P and Q homogenized to degree m in u = n/d, over the lcm D of their
@@ -362,6 +362,8 @@ _F64 = _Float64Kit()
 
 #: Size of the packed state ``v = (a, b, phi_y)``: 9 + 9 + 3 coefficients.
 _NV = 21
+#: The largest y where the table's rational e^{2y} is exact to 2e-50 relative.
+_Y_EXACT_MAX = 0.5
 
 
 def _forms(field, v):
@@ -635,38 +637,40 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
     floor = 1e-13 * max(1.0, abs(y0), abs(y1))
     K[0] = rhs(y, v)
-    for _ in range(max_steps):
-        if (y1 - y) * direction <= 1e-15 * span:
-            return [init] + _unpack_states(W, ys, vs[:len(ys)])
-        h = direction * min(abs(h), abs(y1 - y))
-        # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
-        # last stage's input u is the step's result and K[6] the next K[0]
-        for s, a, node, Ks in stages:
-            u = v + h * (a @ Ks)
-            K[s] = rhs(y + node * h, u)
-        accepted = fixed_step is not None
-        if not accepted:
-            err = abs(h) * float(np.abs(_DP_ERR_F @ K).max())
-            budget = tol * abs(h) / span
-            accepted = math.isfinite(err) and err <= budget
-        if accepted:
-            y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
-            v = u
-            if len(ys) == len(vs):
-                vs = np.concatenate([vs, np.empty_like(vs)])
-            vs[len(ys)] = v
-            ys.append(y)
-            K[0] = K[6]
-        if fixed_step is None:
+    # an overflow in a stage makes err non-finite, which rejects the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_steps):
+            if (y1 - y) * direction <= 1e-15 * span:
+                return [init] + _unpack_states(W, ys, vs[:len(ys)])
+            h = direction * min(abs(h), abs(y1 - y))
+            # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
+            # last stage's input u is the step's result and K[6] the next K[0]
+            for s, a, node, Ks in stages:
+                u = v + h * (a @ Ks)
+                K[s] = rhs(y + node * h, u)
+            accepted = fixed_step is not None
+            if not accepted:
+                err = abs(h) * float(np.abs(_DP_ERR_F @ K).max())
+                budget = tol * abs(h) / span
+                accepted = math.isfinite(err) and err <= budget
             if accepted:
-                grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
-                h = h * min(5.0, max(0.2, grow))
-            else:
-                shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
-                h = h * min(0.9, max(0.1, shrink))
-            if abs(h) < floor:
-                raise StepUnderflow(_unpack_state(W, ys[-1], vs[len(ys) - 1])
-                                    if ys else init)
+                y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
+                v = u
+                if len(ys) == len(vs):
+                    vs = np.concatenate([vs, np.empty_like(vs)])
+                vs[len(ys)] = v
+                ys.append(y)
+                K[0] = K[6]
+            if fixed_step is None:
+                if accepted:
+                    grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
+                    h = h * min(5.0, max(0.2, grow))
+                else:
+                    shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
+                    h = h * min(0.9, max(0.1, shrink))
+                if abs(h) < floor:
+                    raise StepUnderflow(_unpack_state(W, ys[-1], vs[len(ys) - 1])
+                                        if ys else init)
     raise RuntimeError("step budget exceeded")
 
 
@@ -782,7 +786,8 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     near N+1.
 
     Every deviation is computed in exact rational arithmetic (the only
-    approximation is the 1e-60 Taylor truncation of e^{2y}), so the table
+    approximation is the Taylor truncation of e^{2y}, 2e-50 for ``y_hi <=
+    1/2``; a larger ``y_hi`` raises ValueError), so the table
     measures truncation error alone -- there is no float noise floor, and the
     smallest entries (~1e-16 at N = 6) remain meaningful.  Per grid point,
     e^{2y} is summed once over one common denominator and shared by both
@@ -801,6 +806,9 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     bg = sol.background
     if not bg.field.exact:
         raise ValueError("the convergence oracle needs exact scalars")
+    if not y_hi <= _Y_EXACT_MAX:
+        raise ValueError(f"y_hi = {y_hi} is above {_Y_EXACT_MAX}, where the "
+                         "rational e^(2y) of the table stops being exact")
     ser = series if series is not None else expand(
         bg, matched_free_data(sol.name, bg.field), max(orders))
     if not all(p == 0 for _, p in ser.addresses()):

@@ -86,7 +86,7 @@ class PhgSeries:
         self._a = {}
         self._b = {}
         self._phi = {}
-        self._views = None  # integer views, during one check_residuals call
+        self._views = None  # integer views while expand or check_residuals runs
 
     # -- storage ---------------------------------------------------------
 
@@ -245,40 +245,32 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
 
     ``Qa``/``Qphi`` feed the order k+1 equations (their pairs sum to k);
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
-    entries contribute; absent coefficients are zero (stored entries never
-    are, so a table miss is the zero test), and a source no pair reaches is
+    entries contribute, found by walking the stored addresses in ``(k1, p1)``
+    order; absent coefficients are zero, and a source no pair reaches is
     None.  Each source is one :class:`~nahmpole.algebra.FormSum` over all
-    its pairs, normalized once.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
+    its pairs, normalized once, reading stored forms through the views
+    :func:`expand` holds.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
     symmetric, so each unordered pair is taken once: ``1/2 (x^y + y^x) =
     x^y`` off the diagonal, and the diagonal pair, added last, keeps its
     coefficient +-1/2.
     """
     A, B, PHI = series._a, series._b, series._phi
-    views = {}
+    views = {} if series._views is None else series._views
     Qa, Qb, Qphi = (FormSum(series.field, degree, views) for degree in (1, 1, 0))
-    for k1 in range(1, k):
-        for p1 in range(p + 1):
-            b2 = B.get((k - k1, p - p1))
-            if b2 is None:
-                continue
-            a1, phi1 = A.get((k1, p1)), PHI.get((k1, p1))
-            if a1 is not None:
-                Qa.add(1, a1, star_wedge, b2)
-                Qphi.add(-1, a1, star_bracket_star, b2)
-            if phi1 is not None:
-                Qa.add(1, phi1, bracket_0_1, b2)
-
     symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
-    for k1 in range(1, k - 1):
-        for p1 in range(p + 1):
-            at1, at2 = (k1, p1), (k - 1 - k1, p - p1)
-            a1, phi2 = A.get(at1), PHI.get(at2)
-            if a1 is not None and phi2 is not None:
-                Qb.add(-1, phi2, bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
-            if at1 < at2:
-                for table, sign in symmetric:
-                    if at1 in table and at2 in table:
-                        Qb.add(sign, table[at1], star_wedge, table[at2])
+    for at1 in [at for at in series.addresses() if at[0] < k and at[1] <= p]:
+        k1, p1 = at1
+        a1, b2 = A.get(at1), B.get((k - k1, p - p1))
+        if b2 is not None:  # FormSum.add skips an absent first operand
+            Qa.add(1, a1, star_wedge, b2).add(1, PHI.get(at1), bracket_0_1, b2)
+            Qphi.add(-1, a1, star_bracket_star, b2)
+        at2 = (k - 1 - k1, p - p1)  # no entry is stored at order 0
+        if a1 is not None:
+            Qb.add(-1, PHI.get(at2), bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
+        if at1 < at2:
+            for table, sign in symmetric:
+                if at1 in table and at2 in table:
+                    Qb.add(sign, table[at1], star_wedge, table[at2])
     if k % 2 and p % 2 == 0:
         at = ((k - 1) // 2, p // 2)  # the diagonal pair, at1 == at2
         for table, sign in symmetric:
@@ -299,11 +291,6 @@ def _top_depth(series: PhgSeries, k: int) -> int:
         if n - k1 in depth])
 
 
-def _total(forms, field, degree):
-    """The sum of ``forms``, started from the first (zero form if none)."""
-    return sum(forms[1:], forms[0]) if forms else GForm.zero(field, degree)
-
-
 def advance_order(series: PhgSeries, k: int) -> None:
     """Compute ``b_k`` and ``(a, phi_y)_{k+1}`` at every log depth.
 
@@ -320,35 +307,34 @@ def advance_order(series: PhgSeries, k: int) -> None:
       lambda = k+1: ``R`` over k+2 on V+ and k-1 on V-, and the coupled
       V0 / 0-form block.
 
+    Each right-hand side is one :class:`~nahmpole.algebra.FormSum` (``-(p+1)``
+    a term coefficient), summed in integers over rationals for the solves.
+
     A term enters only where its table entries are present; a step with no
     terms is skipped.  Zero results are not stored.
     """
     if k < 2:
         raise ValueError("advance_order starts at k = 2; lower orders are seeded")
-    bg = series.background
-    field = series.field
+    bg, field = series.background, series.field
     A, B, PHI = series._a, series._b, series._phi
+    views = {} if series._views is None else series._views
+    sd, dw, ds = (partial(op, bg) for op in (star_d_omega, d_omega, d_omega_star))
     for p in range(_top_depth(series, k), -1, -1):
         q = quadratic_source(series, k, p)
-        pp1 = field.from_int(p + 1)
-        # GForms are truthy: ``x and f(x)`` is None just when x is absent
         a, phi, b = A.get((k - 1, p)), PHI.get((k - 1, p)), B.get((k, p + 1))
-        rhs_b = [*filter(None, (a and star_d_omega(bg, a), phi and d_omega(bg, phi),
-                                b and b.scale(-pp1), q.Qb))]
+        rhs_b = (FormSum(field, 1, views).add(1, a, sd).add(1, phi, dw)
+                 .add(-(p + 1), b).add(1, q.Qb))
         if rhs_b:  # the entries read join the scale: a curl can be round-off
-            series._store(k, p, rhs_b + [*filter(None, (a, phi))],
-                          b=invert_cal_L(k, _total(rhs_b, field, 1)))
+            series._store(k, p, rhs_b.terms + [*filter(None, (a, phi))],
+                          b=invert_cal_L(k, rhs_b.form()))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
-        R = [*filter(None, (b and star_d_omega(bg, b), a and a.scale(-pp1), q.Qa))]
-        S = [*filter(None, (b and d_omega_star(bg, b), phi and phi.scale(-pp1),
-                            q.Qphi))]
-        if not (R or S):
-            continue
-        a_next, phi_next = resolve_coupled(k + 1, _total(R, field, 1),
-                                           _total(S, field, 0))
-        series._store(k + 1, p, R + S + ([b] if b else []),
-                      a=a_next, phi_y=phi_next)
+        R = FormSum(field, 1, views).add(1, b, sd).add(-(p + 1), a).add(1, q.Qa)
+        S = FormSum(field, 0, views).add(1, b, ds).add(-(p + 1), phi).add(1, q.Qphi)
+        if R or S:
+            a_next, phi_next = resolve_coupled(k + 1, R.form(), S.form())
+            series._store(k + 1, p, R.terms + S.terms + ([b] if b else []),
+                          a=a_next, phi_y=phi_next)
 
 
 def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
@@ -356,13 +342,18 @@ def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
 
     A pure function of its inputs: all arithmetic is exact in the
     background's scalar field and the order walk is sequential, so identical
-    inputs give identical series.
+    inputs give identical series.  The walk holds one integer view per
+    stored form (``PhgSeries._views``), dropped when it returns or raises.
     """
     if N < 2:
         raise ValueError("expansion order must be at least 2")
     series = seed_leading(bg, free)
-    for k in range(2, N + 1):
-        advance_order(series, k)
+    series._views = {}
+    try:
+        for k in range(2, N + 1):
+            advance_order(series, k)
+    finally:
+        series._views = None
     series.order = N
     return series
 

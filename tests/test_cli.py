@@ -296,6 +296,17 @@ class TestFreeDataLoader:
             assert code == 1
             assert "eigenspace" in capsys.readouterr().err
 
+    def test_float_refusal_gives_relative_deviation_and_bound(self, tmp_path,
+                                                               capsys):
+        small = {"c_plus": [["1e-12", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
+        free = _write_json(tmp_path, "small.json", small)
+        assert cli.main(["expand", "--background", "builtin:round-s3",
+                         "--free-data", free, "--scalar", "float"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert ("c_plus is off its declared eigenspace by 0.333333 of its "
+                "largest entry (bound 1e-10)") in err
+
     def test_float_mode_accepts_large_near_eigenspace(self, tmp_path, capsys):
         # a V+ matrix at scale 1e12 whose trace is 1e-2: off by a relative 3e-15
         large = {"c_plus": [["1e12", "0", "0"], ["0", "-5e11", "0"],
@@ -374,6 +385,13 @@ class TestOdeCompare:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("y_max", ["20", "1e100"])
+    def test_y_max_beyond_the_exact_window_is_one_line(self, capsys, y_max):
+        assert cli.main(["ode-compare", "s3", "--y-max", y_max]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--y-max <= 0.5" in err
 
     def test_step_underflow_is_a_math_error(self, capsys):
         # a valid but unreachable tolerance: the step shrinks to the floor

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -361,6 +362,16 @@ class TestIntegrator:
         assert isinstance(last, FlowState)
         assert 1.0 <= last.y < 1.2
 
+    def test_far_target_underflows_without_warnings(self, field):
+        # the first steps toward y = 1e15 overflow in every stage; the
+        # non-finite error estimate rejects them, and numpy stays silent
+        sol = closed_solution("s3")
+        ser = expand(sol.background, matched_free_data("s3", field), N=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepUnderflow):
+                integrate_flow(sol.background, state_from_series(ser, 0.01), 1e15)
+
     def test_flat_zero_state_stays_flat(self):
         sol = closed_solution("flat")
         from nahmpole.oracle import _pack_state
@@ -581,6 +592,12 @@ class TestConvergence:
         from nahmpole.scalars import FloatField
         with pytest.raises(ValueError):
             convergence_table(closed_solution("s3", FloatField(128)))
+
+    @pytest.mark.parametrize("y_hi", [0.6, 20.0, math.nan])
+    def test_rejects_y_hi_beyond_the_exact_window(self, y_hi):
+        # e^{2y} is a Taylor truncation: 85% off at y = 20
+        with pytest.raises(ValueError, match="y_hi"):
+            convergence_table("s3", orders=(2,), y_hi=y_hi)
 
 
 class TestStateHelpers:
