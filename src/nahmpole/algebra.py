@@ -40,6 +40,7 @@ integer numerators over one common divisor and normalize each slot once.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -145,18 +146,18 @@ class GForm:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __add__(self, other: "GForm") -> "GForm":
+    def _slotwise(self, op, other: "GForm") -> "GForm":
         self._require_same(other)
         if self.degree == 0:
-            return GForm(self.field, 0, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-        return GForm(
-            self.field,
-            1,
-            tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.coeffs, other.coeffs)),
-        )
+            return GForm(self.field, 0, tuple(map(op, self.coeffs, other.coeffs)))
+        return GForm(self.field, 1, tuple(
+            tuple(map(op, r1, r2)) for r1, r2 in zip(self.coeffs, other.coeffs)))
+
+    def __add__(self, other: "GForm") -> "GForm":
+        return self._slotwise(operator.add, other)
 
     def __sub__(self, other: "GForm") -> "GForm":
-        return self + (-other)
+        return self._slotwise(operator.sub, other)
 
     def __neg__(self) -> "GForm":
         if self.degree == 0:
@@ -432,11 +433,26 @@ def project(a: GForm, part: EigenPart) -> GForm:
 
         ``V-: tr(a)/3 I``,  ``V0: (a - a^T)/2``,  ``V+: (a + a^T)/2 - tr(a)/3 I``.
 
-    Exact in rational scalars; :class:`SigmaModule` builds the same
+    On ``Fraction`` or int entries ``a = n / D`` these act on the integer
+    numerators over the one divisor ``3D``, ``2D`` or ``6D`` (``V+``:
+    ``3(n_ij + n_ji) - 2 tr(n) delta_ij``), one gcd per slot; other
+    scalars take the formulas above.  :class:`SigmaModule` builds the same
     projectors by Lagrange interpolation in ``L`` as an independent route.
     """
     if a.degree != 1:
         raise ValueError("project needs a degree-1 form")
+    n, D = _read(a)
+    if D:
+        tr, nt = n[0] + n[4] + n[8], n[0::3] + n[1::3] + n[2::3]  # nt: n^T
+        if part is EigenPart.Minus:
+            totals, den = [tr, 0, 0, 0, tr, 0, 0, 0, tr], 3 * D
+        elif part is EigenPart.Zero:
+            totals, den = list(map(operator.sub, n, nt)), 2 * D
+        else:
+            totals, den = [3 * (x + y) for x, y in zip(n, nt)], 6 * D
+            for i in (0, 4, 8):
+                totals[i] -= 2 * tr
+        return GForm.from_entries(a.field, _over(a.field, totals, den))
     c = a.coeffs
     zero = a.field.zero
     third = (c[0][0] + c[1][1] + c[2][2]) / 3

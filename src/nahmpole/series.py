@@ -212,31 +212,34 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     if free is None:
         free = FreeData.zero(field)
     series = PhgSeries(background=bg, order=2)
+    minus, zero, plus = (partial(project, part=part) for part in EigenPart)
+    views = {}  # each operand is read as integers once
+
+    def total(degree, *terms):  # one FormSum; float adds in the order given
+        out = FormSum(field, degree, views)
+        for term in terms:
+            out.add(*term)
+        return out.form()
 
     starF = bg.starF
     if not is_einstein(bg):  # the obstruction, by the Einstein verdict's rule
-        series._b[(1, 1)] = project(starF, EigenPart.Plus)
-    series._store(1, 0, [starF, free.c_plus],
-                  b=(free.c_plus + project(starF, EigenPart.Zero).scale(_HALF)
-                     + project(starF, EigenPart.Minus).scale(_THIRD)))
+        series._b[(1, 1)] = plus(starF)
+    series._store(1, 0, [starF, free.c_plus], b=total(
+        1, (1, free.c_plus), (_HALF, starF, zero), (_THIRD, starF, minus)))
     b11, b1 = series.get_b(1, 1), series.get_b(1, 0)
 
-    sdb11 = star_d_omega(bg, b11)
-    sdb11_plus = project(sdb11, EigenPart.Plus)
-    sdb11_zero = project(sdb11, EigenPart.Zero)
-    dsb11 = d_omega_star(bg, b11)
+    sdb11, dsb11 = star_d_omega(bg, b11), d_omega_star(bg, b11)
+    sdb11_plus, sdb11_zero = plus(sdb11), zero(sdb11)
     series._store(2, 1, [sdb11, dsb11, b11],
-                  a=(sdb11_plus + sdb11_zero).scale(_THIRD),
-                  phi_y=dsb11.scale(_THIRD))
+                  a=total(1, (_THIRD, sdb11_plus + sdb11_zero)),
+                  phi_y=total(0, (_THIRD, dsb11)))
 
     sdb1 = star_d_omega(bg, b1)
-    a2 = (sdb11_plus.scale(Fraction(-1, 9))
-          + project(sdb1, EigenPart.Plus).scale(_THIRD)
-          + free.c_zero + free.c_minus
-          + sdb11_zero.scale(Fraction(-1, 3))
-          + project(sdb1, EigenPart.Zero))
+    a2 = total(1, (Fraction(-1, 9), sdb11_plus), (_THIRD, sdb1, plus),
+               (1, free.c_zero), (1, free.c_minus),
+               (-_THIRD, sdb11_zero), (1, sdb1, zero))
     series._store(2, 0, [sdb11, sdb1, b11, b1, free.c_zero, free.c_minus], a=a2,
-                  phi_y=gamma_op(free.c_zero).scale(Fraction(-1, 2)))
+                  phi_y=total(0, (-_HALF, free.c_zero, gamma_op)))
     return series
 
 
