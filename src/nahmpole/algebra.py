@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import RationalField, exact_zero, nullspace, rref, solve_dense
+from .scalars import RationalField, context, exact_zero, nullspace, rref, solve_dense
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -142,16 +142,17 @@ class GForm:
 
     # -- linear structure ---------------------------------------------------
 
-    def _require_same(self, other: "GForm"):
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def _slotwise(self, op, other: "GForm") -> "GForm":
-        self._require_same(other)
-        if self.degree == 0:
-            return GForm(self.field, 0, tuple(map(op, self.coeffs, other.coeffs)))
-        return GForm(self.field, 1, tuple(
-            tuple(map(op, r1, r2)) for r1, r2 in zip(self.coeffs, other.coeffs)))
+    def _slotwise(self, op, *others: "GForm") -> "GForm":
+        """``op`` of the matching slots of this form and ``others`` (of the
+        same degree), under the field's context."""
+        for other in others:
+            if other.degree != self.degree:
+                raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        rows = (self.coeffs, *(other.coeffs for other in others))
+        with context(self.field):
+            if self.degree == 0:
+                return GForm(self.field, 0, tuple(map(op, *rows)))
+            return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
 
     def __add__(self, other: "GForm") -> "GForm":
         return self._slotwise(operator.add, other)
@@ -160,19 +161,20 @@ class GForm:
         return self._slotwise(operator.sub, other)
 
     def __neg__(self) -> "GForm":
-        if self.degree == 0:
-            return GForm(self.field, 0, tuple(-x for x in self.coeffs))
-        return GForm(self.field, 1, tuple(tuple(-x for x in r) for r in self.coeffs))
+        return self._slotwise(operator.neg)
+
+    def _scalar(self, s):
+        """``s`` as a field element: an int or ``Fraction`` through the
+        field's ``from_fraction``, any other scalar as it is."""
+        return self.field.from_fraction(s) if type(s) is Fraction or type(s) is int else s
 
     def scale(self, s) -> "GForm":
-        if self.degree == 0:
-            return GForm(self.field, 0, tuple(x * s for x in self.coeffs))
-        return GForm(self.field, 1, tuple(tuple(x * s for x in r) for r in self.coeffs))
+        s = self._scalar(s)
+        return self._slotwise(lambda x: x * s)
 
     def divide(self, s) -> "GForm":
-        if self.degree == 0:
-            return GForm(self.field, 0, tuple(x / s for x in self.coeffs))
-        return GForm(self.field, 1, tuple(tuple(x / s for x in r) for r in self.coeffs))
+        s = self._scalar(s)
+        return self._slotwise(lambda x: x / s)
 
     # -- queries ------------------------------------------------------------
 
@@ -186,7 +188,8 @@ class GForm:
     def trace(self):
         if self.degree != 1:
             raise ValueError("trace needs a degree-1 form")
-        return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
+        with context(self.field):
+            return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
 
     def to_floats(self):
         f = self.field.to_float
@@ -285,7 +288,7 @@ def times(coefficient, form: GForm) -> GForm:
         return form
     if coefficient == -1:
         return -form
-    return form.scale(form.field.from_fraction(coefficient))
+    return form.scale(coefficient)
 
 
 class FormSum:
@@ -304,9 +307,10 @@ class FormSum:
     :meth:`form` normalizes each slot once.  On other operands (float
     scalars, numpy arrays) a kernel term with coefficient +-1 adds each
     product straight into scalar slots, skipping exact scalar zeros only,
-    and any other term is built as a form and added.  ``terms`` lists these
-    as forms, building a kernel term only when read (a float residual reads
-    them for its scale).
+    and any other term is built as a form and added, under the field's
+    :func:`~nahmpole.scalars.context`.  ``terms`` lists these as forms,
+    building a kernel term only when read (a float residual reads them for
+    its scale).
     """
 
     __slots__ = ("field", "views", "size", "totals", "den", "slots", "_terms")
@@ -361,21 +365,25 @@ class FormSum:
         elif y is None or coefficient not in (1, -1):
             term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
             self._terms.append(term)
-            self.slots = (list(term.entries()) if self.slots is None else
-                          [s + v for s, v in zip(self.slots, term.entries())])
+            if self.slots is None:
+                self.slots = list(term.entries())
+            else:
+                with context(self.field):
+                    self.slots = [s + v for s, v in zip(self.slots, term.entries())]
         else:
             self._terms.append((coefficient, x, op, y))
             slots = self.slots = self.slots or [self.field.zero] * self.size
             # an exact operand beside a scalar one is read as its entries
             xs = [v or None for v in x.entries()] if den else xs
             ys = [v or None for v in y.entries()] if dy else ys
-            for i, xi in enumerate(xs):
-                if xi is not None:
-                    for j, o, s in _TABLES[op][i]:
-                        yj = ys[j]
-                        if yj is not None:
-                            slots[o] = (slots[o] + xi * yj if s == coefficient
-                                        else slots[o] - xi * yj)
+            with context(self.field):
+                for i, xi in enumerate(xs):
+                    if xi is not None:
+                        for j, o, s in _TABLES[op][i]:
+                            yj = ys[j]
+                            if yj is not None:
+                                slots[o] = (slots[o] + xi * yj if s == coefficient
+                                            else slots[o] - xi * yj)
         return self
 
     @property
@@ -394,8 +402,9 @@ class FormSum:
         elif self.slots is None:
             out = _over(self.field, self.totals, self.den)
         else:
-            out = [s + Fraction(t, self.den) if t else s
-                   for s, t in zip(self.slots, self.totals)]
+            with context(self.field):
+                out = [s + self.field.from_fraction(Fraction(t, self.den)) if t else s
+                       for s, t in zip(self.slots, self.totals)]
         if scale is not None:
             out = [zero if self.field.is_zero(v, scale) else v for v in out]
         return GForm.from_entries(self.field, out)
@@ -412,10 +421,11 @@ def L_op(a: GForm) -> GForm:
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
     c = a.coeffs
-    tr = c[0][0] + c[1][1] + c[2][2]
-    return GForm(a.field, 1, tuple(
-        tuple(tr - c[s][r] if r == s else -c[s][r] for s in range(3))
-        for r in range(3)))
+    with context(a.field):
+        tr = c[0][0] + c[1][1] + c[2][2]
+        return GForm(a.field, 1, tuple(
+            tuple(tr - c[s][r] if r == s else -c[s][r] for s in range(3))
+            for r in range(3)))
 
 
 def gamma_op(a: GForm) -> GForm:
@@ -455,14 +465,15 @@ def project(a: GForm, part: EigenPart) -> GForm:
         return GForm.from_entries(a.field, _over(a.field, totals, den))
     c = a.coeffs
     zero = a.field.zero
-    third = (c[0][0] + c[1][1] + c[2][2]) / 3
-    if part is EigenPart.Minus:
-        rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
-    elif part is EigenPart.Zero:
-        rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
-    else:
-        rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2
-                 for j in range(3)] for i in range(3)]
+    with context(a.field):
+        third = (c[0][0] + c[1][1] + c[2][2]) / 3
+        if part is EigenPart.Minus:
+            rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
+        elif part is EigenPart.Zero:
+            rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
+        else:
+            rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2
+                     for j in range(3)] for i in range(3)]
     return GForm(a.field, 1, tuple(tuple(r) for r in rows))
 
 
@@ -497,11 +508,12 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
             else (k * n[3 * i + j] + n[3 * j + i]) * (k + 2)
             for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1)))
     r = rhs.coeffs
-    trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
-    return GForm(rhs.field, 1, tuple(
-        tuple(r[i][i] / (k - 1) - trace_part if i == j
-              else (k * r[i][j] + r[j][i]) / (k * k - 1) for j in range(3))
-        for i in range(3)))
+    with context(rhs.field):
+        trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
+        return GForm(rhs.field, 1, tuple(
+            tuple(r[i][i] / (k - 1) - trace_part if i == j
+                  else (k * r[i][j] + r[j][i]) / (k * k - 1) for j in range(3))
+            for i in range(3)))
 
 
 def resolve_coupled(lam, R: GForm, S: GForm):
@@ -532,34 +544,35 @@ def resolve_coupled(lam, R: GForm, S: GForm):
         raise ValueError("resolve_coupled needs (degree-1, degree-0) data")
     field = R.field
     lam_s = field.from_fraction(lam) if isinstance(lam, Fraction) else lam
-    plus, minus = lam_s + 1, lam_s - 2  # the divisors on V+ and V-
-    d = plus * minus
-    if field.is_zero(d):
-        raise SingularLambda(lam)
-    (n, D), (s, DS) = _read(R), _read(S)
-    if D and DS and type(lam) in (int, Fraction) and lam.denominator == 1:
-        lam, tr, a, phi = int(lam), n[0] + n[4] + n[8], [0] * 9, [0] * 3
-        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
-            a[4 * i] = 2 * DS * ((3 * n[4 * i] - tr) * (lam - 2) + tr * (lam + 1))
-            curl = n[3 * i + j] - n[3 * j + i]
-            sym = 3 * DS * (lam - 2) * (n[3 * i + j] + n[3 * j + i])
-            anti = 3 * (lam * DS * curl - 2 * D * s[m])
-            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
-            phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
-        den = 6 * D * DS * (lam + 1) * (lam - 2)
-        return tuple(GForm.from_entries(field, _over(field, v, den)) for v in (a, phi))
-    r, s = R.coeffs, S.coeffs
-    t = (r[0][0] + r[1][1] + r[2][2]) / 3
-    a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]
-         for i in range(3)]
-    phi = [None] * 3
-    for i, j, m, _ in _EPS[:3]:  # the cyclic triples, eps_ijm = 1
-        sym = (r[i][j] + r[j][i]) / (2 * plus)
-        curl = r[i][j] - r[j][i]  # 2 Theta_ij = Gamma(Theta)_m
-        anti = (lam_s * curl / 2 - s[m]) / d
-        a[i][j], a[j][i] = sym + anti, sym - anti
-        phi[m] = ((lam_s - 1) * s[m] - curl) / d
-    return GForm(field, 1, tuple(map(tuple, a))), GForm(field, 0, tuple(phi))
+    with context(field):
+        plus, minus = lam_s + 1, lam_s - 2  # the divisors on V+ and V-
+        d = plus * minus
+        if field.is_zero(d):
+            raise SingularLambda(lam)
+        (n, D), (s, DS) = _read(R), _read(S)
+        if D and DS and type(lam) in (int, Fraction) and lam.denominator == 1:
+            lam, tr, a, phi = int(lam), n[0] + n[4] + n[8], [0] * 9, [0] * 3
+            for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
+                a[4 * i] = 2 * DS * ((3 * n[4 * i] - tr) * (lam - 2) + tr * (lam + 1))
+                curl = n[3 * i + j] - n[3 * j + i]
+                sym = 3 * DS * (lam - 2) * (n[3 * i + j] + n[3 * j + i])
+                anti = 3 * (lam * DS * curl - 2 * D * s[m])
+                a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
+                phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
+            den = 6 * D * DS * (lam + 1) * (lam - 2)
+            return tuple(GForm.from_entries(field, _over(field, v, den)) for v in (a, phi))
+        r, s = R.coeffs, S.coeffs
+        t = (r[0][0] + r[1][1] + r[2][2]) / 3
+        a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]
+             for i in range(3)]
+        phi = [None] * 3
+        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, eps_ijm = 1
+            sym = (r[i][j] + r[j][i]) / (2 * plus)
+            curl = r[i][j] - r[j][i]  # 2 Theta_ij = Gamma(Theta)_m
+            anti = (lam_s * curl / 2 - s[m]) / d
+            a[i][j], a[j][i] = sym + anti, sym - anti
+            phi[m] = ((lam_s - 1) * s[m] - curl) / d
+        return GForm(field, 1, tuple(map(tuple, a))), GForm(field, 0, tuple(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +641,14 @@ class SigmaModule:
 
     which has eigenvalues ``(sigma+1, 1, -sigma)`` on total spin
     ``(sigma-1, sigma, sigma+1)`` of dimensions ``(2s-1, 2s+1, 2s+3)``.
+    All of it is computed in exact rationals.
     """
 
-    def __init__(self, sigma: int, field=None):
+    def __init__(self, sigma: int):
         if sigma < 1:
             raise ValueError(f"sigma must be >= 1, got {sigma}")
         self.sigma = sigma
-        self.field = field or RationalField()
+        self.field = RationalField()
         f = self.field
 
         monos = _monomials(sigma)

@@ -16,6 +16,7 @@ underflowing), 3 verification failure.  Set
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .oracle import (
     convergence_csv, convergence_table, integrate_flow, matched_free_data,
     profile_state, state_from_series, taylor_profile,
 )
-from .scalars import FloatField, RationalField
+from .scalars import FloatField, RationalField, context
 from .series import (
     FreeData, assert_parity, check_residuals, expand, is_log_free,
     to_json as series_to_json,
@@ -149,14 +150,15 @@ def _pretty_form(field, form: GForm, indent: str):
         lines.append(f"{indent}({vec})")
         return lines
     scale = field.scale(form.entries())
-    e_part = form.trace() / field.from_int(3)
+    zero = project(form, EigenPart.Zero)
+    with context(field):
+        e_part = form.trace() / field.from_int(3)
+        axial = [(zero.coeffs[i][j] - zero.coeffs[j][i]) / field.from_int(2)
+                 for i, j in _AXIAL]
     if not field.is_zero(e_part, scale):
         lines.append(f"{indent}e-part:  {field.format(e_part)} * e")
-    zero = project(form, EigenPart.Zero)
     if not zero.is_zero(scale):
-        two = field.from_int(2)
-        w = [(zero.coeffs[i][j] - zero.coeffs[j][i]) / two for i, j in _AXIAL]
-        vec = ", ".join(field.format(v) for v in w)
+        vec = ", ".join(field.format(v) for v in axial)
         lines.append(f"{indent}V0-part: axial ({vec})")
     plus = project(form, EigenPart.Plus)
     if not plus.is_zero(scale):
@@ -521,6 +523,7 @@ def _cmd_backgrounds(_args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nahmpole",
                      description="Boundary expansions of Nahm-pole flows "

@@ -38,7 +38,7 @@ from .algebra import (
     _EPS, EigenPart, FormSum, GForm, L_op, _over, _read, bracket_0_1, e_bracket,
     gamma_op, project, star_bracket_star, star_wedge,
 )
-from .scalars import RationalField, exact_zero
+from .scalars import RationalField, context, exact_zero
 
 __all__ = [
     "FrameBackground", "levi_civita", "torsion_residual", "metricity_residual",
@@ -64,17 +64,20 @@ def levi_civita(field, c):
     frame connection (both residuals checkable below).
     """
     half = field.from_fraction(Fraction(1, 2))
-    return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
+    with context(field):
+        return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
 
 
 def torsion_residual(field, c, conn):
     """``G^k_ij - G^k_ji - c^k_ij`` (identically zero for Levi-Civita)."""
-    return _tensor3(lambda k, i, j: conn[k][i][j] - conn[k][j][i] - c[k][i][j])
+    with context(field):
+        return _tensor3(lambda k, i, j: conn[k][i][j] - conn[k][j][i] - c[k][i][j])
 
 
 def metricity_residual(field, conn):
     """``G^k_ij + G^j_ik`` (zero iff the frame metric is parallel)."""
-    return _tensor3(lambda k, i, j: conn[k][i][j] + conn[j][i][k])
+    with context(field):
+        return _tensor3(lambda k, i, j: conn[k][i][j] + conn[j][i][k])
 
 
 def connection_form(field, conn) -> GForm:
@@ -84,9 +87,11 @@ def connection_form(field, conn) -> GForm:
     antisymmetric matrices with su(2) used everywhere in this package.
     """
     rows = [[field.zero] * 3 for _ in range(3)]
-    for cc, k, j, s in _EPS:
-        for i in range(3):
-            rows[cc][i] = rows[cc][i] - conn[k][i][j] * Fraction(s, 2)
+    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
+    with context(field):
+        for cc, k, j, s in _EPS:
+            for i in range(3):
+                rows[cc][i] = rows[cc][i] - conn[k][i][j] * half[s]
     return GForm(field, 1, tuple(tuple(r) for r in rows))
 
 
@@ -111,11 +116,12 @@ def _star_d(field, c, x: GForm):
         return _over(field, out, 2 * dx * dc)
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [field.zero] * 9
-    for i, m, s, cijk in terms:
-        for a in range(3):
-            xai = x.coeffs[a][i]
-            if not exact_zero(xai):
-                out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
+    with context(field):
+        for i, m, s, cijk in terms:
+            for a in range(3):
+                xai = x.coeffs[a][i]
+                if not exact_zero(xai):
+                    out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
     return out
 
 
@@ -141,14 +147,15 @@ def ricci_tensor(field, c, conn):
     cross-check the ``(*F)^+`` Einstein test.
     """
     ric = [[field.zero] * 3 for _ in range(3)]
-    for l in range(3):
-        for j in range(3):
-            s = field.zero
-            for i in range(3):
-                for m in range(3):
-                    s = s + conn[m][j][l] * conn[i][i][m] - conn[m][i][l] * conn[i][j][m]
-                    s = s - c[m][i][j] * conn[i][m][l]
-            ric[l][j] = s
+    with context(field):
+        for l in range(3):
+            for j in range(3):
+                s = field.zero
+                for i in range(3):
+                    for m in range(3):
+                        s = s + conn[m][j][l] * conn[i][i][m] - conn[m][i][l] * conn[i][j][m]
+                        s = s - c[m][i][j] * conn[i][m][l]
+                ric[l][j] = s
     return tuple(tuple(r) for r in ric)
 
 
@@ -181,13 +188,14 @@ class FrameBackground:
         c = tuple(tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction))
                               else v for v in row) for row in plane) for plane in c_rows)
         scale = field.scale(v for plane in c for row in plane for v in row)
-        for k in range(3):
-            for i in range(3):
-                for j in range(3):
-                    if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
-                        raise ValueError(
-                            f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}"
-                        )
+        with context(field):
+            for k in range(3):
+                for i in range(3):
+                    for j in range(3):
+                        if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
+                            raise ValueError(
+                                f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}"
+                            )
         conn = levi_civita(field, c)
         if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
                    for row in plane for v in row):
@@ -212,7 +220,8 @@ class FrameBackground:
 
 def _curvature_scale(field, W: GForm):
     """Scale of zero tests on ``*F``: its terms are ``c W``, ``W W``; |c| <= 2 max|W|."""
-    return field.scale(w * w for w in W.entries())
+    with context(field):
+        return field.scale(w * w for w in W.entries())
 
 
 def is_einstein(bg: FrameBackground) -> bool:
@@ -262,11 +271,12 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
               if not exact_zero(c[k][i][k])]
     if traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
         out = [bg.field.zero] * 3
-        for i, ckik in traces:
-            for a in range(3):
-                xai = x.coeffs[a][i]
-                if not exact_zero(xai):
-                    out[a] = out[a] + xai * ckik
+        with context(bg.field):
+            for i, ckik in traces:
+                for a in range(3):
+                    xai = x.coeffs[a][i]
+                    if not exact_zero(xai):
+                        out[a] = out[a] + xai * ckik
         total.add(1, GForm.from_entries(bg.field, out))
     return total.add(-1, bg.W, star_bracket_star, x).form()
 

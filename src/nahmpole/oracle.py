@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import GForm, star_wedge, times, vierbein
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
                        builtin, star_d)
-from .scalars import RationalField
+from .scalars import RationalField, context
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
 __all__ = [
@@ -749,18 +749,19 @@ def global_report(series: PhgSeries) -> GlobalReport:
         raise ValueError("series has no background attached")
     field = series.field
 
-    a21 = series.get_a(2, 1)
-    a21_trace = a21.trace() * Fraction(-1, 2)
-    k_density = -series.get_a(2, 0).trace()
-    W = bg.W
-    cs_density = (_pairing(W, star_d(bg, W)) * Fraction(-1, 2)
-                  + _pairing(W, star_wedge(W, W)) * Fraction(-1, 6))
-    if bg.volume is None:
-        k_number = k_density
-    elif isinstance(bg.volume, Fraction):
-        k_number = k_density * bg.volume
-    else:
-        k_number = field.to_float(k_density) * float(bg.volume)
+    a21, W = series.get_a(2, 1), bg.W
+    minus_half, minus_sixth = (field.from_fraction(Fraction(-1, q)) for q in (2, 6))
+    with context(field):
+        a21_trace = a21.trace() * minus_half
+        k_density = -series.get_a(2, 0).trace()
+        cs_density = (_pairing(W, star_d(bg, W)) * minus_half
+                      + _pairing(W, star_wedge(W, W)) * minus_sixth)
+        if bg.volume is None:
+            k_number = k_density
+        elif isinstance(bg.volume, Fraction):
+            k_number = k_density * field.from_fraction(bg.volume)
+        else:
+            k_number = field.to_float(k_density) * float(bg.volume)
     return GlobalReport(
         a21_trace=a21_trace,
         k_density=k_density,

@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
-from .scalars import RationalField, exact_zero
+from .scalars import RationalField, context, exact_zero
 
 __all__ = [
     "PhgCoeff", "PhgSeries", "FreeData", "QuadSource", "seed_leading",
@@ -144,29 +144,24 @@ class FreeData:
     These are all the kernels: beyond k = 2 the divisors k+2, k+1, k-1 and
     lambda = k+1 of the solve steps stay nonzero.
 
-    Missing fields default to zero.  Each field must lie in its declared
-    eigenspace; that is checked eagerly.
+    Missing fields default to zero.  Each field passed must lie in its
+    declared eigenspace; that is checked eagerly.
     """
 
     def __init__(self, field=None, c_plus=None, c_zero=None, c_minus=None):
         if field is None:
-            for form in (c_plus, c_zero, c_minus):
-                if form is not None:
-                    field = form.field
-                    break
+            field = next((f.field for f in (c_plus, c_zero, c_minus) if f is not None), None)
         if field is None:
             raise ValueError("need a scalar field or at least one form")
         self.field = field
-        self.c_plus = c_plus if c_plus is not None else GForm.zero(field, 1)
-        self.c_zero = c_zero if c_zero is not None else GForm.zero(field, 1)
-        self.c_minus = c_minus if c_minus is not None else GForm.zero(field, 1)
-        for form, part, label in (
-            (self.c_plus, EigenPart.Plus, "c_plus"),
-            (self.c_zero, EigenPart.Zero, "c_zero"),
-            (self.c_minus, EigenPart.Minus, "c_minus"),
-        ):
-            if not (form - project(form, part)).is_zero(field.scale(form.entries())):
+        for form, part, label in ((c_plus, EigenPart.Plus, "c_plus"),
+                                  (c_zero, EigenPart.Zero, "c_zero"),
+                                  (c_minus, EigenPart.Minus, "c_minus")):
+            if form is None:
+                form = GForm.zero(field, 1)
+            elif not (form - project(form, part)).is_zero(field.scale(form.entries())):
                 raise ValueError(f"{label} is not in its declared eigenspace")
+            setattr(self, label, form)
 
     @staticmethod
     def zero(field) -> "FreeData":
@@ -443,7 +438,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
         if framed[i]:
             yield frame_scale * field.scale(v for x in framed[i] for v in x.entries())
 
-    return tuple(r.form(field.scale(magnitudes(i))) for i, r in enumerate(R))
+    with context(field):
+        return tuple(r.form(field.scale(magnitudes(i))) for i, r in enumerate(R))
 
 
 def check_residuals(series: PhgSeries, through: int = None):

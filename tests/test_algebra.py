@@ -31,7 +31,7 @@ from nahmpole.geometry import (
     load_background,
     star_d_omega,
 )
-from nahmpole.scalars import FloatField, nullspace, rref, solve_dense
+from nahmpole.scalars import FloatField, context, nullspace, rref, solve_dense
 
 from conftest import rand_fraction, rand_frame_c, rand_one_form, rand_zero_form
 
@@ -178,9 +178,10 @@ class TestSparseKernels:
     @kernels
     def test_float128_within_tolerance(self, rng, kernel, dense, degree):
         ff = FloatField(128)
-        for x, y in shaped_pairs(rng, ff, degree):
-            got, want = kernel(x, y).entries(), dense(x, y).entries()
-            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
+        with context(ff):  # the dense reference's products, at 128 bits
+            for x, y in shaped_pairs(rng, ff, degree):
+                got, want = kernel(x, y).entries(), dense(x, y).entries()
+                assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
 
     @kernels
     @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])
@@ -250,12 +251,15 @@ class TestIntegerKernelPath:
     @kernels
     def test_fraction_against_bigfloat_form(self, field, rng, kernel, dense, degree):
         ff = FloatField(128)
-        for x, y in shaped_pairs(rng, field, degree):
-            yf = GForm.from_entries(ff, [ff.from_fraction(v) for v in y.entries()])
-            got, want = kernel(x, yf).entries(), dense(x, yf).entries()
-            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
-            exact = kernel(x, y).entries()
-            assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, exact))
+        with context(ff):  # the dense reference's products, at 128 bits
+            for x, y in shaped_pairs(rng, field, degree):
+                # a Fraction meets a float element only through from_fraction
+                xf, yf = (GForm.from_entries(ff, [ff.from_fraction(v) for v in z.entries()])
+                          for z in (x, y))
+                got, want = kernel(xf, yf).entries(), dense(xf, yf).entries()
+                assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
+                exact = [ff.from_fraction(v) for v in kernel(x, y).entries()]
+                assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, exact))
 
     @kernels
     @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])

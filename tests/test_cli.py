@@ -423,3 +423,24 @@ class TestUsage:
     def test_bad_format_choice(self):
         assert cli.main(["expand", "--background", "builtin:flat",
                          "--format", "yaml"]) == 1
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # usage errors, a valid expand and the help texts print the same
+        # bytes and exit codes in one process as each does on a fresh parser
+        runs = (["expand", "--order", "3"],
+                ["expand", "--background", "builtin:round-s3", "--order", "4"],
+                ["expand", "--background", "builtin:flat", "--format", "yaml"],
+                ["expand", "--background", "builtin:h2xr", "--format", "csv"],
+                ["--help"], ["expand", "--help"], ["verify", "--help"])
+
+        def run(argv):
+            return (cli.main(argv), *capsys.readouterr())
+
+        together = [run(argv) for argv in runs]
+        assert cli._build_parser() is cli._build_parser()
+        alone = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        assert together == alone
+        assert [r[0] for r in together] == [1, 0, 1, 0, 0, 0, 0]

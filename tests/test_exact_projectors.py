@@ -3,6 +3,7 @@ its closed forms on rational and int entries, the seed coefficients against
 the chain of projections that defines them, in rational and float scalars,
 and ``GForm`` subtraction against adding the negation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nahmpole.algebra import EigenPart, GForm, L_op, gamma_op, project
 from nahmpole.geometry import (builtin, d_omega_star, is_einstein,
                                load_background, star_d_omega)
-from nahmpole.scalars import BigFloat, FloatField, RationalField
+from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import FreeData, seed_leading
 
 from conftest import CATALOG
@@ -55,7 +56,7 @@ def closed_form(x, part):
 def bits(form):
     """The entries of ``form`` as exactly compared values: a ``Fraction``
     itself, a float scalar its decimal digits and exponent."""
-    return [v.val.as_tuple() if isinstance(v, BigFloat) else v
+    return [v.as_tuple() if isinstance(v, Decimal) else v
             for v in form.entries()]
 
 

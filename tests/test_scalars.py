@@ -1,14 +1,15 @@
 """Scalar fields and the little dense linear algebra kit."""
 
 import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from nahmpole.scalars import (
-    BigFloat,
     FloatField,
     RationalField,
+    context,
     nullspace,
     rref,
     solve_dense,
@@ -68,13 +69,18 @@ class TestFloatField:
         assert abs(float(third) - 1 / 3) < 1e-15
         assert float(f.parse("0.25")) == 0.25
 
-    def test_arithmetic_coerces_int_fraction_decimal(self):
+    def test_int_and_fraction_enter_through_from_fraction(self):
         f = FloatField(96)
         x = f.from_fraction(Fraction(3, 4))
-        assert float(x + 1) == 1.75
-        assert float(x * Fraction(4, 3)) == 1.0
-        assert float(x - decimal.Decimal("0.25")) == 0.5
-        assert float(2 / f.from_int(4)) == 0.5
+        assert f.from_fraction(2) == f.from_int(2) == 2
+        with context(f):
+            assert float(x + f.from_fraction(1)) == 1.75
+            assert float(x * f.from_fraction(Fraction(4, 3))) == 1.0
+            assert float(x - decimal.Decimal("0.25")) == 0.5
+            assert float(f.from_fraction(2) / f.from_int(4)) == 0.5
+        # a Fraction operand is refused, never silently rounded
+        with pytest.raises(TypeError):
+            x * Fraction(4, 3)
 
     def test_raw_float_operand_is_rejected(self):
         # native floats must go through from_fraction/parse, never silently mix
@@ -127,16 +133,46 @@ class TestFloatField:
         assert f.to_fraction(f.from_int(7)) == Fraction(7)
 
 
-class TestBigFloat:
+class TestFloatElements:
+    def test_elements_are_plain_decimals(self):
+        f = FloatField(64)
+        values = (f.zero, f.one, f.tolerance, f.from_int(3),
+                  f.from_fraction(Fraction(1, 3)), f.parse("0.25"), f.parse("2/7"))
+        assert all(type(v) is Decimal for v in values)
+
     def test_comparisons(self):
         f = FloatField(64)
         assert f.from_int(2) > 1
         assert f.from_int(2) <= Fraction(5, 2)
-        assert abs(-f.one) == f.one
+        with context(f):
+            assert abs(-f.one) == f.one
+        # a Decimal compares with a Fraction exactly: the rounded third is not 1/3
+        assert f.from_fraction(Fraction(1, 3)) != Fraction(1, 3)
 
     def test_hash_consistent_with_eq(self):
         f = FloatField(64)
         assert hash(f.from_int(3)) == hash(f.from_int(3))
+
+    def test_two_precisions_coexist(self):
+        # each solve rounds to its own field's digits, whatever the
+        # thread's context, and leaves that context as it was
+        lo, hi = FloatField(64), FloatField(128)
+        before = decimal.getcontext()
+        for _ in range(2):
+            for f in (lo, hi):
+                third = solve_dense(f, [[f.from_int(3)]], [f.one])[0]
+                assert third == f.from_fraction(Fraction(1, 3))
+                assert len(third.as_tuple().digits) == f.digits
+        assert decimal.getcontext() is before
+
+    def test_context_of_each_field(self):
+        f = FloatField(128)
+        before = decimal.getcontext()
+        with context(f):
+            assert decimal.getcontext().prec == f.digits
+        assert decimal.getcontext() is before
+        with context(RationalField()):
+            assert decimal.getcontext() is before
 
 
 class TestDenseSolvers:

@@ -120,6 +120,31 @@ class TestFreeData:
         with pytest.raises(ValueError):
             FreeData()
 
+    def test_off_eigenspace_message_names_the_form(self, field):
+        bad = GForm.one_form(field, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        for label in ("c_plus", "c_zero", "c_minus"):
+            with pytest.raises(ValueError) as err:
+                FreeData(field=field, **{label: bad})
+            assert str(err.value) == f"{label} is not in its declared eigenspace"
+
+    def test_only_passed_forms_are_projected(self, field, monkeypatch):
+        bg = load_background("builtin:berger-s3?squash=2", field)
+        prebuilt = FreeData.zero(field)
+        calls = []
+
+        def counted(a, part):
+            calls.append(part)
+            return project(a, part)
+
+        monkeypatch.setattr(series_module, "project", counted)
+        seed_leading(bg, prebuilt)
+        seed_calls, calls[:] = len(calls), []
+        seed_leading(bg)  # its zero free data is made, never projected
+        assert len(calls) == seed_calls
+        calls.clear()
+        FreeData(field=field, c_minus=vierbein(field))
+        assert calls == [MINUS]
+
 
 class TestClosedFormCoefficients:
     """The engine must land exactly on the Taylor data of the closed-form
