@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .scalars import RationalField, context, exact_zero, nullspace, rref, solve_dense
+from .scalars import RationalField, context, nullspace, rref, solve_dense
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -135,7 +135,7 @@ class GForm:
 
     @staticmethod
     def from_entries(field, v) -> "GForm":
-        """The form whose :meth:`entries` are ``v`` (3 or 9, may be arrays)."""
+        """The form whose :meth:`entries` are ``v`` (3 or 9)."""
         if len(v) == 3:
             return GForm(field, 0, tuple(v))
         return GForm(field, 1, (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
@@ -231,12 +231,12 @@ def _table(terms):
 
 def _read(form: GForm):
     """``(integer numerators, common denominator)`` of ``form`` when every
-    entry is a ``Fraction`` or an int (checked by type: the flow polarization
-    sends numpy arrays), else ``(entries, None)`` with exact zeros as None."""
+    entry is a ``Fraction`` or an int, else ``(entries, None)`` with zeros
+    as None."""
     entries = form.entries()
     exact = {Fraction, int}
     if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
-        return [None if exact_zero(v) else v for v in entries], None
+        return [v or None for v in entries], None
     ratios = [v.as_integer_ratio() for v in entries]
     d = lcm(*[q for _, q in ratios])
     return [n and n * (d // q) for n, q in ratios], d
@@ -305,8 +305,8 @@ class FormSum:
     on the integer numerators, a coefficient's numerator multiplies and its
     denominator joins the term's (a 1/2 is no ``Fraction`` product), and
     :meth:`form` normalizes each slot once.  On other operands (float
-    scalars, numpy arrays) a kernel term with coefficient +-1 adds each
-    product straight into scalar slots, skipping exact scalar zeros only,
+    scalars) a kernel term with coefficient +-1 adds each product
+    straight into scalar slots, skipping scalar zeros only,
     and any other term is built as a form and added, under the field's
     :func:`~nahmpole.scalars.context`.  ``terms`` lists these as forms,
     building a kernel term only when read (a float residual reads them for

@@ -38,7 +38,7 @@ from .algebra import (
     _EPS, EigenPart, FormSum, GForm, L_op, _over, _read, bracket_0_1, e_bracket,
     gamma_op, project, star_bracket_star, star_wedge,
 )
-from .scalars import RationalField, context, exact_zero
+from .scalars import RationalField, context
 
 __all__ = [
     "FrameBackground", "levi_civita", "torsion_residual", "metricity_residual",
@@ -99,13 +99,13 @@ def _star_d(field, c, x: GForm):
     """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
     :meth:`GForm.entries` order.
 
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Exact zeros
-    (:func:`exact_zero`) of ``c`` and ``x`` are skipped.  On ``Fraction`` or
-    int entries the sum is over the integer numerators of ``x`` and ``c``
-    (read once per call), with one denominator and one gcd per slot.
+    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zeros of ``c``
+    and ``x`` are skipped.  On ``Fraction`` or int entries the sum is over
+    the integer numerators of ``x`` and ``c`` (read once per call), with one
+    denominator and one gcd per slot.
     """
     terms = [(i, m, s, c[i][j][k]) for j, k, m, s in _EPS for i in range(3)
-             if not exact_zero(c[i][j][k])]
+             if c[i][j][k]]
     xs, dx = _read(x)
     if dx and {type(t[3]) for t in terms} <= {Fraction, int}:
         dc, out = math.lcm(*[t[3].denominator for t in terms]), [0] * 9
@@ -119,9 +119,8 @@ def _star_d(field, c, x: GForm):
     with context(field):
         for i, m, s, cijk in terms:
             for a in range(3):
-                xai = x.coeffs[a][i]
-                if not exact_zero(xai):
-                    out[3 * a + m] = out[3 * a + m] - xai * cijk * half[s]
+                if x.coeffs[a][i]:
+                    out[3 * a + m] = out[3 * a + m] - x.coeffs[a][i] * cijk * half[s]
     return out
 
 
@@ -261,22 +260,20 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
 
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
-    models, minus ``*[W, *x]``.  Exact zeros (:func:`exact_zero`) of ``c``
-    and ``x`` are skipped.
+    models, minus ``*[W, *x]``.  Zeros of ``c`` and ``x`` are skipped.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
     c, total = bg.c, FormSum(bg.field, 0)
     traces = [(i, c[k][i][k]) for i in range(3) for k in range(3)
-              if not exact_zero(c[k][i][k])]
+              if c[k][i][k]]
     if traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
         out = [bg.field.zero] * 3
         with context(bg.field):
             for i, ckik in traces:
                 for a in range(3):
-                    xai = x.coeffs[a][i]
-                    if not exact_zero(xai):
-                        out[a] = out[a] + xai * ckik
+                    if x.coeffs[a][i]:
+                        out[a] = out[a] + x.coeffs[a][i] * ckik
         total.add(1, GForm.from_entries(bg.field, out))
     return total.add(-1, bg.W, star_bracket_star, x).form()
 

@@ -13,8 +13,8 @@ recursion:
   tables of :mod:`nahmpole.geometry` (which the series residual reads too)
   and summed by the field-generic ``flow_rhs``, as a 21-component ODE system
   in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
-  embedded Dormand-Prince 5(4) pair on an operator polarized from it and
-  applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
+  embedded Dormand-Prince 5(4) pair on an operator read off the same tables
+  and applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
 
 The convergence table compares the exact expansion with the closed forms in
 rational arithmetic, summing each series part over small denominators and
@@ -31,9 +31,11 @@ coefficients are already internal.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -344,8 +346,7 @@ def taylor_profile(sol: ProfileSolution, N: int):
 
 
 class _Float64Kit:
-    """Minimal scalar-field shim over native floats, for flow states and the
-    float64 polarization probes: only the members those paths call."""
+    """Minimal scalar-field shim over native floats for flow-state forms."""
 
     zero = 0.0
     one = 1.0
@@ -364,12 +365,14 @@ _F64 = _Float64Kit()
 _NV = 21
 #: The largest y where the table's rational e^{2y} is exact to 2e-50 relative.
 _Y_EXACT_MAX = 0.5
+#: The rows of ``a``, ``b`` and ``phi_y`` in the packed state.
+_BLOCKS = (range(0, 9), range(9, 18), range(18, 21))
 
 
-def _forms(field, v):
-    """The GForms ``(a, b, phi_y)`` of a packed state (entries may be arrays)."""
-    return (GForm.from_entries(field, v[0:9]), GForm.from_entries(field, v[9:18]),
-            GForm.from_entries(field, v[18:21]))
+def _forms(v):
+    """The float GForms ``(a, b, phi_y)`` of a packed state."""
+    return (GForm.from_entries(_F64, v[0:9]), GForm.from_entries(_F64, v[9:18]),
+            GForm.from_entries(_F64, v[18:21]))
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,7 @@ class FlowState:
 
 def _float_state(y, A, phi, phi_y) -> FlowState:
     full = np.concatenate([np.ravel(A), np.ravel(phi), phi_y])
-    return FlowState(float(y), *_forms(_F64, full.tolist()))
+    return FlowState(float(y), *_forms(full.tolist()))
 
 
 def profile_state(sol: ProfileSolution, y) -> FlowState:
@@ -455,45 +458,48 @@ def flow_residual(sol: ProfileSolution, y):
 # Numeric integration of the flow.
 # ---------------------------------------------------------------------------
 
-def _polarize(bg: FrameBackground, one):
-    """``(c, M0, M1, Q)`` with ``flow_rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)``.
+def _table(terms, rank, field, *args):
+    """``T[row, *columns]`` of table rows: each row's ``coefficient * op(*args,
+    *u)`` on the unit forms ``u`` of its components, in the rows of its equation.
+    No two rows share a block, so each entry is one value; zeros are the int 0."""
+    units = [[(col, GForm.from_entries(field, [field.one if n == col else field.zero
+                                               for n in rows])) for col in rows]
+             for rows in _BLOCKS]
+    T = np.zeros((_NV,) * rank, dtype=object)
+    for i, op, js, coefficient in terms:
+        for pick in itertools.product(*(units[j] for j in ((js,) if rank == 2 else js))):
+            cols, forms = zip(*pick)
+            for row, x in zip(_BLOCKS[i], times(coefficient, op(*args, *forms)).entries()):
+                if x:
+                    T[(row, *cols)] = x
+    return T
 
-    The flow is quadratic in the packed state ``v`` with a linear 1/y part, so
-    it is read off ``flow_rhs`` itself at the 274 probes 0, +-e_i (y = 1), e_i
-    (y = 1/2) and e_i + e_j (i < j, y = 1), sent through one call as numpy
-    arrays of scalars: float64 for ``one = 1.0`` (``bg`` over float scalars),
-    Fractions for ``one = Fraction(1)``.  ``Q[k, i, j]`` is symmetric in i, j.
-    """
-    n = _NV
-    eye = np.eye(n, dtype=int)
-    iu, ju = np.triu_indices(n, 1)
-    v = np.concatenate([np.zeros((1, n), int), eye, -eye, eye,
-                        eye[iu] + eye[ju]]).T * one
-    y = np.array([one] * (1 + 2 * n) + [one / 2] * n + [one] * len(iu))
-    da, db, dphi = flow_rhs(bg, y, *_forms(bg.field, v))
-    f = np.array(np.broadcast_arrays(*da.entries(), *db.entries(),
-                                     *dphi.entries()))
-    c = f[:, 0]
-    plus, minus, at_half, pairs = np.split(f[:, 1:], [n, 2 * n, 3 * n], axis=1)
-    lin = (plus - minus) / 2                 # (M0 + M1) e_i
-    diag = (plus + minus) / 2 - c[:, None]   # Q(e_i, e_i)
-    M1 = at_half - plus
-    Q = np.zeros((n, n, n), dtype=f.dtype)
-    Q[:, iu, ju] = Q[:, ju, iu] = (pairs - c[:, None] - lin[:, iu] - lin[:, ju]
-                                   - diag[:, iu] - diag[:, ju]) / 2
-    Q[:, np.arange(n), np.arange(n)] = diag
-    return c, lin - M1, M1, Q
+
+@functools.cache
+def _pole_and_pair_parts():
+    """``(M1, Q)`` in Fractions and in float64, read-only: the :func:`_table`
+    of the pole rows and the symmetrized one of the pair rows.  No background
+    enters them, so they are built once per process."""
+    M1, Q = _table(POLE_TERMS, 2, RationalField()), _table(PAIR_TERMS, 3, RationalField())
+    Q = Q + Q.transpose(0, 2, 1)
+    Q[Q.nonzero()] /= 2
+    floats = M1.astype(float), Q.astype(float)
+    for array in (M1, Q, *floats):
+        array.flags.writeable = False  # every caller shares them
+    return (M1, Q), floats
+
+
+def _polarize(bg: FrameBackground):
+    """``(c, M0, M1, Q)`` with ``flow_rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)``:
+    ``*F_w`` in the ``b`` rows, the frame rows' :func:`_table` over ``bg.field``,
+    and the exact :func:`_pole_and_pair_parts` (``Q[k, i, j]`` symmetric)."""
+    c = np.array([0] * 9 + list(bg.starF.entries()) + [0] * 3, dtype=object)
+    return (c, _table(FRAME_TERMS, 2, bg.field, bg), *_pole_and_pair_parts()[0])
 
 
 def _flow_operator(bg: FrameBackground):
-    """:func:`_polarize` over a float64 copy of ``bg``: the float operator
-    of the integrator, stated by :func:`flow_rhs` alone."""
-    return _polarize(replace(
-        bg, field=_F64,
-        c=tuple(tuple(tuple(map(bg.field.to_float, row)) for row in plane)
-                for plane in bg.c),
-        W=GForm(_F64, 1, tuple(map(tuple, bg.W.to_floats()))),
-        starF=GForm(_F64, 1, tuple(map(tuple, bg.starF.to_floats())))), 1.0)
+    """The integrator's operator: :func:`_polarize` in float64, one rounding per entry."""
+    return (*(x.astype(float) for x in _polarize(bg)[:2]), *_pole_and_pair_parts()[1])
 
 
 def _stacked_rhs(c, M0, M1, Q):
@@ -502,9 +508,9 @@ def _stacked_rhs(c, M0, M1, Q):
     ``z = (v, v/y, v[I] v[J])``.
 
     ``Qp`` keeps the pair columns ``i <= j`` of the symmetric ``Q`` that are
-    nonzero for some component, the off-diagonal ones doubled (126 of the 441
-    pairs on the round sphere).  Exact over Fraction arrays; over float64 it
-    sums in another order than the dense form, so it agrees to round-off.
+    nonzero for some component, the off-diagonal ones doubled (126 of the 231
+    pairs).  Exact over Fraction arrays; over float64 it sums in another
+    order than the dense form, so it agrees to round-off.
     """
     I, J = np.triu_indices(_NV)
     QP = Q[:, I, J] * np.where(I == J, 1, 2)
@@ -584,7 +590,7 @@ def _unpack_states(W, ys, V):
     connection form."""
     V[:, 0:9] += W
     V[:, 9:18] += np.eye(3).ravel() / np.array(ys)[:, None]
-    return [FlowState(y, *_forms(_F64, row.tolist())) for y, row in zip(ys, V)]
+    return [FlowState(y, *_forms(row.tolist())) for y, row in zip(ys, V)]
 
 
 def _unpack_state(W, y, v) -> FlowState:
@@ -600,17 +606,18 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     estimate stays within the share of ``tol`` proportional to the step
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
-    in either direction.  Each stage applies the polarized flow as one stacked
-    matrix (:func:`_stacked_rhs`), and the last stage of an accepted step is
-    the first of the next.  The accepted states are kept packed and turned
-    into :class:`FlowState` objects in one pass on return.
+    in either direction.  Each stage applies the flow's operator, read off
+    the term tables, as one stacked matrix (:func:`_stacked_rhs`), and the
+    last stage of an accepted step is the first of the next.  The accepted
+    states are kept packed and turned into :class:`FlowState` objects in one
+    pass on return.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
     :return: list of :class:`FlowState` at the accepted steps, including the
         initial and final states.
-    :raises ValueError: for end points off ``0 < y < inf``, or a fixed step
-        that is zero or not finite.
+    :raises ValueError: for end points off ``0 < y < inf``, a ``tol`` off
+        ``0 < tol < inf``, or a fixed step that is zero or not finite.
     :raises StepUnderflow: when no acceptable step above the floor exists
         (e.g. integrating into a finite-y blow-up); carries the last good
         state.
@@ -619,6 +626,8 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     y1 = float(y_target)
     if not (0 < y0 < math.inf and 0 < y1 < math.inf):
         raise ValueError("the flow lives on finite y > 0")
+    if not 0 < float(tol) < math.inf:
+        raise ValueError("tol must be a positive finite number")
     if fixed_step is not None and not 0 < abs(float(fixed_step)) < math.inf:
         raise ValueError("fixed_step must be a nonzero finite number")
     rhs = _flow_rhs(bg)

@@ -18,10 +18,13 @@ own context as it found it.  Fields of different precision therefore
 coexist in one process.  An ``int`` or ``Fraction`` constant reaches a float
 element only through :meth:`FloatField.from_fraction`: a ``Decimal`` refuses
 a ``Fraction`` or a native ``float`` operand with ``TypeError``.  Rational
-and other scalars (numpy arrays, native floats) enter no context.
+scalars, and the native floats of the flow integrator's states, enter no
+context.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons, which is
-all the generic linear algebra at the bottom of this module needs.
+all the generic linear algebra at the bottom of this module needs.  An
+element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
+which is how the sparse kernels skip zeros.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
-    "RationalField", "FloatField", "context", "exact_zero", "solve_dense",
-    "rref", "nullspace",
+    "RationalField", "FloatField", "context", "solve_dense", "rref",
+    "nullspace",
 ]
 
 
@@ -169,15 +172,6 @@ def context(field):
     native-float shim of the flow)."""
     ctx = getattr(field, "ctx", None)
     return _NO_CONTEXT if ctx is None else decimal.localcontext(ctx)
-
-
-def exact_zero(x) -> bool:
-    """Whether ``x`` is an exact zero int, float, Fraction or Decimal; any
-    other value, numpy arrays and scalars included, counts as nonzero."""
-    t = type(x)
-    if t is Fraction or t is int or t is float:
-        return not x
-    return t is Decimal and x.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
-from .scalars import RationalField, context, exact_zero
+from .scalars import RationalField, context
 
 __all__ = [
     "PhgCoeff", "PhgSeries", "FreeData", "QuadSource", "seed_leading",
@@ -470,7 +470,7 @@ def check_residuals(series: PhgSeries, through: int = None):
         for K in range(1, N + 2):
             for p in range(pmax, -1, -1):
                 for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y")):
-                    if (name != "b" or K <= N) and not all(map(exact_zero, R.entries())):
+                    if (name != "b" or K <= N) and any(R.entries()):
                         bad.append((K, p, name))
     finally:
         series._views = None

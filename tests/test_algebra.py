@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nahmpole.algebra import (
@@ -184,21 +183,6 @@ class TestSparseKernels:
                 assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
 
     @kernels
-    @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])
-    def test_numpy_array_entries(self, field, kernel, dense, degree, one):
-        # what the flow polarization sends: one array of scalars per entry,
-        # all-zero arrays included (an array is never skipped as a zero)
-        ints = np.random.default_rng(5).integers(1, 3, size=(3, 9, 6))
-        ints[2] = ints[1]
-        ints[2, 4] = 0
-        arrays = ints * one if isinstance(one, float) else ints.astype(object) * one
-        x = GForm.from_entries(field, list(arrays[0] if degree else arrays[0, :3]))
-        for y in (GForm.from_entries(field, list(arrays[1])),
-                  GForm.from_entries(field, list(arrays[2]))):
-            for g, w in zip(kernel(x, y).entries(), dense(x, y).entries()):
-                assert np.array_equal(g, w)
-
-    @kernels
     @pytest.mark.parametrize("sign", [1, -1])
     def test_accumulate_adds_signed_kernel(self, field, rng, kernel, dense, degree, sign):
         for x, y in shaped_pairs(rng, field, degree):
@@ -260,18 +244,6 @@ class TestIntegerKernelPath:
                 assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, want))
                 exact = [ff.from_fraction(v) for v in kernel(x, y).entries()]
                 assert all(abs(g - w) <= ff.tolerance for g, w in zip(got, exact))
-
-    @kernels
-    @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float64", "rational"])
-    def test_fraction_against_numpy_form(self, field, rng, kernel, dense, degree, one):
-        ints = np.random.default_rng(7).integers(-3, 4, size=(9, 4))
-        arrays = ints * one if isinstance(one, float) else ints.astype(object) * one
-        y = GForm.from_entries(field, list(arrays))
-        for x, _ in shaped_pairs(rng, field, degree):
-            for g, w in zip(kernel(x, y).entries(), dense(x, y).entries()):
-                g, w = np.broadcast_arrays(g, w)  # a slot no product reached is a scalar
-                assert np.allclose(g.astype(float), w.astype(float), rtol=1e-13, atol=0)
-                assert isinstance(one, float) or np.array_equal(g, w)
 
 
 class TestLAndGamma:

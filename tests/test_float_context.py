@@ -22,7 +22,8 @@ import pytest
 
 from nahmpole import cli
 from nahmpole.geometry import load_background
-from nahmpole.oracle import global_report
+from nahmpole.oracle import (closed_solution, global_report, integrate_flow,
+                             profile_state, trajectory_csv)
 from nahmpole.scalars import FloatField
 from nahmpole.series import check_residuals, expand
 
@@ -78,3 +79,17 @@ def test_float_check_and_global_report_under_hostile_context(hostile):
     report = global_report(series)
     assert report.a21_vanishes
     assert _sha256(report.to_json()) == want["global_report"]
+
+
+def test_float_flow_bytes_under_hostile_context(hostile):
+    # the integrator's operator is built over the background's own field; on
+    # these frames every entry is exact at 64 bits, so the float64 operator,
+    # and with it the trajectory, is the rational background's
+    def trajectory(sol):
+        return trajectory_csv(integrate_flow(sol.background, profile_state(sol, 0.2),
+                                             1.0, tol=1e-10))
+
+    for name in ("s3", "hyperbolic", "flat"):
+        want = trajectory(closed_solution(name))
+        for bits in (64, 128):
+            assert trajectory(closed_solution(name, FloatField(bits))) == want, (name, bits)

@@ -205,12 +205,17 @@ class TestFlowResidual:
         assert isinstance(rphi, Fraction) and rphi == 0
 
 
-@pytest.fixture(scope="module", params=CATALOG,
-                ids=[uri.split(":")[1] for uri, _ in CATALOG])
+#: The catalog, and a squash whose structure constants 6/7 and 14/3 are no
+#: float64 numbers, so that the float operator must round each exact entry once.
+OPERATOR_CASES = CATALOG + (("builtin:berger-s3?squash=3/7", False),)
+
+
+@pytest.fixture(scope="module", params=OPERATOR_CASES,
+                ids=[uri.split(":")[1] for uri, _ in OPERATOR_CASES])
 def exact_operator(request):
-    """A catalog background with its flow operator polarized in rationals."""
+    """A background with its flow operator in rationals."""
     bg = load_background(request.param[0], RationalField())
-    return bg, _polarize(bg, Fraction(1))
+    return bg, _polarize(bg)
 
 
 class TestFlowOperator:
@@ -398,6 +403,11 @@ class TestIntegrator:
         for h in (0.0, -0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 integrate_flow(sol.background, st, 1.0, fixed_step=h)
+        # these used to underflow at the start (0, nan), crash on a complex
+        # step factor (negative) or accept every step (inf)
+        for tol in (0.0, math.nan, -1e-10, math.inf):
+            with pytest.raises(ValueError):
+                integrate_flow(sol.background, st, 1.0, tol=tol)
 
     def test_fixed_step_equals_plain_seven_stage_steps(self):
         # the integrator reuses the last stage of a step as the first of the
