@@ -17,8 +17,8 @@ recursion:
   and applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
 
 The convergence table compares the exact expansion with the closed forms in
-rational arithmetic, summing each series part over small denominators and
-meeting the closed form's one large denominator once per truncation order.
+rational arithmetic, as integer numerators over one common denominator per
+grid point, with one correctly rounded division per truncation order.
 
 Convention lock-in: the orientation and the curvature sign of the frame
 backgrounds are pinned by requiring the closed-form profiles below to solve
@@ -135,8 +135,8 @@ class ConstantProfile:
     def value(self, y):
         return self.c if isinstance(y, Fraction) else float(self.c)
 
-    def value_exact(self, y: Fraction, u=None) -> Fraction:
-        return self.c
+    def ratio_exact(self, y: Fraction, u=None):
+        return self.c.as_integer_ratio()
 
     def derivative(self, y):
         return Fraction(0) if isinstance(y, Fraction) else 0.0
@@ -151,8 +151,8 @@ class InverseY:
     def value(self, y):
         return 1 / y
 
-    def value_exact(self, y: Fraction, u=None) -> Fraction:
-        return 1 / y
+    def ratio_exact(self, y: Fraction, u=None):
+        return y.denominator, y.numerator
 
     def derivative(self, y):
         return -1 / (y * y)
@@ -187,14 +187,17 @@ class ExpRational:
         return self._polyval(self.P, u) / self._polyval(self.Q, u)
 
     def value_exact(self, y: Fraction, u=None) -> Fraction:
-        """Value as a Fraction, with e^{2y} itself replaced by its rational
-        Taylor truncation (under 2e-50 relative for 0 <= y <= 1/2); a caller
-        that evaluates several profiles at one ``y`` passes that truncation
-        as ``u``."""
+        """The :meth:`ratio_exact` pair as one normalized Fraction."""
+        return Fraction(*self.ratio_exact(y, u))
+
+    def ratio_exact(self, y: Fraction, u=None):
+        """Value as an unnormalized integer pair ``(num, den)``, e^{2y} replaced
+        by its rational Taylor truncation (2e-50 relative for 0 <= y <= 1/2);
+        callers evaluating several profiles at one ``y`` pass that as ``u``."""
         if u is None:
             u = _exp_fraction(2 * Fraction(y))
         # P and Q homogenized to degree m in u = n/d, over the lcm D of their
-        # denominators, are integers: the one gcd is the quotient's
+        # denominators, are integers
         n, d, m = u.numerator, u.denominator, max(len(self.P), len(self.Q)) - 1
 
         def homogenized(poly):
@@ -202,7 +205,7 @@ class ExpRational:
             return sum(c.numerator * (D // c.denominator) * n**i * d**(m - i)
                        for i, c in enumerate(poly) if c), D
         (p, dp), (q, dq) = homogenized(self.P), homogenized(self.Q)
-        return Fraction(p * dq, q * dp)
+        return p * dq, q * dp
 
     def derivative(self, y):
         u = math.exp(2.0 * float(y))
@@ -511,15 +514,22 @@ def _stacked_rhs(c, M0, M1, Q):
     nonzero for some component, the off-diagonal ones doubled (126 of the 231
     pairs).  Exact over Fraction arrays; over float64 it sums in another
     order than the dense form, so it agrees to round-off.
+    ``z`` is made once, in ``G``'s dtype, and filled in place (``rhs`` is not
+    reentrant); ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
     """
     I, J = np.triu_indices(_NV)
     QP = Q[:, I, J] * np.where(I == J, 1, 2)
     keep = np.any(QP != 0, axis=0)
     I, J = I[keep], J[keep]
     G = np.concatenate([M0, M1, QP[:, keep]], axis=1)
+    z = np.empty(G.shape[1], dtype=G.dtype)
+    zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
 
-    def rhs(y, v):
-        return c + G @ np.concatenate((v, v / y, v[I] * v[J]))
+    def rhs(y, v, out=None):
+        zv[:] = v
+        np.divide(v, y, zy)
+        np.multiply(v[I], v[J], zp)
+        return np.add(c, np.matmul(G, z, out), out)
     return rhs
 
 
@@ -607,10 +617,11 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
     in either direction.  Each stage applies the flow's operator, read off
-    the term tables, as one stacked matrix (:func:`_stacked_rhs`), and the
-    last stage of an accepted step is the first of the next.  The accepted
-    states are kept packed and turned into :class:`FlowState` objects in one
-    pass on return.
+    the term tables, as one stacked matrix (:func:`_stacked_rhs`), written
+    into its row of a stage buffer; the last stage of an accepted step is
+    the first of the next.  Stage inputs, increments and the error row reuse
+    buffers made once per call.  Accepted states are kept packed and become
+    :class:`FlowState` objects in one pass on return.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
@@ -640,12 +651,13 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     direction = 1.0 if y1 > y0 else -1.0
 
     K = np.zeros((7, _NV))
-    stages = [(s, a, node, K[:s]) for s, a, node in _DP_STAGES]
+    stages = [(a, node, K[:s], K[s]) for s, a, node in _DP_STAGES]
+    u, du, err_row = np.empty(_NV), np.empty(_NV), np.empty(_NV)
 
     y = y0
     h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
     floor = 1e-13 * max(1.0, abs(y0), abs(y1))
-    K[0] = rhs(y, v)
+    rhs(y, v, K[0])
     # an overflow in a stage makes err non-finite, which rejects the step
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_steps):
@@ -654,17 +666,18 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
             h = direction * min(abs(h), abs(y1 - y))
             # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
             # last stage's input u is the step's result and K[6] the next K[0]
-            for s, a, node, Ks in stages:
-                u = v + h * (a @ Ks)
-                K[s] = rhs(y + node * h, u)
+            for a, node, Ks, Kout in stages:
+                np.multiply(h, np.matmul(a, Ks, du), du)
+                rhs(y + node * h, np.add(v, du, u), Kout)
             accepted = fixed_step is not None
             if not accepted:
-                err = abs(h) * float(np.abs(_DP_ERR_F @ K).max())
+                np.abs(np.matmul(_DP_ERR_F, K, err_row), err_row)
+                err = abs(h) * float(err_row.max())
                 budget = tol * abs(h) / span
                 accepted = math.isfinite(err) and err <= budget
             if accepted:
                 y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
-                v = u
+                v[:] = u
                 if len(ys) == len(vs):
                     vs = np.concatenate([vs, np.empty_like(vs)])
                 vs[len(ys)] = v
@@ -796,59 +809,66 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     near N+1.
 
     Every deviation is computed in exact rational arithmetic (the only
-    approximation is the Taylor truncation of e^{2y}, 2e-50 for ``y_hi <=
-    1/2``; a larger ``y_hi`` raises ValueError), so the table
-    measures truncation error alone -- there is no float noise floor, and the
-    smallest entries (~1e-16 at N = 6) remain meaningful.  Per grid point,
-    e^{2y} is summed once over one common denominator and shared by both
-    profiles; the series part is a running sum over the sorted orders, added
-    to the closed form once per N; each error is the float of the exact
-    maximum.  ``orders`` may be unsorted or repeat an N.
+    approximation is the Taylor truncation of e^{2y}, 2e-50 for y <= 1/2),
+    so the table measures truncation error alone -- there is no float noise
+    floor, and the smallest entries (~1e-16 at N = 6) remain meaningful.  At
+    each grid point ``y = n/d``, e^{2y} is summed once and each profile is
+    one unnormalized ``ratio_exact`` pair; the deviations are integer
+    numerators over one common denominator, the series terms added order by
+    order, and each error is one correctly rounded ``int / int`` of the
+    largest numerator.  ``orders`` may be unsorted or repeat an N.
 
     :param series: the matched expansion through ``max(orders)``, when the
         caller already has it; expanded here otherwise.
     :return: one row per N:
         ``{"N", "max_err", "slope", "errors": [(y, err), ...]}``.
         The slope of an exactly reproduced solution (flat) is NaN.
+    :raises ValueError: before any work, for float scalars, ``y_lo`` or
+        ``y_hi`` off ``0 < y <= 1/2``, ``samples < 1`` or empty ``orders``.
     """
     if isinstance(sol, str):
         sol = closed_solution(sol)
     bg = sol.background
     if not bg.field.exact:
         raise ValueError("the convergence oracle needs exact scalars")
-    if not y_hi <= _Y_EXACT_MAX:
-        raise ValueError(f"y_hi = {y_hi} is above {_Y_EXACT_MAX}, where the "
-                         "rational e^(2y) of the table stops being exact")
+    for name, y in (("y_lo", y_lo), ("y_hi", y_hi)):
+        if not 0 < y <= _Y_EXACT_MAX:
+            raise ValueError(f"{name} = {y} is off 0 < y <= {_Y_EXACT_MAX}: the grid "
+                             "is logarithmic and the rational e^(2y) exact up to there")
+    if samples < 1 or len(orders) == 0:
+        raise ValueError("the table needs samples >= 1 and at least one order")
     ser = series if series is not None else expand(
         bg, matched_free_data(sol.name, bg.field), max(orders))
     if not all(p == 0 for _, p in ser.addresses()):
         raise ValueError("the convergence oracle needs a log-free expansion")
-    W = bg.W
-    e = vierbein(bg.field)
+    W, e = bg.W.entries(), vierbein(bg.field).entries()
     grid = [Fraction(float(v)) for v in np.geomspace(y_lo, y_hi, samples)]
     terms = sorted(((k, [*ser.get_a(k, p).entries(), *ser.get_b(k, p).entries(),
                          *ser.get_phi(k, p).entries()])
                     for k, p in ser.addresses()), key=lambda t: t[0])
+    L = math.lcm(*(x.denominator for x in [*W, *e, *(x for _, cs in terms for x in cs)]))
+    W, e = ([x.numerator * (L // x.denominator) for x in xs] for xs in (W, e))
+    terms = [(k, [x.numerator * (L // x.denominator) for x in cs]) for k, cs in terms]
     wanted = sorted(set(orders))
+    K = wanted[-1]
     errors = {N: [] for N in wanted}
     for yq in grid:
-        u = _exp_fraction(2 * yq)
-        closed = [*W.scale(1 - sol.fA.value_exact(yq, u)).entries(),
-                  *e.scale(1 / yq - sol.fPhi.value_exact(yq, u)).entries(),
-                  0, 0, 0]
-        # the series part over small denominators, extended order by order;
-        # it meets the closed form's huge denominators once per N
-        partial, i = [0] * _NV, 0
+        u, n, d = _exp_fraction(2 * yq), yq.numerator, yq.denominator
+        (pA, qA), (pP, qP) = sol.fA.ratio_exact(yq, u), sol.fPhi.ratio_exact(yq, u)
+        # over den = L d^K qA n qP: W (1 - pA/qA), e (d/n - pP/qP), then each
+        # series term x (n/d)^k, added order by order
+        q, dK = qA * n * qP, d ** K
+        den = abs(L * dK * q)
+        cA, cP = (qA - pA) * n * qP * dK, (d * qP - n * pP) * qA * dK
+        partial, i = [w * cA for w in W] + [x * cP for x in e] + [0] * 3, 0
         for N in wanted:
             while i < len(terms) and terms[i][0] <= N:
                 k, coeffs = terms[i]
-                w = yq ** k
+                w = n ** k * d ** (K - k) * q
                 partial = [s + x * w if x else s for s, x in zip(partial, coeffs)]
                 i += 1
-            # float() is correctly rounded, hence monotone: this is the
-            # float of the exact maximum
-            errors[N].append((float(yq), max(abs(float(x + s))
-                                             for x, s in zip(closed, partial))))
+            # int / int rounds correctly, hence monotonically: the float of the max
+            errors[N].append((float(yq), max(map(abs, partial)) / den))
     rows = []
     for N in orders:
         errs = list(errors[N])

@@ -32,6 +32,7 @@ from nahmpole.oracle import (
 )
 from nahmpole.oracle import (
     _DP_A,
+    _DP_B4,
     _DP_B5,
     _DP_C,
     _exp_fraction,
@@ -442,6 +443,87 @@ class TestIntegrator:
             assert np.array_equal(_pack_state(bg, g), _pack_state(bg, w))
 
 
+def _allocating_reference(bg, init, y1, tol):
+    """The adaptive Dormand-Prince loop with a fresh array for every stage
+    input, stage and error row, and ``rhs`` called without ``out``; the same
+    tableau and step controller as ``integrate_flow`` (no underflow floor).
+    Returns the accepted ``y`` and the packed states, unpacked as the
+    integrator does."""
+    from nahmpole.oracle import _pack_state, _unpack_state
+
+    rhs = _flow_rhs(bg)
+    A = [np.array([float(x) for x in row]) for row in _DP_A]
+    C = [float(x) for x in _DP_C]
+    E = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
+    W = np.ravel(bg.W.to_floats())
+    y, v = float(init.y), _pack_state(bg, init)
+    span, direction = abs(y1 - y), 1.0 if y1 > y else -1.0
+    h = direction * span / 64.0
+    K = np.zeros((7, 21))
+    K[0] = rhs(y, v)
+    ys, states = [], []
+    while (y1 - y) * direction > 1e-15 * span:
+        h = direction * min(abs(h), abs(y1 - y))
+        for s in range(1, 7):
+            u = v + h * (A[s] @ K[:s])
+            K[s] = rhs(y + C[s] * h, u)
+        err = abs(h) * float(np.abs(E @ K).max())
+        budget = tol * abs(h) / span
+        if math.isfinite(err) and err <= budget:
+            y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
+            v = u
+            ys.append(y)
+            states.append(_pack_state(bg, _unpack_state(W, y, v)))
+            K[0] = K[6]
+            grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
+            h = h * min(5.0, max(0.2, grow))
+        else:
+            shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
+            h = h * min(0.9, max(0.1, shrink))
+    return ys, states
+
+
+class TestBufferedStages:
+    """``integrate_flow`` writes its stages into preallocated buffers; the
+    bits are those of a loop that allocates every intermediate."""
+
+    @pytest.mark.parametrize("name,y0,y1,tol", [
+        ("s3", 0.01, 1.0, 1e-12),
+        ("hyperbolic", 0.01, 1.0, 1e-12),
+        ("s3", 1.0, 0.2, 1e-10),
+    ])
+    def test_adaptive_equals_allocating_reference(self, name, y0, y1, tol):
+        from nahmpole.oracle import _pack_state
+
+        sol = closed_solution(name)
+        bg = sol.background
+        if y0 < y1:
+            ser = expand(bg, matched_free_data(name, bg.field), N=6)
+            init = state_from_series(ser, y0, 6)
+        else:
+            init = profile_state(sol, y0)
+        want_y, want = _allocating_reference(bg, init, y1, tol)
+        got = integrate_flow(bg, init, y1, tol=tol)[1:]
+        assert len(got) == len(want) > 50
+        for g, wy, w in zip(got, want_y, want):
+            assert g.y == wy
+            assert np.array_equal(_pack_state(bg, g), w)
+
+    def test_rhs_without_out_returns_fresh_arrays(self):
+        # solve_ivp keeps the arrays it is given
+        rhs = _flow_rhs(closed_solution("s3").background)
+        rng = np.random.default_rng(19)
+        v1, v2 = rng.normal(size=21), rng.normal(size=21)
+        first = rhs(0.3, v1)
+        kept = first.copy()
+        second = rhs(0.7, v2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        out = np.empty(21)
+        assert rhs(0.7, v2, out) is out
+        assert np.array_equal(out, second)
+
+
 class TestTrajectoryCsv:
     def test_shape_and_header(self):
         sol = closed_solution("hyperbolic")
@@ -531,6 +613,14 @@ CONVERGENCE_SHA256 = [
      "a7402db6273a3891695383c400f5ac52b40e53e1554fc64d5e6e49a478817f76"),
     ("hyperbolic", (3, 5), {"y_lo": 0.02, "y_hi": 0.3},
      "bbbc51fbe6197a23da30fabdf64f857376126127019b7dc185f5575c99b58f18"),
+    # higher orders, taken from the Fraction-sum implementation the integer
+    # one replaced
+    ("s3", (2, 4, 6, 8, 10, 12), {},
+     "335a28fcd8ae713aab374c4929491216d11cf05e075212d4349632c25b9637af"),
+    ("hyperbolic", (2, 4, 6, 8, 10, 12), {"y_hi": 0.5},
+     "3692d3de79f7717fb7ad34875a968158a6a75f36a7c1d557a55fb9539fd18ada"),
+    ("flat", (2, 4, 6, 8), {"samples": 5},
+     "6bcd5bd952bdd2fee0e0ea9b568d64f90cead5b09f80728b2fdd728205ab00ab"),
 ]
 
 
@@ -608,6 +698,29 @@ class TestConvergence:
         # e^{2y} is a Taylor truncation: 85% off at y = 20
         with pytest.raises(ValueError, match="y_hi"):
             convergence_table("s3", orders=(2,), y_hi=y_hi)
+
+    @pytest.mark.parametrize("kwargs,reason", [
+        ({"y_lo": 0.9, "y_hi": 0.1}, "y_lo = 0.9 is off"),
+        ({"y_lo": 0}, "y_lo = 0 is off"),
+        ({"y_lo": -0.1}, "y_lo = -0.1 is off"),
+        ({"y_lo": math.nan}, "y_lo = nan is off"),
+        ({"samples": 0}, "samples >= 1"),
+        ({"orders": ()}, "at least one order"),
+    ])
+    def test_rejects_a_bad_grid_before_any_work(self, kwargs, reason, monkeypatch):
+        # refused with a one-line reason, before expanding and without a
+        # numpy warning: y_lo = 0.9 used to report errors outside the exact
+        # window, the others failed inside np.geomspace or max()
+        import nahmpole.oracle as oracle
+
+        def no_expand(*args):
+            raise AssertionError("expanded before validating")
+        monkeypatch.setattr(oracle, "expand", no_expand)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=reason) as err:
+                convergence_table("s3", **{"orders": (2,), **kwargs})
+        assert "\n" not in str(err.value)
 
 
 class TestStateHelpers:
