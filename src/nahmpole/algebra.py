@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from math import lcm
 
@@ -106,6 +106,7 @@ class GForm:
     field: object
     degree: int
     coeffs: tuple
+    _ints: tuple = _field(default=None, init=False, repr=False)  # set by _read
 
     # -- constructors -------------------------------------------------------
 
@@ -192,10 +193,9 @@ class GForm:
             return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
 
     def to_floats(self):
-        f = self.field.to_float
         if self.degree == 0:
-            return [f(v) for v in self.coeffs]
-        return [[f(v) for v in row] for row in self.coeffs]
+            return [float(v) for v in self.coeffs]
+        return [[float(v) for v in row] for row in self.coeffs]
 
     def __eq__(self, other):
         if not isinstance(other, GForm):
@@ -232,14 +232,17 @@ def _table(terms):
 def _read(form: GForm):
     """``(integer numerators, common denominator)`` of ``form`` when every
     entry is a ``Fraction`` or an int, else ``(entries, None)`` with zeros
-    as None."""
-    entries = form.entries()
-    exact = {Fraction, int}
-    if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
-        return [v or None for v in entries], None
-    ratios = [v.as_integer_ratio() for v in entries]
-    d = lcm(*[q for _, q in ratios])
-    return [n and n * (d // q) for n, q in ratios], d
+    as None; tuples, read once per form and shared by every reader."""
+    if form._ints is None:
+        entries, exact = form.entries(), {Fraction, int}
+        if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
+            got = tuple(v or None for v in entries), None
+        else:
+            ratios = [v.as_integer_ratio() for v in entries]
+            d = lcm(*[q for _, q in ratios])
+            got = tuple(n and n * (d // q) for n, q in ratios), d
+        object.__setattr__(form, "_ints", got)  # a form never changes
+    return form._ints
 
 
 def _over(field, totals, den):
@@ -296,10 +299,10 @@ class FormSum:
     linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
     (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
     into one form; the one routine that applies a kernel's table.  A sum is
-    true once a term was added.  Operands are read once per ``views`` dict,
-    which a caller may share across sums.
+    true once a term was added.  Each operand form is read as integers
+    once, on first use (:func:`_read`).
 
-    Terms whose operands have integer views (``Fraction`` or int entries) add
+    Terms whose operands read as integers (``Fraction`` or int entries) add
     into integer slot totals over one running denominator, widened by
     ``lcm`` only when a term's denominator does not divide it: ``op`` acts
     on the integer numerators, a coefficient's numerator multiplies and its
@@ -313,31 +316,23 @@ class FormSum:
     its scale).
     """
 
-    __slots__ = ("field", "views", "size", "totals", "den", "slots", "_terms")
+    __slots__ = ("field", "size", "totals", "den", "slots", "_terms")
 
-    def __init__(self, field, degree: int, views=None):
-        self.field, self.views = field, views
+    def __init__(self, field, degree: int):
+        self.field = field
         self.size, self.den, self._terms = 9 if degree else 3, 1, []
         self.totals = self.slots = None  # made by the first term of each kind
 
     def __bool__(self):
         return self.totals is not None or self.slots is not None
 
-    def _view(self, form: GForm):
-        if self.views is None:
-            return _read(form)
-        got = self.views.get(id(form))  # the entry holds the form: ids stay unique
-        if got is None:
-            got = self.views[id(form)] = form, _read(form)
-        return got[1]
-
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
         """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
         and return the sum; an absent ``x`` (None) adds nothing."""
         if x is None:
             return self
-        xs, den = self._view(x)
-        ys, dy = (None, 1) if y is None else self._view(y)
+        xs, den = _read(x)
+        ys, dy = (None, 1) if y is None else _read(y)
         if den and dy:
             den *= dy
             if y is None and op is not None:

@@ -125,8 +125,8 @@ def _load_free_data(path: str, field) -> FreeData:
                     f"{key} is not in its declared eigenspace "
                     "(nonzero projection residual)")
         else:
-            worst = max(abs(field.to_float(v)) for v in resid.entries())
-            largest = max(abs(field.to_float(v)) for v in form.entries())
+            worst = max(abs(float(v)) for v in resid.entries())
+            largest = max(abs(float(v)) for v in form.entries())
             if worst > 1e-10 * largest:
                 raise ValueError(f"{key} is off its declared eigenspace by "
                                  f"{worst / largest:g} of its largest entry (bound 1e-10)")
@@ -226,12 +226,13 @@ def _cmd_expand(args) -> int:
             print(f"cannot load free data: {exc}", file=sys.stderr)
             return 1
     series = expand(bg, free, args.order)
-    if args.format == "json":
-        text = series_to_json(series)
-    elif args.format == "csv":
-        text = _csv_series(series)
-    else:
-        text = _pretty_series(series)
+    render = {"json": series_to_json, "csv": _csv_series}.get(args.format, _pretty_series)
+    try:
+        text = render(series)
+    except ValueError:  # Python refuses to print an int past its digit limit
+        print("cannot print the table: a coefficient has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 1
     if not _emit(text, args.out):
         return 1
     parity = assert_parity(series)

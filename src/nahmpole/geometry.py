@@ -101,7 +101,7 @@ def _star_d(field, c, x: GForm):
 
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zeros of ``c``
     and ``x`` are skipped.  On ``Fraction`` or int entries the sum is over
-    the integer numerators of ``x`` and ``c`` (read once per call), with one
+    the integer numerators of ``x`` (read once per form) and ``c``, with one
     denominator and one gcd per slot.
     """
     terms = [(i, m, s, c[i][j][k]) for j, k, m, s in _EPS for i in range(3)

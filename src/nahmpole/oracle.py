@@ -357,9 +357,6 @@ class _Float64Kit:
     def from_fraction(self, q):
         return float(q)
 
-    def to_float(self, x):
-        return float(x)
-
 
 _F64 = _Float64Kit()
 
@@ -783,7 +780,7 @@ def global_report(series: PhgSeries) -> GlobalReport:
         elif isinstance(bg.volume, Fraction):
             k_number = k_density * field.from_fraction(bg.volume)
         else:
-            k_number = field.to_float(k_density) * float(bg.volume)
+            k_number = float(k_density) * float(bg.volume)
     return GlobalReport(
         a21_trace=a21_trace,
         k_density=k_density,
@@ -824,7 +821,8 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
         ``{"N", "max_err", "slope", "errors": [(y, err), ...]}``.
         The slope of an exactly reproduced solution (flat) is NaN.
     :raises ValueError: before any work, for float scalars, ``y_lo`` or
-        ``y_hi`` off ``0 < y <= 1/2``, ``samples < 1`` or empty ``orders``.
+        ``y_hi`` off ``0 < y <= 1/2``, ``samples < 1``, empty ``orders``, or
+        a ``series`` short of ``max(orders)`` or on another background.
     """
     if isinstance(sol, str):
         sol = closed_solution(sol)
@@ -837,6 +835,12 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
                              "is logarithmic and the rational e^(2y) exact up to there")
     if samples < 1 or len(orders) == 0:
         raise ValueError("the table needs samples >= 1 and at least one order")
+    if series is not None and series.order < max(orders):
+        raise ValueError(f"the series stops at N={series.order}, short of "
+                         f"N={max(orders)}")
+    if series is not None and series.background_name != bg.name:
+        raise ValueError(f"the series was expanded on {series.background_name!r}, "
+                         f"not on {bg.name!r}")
     ser = series if series is not None else expand(
         bg, matched_free_data(sol.name, bg.field), max(orders))
     if not all(p == 0 for _, p in ser.addresses()):

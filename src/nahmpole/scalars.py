@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,6 +39,12 @@ __all__ = [
     "RationalField", "FloatField", "context", "solve_dense", "rref",
     "nullspace",
 ]
+
+
+#: The largest decimal exponent a rational literal may carry: Python's
+#: default limit on the digits of an ``int`` printed as a string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 
 
 class RationalField:
@@ -58,9 +65,15 @@ class RationalField:
 
     def parse(self, text: str) -> Fraction:
         """Parse ``"p/q"`` (or a plain integer / decimal literal); anything
-        else, a zero denominator included, raises ``ValueError``."""
+        else, a zero denominator or a decimal exponent beyond
+        ``_MAX_EXPONENT`` included, raises ``ValueError``.  The exponent is
+        judged on the literal, before its power of ten is built."""
+        text = text.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent of {text!r} is beyond +-{_MAX_EXPONENT}")
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -68,9 +81,6 @@ class RationalField:
         """Canonical ``"p/q"`` form, lowest terms, positive denominator."""
         x = Fraction(x)
         return f"{x.numerator}/{x.denominator}"
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def to_fraction(self, x) -> Fraction:
         return Fraction(x)
@@ -141,9 +151,6 @@ class FloatField:
         """Canonical decimal literal: equal values give equal strings (no
         trailing zeros, and every zero, ``-0`` included, is ``"0"``)."""
         return "0" if x.is_zero() else str(x.normalize(self.ctx))
-
-    def to_float(self, x: Decimal) -> float:
-        return float(x)
 
     def to_fraction(self, x: Decimal) -> Fraction:
         return Fraction(x)

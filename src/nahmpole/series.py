@@ -86,7 +86,6 @@ class PhgSeries:
         self._a = {}
         self._b = {}
         self._phi = {}
-        self._views = None  # integer views while expand or check_residuals runs
 
     # -- storage ---------------------------------------------------------
 
@@ -208,10 +207,9 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
         free = FreeData.zero(field)
     series = PhgSeries(background=bg, order=2)
     minus, zero, plus = (partial(project, part=part) for part in EigenPart)
-    views = {}  # each operand is read as integers once
 
     def total(degree, *terms):  # one FormSum; float adds in the order given
-        out = FormSum(field, degree, views)
+        out = FormSum(field, degree)
         for term in terms:
             out.add(*term)
         return out.form()
@@ -246,15 +244,14 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     entries contribute, found by walking the stored addresses in ``(k1, p1)``
     order; absent coefficients are zero, and a source no pair reaches is
     None.  Each source is one :class:`~nahmpole.algebra.FormSum` over all
-    its pairs, normalized once, reading stored forms through the views
-    :func:`expand` holds.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
+    its pairs, normalized once; each stored form is read as integers once,
+    on first use.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
     symmetric, so each unordered pair is taken once: ``1/2 (x^y + y^x) =
     x^y`` off the diagonal, and the diagonal pair, added last, keeps its
     coefficient +-1/2.
     """
     A, B, PHI = series._a, series._b, series._phi
-    views = {} if series._views is None else series._views
-    Qa, Qb, Qphi = (FormSum(series.field, degree, views) for degree in (1, 1, 0))
+    Qa, Qb, Qphi = (FormSum(series.field, degree) for degree in (1, 1, 0))
     symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
     for at1 in [at for at in series.addresses() if at[0] < k and at[1] <= p]:
         k1, p1 = at1
@@ -315,20 +312,19 @@ def advance_order(series: PhgSeries, k: int) -> None:
         raise ValueError("advance_order starts at k = 2; lower orders are seeded")
     bg, field = series.background, series.field
     A, B, PHI = series._a, series._b, series._phi
-    views = {} if series._views is None else series._views
     sd, dw, ds = (partial(op, bg) for op in (star_d_omega, d_omega, d_omega_star))
     for p in range(_top_depth(series, k), -1, -1):
         q = quadratic_source(series, k, p)
         a, phi, b = A.get((k - 1, p)), PHI.get((k - 1, p)), B.get((k, p + 1))
-        rhs_b = (FormSum(field, 1, views).add(1, a, sd).add(1, phi, dw)
+        rhs_b = (FormSum(field, 1).add(1, a, sd).add(1, phi, dw)
                  .add(-(p + 1), b).add(1, q.Qb))
         if rhs_b:  # the entries read join the scale: a curl can be round-off
             series._store(k, p, rhs_b.terms + [*filter(None, (a, phi))],
                           b=invert_cal_L(k, rhs_b.form()))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
-        R = FormSum(field, 1, views).add(1, b, sd).add(-(p + 1), a).add(1, q.Qa)
-        S = FormSum(field, 0, views).add(1, b, ds).add(-(p + 1), phi).add(1, q.Qphi)
+        R = FormSum(field, 1).add(1, b, sd).add(-(p + 1), a).add(1, q.Qa)
+        S = FormSum(field, 0).add(1, b, ds).add(-(p + 1), phi).add(1, q.Qphi)
         if R or S:
             a_next, phi_next = resolve_coupled(k + 1, R.form(), S.form())
             series._store(k + 1, p, R.terms + S.terms + ([b] if b else []),
@@ -340,18 +336,14 @@ def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
 
     A pure function of its inputs: all arithmetic is exact in the
     background's scalar field and the order walk is sequential, so identical
-    inputs give identical series.  The walk holds one integer view per
-    stored form (``PhgSeries._views``), dropped when it returns or raises.
+    inputs give identical series.  Each form is read as integers once, on
+    first use, and the reading stays with the form.
     """
     if N < 2:
         raise ValueError("expansion order must be at least 2")
     series = seed_leading(bg, free)
-    series._views = {}
-    try:
-        for k in range(2, N + 1):
-            advance_order(series, k)
-    finally:
-        series._views = None
+    for k in range(2, N + 1):
+        advance_order(series, k)
     series.order = N
     return series
 
@@ -384,8 +376,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
     Each equation is one :class:`~nahmpole.algebra.FormSum`: over rational
     scalars every term adds into integer slot totals over one common
     denominator, a pair row straight from the integer numerators of its
-    operands, and each slot is normalized once.  Each stored form is read as
-    integers once per call, or once per :func:`check_residuals` call.
+    operands, and each slot is normalized once.  Each form is read as
+    integers once, on first use.
 
     An entry is returned as an exact zero when the field's rule (as in
     :meth:`PhgSeries._store`) finds it zero against the largest term that
@@ -400,8 +392,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
     tables = (series._a, series._b, series._phi)
     here, up, down = ([t.get(at) for t in tables]
                       for at in ((K, p), (K, p + 1), (K - 1, p)))
-    views = {} if series._views is None else series._views
-    R = [FormSum(field, degree, views) for degree in (1, 1, 0)]
+    R = [FormSum(field, degree) for degree in (1, 1, 0)]
     read, framed = [[], [], []], [[], [], []]
 
     # GForms are truthy: an entry is None just when it is absent
@@ -453,9 +444,8 @@ def check_residuals(series: PhgSeries, through: int = None):
     scalars a residual is zero when :func:`residual_at` returns it as exact
     zeros, i.e. when it is negligible next to the terms that entered it.
 
-    The :func:`residual_at` calls of one check share one integer view of the
-    table: each stored form is read as integer numerators over a common
-    denominator once, and the view is dropped when the check returns.
+    Each form is read as integers once, on first use, so the
+    :func:`residual_at` calls share the reading of each stored form.
 
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.
@@ -464,17 +454,9 @@ def check_residuals(series: PhgSeries, through: int = None):
     if not 1 <= N <= series.order:
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
     pmax = series.max_p() + 1
-    bad = []
-    series._views = {}
-    try:
-        for K in range(1, N + 2):
-            for p in range(pmax, -1, -1):
-                for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y")):
-                    if (name != "b" or K <= N) and any(R.entries()):
-                        bad.append((K, p, name))
-    finally:
-        series._views = None
-    return bad
+    return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
+            for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y"))
+            if (name != "b" or K <= N) and any(R.entries())]
 
 
 def evaluate(series: PhgSeries, y, N: int = None):

@@ -11,6 +11,7 @@ import pytest
 
 from nahmpole import cli
 from nahmpole.geometry import load_background
+from nahmpole.scalars import RationalField
 from nahmpole.series import expand, from_json, to_json
 
 from conftest import rotated_h3_file
@@ -216,6 +217,24 @@ class TestExpand:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--background", "builtin:hyperbolic-h3?scale=1e-3000", "--order", "2"],
+        ["--background", "builtin:hyperbolic-h3?scale=1e3000", "--format", "csv"],
+    ], ids=["json", "csv"])
+    def test_unprintable_table_is_one_line(self, capsys, argv):
+        # coefficients past Python's int-to-str digit limit used to end in a
+        # traceback from RationalField.format
+        assert cli.main(["expand", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("cannot print the table:")
+
+    def test_exponent_past_the_digit_limit_is_refused(self):
+        # decided from the literal: Fraction would build 10**5000 first
+        with pytest.raises(ValueError, match="exponent"):
+            RationalField().parse("1e5000")
 
     def test_unwritable_out_is_one_line(self, capsys, tmp_path):
         out_file = str(tmp_path / "missing" / "x.json")

@@ -722,6 +722,25 @@ class TestConvergence:
                 convergence_table("s3", **{"orders": (2,), **kwargs})
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("name,order,reason", [
+        ("s3", 2, "stops at N=2, short of N=6"),
+        ("hyperbolic", 6, "expanded on 'hyperbolic-h3', not on 'round-s3'"),
+    ])
+    def test_rejects_a_series_that_cannot_answer(self, name, order, reason, monkeypatch):
+        # a series short of max(orders) used to give rows of its own error,
+        # labelled with the higher N; another solution's one a wrong table
+        import nahmpole.oracle as oracle
+
+        bg = closed_solution(name).background
+        series = expand(bg, matched_free_data(name, bg.field), order)
+
+        def no_work(*args):
+            raise AssertionError("worked before validating")
+        monkeypatch.setattr(oracle, "_exp_fraction", no_work)
+        with pytest.raises(ValueError, match=reason) as err:
+            convergence_table("s3", orders=(2, 4, 6), series=series)
+        assert "\n" not in str(err.value)
+
 
 class TestStateHelpers:
     def test_profile_state_matches_series_state(self, field):

@@ -1,5 +1,5 @@
-"""The residual's integer sums against a plain ``GForm`` reference, and the
-per-call integer view of the table."""
+"""The residual's integer sums against a plain ``GForm`` reference, and a
+replaced or deleted table entry read afresh."""
 
 from fractions import Fraction
 

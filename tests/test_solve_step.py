@@ -1,18 +1,14 @@
 """The exact solve step in integers: the closed-form solves and ``*d`` on
-rational forms whose denominators widen the common divisor, and the integer
-views that one ``expand`` call holds."""
+rational forms whose denominators widen the common divisor."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from nahmpole import series as series_module
 from nahmpole.algebra import (GForm, L_op, cal_L, e_bracket, gamma_op,
                               invert_cal_L, resolve_coupled)
 from nahmpole.geometry import builtin, load_background, star_d
 from nahmpole.scalars import RationalField
-from nahmpole.series import expand, to_json
 
 from conftest import CATALOG
 
@@ -67,25 +63,3 @@ def test_star_d_is_the_eps_formula(bg, x):
     got = star_d(bg, x)
     assert list(got.entries()) == reference_star_d(bg.c, x)
     assert all(type(v) is Fraction for v in got.entries())
-
-
-def test_views_live_for_one_expand():
-    bg = load_background("builtin:berger-s3?squash=2", _FIELD)
-    first = expand(bg, N=8)
-    assert first._views is None
-    assert to_json(expand(bg, N=8)) == to_json(first)
-
-
-def test_views_are_dropped_when_a_step_raises(monkeypatch):
-    walked, advance = [], series_module.advance_order
-
-    def failing(series, k):
-        walked.append((series, series._views is not None))
-        if k == 4:
-            raise RuntimeError("step failed")
-        advance(series, k)
-    monkeypatch.setattr(series_module, "advance_order", failing)
-    with pytest.raises(RuntimeError, match="step failed"):
-        expand(load_background("builtin:h2xr", _FIELD), N=8)
-    assert [held for _, held in walked] == [True, True, True]
-    assert walked[-1][0]._views is None
