@@ -43,9 +43,11 @@ import enum
 import operator
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm, perm
 
-from .scalars import RationalField, context, nullspace, rref, solve_dense
+import numpy as np
+
+from .scalars import RationalField, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -583,60 +585,48 @@ def _monomials(sigma: int):
     ]
 
 
-def _mat_zero(field, n, m):
-    return [[field.zero] * m for _ in range(n)]
+def _harmonic_basis(sigma: int):
+    """Closed-form basis of the degree-sigma harmonic polynomials, as columns
+    over :func:`_monomials`, and the rows that hold their coordinates.
 
-
-def _mat_mul(field, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = _mat_zero(field, n, m)
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            s = field.zero
-            for t in range(k):
-                if not field.is_zero(Ai[t]):
-                    s = s + Ai[t] * B[t][j]
-            out[i][j] = s
-    return out
-
-
-def _mat_identity(field, n):
-    out = _mat_zero(field, n, n)
-    for i in range(n):
-        out[i][i] = field.one
-    return out
-
-
-def _kron(field, A, B):
-    n, m = len(A), len(A[0])
-    p, q = len(B), len(B[0])
-    out = _mat_zero(field, n * p, m * q)
-    for i in range(n):
-        for j in range(m):
-            a = A[i][j]
-            if field.is_zero(a):
-                continue
-            for k in range(p):
-                for l in range(q):
-                    out[i * p + k][j * q + l] = a * B[k][l]
-    return out
+    Each monomial ``x^i y^j z^k`` with ``k <= 1`` heads the column
+    ``sum_n (-1)^n z^(2n+k) / (2n+k)! Lap_xy^n(x^i y^j)``, where
+    ``Lap_xy^n = sum_{a+b=n} C(n, a) d_x^(2a) d_y^(2b)``: ``d_z^2`` of each
+    term cancels ``Lap_xy`` of the one before, so it is harmonic, and its
+    part of z-degree at most one is that monomial alone.  The coordinates of
+    a harmonic polynomial are therefore its coefficients on those monomials.
+    """
+    monos = _monomials(sigma)
+    rows = [r for r, m in enumerate(monos) if m[2] <= 1]
+    H = np.zeros((len(monos), len(rows)), dtype=object)
+    for col, r in enumerate(rows):
+        i, j, k = monos[r]
+        for a in range(i // 2 + 1):
+            for b in range(j // 2 + 1):
+                n = a + b
+                H[monos.index((i - 2 * a, j - 2 * b, k + 2 * n)), col] = Fraction(
+                    (-1) ** n * comb(n, a) * perm(i, 2 * a) * perm(j, 2 * b),
+                    factorial(k + 2 * n))
+    return H, rows
 
 
 class SigmaModule:
     """Spin-sigma tensor spin-1 module with the spectral projectors of ``L``.
 
     Realized concretely on ``Harm_sigma (x) R^3`` where ``Harm_sigma`` is the
-    space of degree-sigma harmonic polynomials in three variables (a rational
-    basis is computed as the exact kernel of the Laplacian on monomials).  The
-    rotation generators ``T_a = sum_ij eps_{aij} x_j d_i`` act by integer
-    matrices with ``[T_a, T_b] = eps_{abc} T_c``, and
+    space of degree-sigma harmonic polynomials in three variables, in the
+    closed-form basis of :func:`_harmonic_basis` (the monomial basis
+    ``(z, y, x)`` at ``sigma = 1``).  The rotation generators
+    ``T_a = sum_ij eps_{aij} x_j d_i`` change the power of z by at most one,
+    so they act on its coordinates by integer matrices, with
+    ``[T_a, T_b] = eps_{abc} T_c``, and
 
         ``L = sum_a T_a (x) S_a``,   ``(S_a)_{kj} = -eps_{akj}``,
 
     which has eigenvalues ``(sigma+1, 1, -sigma)`` on total spin
     ``(sigma-1, sigma, sigma+1)`` of dimensions ``(2s-1, 2s+1, 2s+3)``.
-    All of it is computed in exact rationals.
+    ``T``, ``S`` and ``L`` are exact integer numpy object arrays; each
+    projector is the integer Lagrange product in ``L``, divided once.
     """
 
     def __init__(self, sigma: int):
@@ -644,160 +634,62 @@ class SigmaModule:
             raise ValueError(f"sigma must be >= 1, got {sigma}")
         self.sigma = sigma
         self.field = RationalField()
-        f = self.field
+        H, rows = _harmonic_basis(sigma)
+        self.dim_harm = len(rows)
+        self.dim = 3 * self.dim_harm
 
         monos = _monomials(sigma)
-        self._monos = monos
-        n_mono = len(monos)
-        mono_index = {m: i for i, m in enumerate(monos)}
-
-        # T_a on degree-sigma monomials (degree preserving, integer entries).
-        self.T_mono = []
+        self.T = []
         for a in range(3):
-            M = _mat_zero(f, n_mono, n_mono)
+            M = np.zeros((len(monos),) * 2, dtype=object)  # T_a on monomials
             for col, expo in enumerate(monos):
                 for a0, i, j, s in _EPS:
-                    # T_a = sum_{i,j} eps_{aij} x_j d_i
-                    if a0 != a or expo[i] == 0:
-                        continue
-                    new = list(expo)
-                    new[i] -= 1
-                    new[j] += 1
-                    row = mono_index[tuple(new)]
-                    M[row][col] = M[row][col] + f.from_int(s * expo[i])
-            self.T_mono.append(M)
+                    if a0 == a and expo[i]:
+                        new = list(expo)
+                        new[i], new[j] = new[i] - 1, new[j] + 1
+                        M[monos.index(tuple(new)), col] += s * expo[i]
+            image = M @ H
+            if any(v.denominator != 1 for v in image[rows].flat):
+                raise AssertionError("non-integer generator entry")
+            T = image[rows] // 1
+            if (H @ T != image).any():
+                raise AssertionError("operator does not preserve the harmonic space")
+            self.T.append(T)
 
-        # Harmonic subspace: exact kernel of the Laplacian.
-        if sigma >= 2:
-            lower = _monomials(sigma - 2)
-            lower_index = {m: i for i, m in enumerate(lower)}
-            lap = _mat_zero(f, len(lower), n_mono)
-            for col, (i0, j0, k0) in enumerate(monos):
-                for axis, ex in enumerate((i0, j0, k0)):
-                    if ex < 2:
-                        continue
-                    new = [i0, j0, k0]
-                    new[axis] -= 2
-                    lap[lower_index[tuple(new)]][col] = (
-                        lap[lower_index[tuple(new)]][col] + f.from_int(ex * (ex - 1))
-                    )
-            basis = nullspace(f, lap)
-        else:
-            basis = [[f.one if r == c else f.zero for r in range(n_mono)] for c in range(n_mono)]
-        if len(basis) != 2 * sigma + 1:
-            raise AssertionError(
-                f"harmonic space of degree {sigma} has dimension {len(basis)}, "
-                f"expected {2 * sigma + 1}"
-            )
-        # Column matrix of the harmonic basis and its pivot rows (for exact
-        # coordinate extraction: T_a preserves harmonicity).
-        H = [[basis[c][r] for c in range(len(basis))] for r in range(n_mono)]
-        self._H = H
-        _reduced, pivots = rref(f, [list(r) for r in zip(*H)])
-        # pivots of H^T give independent rows of H
-        self._pivot_rows = pivots
-
-        self.dim_harm = len(basis)
-        self.dim = self.dim_harm * 3
-
-        # T_a restricted to harmonic coordinates.
-        self.T = [self._restrict(M) for M in self.T_mono]
-
-        # S_a on R^3 and the coupled operator L.
-        self.S = []
-        for a in range(3):
-            S = _mat_zero(f, 3, 3)
-            for i, j, k, s in _EPS:
-                if i == a:
-                    S[j][k] = f.from_int(-s)
-            self.S.append(S)
-
-        n = self.dim
-        L = _mat_zero(f, n, n)
-        for a in range(3):
-            term = _kron(f, self.T[a], self.S[a])
-            for r in range(n):
-                for c in range(n):
-                    L[r][c] = L[r][c] + term[r][c]
-        self.L = L
-
+        self.S = [np.zeros((3, 3), dtype=object) for _ in range(3)]
+        for a, j, k, s in _EPS:
+            self.S[a][j, k] = -s
+        self.L = sum(np.kron(T, S) for T, S in zip(self.T, self.S))
         self.projectors = {part: self._lagrange(part) for part in EigenPart}
 
-    # -- internals ----------------------------------------------------------
-
-    def _restrict(self, M):
-        """Matrix of ``M`` (monomial space) in harmonic coordinates."""
-        f = self.field
-        H = self._H
-        piv = self._pivot_rows
-        square = [[H[r][c] for c in range(self.dim_harm)] for r in piv]
-        cols = []
-        for j in range(self.dim_harm):
-            w = [sum((M[r][t] * H[t][j] for t in range(len(H))), start=f.zero)
-                 for r in range(len(H))]
-            x = solve_dense(f, square, [w[r] for r in piv])
-            # verify the image really lies in the harmonic span
-            for r in range(len(H)):
-                resid = w[r]
-                for c in range(self.dim_harm):
-                    resid = resid - H[r][c] * x[c]
-                if not f.is_zero(resid):
-                    raise AssertionError("operator does not preserve the harmonic space")
-            cols.append(x)
-        return [[cols[j][i] for j in range(self.dim_harm)] for i in range(self.dim_harm)]
-
     def _lagrange(self, part: EigenPart):
-        f = self.field
+        """``prod_{mu != lam} (L - mu) / (lam - mu)`` over the other two parts."""
         lam = part.eigenvalue(self.sigma)
-        out = _mat_identity(f, self.dim)
-        denom = f.one
-        for other in EigenPart:
-            if other is part:
-                continue
-            mu = other.eigenvalue(self.sigma)
-            shifted = [
-                [self.L[r][c] - (f.from_int(mu) if r == c else f.zero) for c in range(self.dim)]
-                for r in range(self.dim)
-            ]
-            out = _mat_mul(f, out, shifted)
-            denom = denom * f.from_int(lam - mu)
-        return [[v / denom for v in row] for row in out]
+        one = np.identity(self.dim, dtype=object)
+        mu, nu = (other.eigenvalue(self.sigma) for other in EigenPart if other is not part)
+        return (self.L - mu * one) @ (self.L - nu * one) * Fraction(1, (lam - mu) * (lam - nu))
 
     # -- public API ---------------------------------------------------------
 
     def apply_L(self, vec):
-        f = self.field
-        return [sum((self.L[r][c] * vec[c] for c in range(self.dim)), start=f.zero)
-                for r in range(self.dim)]
+        return list(self.L @ np.array(vec, dtype=object))
 
     def project_vector(self, vec, part: EigenPart):
-        f = self.field
-        P = self.projectors[part]
-        return [sum((P[r][c] * vec[c] for c in range(self.dim)), start=f.zero)
-                for r in range(self.dim)]
+        return list(self.projectors[part] @ np.array(vec, dtype=object))
 
     def part_dims(self):
         """Eigenspace dimensions read off as projector traces."""
-        f = self.field
         dims = {}
         for part, P in self.projectors.items():
-            tr = sum((P[i][i] for i in range(self.dim)), start=f.zero)
-            frac = f.to_fraction(tr)
-            if frac.denominator != 1:
-                raise AssertionError(f"non-integer projector trace {frac}")
-            dims[part] = int(frac)
+            tr = Fraction(P.trace())
+            if tr.denominator != 1:
+                raise AssertionError(f"non-integer projector trace {tr}")
+            dims[part] = int(tr)
         return dims
 
     def casimir(self):
         """``sum_a T_a^2`` on the harmonic space (expected ``-s(s+1) Id``)."""
-        f = self.field
-        out = _mat_zero(f, self.dim_harm, self.dim_harm)
-        for a in range(3):
-            sq = _mat_mul(f, self.T[a], self.T[a])
-            for r in range(self.dim_harm):
-                for c in range(self.dim_harm):
-                    out[r][c] = out[r][c] + sq[r][c]
-        return out
+        return sum(T @ T for T in self.T)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .oracle import (
     convergence_csv, convergence_table, integrate_flow, matched_free_data,
     profile_state, state_from_series, taylor_profile,
 )
-from .scalars import FloatField, RationalField, context
+from .scalars import _MAX_BITS, _MIN_BITS, FloatField, RationalField, context
 from .series import (
     FreeData, assert_parity, check_residuals, expand, is_log_free,
     to_json as series_to_json,
@@ -118,14 +118,13 @@ def _load_free_data(path: str, field) -> FreeData:
         form = GForm.one_form(
             field, [[field.parse(str(v)) for v in row] for row in mat])
         proj = project(form, part)
-        resid = form - proj
         if field.exact:
-            if not resid.is_zero():
+            if form != proj:
                 raise ValueError(
                     f"{key} is not in its declared eigenspace "
                     "(nonzero projection residual)")
         else:
-            worst = max(abs(float(v)) for v in resid.entries())
+            worst = max(abs(float(v)) for v in (form - proj).entries())
             largest = max(abs(float(v)) for v in form.entries())
             if worst > 1e-10 * largest:
                 raise ValueError(f"{key} is off its declared eigenspace by "
@@ -329,14 +328,14 @@ def _suite_identities():
         total = GForm.zero(field, 1)
         for part in EigenPart:
             total = total + parts[part]
-        if not (total - x).is_zero():
+        if total != x:
             ok, detail = False, f"completeness fails on {x!r}"
             break
         for p1 in EigenPart:
             for p2 in EigenPart:
                 pp = project(parts[p1], p2)
                 want = parts[p1] if p1 == p2 else GForm.zero(field, 1)
-                if not (pp - want).is_zero():
+                if pp != want:
                     ok, detail = False, f"idempotence fails at {p1},{p2}"
                     break
     checks.append(("projectors: complete, orthogonal, idempotent", ok, detail))
@@ -348,7 +347,7 @@ def _suite_identities():
         for part, lam in ((EigenPart.Minus, 2), (EigenPart.Zero, 1),
                           (EigenPart.Plus, -1)):
             y = project(x, part)
-            if not (L_op(y) - y.scale(lam)).is_zero():
+            if L_op(y) != y.scale(lam):
                 ok, detail = False, f"L on {part} is not {lam}"
     checks.append(("L eigenvalues (2, 1, -1)", ok, detail))
 
@@ -357,7 +356,7 @@ def _suite_identities():
     for k in (3, 5):
         x = _rand_one_form(rng, field)
         z = invert_cal_L(k, x)
-        if not (cal_L(k, z) - x).is_zero():
+        if cal_L(k, z) != x:
             ok, detail = False, f"(k + L) solve fails at k={k}"
     checks.append(("invert_cal_L round-trip", ok, detail))
 
@@ -372,11 +371,11 @@ def _suite_identities():
             sdw = star_d_omega(bg, x)
             lhs = gamma_op(sdw)
             rhs = d_omega_star(bg, x)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 ok, detail = False, f"Gamma/star identity fails on {name}"
             lhs2 = e_bracket(d_omega_star(bg, x))
             rhs2 = project(sdw, EigenPart.Zero).scale(2)
-            if not (lhs2 - rhs2).is_zero():
+            if lhs2 != rhs2:
                 ok, detail = False, f"[e, d*] identity fails on {name}"
     checks.append(("divergence/curl identities (symmetric sector)", ok, detail))
 
@@ -386,9 +385,8 @@ def _suite_identities():
         R = _rand_one_form(rng, field)
         S = _rand_zero_form(rng, field)
         a, phi = resolve_coupled(lam, R, S)
-        r1 = a.scale(lam) - L_op(a) + e_bracket(phi) - R
-        r2 = phi.scale(lam) + gamma_op(a) - S
-        if not (r1.is_zero() and r2.is_zero()):
+        if (a.scale(lam) - L_op(a) + e_bracket(phi) != R
+                or phi.scale(lam) + gamma_op(a) != S):
             ok, detail = False, f"coupled solve fails at lambda={lam}"
     checks.append(("coupled (a, phi_y) solve satisfies its system", ok, detail))
 
@@ -537,13 +535,15 @@ def _build_parser() -> _Parser:
     px.add_argument("--background", required=True,
                     help="builtin:NAME[?param=Q] URI or a JSON file path")
     px.add_argument("--order", type=int, default=2, metavar="N",
-                    help="expansion order, N >= 2 (default 2)")
+                    help="expansion order, N >= 2 with no upper bound; the cost "
+                         "grows steeply with N (default 2)")
     px.add_argument("--free-data", metavar="FILE",
                     help="JSON file of eigenspace matrices")
     px.add_argument("--scalar", choices=("rational", "float"),
                     default="rational", help="scalar mode (default rational)")
     px.add_argument("--prec", type=int, default=128, metavar="BITS",
-                    help="precision in float mode, >= 64 (default 128)")
+                    help=f"precision in float mode, {_MIN_BITS} to {_MAX_BITS} "
+                         "(default 128)")
     px.add_argument("--format", choices=("json", "csv", "pretty"),
                     default="json", help="output format (default json)")
     px.add_argument("--out", metavar="FILE", help="write output to FILE")
@@ -587,8 +587,8 @@ def main(argv=None) -> int:
         if args.order < 2:
             print("expansion order must be >= 2", file=sys.stderr)
             return 1
-        if args.scalar == "float" and args.prec < 64:
-            print("float precision must be >= 64 bits", file=sys.stderr)
+        if args.scalar == "float" and not _MIN_BITS <= args.prec <= _MAX_BITS:
+            print(f"float precision must be {_MIN_BITS} to {_MAX_BITS} bits", file=sys.stderr)
             return 1
     try:
         return args.func(args)

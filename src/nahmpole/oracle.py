@@ -35,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -569,15 +570,24 @@ _DP_ERR_F = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 _DP_STAGES = [(s, _DP_A_F[s, :s], _DP_C_F[s]) for s in range(1, 7)]
 
 
+#: A rejected step stops the run when the error budget per unit length,
+#: ``tol / span``, is below this many ``eps * ||f||_inf``, the float64
+#: round-off of the error sum: no step size can then meet it but by chance.
+_ROUNDOFF_FACTOR = 1.0
+
+
 class StepUnderflow(RuntimeError):
-    """The adaptive step fell below the resolvable floor (blow-up nearby).
+    """The adaptive step fell below the resolvable floor (blow-up nearby), or
+    the error budget fell below float64 round-off (``roundoff``).
 
     Carries the last accepted state as ``last_state``.
     """
 
-    def __init__(self, last_state: FlowState):
+    def __init__(self, last_state: FlowState, roundoff: bool = False):
         self.last_state = last_state
         super().__init__(
+            "step size underflow: the error estimate is below float64 round-off "
+            f"at y = {last_state.y!r}" if roundoff else
             f"step size underflow at y = {last_state.y!r}; "
             "the flow appears to leave the resolvable regime")
 
@@ -627,8 +637,8 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     :raises ValueError: for end points off ``0 < y < inf``, a ``tol`` off
         ``0 < tol < inf``, or a fixed step that is zero or not finite.
     :raises StepUnderflow: when no acceptable step above the floor exists
-        (e.g. integrating into a finite-y blow-up); carries the last good
-        state.
+        (e.g. integrating into a finite-y blow-up) or below round-off
+        (:data:`_ROUNDOFF_FACTOR`); carries the last good state.
     """
     y0 = float(init.y)
     y1 = float(y_target)
@@ -687,9 +697,11 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
                 else:
                     shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
                     h = h * min(0.9, max(0.1, shrink))
-                if abs(h) < floor:
+                roundoff = not accepted and tol / span < (
+                    _ROUNDOFF_FACTOR * sys.float_info.epsilon * float(np.abs(K[0]).max()))
+                if roundoff or abs(h) < floor:
                     raise StepUnderflow(_unpack_state(W, ys[-1], vs[len(ys) - 1])
-                                        if ys else init)
+                                        if ys else init, roundoff)
     raise RuntimeError("step budget exceeded")
 
 

@@ -45,6 +45,9 @@ __all__ = [
 #: default limit on the digits of an ``int`` printed as a string.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
+#: The float precision range in bits.  The top keeps a ``decimal`` context
+#: within memory: 65536 bits at order 4 on berger-s3 runs in seconds.
+_MIN_BITS, _MAX_BITS = 64, 1 << 16
 
 
 class RationalField:
@@ -106,7 +109,7 @@ class FloatField:
     """Arbitrary-precision floating point scalars: ``Decimal`` elements
     computed under the field's context ``ctx``.
 
-    :param bits: working precision in bits (>= 64).  Internally converted to
+    :param bits: working precision in bits, 64 to 65536.  Internally converted to
         decimal digits; the zero-test tolerance is tied to the precision so
         that accumulated round-off in an order-8 expansion never looks like a
         genuine coefficient.
@@ -116,8 +119,9 @@ class FloatField:
     exact = False
 
     def __init__(self, bits: int = 128):
-        if bits < 64:
-            raise ValueError(f"float scalar mode needs >= 64 bits, got {bits}")
+        if not _MIN_BITS <= bits <= _MAX_BITS:
+            raise ValueError(f"float scalar mode needs {_MIN_BITS} to {_MAX_BITS} bits, "
+                             f"got {bits}")
         self.bits = int(bits)
         # 1 bit ~ log10(2) decimal digits, plus guard digits
         self.digits = int(self.bits * 0.30103) + 3
@@ -184,9 +188,9 @@ def context(field):
 # ---------------------------------------------------------------------------
 # Dense linear algebra over a generic field.
 #
-# Systems in this package are tiny (<= 25 unknowns: coupled eigenspace solves,
-# vanishing-lemma style property checks, harmonic polynomial bases), so plain
-# Gaussian elimination with magnitude pivoting is both exact and instant.
+# No code path of the package calls these: they are the exact solver of the
+# test oracles, whose systems are tiny (<= 25 unknowns), so plain Gaussian
+# elimination with magnitude pivoting is both exact and instant.
 # ---------------------------------------------------------------------------
 
 

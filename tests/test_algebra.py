@@ -23,6 +23,8 @@ from nahmpole.algebra import (
     star_wedge,
     vierbein,
     L_op,
+    _harmonic_basis,
+    _monomials,
 )
 from nahmpole.geometry import (
     FrameBackground,
@@ -30,7 +32,7 @@ from nahmpole.geometry import (
     load_background,
     star_d_omega,
 )
-from nahmpole.scalars import FloatField, context, nullspace, rref, solve_dense
+from nahmpole.scalars import FloatField, RationalField, context, nullspace, rref, solve_dense
 
 from conftest import rand_fraction, rand_frame_c, rand_one_form, rand_zero_form
 
@@ -484,6 +486,35 @@ def _sigma_one_vector(x):
     return [x.coeffs[2 - slot // 3][slot % 3] for slot in range(9)]
 
 
+def _laplacian(sigma):
+    """The 3-D Laplacian ``P_sigma -> P_(sigma-2)`` on :func:`_monomials`, as
+    rows; one zero row stands for ``P_(-1) = 0`` at ``sigma = 1``."""
+    monos, lower = _monomials(sigma), _monomials(sigma - 2)
+    rows = [[0] * len(monos) for _ in lower or [()]]
+    for col, expo in enumerate(monos):
+        for axis, e in enumerate(expo):
+            if e >= 2:
+                low = list(expo)
+                low[axis] -= 2
+                rows[lower.index(tuple(low))][col] += e * (e - 1)
+    return rows
+
+
+class TestHarmonicBasis:
+    @pytest.mark.parametrize("sigma", range(1, 7))
+    def test_closed_form_basis_is_the_harmonic_space(self, sigma):
+        H, _ = _harmonic_basis(sigma)
+        lap = _laplacian(sigma)
+        n_mono, n_cols = H.shape
+        for col in range(n_cols):
+            for row in lap:
+                assert sum(row[t] * H[t, col] for t in range(n_mono)) == 0
+        heads = [r for r, (_, _, k) in enumerate(_monomials(sigma)) if k <= 1]
+        assert [[H[r, c] for c in range(n_cols)] for r in heads] == [
+            [int(r == c) for c in range(n_cols)] for r in range(len(heads))]
+        assert n_cols == len(nullspace(RationalField(), lap)) == 2 * sigma + 1
+
+
 class TestSigmaModule:
     @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
     def test_dimensions(self, sigma):
@@ -584,7 +615,8 @@ class TestLeadingOrderStructure:
         assert (lead.a_order, lead.b_order, lead.phi_order) == (2, 1, 2)
         assert lead.free_dims.as_tuple() == (1, 3, 5)
 
-    @pytest.mark.parametrize("sigma,dims", [(2, (3, 5, 7)), (3, (5, 7, 9))])
+    @pytest.mark.parametrize("sigma,dims", [(2, (3, 5, 7)), (3, (5, 7, 9)),
+                                            (5, (9, 11, 13))])
     def test_higher_sigma(self, sigma, dims):
         lead = leading_order_structure(sigma)
         assert (lead.a_order, lead.b_order, lead.phi_order) == (

@@ -179,6 +179,15 @@ class TestExpand:
                          "--scalar", "float", "--prec", "32"]) == 1
         assert "precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bits", ["65537", "100000000000"])
+    def test_precision_above_the_maximum(self, capsys, bits):
+        # refused before any decimal context of that size is built
+        assert cli.main(["expand", "--background", "builtin:flat",
+                         "--scalar", "float", "--prec", bits]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "float precision must be 64 to 65536 bits\n"
+
     @pytest.mark.parametrize("background, free, scalar", [
         ({"name": "x", "c": [[["0"]]]}, None, "rational"),
         ({"name": "x", "c": 5}, None, "rational"),
@@ -413,7 +422,7 @@ class TestOdeCompare:
         assert len(err.splitlines()) == 1 and "--y-max <= 0.5" in err
 
     def test_step_underflow_is_a_math_error(self, capsys):
-        # a valid but unreachable tolerance: the step shrinks to the floor
+        # a valid but unreachable tolerance: its budget is below float64 round-off
         assert cli.main(["ode-compare", "s3", "--order", "2",
                          "--tol", "1e-30"]) == 2
         err = capsys.readouterr().err

@@ -368,6 +368,18 @@ class TestIntegrator:
         assert isinstance(last, FlowState)
         assert 1.0 <= last.y < 1.2
 
+    def test_budget_below_roundoff_stops_at_once(self, field):
+        # tol / span = 2e-30 is far below eps * ||f||_inf: the first rejected
+        # step stops the run, with its own message, before h reaches the floor
+        sol = closed_solution("s3")
+        ser = expand(sol.background, matched_free_data("s3", field), N=4)
+        init = state_from_series(ser, 0.01)
+        with pytest.raises(StepUnderflow) as err:
+            integrate_flow(sol.background, init, 0.5, tol=1e-30)
+        assert str(err.value) == ("step size underflow: the error estimate is "
+                                  "below float64 round-off at y = 0.01")
+        assert err.value.last_state is init
+
     def test_far_target_underflows_without_warnings(self, field):
         # the first steps toward y = 1e15 overflow in every stage; the
         # non-finite error estimate rejects them, and numpy stays silent

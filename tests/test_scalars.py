@@ -60,6 +60,11 @@ class TestFloatField:
         with pytest.raises(ValueError):
             FloatField(32)
 
+    def test_precision_range_is_bounded(self):
+        assert FloatField(65536).bits == 65536
+        with pytest.raises(ValueError, match="64 to 65536 bits"):
+            FloatField(65537)
+
     def test_digits_scale_with_bits(self):
         assert FloatField(64).digits < FloatField(256).digits
 
