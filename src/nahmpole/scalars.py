@@ -81,9 +81,12 @@ class RationalField:
             raise ValueError(f"zero denominator in {text!r}") from None
 
     def format(self, x) -> str:
-        """Canonical ``"p/q"`` form, lowest terms, positive denominator."""
-        x = Fraction(x)
-        return f"{x.numerator}/{x.denominator}"
+        """Canonical ``"p/q"`` form, lowest terms, positive denominator: a zero
+        is ``"0/1"``, a ``Fraction`` or ``int`` prints its own numerator and
+        denominator, and any other value goes through ``Fraction(x)`` first."""
+        if type(x) is not Fraction and type(x) is not int:
+            x = Fraction(x)
+        return f"{x.numerator}/{x.denominator}" if x else "0/1"
 
     def to_fraction(self, x) -> Fraction:
         return Fraction(x)

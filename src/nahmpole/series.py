@@ -491,33 +491,29 @@ def evaluate(series: PhgSeries, y, N: int = None):
 # Serialization.
 # ---------------------------------------------------------------------------
 
-def _format_form(field, form: GForm):
-    if form.degree == 0:
-        return [field.format(v) for v in form.coeffs]
-    return [[field.format(v) for v in row] for row in form.coeffs]
+#: An entry in ``json.dumps(indent=2)``'s layout: k, p and a quoted ``{}`` per scalar.
+_ROW = '[\n          "{}",\n          "{}",\n          "{}"\n        ]'
+_ENTRY = ('{{\n      "k": {},\n      "p": {},\n'
+          f'      "a": [\n        {_ROW},\n        {_ROW},\n        {_ROW}\n      ],\n'
+          f'      "b": [\n        {_ROW},\n        {_ROW},\n        {_ROW}\n      ],\n'
+          '      "phi_y": [\n        "{}",\n        "{}",\n        "{}"\n      ]\n    }}')
 
 
 def to_json(series: PhgSeries) -> str:
     """Canonical JSON for a series: entries sorted by (k, p), scalars as
     strings (rationals ``p/q`` in lowest terms, floats as decimal literals).
-    Identical series give identical bytes.
-    """
+    Identical series give identical bytes.  The text is written directly, in
+    ``json.dumps(doc, indent=2)``'s layout; each scalar is the field's
+    ``format``, which needs no escaping and prints a rational entry from its
+    own numerator and denominator, so entries must be in lowest terms."""
     field = series.field
-    entries = []
-    for (k, p) in series.addresses():
-        entries.append({
-            "k": k,
-            "p": p,
-            "a": _format_form(field, series.get_a(k, p)),
-            "b": _format_form(field, series.get_b(k, p)),
-            "phi_y": _format_form(field, series.get_phi(k, p)),
-        })
-    doc = {
-        "background": series.background_name,
-        "order": series.order,
-        "entries": entries,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    zero1, zero0 = GForm.zero(field, 1), GForm.zero(field, 0)
+    entries = [_ENTRY.format(k, p, *map(field.format, chain(
+        series._a.get((k, p), zero1).entries(), series._b.get((k, p), zero1).entries(),
+        series._phi.get((k, p), zero0).entries()))) for k, p in series.addresses()]
+    return (f'{{\n  "background": {json.dumps(series.background_name)},\n'
+            f'  "order": {series.order},\n  "entries": '
+            + ("[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]") + "\n}\n")
 
 
 def from_json(text: str, background: FrameBackground = None,

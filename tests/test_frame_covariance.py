@@ -70,6 +70,31 @@ def test_expansion_is_frame_covariant(uri, s):
     assert check_residuals(got) == []
 
 
+_F128 = FloatField(128)
+
+
+@pytest.mark.parametrize("s", [Fraction(3, 2), Fraction(2, 5)], ids=["s=3/2", "s=2/5"])
+@pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG],
+                         ids=[uri.split(":")[1] for uri, _ in CATALOG])
+def test_float128_tracks_exact_per_form_on_moved_frames(uri, s):
+    # on a moved frame every entry of a form is filled, so the bound is per
+    # form: |float - exact| <= 1e-30 * max |exact entry of the form|
+    c = frame_c(load_background(uri, _FIELD).c, s, _R)
+    free = _moved_free_data(s)
+    free128 = FreeData(field=_F128, **{
+        key: GForm.from_entries(_F128, [_F128.from_fraction(v)
+                                        for v in getattr(free, key).entries()])
+        for key, _, _ in _SLOTS})
+    exact = expand(FrameBackground.from_structure_constants("moved", c, _FIELD), free, _N)
+    got = expand(FrameBackground.from_structure_constants("moved", c, _F128), free128, _N)
+    for k, p in sorted(set(exact.addresses()) | set(got.addresses())):
+        for name in ("a", "b", "phi_y"):
+            want = getattr(exact.at(k, p), name).entries()
+            bound = Fraction(1, 10**30) * max(map(abs, want))
+            have = getattr(got.at(k, p), name).entries()
+            assert all(abs(Fraction(g) - w) <= bound for g, w in zip(have, want)), (k, p, name)
+
+
 _entry = st.one_of(st.integers(-50, 50),
                    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)))
 

@@ -368,6 +368,21 @@ class TestIntegrator:
         assert isinstance(last, FlowState)
         assert 1.0 <= last.y < 1.2
 
+    def test_step_below_the_floor_leaves_the_resolvable_regime(self):
+        # the blow-up test's start with a budget too loose for the round-off
+        # rule: the step shrinks below the absolute floor first
+        sol = closed_solution("s3")
+        bg = sol.background
+        e = vierbein(bg.field)
+        init = FlowState(y=1.0, A=bg.W, phi=e - e.scale(Fraction(50)),
+                         phi_y=GForm.zero(bg.field, 0))
+        with pytest.raises(StepUnderflow) as err:
+            integrate_flow(bg, init, 3.0, tol=1e3)
+        last = err.value.last_state
+        assert 1.0 <= last.y < 1.2
+        assert str(err.value) == (f"step size underflow at y = {last.y!r}; "
+                                  "the flow appears to leave the resolvable regime")
+
     def test_budget_below_roundoff_stops_at_once(self, field):
         # tol / span = 2e-30 is far below eps * ||f||_inf: the first rejected
         # step stops the run, with its own message, before h reaches the floor
