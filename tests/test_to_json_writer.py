@@ -25,7 +25,7 @@ NAMES = ('say "hi"', "back\\slash", "two\nlines", "café", "snow ☃")
 
 
 def dumps_oracle(series):
-    """The parent's ``to_json``: the document as a dict, then ``json.dumps``."""
+    """The ``to_json`` the writer replaced: the document as a dict, then ``json.dumps``."""
     field = series.field
 
     def printed(v):
