@@ -32,18 +32,21 @@ operands, and one product at a time into scalar slots on any others.
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
 :func:`resolve_coupled` solves the whole a/phi_y step, ``(lam - L) a +
-[e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.  On
-``Fraction`` input at an integer order they apply their closed forms to the
-integer numerators over one common divisor and normalize each slot once.
+[e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.
+
+Exact kernels pass integer readings to each other: each reads its operands'
+integer numerators over one denominator (:func:`_read`, kept on the form)
+and returns its result as such a reading, reduced by one gcd
+(:func:`_form`), whose ``Fraction`` entries are built only when read.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
@@ -101,24 +104,31 @@ class EigenPart(enum.IntEnum):
         return {EigenPart.Minus: sigma + 1, EigenPart.Zero: 1, EigenPart.Plus: -sigma}[self]
 
 
-@dataclass(frozen=True, eq=False)
 class GForm:
-    """Frame-constant g-valued form of degree 0 or 1 over a scalar field."""
+    """Frame-constant g-valued form of degree 0 or 1 over a scalar field.  A
+    form never changes; one made by :func:`_form` holds its integer reading
+    and builds its ``Fraction`` entries when ``coeffs`` is first read."""
 
-    field: object
-    degree: int
-    coeffs: tuple
-    _ints: tuple = _field(default=None, init=False, repr=False)  # set by _read
+    __slots__ = ("field", "degree", "_coeffs", "_ints")
+
+    def __init__(self, field, degree: int, coeffs):
+        self.field, self.degree, self._coeffs, self._ints = field, degree, coeffs, None
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            ns, d = self._ints
+            v = tuple(Fraction(n, d) if n else self.field.zero for n in ns)
+            self._coeffs = v if self.degree == 0 else (v[:3], v[3:6], v[6:])
+        return self._coeffs
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(field, degree: int) -> "GForm":
-        if degree == 0:
-            return GForm(field, 0, (field.zero,) * 3)
-        if degree == 1:
-            return GForm(field, 1, tuple((field.zero,) * 3 for _ in range(3)))
-        raise ValueError(f"degree must be 0 or 1, got {degree}")
+        if degree not in (0, 1):
+            raise ValueError(f"degree must be 0 or 1, got {degree}")
+        return GForm.from_entries(field, [field.zero] * (9 if degree else 3))
 
     @staticmethod
     def one_form(field, rows) -> "GForm":
@@ -211,10 +221,7 @@ class GForm:
 def vierbein(field=None) -> GForm:
     """The vierbein form ``e``: identity coefficient matrix."""
     field = field or RationalField()
-    rows = tuple(
-        tuple(field.one if a == i else field.zero for i in range(3)) for a in range(3)
-    )
-    return GForm(field, 1, rows)
+    return GForm.from_entries(field, [field.zero if n % 4 else field.one for n in range(9)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,8 @@ def _table(terms):
 def _read(form: GForm):
     """``(integer numerators, common denominator)`` of ``form`` when every
     entry is a ``Fraction`` or an int, else ``(entries, None)`` with zeros
-    as None; tuples, read once per form and shared by every reader."""
+    as None; tuples, kept on the form and shared by every reader.  A reading
+    is canonical: a positive denominator with no factor common to all numerators."""
     if form._ints is None:
         entries, exact = form.entries(), {Fraction, int}
         if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
@@ -243,13 +251,17 @@ def _read(form: GForm):
             ratios = [v.as_integer_ratio() for v in entries]
             d = lcm(*[q for _, q in ratios])
             got = tuple(n and n * (d // q) for n, q in ratios), d
-        object.__setattr__(form, "_ints", got)  # a form never changes
+        form._ints = got
     return form._ints
 
 
-def _over(field, totals, den):
-    """The slots ``totals / den``: one ``Fraction`` per nonzero total."""
-    return [Fraction(t, den) if t else field.zero for t in totals]
+def _form(field, totals, den) -> GForm:
+    """The exact form ``totals / den`` (3 or 9 slots), made from its reading:
+    reduced by one gcd to the canonical one :func:`_read` gives."""
+    g = gcd(den, *totals) if den > 0 else -gcd(den, *totals)
+    form = GForm(field, 0 if len(totals) == 3 else 1, None)
+    form._ints = tuple(t // g for t in totals), den // g
+    return form
 
 
 def star_wedge(x: GForm, y: GForm) -> GForm:
@@ -301,15 +313,15 @@ class FormSum:
     linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
     (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
     into one form; the one routine that applies a kernel's table.  A sum is
-    true once a term was added.  Each operand form is read as integers
-    once, on first use (:func:`_read`).
+    true once a term was added.
 
-    Terms whose operands read as integers (``Fraction`` or int entries) add
-    into integer slot totals over one running denominator, widened by
-    ``lcm`` only when a term's denominator does not divide it: ``op`` acts
-    on the integer numerators, a coefficient's numerator multiplies and its
-    denominator joins the term's (a 1/2 is no ``Fraction`` product), and
-    :meth:`form` normalizes each slot once.  On other operands (float
+    Terms whose operands read as integers (:func:`_read`) add into integer
+    slot totals over one running denominator, widened by ``lcm`` only when
+    a term's denominator does not divide it: a kernel acts on the integer
+    numerators, a linear ``op`` on the form and its result is read, a
+    coefficient's numerator multiplies and its denominator joins the
+    term's (a 1/2 is no ``Fraction`` product), and :meth:`form` returns the
+    totals as a reading (:func:`_form`).  On other operands (float
     scalars) a kernel term with coefficient +-1 adds each product
     straight into scalar slots, skipping scalar zeros only,
     and any other term is built as a form and added, under the field's
@@ -336,12 +348,10 @@ class FormSum:
         xs, den = _read(x)
         ys, dy = (None, 1) if y is None else _read(y)
         if den and dy:
-            den *= dy
             if y is None and op is not None:
-                xs, d = _read(op(GForm.from_entries(self.field, xs)))
-                den *= d
+                xs, den = _read(op(x))
             num, d = coefficient.as_integer_ratio()
-            den *= d
+            den *= dy * d
             if self.totals is None:
                 self.totals, self.den = [0] * self.size, den
             elif self.den % den:
@@ -390,14 +400,14 @@ class FormSum:
                 for t in self._terms]
 
     def form(self, scale=None) -> GForm:
-        """The sum: one ``Fraction`` per nonzero integer total, added to the
-        scalar slots when any term took the scalar loop.  Given a ``scale``,
+        """The sum: the integer totals as a reading, or added to the scalar
+        slots when any term took the scalar loop.  Given a ``scale``,
         a slot the field finds zero against it is returned as an exact zero."""
+        if self.slots is None and self.totals is not None:
+            return _form(self.field, self.totals, self.den)
         zero = self.field.zero
         if self.totals is None:
             out = self.slots or [zero] * self.size
-        elif self.slots is None:
-            out = _over(self.field, self.totals, self.den)
         else:
             with context(self.field):
                 out = [s + self.field.from_fraction(Fraction(t, self.den)) if t else s
@@ -409,7 +419,7 @@ class FormSum:
 
 def e_bracket(phi: GForm) -> GForm:
     """``[e, phi]`` for a 0-form ``phi`` (a V0-valued 1-form)."""
-    return -bracket_0_1(phi, vierbein(phi.field))
+    return FormSum(phi.field, 1).add(-1, phi, bracket_0_1, vierbein(phi.field)).form()
 
 
 def L_op(a: GForm) -> GForm:
@@ -417,12 +427,13 @@ def L_op(a: GForm) -> GForm:
     ``L(a) = tr(a) I - a^T``."""
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
-    c = a.coeffs
+    n, D = _read(a)
+    c = n if D else a.entries()  # the integer numerators over D, or the scalars
     with context(a.field):
-        tr = c[0][0] + c[1][1] + c[2][2]
-        return GForm(a.field, 1, tuple(
-            tuple(tr - c[s][r] if r == s else -c[s][r] for s in range(3))
-            for r in range(3)))
+        tr = c[0] + c[4] + c[8]
+        out = [tr - c[3 * s + r] if r == s else -c[3 * s + r]
+               for r in range(3) for s in range(3)]
+    return _form(a.field, out, D) if D else GForm.from_entries(a.field, out)
 
 
 def gamma_op(a: GForm) -> GForm:
@@ -442,7 +453,7 @@ def project(a: GForm, part: EigenPart) -> GForm:
 
     On ``Fraction`` or int entries ``a = n / D`` these act on the integer
     numerators over the one divisor ``3D``, ``2D`` or ``6D`` (``V+``:
-    ``3(n_ij + n_ji) - 2 tr(n) delta_ij``), one gcd per slot; other
+    ``3(n_ij + n_ji) - 2 tr(n) delta_ij``), one gcd per form; other
     scalars take the formulas above.  :class:`SigmaModule` builds the same
     projectors by Lagrange interpolation in ``L`` as an independent route.
     """
@@ -459,7 +470,7 @@ def project(a: GForm, part: EigenPart) -> GForm:
             totals, den = [3 * (x + y) for x, y in zip(n, nt)], 6 * D
             for i in (0, 4, 8):
                 totals[i] -= 2 * tr
-        return GForm.from_entries(a.field, _over(a.field, totals, den))
+        return _form(a.field, totals, den)
     c = a.coeffs
     zero = a.field.zero
     with context(a.field):
@@ -486,7 +497,7 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     divisors are ``k+2, k+1, k-1`` and the singular orders are
     ``k in {-2, -1, 1}``.  Summed over the three projections, the inverse
     acts entrywise (on the numerators of ``rhs = n / D`` over the one divisor
-    ``D (k+2)(k^2-1)``, one gcd per slot, for exact entries and integer k)::
+    ``D (k+2)(k^2-1)``, one gcd per form, for exact entries and integer k)::
 
         x_ij = (k r_ij + r_ji) / (k^2 - 1)              (i != j)
         x_ii = r_ii / (k - 1) - tr(r) / ((k + 2)(k - 1))
@@ -500,10 +511,10 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     n, D = _read(rhs)
     if D and type(k) is int:
         tr = n[0] + n[4] + n[8]
-        return GForm.from_entries(rhs.field, _over(rhs.field, [
+        return _form(rhs.field, [
             (n[4 * i] * (k + 2) - tr) * (k + 1) if i == j
             else (k * n[3 * i + j] + n[3 * j + i]) * (k + 2)
-            for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1)))
+            for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1))
     r = rhs.coeffs
     with context(rhs.field):
         trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
@@ -526,7 +537,7 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     With ``t = tr(R)/3``, ``Theta = (R - R^T)/2``, ``[e, S]_ij = eps_ijm S_m``
     and ``Gamma(Theta)_m = eps_mij Theta_ij`` (on the numerators of ``R = n /
     D``, ``S = s / D_S`` over the one divisor ``6 D D_S (lam+1)(lam-2)``, one
-    gcd per slot, for exact entries and integer lam)::
+    gcd per form, for exact entries and integer lam)::
 
         a_ii  = (R_ii - t) / (lam + 1) + t / (lam - 2)
         a_ij  = (R_ij + R_ji) / (2 (lam + 1)) + (lam Theta_ij - [e, S]_ij) / d
@@ -557,7 +568,7 @@ def resolve_coupled(lam, R: GForm, S: GForm):
                 a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
                 phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
             den = 6 * D * DS * (lam + 1) * (lam - 2)
-            return tuple(GForm.from_entries(field, _over(field, v, den)) for v in (a, phi))
+            return _form(field, a, den), _form(field, phi, den)
         r, s = R.coeffs, S.coeffs
         t = (r[0][0] + r[1][1] + r[2][2]) / 3
         a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, EigenPart, FormSum, GForm, L_op, _over, _read, bracket_0_1, e_bracket,
+    _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket,
     gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, context
@@ -97,23 +97,12 @@ def connection_form(field, conn) -> GForm:
 
 def _star_d(field, c, x: GForm):
     """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
-    :meth:`GForm.entries` order.
-
+    :meth:`GForm.entries` order, by the scalar formula
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zeros of ``c``
-    and ``x`` are skipped.  On ``Fraction`` or int entries the sum is over
-    the integer numerators of ``x`` (read once per form) and ``c``, with one
-    denominator and one gcd per slot.
+    and ``x`` are skipped.
     """
     terms = [(i, m, s, c[i][j][k]) for j, k, m, s in _EPS for i in range(3)
              if c[i][j][k]]
-    xs, dx = _read(x)
-    if dx and {type(t[3]) for t in terms} <= {Fraction, int}:
-        dc, out = math.lcm(*[t[3].denominator for t in terms]), [0] * 9
-        for i, m, s, cijk in terms:
-            w = s * cijk.numerator * (dc // cijk.denominator)
-            for a in range(3):
-                out[3 * a + m] -= w * xs[3 * a + i]
-        return _over(field, out, 2 * dx * dc)
     half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     out = [field.zero] * 9
     with context(field):
@@ -124,18 +113,29 @@ def _star_d(field, c, x: GForm):
     return out
 
 
+def _star_d_of(field, c, x: GForm) -> GForm:
+    """``*(d x)`` as a form.  Over exact scalars ``c`` is antisymmetric, so
+    ``(*dx)[a][m] = -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)``,
+    summed on the reading of ``x`` and the numerators of ``c`` with one gcd
+    for the form; over others, :func:`_star_d`'s slots."""
+    xs, dx = _read(x)
+    if not (dx and field.exact):
+        return GForm.from_entries(field, _star_d(field, c, x))
+    terms = [(i, m, c[i][j][k]) for j, k, m, _ in _EPS[:3] for i in range(3) if c[i][j][k]]
+    dc, out = math.lcm(*[t.denominator for *_, t in terms]), [0] * 9
+    for i, m, t in terms:
+        w = t.numerator * (dc // t.denominator)
+        for a in range(3):
+            out[3 * a + m] -= w * xs[3 * a + i]
+    return _form(field, out, dx * dc)
+
+
 def star_d(bg, x: GForm) -> GForm:
     """``*(d x)`` of a frame-constant degree-1 form on a background (no
     connection term; compare :func:`star_d_omega`)."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
-    return GForm.from_entries(bg.field, _star_d(bg.field, bg.c, x))
-
-
-def star_curvature_from(field, c, W: GForm) -> GForm:
-    """``*F = *(dW) + 1/2 *[W, W]^``."""
-    return (GForm.from_entries(field, _star_d(field, c, W))
-            + star_wedge(W, W).scale(Fraction(1, 2)))
+    return _star_d_of(bg.field, bg.c, x)
 
 
 def ricci_tensor(field, c, conn):
@@ -200,15 +200,14 @@ class FrameBackground:
                    for row in plane for v in row):
             raise AssertionError("Koszul output has torsion")
         W = connection_form(field, conn)
-        starF = star_curvature_from(field, c, W)
+        starF = _star_d_of(field, c, W) + star_wedge(W, W).scale(Fraction(1, 2))  # *F
         if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "
                 "constants do not define a homogeneous Riemannian geometry"
             )
-        return FrameBackground(
-            name=name, field=field, c=c, conn=conn, W=W, starF=starF, volume=volume
-        )
+        return FrameBackground(name=name, field=field, c=c, conn=conn, W=W, starF=starF,
+                               volume=volume)
 
     def is_einstein(self) -> bool:
         return is_einstein(self)
@@ -265,9 +264,14 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
     c, total = bg.c, FormSum(bg.field, 0)
-    traces = [(i, c[k][i][k]) for i in range(3) for k in range(3)
-              if c[k][i][k]]
-    if traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
+    traces = [(i, c[k][i][k]) for i in range(3) for k in range(3) if c[k][i][k]]
+    xs, dx = _read(x)
+    if traces and dx and bg.field.exact:  # the numerators of x and c, one gcd
+        dt = math.lcm(*[t.denominator for _, t in traces])
+        out = [sum(t.numerator * (dt // t.denominator) * xs[3 * a + i] for i, t in traces)
+               for a in range(3)]
+        total.add(1, _form(bg.field, out, dx * dt))
+    elif traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
         out = [bg.field.zero] * 3
         with context(bg.field):
             for i, ckik in traces:
@@ -369,9 +373,7 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     volume = None
     label = name if pname is None or param == 1 else f"{name}?{pname}={param}"
 
-    if name == "flat":
-        pass
-    elif name == "round-s3":
+    if name == "round-s3":  # flat keeps c = 0
         s = param
         for k, i, j, sgn in _EPS:
             c[k][i][j] = 2 * s * sgn

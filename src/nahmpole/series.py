@@ -81,7 +81,7 @@ class PhgSeries:
         self.background = background
         self.field = field or background.field
         self.order = order
-        self.background_name = background_name or (
+        self.background_name = background_name if background_name is not None else (
             background.name if background is not None else "?")
         self._a = {}
         self._b = {}
@@ -105,17 +105,14 @@ class PhgSeries:
             else:
                 table[(k, p)] = form
 
-    def get_a(self, k, p) -> GForm:
-        got = self._a.get((k, p))
-        return got if got is not None else GForm.zero(self.field, 1)
+    def get_a(self, k, p) -> GForm:  # a GForm is always true
+        return self._a.get((k, p)) or GForm.zero(self.field, 1)
 
     def get_b(self, k, p) -> GForm:
-        got = self._b.get((k, p))
-        return got if got is not None else GForm.zero(self.field, 1)
+        return self._b.get((k, p)) or GForm.zero(self.field, 1)
 
     def get_phi(self, k, p) -> GForm:
-        got = self._phi.get((k, p))
-        return got if got is not None else GForm.zero(self.field, 0)
+        return self._phi.get((k, p)) or GForm.zero(self.field, 0)
 
     def at(self, k, p) -> PhgCoeff:
         return PhgCoeff(self.get_a(k, p), self.get_b(k, p), self.get_phi(k, p))
@@ -125,8 +122,7 @@ class PhgSeries:
         return sorted(set(self._a) | set(self._b) | set(self._phi))
 
     def max_p(self) -> int:
-        addrs = self.addresses()
-        return max((p for _, p in addrs), default=0)
+        return max((p for _, p in self.addresses()), default=0)
 
     def __repr__(self):
         return (f"PhgSeries({self.background_name!r}, order={self.order}, "
@@ -244,11 +240,11 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     entries contribute, found by walking the stored addresses in ``(k1, p1)``
     order; absent coefficients are zero, and a source no pair reaches is
     None.  Each source is one :class:`~nahmpole.algebra.FormSum` over all
-    its pairs, normalized once; each stored form is read as integers once,
-    on first use.  The ``a^a`` and ``b^b`` sums of ``Qb`` are
-    symmetric, so each unordered pair is taken once: ``1/2 (x^y + y^x) =
-    x^y`` off the diagonal, and the diagonal pair, added last, keeps its
-    coefficient +-1/2.
+    its pairs; on exact scalars it is an integer reading, which the solve
+    step reads with no ``Fraction`` built.  The ``a^a`` and ``b^b`` sums of
+    ``Qb`` are symmetric, so each unordered pair is taken once: ``1/2 (x^y +
+    y^x) = x^y`` off the diagonal, and the diagonal pair, added last, keeps
+    its coefficient +-1/2.
     """
     A, B, PHI = series._a, series._b, series._phi
     Qa, Qb, Qphi = (FormSum(series.field, degree) for degree in (1, 1, 0))
@@ -336,8 +332,8 @@ def expand(bg: FrameBackground, free: FreeData = None, N: int = 2) -> PhgSeries:
 
     A pure function of its inputs: all arithmetic is exact in the
     background's scalar field and the order walk is sequential, so identical
-    inputs give identical series.  Each form is read as integers once, on
-    first use, and the reading stays with the form.
+    inputs give identical series.  On exact scalars the kernels pass integer
+    readings to each other; ``Fraction`` entries are built for stored forms.
     """
     if N < 2:
         raise ValueError("expansion order must be at least 2")
@@ -376,8 +372,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
     Each equation is one :class:`~nahmpole.algebra.FormSum`: over rational
     scalars every term adds into integer slot totals over one common
     denominator, a pair row straight from the integer numerators of its
-    operands, and each slot is normalized once.  Each form is read as
-    integers once, on first use.
+    operands, and the residual is returned as its reading, reduced once.
 
     An entry is returned as an exact zero when the field's rule (as in
     :meth:`PhgSeries._store`) finds it zero against the largest term that
@@ -444,8 +439,7 @@ def check_residuals(series: PhgSeries, through: int = None):
     scalars a residual is zero when :func:`residual_at` returns it as exact
     zeros, i.e. when it is negligible next to the terms that entered it.
 
-    Each form is read as integers once, on first use, so the
-    :func:`residual_at` calls share the reading of each stored form.
+    The :func:`residual_at` calls share the reading kept on each stored form.
 
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.
@@ -535,10 +529,8 @@ def from_json(text: str, background: FrameBackground = None,
                        order=int(doc["order"]), background_name=name)
     for entry in doc["entries"]:
         k, p = int(entry["k"]), int(entry["p"])
-        a = GForm.one_form(field, [[field.parse(v) for v in row]
-                                   for row in entry["a"]])
-        b = GForm.one_form(field, [[field.parse(v) for v in row]
-                                   for row in entry["b"]])
+        a, b = (GForm.one_form(field, [[field.parse(v) for v in row] for row in entry[key]])
+                for key in ("a", "b"))
         phi = GForm.zero_form(field, [field.parse(v) for v in entry["phi_y"]])
         series._store(k, p, (a, b, phi), a=a, b=b, phi_y=phi)
     return series
