@@ -196,6 +196,8 @@ class GForm:
         return c if self.degree == 0 else c[0] + c[1] + c[2]
 
     def is_zero(self, scale=None) -> bool:
+        if self._coeffs is None:  # an unread exact reading: no nonzero numerator
+            return not any(self._ints[0])
         return all(self.field.is_zero(v, scale) for v in self.entries())
 
     def trace(self):

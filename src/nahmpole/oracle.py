@@ -15,6 +15,7 @@ recursion:
   in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
   embedded Dormand-Prince 5(4) pair on an operator read off the same tables
   and applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
+  A :class:`FlowState` is one float64 row of the full ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
 rational arithmetic, as integer numerators over one common denominator per
@@ -350,7 +351,7 @@ def taylor_profile(sol: ProfileSolution, N: int):
 
 
 class _Float64Kit:
-    """Minimal scalar-field shim over native floats for flow-state forms."""
+    """Minimal scalar-field shim over native floats for FlowState's form views."""
 
     zero = 0.0
     one = 1.0
@@ -366,46 +367,48 @@ _F64 = _Float64Kit()
 _NV = 21
 #: The largest y where the table's rational e^{2y} is exact to 2e-50 relative.
 _Y_EXACT_MAX = 0.5
-#: The rows of ``a``, ``b`` and ``phi_y`` in the packed state.
+#: The rows of ``a``, ``b`` and ``phi_y`` (``A``, ``phi``, ``phi_y`` in a state row).
 _BLOCKS = (range(0, 9), range(9, 18), range(18, 21))
+#: The raveled vierbein ``e``: the pole of ``Phi`` is ``e/y``.
+_E = np.eye(3).ravel()
 
 
-def _forms(v):
-    """The float GForms ``(a, b, phi_y)`` of a packed state."""
-    return (GForm.from_entries(_F64, v[0:9]), GForm.from_entries(_F64, v[9:18]),
-            GForm.from_entries(_F64, v[18:21]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
-    """One point on a flow trajectory, in the full variables.
+    """One point on a flow trajectory: ``y > 0`` and the read-only float64
+    row ``v`` of the full variables ``(A, phi, phi_y)``, 9 + 9 + 3 entries
+    (``phi`` carries the 1/y pole).  Any other row is copied into one.
 
-    ``A`` and ``phi`` are the complete degree-1 coefficient forms (``phi``
-    carries the 1/y pole), ``phi_y`` the degree-0 form; ``y > 0``.
+    ``A``, ``phi`` (degree 1) and ``phi_y`` (degree 0) are float
+    :class:`GForm` views of the blocks of ``v``, built when read.  States
+    compare by identity.
     """
 
     y: float
-    A: GForm
-    phi: GForm
-    phi_y: GForm
+    v: np.ndarray
 
+    def __post_init__(self):
+        if not (type(self.v) is np.ndarray and self.v.dtype == float
+                and not self.v.flags.writeable):
+            object.__setattr__(self, "v", np.array(self.v, dtype=float))
+            self.v.flags.writeable = False
 
-def _float_state(y, A, phi, phi_y) -> FlowState:
-    full = np.concatenate([np.ravel(A), np.ravel(phi), phi_y])
-    return FlowState(float(y), *_forms(full.tolist()))
+    A, phi, phi_y = (property(lambda self, r=r: GForm.from_entries(_F64, self.v[r].tolist()))
+                     for r in _BLOCKS)
 
 
 def profile_state(sol: ProfileSolution, y) -> FlowState:
     """Evaluate a closed-form solution into a :class:`FlowState`."""
     y = float(y)
-    W = np.array(sol.background.W.to_floats(), dtype=float)
-    return _float_state(y, W * sol.fA.value(y), np.eye(3) * sol.fPhi.value(y),
-                        np.zeros(3))
+    W = np.ravel(sol.background.W.to_floats())
+    return FlowState(y, np.concatenate([W * sol.fA.value(y), _E * sol.fPhi.value(y),
+                                        np.zeros(3)]))
 
 
 def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
     """Evaluate a truncated expansion into a :class:`FlowState` (float)."""
-    return _float_state(y, *evaluate_series(series, y, N))
+    A, phi, phi_y = evaluate_series(series, y, N)
+    return FlowState(float(y), np.concatenate([np.ravel(A), np.ravel(phi), phi_y]))
 
 
 def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
@@ -593,26 +596,19 @@ class StepUnderflow(RuntimeError):
 
 
 def _pack_state(bg, state: FlowState):
-    y = float(state.y)
-    W = np.array(bg.W.to_floats())
-    a = np.array(state.A.to_floats()) - W
-    b = np.array(state.phi.to_floats()) - np.eye(3) / y
-    f = np.array(state.phi_y.to_floats())
-    return np.concatenate([a.ravel(), b.ravel(), f])
+    """The packed state ``(a, b, phi_y)``: the row less ``(W, e/y, 0)``."""
+    W = np.ravel(bg.W.to_floats())
+    return state.v - np.concatenate([W, _E / float(state.y), np.zeros(3)])
 
 
 def _unpack_states(W, ys, V):
-    """Full-variable states from the packed states in the rows of ``V``, in
-    one batched pass that overwrites ``V``; ``W`` is the raveled float
-    connection form."""
+    """States of the packed rows of ``V``: one batched pass adds ``W`` (raveled)
+    and ``e/y`` in place and leaves ``V`` read-only.  The ``phi_y`` block gets
+    no addend, so a ``-0.0`` there stays ``-0.0``."""
     V[:, 0:9] += W
-    V[:, 9:18] += np.eye(3).ravel() / np.array(ys)[:, None]
-    return [FlowState(y, *_forms(row.tolist())) for y, row in zip(ys, V)]
-
-
-def _unpack_state(W, y, v) -> FlowState:
-    """Full-variable state from a packed one (see :func:`_unpack_states`)."""
-    return _unpack_states(W, [float(y)], np.array([v], dtype=float))[0]
+    V[:, 9:18] += _E / np.array(ys)[:, None]
+    V.flags.writeable = False
+    return [FlowState(y, row) for y, row in zip(ys, V)]
 
 
 def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
@@ -627,8 +623,9 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     the term tables, as one stacked matrix (:func:`_stacked_rhs`), written
     into its row of a stage buffer; the last stage of an accepted step is
     the first of the next.  Stage inputs, increments and the error row reuse
-    buffers made once per call.  Accepted states are kept packed and become
-    :class:`FlowState` objects in one pass on return.
+    buffers made once per call.  Accepted states are kept packed, in the rows
+    of one buffer; on return ``W`` and ``e/y`` are added to those rows in one
+    batched pass, and each row becomes the ``v`` of a :class:`FlowState`.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
@@ -652,7 +649,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     W = np.ravel(bg.W.to_floats())
     v = _pack_state(bg, init)
     # accepted steps: their y and, in the rows of a doubling buffer, their
-    # packed states; the FlowStates are built on return
+    # packed states, which become the returned rows
     ys, vs = [], np.empty((64, _NV))
     span = abs(y1 - y0)
     direction = 1.0 if y1 > y0 else -1.0
@@ -700,7 +697,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
                 roundoff = not accepted and tol / span < (
                     _ROUNDOFF_FACTOR * sys.float_info.epsilon * float(np.abs(K[0]).max()))
                 if roundoff or abs(h) < floor:
-                    raise StepUnderflow(_unpack_state(W, ys[-1], vs[len(ys) - 1])
+                    raise StepUnderflow(_unpack_states(W, ys[-1:], vs[len(ys) - 1:len(ys)])[0]
                                         if ys else init, roundoff)
     raise RuntimeError("step budget exceeded")
 
@@ -711,13 +708,8 @@ def trajectory_csv(traj) -> str:
             + [f"A{a}{i}" for a in range(1, 4) for i in range(1, 4)]
             + [f"phi{a}{i}" for a in range(1, 4) for i in range(1, 4)]
             + [f"phiy{a}" for a in range(1, 4)])
-    lines = [",".join(cols)]
-    for st in traj:
-        row = [repr(float(st.y))]
-        row += [repr(v) for r in st.A.to_floats() for v in r]
-        row += [repr(v) for r in st.phi.to_floats() for v in r]
-        row += [repr(v) for v in st.phi_y.to_floats()]
-        lines.append(",".join(row))
+    lines = [",".join(cols)] + [",".join(map(repr, [float(st.y), *st.v.tolist()]))
+                                for st in traj]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ own context as it found it.  Fields of different precision therefore
 coexist in one process.  An ``int`` or ``Fraction`` constant reaches a float
 element only through :meth:`FloatField.from_fraction`: a ``Decimal`` refuses
 a ``Fraction`` or a native ``float`` operand with ``TypeError``.  Rational
-scalars, and the native floats of the flow integrator's states, enter no
+scalars, and the native floats of the flow integrator's form views, enter no
 context.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons, which is
@@ -183,7 +183,7 @@ def context(field):
     """The context manager a computation over ``field`` runs under:
     ``decimal.localcontext(field.ctx)`` for a :class:`FloatField`, and one
     that does nothing for any field without a ``ctx`` (rationals, the
-    native-float shim of the flow)."""
+    native floats of the form views of a flow state)."""
     ctx = getattr(field, "ctx", None)
     return _NO_CONTEXT if ctx is None else decimal.localcontext(ctx)
 

@@ -51,6 +51,8 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
+#: The pair rows with their coefficients negated once: a residual subtracts them.
+_MINUS_PAIR_TERMS = tuple((i, op, js, -c) for i, op, js, c in PAIR_TERMS)
 
 
 @dataclass(frozen=True)
@@ -413,9 +415,9 @@ def residual_at(series: PhgSeries, K: int, p: int):
         at2 = (K - 1 - at1[0], p - at1[1])
         if 1 <= at1[0] <= K - 2 and at1[1] <= p and at2 in present:
             v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
-            for i, op, (j1, j2), coefficient in PAIR_TERMS:
+            for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
                 if v1[j1] and v2[j2]:
-                    R[i].add(-coefficient, v1[j1], op, v2[j2])
+                    R[i].add(minus, v1[j1], op, v2[j2])
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 

@@ -3,15 +3,18 @@
 ``benchmarks/workloads.py`` reads per-layer metrics (such as
 ``series.quadratic_source_ms.k12`` and ``series.residual_at.calls``) off the
 spans its tracer records by patching these functions on their modules.  A
-refactor that routes around them would zero those metrics silently.
+refactor that routes around them would zero those metrics silently.  The
+flow workload reads its end states through the ``FlowState`` form views.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nahmpole import series
 from nahmpole.geometry import load_background
+from nahmpole.oracle import integrate_flow
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -35,3 +38,12 @@ def test_tracer_sees_sources_and_residuals(workloads, field):
     assert len(sources) == 30
     assert all(set(span.attrs) == {"k", "p"} for span in sources)
     assert len(by_name["series.residual_at"]) == 54
+
+
+def test_flow_workload_reads_the_state_api(workloads):
+    # the flow workload's start, end state and deviation go through the
+    # FlowState form views; they must agree with the rows
+    bg, init, ref = workloads.flow_start("s3")
+    traj = integrate_flow(bg, init, workloads.FLOW_Y1, tol=workloads.FLOW_TOL)
+    assert traj[-1].y == ref.y == workloads.FLOW_Y1
+    assert workloads.state_deviation(traj[-1], ref) == np.abs(traj[-1].v - ref.v).max()

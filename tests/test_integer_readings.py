@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole.algebra import (
-    _EPS, EigenPart, FormSum, GForm, L_op, _read, bracket_0_1, e_bracket, gamma_op,
+    _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket, gamma_op,
     invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge,
 )
 from nahmpole.geometry import (builtin, d_omega, d_omega_star, load_background, star_d,
@@ -210,3 +210,18 @@ def test_stored_forms_read_canonically(uri):
     for table in (series._a, series._b, series._phi):
         for f in table.values():
             assert _read(f) == _read(form(f.entries()))
+
+
+@pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG])
+def test_zero_test_leaves_a_stored_reading_unread(uri):
+    # the zero test of a stored form reads its numerators alone; the entries
+    # built afterwards give the same verdict
+    series = expand(load_background(uri, _FIELD), N=12)
+    cases = [(f, False) for table in (series._a, series._b, series._phi)
+             for f in table.values()]
+    cases += [(_form(_FIELD, [0] * n, 7), True) for n in (9, 3)]
+    for f, zero in cases:
+        assert f._coeffs is None
+        assert f.is_zero() is zero
+        assert f._coeffs is None
+        assert all(v == 0 for v in f.entries()) is zero

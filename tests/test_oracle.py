@@ -54,6 +54,18 @@ def _state_dev(s1: FlowState, s2: FlowState) -> float:
     return max(np.max(np.abs(dA)), np.max(np.abs(dP)), np.max(np.abs(df)))
 
 
+def _full_row(W, y, v):
+    """The full-variable row of the packed state ``v``, added as the
+    integrator adds it: ``W`` to ``a``, ``e/y`` to ``b``, nothing to ``phi_y``."""
+    return np.concatenate([v[:9] + W, v[9:18] + np.eye(3).ravel() / y, v[18:]])
+
+
+def _blowup_start(bg):
+    """``A = W``, ``phi = -49 e`` at y = 1: the flow from there blows up."""
+    return FlowState(1.0, np.concatenate([np.ravel(bg.W.to_floats()),
+                                          np.diag([-49.0] * 3).ravel(), np.zeros(3)]))
+
+
 # -- independent high-precision implementations of the closed forms ---------
 
 def _mp_profiles(name):
@@ -332,16 +344,15 @@ class TestIntegrator:
         # on the closed form too
         from scipy.integrate import solve_ivp
 
-        from nahmpole.oracle import _pack_state, _unpack_state
+        from nahmpole.oracle import _pack_state
 
         sol = closed_solution("s3")
         v0 = _pack_state(sol.background, profile_state(sol, 0.2))
         out = solve_ivp(_flow_rhs(sol.background), (0.2, 1.0), v0,
                         rtol=1e-11, atol=1e-12, method="RK45")
         assert out.success
-        W = np.ravel(sol.background.W.to_floats())
-        final = _unpack_state(W, 1.0, out.y[:, -1])
-        assert _state_dev(final, profile_state(sol, 1.0)) <= 1e-8
+        want = _pack_state(sol.background, profile_state(sol, 1.0))
+        assert np.abs(out.y[:, -1] - want).max() <= 1e-8
 
     def test_series_to_ode_pipeline(self, field):
         # truncated expansion near the boundary, then the ODE to y = 1
@@ -353,15 +364,8 @@ class TestIntegrator:
         assert _state_dev(traj[-1], profile_state(sol, 1.0)) <= 1e-5
 
     def test_step_underflow_near_blowup(self):
-        sol = closed_solution("s3")
-        bg = sol.background
-        e = vierbein(bg.field)
-        init = FlowState(
-            y=1.0,
-            A=bg.W.scale(Fraction(1)),
-            phi=e.scale(Fraction(1)) - e.scale(Fraction(50)),
-            phi_y=GForm.zero(bg.field, 0),
-        )
+        bg = closed_solution("s3").background
+        init = _blowup_start(bg)
         with pytest.raises(StepUnderflow) as err:
             integrate_flow(bg, init, 3.0, tol=1e-10)
         last = err.value.last_state
@@ -371,11 +375,8 @@ class TestIntegrator:
     def test_step_below_the_floor_leaves_the_resolvable_regime(self):
         # the blow-up test's start with a budget too loose for the round-off
         # rule: the step shrinks below the absolute floor first
-        sol = closed_solution("s3")
-        bg = sol.background
-        e = vierbein(bg.field)
-        init = FlowState(y=1.0, A=bg.W, phi=e - e.scale(Fraction(50)),
-                         phi_y=GForm.zero(bg.field, 0))
+        bg = closed_solution("s3").background
+        init = _blowup_start(bg)
         with pytest.raises(StepUnderflow) as err:
             integrate_flow(bg, init, 3.0, tol=1e3)
         last = err.value.last_state
@@ -441,7 +442,7 @@ class TestIntegrator:
         # the integrator reuses the last stage of a step as the first of the
         # next; a reference step that evaluates all seven stages must give
         # the same bits
-        from nahmpole.oracle import _pack_state, _unpack_state
+        from nahmpole.oracle import _pack_state
 
         bg = load_background("builtin:round-s3")
         ser = expand(bg, matched_free_data("s3", bg.field), N=6)
@@ -461,22 +462,22 @@ class TestIntegrator:
                 K[s] = rhs(y + C[s] * h, v + h * (A[s, :s] @ K[:s]))
             v = v + h * (B5 @ K)
             y = 1.0 if abs(1.0 - (y + h)) < 1e-15 * 0.99 else y + h
-            want.append(_unpack_state(W, y, v))
+            want.append((y, _full_row(W, y, v)))
 
         got = integrate_flow(bg, init, 1.0, fixed_step=0.01)[1:]
         assert len(got) == len(want) == 99
-        for g, w in zip(got, want):
-            assert g.y == w.y
-            assert np.array_equal(_pack_state(bg, g), _pack_state(bg, w))
+        for g, (wy, w) in zip(got, want):
+            assert g.y == wy
+            assert np.array_equal(g.v, w)
 
 
 def _allocating_reference(bg, init, y1, tol):
     """The adaptive Dormand-Prince loop with a fresh array for every stage
     input, stage and error row, and ``rhs`` called without ``out``; the same
     tableau and step controller as ``integrate_flow`` (no underflow floor).
-    Returns the accepted ``y`` and the packed states, unpacked as the
-    integrator does."""
-    from nahmpole.oracle import _pack_state, _unpack_state
+    Returns the accepted ``y`` and the packed states, unpacked to full rows
+    as the integrator does."""
+    from nahmpole.oracle import _pack_state
 
     rhs = _flow_rhs(bg)
     A = [np.array([float(x) for x in row]) for row in _DP_A]
@@ -500,7 +501,7 @@ def _allocating_reference(bg, init, y1, tol):
             y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
             v = u
             ys.append(y)
-            states.append(_pack_state(bg, _unpack_state(W, y, v)))
+            states.append(_full_row(W, y, v))
             K[0] = K[6]
             grow = 0.9 * (budget / err) ** 0.25 if err > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
@@ -520,8 +521,6 @@ class TestBufferedStages:
         ("s3", 1.0, 0.2, 1e-10),
     ])
     def test_adaptive_equals_allocating_reference(self, name, y0, y1, tol):
-        from nahmpole.oracle import _pack_state
-
         sol = closed_solution(name)
         bg = sol.background
         if y0 < y1:
@@ -534,7 +533,25 @@ class TestBufferedStages:
         assert len(got) == len(want) > 50
         for g, wy, w in zip(got, want_y, want):
             assert g.y == wy
-            assert np.array_equal(_pack_state(bg, g), w)
+            assert np.array_equal(g.v, w)
+
+    def test_adaptive_run_builds_no_forms(self, monkeypatch):
+        # a state is its row: once the operator is built from the term tables
+        # (through forms, once per call), the steps and the returned states
+        # construct no GForm
+        from nahmpole import oracle
+
+        sol = closed_solution("s3")
+        init, rhs = profile_state(sol, 0.2), _flow_rhs(sol.background)
+        monkeypatch.setattr(oracle, "_flow_rhs", lambda bg: rhs)
+        made, construct = [], GForm.__init__
+
+        def counting(form, *args):
+            made.append(args)
+            construct(form, *args)
+        monkeypatch.setattr(GForm, "__init__", counting)
+        traj = integrate_flow(sol.background, init, 1.0, tol=1e-10)
+        assert len(traj) > 20 and made == []
 
     def test_rhs_without_out_returns_fresh_arrays(self):
         # solve_ivp keeps the arrays it is given
