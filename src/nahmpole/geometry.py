@@ -28,6 +28,7 @@ reproduces the known profile with this orientation, and the residual test in
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -113,29 +114,54 @@ def _star_d(field, c, x: GForm):
     return out
 
 
-def _star_d_of(field, c, x: GForm) -> GForm:
-    """``*(d x)`` as a form.  Over exact scalars ``c`` is antisymmetric, so
-    ``(*dx)[a][m] = -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)``,
-    summed on the reading of ``x`` and the numerators of ``c`` with one gcd
-    for the form; over others, :func:`_star_d`'s slots."""
+def _star_d_of(field, c, frame, x: GForm) -> GForm:
+    """``*(d x)`` as a form: over an exact background's integer ``frame``
+    (:func:`_exact_frame`) and an exact ``x``, ``(*dx)[a][m] = -sum_i x[a][i]
+    c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; else :func:`_star_d`."""
     xs, dx = _read(x)
-    if not (dx and field.exact):
+    if frame is None or not dx:
         return GForm.from_entries(field, _star_d(field, c, x))
-    terms = [(i, m, c[i][j][k]) for j, k, m, _ in _EPS[:3] for i in range(3) if c[i][j][k]]
-    dc, out = math.lcm(*[t.denominator for *_, t in terms]), [0] * 9
-    for i, m, t in terms:
-        w = t.numerator * (dc // t.denominator)
+    out = [0] * 9
+    for i, m, w in frame[0]:
         for a in range(3):
             out[3 * a + m] -= w * xs[3 * a + i]
-    return _form(field, out, dx * dc)
+    return _form(field, out, dx * frame[2])
 
 
 def star_d(bg, x: GForm) -> GForm:
     """``*(d x)`` of a frame-constant degree-1 form on a background (no
-    connection term; compare :func:`star_d_omega`)."""
+    connection term; compare :func:`star_d_omega`): the background's integer
+    frame table over exact scalars, :func:`_star_d` over others."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
-    return _star_d_of(bg.field, bg.c, x)
+    return _star_d_of(bg.field, bg.c, bg._frame, x)
+
+
+def _exact_frame(field, c):
+    """``(conn, W, *F, frame)`` of exact ``c`` on one integer reading ``n / D``, with
+    the scalar route's refusals: ``W`` over ``4D`` and ``*F = *dW + 1/2 *[W, W]^`` are
+    readings; ``frame`` is ``star_d``'s cyclic terms ``(i, m, n^i_jk)``,
+    ``d_omega_star``'s traces ``(i, sum_k n^k_ik)`` and ``D``."""
+    ratios = [[[v.as_integer_ratio() for v in row] for row in plane] for plane in c]
+    D = math.lcm(*[q for plane in ratios for row in plane for _, q in row])
+    n = [[[p * (D // q) for p, q in row] for row in plane] for plane in ratios]  # D c^k_ij
+    r = range(3)
+    for k, i, j in itertools.product(r, repeat=3):
+        if n[k][i][j] + n[k][j][i]:
+            raise ValueError(f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}")
+    g = [[[n[k][i][j] - n[i][j][k] + n[j][k][i] for j in r] for i in r] for k in r]  # 2D G^k_ij
+    if [g[k][i][j] - g[k][j][i] for k in r for i in r for j in r] != [
+            2 * v for plane in n for row in plane for v in row]:
+        raise AssertionError("Koszul output has torsion")
+    conn = tuple(tuple(tuple(Fraction(v, 2 * D) if v else field.zero for v in row)
+                       for row in plane) for plane in g)
+    # W[c][i] = -1/2 eps_ckj G^k_ij, over the cyclic (c, k, j)
+    W = _form(field, [g[j][i][k] - g[k][i][j] for _, k, j, _ in _EPS[:3] for i in r], 4 * D)
+    frame = (tuple((i, m, n[i][j][k]) for j, k, m, _ in _EPS[:3] for i in r if n[i][j][k]),
+             tuple((i, t) for i in r if (t := sum(n[k][i][k] for k in r))), D)
+    starF = FormSum(field, 1).add(1, _star_d_of(field, c, frame, W)).add(
+        Fraction(1, 2), W, star_wedge, W).form()
+    return conn, W, starF, frame
 
 
 def ricci_tensor(field, c, conn):
@@ -180,34 +206,39 @@ class FrameBackground:
     W: GForm
     starF: GForm
     volume: object = None
+    _frame: tuple = None  # the integer frame tables of an exact background
 
     @staticmethod
     def from_structure_constants(name, c_rows, field=None, volume=None):
+        """The background of ``c_rows`` over ``field`` (rational by default):
+        derived on one integer reading of ``c`` over exact scalars
+        (:func:`_exact_frame`), by the scalar formulas over floats.  Raises
+        ``ValueError`` unless ``c`` is antisymmetric with no antisymmetric Ricci part."""
         field = field or RationalField()
         c = tuple(tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction))
                               else v for v in row) for row in plane) for plane in c_rows)
-        scale = field.scale(v for plane in c for row in plane for v in row)
-        with context(field):
-            for k in range(3):
-                for i in range(3):
-                    for j in range(3):
-                        if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
-                            raise ValueError(
-                                f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}"
-                            )
-        conn = levi_civita(field, c)
-        if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
-                   for row in plane for v in row):
-            raise AssertionError("Koszul output has torsion")
-        W = connection_form(field, conn)
-        starF = _star_d_of(field, c, W) + star_wedge(W, W).scale(Fraction(1, 2))  # *F
+        if field.exact:
+            conn, W, starF, frame = _exact_frame(field, c)
+        else:
+            scale = field.scale(v for plane in c for row in plane for v in row)
+            with context(field):
+                for k, i, j in itertools.product(range(3), repeat=3):
+                    if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
+                        raise ValueError("structure constants not antisymmetric "
+                                         f"at c^{k}_{{{i}{j}}}")
+            conn = levi_civita(field, c)
+            if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
+                       for row in plane for v in row):
+                raise AssertionError("Koszul output has torsion")
+            W, frame = connection_form(field, conn), None
+            starF = _star_d_of(field, c, None, W) + star_wedge(W, W).scale(Fraction(1, 2))
         if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "
                 "constants do not define a homogeneous Riemannian geometry"
             )
         return FrameBackground(name=name, field=field, c=c, conn=conn, W=W, starF=starF,
-                               volume=volume)
+                               volume=volume, _frame=frame)
 
     def is_einstein(self) -> bool:
         return is_einstein(self)
@@ -259,20 +290,18 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
 
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
-    models, minus ``*[W, *x]``.  Zeros of ``c`` and ``x`` are skipped.
+    models, minus ``*[W, *x]``: the background's integer traces over exact
+    scalars, else skipping zeros of ``c`` and ``x``.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    c, total = bg.c, FormSum(bg.field, 0)
-    traces = [(i, c[k][i][k]) for i in range(3) for k in range(3) if c[k][i][k]]
-    xs, dx = _read(x)
-    if traces and dx and bg.field.exact:  # the numerators of x and c, one gcd
-        dt = math.lcm(*[t.denominator for _, t in traces])
-        out = [sum(t.numerator * (dt // t.denominator) * xs[3 * a + i] for i, t in traces)
-               for a in range(3)]
-        total.add(1, _form(bg.field, out, dx * dt))
-    elif traces:  # some c^k_ik is nonzero: the frame may be non-unimodular
-        out = [bg.field.zero] * 3
+    total, (xs, dx) = FormSum(bg.field, 0), _read(x)
+    if bg._frame and dx:  # the background's integer traces on the reading of x
+        if traces := bg._frame[1]:
+            total.add(1, _form(bg.field, [sum(t * xs[3 * a + i] for i, t in traces)
+                                          for a in range(3)], dx * bg._frame[2]))
+    elif traces := [(i, bg.c[k][i][k]) for i in range(3) for k in range(3) if bg.c[k][i][k]]:
+        out = [bg.field.zero] * 3  # some c^k_ik is nonzero: the frame may be non-unimodular
         with context(bg.field):
             for i, ckik in traces:
                 for a in range(3):
@@ -369,7 +398,8 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     if param <= 0:
         raise ValueError(f"{pname or 'parameter'} must be positive, got {param}")
 
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    zero = Fraction(0)
+    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
     volume = None
     label = name if pname is None or param == 1 else f"{name}?{pname}={param}"
 

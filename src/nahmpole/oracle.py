@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -501,9 +502,18 @@ def _polarize(bg: FrameBackground):
     return (c, _table(FRAME_TERMS, 2, bg.field, bg), *_pole_and_pair_parts()[0])
 
 
+#: Each background's :func:`_flow_operator`, held only while the background lives.
+_OPERATORS = weakref.WeakKeyDictionary()
+
+
 def _flow_operator(bg: FrameBackground):
-    """The integrator's operator: :func:`_polarize` in float64, one rounding per entry."""
-    return (*(x.astype(float) for x in _polarize(bg)[:2]), *_pole_and_pair_parts()[1])
+    """The integrator's operator: :func:`_polarize` in float64, one rounding per
+    entry, read-only; built once per background (its frame rows take ~800 forms)."""
+    if bg not in _OPERATORS:
+        c, M0 = (x.astype(float) for x in _polarize(bg)[:2])
+        c.flags.writeable = M0.flags.writeable = False  # every caller shares them
+        _OPERATORS[bg] = (c, M0, *_pole_and_pair_parts()[1])
+    return _OPERATORS[bg]
 
 
 def _stacked_rhs(c, M0, M1, Q):
@@ -620,7 +630,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
     in either direction.  Each stage applies the flow's operator, read off
-    the term tables, as one stacked matrix (:func:`_stacked_rhs`), written
+    the term tables once per background, as one stacked matrix (:func:`_stacked_rhs`), written
     into its row of a stage buffer; the last stage of an accepted step is
     the first of the next.  Stage inputs, increments and the error row reuse
     buffers made once per call.  Accepted states are kept packed, in the rows

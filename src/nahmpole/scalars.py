@@ -64,7 +64,7 @@ class RationalField:
         return Fraction(n)
 
     def from_fraction(self, q) -> Fraction:
-        return Fraction(q)
+        return q if type(q) is Fraction else Fraction(q)
 
     def parse(self, text: str) -> Fraction:
         """Parse ``"p/q"`` (or a plain integer / decimal literal); anything

@@ -495,18 +495,29 @@ _ENTRY = ('{{\n      "k": {},\n      "p": {},\n'
           '      "phi_y": [\n        "{}",\n        "{}",\n        "{}"\n      ]\n    }}')
 
 
+def _printed(field, form: GForm):
+    """The field's ``format`` of each entry; an unbuilt exact reading prints each
+    slot off its integers, one gcd per nonzero numerator, a zero as ``0/1``."""
+    if form._coeffs is not None:
+        return map(field.format, form.entries())
+    ns, d = form._ints
+    return (f"{n // (g := math.gcd(n, d))}/{d // g}" if n else "0/1" for n in ns)
+
+
 def to_json(series: PhgSeries) -> str:
     """Canonical JSON for a series: entries sorted by (k, p), scalars as
     strings (rationals ``p/q`` in lowest terms, floats as decimal literals).
     Identical series give identical bytes.  The text is written directly, in
     ``json.dumps(doc, indent=2)``'s layout; each scalar is the field's
     ``format``, which needs no escaping and prints a rational entry from its
-    own numerator and denominator, so entries must be in lowest terms."""
+    own numerator and denominator, so entries must be in lowest terms, or
+    off an unbuilt reading's integers (:func:`_printed`)."""
     field = series.field
     zero1, zero0 = GForm.zero(field, 1), GForm.zero(field, 0)
-    entries = [_ENTRY.format(k, p, *map(field.format, chain(
-        series._a.get((k, p), zero1).entries(), series._b.get((k, p), zero1).entries(),
-        series._phi.get((k, p), zero0).entries()))) for k, p in series.addresses()]
+    tables = (series._a, zero1), (series._b, zero1), (series._phi, zero0)
+    entries = [_ENTRY.format(k, p, *chain(*(_printed(field, table.get((k, p), zero))
+                                            for table, zero in tables)))
+               for k, p in series.addresses()]
     return (f'{{\n  "background": {json.dumps(series.background_name)},\n'
             f'  "order": {series.order},\n  "entries": '
             + ("[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]") + "\n}\n")

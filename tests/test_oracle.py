@@ -1,10 +1,12 @@
 """Closed-form profiles, flow residuals, the integrator, global reports."""
 
+import gc
 import hashlib
 import json
 import math
 import random
 import warnings
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -537,7 +539,7 @@ class TestBufferedStages:
 
     def test_adaptive_run_builds_no_forms(self, monkeypatch):
         # a state is its row: once the operator is built from the term tables
-        # (through forms, once per call), the steps and the returned states
+        # (through forms, once per background), the steps and the returned states
         # construct no GForm
         from nahmpole import oracle
 
@@ -552,6 +554,26 @@ class TestBufferedStages:
         monkeypatch.setattr(GForm, "__init__", counting)
         traj = integrate_flow(sol.background, init, 1.0, tol=1e-10)
         assert len(traj) > 20 and made == []
+
+    def test_operator_is_built_once_per_background(self, monkeypatch):
+        # the frame rows are read off the term tables, through forms, on the
+        # first run only; the kept operator does not keep its background alive
+        from nahmpole import oracle
+
+        calls, table = [], oracle._table
+        monkeypatch.setattr(oracle, "_table", lambda *args: calls.append(1) or table(*args))
+        sol = closed_solution("s3")
+        init = profile_state(sol, 0.2)
+        first = integrate_flow(sol.background, init, 0.5, tol=1e-10)
+        built = len(calls)
+        assert built > 0
+        again = integrate_flow(sol.background, init, 0.5, tol=1e-10)
+        assert len(calls) == built
+        assert [(s.y, s.v.tobytes()) for s in again] == [(s.y, s.v.tobytes()) for s in first]
+        kept = weakref.ref(sol.background)
+        del sol
+        gc.collect()
+        assert kept() is None
 
     def test_rhs_without_out_returns_fresh_arrays(self):
         # solve_ivp keeps the arrays it is given

@@ -4,9 +4,11 @@
 replaced: a dict of lists of printed scalars, each rational rebuilt as a
 ``Fraction`` first, through ``json.dumps(doc, indent=2) + "\\n"``.  The
 series are drawn with zero, negative, ``int`` and thousand-digit rational
-entries, 64- and 128-bit float entries (``-0`` and exponents near both ends
-of the context's range among them), empty tables, and background names that
-JSON must escape.
+entries, integer readings made by ``algebra._form`` whose entries were never
+built (zero, negative and thousand-digit numerators, totals that share
+factors with their denominator), 64- and 128-bit float entries (``-0`` and
+exponents near both ends of the context's range among them), empty tables,
+and background names that JSON must escape.
 """
 
 import json
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nahmpole.algebra import GForm
+from nahmpole.algebra import GForm, _form
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import PhgSeries, from_json, to_json
 
@@ -56,6 +58,15 @@ _rationals = st.one_of(
               st.one_of(st.integers(1, 10**6), _huge.map(abs))))
 
 
+def _readings(n):
+    """``(totals, den)`` of an ``n``-slot reading: zero, negative and
+    thousand-digit numerators, and a common factor of totals and ``den``
+    that ``_form`` takes out."""
+    return st.builds(lambda totals, den, f: ([t * f for t in totals], den * f),
+                     st.lists(st.one_of(st.just(0), _small, _huge), min_size=n, max_size=n),
+                     st.one_of(st.integers(1, 10**6), _huge.map(abs)), st.integers(1, 10**6))
+
+
 def _decimals(field):
     """Field elements with at most the field's digits, so they print and
     parse back exactly; exponents near ``Emax``, near and below ``Emin``."""
@@ -70,15 +81,17 @@ def _decimals(field):
 @st.composite
 def series_specs(draw):
     """``(field, name, order, [(k, p, a, b, phi_y)])``; a form is a list of
-    its entries, or None when it is absent."""
+    its entries, a ``(totals, den)`` reading, or None when it is absent."""
     field = draw(st.sampled_from((RATIONAL, FLOAT64, FLOAT128)))
     scalars = _rationals if field.exact else _decimals(field)
     name = draw(st.one_of(st.sampled_from(NAMES), st.text(max_size=8)))
     addresses = draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)),
                               unique=True, max_size=5))
-    entries = [(k, p, *(draw(st.none() | st.lists(scalars, min_size=n, max_size=n))
-                        for n in (9, 9, 3)))
-               for k, p in addresses]
+
+    def form(n):
+        listed = st.lists(scalars, min_size=n, max_size=n)
+        return st.none() | (listed | _readings(n) if field.exact else listed)
+    entries = [(k, p, *(draw(form(n)) for n in (9, 9, 3))) for k, p in addresses]
     return field, name, draw(st.integers(0, 30)), entries
 
 
@@ -86,7 +99,8 @@ def build(field, name, order, entries):
     """The series of a spec, stored as the solver and ``from_json`` store."""
     series = PhgSeries(field=field, order=order, background_name=name)
     for k, p, *values in entries:
-        forms = [GForm.zero(field, degree) if v is None else GForm.from_entries(field, v)
+        forms = [GForm.zero(field, degree) if v is None
+                 else _form(field, *v) if type(v) is tuple else GForm.from_entries(field, v)
                  for v, degree in zip(values, (1, 1, 0))]
         series._store(k, p, forms, a=forms[0], b=forms[1], phi_y=forms[2])
     return series
@@ -104,6 +118,8 @@ def _tables(series):
                                       Decimal("-1.5E-10000000"), Decimal("7E-10000040"),
                                       Decimal(0), Decimal("-3.25"), Decimal(1), Decimal(2),
                                       Decimal(3)], None, [Decimal("-0")] * 3)]))
+@example((RATIONAL, "r", 5, [(1, 0, ([0, -4, 6 * 10**1000, 3, 0, -9, 0, 0, 12], 6), None,
+                                ([0, 0, 0], 5)), (2, 1, None, ([-2, 0, 0] * 3, 1), ([7, 0, -7], 7))]))
 @example((FLOAT64, "", 0, []))
 def test_writer_matches_json_dumps_and_round_trips(spec):
     series = build(*spec)
