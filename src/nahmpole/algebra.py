@@ -50,7 +50,7 @@ from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
-from .scalars import RationalField, context
+from .scalars import RationalField, _magnitude, arithmetic, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -192,13 +192,21 @@ class GForm:
     # -- queries ------------------------------------------------------------
 
     def entries(self):
-        c = self.coeffs
+        c = self.coeffs if self._coeffs is None else self._coeffs
         return c if self.degree == 0 else c[0] + c[1] + c[2]
 
     def is_zero(self, scale=None) -> bool:
+        """Whether every entry is zero by the field's rule against ``scale``;
+        over floats, ``tolerance * scale`` is computed once per form."""
         if self._coeffs is None:  # an unread exact reading: no nonzero numerator
             return not any(self._ints[0])
-        return all(self.field.is_zero(v, scale) for v in self.entries())
+        if self.field.exact:
+            return not any(self.entries())
+        bound = self.field.bound(scale)
+        for v in self.entries():
+            if _magnitude(v) > bound:
+                return False
+        return True
 
     def trace(self):
         if self.degree != 1:
@@ -248,7 +256,7 @@ def _read(form: GForm):
     if form._ints is None:
         entries, exact = form.entries(), {Fraction, int}
         if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
-            got = tuple(v or None for v in entries), None
+            got = tuple([v or None for v in entries]), None
         else:
             ratios = [v.as_integer_ratio() for v in entries]
             d = lcm(*[q for _, q in ratios])
@@ -302,12 +310,13 @@ _TABLES = {
 
 
 def times(coefficient, form: GForm) -> GForm:
-    """``coefficient * form`` for a table coefficient; a sign is no product."""
+    """``coefficient * form`` for a table coefficient, converted once per
+    field (``field.constant``); a sign is no product."""
     if coefficient == 1:
         return form
     if coefficient == -1:
         return -form
-    return form.scale(coefficient)
+    return form.scale(form.field.constant(coefficient))
 
 
 class FormSum:
@@ -325,11 +334,13 @@ class FormSum:
     term's (a 1/2 is no ``Fraction`` product), and :meth:`form` returns the
     totals as a reading (:func:`_form`).  On other operands (float
     scalars) a kernel term with coefficient +-1 adds each product
-    straight into scalar slots, skipping scalar zeros only,
-    and any other term is built as a form and added, under the field's
-    :func:`~nahmpole.scalars.context`.  ``terms`` lists these as forms,
-    building a kernel term only when read (a float residual reads them for
-    its scale).
+    straight into scalar slots, skipping scalar zeros only, in one loop
+    over the kernel's table; any other term is built as a form and added
+    slot by slot.  Both round through the field's
+    :func:`~nahmpole.scalars.arithmetic` (its context's ``multiply``,
+    ``add`` and ``subtract``), entering no context.  ``terms`` lists these
+    as forms, building a kernel term only when read (a float residual
+    reads them for its scale).
     """
 
     __slots__ = ("field", "size", "totals", "den", "slots", "_terms")
@@ -347,8 +358,8 @@ class FormSum:
         and return the sum; an absent ``x`` (None) adds nothing."""
         if x is None:
             return self
-        xs, den = _read(x)
-        ys, dy = (None, 1) if y is None else _read(y)
+        xs, den = x._ints or _read(x)
+        ys, dy = (None, 1) if y is None else y._ints or _read(y)
         if den and dy:
             if y is None and op is not None:
                 xs, den = _read(op(x))
@@ -371,28 +382,26 @@ class FormSum:
                         m = ys[j]
                         if m:
                             totals[o] += n * m if s == sign else -n * m
-        elif y is None or coefficient not in (1, -1):
+            return self
+        mul, add, sub = arithmetic(self.field)
+        if y is None or coefficient not in (1, -1):
             term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
             self._terms.append(term)
-            if self.slots is None:
-                self.slots = list(term.entries())
-            else:
-                with context(self.field):
-                    self.slots = [s + v for s, v in zip(self.slots, term.entries())]
-        else:
-            self._terms.append((coefficient, x, op, y))
-            slots = self.slots = self.slots or [self.field.zero] * self.size
-            # an exact operand beside a scalar one is read as its entries
-            xs = [v or None for v in x.entries()] if den else xs
-            ys = [v or None for v in y.entries()] if dy else ys
-            with context(self.field):
-                for i, xi in enumerate(xs):
-                    if xi is not None:
-                        for j, o, s in _TABLES[op][i]:
-                            yj = ys[j]
-                            if yj is not None:
-                                slots[o] = (slots[o] + xi * yj if s == coefficient
-                                            else slots[o] - xi * yj)
+            self.slots = (list(term.entries()) if self.slots is None
+                          else list(map(add, self.slots, term.entries())))
+            return self
+        self._terms.append((coefficient, x, op, y))
+        slots = self.slots = self.slots or [self.field.zero] * self.size
+        # an exact operand beside a scalar one is read as its entries
+        xs = [v or None for v in x.entries()] if den else xs
+        ys = [v or None for v in y.entries()] if dy else ys
+        table = _TABLES[op]
+        for i, xi in enumerate(xs):
+            if xi is not None:
+                for j, o, s in table[i]:
+                    yj = ys[j]
+                    if yj is not None:
+                        slots[o] = (add if s == coefficient else sub)(slots[o], mul(xi, yj))
         return self
 
     @property
@@ -411,11 +420,12 @@ class FormSum:
         if self.totals is None:
             out = self.slots or [zero] * self.size
         else:
-            with context(self.field):
-                out = [s + self.field.from_fraction(Fraction(t, self.den)) if t else s
-                       for s, t in zip(self.slots, self.totals)]
+            add = arithmetic(self.field)[1]
+            out = [add(s, self.field.from_fraction(Fraction(t, self.den))) if t else s
+                   for s, t in zip(self.slots, self.totals)]
         if scale is not None:
-            out = [zero if self.field.is_zero(v, scale) else v for v in out]
+            bound = self.field.bound(scale)
+            out = [zero if _magnitude(v) <= bound else v for v in out]
         return GForm.from_entries(self.field, out)
 
 

@@ -39,7 +39,7 @@ from .algebra import (
     _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket,
     gamma_op, project, star_bracket_star, star_wedge,
 )
-from .scalars import RationalField, context
+from .scalars import RationalField, arithmetic, context
 
 __all__ = [
     "FrameBackground", "levi_civita", "torsion_residual", "metricity_residual",
@@ -64,7 +64,7 @@ def levi_civita(field, c):
     G^k_ij e_k``.  The result is the unique metric-compatible torsion-free
     frame connection (both residuals checkable below).
     """
-    half = field.from_fraction(Fraction(1, 2))
+    half = field.constant(Fraction(1, 2))
     with context(field):
         return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
 
@@ -88,7 +88,7 @@ def connection_form(field, conn) -> GForm:
     antisymmetric matrices with su(2) used everywhere in this package.
     """
     rows = [[field.zero] * 3 for _ in range(3)]
-    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
+    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
     with context(field):
         for cc, k, j, s in _EPS:
             for i in range(3):
@@ -96,31 +96,54 @@ def connection_form(field, conn) -> GForm:
     return GForm(field, 1, tuple(tuple(r) for r in rows))
 
 
+def _star_d_terms(field, c):
+    """The terms ``(i, m, c^i_jk, +-1/2)`` of :func:`_star_d`, one per nonzero
+    ``c^i_jk`` and ``eps_{jkm} = +-1``."""
+    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
+    return tuple((i, m, c[i][j][k], half[s]) for j, k, m, s in _EPS for i in range(3)
+                 if c[i][j][k])
+
+
+class _FloatFrame:
+    """A float background's structure constants ``c``, read as ``c[k][i][j]``,
+    with their :func:`_star_d_terms` built once and kept on the background."""
+
+    __slots__ = ("c", "star_d")
+
+    def __init__(self, field, c):
+        self.c, self.star_d = c, _star_d_terms(field, c)
+
+    def __getitem__(self, k):
+        return self.c[k]
+
+
 def _star_d(field, c, x: GForm):
     """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
     :meth:`GForm.entries` order, by the scalar formula
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``.  Zeros of ``c``
-    and ``x`` are skipped.
+    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``, rounding through the
+    field's :func:`~nahmpole.scalars.arithmetic`.  ``c`` is the structure
+    constants, or a float background's :class:`_FloatFrame`, which reads as
+    them and keeps their terms.  Zeros of ``c`` and ``x`` are skipped.
     """
-    terms = [(i, m, s, c[i][j][k]) for j, k, m, s in _EPS for i in range(3)
-             if c[i][j][k]]
-    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
+    terms = c.star_d if isinstance(c, _FloatFrame) else _star_d_terms(field, c)
+    mul, _, sub = arithmetic(field)
+    xc = x.coeffs
     out = [field.zero] * 9
-    with context(field):
-        for i, m, s, cijk in terms:
-            for a in range(3):
-                if x.coeffs[a][i]:
-                    out[3 * a + m] = out[3 * a + m] - x.coeffs[a][i] * cijk * half[s]
+    for i, m, cijk, half in terms:
+        for a in range(3):
+            if xc[a][i]:
+                out[3 * a + m] = sub(out[3 * a + m], mul(mul(xc[a][i], cijk), half))
     return out
 
 
 def _star_d_of(field, c, frame, x: GForm) -> GForm:
     """``*(d x)`` as a form: over an exact background's integer ``frame``
     (:func:`_exact_frame`) and an exact ``x``, ``(*dx)[a][m] = -sum_i x[a][i]
-    c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; else :func:`_star_d`."""
+    c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; else :func:`_star_d`
+    of ``c``, or of a float background's ``frame``, which reads as ``c``."""
     xs, dx = _read(x)
-    if frame is None or not dx:
-        return GForm.from_entries(field, _star_d(field, c, x))
+    if not field.exact or not dx:
+        return GForm.from_entries(field, _star_d(field, c if field.exact else frame, x))
     out = [0] * 9
     for i, m, w in frame[0]:
         for a in range(3):
@@ -206,14 +229,17 @@ class FrameBackground:
     W: GForm
     starF: GForm
     volume: object = None
-    _frame: tuple = None  # the integer frame tables of an exact background
+    _frame: tuple = None  # the frame tables: integers (exact), a _FloatFrame (float)
 
     @staticmethod
     def from_structure_constants(name, c_rows, field=None, volume=None):
         """The background of ``c_rows`` over ``field`` (rational by default):
         derived on one integer reading of ``c`` over exact scalars
-        (:func:`_exact_frame`), by the scalar formulas over floats.  Raises
-        ``ValueError`` unless ``c`` is antisymmetric with no antisymmetric Ricci part."""
+        (:func:`_exact_frame`), by the scalar formulas over floats, whose
+        background keeps the terms of ``*d``, with their +-1/2 converted once,
+        in a :class:`_FloatFrame` (:func:`_star_d` rounds through the field's
+        context methods).  Raises ``ValueError`` unless ``c`` is
+        antisymmetric with no antisymmetric Ricci part."""
         field = field or RationalField()
         c = tuple(tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction))
                               else v for v in row) for row in plane) for plane in c_rows)
@@ -230,8 +256,9 @@ class FrameBackground:
             if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
                        for row in plane for v in row):
                 raise AssertionError("Koszul output has torsion")
-            W, frame = connection_form(field, conn), None
-            starF = _star_d_of(field, c, None, W) + star_wedge(W, W).scale(Fraction(1, 2))
+            W, frame = connection_form(field, conn), _FloatFrame(field, c)
+            starF = _star_d_of(field, c, frame, W) + star_wedge(W, W).scale(
+                field.constant(Fraction(1, 2)))
         if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "
@@ -248,7 +275,10 @@ class FrameBackground:
 
 
 def _curvature_scale(field, W: GForm):
-    """Scale of zero tests on ``*F``: its terms are ``c W``, ``W W``; |c| <= 2 max|W|."""
+    """Scale of zero tests on ``*F``: its terms are ``c W``, ``W W``; |c| <= 2 max|W|.
+    None over exact scalars, whose zero test reads no scale."""
+    if field.exact:
+        return None
     with context(field):
         return field.scale(w * w for w in W.entries())
 
@@ -265,8 +295,8 @@ def einstein_undecided(bg: FrameBackground) -> bool:
     ``(*F_omega)^+`` is zero against the terms of ``*F`` but not against
     ``*F`` itself, a visible part of the curvature below the round-off of
     the terms that make it.  Never over exact scalars."""
-    return is_einstein(bg) and not project(bg.starF, EigenPart.Plus).is_zero(
-        bg.field.scale(bg.starF.entries()))
+    return not bg.field.exact and is_einstein(bg) and not project(
+        bg.starF, EigenPart.Plus).is_zero(bg.field.scale(bg.starF.entries()))
 
 
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
@@ -296,17 +326,18 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
     total, (xs, dx) = FormSum(bg.field, 0), _read(x)
-    if bg._frame and dx:  # the background's integer traces on the reading of x
+    if bg.field.exact and dx:  # the background's integer traces on the reading of x
         if traces := bg._frame[1]:
             total.add(1, _form(bg.field, [sum(t * xs[3 * a + i] for i, t in traces)
                                           for a in range(3)], dx * bg._frame[2]))
     elif traces := [(i, bg.c[k][i][k]) for i in range(3) for k in range(3) if bg.c[k][i][k]]:
-        out = [bg.field.zero] * 3  # some c^k_ik is nonzero: the frame may be non-unimodular
-        with context(bg.field):
-            for i, ckik in traces:
-                for a in range(3):
-                    if x.coeffs[a][i]:
-                        out[a] = out[a] + x.coeffs[a][i] * ckik
+        # some c^k_ik is nonzero: the frame may be non-unimodular
+        mul, add, _ = arithmetic(bg.field)
+        xc, out = x.coeffs, [bg.field.zero] * 3
+        for i, ckik in traces:
+            for a in range(3):
+                if xc[a][i]:
+                    out[a] = add(out[a], mul(xc[a][i], ckik))
         total.add(1, GForm.from_entries(bg.field, out))
     return total.add(-1, bg.W, star_bracket_star, x).form()
 

@@ -11,18 +11,21 @@ provided:
   bits.  Its elements are plain :class:`decimal.Decimal` values and the
   field owns the :class:`decimal.Context` they are computed in.
 
-``Decimal`` arithmetic rounds to the thread's current context, so each
-routine that computes on float elements enters its field's context once per
-call (:func:`context`, a ``decimal.localcontext``) and leaves the thread's
-own context as it found it.  Fields of different precision therefore
-coexist in one process.  An ``int`` or ``Fraction`` constant reaches a float
-element only through :meth:`FloatField.from_fraction`: a ``Decimal`` refuses
-a ``Fraction`` or a native ``float`` operand with ``TypeError``.  Rational
-scalars, and the native floats of the flow integrator's form views, enter no
-context.
+``Decimal`` operators round to the thread's current context, so float
+arithmetic never uses the thread's own.  The per-term loops (the kernel
+and linear-term sums of ``algebra.FormSum``, ``geometry._star_d``) round
+through the methods of the field's context, :func:`arithmetic`, which round
+exactly as the operators do under it; any other routine that computes on
+float elements enters the field's context once per call (:func:`context`, a
+``decimal.localcontext``).  Fields of different precision therefore coexist
+in one process.  An ``int`` or ``Fraction`` constant reaches a float element
+only through :meth:`FloatField.from_fraction`, or :meth:`FloatField.constant`
+for a term coefficient of the engine's tables, converted once per field: a
+``Decimal`` refuses a ``Fraction`` or a native ``float`` operand with
+``TypeError``.  Rational scalars, and the native floats of the flow
+integrator's form views, take the plain operators.
 
-Elements of both fields support ``+ - * /``, ``abs`` and comparisons, which is
-all the generic linear algebra at the bottom of this module needs.  An
+Elements of both fields support ``+ - * /``, ``abs`` and comparisons.  An
 element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
 which is how the sparse kernels skip zeros.
 """
@@ -31,14 +34,12 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = [
-    "RationalField", "FloatField", "context", "solve_dense", "rref",
-    "nullspace",
-]
+__all__ = ["RationalField", "FloatField", "context", "arithmetic"]
 
 
 #: The largest decimal exponent a rational literal may carry: Python's
@@ -48,6 +49,8 @@ _EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 #: The float precision range in bits.  The top keeps a ``decimal`` context
 #: within memory: 65536 bits at order 4 on berger-s3 runs in seconds.
 _MIN_BITS, _MAX_BITS = 64, 1 << 16
+#: How many term coefficients a float field keeps converted.
+_CONSTANTS = 64
 
 
 class RationalField:
@@ -65,6 +68,8 @@ class RationalField:
 
     def from_fraction(self, q) -> Fraction:
         return q if type(q) is Fraction else Fraction(q)
+
+    constant = from_fraction
 
     def parse(self, text: str) -> Fraction:
         """Parse ``"p/q"`` (or a plain integer / decimal literal); anything
@@ -132,6 +137,8 @@ class FloatField:
         self.zero = Decimal(0)
         self.one = Decimal(1)
         self.tolerance = Decimal(1).scaleb(-(3 * self.digits // 4), self.ctx)
+        self.ops = (self.ctx.multiply, self.ctx.add, self.ctx.subtract)
+        self._constants = {}
 
     def from_int(self, n: int) -> Decimal:
         return self.ctx.plus(Decimal(n))
@@ -139,6 +146,17 @@ class FloatField:
     def from_fraction(self, q) -> Decimal:
         q = Fraction(q)
         return self.ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+
+    def constant(self, q) -> Decimal:
+        """:meth:`from_fraction` of a term coefficient of the engine's tables
+        (an int or ``Fraction``), kept for the next call; the first
+        ``_CONSTANTS`` coefficients are kept, so the table stays bounded."""
+        value = self._constants.get(q)
+        if value is None:
+            value = self.from_fraction(q)
+            if len(self._constants) < _CONSTANTS:
+                self._constants[q] = value
+        return value
 
     def parse(self, text: str) -> Decimal:
         """Parse a finite decimal literal or ``"p/q"``; anything else raises
@@ -165,12 +183,17 @@ class FloatField:
     def scale(self, values) -> Decimal:
         """The largest ``|v|`` of ``values`` (zero if none): the scale of
         :meth:`is_zero` for a value built from them."""
-        return max(map(_magnitude, values), default=self.zero)
+        return max([abs(v) if type(v) is int else v.copy_abs() for v in values],
+                   default=self.zero)
+
+    def bound(self, scale=None) -> Decimal:
+        """``tolerance * scale``, with scale 1 when none is given: a value is
+        zero when its magnitude is at most this."""
+        return self.tolerance if scale is None else self.ctx.multiply(self.tolerance, scale)
 
     def is_zero(self, x: Decimal, scale=None) -> bool:
         """``|x| <= tolerance * scale``, with scale 1 when none is given."""
-        return _magnitude(x) <= (self.tolerance if scale is None
-                                 else self.ctx.multiply(self.tolerance, scale))
+        return _magnitude(x) <= self.bound(scale)
 
     def __repr__(self) -> str:
         return f"FloatField(bits={self.bits})"
@@ -188,88 +211,12 @@ def context(field):
     return _NO_CONTEXT if ctx is None else decimal.localcontext(ctx)
 
 
-# ---------------------------------------------------------------------------
-# Dense linear algebra over a generic field.
-#
-# No code path of the package calls these: they are the exact solver of the
-# test oracles, whose systems are tiny (<= 25 unknowns), so plain Gaussian
-# elimination with magnitude pivoting is both exact and instant.
-# ---------------------------------------------------------------------------
+_OPERATORS = (operator.mul, operator.add, operator.sub)
 
 
-def _pivot_row(field, rows, col, start):
-    """Row index of the largest-magnitude usable pivot, or None."""
-    best, best_mag = None, None
-    for r in range(start, len(rows)):
-        mag = abs(rows[r][col])
-        if field.is_zero(rows[r][col]):
-            continue
-        if best is None or mag > best_mag:
-            best, best_mag = r, mag
-    return best
-
-
-def solve_dense(field, matrix, rhs):
-    """Solve ``matrix @ x = rhs`` for square ``matrix``: :func:`rref` of
-    the augmented matrix.
-
-    Raises ``ZeroDivisionError`` if elimination meets a vanishing pivot
-    (singular system), which callers surface as a resonance-style failure.
-    """
-    n = len(matrix)
-    rows, pivots = rref(field, [list(row) + [rhs[i]] for i, row in enumerate(matrix)])
-    missing = [c for c in range(n) if c not in pivots]
-    if missing:
-        raise ZeroDivisionError(f"singular system (no pivot in column {missing[0]})")
-    return [rows[i][n] for i in range(n)]
-
-
-def rref(field, matrix):
-    """Reduced row echelon form.
-
-    :return: ``(rows, pivot_cols)`` where ``rows`` is the reduced matrix and
-        ``pivot_cols`` lists the pivot column of each nonzero row.
-    """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    rank = 0
-    with context(field):
-        for col in range(n):
-            if rank >= m:
-                break
-            piv = _pivot_row(field, rows, col, rank)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = field.one / rows[rank][col]
-            rows[rank] = [v * inv for v in rows[rank]]
-            for r in range(m):
-                if r == rank:
-                    continue
-                factor = rows[r][col]
-                if field.is_zero(factor):
-                    continue
-                rows[r] = [rv - factor * cv for rv, cv in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-    return rows, pivots
-
-
-def nullspace(field, matrix):
-    """Basis of the right kernel of ``matrix`` (list of column vectors)."""
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    rows, pivots = rref(field, matrix)
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    with context(field):
-        for fc in free_cols:
-            vec = [field.zero] * n
-            vec[fc] = field.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
-            basis.append(vec)
-    return basis
+def arithmetic(field):
+    """``(mul, add, sub)`` over ``field``: the ``multiply``, ``add`` and
+    ``subtract`` methods of a :class:`FloatField`'s ``ctx``, which round as
+    ``*``, ``+`` and ``-`` do under :func:`context`, and the plain operators
+    for any field without ``ops`` (rationals, native floats)."""
+    return getattr(field, "ops", _OPERATORS)

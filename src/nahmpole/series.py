@@ -98,7 +98,7 @@ class PhgSeries:
         terms and the entries they read, or a parsed entry's own forms.  So
         over float scalars, small genuine values stay and round-off goes.
         """
-        scale = self.field.scale(v for t in terms for v in t.entries())
+        scale = self.field.scale(chain.from_iterable(map(GForm.entries, terms)))
         for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
             if form is None:
                 continue
@@ -239,11 +239,12 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
 
     ``Qa``/``Qphi`` feed the order k+1 equations (their pairs sum to k);
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
-    entries contribute, found by walking the stored addresses in ``(k1, p1)``
-    order; absent coefficients are zero, and a source no pair reaches is
-    None.  Each source is one :class:`~nahmpole.algebra.FormSum` over all
-    its pairs; on exact scalars it is an integer reading, which the solve
-    step reads with no ``Fraction`` built.  The ``a^a`` and ``b^b`` sums of
+    entries contribute, found by walking the stored addresses below order k
+    in ``(k1, p1)`` order; absent coefficients are zero and add no term, and
+    a source no pair reaches is None.  Each source is one
+    :class:`~nahmpole.algebra.FormSum` over all its pairs; on exact scalars
+    it is an integer reading, which the solve step reads with no
+    ``Fraction`` built.  The ``a^a`` and ``b^b`` sums of
     ``Qb`` are symmetric, so each unordered pair is taken once: ``1/2 (x^y +
     y^x) = x^y`` off the diagonal, and the diagonal pair, added last, keeps
     its coefficient +-1/2.
@@ -251,15 +252,19 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     A, B, PHI = series._a, series._b, series._phi
     Qa, Qb, Qphi = (FormSum(series.field, degree) for degree in (1, 1, 0))
     symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
-    for at1 in [at for at in series.addresses() if at[0] < k and at[1] <= p]:
+    for at1 in sorted({at for table in (A, B, PHI) for at in table
+                       if at[0] < k and at[1] <= p}):
         k1, p1 = at1
-        a1, b2 = A.get(at1), B.get((k - k1, p - p1))
-        if b2 is not None:  # FormSum.add skips an absent first operand
-            Qa.add(1, a1, star_wedge, b2).add(1, PHI.get(at1), bracket_0_1, b2)
-            Qphi.add(-1, a1, star_bracket_star, b2)
+        a1, phi1, b2 = A.get(at1), PHI.get(at1), B.get((k - k1, p - p1))
+        if b2 is not None:
+            if a1 is not None:
+                Qa.add(1, a1, star_wedge, b2)
+                Qphi.add(-1, a1, star_bracket_star, b2)
+            if phi1 is not None:
+                Qa.add(1, phi1, bracket_0_1, b2)
         at2 = (k - 1 - k1, p - p1)  # no entry is stored at order 0
-        if a1 is not None:
-            Qb.add(-1, PHI.get(at2), bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
+        if a1 is not None and (phi2 := PHI.get(at2)) is not None:
+            Qb.add(-1, phi2, bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
         if at1 < at2:
             for table, sign in symmetric:
                 if at1 in table and at2 in table:

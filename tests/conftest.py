@@ -10,8 +10,10 @@ from hypothesis import settings
 
 from nahmpole.algebra import GForm
 from nahmpole.geometry import FrameBackground, background_to_json, load_background
-from nahmpole.scalars import RationalField, solve_dense
+from nahmpole.scalars import RationalField
 from nahmpole.series import FreeData
+
+from dense import solve_dense
 
 #: Property tests are part of tier-1, so they are deterministic, bounded and
 #: leave no example database behind.

@@ -32,9 +32,10 @@ from nahmpole.geometry import (
     load_background,
     star_d_omega,
 )
-from nahmpole.scalars import FloatField, RationalField, context, nullspace, rref, solve_dense
+from nahmpole.scalars import FloatField, RationalField, context
 
 from conftest import rand_fraction, rand_frame_c, rand_one_form, rand_zero_form
+from dense import nullspace, rref, solve_dense
 
 
 MINUS, ZERO, PLUS = EigenPart.Minus, EigenPart.Zero, EigenPart.Plus

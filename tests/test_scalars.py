@@ -10,10 +10,9 @@ from nahmpole.scalars import (
     FloatField,
     RationalField,
     context,
-    nullspace,
-    rref,
-    solve_dense,
 )
+
+from dense import nullspace, rref, solve_dense
 
 
 class TestRationalField:
