@@ -60,6 +60,7 @@ def test_float_path_calls_star_d_through_the_module(monkeypatch):
 _value = st.one_of(st.just(0), st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
                                          st.integers(-10**6, 10**6), st.integers(1, 97),
                                          st.integers(-40, 40)))
+_entries = st.lists(_value, min_size=9, max_size=9)
 _coefficient = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2)))
 _OPS = {1: (star_wedge, bracket_0_1), 0: (star_bracket_star,)}
 
@@ -89,8 +90,8 @@ def _reference(field, degree, terms):
 
 
 @given(st.sampled_from((64, 128)), st.sampled_from((0, 1)),
-       st.lists(st.tuples(_coefficient, st.integers(0, 1), st.lists(_value, min_size=9, max_size=9),
-                          st.lists(_value, min_size=9, max_size=9)), min_size=1, max_size=5))
+       st.lists(st.tuples(_coefficient, st.integers(0, 1), _entries, _entries),
+                min_size=1, max_size=5))
 def test_float_kernel_terms_round_as_the_operators(bits, degree, raw):
     field = FloatField(bits)
     terms = []
