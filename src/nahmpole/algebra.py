@@ -50,7 +50,7 @@ from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
-from .scalars import RationalField, _magnitude, arithmetic, context
+from .scalars import _OPERATORS, RationalField, _magnitude, arithmetic, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -311,12 +311,14 @@ _TABLES = {
 
 def times(coefficient, form: GForm) -> GForm:
     """``coefficient * form`` for a table coefficient, converted once per
-    field (``field.constant``); a sign is no product."""
+    field (``field.constant``) and multiplied into each entry through the
+    field's :func:`~nahmpole.scalars.arithmetic`; a sign is no product."""
     if coefficient == 1:
         return form
     if coefficient == -1:
         return -form
-    return form.scale(form.field.constant(coefficient))
+    mul, c = arithmetic(form.field)[0], form.field.constant(coefficient)
+    return GForm.from_entries(form.field, [mul(v, c) for v in form.entries()])
 
 
 class FormSum:
@@ -383,7 +385,7 @@ class FormSum:
                         if m:
                             totals[o] += n * m if s == sign else -n * m
             return self
-        mul, add, sub = arithmetic(self.field)
+        mul, add, sub = getattr(self.field, "ops", _OPERATORS)  # arithmetic(), per term
         if y is None or coefficient not in (1, -1):
             term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
             self._terms.append(term)
@@ -517,9 +519,8 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     :raises ResonantOrder: when ``k`` hits a singular order, carrying the
         offending eigenspace(s).
     """
-    singular = [part for part in EigenPart if k + part.eigenvalue(1) == 0]
-    if singular:
-        raise ResonantOrder(k, singular)
+    if k in (-2, -1, 1):  # k + eigenvalue vanishes on some part
+        raise ResonantOrder(k, [part for part in EigenPart if k + part.eigenvalue(1) == 0])
     n, D = _read(rhs)
     if D and type(k) is int:
         tr = n[0] + n[4] + n[8]

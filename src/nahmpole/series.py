@@ -282,7 +282,7 @@ def _top_depth(series: PhgSeries, k: int) -> int:
     linear terms read at order k-1, and the sums ``p1 + p2`` of the stored
     pairs its quadratic sources convolve (``k1 + k2`` in {k-1, k})."""
     depth = {}
-    for kk, p in series.addresses():
+    for kk, p in chain(series._a, series._b, series._phi):
         depth[kk] = max(depth.get(kk, -1), p)
     return max([depth.get(k - 1, -1)] + [
         p1 + depth[n - k1] for k1, p1 in depth.items() for n in (k - 1, k)
