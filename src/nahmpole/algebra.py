@@ -107,7 +107,9 @@ class EigenPart(enum.IntEnum):
 class GForm:
     """Frame-constant g-valued form of degree 0 or 1 over a scalar field.  A
     form never changes; one made by :func:`_form` holds its integer reading
-    and builds its ``Fraction`` entries when ``coeffs`` is first read."""
+    and builds its ``Fraction`` entries when ``coeffs`` is first read (by
+    ``entries``, ``repr`` or a printer): over exact scalars ``+``, ``-``,
+    ``scale``, ``divide`` and ``==`` act on the readings (:func:`_read`)."""
 
     __slots__ = ("field", "degree", "_coeffs", "_ints")
 
@@ -156,8 +158,8 @@ class GForm:
     # -- linear structure ---------------------------------------------------
 
     def _slotwise(self, op, *others: "GForm") -> "GForm":
-        """``op`` of the matching slots of this form and ``others`` (of the
-        same degree), under the field's context."""
+        """``op`` of the matching slots of this form and ``others`` (of the same
+        degree), under the field's context: float or non-integer entries."""
         for other in others:
             if other.degree != self.degree:
                 raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -167,27 +169,52 @@ class GForm:
                 return GForm(self.field, 0, tuple(map(op, *rows)))
             return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
 
+    def _readings(self, *others: "GForm"):
+        """The integer readings of this form and ``others`` (of its degree)
+        when the field is exact and each reads as integers, else None."""
+        forms = (self, *others) if self.field.exact else ()
+        got = [f._ints or _read(f) for f in forms]
+        exact = all(d and f.degree == self.degree for (_, d), f in zip(got, forms))
+        return got if got and exact else None
+
+    def _combine(self, other: "GForm", op) -> "GForm":
+        """``op`` (``add`` or ``sub``) of two exact readings over the lcm of
+        their denominators, reduced once; of the slots otherwise."""
+        if got := self._readings(other):
+            (n, d), (m, e) = got
+            den = lcm(d, e)
+            f, g = den // d, den // e if op is operator.add else -(den // e)
+            return _form(self.field, [x * f + y * g for x, y in zip(n, m)], den)
+        return self._slotwise(op, other)
+
     def __add__(self, other: "GForm") -> "GForm":
-        return self._slotwise(operator.add, other)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "GForm") -> "GForm":
-        return self._slotwise(operator.sub, other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "GForm":
-        return self._slotwise(operator.neg)
+        return self._slotwise(operator.neg) if self._readings() is None else self.scale(-1)
 
-    def _scalar(self, s):
-        """``s`` as a field element: an int or ``Fraction`` through the
-        field's ``from_fraction``, any other scalar as it is."""
-        return self.field.from_fraction(s) if type(s) is Fraction or type(s) is int else s
+    def _times(self, s, op) -> "GForm":
+        """``op`` (``mul`` or ``truediv``) of each entry and the scalar ``s``:
+        of an exact reading and an int or ``Fraction`` by their integers,
+        reduced once; else slot by slot, ``s`` as a field element."""
+        exact = type(s) is Fraction or type(s) is int
+        if exact and (got := self._readings()):
+            (n, d), (num, den) = got[0], s.as_integer_ratio()
+            num, den = (den, num) if op is operator.truediv else (num, den)
+            if not den:
+                raise ZeroDivisionError("GForm divided by zero")
+            return _form(self.field, [x * num for x in n], d * den)
+        s = self.field.from_fraction(s) if exact else s
+        return self._slotwise(lambda x: op(x, s))
 
     def scale(self, s) -> "GForm":
-        s = self._scalar(s)
-        return self._slotwise(lambda x: x * s)
+        return self._times(s, operator.mul)
 
     def divide(self, s) -> "GForm":
-        s = self._scalar(s)
-        return self._slotwise(lambda x: x / s)
+        return self._times(s, operator.truediv)
 
     # -- queries ------------------------------------------------------------
 
@@ -220,9 +247,13 @@ class GForm:
         return [[float(v) for v in row] for row in self.coeffs]
 
     def __eq__(self, other):
+        """Slot by slot; two exact forms compare their canonical readings."""
         if not isinstance(other, GForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        if self.degree != other.degree:
+            return False
+        got = other.field.exact and self._readings(other)
+        return got[0] == got[1] if got else self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"GForm(degree={self.degree}, coeffs={self.coeffs!r})"
@@ -270,7 +301,7 @@ def _form(field, totals, den) -> GForm:
     reduced by one gcd to the canonical one :func:`_read` gives."""
     g = gcd(den, *totals) if den > 0 else -gcd(den, *totals)
     form = GForm(field, 0 if len(totals) == 3 else 1, None)
-    form._ints = tuple(t // g for t in totals), den // g
+    form._ints = (tuple(totals), den) if g == 1 else (tuple(t // g for t in totals), den // g)
     return form
 
 

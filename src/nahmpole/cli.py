@@ -270,21 +270,17 @@ def _profile_checks(name, order, expect_flat_connection=False):
     free = matched_free_data(name, field)
     series = expand(bg, free, order)
     fa, fphi = taylor_profile(sol, order)
-    e = vierbein(field)
-    W = bg.W
-    checks = []
+    e, checks = vierbein(field), []
     for k in range(1, order + 1):
-        got_a = series.get_a(k, 0)
-        got_b = series.get_b(k, 0)
-        checks.append((f"a_{k} matches profile", got_a == W.scale(fa[k]),
-                       f"engine {got_a!r} vs profile coefficient {fa[k]}"))
-        checks.append((f"b_{k} matches profile", got_b == e.scale(fphi[k + 1]),
-                       f"engine {got_b!r} vs profile coefficient {fphi[k+1]}"))
+        for label, got, form, f in (("a", series.get_a(k, 0), bg.W, fa[k]),
+                                    ("b", series.get_b(k, 0), e, fphi[k + 1])):
+            checks.append((f"{label}_{k} matches profile", got == form.scale(f),
+                           lambda g=got, f=f: f"engine {g!r} vs profile coefficient {f}"))
     checks.append(("series is log-free", is_log_free(series), ""))
     bad = check_residuals(series)
     checks.append(("all coefficient equations hold", not bad, f"{bad!r}"))
     parity = assert_parity(series)
-    checks.append(("parity holds", not parity, f"{parity!r}"))
+    checks.append(("parity holds", not parity, lambda: f"{parity!r}"))
     if expect_flat_connection:
         stray = [(k, p) for (k, p) in series.addresses()
                  if not series.get_a(k, p).is_zero()]
@@ -323,10 +319,7 @@ def _suite_identities():
     for _ in range(25):
         x = _rand_one_form(rng, field)
         parts = {part: project(x, part) for part in EigenPart}
-        total = GForm.zero(field, 1)
-        for part in EigenPart:
-            total = total + parts[part]
-        if total != x:
+        if sum(parts.values(), GForm.zero(field, 1)) != x:
             ok, detail = False, f"completeness fails on {x!r}"
             break
         for p1 in EigenPart:
@@ -407,16 +400,14 @@ def _suite_einstein_catalog():
         checks.append((f"{bg.name}: log-free iff einstein",
                        is_log_free(series) == expect, ""))
         parity = assert_parity(series)
-        checks.append((f"{bg.name}: parity", not parity, f"{parity!r}"))
+        checks.append((f"{bg.name}: parity", not parity, lambda p=parity: f"{p!r}"))
         bad = check_residuals(series)
         checks.append((f"{bg.name}: coefficient equations", not bad,
                        f"{bad!r}"))
         if not expect:
-            got = series.get_b(1, 1)
-            want = project(bg.starF, EigenPart.Plus)
-            checks.append(
-                (f"{bg.name}: first log entry is P+(*F)",
-                 got == want, f"got {got!r} want {want!r}"))
+            got, want = series.get_b(1, 1), project(bg.starF, EigenPart.Plus)
+            checks.append((f"{bg.name}: first log entry is P+(*F)", got == want,
+                           lambda g=got, w=want: f"got {g!r} want {w!r}"))
     return checks
 
 
@@ -434,8 +425,8 @@ def _cmd_verify(args) -> int:
     failures = 0
     for name, ok, detail in checks:
         line = f"{_status(ok, sys.stdout)} {name}"
-        if not ok and detail:
-            line += f"\n     {detail}"
+        if not ok and detail:  # a callable detail is built only on failure
+            line += f"\n     {detail() if callable(detail) else detail}"
         print(line)
         failures += 0 if ok else 1
     total = len(checks)

@@ -42,11 +42,10 @@ from .algebra import (
 from .scalars import RationalField, arithmetic, context
 
 __all__ = [
-    "FrameBackground", "levi_civita", "torsion_residual", "metricity_residual",
-    "connection_form", "star_d", "ricci_tensor", "is_einstein",
-    "einstein_undecided", "d_omega", "star_d_omega", "d_omega_star",
-    "POLE_TERMS", "FRAME_TERMS", "PAIR_TERMS", "builtin", "builtin_names",
-    "load_background", "background_to_json",
+    "FrameBackground", "levi_civita", "torsion_residual", "connection_form",
+    "star_d", "is_einstein", "einstein_undecided", "d_omega", "star_d_omega",
+    "d_omega_star", "POLE_TERMS", "FRAME_TERMS", "PAIR_TERMS", "builtin",
+    "builtin_names", "load_background", "background_to_json",
 ]
 
 
@@ -73,12 +72,6 @@ def torsion_residual(field, c, conn):
     """``G^k_ij - G^k_ji - c^k_ij`` (identically zero for Levi-Civita)."""
     with context(field):
         return _tensor3(lambda k, i, j: conn[k][i][j] - conn[k][j][i] - c[k][i][j])
-
-
-def metricity_residual(field, conn):
-    """``G^k_ij + G^j_ik`` (zero iff the frame metric is parallel)."""
-    with context(field):
-        return _tensor3(lambda k, i, j: conn[k][i][j] + conn[j][i][k])
 
 
 def connection_form(field, conn) -> GForm:
@@ -185,26 +178,6 @@ def _exact_frame(field, c):
     starF = FormSum(field, 1).add(1, _star_d_of(field, c, frame, W)).add(
         Fraction(1, 2), W, star_wedge, W).form()
     return conn, W, starF, frame
-
-
-def ricci_tensor(field, c, conn):
-    """Frame Ricci tensor, computed from the full curvature tensor.
-
-    ``R^k_lij = G^m_jl G^k_im - G^m_il G^k_jm - c^m_ij G^k_ml`` and
-    ``Ric_lj = sum_i R^i_lij``.  This is the independent route used to
-    cross-check the ``(*F)^+`` Einstein test.
-    """
-    ric = [[field.zero] * 3 for _ in range(3)]
-    with context(field):
-        for l in range(3):
-            for j in range(3):
-                s = field.zero
-                for i in range(3):
-                    for m in range(3):
-                        s = s + conn[m][j][l] * conn[i][i][m] - conn[m][i][l] * conn[i][j][m]
-                        s = s - c[m][i][j] * conn[i][m][l]
-                ric[l][j] = s
-    return tuple(tuple(r) for r in ric)
 
 
 @dataclass(frozen=True, eq=False)

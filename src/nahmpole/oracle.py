@@ -356,6 +356,7 @@ class _Float64Kit:
 
     zero = 0.0
     one = 1.0
+    exact = False
 
     def from_fraction(self, q):
         return float(q)

@@ -379,14 +379,15 @@ def residual_at(series: PhgSeries, K: int, p: int):
     Each equation is one :class:`~nahmpole.algebra.FormSum`: over rational
     scalars every term adds into integer slot totals over one common
     denominator, a pair row straight from the integer numerators of its
-    operands, and the residual is returned as its reading, reduced once.
+    operands, and the residual is returned as its reading, reduced once (no
+    scale read, no ``Fraction`` built); the pair walk stops past k1 = K-2.
 
-    An entry is returned as an exact zero when the field's rule (as in
-    :meth:`PhgSeries._store`) finds it zero against the largest term that
-    entered it, the stored form each linear term reads (one can cancel to
-    round-off: ``K b + L(b)`` on V+, a curl) and ``|x| max(|c|, |W|)`` for
-    each form ``x`` a frame row reads, so the verdict does not hang on the
-    summation order.  A rational field reads no scale.
+    Over floats an entry is returned as an exact zero when the field's rule
+    (as in :meth:`PhgSeries._store`) finds it zero against the largest term
+    that entered it, the stored form each linear term reads (one can cancel
+    to round-off: ``K b + L(b)`` on V+, a curl) and ``|x| max(|c|, |W|)``
+    for each form ``x`` a frame row reads, so the verdict does not hang on
+    the summation order.
     """
     field, bg = series.field, series.background
     if bg is None:
@@ -409,20 +410,23 @@ def residual_at(series: PhgSeries, K: int, p: int):
             read[i].append(here[j])
     for i, op, j, coefficient in FRAME_TERMS:
         if down[j]:
-            R[i].add(-coefficient, down[j], partial(op, bg))
+            R[i].add(-coefficient, op(bg, down[j]))
             read[i].append(down[j])
             framed[i].append(down[j])
     if (K, p) == (1, 0):
         R[1].add(-1, bg.starF)
-    stored = series.addresses()
-    present = set(stored)
-    for at1 in stored:  # in (k1, p1) order: the ordered pairs, both stored
+    present = set(series._a) | set(series._b) | set(series._phi)
+    for at1 in sorted(present):  # in (k1, p1) order: the ordered pairs, both stored
+        if at1[0] > K - 2:
+            break
         at2 = (K - 1 - at1[0], p - at1[1])
-        if 1 <= at1[0] <= K - 2 and at1[1] <= p and at2 in present:
+        if 1 <= at1[0] and at1[1] <= p and at2 in present:
             v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
             for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
                 if v1[j1] and v2[j2]:
                     R[i].add(minus, v1[j1], op, v2[j2])
+    if field.exact:
+        return tuple(r.form() for r in R)
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 
@@ -444,7 +448,7 @@ def check_residuals(series: PhgSeries, through: int = None):
     ``(K, p, name)`` addresses with nonzero residual -- empty means the
     series is an exact solution of the coefficient system.  Over float
     scalars a residual is zero when :func:`residual_at` returns it as exact
-    zeros, i.e. when it is negligible next to the terms that entered it.
+    zeros (negligible next to its terms); an exact one is tested on its reading.
 
     The :func:`residual_at` calls share the reading kept on each stored form.
 
@@ -454,10 +458,10 @@ def check_residuals(series: PhgSeries, through: int = None):
     N = through if through is not None else series.order
     if not 1 <= N <= series.order:
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
-    pmax = series.max_p() + 1
+    pmax, exact = series.max_p() + 1, series.field.exact
     return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
             for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y"))
-            if (name != "b" or K <= N) and any(R.entries())]
+            if (name != "b" or K <= N) and (not R.is_zero() if exact else any(R.entries()))]
 
 
 def evaluate(series: PhgSeries, y, N: int = None):

@@ -366,6 +366,24 @@ class TestVerify:
         assert "details here" in out
         assert "0/1 checks passed" in out
 
+    def test_failing_check_prints_its_detail(self, capsys, monkeypatch):
+        # a check's detail is built only when it fails, as the form it names
+        profile = cli.taylor_profile
+
+        def perturbed(sol, order):
+            fa, fphi = profile(sol, order)
+            fa[2] += 1
+            return fa, fphi
+
+        monkeypatch.setattr(cli, "taylor_profile", perturbed)
+        assert cli.main(["verify", "s3"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL a_2 matches profile\n     engine GForm(degree=1, coeffs=((Fraction(-2, 3), " \
+            "Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(-2, 3), " \
+            "Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1), Fraction(-2, 3)))) " \
+            "vs profile coefficient 1/3\n" in out
+        assert "14/15 checks passed" in out
+
     def test_unknown_suite(self, capsys):
         assert cli.main(["verify", "bogus"]) == 1
 

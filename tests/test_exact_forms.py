@@ -1,0 +1,158 @@
+"""The linear structure of a ``GForm`` acts on integer readings.
+
+Over exact scalars ``+``, ``-``, unary ``-``, ``scale``, ``divide`` and
+``==`` read each operand's integer numerators over one denominator and
+build no ``Fraction``.  The oracle is plain ``Fraction`` arithmetic, entry
+by entry.  Every result must hold the oracle's entries and the canonical
+reading that :func:`nahmpole.algebra._read` makes of a fresh form with those
+entries.  The operands are made from entries (ints among them) and straight
+from readings (:func:`nahmpole.algebra._form`), with zero forms, pairwise
+coprime denominators and thousand-digit numerators.  Float forms keep the
+slot-by-slot route under their field's context, whatever the thread's.
+"""
+
+import decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from nahmpole.algebra import GForm, _form, _read
+from nahmpole.geometry import load_background
+from nahmpole.scalars import FloatField, RationalField
+from nahmpole.series import check_residuals, expand
+
+_FIELD = RationalField()
+_F128 = FloatField(128)
+
+_huge = st.builds(lambda sign, n: sign * n, st.sampled_from((1, -1)),
+                  st.integers(10**999, 10**1000))
+_numerator = st.one_of(st.just(0), st.integers(-40, 40), _huge)
+#: Small denominators are 1 and pairwise coprime primes, so a sum's lcm is
+#: their product; huge ones are drawn freely.
+_denominator = st.one_of(st.sampled_from((1, 2, 3, 5, 7, 11, 13, 97, 101)), _huge.map(abs))
+_entry = st.one_of(st.just(0), st.integers(-40, 40), st.builds(Fraction, _numerator, _denominator))
+_scalar = st.one_of(st.integers(-40, 40), st.builds(Fraction, _numerator, _denominator))
+
+
+def _operand(size):
+    """``(form, its entries as Fractions)`` of ``size`` slots: a zero form, a
+    form from entries, or one made from a reading by ``_form``."""
+    zero = st.just((GForm.from_entries(_FIELD, [0] * size), [Fraction(0)] * size))
+    entries = st.lists(_entry, min_size=size, max_size=size).map(
+        lambda v: (GForm.from_entries(_FIELD, v), [Fraction(x) for x in v]))
+    made = st.tuples(st.lists(_numerator, min_size=size, max_size=size),
+                     _denominator, st.sampled_from((1, -1))).map(
+        lambda t: (_form(_FIELD, t[0], t[2] * t[1]),
+                   [Fraction(n, t[2] * t[1]) for n in t[0]]))
+    return st.one_of(zero, entries, made)
+
+
+_pair = st.sampled_from((3, 9)).flatmap(lambda n: st.tuples(_operand(n), _operand(n)))
+
+
+def assert_reads_as(got, want):
+    """``got`` holds the oracle's entries ``want`` as their canonical reading,
+    made without building an entry."""
+    assert got._coeffs is None
+    assert got._ints == _read(GForm.from_entries(_FIELD, want))
+    assert list(got.entries()) == want
+
+
+@given(_pair)
+def test_sum_difference_and_negation(pair):
+    (x, xs), (y, ys) = pair
+    assert_reads_as(x + y, [a + b for a, b in zip(xs, ys)])
+    assert_reads_as(x - y, [a - b for a, b in zip(xs, ys)])
+    assert_reads_as(-x, [-a for a in xs])
+
+
+@given(st.sampled_from((3, 9)).flatmap(_operand), _scalar)
+def test_scale_and_divide(operand, s):
+    x, xs = operand
+    assert_reads_as(x.scale(s), [a * s for a in xs])
+    if s:
+        assert_reads_as(x.divide(s), [a / s for a in xs])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.divide(s)
+
+
+@given(_pair, st.integers(0, 8))
+def test_equality_is_entrywise(pair, slot):
+    (x, xs), (y, ys) = pair
+    assert (x == y) is (xs == ys)
+    assert x == GForm.from_entries(_FIELD, xs)
+    # often the same numerators over twice the denominator
+    assert (x == GForm.from_entries(_FIELD, [a / 2 for a in xs])) is (not any(xs))
+    slot %= len(xs)
+    shifted = xs[:slot] + [xs[slot] + 1] + xs[slot + 1:]
+    assert x != GForm.from_entries(_FIELD, shifted)
+    assert x != GForm.from_entries(_FIELD, xs[:3] if len(xs) == 9 else xs * 3)
+
+
+def test_degree_mismatch_and_zero_divisor():
+    one, zero = GForm.zero(_FIELD, 1), GForm.zero(_FIELD, 0)
+    for f, g in ((one, zero), (zero, one)):
+        with pytest.raises(ValueError):
+            f + g
+        with pytest.raises(ValueError):
+            f - g
+    for form in (one, _form(_FIELD, [1, 2, 3], 5)):
+        for q in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                form.divide(q)
+
+
+_decimal = st.builds(lambda n, d: _F128.from_fraction(Fraction(n, d)),
+                     st.integers(-10**40, 10**40), st.integers(1, 10**12))
+
+
+@given(st.sampled_from((3, 9)).flatmap(
+    lambda n: st.tuples(*[st.lists(_decimal, min_size=n, max_size=n)] * 2)),
+    st.one_of(st.integers(1, 40), st.fractions(Fraction(1, 9), 9, max_denominator=97)))
+def test_float_forms_round_in_their_context(entries, s):
+    x, y = (GForm.from_entries(_F128, v) for v in entries)
+    ctx, q = _F128.ctx, _F128.from_fraction(s)
+    want = {
+        "add": [ctx.add(a, b) for a, b in zip(*entries)],
+        "sub": [ctx.subtract(a, b) for a, b in zip(*entries)],
+        "neg": [ctx.minus(a) for a in entries[0]],
+        "scale": [ctx.multiply(a, q) for a in entries[0]],
+        "divide": [ctx.divide(a, q) for a in entries[0]],
+    }
+
+    def results():
+        return {"add": x + y, "sub": x - y, "neg": -x, "scale": x.scale(s),
+                "divide": x.divide(s)}
+
+    calm = results()
+    saved = decimal.getcontext()
+    decimal.setcontext(decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded]))
+    try:
+        hostile = results()
+    finally:
+        decimal.setcontext(saved)
+    for name, values in want.items():
+        tuples = [v.as_tuple() for v in values]
+        assert [v.as_tuple() for v in calm[name].entries()] == tuples
+        assert [v.as_tuple() for v in hostile[name].entries()] == tuples
+    assert (x == y) is (entries[0] == entries[1])
+
+
+@pytest.mark.parametrize("uri", ["builtin:berger-s3?squash=2", "builtin:round-s3"])
+def test_exact_check_residuals_builds_no_fraction(uri, monkeypatch):
+    bg = load_background(uri, _FIELD)
+    table = expand(bg, N=12)
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    assert bg.W._coeffs is None and bg.starF._coeffs is None
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert check_residuals(table) == []
+    monkeypatch.undo()
+    assert built == []
+    assert bg.W._coeffs is None and bg.starF._coeffs is None

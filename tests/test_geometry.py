@@ -17,8 +17,6 @@ from nahmpole.geometry import (
     is_einstein,
     levi_civita,
     load_background,
-    metricity_residual,
-    ricci_tensor,
     star_d_omega,
     torsion_residual,
 )
@@ -26,6 +24,7 @@ from nahmpole.scalars import FloatField, context
 
 from conftest import (CATALOG, cayley_rotation, frame_c, rand_antisym_c,
                       rand_frame_c, rand_one_form, rand_zero_form)
+from curvature import metricity_residual, ricci_tensor
 from test_algebra import (dense_bracket_0_1, dense_star_bracket_star,
                           dense_star_wedge)
 
