@@ -130,7 +130,9 @@ class GForm:
     def zero(field, degree: int) -> "GForm":
         if degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {degree}")
-        return GForm.from_entries(field, [field.zero] * (9 if degree else 3))
+        size = 9 if degree else 3
+        return (_form(field, (0,) * size, 1) if field.exact
+                else GForm.from_entries(field, [field.zero] * size))
 
     @staticmethod
     def one_form(field, rows) -> "GForm":

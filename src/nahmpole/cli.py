@@ -301,13 +301,12 @@ def _suite_flat():
     field = RationalField()
     bg = builtin("flat", field=field)
     series = expand(bg, None, 10)
-    checks = [
+    return [
         ("zero free data gives the zero series", not series.addresses(),
          f"stored entries {series.addresses()!r}"),
         ("series is log-free", is_log_free(series), ""),
         ("background is Einstein", is_einstein(bg), ""),
     ]
-    return checks
 
 
 def _suite_identities():

@@ -526,8 +526,10 @@ def _stacked_rhs(c, M0, M1, Q):
     nonzero for some component, the off-diagonal ones doubled (126 of the 231
     pairs).  Exact over Fraction arrays; over float64 it sums in another
     order than the dense form, so it agrees to round-off.
-    ``z`` is made once, in ``G``'s dtype, and filled in place (``rhs`` is not
-    reentrant); ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
+    ``z`` is made once, in ``G``'s dtype, and filled in place, so ``rhs`` is not
+    reentrant; a ``v`` that is ``rhs.v``, its first slots, is not copied (any other
+    is, and left unchanged).  ``np.dot`` is ``np.matmul``'s ``dgemv`` at less cost
+    per call.  ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
     """
     I, J = np.triu_indices(_NV)
     QP = Q[:, I, J] * np.where(I == J, 1, 2)
@@ -538,10 +540,12 @@ def _stacked_rhs(c, M0, M1, Q):
     zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
 
     def rhs(y, v, out=None):
-        zv[:] = v
-        np.divide(v, y, zy)
-        np.multiply(v[I], v[J], zp)
-        return np.add(c, np.matmul(G, z, out), out)
+        if v is not zv:
+            zv[:] = v
+        np.divide(zv, y, zy)
+        np.multiply(zv[I], zv[J], zp)
+        return np.add(c, np.dot(G, z, out), out)
+    rhs.v = zv
     return rhs
 
 
@@ -630,13 +634,13 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     estimate stays within the share of ``tol`` proportional to the step
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
-    in either direction.  Each stage applies the flow's operator, read off
-    the term tables once per background, as one stacked matrix (:func:`_stacked_rhs`), written
-    into its row of a stage buffer; the last stage of an accepted step is
-    the first of the next.  Stage inputs, increments and the error row reuse
-    buffers made once per call.  Accepted states are kept packed, in the rows
-    of one buffer; on return ``W`` and ``e/y`` are added to those rows in one
-    batched pass, and each row becomes the ``v`` of a :class:`FlowState`.
+    in either direction.  Each stage writes its input straight into ``rhs.v``,
+    the state slots of the stacked operator (:func:`_stacked_rhs`, read off the
+    term tables once per background), and its slope into a row of a stage
+    buffer; the last stage of an accepted step is the first of the next.  An
+    accepted state is written once, into its row of a doubling buffer; on return
+    ``W`` and ``e/y`` are added to those rows in one batched pass, and each row
+    becomes the ``v`` of a :class:`FlowState`.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
@@ -667,7 +671,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
 
     K = np.zeros((7, _NV))
     stages = [(a, node, K[:s], K[s]) for s, a, node in _DP_STAGES]
-    u, du, err_row = np.empty(_NV), np.empty(_NV), np.empty(_NV)
+    u, du, err_row = rhs.v, np.empty(_NV), np.empty(_NV)
 
     y = y0
     h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
@@ -682,20 +686,20 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
             # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
             # last stage's input u is the step's result and K[6] the next K[0]
             for a, node, Ks, Kout in stages:
-                np.multiply(h, np.matmul(a, Ks, du), du)
+                np.multiply(h, np.dot(a, Ks, du), du)
                 rhs(y + node * h, np.add(v, du, u), Kout)
             accepted = fixed_step is not None
             if not accepted:
-                np.abs(np.matmul(_DP_ERR_F, K, err_row), err_row)
-                err = abs(h) * float(err_row.max())
+                np.abs(np.dot(_DP_ERR_F, K, err_row), err_row)
+                err = abs(h) * float(np.maximum.reduce(err_row))
                 budget = tol * abs(h) / span
                 accepted = math.isfinite(err) and err <= budget
             if accepted:
                 y = y1 if abs(y1 - (y + h)) < 1e-15 * span else y + h
-                v[:] = u
                 if len(ys) == len(vs):
                     vs = np.concatenate([vs, np.empty_like(vs)])
-                vs[len(ys)] = v
+                v = vs[len(ys)]
+                v[:] = u
                 ys.append(y)
                 K[0] = K[6]
             if fixed_step is None:
@@ -898,12 +902,8 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
             slope = float(np.polyfit(ly, le, 1)[0])
         else:
             slope = float("nan")
-        rows.append({
-            "N": N,
-            "max_err": max(e_ for _, e_ in errs),
-            "slope": slope,
-            "errors": errs,
-        })
+        rows.append({"N": N, "max_err": max(e_ for _, e_ in errs), "slope": slope,
+                     "errors": errs})
     return rows
 
 

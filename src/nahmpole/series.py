@@ -85,9 +85,7 @@ class PhgSeries:
         self.order = order
         self.background_name = background_name if background_name is not None else (
             background.name if background is not None else "?")
-        self._a = {}
-        self._b = {}
-        self._phi = {}
+        self._a, self._b, self._phi = {}, {}, {}
 
     # -- storage ---------------------------------------------------------
 
@@ -156,7 +154,8 @@ class FreeData:
                                   (c_minus, EigenPart.Minus, "c_minus")):
             if form is None:
                 form = GForm.zero(field, 1)
-            elif not (form - project(form, part)).is_zero(field.scale(form.entries())):
+            elif not (form - project(form, part)).is_zero(
+                    None if field.exact else field.scale(form.entries())):
                 raise ValueError(f"{label} is not in its declared eigenspace")
             setattr(self, label, form)
 

@@ -12,11 +12,14 @@ slot-by-slot route under their field's context, whatever the thread's.
 """
 
 import decimal
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nahmpole import cli
 from nahmpole.algebra import GForm, _form, _read
 from nahmpole.geometry import load_background
 from nahmpole.scalars import FloatField, RationalField
@@ -156,3 +159,47 @@ def test_exact_check_residuals_builds_no_fraction(uri, monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert bg.W._coeffs is None and bg.starF._coeffs is None
+
+
+def test_exact_zero_forms_are_made_read(monkeypatch):
+    # GForm.zero over exact scalars carries its reading from the start, so no
+    # all-zero form computes one; over floats it keeps its entries
+    from nahmpole import algebra, geometry
+
+    for degree, size in ((0, 3), (1, 9)):
+        zero = GForm.zero(_FIELD, degree)
+        assert zero._coeffs is None and zero._ints == ((0,) * size, 1)
+        assert list(zero.entries()) == [_FIELD.zero] * size
+        assert GForm.zero(_F128, degree)._ints is None
+    computed, read = [], algebra._read
+
+    def counting(form):
+        if form._ints is None:
+            computed.append(not any(form.entries()))
+        return read(form)
+    for module in (algebra, geometry):
+        monkeypatch.setattr(module, "_read", counting)
+    assert cli.main(["verify", "identities"]) == 0
+    assert computed and sum(computed) == 0
+
+
+def test_exact_free_data_builds_only_its_literals(tmp_path, monkeypatch):
+    # loading free data over exact scalars builds the parsed literals' Fractions
+    # and no others: the eigenspace checks act on the readings
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    doc = workloads.free_data_doc(0)
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    free = cli._load_free_data(str(path), _FIELD)
+    monkeypatch.undo()
+    literals = [(v,) for key in ("c_plus", "c_zero", "c_minus") for row in doc[key] for v in row]
+    assert len(literals) == 27 and built == literals
+    assert free.c_plus.entries() == tuple(Fraction(v) for row in doc["c_plus"] for v in row)

@@ -589,6 +589,35 @@ class TestBufferedStages:
         assert rhs(0.7, v2, out) is out
         assert np.array_equal(out, second)
 
+    def test_rhs_input_buffer_contract(self, monkeypatch):
+        # integrate_flow writes each stage input into rhs.v, the first slots of
+        # the operator's stacked vector, so rhs copies nothing in; any other v is
+        # copied in and left as it was, and no returned row is that buffer
+        from nahmpole import oracle
+
+        sol = closed_solution("s3")
+        rhs = _flow_rhs(sol.background)
+        v = np.random.default_rng(23).normal(size=21)
+        kept = v.tobytes()
+        want = rhs(0.3, v)
+        assert v.tobytes() == kept
+        rhs.v[:] = v
+        assert rhs(0.3, rhs.v).tobytes() == want.tobytes()
+        out = np.empty(21)
+        assert rhs(0.3, rhs.v, out) is out and out.tobytes() == want.tobytes()
+        assert rhs.v.tobytes() == kept
+
+        init = profile_state(sol, 0.2)
+        start = init.v.tobytes()
+        monkeypatch.setattr(oracle, "_flow_rhs", lambda bg: rhs)
+        first = integrate_flow(sol.background, init, 1.0, tol=1e-10)
+        rows = [(s.y, s.v.tobytes()) for s in first]
+        again = integrate_flow(sol.background, init, 1.0, tol=1e-10)
+        assert init.v.tobytes() == start
+        assert [(s.y, s.v.tobytes()) for s in first] == rows
+        assert [(s.y, s.v.tobytes()) for s in again] == rows
+        assert not any(np.shares_memory(s.v, rhs.v) for s in first + again)
+
 
 class TestTrajectoryCsv:
     def test_shape_and_header(self):
