@@ -20,23 +20,25 @@ kernels at k=1 and the resonance at lambda=2), then advances order by order:
 ``b_k`` by inverting ``k + L`` and ``(a_{k+1}, (phi_y)_{k+1})`` by the
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
 rational scalar field.  The master self-test is :func:`residual_at`, which
-reads those tables (as ``oracle.flow_rhs`` does) but no solver code, and sums
-each rational equation as integers over one common denominator
-(:class:`~nahmpole.algebra.FormSum`).
+reads those tables (as ``oracle.flow_rhs`` does) but no solver code.  Over
+rationals it sums the three equations as integers over one denominator, each
+unordered address pair once through a pair table compiled at import; over
+floats it keeps its ordered pair walk and its sums.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 
 from .algebra import (
-    EigenPart, FormSum, GForm, bracket_0_1, gamma_op, invert_cal_L,
-    project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    _TABLES, EigenPart, FormSum, GForm, _form, _read, bracket_0_1, gamma_op,
+    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
@@ -53,6 +55,46 @@ _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 #: The pair rows with their coefficients negated once: a residual subtracts them.
 _MINUS_PAIR_TERMS = tuple((i, op, js, -c) for i, op, js, c in PAIR_TERMS)
+_SLOT = (0, 9, 18)  # where a, b and phi_y start in an address's 21-slot reading
+
+
+def _pair_tables():
+    """The pair rows on 21-slot readings in ints, doubled (so no 1/2 is left)
+    and negated, from ``PAIR_TERMS`` and the kernels' tables: per slot ``u`` of
+    ``v1``, ``{w: [(out slot, c), ...]}`` over the slots ``w`` of ``v2``, of
+    ``Q(v1, v2) + Q(v2, v1)`` and of ``Q(v, v)`` (``v[u] v[w]`` once, u <= w)."""
+    tables = [[{} for _ in range(21)] for _ in range(2)]
+    for i, op, (j1, j2), c in PAIR_TERMS:
+        for x, row in enumerate(_TABLES[op]):
+            for y, o, s in row:
+                u, w, o = _SLOT[j1] + x, _SLOT[j2] + y, _SLOT[i] + o
+                for rows, u, w in ((tables[0], u, w), (tables[0], w, u),
+                                   (tables[1], min(u, w), max(u, w))):
+                    out = rows[u].setdefault(w, {})
+                    out[o] = out.get(o, 0) - 2 * s * c.numerator // c.denominator
+    return [[{w: [(o, c) for o, c in out.items() if c] for w, out in row.items()}
+             for row in rows] for rows in tables]
+
+
+#: The pair tables off the diagonal (``at1 < at2``) and on it (``at1 == at2``).
+_PAIR_TABLES = _pair_tables()
+#: Per slot, the pole rows, no rows, and (per live background) the frame rows.
+_POLE_ROWS, _NO_ROWS, _FRAME_ROWS = {}, {}, weakref.WeakKeyDictionary()
+
+
+def _unit_rows(cache, terms, u, bg=None):
+    """The linear rows ``terms`` on the unit form at slot ``u`` of a 21-slot
+    reading (``op(bg, x)`` given a background), doubled and negated, over one
+    denominator: ``([(out slot, c), ...], den)``, kept in ``cache``."""
+    j = (u >= 9) + (u >= 18)
+    unit = _form(bg.field if bg else RationalField(), [int(n == u) for n in range(
+        _SLOT[j], _SLOT[j] + (9 if j < 2 else 3))], 1)
+    images = [(i, c, _read(op(bg, unit) if bg else op(unit)))
+              for i, op, k, c in terms if k == j]
+    den = math.lcm(*(d for *_, (_, d) in images))
+    cache[u] = [(_SLOT[i] + o, -2 * c * n * (den // d)) for i, c, (ns, d) in images
+                for o, n in enumerate(ns) if n], den
+    return cache[u]
 
 
 @dataclass(frozen=True)
@@ -86,6 +128,7 @@ class PhgSeries:
         self.background_name = background_name if background_name is not None else (
             background.name if background is not None else "?")
         self._a, self._b, self._phi = {}, {}, {}
+        self._readings = {}  # (k, p) -> (a, b, phi_y, its 21-slot reading): _reading
 
     # -- storage ---------------------------------------------------------
 
@@ -365,23 +408,82 @@ def assert_parity(series: PhgSeries):
             for k, p in sorted(table) if k % 2 == wrong]
 
 
+def _reading(series: PhgSeries, at):
+    """The entry at ``at`` as the nonzero ``(slot, numerator)`` of its 21 slots
+    ``(a | b | phi_y)`` over one denominator, kept on the series as long as
+    its three stored forms are the same objects."""
+    a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
+    kept = series._readings.get(at)
+    if kept is None or kept[0] is not a or kept[1] is not b or kept[2] is not phi:
+        parts = [(start, f._ints or _read(f)) for start, f in zip(_SLOT, (a, b, phi)) if f]
+        den = math.lcm(*(d for _, (_, d) in parts))
+        kept = series._readings[at] = a, b, phi, ([(start + u, n * (den // d)) for start, (
+            ns, d) in parts for u, n in enumerate(ns) if n], den)
+    return kept[3]
+
+
+def _exact_residual(series: PhgSeries, K: int, p: int):
+    """:func:`residual_at` over exact scalars: twice each term, summed in 21
+    integer totals over the lcm of the terms' denominators."""
+    field, bg = series.field, series.background
+    present, terms = series._a.keys() | series._b.keys() | series._phi.keys(), []
+    frame = _FRAME_ROWS.setdefault(bg, {})
+    for n, at, cache, rows, of in ((2 * K, (K, p), _POLE_ROWS, POLE_TERMS, None),
+                                   (2 * p + 2, (K, p + 1), _NO_ROWS, (), None),
+                                   (0, (K - 1, p), frame, FRAME_TERMS, bg)):
+        if at in present:  # n v + rows(v), slot by slot
+            xs, d = _reading(series, at)
+            for u, x in xs:
+                out, e = cache[u] if u in cache else _unit_rows(cache, rows, u, of)
+                terms.append((n * e, u, x, d * e, out))
+    if (K, p) == (1, 0):  # -*F_w
+        ns, d = _read(bg.starF)
+        terms += [(-2, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
+    pairs = [(*_reading(series, at1), *_reading(series, at2), _PAIR_TABLES[at1 == at2])
+             for k1 in range(1, (K + 1) // 2)  # at1 <= at2, in (k1, p1) order
+             for p1 in range(p + 1 if 2 * k1 < K - 1 else p // 2 + 1)
+             if (at1 := (k1, p1)) in present and (at2 := (K - 1 - k1, p - p1)) in present]
+    if not (terms or pairs):
+        return GForm.zero(field, 1), GForm.zero(field, 1), GForm.zero(field, 0)
+    acc, den = [0] * 21, math.lcm(*(t[3] for t in terms), *(t[1] * t[3] for t in pairs))
+    for n, u, x, d, rows in terms:
+        x *= den // d
+        acc[u] += n * x
+        for o, c in rows:
+            acc[o] += c * x
+    for xs, dx, ys, dy, table in pairs:
+        f = den // (dx * dy)
+        for u, x in xs:
+            row, x = table[u], f * x
+            for w, y in ys:
+                for o, c in row.get(w, ()):
+                    acc[o] += c * x * y
+    return tuple(_form(field, acc[lo:hi], 2 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
+
+
 def residual_at(series: PhgSeries, K: int, p: int):
     """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
 
     The flow's term tables (:mod:`nahmpole.geometry`) read at ``y^(K-1)
     (log y)^p``: ``K v_{K,p} + (p+1) v_{K,p+1}`` less the pole rows on
     ``v_{K,p}``, the frame rows on ``v_{K-1,p}``, ``*F_w`` at (1, 0) and the
-    pair rows on each ordered pair of stored addresses summing to (K-1, p).
-    It shares no code with the solver, so a sign or index error in either
-    shows up here.  Absent entries contribute no term.
+    pair rows on each pair of stored addresses summing to (K-1, p).  It
+    shares no code with the solver, so a sign or index error in either shows
+    up here.  Absent entries contribute no term.
 
-    Each equation is one :class:`~nahmpole.algebra.FormSum`: over rational
-    scalars every term adds into integer slot totals over one common
-    denominator, a pair row straight from the integer numerators of its
-    operands, and the residual is returned as its reading, reduced once (no
-    scale read, no ``Fraction`` built); the pair walk stops past k1 = K-2.
+    Over exact scalars the three equations are 21 integer totals ``(a | b |
+    phi_y)`` over one denominator, returned as readings (no ``Fraction``);
+    a cell no term reaches is three exact zeros at once.  Each stored address
+    is read once into 21 slots, kept on the series and checked against its
+    three forms by identity, so a replaced or deleted entry is read afresh.
+    Each unordered pair ``at1 <= at2`` enters once, through integer tables
+    compiled at import from ``PAIR_TERMS`` and the kernels' tables
+    (:func:`_pair_tables`); the pole and frame rows through the rows of
+    their ops on unit forms (:func:`_unit_rows`), built on first use.
 
-    Over floats an entry is returned as an exact zero when the field's rule
+    Over floats each equation is one :class:`~nahmpole.algebra.FormSum` of
+    each ordered pair, in (k1, p1) order, so the sums round as before.  An
+    entry is returned as an exact zero when the field's rule
     (as in :meth:`PhgSeries._store`) finds it zero against the largest term
     that entered it, the stored form each linear term reads (one can cancel
     to round-off: ``K b + L(b)`` on V+, a curl) and ``|x| max(|c|, |W|)``
@@ -391,6 +493,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
     field, bg = series.field, series.background
     if bg is None:
         raise ValueError("series has no background attached")
+    if field.exact:
+        return _exact_residual(series, K, p)
     tables = (series._a, series._b, series._phi)
     here, up, down = ([t.get(at) for t in tables]
                       for at in ((K, p), (K, p + 1), (K - 1, p)))
@@ -424,8 +528,6 @@ def residual_at(series: PhgSeries, K: int, p: int):
             for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
                 if v1[j1] and v2[j2]:
                     R[i].add(minus, v1[j1], op, v2[j2])
-    if field.exact:
-        return tuple(r.form() for r in R)
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 
@@ -448,8 +550,8 @@ def check_residuals(series: PhgSeries, through: int = None):
     series is an exact solution of the coefficient system.  Over float
     scalars a residual is zero when :func:`residual_at` returns it as exact
     zeros (negligible next to its terms); an exact one is tested on its reading.
-
-    The :func:`residual_at` calls share the reading kept on each stored form.
+    It makes one :func:`residual_at` call per ``(K, p)``; over exact scalars
+    these share the 21-slot reading kept for each stored address.
 
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.
