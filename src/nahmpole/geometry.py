@@ -14,8 +14,8 @@ in ``c``, each summed by one :class:`~nahmpole.algebra.FormSum`.
 
 The flow equations are stated once, as data beside those operators: the
 term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, which
-``oracle.flow_rhs`` sums at a point and ``series.residual_at`` reads at one
-power of the series.
+``oracle.flow_rhs`` sums at a point, compiled once, in integers, to the rows
+that both ``series.residual_at`` and the flow integrator read.
 
 Curvature sign under the package conventions: constant-curvature models come
 out as ``*F_omega = C e`` with ``C = -s^2`` for the round 3-sphere of scale
@@ -32,11 +32,12 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket,
+    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket,
     gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, arithmetic, context
@@ -204,6 +205,9 @@ class FrameBackground:
     volume: object = None
     _frame: tuple = None  # the frame tables: integers (exact), a _FloatFrame (float)
 
+    def __post_init__(self):  # the columns of M0, built on first read
+        object.__setattr__(self, "_columns", _Columns(FRAME_TERMS, self))
+
     @staticmethod
     def from_structure_constants(name, c_rows, field=None, volume=None):
         """The background of ``c_rows`` over ``field`` (rational by default):
@@ -349,6 +353,56 @@ PAIR_TERMS = (
     (1, star_wedge, (1, 1), Fraction(-1, 2)),   # -1/2 *[b, b]
     (2, star_bracket_star, (0, 1), -1),         # -*[a, *b]
 )
+
+#: Where ``a``, ``b`` and ``phi_y`` start among the 21 slots of ``v``, on which the
+#: tables below are compiled once, in integers, for the residual and the integrator.
+_SLOTS = (0, 9, 18)
+
+
+class _Columns(dict):
+    """The columns of ``M1`` (``POLE_TERMS``) or of a background's ``M0`` (``FRAME_TERMS``),
+    built on first read: ``self[u]`` is ``([(out slot, n), ...], den)``, the rows on the
+    unit form at slot ``u`` read exactly.  The background is held weakly."""
+
+    def __init__(self, terms, bg=None):
+        self.terms, self.bg = terms, bg and weakref.ref(bg)
+
+    def __missing__(self, u):
+        bg = self.bg and self.bg()
+        field = bg.field if bg else RationalField()
+        j = (u >= 9) + (u >= 18)  # slot u is in a, b or phi_y
+        unit = [int(n == u) for n in range(_SLOTS[j], _SLOTS[j] + (9 if j < 2 else 3))]
+        x = (_form(field, unit, 1) if field.exact  # a float op needs field elements
+             else GForm.from_entries(field, [field.one if n else field.zero for n in unit]))
+        # each nonzero entry of each image as (n, q), a float one by as_integer_ratio
+        images = [(_SLOTS[i] + o, c, (v, d) if d else v.as_integer_ratio())
+                  for i, op, k, c in self.terms if k == j
+                  for ns, d in [_read(op(bg, x) if bg else op(x))]
+                  for o, v in enumerate(ns) if v]
+        den = math.lcm(*(q for *_, (_, q) in images))
+        self[u] = column = [(o, c * n * (den // q)) for o, c, (n, q) in images], den
+        return column
+
+
+def _compile_pairs():
+    """``4Q``, four times the symmetrized pair rows, in ints (each coefficient is a
+    multiple of 1/2) from ``PAIR_TERMS`` and the kernels' tables: ``table[u][w]``
+    lists ``(out slot, n)``, so that ``Q(x, y) + Q(y, x) = 1/2 sum x[u] y[w] n``."""
+    table = [{} for _ in range(21)]
+    for i, op, (j1, j2), c in PAIR_TERMS:
+        for x, row in enumerate(_TABLES[op]):
+            for y, o, s in row:
+                u, w, o = _SLOTS[j1] + x, _SLOTS[j2] + y, _SLOTS[i] + o
+                for u, w in ((u, w), (w, u)):
+                    out = table[u].setdefault(w, {})
+                    out[o] = out.get(o, 0) + int(2 * c) * s
+    return [{w: [(o, n) for o, n in out.items() if n] for w, out in row.items()}
+            for row in table]
+
+
+#: The columns of ``M1``; a background keeps its own ``M0`` columns.
+_POLE_COLUMNS = _Columns(POLE_TERMS)
+_PAIR_4Q = _compile_pairs()
 
 
 # ---------------------------------------------------------------------------

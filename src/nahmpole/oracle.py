@@ -10,11 +10,11 @@ recursion:
   series arithmetic on the series of ``e^{2y}`` -- every coefficient a
   Fraction, no engine code involved.
 * **A flow integrator**: the three flow equations, stated once in the term
-  tables of :mod:`nahmpole.geometry` (which the series residual reads too)
-  and summed by the field-generic ``flow_rhs``, as a 21-component ODE system
-  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, integrated by an
-  embedded Dormand-Prince 5(4) pair on an operator read off the same tables
-  and applied as one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
+  tables of :mod:`nahmpole.geometry` and summed by the field-generic
+  ``flow_rhs``, as a 21-component ODE system in ``(a, b, phi_y) = (A - W,
+  Phi - e/y, Phi_y)``, integrated by an embedded Dormand-Prince 5(4) pair on
+  the integer rows those tables compile to, which the series residual reads
+  too, rounded once: one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
   A :class:`FlowState` is one float64 row of the full ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
@@ -33,19 +33,17 @@ coefficients are already internal.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import GForm, star_wedge, times, vierbein
-from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
-                       builtin, star_d)
+from .geometry import (_PAIR_4Q, _POLE_COLUMNS, FRAME_TERMS, PAIR_TERMS, POLE_TERMS,
+                       FrameBackground, builtin, star_d)
 from .scalars import RationalField, context
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
@@ -464,57 +462,36 @@ def flow_residual(sol: ProfileSolution, y):
 # Numeric integration of the flow.
 # ---------------------------------------------------------------------------
 
-def _table(terms, rank, field, *args):
-    """``T[row, *columns]`` of table rows: each row's ``coefficient * op(*args,
-    *u)`` on the unit forms ``u`` of its components, in the rows of its equation.
-    No two rows share a block, so each entry is one value; zeros are the int 0."""
-    units = [[(col, GForm.from_entries(field, [field.one if n == col else field.zero
-                                               for n in rows])) for col in rows]
-             for rows in _BLOCKS]
-    T = np.zeros((_NV,) * rank, dtype=object)
-    for i, op, js, coefficient in terms:
-        for pick in itertools.product(*(units[j] for j in ((js,) if rank == 2 else js))):
-            cols, forms = zip(*pick)
-            for row, x in zip(_BLOCKS[i], times(coefficient, op(*args, *forms)).entries()):
-                if x:
-                    T[(row, *cols)] = x
-    return T
+def _matrix(columns):
+    """The float64 matrix of compiled ``columns``: each int ``n / den``, rounded once."""
+    M = np.zeros((_NV, _NV))
+    for u in range(_NV):
+        rows, den = columns[u]
+        for o, n in rows:
+            M[o, u] = n / den
+    return M
 
 
 @functools.cache
 def _pole_and_pair_parts():
-    """``(M1, Q)`` in Fractions and in float64, read-only: the :func:`_table`
-    of the pole rows and the symmetrized one of the pair rows.  No background
-    enters them, so they are built once per process."""
-    M1, Q = _table(POLE_TERMS, 2, RationalField()), _table(PAIR_TERMS, 3, RationalField())
-    Q = Q + Q.transpose(0, 2, 1)
-    Q[Q.nonzero()] /= 2
-    floats = M1.astype(float), Q.astype(float)
-    for array in (M1, Q, *floats):
-        array.flags.writeable = False  # every caller shares them
-    return (M1, Q), floats
-
-
-def _polarize(bg: FrameBackground):
-    """``(c, M0, M1, Q)`` with ``flow_rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)``:
-    ``*F_w`` in the ``b`` rows, the frame rows' :func:`_table` over ``bg.field``,
-    and the exact :func:`_pole_and_pair_parts` (``Q[k, i, j]`` symmetric)."""
-    c = np.array([0] * 9 + list(bg.starF.entries()) + [0] * 3, dtype=object)
-    return (c, _table(FRAME_TERMS, 2, bg.field, bg), *_pole_and_pair_parts()[0])
-
-
-#: Each background's :func:`_flow_operator`, held only while the background lives.
-_OPERATORS = weakref.WeakKeyDictionary()
+    """``(M1, Q)`` in float64, read-only: the pole columns and the symmetric ``Q``,
+    a quarter of ``4Q``.  No background enters them: built once per process."""
+    M1 = _matrix(_POLE_COLUMNS)
+    Q = np.zeros((_NV,) * 3)
+    for u, row in enumerate(_PAIR_4Q):
+        for w, terms in row.items():
+            for o, n in terms:
+                Q[o, u, w] = n / 4
+    M1.flags.writeable = Q.flags.writeable = False  # every caller shares them
+    return M1, Q
 
 
 def _flow_operator(bg: FrameBackground):
-    """The integrator's operator: :func:`_polarize` in float64, one rounding per
-    entry, read-only; built once per background (its frame rows take ~800 forms)."""
-    if bg not in _OPERATORS:
-        c, M0 = (x.astype(float) for x in _polarize(bg)[:2])
-        c.flags.writeable = M0.flags.writeable = False  # every caller shares them
-        _OPERATORS[bg] = (c, M0, *_pole_and_pair_parts()[1])
-    return _OPERATORS[bg]
+    """The integrator's ``(c, M0, M1, Q)`` in float64, ``flow_rhs(y, v) = c + M0 v +
+    M1 v/y + Q(v, v)``: ``*F_w`` in the ``b`` slots, the background's frame columns
+    and :func:`_pole_and_pair_parts`, from the tables the exact residual reads."""
+    c = np.concatenate([np.zeros(9), np.ravel(bg.starF.to_floats()), np.zeros(3)])
+    return (c, _matrix(bg._columns), *_pole_and_pair_parts())
 
 
 def _stacked_rhs(c, M0, M1, Q):
@@ -635,8 +612,8 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     length, so the accumulated defect over the whole run is of order ``tol``.
     Works in the subtracted variables (the pole is removed analytically) and
     in either direction.  Each stage writes its input straight into ``rhs.v``,
-    the state slots of the stacked operator (:func:`_stacked_rhs`, read off the
-    term tables once per background), and its slope into a row of a stage
+    the state slots of the stacked operator (:func:`_stacked_rhs`, filled from
+    the term tables' compiled rows), and its slope into a row of a stage
     buffer; the last stage of an accepted step is the first of the next.  An
     accepted state is written once, into its row of a doubling buffer; on return
     ``W`` and ``e/y`` are added to those rows in one batched pass, and each row

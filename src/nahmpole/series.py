@@ -20,28 +20,27 @@ kernels at k=1 and the resonance at lambda=2), then advances order by order:
 ``b_k`` by inverting ``k + L`` and ``(a_{k+1}, (phi_y)_{k+1})`` by the
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
 rational scalar field.  The master self-test is :func:`residual_at`, which
-reads those tables (as ``oracle.flow_rhs`` does) but no solver code.  Over
-rationals it sums the three equations as integers over one denominator, each
-unordered address pair once through a pair table compiled at import; over
-floats it keeps its ordered pair walk and its sums.
+reads those tables but no solver code: over rationals as the integer rows
+compiled once in :mod:`nahmpole.geometry`, which the integrator reads too,
+summed over one denominator; over floats as forms, pair by ordered pair.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 
 from .algebra import (
-    _TABLES, EigenPart, FormSum, GForm, _form, _read, bracket_0_1, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    EigenPart, FormSum, GForm, _form, _read, bracket_0_1, gamma_op, invert_cal_L,
+    project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
-from .geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, FrameBackground,
-                       d_omega, d_omega_star, is_einstein, star_d_omega)
+from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FRAME_TERMS, PAIR_TERMS,
+                       POLE_TERMS, FrameBackground, d_omega, d_omega_star, is_einstein,
+                       star_d_omega)
 from .scalars import RationalField, context
 
 __all__ = [
@@ -55,46 +54,6 @@ _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
 #: The pair rows with their coefficients negated once: a residual subtracts them.
 _MINUS_PAIR_TERMS = tuple((i, op, js, -c) for i, op, js, c in PAIR_TERMS)
-_SLOT = (0, 9, 18)  # where a, b and phi_y start in an address's 21-slot reading
-
-
-def _pair_tables():
-    """The pair rows on 21-slot readings in ints, doubled (so no 1/2 is left)
-    and negated, from ``PAIR_TERMS`` and the kernels' tables: per slot ``u`` of
-    ``v1``, ``{w: [(out slot, c), ...]}`` over the slots ``w`` of ``v2``, of
-    ``Q(v1, v2) + Q(v2, v1)`` and of ``Q(v, v)`` (``v[u] v[w]`` once, u <= w)."""
-    tables = [[{} for _ in range(21)] for _ in range(2)]
-    for i, op, (j1, j2), c in PAIR_TERMS:
-        for x, row in enumerate(_TABLES[op]):
-            for y, o, s in row:
-                u, w, o = _SLOT[j1] + x, _SLOT[j2] + y, _SLOT[i] + o
-                for rows, u, w in ((tables[0], u, w), (tables[0], w, u),
-                                   (tables[1], min(u, w), max(u, w))):
-                    out = rows[u].setdefault(w, {})
-                    out[o] = out.get(o, 0) - 2 * s * c.numerator // c.denominator
-    return [[{w: [(o, c) for o, c in out.items() if c] for w, out in row.items()}
-             for row in rows] for rows in tables]
-
-
-#: The pair tables off the diagonal (``at1 < at2``) and on it (``at1 == at2``).
-_PAIR_TABLES = _pair_tables()
-#: Per slot, the pole rows, no rows, and (per live background) the frame rows.
-_POLE_ROWS, _NO_ROWS, _FRAME_ROWS = {}, {}, weakref.WeakKeyDictionary()
-
-
-def _unit_rows(cache, terms, u, bg=None):
-    """The linear rows ``terms`` on the unit form at slot ``u`` of a 21-slot
-    reading (``op(bg, x)`` given a background), doubled and negated, over one
-    denominator: ``([(out slot, c), ...], den)``, kept in ``cache``."""
-    j = (u >= 9) + (u >= 18)
-    unit = _form(bg.field if bg else RationalField(), [int(n == u) for n in range(
-        _SLOT[j], _SLOT[j] + (9 if j < 2 else 3))], 1)
-    images = [(i, c, _read(op(bg, unit) if bg else op(unit)))
-              for i, op, k, c in terms if k == j]
-    den = math.lcm(*(d for *_, (_, d) in images))
-    cache[u] = [(_SLOT[i] + o, -2 * c * n * (den // d)) for i, c, (ns, d) in images
-                for o, n in enumerate(ns) if n], den
-    return cache[u]
 
 
 @dataclass(frozen=True)
@@ -415,7 +374,7 @@ def _reading(series: PhgSeries, at):
     a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
     kept = series._readings.get(at)
     if kept is None or kept[0] is not a or kept[1] is not b or kept[2] is not phi:
-        parts = [(start, f._ints or _read(f)) for start, f in zip(_SLOT, (a, b, phi)) if f]
+        parts = [(start, f._ints or _read(f)) for start, f in zip(_SLOTS, (a, b, phi)) if f]
         den = math.lcm(*(d for _, (_, d) in parts))
         kept = series._readings[at] = a, b, phi, ([(start + u, n * (den // d)) for start, (
             ns, d) in parts for u, n in enumerate(ns) if n], den)
@@ -423,23 +382,22 @@ def _reading(series: PhgSeries, at):
 
 
 def _exact_residual(series: PhgSeries, K: int, p: int):
-    """:func:`residual_at` over exact scalars: twice each term, summed in 21
-    integer totals over the lcm of the terms' denominators."""
+    """:func:`residual_at` over exact scalars: each term summed in 21 integer
+    totals over the lcm of the terms' denominators."""
     field, bg = series.field, series.background
     present, terms = series._a.keys() | series._b.keys() | series._phi.keys(), []
-    frame = _FRAME_ROWS.setdefault(bg, {})
-    for n, at, cache, rows, of in ((2 * K, (K, p), _POLE_ROWS, POLE_TERMS, None),
-                                   (2 * p + 2, (K, p + 1), _NO_ROWS, (), None),
-                                   (0, (K - 1, p), frame, FRAME_TERMS, bg)):
-        if at in present:  # n v + rows(v), slot by slot
+    for n, at, columns in ((K, (K, p), _POLE_COLUMNS), (p + 1, (K, p + 1), None),
+                           (0, (K - 1, p), bg._columns)):
+        if at in present:  # n v - rows(v), slot by slot
             xs, d = _reading(series, at)
             for u, x in xs:
-                out, e = cache[u] if u in cache else _unit_rows(cache, rows, u, of)
+                out, e = ((), 1) if columns is None else columns[u]
                 terms.append((n * e, u, x, d * e, out))
     if (K, p) == (1, 0):  # -*F_w
         ns, d = _read(bg.starF)
-        terms += [(-2, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
-    pairs = [(*_reading(series, at1), *_reading(series, at2), _PAIR_TABLES[at1 == at2])
+        terms += [(-1, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
+    # over 4 den: Q(v1, v2) + Q(v2, v1) is twice 4Q off the diagonal, Q(v, v) once on it
+    pairs = [(*_reading(series, at1), *_reading(series, at2), 1 if at1 == at2 else 2)
              for k1 in range(1, (K + 1) // 2)  # at1 <= at2, in (k1, p1) order
              for p1 in range(p + 1 if 2 * k1 < K - 1 else p // 2 + 1)
              if (at1 := (k1, p1)) in present and (at2 := (K - 1 - k1, p - p1)) in present]
@@ -447,18 +405,18 @@ def _exact_residual(series: PhgSeries, K: int, p: int):
         return GForm.zero(field, 1), GForm.zero(field, 1), GForm.zero(field, 0)
     acc, den = [0] * 21, math.lcm(*(t[3] for t in terms), *(t[1] * t[3] for t in pairs))
     for n, u, x, d, rows in terms:
-        x *= den // d
+        x *= 4 * (den // d)
         acc[u] += n * x
         for o, c in rows:
-            acc[o] += c * x
-    for xs, dx, ys, dy, table in pairs:
-        f = den // (dx * dy)
+            acc[o] -= c * x
+    for xs, dx, ys, dy, weight in pairs:
+        f = weight * (den // (dx * dy))
         for u, x in xs:
-            row, x = table[u], f * x
+            row, x = _PAIR_4Q[u], f * x
             for w, y in ys:
                 for o, c in row.get(w, ()):
-                    acc[o] += c * x * y
-    return tuple(_form(field, acc[lo:hi], 2 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
+                    acc[o] -= c * x * y
+    return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
 
 
 def residual_at(series: PhgSeries, K: int, p: int):
@@ -476,13 +434,13 @@ def residual_at(series: PhgSeries, K: int, p: int):
     a cell no term reaches is three exact zeros at once.  Each stored address
     is read once into 21 slots, kept on the series and checked against its
     three forms by identity, so a replaced or deleted entry is read afresh.
-    Each unordered pair ``at1 <= at2`` enters once, through integer tables
-    compiled at import from ``PAIR_TERMS`` and the kernels' tables
-    (:func:`_pair_tables`); the pole and frame rows through the rows of
-    their ops on unit forms (:func:`_unit_rows`), built on first use.
+    The rows are the term tables compiled once in :mod:`nahmpole.geometry`,
+    which the integrator reads too: the pole and frame columns, each built on
+    first read, and the symmetric pair table ``4Q``, through which each
+    unordered pair ``at1 <= at2`` enters once.
 
     Over floats each equation is one :class:`~nahmpole.algebra.FormSum` of
-    each ordered pair, in (k1, p1) order, so the sums round as before.  An
+    each ordered pair, walked in (k1, p1) order, so the sums round as before.  An
     entry is returned as an exact zero when the field's rule
     (as in :meth:`PhgSeries._store`) finds it zero against the largest term
     that entered it, the stored form each linear term reads (one can cancel
@@ -518,16 +476,14 @@ def residual_at(series: PhgSeries, K: int, p: int):
             framed[i].append(down[j])
     if (K, p) == (1, 0):
         R[1].add(-1, bg.starF)
-    present = set(series._a) | set(series._b) | set(series._phi)
-    for at1 in sorted(present):  # in (k1, p1) order: the ordered pairs, both stored
-        if at1[0] > K - 2:
-            break
-        at2 = (K - 1 - at1[0], p - at1[1])
-        if 1 <= at1[0] and at1[1] <= p and at2 in present:
-            v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
-            for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
-                if v1[j1] and v2[j2]:
-                    R[i].add(minus, v1[j1], op, v2[j2])
+    present = series._a.keys() | series._b.keys() | series._phi.keys()
+    for k1 in range(1, K - 1):  # in (k1, p1) order: the ordered pairs, both stored
+        for p1 in range(p + 1):
+            if (at1 := (k1, p1)) in present and (at2 := (K - 1 - k1, p - p1)) in present:
+                v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
+                for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
+                    if v1[j1] and v2[j2]:
+                        R[i].add(minus, v1[j1], op, v2[j2])
     frame_scale = field.scale(chain(bg.W.entries(),
                                     (v for plane in bg.c for row in plane for v in row)))
 
@@ -638,7 +594,8 @@ def from_json(text: str, background: FrameBackground = None,
     """Rebuild a series from :func:`to_json` output.
 
     A background may be attached for residual checks / evaluation; its name
-    must then match the serialized header.
+    must then match the serialized header, and its field be exact just when
+    ``field`` is.
     """
     doc = json.loads(text)
     if background is not None and field is None:
@@ -648,6 +605,9 @@ def from_json(text: str, background: FrameBackground = None,
     if background is not None and background.name != name:
         raise ValueError(
             f"series was computed on {name!r}, not {background.name!r}")
+    if background is not None and background.field.exact != field.exact:
+        raise ValueError(f"a {field.name} series cannot be read on a "
+                         f"{background.field.name} background")
     series = PhgSeries(background=background, field=field,
                        order=int(doc["order"]), background_name=name)
     for entry in doc["entries"]:

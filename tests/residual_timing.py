@@ -1,10 +1,14 @@
-"""Time the exact residual check in one process.
+"""Time the exact residual check and the flow operator's first use in one process.
 
 Prints the minimum wall time of ``series.check_residuals`` on the five stored
 rational N=12 tables (``benchmarks/refs/tables``), each timed on a table
-fresh from ``series.from_json`` (no form read yet) and on one table reused
-across the repeats, and of the five ``verify`` suites run through
-``cli.main``.  Run it on two commits to compare them::
+fresh from ``series.from_json`` attached to a freshly loaded background
+(whose first check builds what it keeps per background), on a fresh table on
+one background (no form read yet) and on one table reused across the
+repeats; of the five ``verify`` suites run through ``cli.main``; and of the
+first and the second ``oracle.integrate_flow`` from y = 0.2 to 0.5 on a fresh
+``oracle.closed_solution`` background (the first builds the flow operator).
+Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/residual_timing.py [REPEATS]
 
@@ -19,13 +23,14 @@ import sys
 import time
 from pathlib import Path
 
-from nahmpole import cli, series
+from nahmpole import cli, oracle, series
 from nahmpole.geometry import load_background
 from nahmpole.scalars import RationalField
 
 TABLES = Path(__file__).resolve().parents[1] / "benchmarks" / "refs" / "tables"
 BUILTINS = ("flat", "round-s3", "hyperbolic-h3", "berger-s3?squash=2", "h2xr")
 SUITES = ("identities", "einstein-catalog", "s3", "hyperbolic", "flat")
+FLOWS = ("s3", "hyperbolic")
 
 
 def best(run, repeats, setup=lambda: None):
@@ -40,25 +45,46 @@ def best(run, repeats, setup=lambda: None):
     return 1e3 * min(times)
 
 
+def first_and_second_flow(name, repeats):
+    """The minimum ms of the first and of the second ``integrate_flow`` on a
+    background fresh from ``closed_solution``."""
+    firsts, seconds = [], []
+    for _ in range(repeats):
+        sol = oracle.closed_solution(name)
+        init = oracle.profile_state(sol, 0.2)
+        for times in (firsts, seconds):
+            start = time.perf_counter()
+            oracle.integrate_flow(sol.background, init, 0.5, tol=1e-10)
+            times.append(time.perf_counter() - start)
+    return 1e3 * min(firsts), 1e3 * min(seconds)
+
+
 def main(repeats=30):
     field = RationalField()
-    print(f"{'job':<44}{'fresh ms':>10}{'reused ms':>11}")
+    print(f"{'job':<44}{'new bg ms':>10}{'fresh ms':>10}{'reused ms':>11}")
     for name in BUILTINS:
         text = (TABLES / (re.sub(r"[^A-Za-z0-9]+", "-", name) + ".json")).read_text()
         bg = load_background(f"builtin:{name}", field)
         load = lambda: series.from_json(text, background=bg)  # noqa: E731
         if series.check_residuals(load()):
             raise SystemExit(f"{name}: nonzero residuals")
+        new_bg = best(series.check_residuals, repeats, lambda: series.from_json(
+            text, background=load_background(f"builtin:{name}", field)))
         fresh = best(series.check_residuals, repeats, load)
         table = load()
         reused = best(series.check_residuals, repeats, lambda: table)
-        print(f"{'check_residuals ' + name + ' N=12':<44}{fresh:>10.3f}{reused:>11.3f}")
+        print(f"{'check_residuals ' + name + ' N=12':<44}{new_bg:>10.3f}{fresh:>10.3f}"
+              f"{reused:>11.3f}")
     for suite in SUITES:
         def run(_, suite=suite):
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(["verify", suite]) != 0:
                     raise SystemExit(f"verify {suite} failed")
         print(f"{'verify ' + suite:<44}{best(run, repeats):>10.3f}")
+    print(f"{'flow y = 0.2 to 0.5':<44}{'first ms':>10}{'second ms':>11}")
+    for name in FLOWS:
+        first, second = first_and_second_flow(name, repeats)
+        print(f"{'integrate_flow ' + name:<44}{first:>10.3f}{second:>11.3f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nahmpole.algebra import GForm, vierbein
-from nahmpole.geometry import load_background
+from nahmpole.geometry import _PAIR_4Q, _POLE_COLUMNS, load_background
 from nahmpole.oracle import (
     FlowState,
     StepUnderflow,
@@ -40,10 +40,9 @@ from nahmpole.oracle import (
     _exp_fraction,
     _flow_operator,
     _flow_rhs,
-    _polarize,
     _stacked_rhs,
 )
-from nahmpole.scalars import RationalField
+from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import PhgSeries, expand, from_json, residual_at, to_json
 
 from conftest import CATALOG, rand_one_form, rand_zero_form
@@ -228,9 +227,21 @@ OPERATOR_CASES = CATALOG + (("builtin:berger-s3?squash=3/7", False),)
 @pytest.fixture(scope="module", params=OPERATOR_CASES,
                 ids=[uri.split(":")[1] for uri, _ in OPERATOR_CASES])
 def exact_operator(request):
-    """A background with its flow operator in rationals."""
+    """A background with its flow operator ``(c, M0, M1, Q)`` in rationals,
+    ``Fraction(n, den)`` from the compiled columns and ``4Q`` over 4."""
     bg = load_background(request.param[0], RationalField())
-    return bg, _polarize(bg)
+    c = np.array([0] * 9 + list(bg.starF.entries()) + [0] * 3, dtype=object)
+    M0, M1, Q = (np.zeros(shape, dtype=object) for shape in ((21, 21), (21, 21), (21,) * 3))
+    for M, columns in ((M0, bg._columns), (M1, _POLE_COLUMNS)):
+        for u in range(21):
+            rows, den = columns[u]
+            for o, n in rows:
+                M[o, u] = Fraction(n, den)
+    for u, row in enumerate(_PAIR_4Q):
+        for w, terms in row.items():
+            for o, n in terms:
+                Q[o, u, w] = Fraction(n, 4)
+    return bg, (c, M0, M1, Q)
 
 
 class TestFlowOperator:
@@ -267,6 +278,20 @@ class TestFlowOperator:
         for got, want in zip(_flow_operator(bg), exact):
             assert got.dtype == np.float64
             assert np.array_equal(got, np.vectorize(float, otypes=[float])(want))
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_float_background_integrates_as_the_rational_one(self, bits):
+        # a float background's operator rounds its exact entries once, as the
+        # rational background's does, so both integrate to the same bytes
+        for uri, _ in OPERATOR_CASES:
+            got = _flow_operator(load_background(uri, FloatField(bits)))
+            want = _flow_operator(load_background(uri, RationalField()))
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], uri
+        for name in ("s3", "hyperbolic"):
+            runs = [[(s.y, s.v.tobytes()) for s in integrate_flow(
+                sol.background, profile_state(sol, 0.2), 0.5, tol=1e-10)]
+                for sol in (closed_solution(name, FloatField(bits)), closed_solution(name))]
+            assert len(runs[0]) > 2 and runs[0] == runs[1], name
 
 
 class TestResidualIsFlowPolynomial:
@@ -556,12 +581,13 @@ class TestBufferedStages:
         assert len(traj) > 20 and made == []
 
     def test_operator_is_built_once_per_background(self, monkeypatch):
-        # the frame rows are read off the term tables, through forms, on the
-        # first run only; the kept operator does not keep its background alive
-        from nahmpole import oracle
+        # the frame columns are read off the term tables, through forms, on the
+        # first run only; the columns the background keeps do not keep it alive
+        from nahmpole import geometry
 
-        calls, table = [], oracle._table
-        monkeypatch.setattr(oracle, "_table", lambda *args: calls.append(1) or table(*args))
+        calls, build = [], geometry._Columns.__missing__
+        monkeypatch.setattr(geometry._Columns, "__missing__",
+                            lambda *args: calls.append(1) or build(*args))
         sol = closed_solution("s3")
         init = profile_state(sol, 0.2)
         first = integrate_flow(sol.background, init, 0.5, tol=1e-10)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from nahmpole import series as series_module
 from nahmpole.algebra import GForm
-from nahmpole.geometry import FRAME_TERMS, PAIR_TERMS, POLE_TERMS, builtin, load_background
+from nahmpole.geometry import (_PAIR_4Q, _POLE_COLUMNS, FRAME_TERMS, PAIR_TERMS, POLE_TERMS,
+                               builtin, load_background)
 from nahmpole.scalars import RationalField
 from nahmpole.series import PhgSeries, check_residuals, expand, residual_at
 
@@ -24,19 +25,19 @@ def _forms(v):
     return [GForm.from_entries(_FIELD, [Fraction(n) for n in v[lo:hi]]) for lo, hi in _BLOCKS]
 
 
-def _minus_twice(rows):
-    """``-2`` times the sum of ``coefficient * form`` over the ``(equation,
+def _total(rows, scale):
+    """``scale`` times the sum of ``coefficient * form`` over the ``(equation,
     coefficient, form)`` of ``rows``, summed as forms, as 21 Fractions."""
     out = [GForm.zero(_FIELD, 1), GForm.zero(_FIELD, 1), GForm.zero(_FIELD, 0)]
     for i, c, form in rows:
-        out[i] = out[i] - form.scale(Fraction(2 * c))
+        out[i] = out[i] + form.scale(Fraction(scale * c))
     return [e for form in out for e in form.entries()]
 
 
-def _pairs(v1, v2):
-    """``-2 Q(v1, v2)``: each pair row through its kernel."""
+def _pairs(v1, v2, scale):
+    """``scale Q(v1, v2)``: each pair row through its kernel."""
     x, y = _forms(v1), _forms(v2)
-    return _minus_twice([(i, c, op(x[j1], y[j2])) for i, op, (j1, j2), c in PAIR_TERMS])
+    return _total([(i, c, op(x[j1], y[j2])) for i, op, (j1, j2), c in PAIR_TERMS], scale)
 
 
 def _apply(table, v1, v2):
@@ -50,11 +51,12 @@ def _apply(table, v1, v2):
 
 @given(_vector, _vector)
 def test_pair_tables_are_the_pair_rows_in_both_orders(v1, v2):
-    off, diagonal = series_module._PAIR_TABLES
-    assert _apply(off, v1, v2) == [s + t for s, t in zip(_pairs(v1, v2), _pairs(v2, v1))]
-    assert _apply(diagonal, v1, v1) == _pairs(v1, v1)
-    assert all(type(c) is int for table in (off, diagonal) for row in table
-               for terms in row.values() for _, c in terms)
+    # 4Q is symmetric: twice the pair rows in both orders, four times on the diagonal
+    assert _apply(_PAIR_4Q, v1, v2) == [s + t for s, t in zip(_pairs(v1, v2, 2),
+                                                              _pairs(v2, v1, 2))]
+    assert _apply(_PAIR_4Q, v1, v2) == _apply(_PAIR_4Q, v2, v1)
+    assert _apply(_PAIR_4Q, v1, v1) == _pairs(v1, v1, 4)
+    assert all(type(c) is int for row in _PAIR_4Q for terms in row.values() for _, c in terms)
 
 
 #: The catalog and a berger squash whose frame operators carry denominators.
@@ -65,16 +67,16 @@ _BACKGROUNDS = [load_background(uri, _FIELD) for uri, _ in CATALOG] + [
 @given(_vector, st.sampled_from(_BACKGROUNDS))
 def test_unit_rows_are_the_pole_and_frame_rows(v, bg):
     x = _forms(v)
-    for terms, args, want in (
-            (POLE_TERMS, None, [(i, c, op(x[j])) for i, op, j, c in POLE_TERMS]),
-            (FRAME_TERMS, bg, [(i, c, op(bg, x[j])) for i, op, j, c in FRAME_TERMS])):
+    for columns, want in (
+            (_POLE_COLUMNS, [(i, c, op(x[j])) for i, op, j, c in POLE_TERMS]),
+            (bg._columns, [(i, c, op(bg, x[j])) for i, op, j, c in FRAME_TERMS])):
         got = [Fraction(0)] * 21
         for u, n in enumerate(v):
-            rows, den = series_module._unit_rows({}, terms, u, args)
+            rows, den = columns[u]
             assert type(den) is int and all(type(c) is int for _, c in rows)
             for o, c in rows:
                 got[o] += Fraction(c * n, den)
-        assert got == _minus_twice(want)
+        assert got == _total(want, 1)
 
 
 def test_coprime_components_and_a_self_pair():

@@ -489,6 +489,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json(to_json(s), background=other)
 
+    def test_rational_series_on_a_float_background_is_refused(self):
+        text = to_json(expand(load_background("builtin:h2xr"), N=4))
+        bg = load_background("builtin:h2xr", FloatField(128))
+        with pytest.raises(ValueError, match="rational series cannot be read on a float"):
+            from_json(text, background=bg, field=RationalField())
+
+    def test_float_series_on_a_rational_background_is_refused(self):
+        text = to_json(expand(load_background("builtin:h2xr", FloatField(128)), N=4))
+        bg = load_background("builtin:h2xr")
+        with pytest.raises(ValueError, match="float series cannot be read on a rational"):
+            from_json(text, background=bg, field=FloatField(128))
+
     def test_float_series_round_trip(self):
         ff = FloatField(128)
         bg = load_background("builtin:round-s3", ff)
