@@ -24,10 +24,9 @@ antisymmetric.  All graded products below are written against that grading.
 
 The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
-import, and applied by one sparse routine, :class:`FormSum`, that skips
-exact scalar zeros only and sums whole equations of such terms: over
-integer numerators and one running denominator on all-``Fraction``
-operands, and one product at a time into scalar slots on any others.
+import, and applied by sparse loops that skip zeros only: on integer
+numerators by :func:`_integer_sum`, over the lcm of the terms' denominators,
+and into scalar slots by :class:`FormSum` on any other operands.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -184,9 +183,8 @@ class GForm:
         their denominators, reduced once; of the slots otherwise."""
         if got := self._readings(other):
             (n, d), (m, e) = got
-            den = lcm(d, e)
-            f, g = den // d, den // e if op is operator.add else -(den // e)
-            return _form(self.field, [x * f + y * g for x, y in zip(n, m)], den)
+            return _integer_sum(self.field, len(n), [
+                (1, n, d, None, None, 1), (1 if op is operator.add else -1, m, e, None, None, 1)])
         return self._slotwise(op, other)
 
     def __add__(self, other: "GForm") -> "GForm":
@@ -303,7 +301,7 @@ def _form(field, totals, den) -> GForm:
     reduced by one gcd to the canonical one :func:`_read` gives."""
     g = gcd(den, *totals) if den > 0 else -gcd(den, *totals)
     form = GForm(field, 0 if len(totals) == 3 else 1, None)
-    form._ints = (tuple(totals), den) if g == 1 else (tuple(t // g for t in totals), den // g)
+    form._ints = (tuple(totals), den) if g == 1 else (tuple([t // g for t in totals]), den // g)
     return form
 
 
@@ -342,6 +340,26 @@ _TABLES = {
 }
 
 
+def _integer_sum(field, size: int, terms) -> GForm:
+    """The exact form ``sum c x`` (``c op(x, y)``; ``op`` None if linear) of
+    the read terms ``(c, xs, d, op, ys, e)``, ``x = xs / d`` and ``y = ys / e``,
+    summed in integers over the lcm of the terms' denominators, taken once."""
+    den, totals = lcm(*[c.denominator * d * e for c, _, d, _, _, e in terms]), [0] * size
+    for c, xs, d, op, ys, e in terms:
+        f = c.numerator * (den // (c.denominator * d * e))
+        if op is None:
+            totals = [t + f * x for t, x in zip(totals, xs)]
+            continue
+        table = _TABLES[op]
+        for i, n in enumerate(xs):
+            if n:
+                n *= f
+                for j, o, s in table[i]:
+                    if m := ys[j]:
+                        totals[o] += n * m if s > 0 else -n * m
+    return _form(field, totals, den)
+
+
 def times(coefficient, form: GForm) -> GForm:
     """``coefficient * form`` for a table coefficient, converted once per
     field (``field.constant``) and multiplied into each entry through the
@@ -358,35 +376,28 @@ class FormSum:
     """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
     linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
     (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
-    into one form; the one routine that applies a kernel's table.  A sum is
-    true once a term was added.
+    into one form; a sum is true once a term was added.
 
-    Terms whose operands read as integers (:func:`_read`) add into integer
-    slot totals over one running denominator, widened by ``lcm`` only when
-    a term's denominator does not divide it: a kernel acts on the integer
-    numerators, a linear ``op`` on the form and its result is read, a
-    coefficient's numerator multiplies and its denominator joins the
-    term's (a 1/2 is no ``Fraction`` product), and :meth:`form` returns the
-    totals as a reading (:func:`_form`).  On other operands (float
-    scalars) a kernel term with coefficient +-1 adds each product
-    straight into scalar slots, skipping scalar zeros only, in one loop
-    over the kernel's table; any other term is built as a form and added
-    slot by slot.  Both round through the field's
+    Terms whose operands read as integers (:func:`_read`) are kept read (a
+    linear ``op``'s result read) and summed by :func:`_integer_sum`.  On
+    other operands (float scalars) a kernel term with coefficient +-1 adds
+    each product straight into scalar slots, skipping scalar zeros only, in
+    one loop over the kernel's table; any other term is built as a form and
+    added slot by slot.  Both round through the field's
     :func:`~nahmpole.scalars.arithmetic` (its context's ``multiply``,
     ``add`` and ``subtract``), entering no context.  ``terms`` lists these
     as forms, building a kernel term only when read (a float residual
     reads them for its scale).
     """
 
-    __slots__ = ("field", "size", "totals", "den", "slots", "_terms")
+    __slots__ = ("field", "size", "read", "slots", "_terms")
 
     def __init__(self, field, degree: int):
-        self.field = field
-        self.size, self.den, self._terms = 9 if degree else 3, 1, []
-        self.totals = self.slots = None  # made by the first term of each kind
+        self.field, self.size, self.read, self._terms = field, 9 if degree else 3, [], []
+        self.slots = None  # made by the first scalar-loop term
 
     def __bool__(self):
-        return self.totals is not None or self.slots is not None
+        return bool(self.read) or self.slots is not None
 
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
         """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
@@ -397,26 +408,8 @@ class FormSum:
         ys, dy = (None, 1) if y is None else y._ints or _read(y)
         if den and dy:
             if y is None and op is not None:
-                xs, den = _read(op(x))
-            num, d = coefficient.as_integer_ratio()
-            den *= dy * d
-            if self.totals is None:
-                self.totals, self.den = [0] * self.size, den
-            elif self.den % den:
-                wider = lcm(self.den, den)
-                self.totals = [t * (wider // self.den) for t in self.totals]
-                self.den = wider
-            num *= self.den // den
-            if y is None:
-                self.totals = [t + num * n for t, n in zip(self.totals, xs)]
-                return self
-            totals, sign = self.totals, 1 if num > 0 else -1
-            for i, n in enumerate(xs if abs(num) == 1 else [n * abs(num) for n in xs]):
-                if n:
-                    for j, o, s in _TABLES[op][i]:
-                        m = ys[j]
-                        if m:
-                            totals[o] += n * m if s == sign else -n * m
+                (xs, den), op = _read(op(x)), None
+            self.read.append((coefficient, xs, den, op, ys, dy))
             return self
         mul, add, sub = getattr(self.field, "ops", _OPERATORS)  # arithmetic(), per term
         if y is None or coefficient not in (1, -1):
@@ -446,18 +439,17 @@ class FormSum:
                 for t in self._terms]
 
     def form(self, scale=None) -> GForm:
-        """The sum: the integer totals as a reading, or added to the scalar
-        slots when any term took the scalar loop.  Given a ``scale``,
+        """The sum: the read terms' integer sum as a reading, or added to the
+        scalar slots when any term took the scalar loop.  Given a ``scale``,
         a slot the field finds zero against it is returned as an exact zero."""
-        if self.slots is None and self.totals is not None:
-            return _form(self.field, self.totals, self.den)
-        zero = self.field.zero
-        if self.totals is None:
-            out = self.slots or [zero] * self.size
-        else:
-            add = arithmetic(self.field)[1]
-            out = [add(s, self.field.from_fraction(Fraction(t, self.den))) if t else s
-                   for s, t in zip(self.slots, self.totals)]
+        if self.slots is None and self.read:
+            return _integer_sum(self.field, self.size, self.read)
+        zero, out = self.field.zero, self.slots or [self.field.zero] * self.size
+        if self.read:
+            (ns, d), add = _integer_sum(self.field, self.size, self.read)._ints, arithmetic(
+                self.field)[1]
+            out = [add(s, self.field.from_fraction(Fraction(n, d))) if n else s
+                   for s, n in zip(out, ns)]
         if scale is not None:
             bound = self.field.bound(scale)
             out = [zero if _magnitude(v) <= bound else v for v in out]

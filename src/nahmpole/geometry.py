@@ -10,7 +10,7 @@ Only frame-constant data is admitted, so every differential operator in the
 package reduces to finite-dimensional exact linear algebra.  The linear maps
 of the flow, ``*d_omega``, ``d_omega`` and ``d_omega^*``, are the bilinear
 kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, plus a term
-in ``c``, each summed by one :class:`~nahmpole.algebra.FormSum`.
+in ``c``, summed in integers over exact scalars (:func:`_frame_terms`).
 
 The flow equations are stated once, as data beside those operators: the
 term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, which
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket,
-    gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _read, bracket_0_1,
+    e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, arithmetic, context
 
@@ -138,11 +138,16 @@ def _star_d_of(field, c, frame, x: GForm) -> GForm:
     xs, dx = _read(x)
     if not field.exact or not dx:
         return GForm.from_entries(field, _star_d(field, c if field.exact else frame, x))
+    return _form(field, _star_d_ints(frame, xs), dx * frame[2])
+
+
+def _star_d_ints(frame, xs):
+    """The numerators of ``*(dx)`` over ``dx D``, ``x = xs / dx``, by the cyclic terms."""
     out = [0] * 9
     for i, m, w in frame[0]:
         for a in range(3):
             out[3 * a + m] -= w * xs[3 * a + i]
-    return _form(field, out, dx * frame[2])
+    return out
 
 
 def star_d(bg, x: GForm) -> GForm:
@@ -276,12 +281,32 @@ def einstein_undecided(bg: FrameBackground) -> bool:
         bg.starF, EigenPart.Plus).is_zero(bg.field.scale(bg.starF.entries()))
 
 
+def _frame_terms(bg: FrameBackground, op, x: GForm):
+    """The frame operator ``op`` on an exact ``x`` as the read terms of
+    :func:`~nahmpole.algebra._integer_sum` (None over floats): the frame's own
+    terms on the reading ``xs / dx`` over ``dx D``, and ``op``'s kernel in ``W``."""
+    xs, dx = x._ints or _read(x)
+    if not (bg.field.exact and dx):
+        return None
+    (ws, dw), (cyclic, traces, D) = bg.W._ints or _read(bg.W), bg._frame
+    if op is d_omega:  # -[x, W]
+        return [(-1, xs, dx, bracket_0_1, ws, dw)]
+    if op is star_d_omega:  # *(dx) + *[W, x]^
+        own, kernel = cyclic and _star_d_ints(bg._frame, xs), (1, ws, dw, star_wedge, xs, dx)
+    else:  # the traces on x, less *[W, *x]
+        own = traces and [sum(t * xs[3 * a + i] for i, t in traces) for a in range(3)]
+        kernel = (-1, ws, dw, star_bracket_star, xs, dx)
+    return [(1, own, dx * D, None, None, 1), kernel] if own else [kernel]
+
+
 def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """Exterior covariant derivative ``[W, x]`` of a frame-constant 0-form
     (the ``d`` part vanishes on invariant functions); on a 1-form, whose
     2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
     if x.degree != 0:
         raise ValueError("d_omega needs a degree-0 form")
+    if terms := _frame_terms(bg, d_omega, x):
+        return _integer_sum(bg.field, 9, terms)
     return FormSum(bg.field, 1).add(-1, x, bracket_0_1, bg.W).form()
 
 
@@ -289,6 +314,8 @@ def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
+    if terms := _frame_terms(bg, star_d_omega, x):
+        return _integer_sum(bg.field, 9, terms)
     return FormSum(bg.field, 1).add(1, star_d(bg, x)).add(1, bg.W, star_wedge, x).form()
 
 
@@ -298,16 +325,14 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
     models, minus ``*[W, *x]``: the background's integer traces over exact
-    scalars, else skipping zeros of ``c`` and ``x``.
+    scalars (:func:`_frame_terms`), else skipping zeros of ``c`` and ``x``.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    total, (xs, dx) = FormSum(bg.field, 0), _read(x)
-    if bg.field.exact and dx:  # the background's integer traces on the reading of x
-        if traces := bg._frame[1]:
-            total.add(1, _form(bg.field, [sum(t * xs[3 * a + i] for i, t in traces)
-                                          for a in range(3)], dx * bg._frame[2]))
-    elif traces := [(i, bg.c[k][i][k]) for i in range(3) for k in range(3) if bg.c[k][i][k]]:
+    if terms := _frame_terms(bg, d_omega_star, x):
+        return _integer_sum(bg.field, 3, terms)
+    total = FormSum(bg.field, 0)
+    if traces := [(i, bg.c[k][i][k]) for i in range(3) for k in range(3) if bg.c[k][i][k]]:
         # some c^k_ik is nonzero: the frame may be non-unimodular
         mul, add, _ = arithmetic(bg.field)
         xc, out = x.coeffs, [bg.field.zero] * 3

@@ -19,7 +19,8 @@ The engine seeds k <= 2 (where the free data c+, c0, c- enters through the
 kernels at k=1 and the resonance at lambda=2), then advances order by order:
 ``b_k`` by inverting ``k + L`` and ``(a_{k+1}, (phi_y)_{k+1})`` by the
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
-rational scalar field.  The master self-test is :func:`residual_at`, which
+rational scalar field, where each step states its terms once and sums them
+in integers.  The master self-test is :func:`residual_at`, which
 reads those tables but no solver code: over rationals as the integer rows
 compiled once in :mod:`nahmpole.geometry`, which the integrator reads too,
 summed over one denominator; over floats as forms, pair by ordered pair.
@@ -35,12 +36,12 @@ from functools import partial
 from itertools import chain
 
 from .algebra import (
-    EigenPart, FormSum, GForm, _form, _read, bracket_0_1, gamma_op, invert_cal_L,
-    project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    EigenPart, FormSum, GForm, _form, _integer_sum, _read, bracket_0_1, gamma_op,
+    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FRAME_TERMS, PAIR_TERMS,
-                       POLE_TERMS, FrameBackground, d_omega, d_omega_star, is_einstein,
-                       star_d_omega)
+                       POLE_TERMS, FrameBackground, _frame_terms, d_omega, d_omega_star,
+                       is_einstein, star_d_omega)
 from .scalars import RationalField, context
 
 __all__ = [
@@ -206,33 +207,43 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
         free = FreeData.zero(field)
     series = PhgSeries(background=bg, order=2)
     minus, zero, plus = (partial(project, part=part) for part in EigenPart)
-
-    def total(degree, *terms):  # one FormSum; float adds in the order given
-        out = FormSum(field, degree)
-        for term in terms:
-            out.add(*term)
-        return out.form()
-
     starF = bg.starF
     if not is_einstein(bg):  # the obstruction, by the Einstein verdict's rule
         series._b[(1, 1)] = plus(starF)
-    series._store(1, 0, [starF, free.c_plus], b=total(
-        1, (1, free.c_plus), (_HALF, starF, zero), (_THIRD, starF, minus)))
+    series._store(1, 0, [starF, free.c_plus], b=_sum(  # float adds in the order given
+        field, 1, [(1, free.c_plus), (_HALF, zero(starF)), (_THIRD, minus(starF))])[0])
     b11, b1 = series.get_b(1, 1), series.get_b(1, 0)
 
     sdb11, dsb11 = star_d_omega(bg, b11), d_omega_star(bg, b11)
     sdb11_plus, sdb11_zero = plus(sdb11), zero(sdb11)
     series._store(2, 1, [sdb11, dsb11, b11],
-                  a=total(1, (_THIRD, sdb11_plus + sdb11_zero)),
-                  phi_y=total(0, (_THIRD, dsb11)))
+                  a=_sum(field, 1, [(_THIRD, sdb11_plus + sdb11_zero)])[0],
+                  phi_y=_sum(field, 0, [(_THIRD, dsb11)])[0])
 
     sdb1 = star_d_omega(bg, b1)
-    a2 = total(1, (Fraction(-1, 9), sdb11_plus), (_THIRD, sdb1, plus),
-               (1, free.c_zero), (1, free.c_minus),
-               (-_THIRD, sdb11_zero), (1, sdb1, zero))
+    a2 = _sum(field, 1, [(Fraction(-1, 9), sdb11_plus), (_THIRD, plus(sdb1)),
+                         (1, free.c_zero), (1, free.c_minus),
+                         (-_THIRD, sdb11_zero), (1, zero(sdb1))])[0]
     series._store(2, 0, [sdb11, sdb1, b11, b1, free.c_zero, free.c_minus], a=a2,
-                  phi_y=total(0, (-_HALF, free.c_zero, gamma_op)))
+                  phi_y=_sum(field, 0, [(-_HALF, gamma_op(free.c_zero))])[0])
     return series
+
+
+def _sum(field, degree: int, terms, images=(), bg=None):
+    """The sum of the frame ``images`` ``(op, x)`` (``op(bg, x)``) and the
+    ``terms`` ``(coefficient, x)``, an ``x`` of None adding nothing, with the
+    float terms as forms (a store's scale): in integers over exact scalars, an
+    image stated as its terms, else one ``FormSum`` adding images, then terms."""
+    if not field.exact:
+        total = FormSum(field, degree)
+        for op, x in images:
+            total.add(1, x and op(bg, x))
+        for c, x in terms:
+            total.add(c, x)
+        return total.form(), total.terms
+    read = [term for op, x in images if x for term in _frame_terms(bg, op, x)]
+    read += [(c, *(x._ints or _read(x)), None, None, 1) for c, x in terms if x]
+    return _integer_sum(field, 9 if degree else 3, read), []
 
 
 def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
@@ -240,42 +251,51 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
 
     ``Qa``/``Qphi`` feed the order k+1 equations (their pairs sum to k);
     ``Qb`` feeds the order-k b equation (pairs sum to k-1).  Only stored
-    entries contribute, found by walking the stored addresses below order k
-    in ``(k1, p1)`` order; absent coefficients are zero and add no term, and
-    a source no pair reaches is None.  Each source is one
-    :class:`~nahmpole.algebra.FormSum` over all its pairs; on exact scalars
-    it is an integer reading, which the solve step reads with no
-    ``Fraction`` built.  The ``a^a`` and ``b^b`` sums of
-    ``Qb`` are symmetric, so each unordered pair is taken once: ``1/2 (x^y +
-    y^x) = x^y`` off the diagonal, and the diagonal pair, added last, keeps
-    its coefficient +-1/2.
+    entries contribute, found by probing the tables at each ``(k1, p1)``
+    below order k in order; absent coefficients are zero and add no term, and
+    a source no pair reaches is None; over exact scalars each is one integer
+    sum (:func:`~nahmpole.algebra._integer_sum`), over floats one ``FormSum``.
+    The ``a^a`` and ``b^b`` sums of ``Qb`` are symmetric, so each unordered
+    pair is taken once: ``1/2 (x^y + y^x) = x^y`` off the diagonal, and the
+    diagonal pair, added last, keeps its coefficient +-1/2.
     """
     A, B, PHI = series._a, series._b, series._phi
-    Qa, Qb, Qphi = (FormSum(series.field, degree) for degree in (1, 1, 0))
-    symmetric = ((A, 1), (B, -1))  # 1/2 a^a - 1/2 b^b
-    for at1 in sorted({at for table in (A, B, PHI) for at in table
-                       if at[0] < k and at[1] <= p}):
-        k1, p1 = at1
-        a1, phi1, b2 = A.get(at1), PHI.get(at1), B.get((k - k1, p - p1))
-        if b2 is not None:
-            if a1 is not None:
-                Qa.add(1, a1, star_wedge, b2)
-                Qphi.add(-1, a1, star_bracket_star, b2)
-            if phi1 is not None:
-                Qa.add(1, phi1, bracket_0_1, b2)
-        at2 = (k - 1 - k1, p - p1)  # no entry is stored at order 0
-        if a1 is not None and (phi2 := PHI.get(at2)) is not None:
-            Qb.add(-1, phi2, bracket_0_1, a1)  # [a, phi_y] = -[phi_y, a]
-        if at1 < at2:
-            for table, sign in symmetric:
-                if at1 in table and at2 in table:
-                    Qb.add(sign, table[at1], star_wedge, table[at2])
+    Qa, Qb, Qphi = [], [], []
+    for k1 in range(1, k):  # no entry is stored at order 0
+        for p1 in range(p + 1):
+            at1, at2 = (k1, p1), (k - 1 - k1, p - p1)
+            a1, phi1 = A.get(at1), PHI.get(at1)
+            if (a1 or phi1) and (b := B.get((k - k1, p - p1))):  # a GForm is true
+                if a1:
+                    Qa.append((1, a1, star_wedge, b))
+                    Qphi.append((-1, a1, star_bracket_star, b))
+                if phi1:
+                    Qa.append((1, phi1, bracket_0_1, b))
+            if a1 and (phi2 := PHI.get(at2)):
+                Qb.append((-1, phi2, bracket_0_1, a1))  # [a, phi_y] = -[phi_y, a]
+            if at1 < at2:  # 1/2 a^a - 1/2 b^b
+                if a1 and (a2 := A.get(at2)):
+                    Qb.append((1, a1, star_wedge, a2))
+                if (b1 := B.get(at1)) and (b2 := B.get(at2)):
+                    Qb.append((-1, b1, star_wedge, b2))
     if k % 2 and p % 2 == 0:
         at = ((k - 1) // 2, p // 2)  # the diagonal pair, at1 == at2
-        for table, sign in symmetric:
+        for table, sign in ((A, 1), (B, -1)):
             if at in table:
-                Qb.add(sign * _HALF, table[at], star_wedge, table[at])
-    return QuadSource(*(q.form() if q else None for q in (Qa, Qb, Qphi)))
+                Qb.append((sign * _HALF, table[at], star_wedge, table[at]))
+    field, out = series.field, []
+    for degree, terms in zip((1, 1, 0), (Qa, Qb, Qphi)):
+        if not terms:
+            out.append(None)
+        elif field.exact:
+            out.append(_integer_sum(field, 9 if degree else 3, [
+                (c, *(x._ints or _read(x)), op, *(y._ints or _read(y))) for c, x, op, y in terms]))
+        else:
+            total = FormSum(field, degree)
+            for term in terms:
+                total.add(*term)
+            out.append(total.form())
+    return QuadSource(*out)
 
 
 def _top_depth(series: PhgSeries, k: int) -> int:
@@ -306,8 +326,9 @@ def advance_order(series: PhgSeries, k: int) -> None:
       lambda = k+1: ``R`` over k+2 on V+ and k-1 on V-, and the coupled
       V0 / 0-form block.
 
-    Each right-hand side is one :class:`~nahmpole.algebra.FormSum` (``-(p+1)``
-    a term coefficient), summed in integers over rationals for the solves.
+    Each right-hand side is one :func:`_sum` of the frame images, the
+    ``-(p+1)`` ladder term and the source: one integer reading over exact
+    scalars, which the solves read.
 
     A term enters only where its table entries are present; a step with no
     terms is skipped.  Zero results are not stored.
@@ -316,22 +337,21 @@ def advance_order(series: PhgSeries, k: int) -> None:
         raise ValueError("advance_order starts at k = 2; lower orders are seeded")
     bg, field = series.background, series.field
     A, B, PHI = series._a, series._b, series._phi
-    sd, dw, ds = (partial(op, bg) for op in (star_d_omega, d_omega, d_omega_star))
     for p in range(_top_depth(series, k), -1, -1):
         q = quadratic_source(series, k, p)
         a, phi, b = A.get((k - 1, p)), PHI.get((k - 1, p)), B.get((k, p + 1))
-        rhs_b = (FormSum(field, 1).add(1, a, sd).add(1, phi, dw)
-                 .add(-(p + 1), b).add(1, q.Qb))
-        if rhs_b:  # the entries read join the scale: a curl can be round-off
-            series._store(k, p, rhs_b.terms + [*filter(None, (a, phi))],
-                          b=invert_cal_L(k, rhs_b.form()))
+        if a or phi or b or q.Qb:  # the entries read join the scale: a curl can be round-off
+            rhs_b, terms = _sum(field, 1, [(-(p + 1), b), (1, q.Qb)],
+                                [(star_d_omega, a), (d_omega, phi)], bg)
+            series._store(k, p, terms + [*filter(None, (a, phi))],
+                          b=invert_cal_L(k, rhs_b))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
-        R = FormSum(field, 1).add(1, b, sd).add(-(p + 1), a).add(1, q.Qa)
-        S = FormSum(field, 0).add(1, b, ds).add(-(p + 1), phi).add(1, q.Qphi)
-        if R or S:
-            a_next, phi_next = resolve_coupled(k + 1, R.form(), S.form())
-            series._store(k + 1, p, R.terms + S.terms + ([b] if b else []),
+        if b or a or phi or q.Qa or q.Qphi:
+            R, r_terms = _sum(field, 1, [(-(p + 1), a), (1, q.Qa)], [(star_d_omega, b)], bg)
+            S, s_terms = _sum(field, 0, [(-(p + 1), phi), (1, q.Qphi)], [(d_omega_star, b)], bg)
+            a_next, phi_next = resolve_coupled(k + 1, R, S)
+            series._store(k + 1, p, r_terms + s_terms + ([b] if b else []),
                           a=a_next, phi_y=phi_next)
 
 
@@ -595,7 +615,7 @@ def from_json(text: str, background: FrameBackground = None,
 
     A background may be attached for residual checks / evaluation; its name
     must then match the serialized header, and its field be exact just when
-    ``field`` is.
+    ``field`` is, and of the same precision.
     """
     doc = json.loads(text)
     if background is not None and field is None:
@@ -608,6 +628,9 @@ def from_json(text: str, background: FrameBackground = None,
     if background is not None and background.field.exact != field.exact:
         raise ValueError(f"a {field.name} series cannot be read on a "
                          f"{background.field.name} background")
+    if background is not None and not field.exact and background.field.bits != field.bits:
+        raise ValueError(f"a {field.bits}-bit float series cannot be read on a "
+                         f"{background.field.bits}-bit float background")
     series = PhgSeries(background=background, field=field,
                        order=int(doc["order"]), background_name=name)
     for entry in doc["entries"]:

@@ -501,6 +501,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="float series cannot be read on a rational"):
             from_json(text, background=bg, field=FloatField(128))
 
+    def test_wider_float_series_on_a_narrower_background_is_refused(self):
+        # read on a 64-bit background, this table's check_residuals listed 5 cells
+        text = to_json(expand(load_background("builtin:h2xr", FloatField(128)), N=6))
+        bg = load_background("builtin:h2xr", FloatField(64))
+        with pytest.raises(ValueError, match="a 128-bit float series cannot be read on "
+                                             "a 64-bit float background"):
+            from_json(text, background=bg, field=FloatField(128))
+
+    def test_narrower_float_series_on_a_wider_background_is_refused(self):
+        text = to_json(expand(load_background("builtin:h2xr", FloatField(64)), N=6))
+        bg = load_background("builtin:h2xr", FloatField(128))
+        with pytest.raises(ValueError, match="a 64-bit float series cannot be read on "
+                                             "a 128-bit float background"):
+            from_json(text, background=bg, field=FloatField(64))
+
     def test_float_series_round_trip(self):
         ff = FloatField(128)
         bg = load_background("builtin:round-s3", ff)
