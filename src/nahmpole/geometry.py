@@ -305,8 +305,6 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
     if x.degree != 0:
         raise ValueError("d_omega needs a degree-0 form")
-    if terms := _frame_terms(bg, d_omega, x):
-        return _integer_sum(bg.field, 9, terms)
     return FormSum(bg.field, 1).add(-1, x, bracket_0_1, bg.W).form()
 
 
