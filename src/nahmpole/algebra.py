@@ -432,6 +432,17 @@ class FormSum:
                         slots[o] = (add if s == coefficient else sub)(slots[o], mul(xi, yj))
         return self
 
+    def extend(self, terms) -> "FormSum":
+        """Add each kernel term ``(coefficient, x, op, y)`` of ``terms`` as
+        :meth:`add` does, and return the sum; exact operands are read in one pass."""
+        if self.field.exact:
+            self.read += [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y)))
+                          for c, x, op, y in terms]
+            return self
+        for term in terms:
+            self.add(*term)
+        return self
+
     @property
     def terms(self):
         """The scalar-loop terms, as forms."""
