@@ -10,6 +10,7 @@ numerator.  The forms are drawn with ints, negatives, zero slots and
 thousand-digit entries.
 """
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,14 +19,14 @@ from hypothesis import given, strategies as st
 
 from nahmpole.algebra import (
     _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge,
+    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from nahmpole.geometry import (builtin, d_omega, d_omega_star, load_background, star_d,
                                star_d_omega)
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import expand
 
-from conftest import CATALOG
+from conftest import CATALOG, rand_one_form, rand_zero_form
 
 _FIELD = RationalField()
 
@@ -147,6 +148,31 @@ def test_linear_kernels(x, phi):
     e = [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert_reads_as(e_bracket(form(phi)), [-v for v in o_bracket_0_1(phi, e)])
     assert_reads_as(gamma_op(form(x)), o_star_bracket_star(x, e))
+
+
+def _kernel_gamma_and_e_bracket(x, phi):
+    """``Gamma(x)`` and ``[e, phi]`` by their kernel definitions on the vierbein."""
+    e = vierbein(x.field)
+    return (star_bracket_star(x, e),
+            FormSum(phi.field, 1).add(-1, phi, bracket_0_1, e).form())
+
+
+@given(_one_form, _zero_form)
+def test_gamma_and_e_bracket_are_their_kernel_definitions(x, phi):
+    got = gamma_op(form(x)), e_bracket(form(phi))
+    for g, want in zip(got, _kernel_gamma_and_e_bracket(form(x), form(phi))):
+        assert _read(g) == _read(want) and g == want
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_gamma_and_e_bracket_are_their_kernel_definitions(bits):
+    # over floats the two keep the kernel route: the same entries, bit for bit
+    field, rng = FloatField(bits), random.Random(bits)
+    for _ in range(40):
+        x, phi = rand_one_form(rng, field), rand_zero_form(rng, field)
+        for g, want in zip((gamma_op(x), e_bracket(phi)), _kernel_gamma_and_e_bracket(x, phi)):
+            assert list(g.entries()) == list(want.entries())
+            assert all(type(v) is Decimal for v in g.entries())
 
 
 @given(st.integers(-30, 30).filter(lambda k: k not in (-2, -1, 1)), _one_form)

@@ -158,6 +158,23 @@ class TestTaylorProfiles:
         assert fa == [Fraction(1)] + [Fraction(0)] * 10
         assert fp == [Fraction(1)] + [Fraction(0)] * 11
 
+    def test_frozen_at_n12(self):
+        # generated by the Fraction power-series oracle the integer sums replaced
+        want = {
+            "s3": ("1 0 -2/3 0 2/9 0 -4/135 0 -34/2835 0 44/4725 0 -4316/1403325",
+                   "1 0 -1/3 0 -1/45 0 58/945 0 -403/14175 0 206/31185 0 "
+                   "107818/638512875 0"),
+            "hyperbolic": ("1" + " 0" * 12,
+                           "1 0 1/3 0 -1/45 0 2/945 0 -1/4725 0 2/93555 0 "
+                           "-1382/638512875 0"),
+            "flat": ("1" + " 0" * 12, "1" + " 0" * 13),
+        }
+        for name, (a, phi) in want.items():
+            fa, fp = taylor_profile(closed_solution(name), 12)
+            assert fa == [Fraction(v) for v in a.split()]
+            assert fp == [Fraction(v) for v in phi.split()]
+            assert all(type(v) is Fraction for v in fa + fp)
+
     def test_order_window(self):
         sol = closed_solution("s3")
         with pytest.raises(ValueError):

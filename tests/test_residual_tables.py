@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from nahmpole import series as series_module
 from nahmpole.algebra import GForm
 from nahmpole.geometry import (_PAIR_4Q, _POLE_COLUMNS, FRAME_TERMS, PAIR_TERMS, POLE_TERMS,
-                               builtin, load_background)
+                               _Columns, builtin, load_background)
 from nahmpole.scalars import RationalField
 from nahmpole.series import PhgSeries, check_residuals, expand, residual_at
 
@@ -77,6 +77,21 @@ def test_unit_rows_are_the_pole_and_frame_rows(v, bg):
             for o, c in rows:
                 got[o] += Fraction(c * n, den)
         assert got == _total(want, 1)
+
+
+def test_pole_columns_are_frozen():
+    # M1 on each unit slot: L on a, -[e, phi_y] into a, -L on b, -Gamma(a) into phi_y
+    want = {
+        0: ([(4, 1), (8, 1)], 1), 1: ([(3, -1), (20, -1)], 1), 2: ([(6, -1), (19, 1)], 1),
+        3: ([(1, -1), (20, 1)], 1), 4: ([(0, 1), (8, 1)], 1), 5: ([(7, -1), (18, -1)], 1),
+        6: ([(2, -1), (19, -1)], 1), 7: ([(5, -1), (18, 1)], 1), 8: ([(0, 1), (4, 1)], 1),
+        9: ([(13, -1), (17, -1)], 1), 10: ([(12, 1)], 1), 11: ([(15, 1)], 1),
+        12: ([(10, 1)], 1), 13: ([(9, -1), (17, -1)], 1), 14: ([(16, 1)], 1),
+        15: ([(11, 1)], 1), 16: ([(14, 1)], 1), 17: ([(9, -1), (13, -1)], 1),
+        18: ([(5, -1), (7, 1)], 1), 19: ([(2, 1), (6, -1)], 1), 20: ([(1, -1), (3, 1)], 1),
+    }
+    for columns in (_POLE_COLUMNS, _Columns(POLE_TERMS)):
+        assert {u: columns[u] for u in range(21)} == want
 
 
 def test_coprime_components_and_a_self_pair():
