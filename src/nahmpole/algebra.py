@@ -298,9 +298,13 @@ def _read(form: GForm):
 
 def _form(field, totals, den) -> GForm:
     """The exact form ``totals / den`` (3 or 9 slots), made from its reading:
-    reduced by one gcd to the canonical one :func:`_read` gives."""
-    g = gcd(den, *totals) if den > 0 else -gcd(den, *totals)
+    reduced by one gcd to the canonical one :func:`_read` gives, or the zero
+    reading ``(0, ..., 0) / 1`` when every total is zero."""
     form = GForm(field, 0 if len(totals) == 3 else 1, None)
+    if not any(totals):
+        form._ints = (0,) * len(totals), 1
+        return form
+    g = gcd(den, *totals) if den > 0 else -gcd(den, *totals)
     form._ints = (tuple(totals), den) if g == 1 else (tuple([t // g for t in totals]), den // g)
     return form
 
@@ -468,8 +472,13 @@ class FormSum:
 
 
 def e_bracket(phi: GForm) -> GForm:
-    """``[e, phi]`` for a 0-form ``phi`` (a V0-valued 1-form)."""
-    return FormSum(phi.field, 1).add(-1, phi, bracket_0_1, vierbein(phi.field)).form()
+    """``[e, phi]`` for a 0-form ``phi`` (a V0-valued 1-form): ``[e, phi]_ij =
+    -[e, phi]_ji = phi_m`` over the cyclic ``(i, j, m)``, on the integer
+    reading of exact entries; other scalars take ``-[phi, e]`` by the kernel."""
+    s, D = _read(phi)
+    if not D:
+        return FormSum(phi.field, 1).add(-1, phi, bracket_0_1, vierbein(phi.field)).form()
+    return _form(phi.field, [0, s[2], -s[1], -s[2], 0, s[0], s[1], -s[0], 0], D)
 
 
 def L_op(a: GForm) -> GForm:
@@ -487,10 +496,15 @@ def L_op(a: GForm) -> GForm:
 
 
 def gamma_op(a: GForm) -> GForm:
-    """``Gamma(a) = *[a, *e]``, a 0-form."""
+    """``Gamma(a) = *[a, *e]``, a 0-form: ``Gamma(a)_m = a_ij - a_ji`` over the
+    cyclic ``(i, j, m)``, on the integer reading of exact entries; other
+    scalars take :func:`star_bracket_star` with the vierbein."""
     if a.degree != 1:
         raise ValueError("gamma_op needs a degree-1 form")
-    return star_bracket_star(a, vierbein(a.field))
+    n, D = _read(a)
+    if not D:
+        return star_bracket_star(a, vierbein(a.field))
+    return _form(a.field, [n[5] - n[7], n[6] - n[2], n[1] - n[3]], D)
 
 
 def project(a: GForm, part: EigenPart) -> GForm:

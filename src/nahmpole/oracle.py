@@ -57,24 +57,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Exact power series arithmetic (dense Fraction coefficient lists).
+# Exact exponentials.
 # ---------------------------------------------------------------------------
-
-
-def _ts_mul(x, y, n):
-    """Product of two power series through y^n."""
-    out = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(x[: n + 1]):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y[: n + 1 - i]):
-            if yj != 0:
-                out[i + j] += xi * yj
-    return out
-
-def _ts_exp2(n):
-    """Series of e^{2y} through y^n."""
-    return [Fraction(2**k, math.factorial(k)) for k in range(n + 1)]
 
 
 def _exp_fraction(x: Fraction) -> Fraction:
@@ -92,34 +76,6 @@ def _exp_fraction(x: Fraction) -> Fraction:
         term = term * n // (d * k)
         acc += term
     return Fraction(acc, den)
-
-
-def _ts_poly(poly, base, n):
-    """Polynomial in ``base`` (coefficients ascending), as a series in y."""
-    acc = [Fraction(0)] * (n + 1)
-    for c in reversed(poly):
-        acc = _ts_mul(acc, base, n)
-        acc[0] += Fraction(c)
-    return acc
-
-
-def _ts_div(num, den, n):
-    """Laurent quotient of power series: returns ``(offset, coeffs)`` with
-    value ``sum coeffs[i] y^(offset + i)``, coeffs running through y-order n
-    relative to the offset.  The denominator may vanish at y = 0 to finite
-    order (that order becomes the pole order of the quotient).
-    """
-    v = next((i for i, d in enumerate(den) if d != 0), None)
-    if v is None:
-        raise ZeroDivisionError("series division by zero")
-    dt = den[v:] + [Fraction(0)] * v
-    q = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        acc = num[i] if i < len(num) else Fraction(0)
-        for j in range(i):
-            acc -= q[j] * (dt[i - j] if i - j < len(dt) else Fraction(0))
-        q[i] = acc / dt[0]
-    return -v, q
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +173,32 @@ class ExpRational:
         return 2.0 * u * (dp * q - p * dq) / (q * q)
 
     def taylor(self, n):
-        # compute a few extra orders so a denominator zero at y=0 (pole of
-        # the quotient) still leaves n usable coefficients
-        guard = max(len(self.Q), 4)
-        u = _ts_exp2(n + guard)
-        num = _ts_poly(self.P, u, n + guard)
-        den = _ts_poly(self.Q, u, n + guard)
-        off, q = _ts_div(num, den, n + guard)
-        return off, q[: n + 1]
+        """Laurent coefficients ``(offset, coeffs)``: the value is ``sum
+        coeffs[i] y^(offset + i)``, i = 0..n, and ``-offset`` is the order
+        to which ``Q(e^{2y})`` vanishes at y = 0 (at most its degree).
+
+        ``P(e^{2y}) = sum_i p_i e^{2iy}``, so over the lcm ``D`` of P's
+        denominators ``M! D`` times its ``y^k`` coefficient is the integer
+        ``sum_i D p_i (2i)^k M!/k!``, and likewise for Q.  The quotient of
+        those integer series is the recurrence ``c_i = a_i b^i - sum_(j<i)
+        c_j b^(i-j-1) B_(v+i-j)`` on ``c_i = b^(i+1)`` times the i-th
+        coefficient, ``b = B_v`` the first nonzero one; one ``Fraction`` is
+        built per coefficient returned."""
+        M = n + len(self.Q)  # the orders v + i <= M the quotient reads
+
+        def scaled(poly):  # M! D [y^k] poly(e^{2y}) for k = 0..M, and D
+            D = math.lcm(*(c.denominator for c in poly))
+            ints = [(c.numerator * (D // c.denominator), 2 * i) for i, c in enumerate(poly) if c]
+            return [sum(p * w**k for p, w in ints) * math.perm(M, M - k)
+                    for k in range(M + 1)], D
+        (A, dp), (B, dq) = scaled(self.P), scaled(self.Q)
+        v = next((k for k, x in enumerate(B) if x), None)
+        if v is None:
+            raise ZeroDivisionError("series division by zero")
+        b, c = B[v], []
+        for i in range(n + 1):
+            c.append(A[i] * b**i - sum(c[j] * b ** (i - j - 1) * B[v + i - j] for j in range(i)))
+        return -v, [Fraction(x * dq, b ** (i + 1) * dp) for i, x in enumerate(c)]
 
 
 @dataclass(frozen=True)

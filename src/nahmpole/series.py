@@ -395,11 +395,11 @@ def _reading(series: PhgSeries, at):
 def _exact_residual(series: PhgSeries, K: int, p: int):
     """:func:`residual_at` over exact scalars: each term summed in 21 integer
     totals over the lcm of the terms' denominators."""
-    field, bg = series.field, series.background
-    present, terms = series._a.keys() | series._b.keys() | series._phi.keys(), []
+    field, bg, terms = series.field, series.background, []
+    A, B, PHI = series._a, series._b, series._phi
     for n, at, columns in ((K, (K, p), _POLE_COLUMNS), (p + 1, (K, p + 1), None),
                            (0, (K - 1, p), bg._columns)):
-        if at in present:  # n v - rows(v), slot by slot
+        if at in A or at in B or at in PHI:  # n v - rows(v), slot by slot
             xs, d = _reading(series, at)
             for u, x in xs:
                 out, e = ((), 1) if columns is None else columns[u]
@@ -411,7 +411,8 @@ def _exact_residual(series: PhgSeries, K: int, p: int):
     pairs = [(*_reading(series, at1), *_reading(series, at2), 1 if at1 == at2 else 2)
              for k1 in range(1, (K + 1) // 2)  # at1 <= at2, in (k1, p1) order
              for p1 in range(p + 1 if 2 * k1 < K - 1 else p // 2 + 1)
-             if (at1 := (k1, p1)) in present and (at2 := (K - 1 - k1, p - p1)) in present]
+             if ((at1 := (k1, p1)) in A or at1 in B or at1 in PHI)
+             and ((at2 := (K - 1 - k1, p - p1)) in A or at2 in B or at2 in PHI)]
     if not (terms or pairs):
         return GForm.zero(field, 1), GForm.zero(field, 1), GForm.zero(field, 0)
     acc, den = [0] * 21, math.lcm(*(t[3] for t in terms), *(t[1] * t[3] for t in pairs))
@@ -464,7 +465,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
         raise ValueError("series has no background attached")
     if field.exact:
         return _exact_residual(series, K, p)
-    tables = (series._a, series._b, series._phi)
+    tables = A, B, PHI = series._a, series._b, series._phi
     here, up, down = ([t.get(at) for t in tables]
                       for at in ((K, p), (K, p + 1), (K - 1, p)))
     R = [FormSum(field, degree) for degree in (1, 1, 0)]
@@ -487,10 +488,10 @@ def residual_at(series: PhgSeries, K: int, p: int):
             framed[i].append(down[j])
     if (K, p) == (1, 0):
         R[1].add(-1, bg.starF)
-    present = series._a.keys() | series._b.keys() | series._phi.keys()
     for k1 in range(1, K - 1):  # in (k1, p1) order: the ordered pairs, both stored
         for p1 in range(p + 1):
-            if (at1 := (k1, p1)) in present and (at2 := (K - 1 - k1, p - p1)) in present:
+            if (((at1 := (k1, p1)) in A or at1 in B or at1 in PHI)
+                    and ((at2 := (K - 1 - k1, p - p1)) in A or at2 in B or at2 in PHI)):
                 v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
                 for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
                     if v1[j1] and v2[j2]:

@@ -7,7 +7,11 @@ fresh from ``series.from_json`` attached to a freshly loaded background
 one background (no form read yet) and on one table reused across the
 repeats; of the five ``verify`` suites run through ``cli.main``; and of the
 first and the second ``oracle.integrate_flow`` from y = 0.2 to 0.5 on a fresh
-``oracle.closed_solution`` background (the first builds the flow operator).
+``oracle.closed_solution`` background (the first builds the flow operator); of
+``oracle.taylor_profile`` for the three closed-form solutions at N = 6 and 12;
+and of one ``algebra.gamma_op`` call on the stored berger-s3?squash=2 ``a`` at
+(12, 0) and one ``algebra.e_bracket`` call on that ``Gamma(a)`` (the mean of 100;
+the stored tables hold no ``phi_y``).
 Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/residual_timing.py [REPEATS]
@@ -23,7 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-from nahmpole import cli, oracle, series
+from nahmpole import algebra, cli, oracle, series
 from nahmpole.geometry import load_background
 from nahmpole.scalars import RationalField
 
@@ -81,6 +85,18 @@ def main(repeats=30):
                 if cli.main(["verify", suite]) != 0:
                     raise SystemExit(f"verify {suite} failed")
         print(f"{'verify ' + suite:<44}{best(run, repeats):>10.3f}")
+    for name in FLOWS + ("flat",):
+        sol = oracle.closed_solution(name)
+        times = [best(lambda _: oracle.taylor_profile(sol, N), repeats) for N in (6, 12)]
+        print(f"{'taylor_profile ' + name + ' N=6 | N=12':<44}{times[0]:>10.3f}{times[1]:>10.3f}")
+    text = (TABLES / "berger-s3-squash-2.json").read_text()
+    table = series.from_json(text, background=load_background("builtin:berger-s3?squash=2", field))
+    a = table._a[(12, 0)]
+    for op, x in ((algebra.gamma_op, a), (algebra.e_bracket, algebra.gamma_op(a))):
+        def calls(_, op=op, x=x):
+            for _ in range(100):
+                op(x)
+        print(f"{op.__name__ + ' on a stored N=12 form (us)':<44}{10 * best(calls, repeats):>10.3f}")
     print(f"{'flow y = 0.2 to 0.5':<44}{'first ms':>10}{'second ms':>11}")
     for name in FLOWS:
         first, second = first_and_second_flow(name, repeats)

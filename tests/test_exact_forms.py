@@ -203,3 +203,30 @@ def test_exact_free_data_builds_only_its_literals(tmp_path, monkeypatch):
     literals = [(v,) for key in ("c_plus", "c_zero", "c_minus") for row in doc[key] for v in row]
     assert len(literals) == 27 and built == literals
     assert free.c_plus.entries() == tuple(Fraction(v) for row in doc["c_plus"] for v in row)
+
+
+@pytest.mark.parametrize("den", [1, 7, -7, 10**40])
+def test_an_all_zero_reading_is_the_canonical_zero(den):
+    for size in (3, 9):
+        zero = _form(_FIELD, [0] * size, den)
+        assert zero._ints == ((0,) * size, 1) == _read(GForm.from_entries(_FIELD, [0] * size))
+        assert zero == GForm.zero(_FIELD, 0 if size == 3 else 1)
+
+
+def test_exact_zero_free_data_expand_builds_no_vierbein(monkeypatch):
+    # the seed's -1/2 Gamma(c0) reads the closed form of Gamma on the zero
+    # c0; a float Gamma still takes the kernel with the vierbein
+    from nahmpole import algebra, series
+
+    calls, vierbein = [], algebra.vierbein
+
+    def counting(field=None):
+        calls.append(field)
+        return vierbein(field)
+    for module in (algebra, series):
+        monkeypatch.setattr(module, "vierbein", counting)
+    for uri in ("builtin:round-s3", "builtin:berger-s3?squash=2", "builtin:h2xr"):
+        expand(load_background(uri, _FIELD), N=8)
+    assert calls == []
+    algebra.gamma_op(GForm.zero(_F128, 1))
+    assert calls == [_F128]
