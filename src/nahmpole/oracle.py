@@ -6,9 +6,9 @@ recursion:
 * **Closed-form solutions** on the round 3-sphere, hyperbolic space and the
   flat model, as scalar profiles multiplying the invariant frame forms:
   ``A = fA(y) W`` and ``Phi = fPhi(y) e`` with ``phi_y = 0``.
-* **Exact Taylor oracles** for those profiles, computed by rational power
-  series arithmetic on the series of ``e^{2y}`` -- every coefficient a
-  Fraction, no engine code involved.
+* **Exact Taylor oracles** for those profiles: ``P(e^{2y})`` and
+  ``Q(e^{2y})`` as integer exponential sums, divided by an integer
+  recurrence, one Fraction per coefficient, no engine code involved.
 * **A flow integrator**: the three flow equations, stated once in the term
   tables of :mod:`nahmpole.geometry` and summed by the field-generic
   ``flow_rhs``, as a 21-component ODE system in ``(a, b, phi_y) = (A - W,

@@ -443,13 +443,17 @@ def residual_at(series: PhgSeries, K: int, p: int):
 
     Over exact scalars the three equations are 21 integer totals ``(a | b |
     phi_y)`` over one denominator, returned as readings (no ``Fraction``);
-    a cell no term reaches is three exact zeros at once.  Each stored address
-    is read once into 21 slots, kept on the series and checked against its
-    three forms by identity, so a replaced or deleted entry is read afresh.
-    The rows are the term tables compiled once in :mod:`nahmpole.geometry`,
-    which the integrator reads too: the pole and frame columns, each built on
-    first read, and the symmetric pair table ``4Q``, through which each
-    unordered pair ``at1 <= at2`` enters once.
+    a cell no term reaches is three exact zeros at once, and totals that all
+    cancel are the zero reading, with no gcd taken.  An address is present
+    when one of the three tables holds it: three dict lookups, on both
+    fields.  Each stored address is read once into 21 slots, kept on the
+    series and checked against its three forms by identity, so a replaced or
+    deleted entry is read afresh.  The rows are the term tables compiled once
+    in :mod:`nahmpole.geometry`, which the integrator reads too: the pole
+    columns (``L``, ``Gamma`` and ``[e, .]`` in closed form on unit
+    readings) and the frame columns, each built on first read, and the
+    symmetric pair table ``4Q``, through which each unordered pair ``at1 <=
+    at2`` enters once.
 
     Over floats each equation is one :class:`~nahmpole.algebra.FormSum` of
     each ordered pair, walked in (k1, p1) order, so the sums round as before.  An
