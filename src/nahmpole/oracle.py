@@ -177,13 +177,13 @@ class ExpRational:
         coeffs[i] y^(offset + i)``, i = 0..n, and ``-offset`` is the order
         to which ``Q(e^{2y})`` vanishes at y = 0 (at most its degree).
 
-        ``P(e^{2y}) = sum_i p_i e^{2iy}``, so over the lcm ``D`` of P's
-        denominators ``M! D`` times its ``y^k`` coefficient is the integer
-        ``sum_i D p_i (2i)^k M!/k!``, and likewise for Q.  The quotient of
-        those integer series is the recurrence ``c_i = a_i b^i - sum_(j<i)
-        c_j b^(i-j-1) B_(v+i-j)`` on ``c_i = b^(i+1)`` times the i-th
-        coefficient, ``b = B_v`` the first nonzero one; one ``Fraction`` is
-        built per coefficient returned."""
+        ``P(e^{2y}) = sum_i p_i e^{2iy}``, so with ``D_P`` the lcm of P's
+        denominators, ``M! D_P`` times its ``y^k`` coefficient is the integer
+        ``A_k = sum_i D_P p_i (2i)^k M!/k!``; likewise ``B_k`` over ``D_Q``.
+        With ``b = B_v`` the first nonzero ``B_k``, the i-th coefficient of
+        the quotient is ``c_i / b^(i+1)`` (times ``D_Q / D_P``), where
+        ``c_i = A_i b^i - sum_(j<i) c_j b^(i-j-1) B_(v+i-j)`` in integers;
+        one ``Fraction`` is built per coefficient returned."""
         M = n + len(self.Q)  # the orders v + i <= M the quotient reads
 
         def scaled(poly):  # M! D [y^k] poly(e^{2y}) for k = 0..M, and D
