@@ -380,6 +380,7 @@ PAIR_TERMS = (
 #: Where ``a``, ``b`` and ``phi_y`` start among the 21 slots of ``v``, on which the
 #: tables below are compiled once, in integers, for the residual and the integrator.
 _SLOTS = (0, 9, 18)
+_RATIONAL = RationalField()  # the pole columns' field, made once: each makes two Fractions
 
 
 class _Columns(dict):
@@ -392,7 +393,7 @@ class _Columns(dict):
 
     def __missing__(self, u):
         bg = self.bg and self.bg()
-        field = bg.field if bg else RationalField()
+        field = bg.field if bg else _RATIONAL
         j = (u >= 9) + (u >= 18)  # slot u is in a, b or phi_y
         unit = [int(n == u) for n in range(_SLOTS[j], _SLOTS[j] + (9 if j < 2 else 3))]
         x = (_form(field, unit, 1) if field.exact  # a float op needs field elements

@@ -479,8 +479,8 @@ def _stacked_rhs(c, M0, M1, Q):
     order than the dense form, so it agrees to round-off.
     ``z`` is made once, in ``G``'s dtype, and filled in place, so ``rhs`` is not
     reentrant; a ``v`` that is ``rhs.v``, its first slots, is not copied (any other
-    is, and left unchanged).  ``np.dot`` is ``np.matmul``'s ``dgemv`` at less cost
-    per call.  ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
+    is, and left unchanged).  ``G.dot`` is ``np.dot``'s ``dgemv`` without its Python
+    dispatcher frame.  ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
     """
     I, J = np.triu_indices(_NV)
     QP = Q[:, I, J] * np.where(I == J, 1, 2)
@@ -489,13 +489,14 @@ def _stacked_rhs(c, M0, M1, Q):
     G = np.concatenate([M0, M1, QP[:, keep]], axis=1)
     z = np.empty(G.shape[1], dtype=G.dtype)
     zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
+    dot, divide, multiply, add = G.dot, np.divide, np.multiply, np.add
 
     def rhs(y, v, out=None):
         if v is not zv:
             zv[:] = v
-        np.divide(zv, y, zy)
-        np.multiply(zv[I], zv[J], zp)
-        return np.add(c, np.dot(G, z, out), out)
+        divide(zv, y, zy)
+        multiply(zv[I], zv[J], zp)
+        return add(c, dot(z, out), out)
     rhs.v = zv
     return rhs
 
@@ -588,10 +589,12 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     in either direction.  Each stage writes its input straight into ``rhs.v``,
     the state slots of the stacked operator (:func:`_stacked_rhs`, filled from
     the term tables' compiled rows), and its slope into a row of a stage
-    buffer; the last stage of an accepted step is the first of the next.  An
-    accepted state is written once, into its row of a doubling buffer; on return
-    ``W`` and ``e/y`` are added to those rows in one batched pass, and each row
-    becomes the ``v`` of a :class:`FlowState`.
+    buffer; the last stage of an accepted step is the first of the next.  The
+    stage and error sums are bound ``ndarray.dot`` calls, ``np.dot``'s ``dgemv``
+    without its Python dispatcher frame, and ``h`` enters them from a 0-d buffer.
+    An accepted state is written once, into its row of a doubling buffer; on
+    return ``W`` and ``e/y`` are added to those rows in one batched pass, and each
+    row becomes the ``v`` of a :class:`FlowState`.
 
     :param fixed_step: bypass step control and march with this step size
         (sign is inferred); used to expose the raw order of the method.
@@ -621,8 +624,9 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     direction = 1.0 if y1 > y0 else -1.0
 
     K = np.zeros((7, _NV))
-    stages = [(a, node, K[:s], K[s]) for s, a, node in _DP_STAGES]
+    stages = [(a.dot, node, K[:s], K[s]) for s, a, node in _DP_STAGES]
     u, du, err_row = rhs.v, np.empty(_NV), np.empty(_NV)
+    multiply, add, err_dot, hb = np.multiply, np.add, _DP_ERR_F.dot, np.empty(())
 
     y = y0
     h = direction * (span / 64.0 if fixed_step is None else abs(float(fixed_step)))
@@ -633,15 +637,15 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
         for _ in range(max_steps):
             if (y1 - y) * direction <= 1e-15 * span:
                 return [init] + _unpack_states(W, ys, vs[:len(ys)])
-            h = direction * min(abs(h), abs(y1 - y))
+            hb[()] = h = direction * min(abs(h), abs(y1 - y))
             # first same as last: _DP_B5 = _DP_A[6] + [0] and _DP_C[6] = 1, so the
             # last stage's input u is the step's result and K[6] the next K[0]
-            for a, node, Ks, Kout in stages:
-                np.multiply(h, np.dot(a, Ks, du), du)
-                rhs(y + node * h, np.add(v, du, u), Kout)
+            for a_dot, node, Ks, Kout in stages:
+                multiply(hb, a_dot(Ks, du), du)
+                rhs(y + node * h, add(v, du, u), Kout)
             accepted = fixed_step is not None
             if not accepted:
-                np.abs(np.dot(_DP_ERR_F, K, err_row), err_row)
+                np.abs(err_dot(K, err_row), err_row)
                 err = abs(h) * float(np.maximum.reduce(err_row))
                 budget = tol * abs(h) / span
                 accepted = math.isfinite(err) and err <= budget

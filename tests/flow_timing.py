@@ -1,0 +1,92 @@
+"""Time the flow integrator per accepted step, its right-hand side and its set-up.
+
+Prints, in microseconds:
+
+* per accepted step of ``oracle.integrate_flow``, on the three integrations of
+  the flow benchmark (the N=6 series states of s3 and hyperbolic at y = 0.01
+  driven to 1 at tol 1e-12, and the s3 one at the fixed step 0.01) and on the
+  one ``ode-compare s3`` makes with its defaults (the same s3 state driven to
+  y = 0.1 at tol 1e-10): the minimum over the repeats of the whole call, divided
+  by its accepted steps, so each figure includes one set-up of the call;
+* per call of the right-hand side that ``oracle._flow_rhs`` builds, as the
+  integrator calls it (``rhs(y, rhs.v, out)``) and without ``out``, on a state
+  of its own (``rhs(y, v)``, as ``solve_ivp`` calls it);
+* per build of that right-hand side, ``oracle._flow_rhs(bg)``, on a background
+  whose frame columns are already read (the build each ``integrate_flow`` call
+  makes).
+
+Run it on two commits to compare them::
+
+    PYTHONPATH=src python3 tests/flow_timing.py [REPEATS]
+
+It is not a test module (no ``test_`` prefix), so pytest does not collect
+it; it uses the standard library and the package only.
+"""
+
+import sys
+import time
+
+from nahmpole import oracle
+from nahmpole.series import expand
+
+#: (label, solution, y0, y1, integrate_flow keywords); each starts from the N=6
+#: series state of the solution's matched free data at y0
+INTEGRATIONS = (
+    ("s3 adaptive 0.01 -> 1, tol 1e-12", "s3", 0.01, 1.0, {"tol": 1e-12}),
+    ("hyperbolic adaptive 0.01 -> 1, tol 1e-12", "hyperbolic", 0.01, 1.0, {"tol": 1e-12}),
+    ("s3 fixed step 0.01, 0.01 -> 1", "s3", 0.01, 1.0, {"fixed_step": 0.01}),
+    ("ode-compare s3: 0.01 -> 0.1, tol 1e-10", "s3", 0.01, 0.1, {"tol": 1e-10}),
+)
+ORDER = 6
+#: right-hand side calls per timed run
+CALLS = 2000
+
+
+def best(run, repeats):
+    """The minimum over ``repeats`` calls of ``run()``, in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def series_start(name, y0):
+    sol = oracle.closed_solution(name)
+    bg = sol.background
+    table = expand(bg, oracle.matched_free_data(name, bg.field), ORDER)
+    return bg, oracle.state_from_series(table, y0, ORDER)
+
+
+def main(repeats=20):
+    print(f"{'integrate_flow':<44}{'steps':>7}{'us/step':>10}")
+    for label, name, y0, y1, kwargs in INTEGRATIONS:
+        bg, init = series_start(name, y0)
+        steps = len(oracle.integrate_flow(bg, init, y1, **kwargs)) - 1
+        call = best(lambda: oracle.integrate_flow(bg, init, y1, **kwargs), repeats)
+        print(f"{label:<44}{steps:>7}{1e6 * call / steps:>10.2f}")
+
+    bg, init = series_start("s3", 0.01)
+    rhs = oracle._flow_rhs(bg)
+    v, y = init.v, float(init.y)
+    out = rhs(y, v)
+
+    def with_out():
+        rhs.v[:] = v
+        for _ in range(CALLS):
+            rhs(y, rhs.v, out)
+
+    def without_out():
+        for _ in range(CALLS):
+            rhs(y, v)
+    print(f"{'rhs':<44}{'':>7}{'us/call':>10}")
+    for label, run in (("rhs(y, rhs.v, out), the integrator's call", with_out),
+                       ("rhs(y, v), a new array", without_out)):
+        print(f"{label:<44}{'':>7}{1e6 * best(run, repeats) / CALLS:>10.3f}")
+    build = best(lambda: oracle._flow_rhs(bg), repeats)
+    print(f"{'_flow_rhs(bg), per build':<44}{'':>7}{1e6 * build:>10.2f}")
+
+
+if __name__ == "__main__":
+    main(*map(int, sys.argv[1:]))

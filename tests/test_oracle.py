@@ -579,6 +579,22 @@ class TestBufferedStages:
             assert g.y == wy
             assert np.array_equal(g.v, w)
 
+    def test_steps_make_no_np_dot_call(self, monkeypatch):
+        # the products are ndarray.dot method calls, which skip np.dot's
+        # __array_function__ dispatcher frame: with np.dot refused, the rows stay
+        bg = closed_solution("s3").background
+        init = state_from_series(expand(bg, matched_free_data("s3", bg.field), N=6), 0.01, 6)
+        runs = ({"tol": 1e-12}, {"fixed_step": 0.01})
+        want = [[(s.y, s.v.tobytes()) for s in integrate_flow(bg, init, 1.0, **kw)]
+                for kw in runs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.dot called")
+        monkeypatch.setattr(np, "dot", refuse)
+        got = [[(s.y, s.v.tobytes()) for s in integrate_flow(bg, init, 1.0, **kw)]
+               for kw in runs]
+        assert got == want and len(want[0]) > 800 and len(want[1]) == 100
+
     def test_adaptive_run_builds_no_forms(self, monkeypatch):
         # a state is its row: once the operator is built from the term tables
         # (through forms, once per background), the steps and the returned states
