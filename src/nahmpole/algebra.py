@@ -289,11 +289,16 @@ def _read(form: GForm):
         if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
             got = tuple([v or None for v in entries]), None
         else:
-            ratios = [v.as_integer_ratio() for v in entries]
-            d = lcm(*[q for _, q in ratios])
-            got = tuple(n and n * (d // q) for n, q in ratios), d
+            got = _ratios(entries)
         form._ints = got
     return form._ints
+
+
+def _ratios(values):
+    """``(integer numerators, common denominator)`` of ints, ``Fraction``s or ``Decimal``s."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*[q for _, q in ratios])
+    return tuple(n and n * (d // q) for n, q in ratios), d
 
 
 def _form(field, totals, den) -> GForm:
@@ -389,15 +394,13 @@ class FormSum:
     one loop over the kernel's table; any other term is built as a form and
     added slot by slot.  Both round through the field's
     :func:`~nahmpole.scalars.arithmetic` (its context's ``multiply``,
-    ``add`` and ``subtract``), entering no context.  ``terms`` lists these
-    as forms, building a kernel term only when read (a float residual
-    reads them for its scale).
+    ``add`` and ``subtract``), entering no context.
     """
 
-    __slots__ = ("field", "size", "read", "slots", "_terms")
+    __slots__ = ("field", "size", "read", "slots")
 
     def __init__(self, field, degree: int):
-        self.field, self.size, self.read, self._terms = field, 9 if degree else 3, [], []
+        self.field, self.size, self.read = field, 9 if degree else 3, []
         self.slots = None  # made by the first scalar-loop term
 
     def __bool__(self):
@@ -418,11 +421,9 @@ class FormSum:
         mul, add, sub = getattr(self.field, "ops", _OPERATORS)  # arithmetic(), per term
         if y is None or coefficient not in (1, -1):
             term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
-            self._terms.append(term)
             self.slots = (list(term.entries()) if self.slots is None
                           else list(map(add, self.slots, term.entries())))
             return self
-        self._terms.append((coefficient, x, op, y))
         slots = self.slots = self.slots or [self.field.zero] * self.size
         # an exact operand beside a scalar one is read as its entries
         xs = [v or None for v in x.entries()] if den else xs
@@ -447,27 +448,17 @@ class FormSum:
             self.add(*term)
         return self
 
-    @property
-    def terms(self):
-        """The scalar-loop terms, as forms."""
-        return [t if isinstance(t, GForm) else times(t[0], t[2](t[1], t[3]))
-                for t in self._terms]
-
-    def form(self, scale=None) -> GForm:
+    def form(self) -> GForm:
         """The sum: the read terms' integer sum as a reading, or added to the
-        scalar slots when any term took the scalar loop.  Given a ``scale``,
-        a slot the field finds zero against it is returned as an exact zero."""
+        scalar slots when any term took the scalar loop."""
         if self.slots is None and self.read:
             return _integer_sum(self.field, self.size, self.read)
-        zero, out = self.field.zero, self.slots or [self.field.zero] * self.size
+        out = self.slots or [self.field.zero] * self.size
         if self.read:
             (ns, d), add = _integer_sum(self.field, self.size, self.read)._ints, arithmetic(
                 self.field)[1]
             out = [add(s, self.field.from_fraction(Fraction(n, d))) if n else s
                    for s, n in zip(out, ns)]
-        if scale is not None:
-            bound = self.field.bound(scale)
-            out = [zero if _magnitude(v) <= bound else v for v in out]
         return GForm.from_entries(self.field, out)
 
 

@@ -21,9 +21,10 @@ kernels at k=1 and the resonance at lambda=2), then advances order by order:
 eigenspace division / coupled 2x2 solve.  Everything is exact over the
 rational scalar field, where each step states its terms once and sums them
 in integers.  The master self-test is :func:`residual_at`, which
-reads those tables but no solver code: over rationals as the integer rows
-compiled once in :mod:`nahmpole.geometry`, which the integrator reads too,
-summed over one denominator; over floats as forms, pair by ordered pair.
+reads those tables but no solver code: as the integer rows compiled once in
+:mod:`nahmpole.geometry`, which the integrator reads too, summed over one
+denominator on both fields, a float entry read as the exact ratios of its
+decimals and each float total rounded once.
 """
 
 from __future__ import annotations
@@ -31,18 +32,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 
 from .algebra import (
-    EigenPart, FormSum, GForm, _form, _integer_sum, _read, bracket_0_1, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    EigenPart, FormSum, GForm, _form, _integer_sum, _ratios, _read, bracket_0_1, gamma_op,
+    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, times, vierbein,
 )
-from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FRAME_TERMS, PAIR_TERMS,
-                       POLE_TERMS, FrameBackground, _frame_terms, d_omega, d_omega_star,
-                       is_einstein, star_d_omega)
-from .scalars import RationalField, context
+from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FrameBackground, _frame_terms,
+                       d_omega, d_omega_star, is_einstein, star_d_omega)
+from .scalars import RationalField
 
 __all__ = [
     "PhgCoeff", "PhgSeries", "FreeData", "QuadSource", "seed_leading",
@@ -53,8 +54,6 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
-#: The pair rows with their coefficients negated once: a residual subtracts them.
-_MINUS_PAIR_TERMS = tuple((i, op, js, -c) for i, op, js, c in PAIR_TERMS)
 
 
 @dataclass(frozen=True)
@@ -236,12 +235,11 @@ def _sum(field, degree: int, terms, images=(), bg=None):
     image stated as its terms (a ``FormSum`` per sum slowed an exact ``expand``
     2-4% on a 2-core Xeon), else one ``FormSum`` adding images, then terms."""
     if not field.exact:
-        total = FormSum(field, degree)
-        for op, x in images:
-            total.add(1, x and op(bg, x))
-        for c, x in terms:
-            total.add(c, x)
-        return total.form(), total.terms
+        forms, total = [op(bg, x) for op, x in images if x], FormSum(field, degree)
+        forms += [times(c, x) for c, x in terms if x]
+        for form in forms:
+            total.add(1, form)
+        return total.form(), forms
     read = [term for op, x in images if x for term in _frame_terms(bg, op, x)]
     read += [(c, *(x._ints or _read(x)), None, None, 1) for c, x in terms if x]
     return _integer_sum(field, 9 if degree else 3, read), []
@@ -381,21 +379,47 @@ def assert_parity(series: PhgSeries):
 def _reading(series: PhgSeries, at):
     """The entry at ``at`` as the nonzero ``(slot, numerator)`` of its 21 slots
     ``(a | b | phi_y)`` over one denominator, kept on the series as long as
-    its three stored forms are the same objects."""
+    its three stored forms are the same objects.  A float form is read as the
+    exact ratios of its decimals, not kept on it: its reading picks the kernels' loop."""
     a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
     kept = series._readings.get(at)
     if kept is None or kept[0] is not a or kept[1] is not b or kept[2] is not phi:
-        parts = [(start, f._ints or _read(f)) for start, f in zip(_SLOTS, (a, b, phi)) if f]
+        parts = [(start, f._ints or _read(f) if f.field.exact else _ratios(f.entries()))
+                 for start, f in zip(_SLOTS, (a, b, phi)) if f]
         den = math.lcm(*(d for _, (_, d) in parts))
         kept = series._readings[at] = a, b, phi, ([(start + u, n * (den // d)) for start, (
             ns, d) in parts for u, n in enumerate(ns) if n], den)
     return kept[3]
 
 
-def _exact_residual(series: PhgSeries, K: int, p: int):
-    """:func:`residual_at` over exact scalars: each term summed in 21 integer
-    totals over the lcm of the terms' denominators."""
+def residual_at(series: PhgSeries, K: int, p: int):
+    """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
+
+    The flow's term tables (:mod:`nahmpole.geometry`) read at ``y^(K-1)
+    (log y)^p``: ``K v_{K,p} + (p+1) v_{K,p+1}`` less the pole rows on
+    ``v_{K,p}``, the frame rows on ``v_{K-1,p}``, ``*F_w`` at (1, 0) and the
+    pair rows on each pair of stored addresses summing to (K-1, p).  It
+    shares no code with the solver, so a sign or index error in either shows
+    up here.  Absent entries contribute no term.
+
+    On both fields the three equations are 21 integer totals ``(a | b |
+    phi_y)`` over one denominator, a float entry read as the exact ratios of
+    its decimals.  An address is present when one of the three tables holds
+    it.  Each stored address is read once into 21 slots, kept on the series
+    and checked against its three forms by identity, so a replaced or deleted
+    entry is read afresh.  The rows are the term tables compiled once in
+    :mod:`nahmpole.geometry`, which the integrator reads too: the pole
+    columns, the background's frame columns (a float background's images
+    read exactly) and the symmetric pair table ``4Q``, through which each
+    unordered pair ``at1 <= at2`` enters once.  A cell no term reaches is
+    three exact zeros at once.  Over exact scalars the totals are returned
+    as readings (no ``Fraction``, no gcd when all cancel); over floats each
+    is rounded once, or is an exact zero against its equation's scale
+    (:func:`_rounded`).
+    """
     field, bg, terms = series.field, series.background, []
+    if bg is None:
+        raise ValueError("series has no background attached")
     A, B, PHI = series._a, series._b, series._phi
     for n, at, columns in ((K, (K, p), _POLE_COLUMNS), (p + 1, (K, p + 1), None),
                            (0, (K - 1, p), bg._columns)):
@@ -405,7 +429,7 @@ def _exact_residual(series: PhgSeries, K: int, p: int):
                 out, e = ((), 1) if columns is None else columns[u]
                 terms.append((n * e, u, x, d * e, out))
     if (K, p) == (1, 0):  # -*F_w
-        ns, d = _read(bg.starF)
+        ns, d = _read(bg.starF) if field.exact else _ratios(bg.starF.entries())
         terms += [(-1, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
     # over 4 den: Q(v1, v2) + Q(v2, v1) is twice 4Q off the diagonal, Q(v, v) once on it
     pairs = [(*_reading(series, at1), *_reading(series, at2), 1 if at1 == at2 else 2)
@@ -428,88 +452,46 @@ def _exact_residual(series: PhgSeries, K: int, p: int):
             for w, y in ys:
                 for o, c in row.get(w, ()):
                     acc[o] -= c * x * y
-    return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
-
-
-def residual_at(series: PhgSeries, K: int, p: int):
-    """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
-
-    The flow's term tables (:mod:`nahmpole.geometry`) read at ``y^(K-1)
-    (log y)^p``: ``K v_{K,p} + (p+1) v_{K,p+1}`` less the pole rows on
-    ``v_{K,p}``, the frame rows on ``v_{K-1,p}``, ``*F_w`` at (1, 0) and the
-    pair rows on each pair of stored addresses summing to (K-1, p).  It
-    shares no code with the solver, so a sign or index error in either shows
-    up here.  Absent entries contribute no term.
-
-    Over exact scalars the three equations are 21 integer totals ``(a | b |
-    phi_y)`` over one denominator, returned as readings (no ``Fraction``);
-    a cell no term reaches is three exact zeros at once, and totals that all
-    cancel are the zero reading, with no gcd taken.  An address is present
-    when one of the three tables holds it: three dict lookups, on both
-    fields.  Each stored address is read once into 21 slots, kept on the
-    series and checked against its three forms by identity, so a replaced or
-    deleted entry is read afresh.  The rows are the term tables compiled once
-    in :mod:`nahmpole.geometry`, which the integrator reads too: the pole
-    columns (``L``, ``Gamma`` and ``[e, .]`` in closed form on unit
-    readings) and the frame columns, each built on first read, and the
-    symmetric pair table ``4Q``, through which each unordered pair ``at1 <=
-    at2`` enters once.
-
-    Over floats each equation is one :class:`~nahmpole.algebra.FormSum` of
-    each ordered pair, walked in (k1, p1) order, so the sums round as before.  An
-    entry is returned as an exact zero when the field's rule
-    (as in :meth:`PhgSeries._store`) finds it zero against the largest term
-    that entered it, the stored form each linear term reads (one can cancel
-    to round-off: ``K b + L(b)`` on V+, a curl) and ``|x| max(|c|, |W|)``
-    for each form ``x`` a frame row reads, so the verdict does not hang on
-    the summation order.
-    """
-    field, bg = series.field, series.background
-    if bg is None:
-        raise ValueError("series has no background attached")
     if field.exact:
-        return _exact_residual(series, K, p)
-    tables = A, B, PHI = series._a, series._b, series._phi
-    here, up, down = ([t.get(at) for t in tables]
-                      for at in ((K, p), (K, p + 1), (K - 1, p)))
-    R = [FormSum(field, degree) for degree in (1, 1, 0)]
-    read, framed = [[], [], []], [[], [], []]
+        return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
+    return _rounded(bg, acc, terms, pairs, den)
 
-    # GForms are truthy: an entry is None just when it is absent
-    for n, at in ((K, here), (p + 1, up)):
-        for i, x in enumerate(at):
-            if x:
-                R[i].add(n, x)
-                read[i].append(x)
-    for i, op, j, coefficient in POLE_TERMS:
-        if here[j]:
-            R[i].add(-coefficient, here[j], op)
-            read[i].append(here[j])
-    for i, op, j, coefficient in FRAME_TERMS:
-        if down[j]:
-            R[i].add(-coefficient, op(bg, down[j]))
-            read[i].append(down[j])
-            framed[i].append(down[j])
-    if (K, p) == (1, 0):
-        R[1].add(-1, bg.starF)
-    for k1 in range(1, K - 1):  # in (k1, p1) order: the ordered pairs, both stored
-        for p1 in range(p + 1):
-            if (((at1 := (k1, p1)) in A or at1 in B or at1 in PHI)
-                    and ((at2 := (K - 1 - k1, p - p1)) in A or at2 in B or at2 in PHI)):
-                v1, v2 = [t.get(at1) for t in tables], [t.get(at2) for t in tables]
-                for i, op, (j1, j2), minus in _MINUS_PAIR_TERMS:
-                    if v1[j1] and v2[j2]:
-                        R[i].add(minus, v1[j1], op, v2[j2])
-    frame_scale = field.scale(chain(bg.W.entries(),
-                                    (v for plane in bg.c for row in plane for v in row)))
 
-    def magnitudes(i):
-        yield from (v for t in R[i].terms + read[i] for v in t.entries())
-        if framed[i]:
-            yield frame_scale * field.scale(v for x in framed[i] for v in x.entries())
-
-    with context(field):
-        return tuple(r.form(field.scale(magnitudes(i))) for i, r in enumerate(R))
+def _rounded(bg: FrameBackground, acc, terms, pairs, den):
+    """The float residual of :func:`residual_at`'s ``terms`` and ``pairs``,
+    whose totals ``acc`` are over ``4 den``: each total rounded once, or an
+    exact zero where ``|total| <= tolerance * scale``, decided in integers.
+    An equation's scale is the largest per-slot sum of ``|term|`` in it (a
+    linear term can cancel to round-off: ``K b + L(b)`` on V+, a curl), plus
+    ``|x| max(|c|, |W|)`` for the largest entry ``x`` a frame row reads into
+    it, whose products the frame operators cancel below; so the verdict does
+    not hang on the summation order of the solver (Higham 2002, ch. 3)."""
+    field, mag, framed = bg.field, [0] * 21, [0, 0, 0]
+    for n, u, x, d, rows in terms:
+        x = abs(x) * 4 * (den // d)
+        mag[u] += abs(n) * x
+        for o, c in rows:
+            mag[o] += abs(c) * x
+        if not n:  # a frame row (n = 0 only there), which reads x over e
+            for i in {(o >= 9) + (o >= 18) for o, _ in rows}:
+                framed[i] = max(framed[i], x * bg._columns[u][1])
+    for xs, dx, ys, dy, weight in pairs:
+        f = weight * (den // (dx * dy))
+        for u, x in xs:
+            row, x = _PAIR_4Q[u], f * abs(x)
+            for w, y in ys:
+                for o, c in row.get(w, ()):
+                    mag[o] += abs(c * y) * x
+    frame = max(map(Decimal.copy_abs, chain(bg.W.entries(), *chain(*bg.c)))) if any(
+        framed) else field.zero
+    (tn, td), (fn, fd) = field.tolerance.as_integer_ratio(), frame.as_integer_ratio()
+    D, out = Decimal(4 * den), []
+    for lo, hi, fr in zip(_SLOTS, (9, 18, 21), framed):
+        bound = tn * (max(mag[lo:hi]) * fd + fn * fr) // (td * fd)  # over 4 den, floored
+        out.append(GForm.from_entries(field, [
+            field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
+            for t in acc[lo:hi]]))
+    return tuple(out)
 
 
 def check_residuals(series: PhgSeries, through: int = None):
@@ -521,9 +503,10 @@ def check_residuals(series: PhgSeries, through: int = None):
     ``(K, p, name)`` addresses with nonzero residual -- empty means the
     series is an exact solution of the coefficient system.  Over float
     scalars a residual is zero when :func:`residual_at` returns it as exact
-    zeros (negligible next to its terms); an exact one is tested on its reading.
-    It makes one :func:`residual_at` call per ``(K, p)``; over exact scalars
-    these share the 21-slot reading kept for each stored address.
+    zeros (its exact total negligible next to its terms); an exact one is
+    tested on its reading.  It makes one :func:`residual_at` call per
+    ``(K, p)``, on either field one route, and these share the 21-slot
+    reading kept for each stored address.
 
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.

@@ -11,7 +11,10 @@ first and the second ``oracle.integrate_flow`` from y = 0.2 to 0.5 on a fresh
 ``oracle.taylor_profile`` for the three closed-form solutions at N = 6 and 12;
 and of one ``algebra.gamma_op`` call on the stored berger-s3?squash=2 ``a`` at
 (12, 0) and one ``algebra.e_bracket`` call on that ``Gamma(a)`` (the mean of 100;
-the stored tables hold no ``phi_y``).
+the stored tables hold no ``phi_y``); and of the float ``check_residuals`` at 64
+and 128 bits on N=12 tables expanded in float mode on the five builtins and
+berger-s3 at squash 5, 3/7 and 1e-6, each timed on a table fresh from
+``series.from_json`` on a background whose first check built its columns.
 Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/residual_timing.py [REPEATS]
@@ -29,12 +32,13 @@ from pathlib import Path
 
 from nahmpole import algebra, cli, oracle, series
 from nahmpole.geometry import load_background
-from nahmpole.scalars import RationalField
+from nahmpole.scalars import FloatField, RationalField
 
 TABLES = Path(__file__).resolve().parents[1] / "benchmarks" / "refs" / "tables"
 BUILTINS = ("flat", "round-s3", "hyperbolic-h3", "berger-s3?squash=2", "h2xr")
 SUITES = ("identities", "einstein-catalog", "s3", "hyperbolic", "flat")
 FLOWS = ("s3", "hyperbolic")
+FLOAT_BACKGROUNDS = BUILTINS + tuple(f"berger-s3?squash={q}" for q in ("5", "3/7", "1e-6"))
 
 
 def best(run, repeats, setup=lambda: None):
@@ -97,6 +101,17 @@ def main(repeats=30):
             for _ in range(100):
                 op(x)
         print(f"{op.__name__ + ' on a stored N=12 form (us)':<44}{10 * best(calls, repeats):>10.3f}")
+    print(f"{'float check_residuals N=12':<44}{'64 bit ms':>10}{'128 bit ms':>11}")
+    for name in FLOAT_BACKGROUNDS:
+        times = []
+        for bits in (64, 128):
+            bg = load_background(f"builtin:{name}", FloatField(bits))
+            text = series.to_json(series.expand(bg, N=12))
+            load = lambda: series.from_json(text, background=bg)  # noqa: E731
+            if series.check_residuals(load()):
+                raise SystemExit(f"{name} at {bits} bits: nonzero residuals")
+            times.append(best(series.check_residuals, repeats, load))
+        print(f"{'check_residuals ' + name:<44}{times[0]:>10.3f}{times[1]:>11.3f}")
     print(f"{'flow y = 0.2 to 0.5':<44}{'first ms':>10}{'second ms':>11}")
     for name in FLOWS:
         first, second = first_and_second_flow(name, repeats)

@@ -3,13 +3,16 @@ replaced or deleted table entry read afresh."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from nahmpole import algebra, geometry, series as series_module
 from nahmpole.algebra import FormSum, GForm, star_wedge
 from nahmpole.geometry import (FRAME_TERMS, PAIR_TERMS, POLE_TERMS, builtin,
                                load_background)
 from nahmpole.scalars import FloatField, RationalField
-from nahmpole.series import PhgSeries, check_residuals, expand, residual_at
+from nahmpole.series import (PhgSeries, check_residuals, expand, from_json, residual_at,
+                             to_json)
 
 from conftest import CATALOG, rand_one_form, rand_zero_form
 
@@ -96,13 +99,12 @@ def test_form_sum_widens_and_halves():
     total.add(Fraction(1, 3), e)
     total.add(Fraction(1, 2), e.scale(Fraction(1, 5)), star_wedge, e.scale(Fraction(1, 7)))
     want = e.scale(Fraction(1, 3)) + star_wedge(e, e).scale(Fraction(1, 70))
-    assert total.form() == want and total.terms == []
+    assert total.form() == want
     field = FloatField(64)
     x = GForm.from_entries(field, [field.from_fraction(v) for v in e.entries()])
     total = FormSum(field, 1)
     total.add(Fraction(1, 2), x, star_wedge, x)
     assert total.form() == star_wedge(x, x).scale(field.from_fraction(Fraction(1, 2)))
-    assert total.terms == [total.form()]
 
 
 def test_no_stale_integer_view(rng):
@@ -134,3 +136,73 @@ def test_check_residuals_flags_the_nonzero_residuals(rng):
             for R, name in zip(residual_at(s, K, p), ("a", "b", "phi_y"))
             if (name != "b" or K <= 8) and not R.is_zero()]
     assert want and check_residuals(s) == want
+
+
+_BERGER = "builtin:berger-s3?squash=2"
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_residual_is_the_exact_residual_rounded_once(bits, rng):
+    # a float table's residual is the exact residual of its decimals (the
+    # table read as rationals), each nonzero total rounded once, and it flags
+    # the cells a perturbed b entry reaches
+    field = FloatField(bits)
+    s = expand(load_background(_BERGER, field), N=8)
+    s._b[(5, 1)] = s.get_b(5, 1) + rand_one_form(rng, field)
+    exact = from_json(to_json(s), background=_BACKGROUNDS[_BERGER])
+    nonzero = 0
+    for K in range(1, 10):
+        for p in range(s.max_p() + 2):
+            for got, want in zip(residual_at(s, K, p), residual_at(exact, K, p)):
+                for g, w in zip(got.entries(), want.entries()):
+                    if g:
+                        nonzero += 1
+                        assert g == field.from_fraction(w), (K, p)
+    assert nonzero == 99
+    assert check_residuals(s) == [(5, 1, "b"), (5, 0, "b"), (6, 1, "a"), (6, 1, "phi_y"),
+                                  (7, 2, "b"), (8, 2, "a"), (8, 2, "phi_y"), (8, 1, "a"),
+                                  (8, 1, "phi_y")]
+
+
+@pytest.mark.parametrize("bits, tiny", [(64, "1e-20"), (128, "1e-36")])
+def test_float_residual_scale_sums_its_terms(bits, tiny):
+    # a float cell whose terms cancel below tolerance * their per-slot sum is
+    # zero, though the cell stores nothing: Gamma of a nearly symmetric a (pole
+    # rows, no phi_y stored) and a^a of a nearly rank-one a (pairs, no b
+    # stored); a relative 1e-10 is flagged in both
+    field = FloatField(bits)
+    bg = load_background("builtin:flat", field)
+    for delta, zero in ((Fraction(tiny), True), (Fraction(1, 10**10), False)):
+        a = [i * j for i in (1, 2, 3) for j in (1, 2, 3)]  # u u^T, then antisymmetric delta
+        a[1], a[3] = a[1] + delta, a[3] - delta
+        s = PhgSeries(background=bg, order=2)
+        s._a[(1, 0)] = GForm.from_entries(field, [field.from_fraction(v) for v in a])
+        for R in (residual_at(s, 1, 0)[2], residual_at(s, 3, 0)[1]):
+            assert (not any(R.entries())) == zero, (bits, delta)
+
+
+#: The kernels and frame operators a form route would call.
+_OPERATORS = ("L_op", "gamma_op", "e_bracket", "times", "star_wedge", "bracket_0_1",
+              "star_bracket_star", "star_d", "star_d_omega", "d_omega", "d_omega_star")
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_float_check_takes_one_route(bits, monkeypatch):
+    # once a first check has built the columns, a float check is integer sums
+    # over readings, on a kept table and on a fresh one: it adds no FormSum
+    # term and calls no kernel or frame operator
+    bg = load_background(_BERGER, FloatField(bits))
+    s = expand(bg, N=8)
+    assert check_residuals(s) == []
+    fresh = from_json(to_json(s), background=bg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the float residual took a form route")
+
+    monkeypatch.setattr(FormSum, "add", refuse)
+    monkeypatch.setattr(FormSum, "extend", refuse)
+    for module in (algebra, geometry, series_module):
+        for name in _OPERATORS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert check_residuals(s) == [] and check_residuals(fresh) == []
