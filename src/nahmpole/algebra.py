@@ -26,7 +26,7 @@ The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
 import, and applied by sparse loops that skip zeros only: on integer
 numerators by :func:`_integer_sum`, over the lcm of the terms' denominators,
-and into scalar slots by :class:`FormSum` on any other operands.
+and into a scalar slot list by :func:`_products` on any other operands.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -49,7 +49,7 @@ from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
-from .scalars import _OPERATORS, RationalField, _magnitude, arithmetic, context
+from .scalars import _OPERATORS, RationalField, arithmetic, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -229,11 +229,7 @@ class GForm:
             return not any(self._ints[0])
         if self.field.exact:
             return not any(self.entries())
-        bound = self.field.bound(scale)
-        for v in self.entries():
-            if _magnitude(v) > bound:
-                return False
-        return True
+        return self.field.within(self.entries(), self.field.bound(scale))
 
     def trace(self):
         if self.degree != 1:
@@ -381,6 +377,26 @@ def times(coefficient, form: GForm) -> GForm:
     return GForm.from_entries(form.field, [mul(v, c) for v in form.entries()])
 
 
+def _products(field, slots, sign, x: GForm, op, y: GForm):
+    """``slots`` plus ``sign * op(x, y)`` (``sign`` +-1, ``op`` a kernel), in
+    place: each product of nonzero entries added to or subtracted from its
+    slot in turn, in the kernel table's order, through the field's
+    :func:`~nahmpole.scalars.arithmetic`; an exact operand beside a scalar
+    one is read as its entries."""
+    mul, add, sub = getattr(field, "ops", _OPERATORS)  # arithmetic(), per call
+    (xs, dx), (ys, dy) = x._ints or _read(x), y._ints or _read(y)
+    xs = [v or None for v in x.entries()] if dx else xs
+    ys = [v or None for v in y.entries()] if dy else ys
+    table = _TABLES[op]
+    for i, xi in enumerate(xs):
+        if xi is not None:
+            for j, o, s in table[i]:
+                yj = ys[j]
+                if yj is not None:
+                    slots[o] = (add if s == sign else sub)(slots[o], mul(xi, yj))
+    return slots
+
+
 class FormSum:
     """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
     linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
@@ -390,11 +406,12 @@ class FormSum:
     Terms whose operands read as integers (:func:`_read`) are kept read (a
     linear ``op``'s result read) and summed by :func:`_integer_sum`.  On
     other operands (float scalars) a kernel term with coefficient +-1 adds
-    each product straight into scalar slots, skipping scalar zeros only, in
-    one loop over the kernel's table; any other term is built as a form and
-    added slot by slot.  Both round through the field's
+    each product straight into the scalar slots (:func:`_products`, as the
+    float frame operators do into their own); any other term is built as a
+    form and added slot by slot.  Both round through the field's
     :func:`~nahmpole.scalars.arithmetic` (its context's ``multiply``,
-    ``add`` and ``subtract``), entering no context.
+    ``add`` and ``subtract``), entering no context.  The float solve step
+    sums its right-hand sides without one (``series._sum``).
     """
 
     __slots__ = ("field", "size", "read", "slots")
@@ -418,23 +435,13 @@ class FormSum:
                 (xs, den), op = _read(op(x)), None
             self.read.append((coefficient, xs, den, op, ys, dy))
             return self
-        mul, add, sub = getattr(self.field, "ops", _OPERATORS)  # arithmetic(), per term
         if y is None or coefficient not in (1, -1):
             term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
-            self.slots = (list(term.entries()) if self.slots is None
-                          else list(map(add, self.slots, term.entries())))
+            self.slots = (list(term.entries()) if self.slots is None else list(map(
+                arithmetic(self.field)[1], self.slots, term.entries())))
             return self
-        slots = self.slots = self.slots or [self.field.zero] * self.size
-        # an exact operand beside a scalar one is read as its entries
-        xs = [v or None for v in x.entries()] if den else xs
-        ys = [v or None for v in y.entries()] if dy else ys
-        table = _TABLES[op]
-        for i, xi in enumerate(xs):
-            if xi is not None:
-                for j, o, s in table[i]:
-                    yj = ys[j]
-                    if yj is not None:
-                        slots[o] = (add if s == coefficient else sub)(slots[o], mul(xi, yj))
+        self.slots = _products(self.field, self.slots or [self.field.zero] * self.size,
+                               coefficient, x, op, y)
         return self
 
     def extend(self, terms) -> "FormSum":
@@ -562,20 +569,20 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     """
     if k in (-2, -1, 1):  # k + eigenvalue vanishes on some part
         raise ResonantOrder(k, [part for part in EigenPart if k + part.eigenvalue(1) == 0])
-    n, D = _read(rhs)
+    n, D = _read(rhs) if rhs.field.exact else (None, None)
     if D and type(k) is int:
         tr = n[0] + n[4] + n[8]
         return _form(rhs.field, [
             (n[4 * i] * (k + 2) - tr) * (k + 1) if i == j
             else (k * n[3 * i + j] + n[3 * j + i]) * (k + 2)
             for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1))
-    r = rhs.coeffs
+    r = rhs.entries()
     with context(rhs.field):
-        trace_part = (r[0][0] + r[1][1] + r[2][2]) / ((k + 2) * (k - 1))
-        return GForm(rhs.field, 1, tuple(
-            tuple(r[i][i] / (k - 1) - trace_part if i == j
-                  else (k * r[i][j] + r[j][i]) / (k * k - 1) for j in range(3))
-            for i in range(3)))
+        less, square = k - 1, k * k - 1  # the divisors, formed once
+        trace = (r[0] + r[4] + r[8]) / ((k + 2) * less)
+        return GForm.from_entries(rhs.field, [
+            r[4 * i] / less - trace if i == j else (k * r[3 * i + j] + r[3 * j + i]) / square
+            for i in range(3) for j in range(3)])
 
 
 def resolve_coupled(lam, R: GForm, S: GForm):
@@ -611,7 +618,7 @@ def resolve_coupled(lam, R: GForm, S: GForm):
         d = plus * minus
         if field.is_zero(d):
             raise SingularLambda(lam)
-        (n, D), (s, DS) = _read(R), _read(S)
+        (n, D), (s, DS) = (_read(R), _read(S)) if field.exact else ((None, None),) * 2
         if D and DS and type(lam) in (int, Fraction) and lam.denominator == 1:
             lam, tr, a, phi = int(lam), n[0] + n[4] + n[8], [0] * 9, [0] * 3
             for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
@@ -623,18 +630,18 @@ def resolve_coupled(lam, R: GForm, S: GForm):
                 phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
             den = 6 * D * DS * (lam + 1) * (lam - 2)
             return _form(field, a, den), _form(field, phi, den)
-        r, s = R.coeffs, S.coeffs
-        t = (r[0][0] + r[1][1] + r[2][2]) / 3
-        a = [[(r[i][i] - t) / plus + t / minus if i == j else None for j in range(3)]
-             for i in range(3)]
+        r, s, twice, less = R.entries(), S.entries(), 2 * plus, lam_s - 1  # formed once
+        t = (r[0] + r[4] + r[8]) / 3
+        a = [(r[n] - t) / plus + t / minus if n % 4 == 0 else None for n in range(9)]
         phi = [None] * 3
         for i, j, m, _ in _EPS[:3]:  # the cyclic triples, eps_ijm = 1
-            sym = (r[i][j] + r[j][i]) / (2 * plus)
-            curl = r[i][j] - r[j][i]  # 2 Theta_ij = Gamma(Theta)_m
+            rij, rji = r[3 * i + j], r[3 * j + i]
+            sym = (rij + rji) / twice
+            curl = rij - rji  # 2 Theta_ij = Gamma(Theta)_m
             anti = (lam_s * curl / 2 - s[m]) / d
-            a[i][j], a[j][i] = sym + anti, sym - anti
-            phi[m] = ((lam_s - 1) * s[m] - curl) / d
-        return GForm(field, 1, tuple(map(tuple, a))), GForm(field, 0, tuple(phi))
+            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
+            phi[m] = (less * s[m] - curl) / d
+        return GForm.from_entries(field, a), GForm(field, 0, tuple(phi))
 
 
 # ---------------------------------------------------------------------------

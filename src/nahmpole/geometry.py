@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _read, bracket_0_1,
-    e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _products, _read,
+    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, arithmetic, context
 
@@ -309,12 +309,15 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
 
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
-    """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``."""
+    """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``, one integer
+    sum over exact scalars (:func:`_frame_terms`), else the products of
+    ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
     if terms := _frame_terms(bg, star_d_omega, x):
         return _integer_sum(bg.field, 9, terms)
-    return FormSum(bg.field, 1).add(1, star_d(bg, x)).add(1, bg.W, star_wedge, x).form()
+    out = _star_d(bg.field, bg.c if bg.field.exact else bg._frame, x)
+    return GForm.from_entries(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
 
 
 def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
@@ -323,23 +326,20 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
     models, minus ``*[W, *x]``: the background's integer traces over exact
-    scalars (:func:`_frame_terms`), else skipping zeros of ``c`` and ``x``.
+    scalars (:func:`_frame_terms`), else skipping zeros of ``c`` and ``x``,
+    the products of ``*[W, *x]`` taken from the trace term's slot list.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
     if terms := _frame_terms(bg, d_omega_star, x):
         return _integer_sum(bg.field, 3, terms)
-    total = FormSum(bg.field, 0)
-    if traces := [(i, bg.c[k][i][k]) for i in range(3) for k in range(3) if bg.c[k][i][k]]:
-        # some c^k_ik is nonzero: the frame may be non-unimodular
-        mul, add, _ = arithmetic(bg.field)
-        xc, out = x.coeffs, [bg.field.zero] * 3
-        for i, ckik in traces:
+    (mul, add, _), xs, out = arithmetic(bg.field), x.entries(), [bg.field.zero] * 3
+    for i, k in itertools.product(range(3), repeat=2):
+        if ckik := bg.c[k][i][k]:  # a trace term: the frame may be non-unimodular
             for a in range(3):
-                if xc[a][i]:
-                    out[a] = add(out[a], mul(xc[a][i], ckik))
-        total.add(1, GForm.from_entries(bg.field, out))
-    return total.add(-1, bg.W, star_bracket_star, x).form()
+                if xs[3 * a + i]:
+                    out[a] = add(out[a], mul(xs[3 * a + i], ckik))
+    return GForm.from_entries(bg.field, _products(bg.field, out, -1, bg.W, star_bracket_star, x))
 
 
 # ---------------------------------------------------------------------------

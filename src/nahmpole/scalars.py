@@ -12,18 +12,20 @@ provided:
   field owns the :class:`decimal.Context` they are computed in.
 
 ``Decimal`` operators round to the thread's current context, so float
-arithmetic never uses the thread's own.  The per-term loops (the kernel
-and linear-term sums of ``algebra.FormSum``, ``geometry._star_d``) round
-through the methods of the field's context, :func:`arithmetic`, which round
-exactly as the operators do under it; any other routine that computes on
-float elements enters the field's context once per call (:func:`context`, a
-``decimal.localcontext``).  Fields of different precision therefore coexist
-in one process.  An ``int`` or ``Fraction`` constant reaches a float element
-only through :meth:`FloatField.from_fraction`, or :meth:`FloatField.constant`
-for a term coefficient of the engine's tables, converted once per field: a
-``Decimal`` refuses a ``Fraction`` or a native ``float`` operand with
-``TypeError``.  Rational scalars, and the native floats of the flow
-integrator's form views, take the plain operators.
+arithmetic never uses the thread's own.  The per-term loops of a float
+solve step (``algebra._products``, ``geometry._star_d`` and the slot sums of
+``FormSum`` and ``series._sum``) round through the methods of the field's
+context, :func:`arithmetic`, which round exactly as the operators do under
+it; any other routine that computes on float elements enters the field's
+context once per call (:func:`context`, a ``decimal.localcontext``), and
+the zero tests round nothing (``copy_abs`` and ``copy_negate``).  Fields
+of different precision therefore coexist in one process.  An ``int`` or
+``Fraction`` constant reaches a float element only through
+:meth:`FloatField.from_fraction`, or :meth:`FloatField.constant` for a term
+coefficient of the engine's tables, converted once per field: a ``Decimal``
+refuses a ``Fraction`` or a native ``float`` operand with ``TypeError``.
+Rational scalars, and the native floats of the flow integrator's form
+views, take the plain operators.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons.  An
 element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
@@ -107,12 +109,6 @@ class RationalField:
         return "RationalField()"
 
 
-def _magnitude(x):
-    """``|x|`` without rounding: ``copy_abs`` of a ``Decimal``, ``abs`` of
-    the plain ints that float formulas meet (an integer divisor)."""
-    return abs(x) if type(x) is int else x.copy_abs()
-
-
 class FloatField:
     """Arbitrary-precision floating point scalars: ``Decimal`` elements
     computed under the field's context ``ctx``.
@@ -181,10 +177,17 @@ class FloatField:
         return Fraction(x)
 
     def scale(self, values) -> Decimal:
-        """The largest ``|v|`` of ``values`` (zero if none): the scale of
-        :meth:`is_zero` for a value built from them."""
-        return max([abs(v) if type(v) is int else v.copy_abs() for v in values],
-                   default=self.zero)
+        """The largest ``|v|`` of the ``Decimal`` ``values`` (zero if none),
+        the scale of :meth:`is_zero` for a value built from them: one ``max``
+        pass over their ``copy_abs``, which rounds nothing, where ``abs()``
+        rounds in the thread's context."""
+        return max(map(Decimal.copy_abs, values), default=self.zero)
+
+    def within(self, values, bound) -> bool:
+        """Whether every one of the ``Decimal`` ``values`` lies within a
+        :meth:`bound`, ``|v| <= bound``: :meth:`is_zero` of each against one
+        bound, stopping at the first that is not."""
+        return all(v.copy_abs() <= bound for v in values)
 
     def bound(self, scale=None) -> Decimal:
         """``tolerance * scale``, with scale 1 when none is given: a value is
@@ -193,7 +196,8 @@ class FloatField:
 
     def is_zero(self, x: Decimal, scale=None) -> bool:
         """``|x| <= tolerance * scale``, with scale 1 when none is given."""
-        return _magnitude(x) <= self.bound(scale)
+        bound = self.bound(scale)
+        return bound.copy_negate() <= x <= bound
 
     def __repr__(self) -> str:
         return f"FloatField(bits={self.bits})"

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 from .algebra import (
     EigenPart, FormSum, GForm, _form, _integer_sum, _ratios, _read, bracket_0_1, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, times, vierbein,
+    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FrameBackground, _frame_terms,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
@@ -95,14 +95,17 @@ class PhgSeries:
         """Store the given forms at (k, p), dropping zero ones.
 
         ``terms`` set the scale of the field's zero test: a solve step's
-        terms and the entries they read, or a parsed entry's own forms.  So
-        over float scalars, small genuine values stay and round-off goes.
+        terms and the entries they read, as forms or slot lists, or a parsed
+        entry's own forms.  So over float scalars, small genuine values stay
+        and round-off goes; the bound ``tolerance * scale`` is formed once
+        per store, and a form is zero when its entries lie within it.
         """
-        scale = self.field.scale(chain.from_iterable(map(GForm.entries, terms)))
+        bound = None if self.field.exact else self.field.bound(self.field.scale(
+            chain.from_iterable(t.entries() if isinstance(t, GForm) else t for t in terms)))
         for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
             if form is None:
                 continue
-            if form.is_zero(scale):
+            if form.is_zero() if bound is None else self.field.within(form.entries(), bound):
                 table.pop((k, p), None)
             else:
                 table[(k, p)] = form
@@ -230,16 +233,22 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
 
 def _sum(field, degree: int, terms, images=(), bg=None):
     """The sum of the frame ``images`` ``(op, x)`` (``op(bg, x)``) and the
-    ``terms`` ``(coefficient, x)``, an ``x`` of None adding nothing, with the
-    float terms as forms (a store's scale): in integers over exact scalars, an
-    image stated as its terms (a ``FormSum`` per sum slowed an exact ``expand``
-    2-4% on a 2-core Xeon), else one ``FormSum`` adding images, then terms."""
+    ``terms`` ``(coefficient, x)``, an ``x`` of None adding nothing, and the
+    slot lists of a float sum's parts (a store's scale).  Over exact scalars
+    it is summed in integers, an image stated as its terms (a ``FormSum`` per
+    sum slowed an exact ``expand`` 2-4% on a 2-core Xeon); over floats the
+    images, then the terms, each a slot list, are added slot by slot with
+    ``ctx.add``, from the first one's entries, with no form built between."""
     if not field.exact:
-        forms, total = [op(bg, x) for op, x in images if x], FormSum(field, degree)
-        forms += [times(c, x) for c, x in terms if x]
-        for form in forms:
-            total.add(1, form)
-        return total.form(), forms
+        ctx = field.ctx
+        parts = [op(bg, x).entries() for op, x in images if x] + [
+            x.entries() if c == 1 else list(map(ctx.minus, x.entries())) if c == -1
+            else list(map(ctx.multiply, x.entries(), repeat(field.constant(c))))
+            for c, x in terms if x]
+        total = parts[0] if parts else [field.zero] * (9 if degree else 3)
+        for part in parts[1:]:
+            total = list(map(ctx.add, total, part))
+        return GForm.from_entries(field, total), parts
     read = [term for op, x in images if x for term in _frame_terms(bg, op, x)]
     read += [(c, *(x._ints or _read(x)), None, None, 1) for c, x in terms if x]
     return _integer_sum(field, 9 if degree else 3, read), []
@@ -332,8 +341,7 @@ def advance_order(series: PhgSeries, k: int) -> None:
         if a or phi or b or q.Qb:  # the entries read join the scale: a curl can be round-off
             rhs_b, terms = _sum(field, 1, [(-(p + 1), b), (1, q.Qb)],
                                 [(star_d_omega, a), (d_omega, phi)], bg)
-            series._store(k, p, terms + [*filter(None, (a, phi))],
-                          b=invert_cal_L(k, rhs_b))
+            series._store(k, p, terms + [*filter(None, (a, phi))], b=invert_cal_L(k, rhs_b))
 
         b, a, phi = B.get((k, p)), A.get((k + 1, p + 1)), PHI.get((k + 1, p + 1))
         if b or a or phi or q.Qa or q.Qphi:
@@ -454,27 +462,23 @@ def residual_at(series: PhgSeries, K: int, p: int):
                     acc[o] -= c * x * y
     if field.exact:
         return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
-    return _rounded(bg, acc, terms, pairs, den)
+    return _rounded(field, acc, terms, pairs, den)
 
 
-def _rounded(bg: FrameBackground, acc, terms, pairs, den):
+def _rounded(field, acc, terms, pairs, den):
     """The float residual of :func:`residual_at`'s ``terms`` and ``pairs``,
     whose totals ``acc`` are over ``4 den``: each total rounded once, or an
     exact zero where ``|total| <= tolerance * scale``, decided in integers.
     An equation's scale is the largest per-slot sum of ``|term|`` in it (a
-    linear term can cancel to round-off: ``K b + L(b)`` on V+, a curl), plus
-    ``|x| max(|c|, |W|)`` for the largest entry ``x`` a frame row reads into
-    it, whose products the frame operators cancel below; so the verdict does
-    not hang on the summation order of the solver (Higham 2002, ch. 3)."""
-    field, mag, framed = bg.field, [0] * 21, [0, 0, 0]
+    linear term can cancel to round-off: ``K b + L(b)`` on V+, a curl), so
+    the verdict does not hang on the summation order of the solver (Higham
+    2002, ch. 3)."""
+    mag = [0] * 21
     for n, u, x, d, rows in terms:
         x = abs(x) * 4 * (den // d)
         mag[u] += abs(n) * x
         for o, c in rows:
             mag[o] += abs(c) * x
-        if not n:  # a frame row (n = 0 only there), which reads x over e
-            for i in {(o >= 9) + (o >= 18) for o, _ in rows}:
-                framed[i] = max(framed[i], x * bg._columns[u][1])
     for xs, dx, ys, dy, weight in pairs:
         f = weight * (den // (dx * dy))
         for u, x in xs:
@@ -482,12 +486,10 @@ def _rounded(bg: FrameBackground, acc, terms, pairs, den):
             for w, y in ys:
                 for o, c in row.get(w, ()):
                     mag[o] += abs(c * y) * x
-    frame = max(map(Decimal.copy_abs, chain(bg.W.entries(), *chain(*bg.c)))) if any(
-        framed) else field.zero
-    (tn, td), (fn, fd) = field.tolerance.as_integer_ratio(), frame.as_integer_ratio()
+    tn, td = field.tolerance.as_integer_ratio()
     D, out = Decimal(4 * den), []
-    for lo, hi, fr in zip(_SLOTS, (9, 18, 21), framed):
-        bound = tn * (max(mag[lo:hi]) * fd + fn * fr) // (td * fd)  # over 4 den, floored
+    for lo, hi in zip(_SLOTS, (9, 18, 21)):
+        bound = tn * max(mag[lo:hi]) // td  # over 4 den, floored
         out.append(GForm.from_entries(field, [
             field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
             for t in acc[lo:hi]]))

@@ -1,9 +1,10 @@
-"""Time the exact solve step, whole and by layer, in one process.
+"""Time the solve step, whole and by layer, in one process.
 
-Prints the minimum wall time of ``series.expand`` (rational scalars, on a
-background loaded once) on berger-s3?squash=2 and h2xr at N=12 and N=24, and
-on berger-s3?squash=2 with the seed-0 free data of the byte pins
-(``tests/to_json_sha256.json``) at N=12; of the three frame operators
+Prints the minimum wall time of ``series.expand`` (on a background loaded
+once) over rational scalars on berger-s3?squash=2 and h2xr at N=12 and
+N=24, and on berger-s3?squash=2 with the seed-0 free data of the byte pins
+(``tests/to_json_sha256.json``) at N=12, and over 64- and 128-bit float
+scalars on berger-s3?squash=2 and h2xr at N=12; of the three frame operators
 ``geometry.star_d_omega``, ``d_omega`` and ``d_omega_star``, in microseconds
 per call, over every stored form of each N=12 table that the operator takes
 (a and b, phi_y, a and b); and of ``series.quadratic_source`` over the cells
@@ -26,13 +27,15 @@ from pathlib import Path
 
 from nahmpole import geometry, series
 from nahmpole.algebra import GForm
-from nahmpole.scalars import RationalField
+from nahmpole.scalars import FloatField, RationalField
 
 FREE_DATA = json.loads((Path(__file__).resolve().parent
                         / "to_json_sha256.json").read_text())["free_data"]
 #: (background, order, with the seed-0 free data)
 JOBS = (("berger-s3?squash=2", 12, False), ("berger-s3?squash=2", 24, False),
         ("h2xr", 12, False), ("h2xr", 24, False), ("berger-s3?squash=2", 12, True))
+#: (background, bits) of the float jobs, at N=12 with no free data
+FLOAT_JOBS = tuple((name, bits) for bits in (64, 128) for name in ("berger-s3?squash=2", "h2xr"))
 
 
 def best(run, repeats):
@@ -69,19 +72,21 @@ def visited_cells(bg, free, order):
 
 
 def main(repeats=20):
-    field = RationalField()
     print(f"{'job':<44}{'expand ms':>11}{'cells':>7}{'sources ms':>12}")
     tables = {}
-    for name, order, free in JOBS:
+    runs = [(RationalField(), name, order, free, "") for name, order, free in JOBS] + [
+        (FloatField(bits), name, 12, False, f" float{bits}") for name, bits in FLOAT_JOBS]
+    for field, name, order, free, label in runs:
         bg = geometry.load_background(f"builtin:{name}", field)
         data = free_data(field) if free else None
         table, cells = visited_cells(bg, data, order)
-        if free or order == 12:
-            tables[name + (" free data" if free else "")] = table
+        label += " free data" if free else ""
+        if order == 12:
+            tables[name + label] = table
         whole = best(lambda: series.expand(bg, data, order), repeats)
         sources = best(lambda: [series.quadratic_source(table, k, p) for k, p in cells],
                        repeats)
-        job = f"{name} N={order}" + (" free data" if free else "")
+        job = f"{name} N={order}{label}"
         print(f"{job:<44}{1e3 * whole:>11.3f}{len(cells):>7}{1e3 * sources:>12.3f}")
     print(f"{'frame operators on stored N=12 forms':<44}{'star_d_omega':>13}"
           f"{'d_omega':>9}{'d_omega_star':>13}  us/call")

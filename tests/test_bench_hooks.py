@@ -15,6 +15,7 @@ import pytest
 from nahmpole import series
 from nahmpole.geometry import load_background
 from nahmpole.oracle import integrate_flow
+from nahmpole.scalars import FloatField
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -38,6 +39,20 @@ def test_tracer_sees_sources_and_residuals(workloads, field):
     assert len(sources) == 30
     assert all(set(span.attrs) == {"k", "p"} for span in sources)
     assert len(by_name["series.residual_at"]) == 54
+
+
+def test_tracer_sees_float_sources_and_residuals(workloads):
+    # the float solve step and the float residual go through the same module
+    # globals as the rational ones, so the per-layer metrics of the
+    # expand-float workload come from the same spans
+    bg = load_background("builtin:berger-s3?squash=2", FloatField(64))
+    with workloads.new_tracer() as tracer:
+        table = series.expand(bg, N=8)
+        assert series.check_residuals(table) == []
+    sources = [span for span in tracer.spans if span.name == "series.quadratic_source"]
+    assert len(sources) == 30
+    assert all(set(span.attrs) == {"k", "p"} for span in sources)
+    assert sum(span.name == "series.residual_at" for span in tracer.spans) == 54
 
 
 def test_flow_workload_reads_the_state_api(workloads):
