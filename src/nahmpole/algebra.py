@@ -26,7 +26,7 @@ The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
 import, and applied by sparse loops that skip zeros only: on integer
 numerators by :func:`_integer_sum`, over the lcm of the terms' denominators,
-and into a scalar slot list by :func:`_products` on any other operands.
+and into a scalar slot list by :func:`_products` when both operands are scalars.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -49,11 +49,11 @@ from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
-from .scalars import _OPERATORS, RationalField, arithmetic, context
+from .scalars import RationalField, arithmetic, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
-    "L_op", "gamma_op", "project", "times", "FormSum",
+    "L_op", "gamma_op", "project", "FormSum",
     "star_wedge", "bracket_0_1", "star_bracket_star", "e_bracket", "cal_L",
     "invert_cal_L", "resolve_coupled", "SigmaModule", "LeadingOrders",
     "FreeDims", "leading_order_structure",
@@ -365,28 +365,16 @@ def _integer_sum(field, size: int, terms) -> GForm:
     return _form(field, totals, den)
 
 
-def times(coefficient, form: GForm) -> GForm:
-    """``coefficient * form`` for a table coefficient, converted once per
-    field (``field.constant``) and multiplied into each entry through the
-    field's :func:`~nahmpole.scalars.arithmetic`; a sign is no product."""
-    if coefficient == 1:
-        return form
-    if coefficient == -1:
-        return -form
-    mul, c = arithmetic(form.field)[0], form.field.constant(coefficient)
-    return GForm.from_entries(form.field, [mul(v, c) for v in form.entries()])
-
-
 def _products(field, slots, sign, x: GForm, op, y: GForm):
     """``slots`` plus ``sign * op(x, y)`` (``sign`` +-1, ``op`` a kernel), in
     place: each product of nonzero entries added to or subtracted from its
     slot in turn, in the kernel table's order, through the field's
     :func:`~nahmpole.scalars.arithmetic`; an exact operand beside a scalar
-    one is read as its entries."""
-    mul, add, sub = getattr(field, "ops", _OPERATORS)  # arithmetic(), per call
+    one is refused."""
+    mul, add, sub = arithmetic(field)
     (xs, dx), (ys, dy) = x._ints or _read(x), y._ints or _read(y)
-    xs = [v or None for v in x.entries()] if dx else xs
-    ys = [v or None for v in y.entries()] if dy else ys
+    if dx or dy:
+        raise TypeError("a kernel term pairs an exact operand with a scalar one")
     table = _TABLES[op]
     for i, xi in enumerate(xs):
         if xi is not None:
@@ -401,17 +389,16 @@ class FormSum:
     """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
     linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
     (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
-    into one form; a sum is true once a term was added.
+    into one form.
 
     Terms whose operands read as integers (:func:`_read`) are kept read (a
     linear ``op``'s result read) and summed by :func:`_integer_sum`.  On
     other operands (float scalars) a kernel term with coefficient +-1 adds
     each product straight into the scalar slots (:func:`_products`, as the
     float frame operators do into their own); any other term is built as a
-    form and added slot by slot.  Both round through the field's
-    :func:`~nahmpole.scalars.arithmetic` (its context's ``multiply``,
-    ``add`` and ``subtract``), entering no context.  The float solve step
-    sums its right-hand sides without one (``series._sum``).
+    form, times its coefficient (``field.constant``), and added slot by slot,
+    each rounding through the field's :func:`~nahmpole.scalars.arithmetic`.
+    Exact operands beside scalar ones are refused with ``TypeError``.
     """
 
     __slots__ = ("field", "size", "read", "slots")
@@ -419,9 +406,6 @@ class FormSum:
     def __init__(self, field, degree: int):
         self.field, self.size, self.read = field, 9 if degree else 3, []
         self.slots = None  # made by the first scalar-loop term
-
-    def __bool__(self):
-        return bool(self.read) or self.slots is not None
 
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
         """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
@@ -436,9 +420,10 @@ class FormSum:
             self.read.append((coefficient, xs, den, op, ys, dy))
             return self
         if y is None or coefficient not in (1, -1):
-            term = times(coefficient, x if op is None else op(x) if y is None else op(x, y))
-            self.slots = (list(term.entries()) if self.slots is None else list(map(
-                arithmetic(self.field)[1], self.slots, term.entries())))
+            (mul, add, _), c = arithmetic(self.field), self.field.constant(coefficient)
+            term = [mul(v, c) for v in (x if op is None else op(x) if y is None
+                                        else op(x, y)).entries()]
+            self.slots = term if self.slots is None else list(map(add, self.slots, term))
             return self
         self.slots = _products(self.field, self.slots or [self.field.zero] * self.size,
                                coefficient, x, op, y)
@@ -456,17 +441,14 @@ class FormSum:
         return self
 
     def form(self) -> GForm:
-        """The sum: the read terms' integer sum as a reading, or added to the
-        scalar slots when any term took the scalar loop."""
-        if self.slots is None and self.read:
-            return _integer_sum(self.field, self.size, self.read)
-        out = self.slots or [self.field.zero] * self.size
+        """The sum: the read terms' integer sum as a reading, or the scalar
+        slots; a sum of both is refused."""
+        if self.slots is None:
+            return (_integer_sum(self.field, self.size, self.read) if self.read
+                    else GForm.zero(self.field, self.size // 9))
         if self.read:
-            (ns, d), add = _integer_sum(self.field, self.size, self.read)._ints, arithmetic(
-                self.field)[1]
-            out = [add(s, self.field.from_fraction(Fraction(n, d))) if n else s
-                   for s, n in zip(out, ns)]
-        return GForm.from_entries(self.field, out)
+            raise TypeError("a FormSum holds exact terms beside scalar ones")
+        return GForm.from_entries(self.field, self.slots)
 
 
 def e_bracket(phi: GForm) -> GForm:

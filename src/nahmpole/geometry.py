@@ -13,9 +13,9 @@ kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, plus a term
 in ``c``, summed in integers over exact scalars (:func:`_frame_terms`).
 
 The flow equations are stated once, as data beside those operators: the
-term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, which
-``oracle.flow_rhs`` sums at a point, compiled once, in integers, to the rows
-that both ``series.residual_at`` and the flow integrator read.
+term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, compiled
+once, in integers, to the rows that ``series.residual_at``,
+``oracle.flow_rhs`` and the flow integrator read.
 
 Curvature sign under the package conventions: constant-curvature models come
 out as ``*F_omega = C e`` with ``C = -s^2`` for the round 3-sphere of scale
@@ -228,15 +228,15 @@ class FrameBackground:
         if field.exact:
             conn, W, starF, frame = _exact_frame(field, c)
         else:
-            scale = field.scale(v for plane in c for row in plane for v in row)
+            bound = field.bound(field.scale(v for plane in c for row in plane for v in row))
             with context(field):
                 for k, i, j in itertools.product(range(3), repeat=3):
-                    if not field.is_zero(c[k][i][j] + c[k][j][i], scale):
+                    if (c[k][i][j] + c[k][j][i]).copy_abs() > bound:
                         raise ValueError("structure constants not antisymmetric "
                                          f"at c^{k}_{{{i}{j}}}")
             conn = levi_civita(field, c)
-            if not all(field.is_zero(v, scale) for plane in torsion_residual(field, c, conn)
-                       for row in plane for v in row):
+            if not field.within((v for plane in torsion_residual(field, c, conn)
+                                 for row in plane for v in row), bound):
                 raise AssertionError("Koszul output has torsion")
             W, frame = connection_form(field, conn), _FloatFrame(field, c)
             starF = _star_d_of(field, c, frame, W) + star_wedge(W, W).scale(

@@ -9,13 +9,13 @@ recursion:
 * **Exact Taylor oracles** for those profiles: ``P(e^{2y})`` and
   ``Q(e^{2y})`` as integer exponential sums, divided by an integer
   recurrence, one Fraction per coefficient, no engine code involved.
-* **A flow integrator**: the three flow equations, stated once in the term
-  tables of :mod:`nahmpole.geometry` and summed by the field-generic
-  ``flow_rhs``, as a 21-component ODE system in ``(a, b, phi_y) = (A - W,
-  Phi - e/y, Phi_y)``, integrated by an embedded Dormand-Prince 5(4) pair on
-  the integer rows those tables compile to, which the series residual reads
-  too, rounded once: one stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.
-  A :class:`FlowState` is one float64 row of the full ``(A, phi, phi_y)``.
+* **A flow integrator**: the three flow equations as a 21-component ODE system
+  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, read from the integer rows
+  the term tables of :mod:`nahmpole.geometry` compile to, which the series
+  residual reads too: in any field by ``flow_rhs``, exact over rationals, and
+  rounded once to float64 for an embedded Dormand-Prince 5(4) pair, as one
+  stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.  A :class:`FlowState`
+  is one float64 row of the full ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
 rational arithmetic, as integer numerators over one common denominator per
@@ -41,9 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GForm, star_wedge, times, vierbein
-from .geometry import (_PAIR_4Q, _POLE_COLUMNS, FRAME_TERMS, PAIR_TERMS, POLE_TERMS,
-                       FrameBackground, builtin, star_d)
+from .algebra import GForm, star_wedge, vierbein
+from .geometry import _PAIR_4Q, _POLE_COLUMNS, FrameBackground, builtin, star_d
 from .scalars import RationalField, context
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
@@ -385,51 +384,47 @@ def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
     return FlowState(float(y), np.concatenate([np.ravel(A), np.ravel(phi), phi_y]))
 
 
-def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
-    """Right-hand side of the flow equations in subtracted variables
-    ``A = W + a``, ``Phi = e/y + b`` (the poles cancel in ``Phi ^ Phi``).
+def _rhs(bg: FrameBackground, y, v):
+    """``c + M0 v + M1 v/y + Q(v, v)`` on the 21 scalars ``v``, from ``*F_w`` into one
+    list, under the field's context: slot by slot, the pole columns on ``v[u] / y``, the
+    frame columns on ``v[u]``, each over its denominator, then the rows of the symmetric
+    ``4Q`` on ``v[u] v[w] / 4`` for ``w >= u``, doubled off the diagonal."""
+    out = [bg.field.zero] * 9 + list(bg.starF.entries()) + [bg.field.zero] * 3
+    with context(bg.field):
+        for u, x in enumerate(v):
+            if x:
+                for (rows, den), q in ((_POLE_COLUMNS[u], x / y), (bg._columns[u], x)):
+                    q /= den
+                    for o, n in rows:
+                        out[o] += n * q
+                x /= 4
+                for w, rows in _PAIR_4Q[u].items():
+                    if w >= u and v[w]:
+                        q = x * v[w]
+                        for o, n in rows:
+                            out[o] += (n if w == u else 2 * n) * q
+    return out
 
-    It sums the term tables of :mod:`nahmpole.geometry` in one order: the
-    pole rows, divided by ``y`` once per equation, then ``*F_w``, the frame
-    rows and the pair rows.  Exact over exact scalars (the flat model's zero
-    state has an exactly zero right-hand side in rational arithmetic).
-    """
-    v = (a, b, phi_y)
-    pole = [[], [], []]
-    for i, op, j, coefficient in POLE_TERMS:
-        pole[i].append(times(coefficient, op(v[j])))
-    out = [sum(terms[1:], terms[0]).divide(y) for terms in pole]
-    out[1] = out[1] + bg.starF
-    for i, op, j, coefficient in FRAME_TERMS:
-        out[i] = out[i] + times(coefficient, op(bg, v[j]))
-    for i, op, (j, k), coefficient in PAIR_TERMS:
-        out[i] = out[i] + times(coefficient, op(v[j], v[k]))
-    return tuple(out)
+
+def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
+    """Right-hand side of the flow equations in ``A = W + a``, ``Phi = e/y + b``
+    (the poles cancel in ``Phi ^ Phi``): :func:`_rhs` on the entries, as three
+    forms; exact over exact scalars."""
+    out = _rhs(bg, y, [*a.entries(), *b.entries(), *phi_y.entries()])
+    return tuple(GForm.from_entries(bg.field, out[r.start:r.stop]) for r in _BLOCKS)
 
 
 def flow_residual(sol: ProfileSolution, y):
-    """Pointwise residual norms of the three flow equations on a closed form.
-
-    Derivatives are analytic (the profiles are exp/rational), so the only
-    noise is float round-off -- or nothing at all: a Fraction ``y`` on a
-    profile with exact values (the flat model) gives exact rational residuals.
-
-    :return: ``(ra, rb, rphi)`` max-abs residual norms.
-    """
-    bg = sol.background
-    W = bg.W
-    e = vierbein(bg.field)
-    fa = sol.fA.value(y)
-    fphi = sol.fPhi.value(y)
-    one = Fraction(1) if isinstance(y, Fraction) else 1.0
-    a = W.scale(fa - one)
-    b = e.scale(fphi - one / y)
-    phi_y = GForm.zero(bg.field, 0)
-    da, db, dphi = flow_rhs(bg, y, a, b, phi_y)
-    ra = W.scale(sol.fA.derivative(y)) - da
-    rb = e.scale(sol.fPhi.derivative(y) + one / (y * y)) - db
-    rphi = -dphi
-    return tuple(max(map(abs, r.entries())) for r in (ra, rb, rphi))
+    """Max-abs residuals ``(ra, rb, rphi)`` of the three flow equations on a closed
+    form at ``y``, by :func:`_rhs` on its 21 scalars, with analytic derivatives: float
+    round-off, or nothing at all for a Fraction ``y`` on exact profiles (flat)."""
+    bg, one = sol.background, (Fraction(1) if isinstance(y, Fraction) else 1.0)
+    W, e, zeros = bg.W.entries(), vierbein(bg.field).entries(), [0 * one] * 3
+    fa, fphi = sol.fA.value(y) - one, sol.fPhi.value(y) - one / y
+    da, db = sol.fA.derivative(y), sol.fPhi.derivative(y) + one / (y * y)
+    got = _rhs(bg, y, [w * fa for w in W] + [i * fphi for i in e] + zeros)
+    r = [lhs - g for lhs, g in zip([w * da for w in W] + [i * db for i in e] + zeros, got)]
+    return tuple(max(map(abs, r[rows.start:rows.stop])) for rows in _BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +456,10 @@ def _pole_and_pair_parts():
 
 
 def _flow_operator(bg: FrameBackground):
-    """The integrator's ``(c, M0, M1, Q)`` in float64, ``flow_rhs(y, v) = c + M0 v +
+    """The integrator's ``(c, M0, M1, Q)`` in float64, ``rhs(y, v) = c + M0 v +
     M1 v/y + Q(v, v)``: ``*F_w`` in the ``b`` slots, the background's frame columns
-    and :func:`_pole_and_pair_parts`, from the tables the exact residual reads."""
+    and :func:`_pole_and_pair_parts`, from the rows ``flow_rhs`` and the exact
+    residual read."""
     c = np.concatenate([np.zeros(9), np.ravel(bg.starF.to_floats()), np.zeros(3)])
     return (c, _matrix(bg._columns), *_pole_and_pair_parts())
 

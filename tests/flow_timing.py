@@ -13,21 +13,32 @@ Prints, in microseconds:
   of its own (``rhs(y, v)``, as ``solve_ivp`` calls it);
 * per build of that right-hand side, ``oracle._flow_rhs(bg)``, on a background
   whose frame columns are already read (the build each ``integrate_flow`` call
-  makes).
+  makes);
+* per call of the exact ``oracle.flow_rhs`` on the operands of the
+  ``oracle.flow_rhs_exact_us`` probe of ``benchmarks/layers.py`` (berger
+  squash=2, y = 1/100, dense forms as wide as the N=12 table's largest
+  coefficient), and per call of ``oracle.flow_residual`` on the closed forms.
 
 Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/flow_timing.py [REPEATS]
 
 It is not a test module (no ``test_`` prefix), so pytest does not collect
-it; it uses the standard library and the package only.
+it; it uses the standard library, the package and the probe's operand
+generator in ``benchmarks/layers.py``.
 """
 
+import random
 import sys
 import time
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 from nahmpole import oracle
-from nahmpole.series import expand
+from nahmpole.geometry import load_background
+from nahmpole.scalars import RationalField
+from nahmpole.series import expand, from_json
 
 #: (label, solution, y0, y1, integrate_flow keywords); each starts from the N=6
 #: series state of the solution's matched free data at y0
@@ -59,6 +70,20 @@ def series_start(name, y0):
     return bg, oracle.state_from_series(table, y0, ORDER)
 
 
+def probe_operands():
+    """``(bg, x, y, phi)`` as the layers probe builds them for ``flow_rhs``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import layers
+
+    rat = RationalField()
+    bg = load_background(f"builtin:{layers.BERGER}", rat)
+    table = from_json(layers.W.table_path(layers.BERGER).read_text(), background=bg)
+    num_bits, den_bits = (max(bits) for bits in zip(
+        *(layers._bits(v) for v in table.get_a(12, 0).entries() if v)))
+    return (bg, *layers._random_forms(random.Random(layers.PROBE_SEED), rat, num_bits,
+                                      den_bits))
+
+
 def main(repeats=20):
     print(f"{'integrate_flow':<44}{'steps':>7}{'us/step':>10}")
     for label, name, y0, y1, kwargs in INTEGRATIONS:
@@ -86,6 +111,16 @@ def main(repeats=20):
         print(f"{label:<44}{'':>7}{1e6 * best(run, repeats) / CALLS:>10.3f}")
     build = best(lambda: oracle._flow_rhs(bg), repeats)
     print(f"{'_flow_rhs(bg), per build':<44}{'':>7}{1e6 * build:>10.2f}")
+
+    bg, x, y, phi = probe_operands()
+    calls = [("flow_rhs exact, layers probe operands",
+              partial(oracle.flow_rhs, bg, Fraction(1, 100), x, y, phi))]
+    for name, at in (("s3", 0.5), ("hyperbolic", 0.5), ("flat", Fraction(1, 3))):
+        calls.append((f"flow_residual {name} y={at}",
+                      partial(oracle.flow_residual, oracle.closed_solution(name), at)))
+    for label, call in calls:
+        call()  # the columns are built on first read
+        print(f"{label:<44}{'':>7}{1e6 * best(call, repeats):>10.2f}")
 
 
 if __name__ == "__main__":

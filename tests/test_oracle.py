@@ -23,7 +23,6 @@ from nahmpole.oracle import (
     convergence_csv,
     convergence_table,
     flow_residual,
-    flow_rhs,
     global_report,
     integrate_flow,
     matched_free_data,
@@ -46,6 +45,7 @@ from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import PhgSeries, expand, from_json, residual_at, to_json
 
 from conftest import CATALOG, rand_one_form, rand_zero_form
+from flow_terms import flow_rhs
 
 
 def _state_dev(s1: FlowState, s2: FlowState) -> float:
