@@ -409,9 +409,7 @@ class FormSum:
 
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
         """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
-        and return the sum; an absent ``x`` (None) adds nothing."""
-        if x is None:
-            return self
+        and return the sum."""
         xs, den = x._ints or _read(x)
         ys, dy = (None, 1) if y is None else y._ints or _read(y)
         if den and dy:

@@ -456,6 +456,10 @@ def _cmd_ode_compare(args) -> int:
         print(f"need 0 < --y-min < --y-max <= {_Y_EXACT_MAX}: the table's "
               "rational e^(2y) is exact only up to there", file=sys.stderr)
         return 1
+    if args.y_min < sys.float_info.min:
+        print(f"need --y-min >= {sys.float_info.min!r}, the smallest normal float64, "
+              "so that the flow's pole e/y stays finite", file=sys.stderr)
+        return 1
     if not 0 < args.tol < math.inf:
         print("--tol must be a positive number", file=sys.stderr)
         return 1

@@ -18,8 +18,8 @@ recursion:
   is one float64 row of the full ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
-rational arithmetic, as integer numerators over one common denominator per
-grid point, with one correctly rounded division per truncation order.
+rational arithmetic (e^{2y} in fixed point), as integer numerators over one common
+denominator per grid point, with one correctly rounded division per truncation order.
 
 Convention lock-in: the orientation and the curvature sign of the frame
 backgrounds are pinned by requiring the closed-form profiles below to solve
@@ -60,21 +60,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _exp_fraction(x: Fraction) -> Fraction:
-    """e^x truncated after the x^40 term, as an exact Fraction.
+def _exp_fraction(x: Fraction, bits: int = None) -> Fraction:
+    """e^x truncated after the x^40 term, as a Fraction.
 
     For 0 <= x <= 1 the dropped tail is below 2e-50 of e^x -- far under
     anything the convergence table can resolve.  The 41 terms are summed as
-    integers over the common denominator 40! d^40 of ``x = n/d``.
+    integers over the common denominator 40! d^40 of ``x = n/d``; given ``bits``, each
+    term is floored to 2^-(bits+8) and the sum read as ``m / 2^bits``, within 2^(1-bits)
+    of the exact sum for |x| <= 1 (each floor's error shrinks by |x|/k in the next).
     """
-    # the k-th numerator n^k d^(40-k) 40!/k! divides exactly out of the last
+    # exactly, the k-th numerator n^k d^(40-k) 40!/k! divides out of the last
     n, d = x.numerator, x.denominator
-    den = math.factorial(40) * d ** 40
+    den = math.factorial(40) * d ** 40 if bits is None else 1 << bits + 8
     term = acc = den
     for k in range(1, 41):
         term = term * n // (d * k)
         acc += term
-    return Fraction(acc, den)
+    return Fraction(acc, den) if bits is None else Fraction(acc >> 8, 1 << bits)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +380,17 @@ def profile_state(sol: ProfileSolution, y) -> FlowState:
                                         np.zeros(3)]))
 
 
+def _pole_finite(y: float) -> float:
+    """``y``, or ``ValueError`` when its pole ``e/y`` overflows float64."""
+    if y and math.isinf(1 / y):
+        raise ValueError(f"the pole e/y overflows float64 at y = {y!r}")
+    return y
+
+
 def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
-    """Evaluate a truncated expansion into a :class:`FlowState` (float)."""
-    A, phi, phi_y = evaluate_series(series, y, N)
+    """Evaluate a truncated expansion into a :class:`FlowState` (float); a ``y``
+    whose pole ``e/y`` overflows float64 raises ``ValueError``."""
+    A, phi, phi_y = evaluate_series(series, _pole_finite(float(y)), N)
     return FlowState(float(y), np.concatenate([np.ravel(A), np.ravel(phi), phi_y]))
 
 
@@ -443,8 +453,8 @@ def _matrix(columns):
 
 @functools.cache
 def _pole_and_pair_parts():
-    """``(M1, Q)`` in float64, read-only: the pole columns and the symmetric ``Q``,
-    a quarter of ``4Q``.  No background enters them: built once per process."""
+    """``(M1, Q, pairs)`` in float64: the pole columns, the symmetric ``Q``, a quarter of
+    ``4Q``, and its :func:`_pair_columns`.  No background enters: built once per process."""
     M1 = _matrix(_POLE_COLUMNS)
     Q = np.zeros((_NV,) * 3)
     for u, row in enumerate(_PAIR_4Q):
@@ -452,7 +462,16 @@ def _pole_and_pair_parts():
             for o, n in terms:
                 Q[o, u, w] = n / 4
     M1.flags.writeable = Q.flags.writeable = False  # every caller shares them
-    return M1, Q
+    return M1, Q, _pair_columns(Q)
+
+
+def _pair_columns(Q):
+    """``(I, J, Qp)``: the pairs ``i <= j`` of the symmetric ``Q`` nonzero for some
+    component, and their columns ``Qp``, the off-diagonal ones doubled."""
+    I, J = np.triu_indices(_NV)
+    QP = Q[:, I, J] * np.where(I == J, 1, 2)
+    keep = np.any(QP != 0, axis=0)
+    return I[keep], J[keep], QP[:, keep]
 
 
 def _flow_operator(bg: FrameBackground):
@@ -461,7 +480,7 @@ def _flow_operator(bg: FrameBackground):
     and :func:`_pole_and_pair_parts`, from the rows ``flow_rhs`` and the exact
     residual read."""
     c = np.concatenate([np.zeros(9), np.ravel(bg.starF.to_floats()), np.zeros(3)])
-    return (c, _matrix(bg._columns), *_pole_and_pair_parts())
+    return (c, _matrix(bg._columns), *_pole_and_pair_parts()[:2])
 
 
 def _stacked_rhs(c, M0, M1, Q):
@@ -469,28 +488,28 @@ def _stacked_rhs(c, M0, M1, Q):
     matrix: ``c + G z`` with ``G = [M0 | M1 | Qp]`` and
     ``z = (v, v/y, v[I] v[J])``.
 
-    ``Qp`` keeps the pair columns ``i <= j`` of the symmetric ``Q`` that are
-    nonzero for some component, the off-diagonal ones doubled (126 of the 231
-    pairs).  Exact over Fraction arrays; over float64 it sums in another
-    order than the dense form, so it agrees to round-off.
+    ``Qp`` is :func:`_pair_columns` (126 of the 231 pairs; built once for the float64
+    ``Q``).  Exact over Fraction arrays; over float64 it sums in another order than
+    the dense form, so it agrees to round-off.
     ``z`` is made once, in ``G``'s dtype, and filled in place, so ``rhs`` is not
     reentrant; a ``v`` that is ``rhs.v``, its first slots, is not copied (any other
-    is, and left unchanged).  ``G.dot`` is ``np.dot``'s ``dgemv`` without its Python
-    dispatcher frame.  ``rhs(y, v, out)`` writes into ``out``, else returns a new array.
+    is, and left unchanged).  ``y`` enters ``v/y`` from a 0-d buffer of ``G``'s dtype
+    (object over Fractions, so ``y`` stays exact).  ``G.dot`` is ``np.dot``'s ``dgemv``
+    without its Python dispatcher frame.  ``rhs(y, v, out)`` writes into ``out``, else
+    returns a new array.
     """
-    I, J = np.triu_indices(_NV)
-    QP = Q[:, I, J] * np.where(I == J, 1, 2)
-    keep = np.any(QP != 0, axis=0)
-    I, J = I[keep], J[keep]
-    G = np.concatenate([M0, M1, QP[:, keep]], axis=1)
-    z = np.empty(G.shape[1], dtype=G.dtype)
+    _, shared_Q, shared_pairs = _pole_and_pair_parts()
+    I, J, QP = shared_pairs if Q is shared_Q else _pair_columns(Q)
+    G = np.concatenate([M0, M1, QP], axis=1)
+    z, yb = np.empty(G.shape[1], dtype=G.dtype), np.empty((), dtype=G.dtype)
     zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
     dot, divide, multiply, add = G.dot, np.divide, np.multiply, np.add
 
     def rhs(y, v, out=None):
         if v is not zv:
             zv[:] = v
-        divide(zv, y, zy)
+        yb[()] = y
+        divide(zv, yb, zy)
         multiply(zv[I], zv[J], zp)
         return add(c, dot(z, out), out)
     rhs.v = zv
@@ -566,8 +585,8 @@ def _pack_state(bg, state: FlowState):
 
 def _unpack_states(W, ys, V):
     """States of the packed rows of ``V``: one batched pass adds ``W`` (raveled)
-    and ``e/y`` in place and leaves ``V`` read-only.  The ``phi_y`` block gets
-    no addend, so a ``-0.0`` there stays ``-0.0``."""
+    and ``e/y`` in place and leaves ``V`` read-only: rows :class:`FlowState` keeps
+    uncopied.  The ``phi_y`` block gets no addend, so a ``-0.0`` there stays ``-0.0``."""
     V[:, 0:9] += W
     V[:, 9:18] += _E / np.array(ys)[:, None]
     V.flags.writeable = False
@@ -596,14 +615,13 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
         (sign is inferred); used to expose the raw order of the method.
     :return: list of :class:`FlowState` at the accepted steps, including the
         initial and final states.
-    :raises ValueError: for end points off ``0 < y < inf``, a ``tol`` off
-        ``0 < tol < inf``, or a fixed step that is zero or not finite.
+    :raises ValueError: for end points off ``0 < y < inf`` or where ``e/y`` overflows,
+        a ``tol`` off ``0 < tol < inf``, or a fixed step that is zero or not finite.
     :raises StepUnderflow: when no acceptable step above the floor exists
         (e.g. integrating into a finite-y blow-up) or below round-off
         (:data:`_ROUNDOFF_FACTOR`); carries the last good state.
     """
-    y0 = float(init.y)
-    y1 = float(y_target)
+    y0, y1 = _pole_finite(float(init.y)), _pole_finite(float(y_target))
     if not (0 < y0 < math.inf and 0 < y1 < math.inf):
         raise ValueError("the flow lives on finite y > 0")
     if not 0 < float(tol) < math.inf:
@@ -775,10 +793,12 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     whose first omitted term is O(y^{N+1}), so the fitted log-log slope sits
     near N+1.
 
-    Every deviation is computed in exact rational arithmetic (the only
-    approximation is the Taylor truncation of e^{2y}, 2e-50 for y <= 1/2),
-    so the table measures truncation error alone -- there is no float noise
-    floor, and the smallest entries (~1e-16 at N = 6) remain meaningful.  At
+    Every deviation is computed in rational arithmetic, so the table measures
+    truncation error alone -- there is no float noise floor, and the smallest
+    entries (~1e-16 at N = 6) remain meaningful.  Two approximations enter, both in
+    e^{2y}: its Taylor truncation, below 2e-50 for y <= 1/2, and its fixed-point sum
+    (:func:`_exp_fraction`), whose error the ``bits`` rule keeps 2^-181 below the
+    deviation scale y^(K+1) of the top order K.  At
     each grid point ``y = n/d``, e^{2y} is summed once and each profile is
     one unnormalized ``ratio_exact`` pair; the deviations are integer
     numerators over one common denominator, the series terms added order by
@@ -827,7 +847,9 @@ def convergence_table(sol, orders=(2, 4, 6), y_lo=0.01, y_hi=0.1, samples=12,
     K = wanted[-1]
     errors = {N: [] for N in wanted}
     for yq in grid:
-        u, n, d = _exp_fraction(2 * yq), yq.numerator, yq.denominator
+        # bits keeps u's error, grown ~1/y^2 by the pole of P/Q at u = 1, 2^-181 below y^(K+1)
+        n, d = yq.numerator, yq.denominator
+        u = _exp_fraction(2 * yq, 181 + (K + 3) * (d.bit_length() - n.bit_length() + 1))
         (pA, qA), (pP, qP) = sol.fA.ratio_exact(yq, u), sol.fPhi.ratio_exact(yq, u)
         # over den = L d^K qA n qP: W (1 - pA/qA), e (d/n - pP/qP), then each
         # series term x (n/d)^k, added order by order

@@ -14,6 +14,11 @@ Prints, in microseconds:
 * per build of that right-hand side, ``oracle._flow_rhs(bg)``, on a background
   whose frame columns are already read (the build each ``integrate_flow`` call
   makes);
+* per state of ``oracle._unpack_states``, on the packed rows of the s3
+  adaptive trajectory above (each call on a fresh copy of the rows, included);
+* per call of ``oracle.convergence_table`` on the ``ode-compare s3`` defaults
+  (N = 2, 4, 6 over 12 points of 0.01..0.1, the series passed in, as the CLI
+  does) and on a small-y grid (N = 2, 12 over 12 points of 1e-8..1e-3);
 * per call of the exact ``oracle.flow_rhs`` on the operands of the
   ``oracle.flow_rhs_exact_us`` probe of ``benchmarks/layers.py`` (berger
   squash=2, y = 1/100, dense forms as wide as the N=12 table's largest
@@ -34,6 +39,8 @@ import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from nahmpole import oracle
 from nahmpole.geometry import load_background
@@ -111,6 +118,22 @@ def main(repeats=20):
         print(f"{label:<44}{'':>7}{1e6 * best(run, repeats) / CALLS:>10.3f}")
     build = best(lambda: oracle._flow_rhs(bg), repeats)
     print(f"{'_flow_rhs(bg), per build':<44}{'':>7}{1e6 * build:>10.2f}")
+
+    bg, init = series_start("s3", 0.01)
+    traj = oracle.integrate_flow(bg, init, 1.0, tol=1e-12)
+    ys, V = [st.y for st in traj], np.array([oracle._pack_state(bg, st) for st in traj])
+    W = np.ravel(bg.W.to_floats())
+    unpack = best(lambda: oracle._unpack_states(W, ys, V.copy()), repeats)
+    print(f"{'_unpack_states, per state':<44}{len(ys):>7}{1e6 * unpack / len(ys):>10.3f}")
+
+    sol = oracle.closed_solution("s3")
+    for label, orders, lo, hi in (("convergence_table ode-compare s3 defaults", (2, 4, 6),
+                                   0.01, 0.1),
+                                  ("convergence_table N=2,12 y 1e-8..1e-3", (2, 12),
+                                   1e-8, 1e-3)):
+        table = expand(sol.background, oracle.matched_free_data("s3"), max(orders))
+        call = partial(oracle.convergence_table, sol, orders, lo, hi, series=table)
+        print(f"{label:<44}{'':>7}{1e6 * best(call, repeats):>10.2f}")
 
     bg, x, y, phi = probe_operands()
     calls = [("flow_rhs exact, layers probe operands",

@@ -439,6 +439,18 @@ class TestOdeCompare:
         assert out == ""
         assert len(err.splitlines()) == 1 and "--y-max <= 0.5" in err
 
+    @pytest.mark.parametrize("y_min", ["1e-310", "2e-308"])
+    def test_y_min_below_the_normal_floats_is_one_line(self, capsys, monkeypatch, y_min):
+        # 1e-310 used to print three numpy overflow warnings (the pole e/y) and
+        # exit 2 with a step size underflow; it is refused before the expansion
+        def no_work(*args):
+            raise AssertionError("expanded before validating")
+        monkeypatch.setattr(cli, "expand", no_work)
+        assert cli.main(["ode-compare", "s3", "--y-min", y_min, "--y-max", "1e-300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("need --y-min >= 2.2250738585072014e-308")
+
     def test_step_underflow_is_a_math_error(self, capsys):
         # a valid but unreachable tolerance: its budget is below float64 round-off
         assert cli.main(["ode-compare", "s3", "--order", "2",

@@ -482,6 +482,23 @@ class TestIntegrator:
             with pytest.raises(ValueError):
                 integrate_flow(sol.background, st, 1.0, tol=tol)
 
+    def test_pole_past_float64_is_refused(self):
+        # e/y overflows below about 5.6e-309: these used to warn and then
+        # underflow the step (integrate_flow) or return an inf row (state_from_series)
+        sol = closed_solution("s3")
+        st = profile_state(sol, 0.2)
+        ser = expand(sol.background, matched_free_data("s3"), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (1e-310, 5e-324):
+                with pytest.raises(ValueError, match="e/y overflows"):
+                    integrate_flow(sol.background, replace(st, y=y), 0.2)
+                with pytest.raises(ValueError, match="e/y overflows"):
+                    integrate_flow(sol.background, st, y)
+                with pytest.raises(ValueError, match="e/y overflows"):
+                    state_from_series(ser, y)
+        assert np.isfinite(state_from_series(ser, 1e-308).v).all()
+
     def test_fixed_step_equals_plain_seven_stage_steps(self):
         # the integrator reuses the last stage of a step as the first of the
         # next; a reference step that evaluates all seven stages must give
@@ -786,6 +803,36 @@ class TestConvergence:
                      Fraction(-1, 2), Fraction(0)])
         for x in points:
             assert _exp_fraction(x) == _exp_reference(x), x
+
+    def test_fixed_point_exp_is_within_its_bound(self):
+        # |x| <= 1: each term is floored to 2^-(bits+8), the sum to 2^-bits
+        points = [Fraction(float(v)) for v in np.geomspace(1e-30, 1, 9)] + [
+            Fraction(1, 3), Fraction(-5, 7), Fraction(-1), Fraction(0)]
+        for x in points:
+            exact = _exp_fraction(x)
+            for bits in (1, 53, 181, 1000):
+                got = _exp_fraction(x, bits)
+                assert abs(got - exact) < Fraction(2, 2 ** bits), (x, bits)
+                assert (got * 2 ** bits).denominator == 1
+
+    #: tables no CONVERGENCE_SHA256 row covers; a fixed 256-bit u changes all
+    #: but the flat one, a rule scaled by K + 1 instead of K + 3 the y <= 1e-20 ones
+    @pytest.mark.parametrize("name,orders,y_lo,y_hi,samples", [
+        ("s3", (2, 12), 1e-8, 1e-3, 7),
+        ("s3", (2, 4, 6), 1e-30, 1e-20, 3),
+        ("hyperbolic", (2, 12), 1e-20, 1e-12, 3),
+        ("hyperbolic", (3, 20), 1e-3, 0.5, 12),
+        ("s3", (4, 8, 12, 16, 20), 1e-30, 0.5, 25),
+        ("flat", (2, 4), 1e-30, 0.5, 5),
+    ])
+    def test_fixed_point_u_gives_the_exact_u_table(self, name, orders, y_lo, y_hi,
+                                                    samples, monkeypatch):
+        import nahmpole.oracle as oracle
+
+        got = convergence_table(name, orders, y_lo, y_hi, samples)
+        monkeypatch.setattr(oracle, "_exp_fraction", lambda x, bits=None: _exp_fraction(x))
+        want = convergence_table(name, orders, y_lo, y_hi, samples)
+        assert repr(got) == repr(want)  # float for float, slope for slope
 
     @pytest.mark.parametrize("name", ["s3", "hyperbolic"])
     def test_value_exact_is_fraction_horner(self, name):
