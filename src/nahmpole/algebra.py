@@ -34,9 +34,11 @@ spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
 [e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.
 
 Exact kernels pass integer readings to each other: each reads its operands'
-integer numerators over one denominator (:func:`_read`, kept on the form)
-and returns its result as such a reading, reduced by one gcd
-(:func:`_form`), whose ``Fraction`` entries are built only when read.
+integer numerators over one denominator (:func:`_read`, every entry at its
+exact value, kept on the form) and returns its result as such a reading,
+reduced by one gcd (:func:`_form`), whose ``Fraction`` entries are built only
+when read.  Over exact scalars every operator takes that integer route; the
+scalar formulas serve float fields.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class GForm:
     form never changes; one made by :func:`_form` holds its integer reading
     and builds its ``Fraction`` entries when ``coeffs`` is first read (by
     ``entries``, ``repr`` or a printer): over exact scalars ``+``, ``-``,
-    ``scale``, ``divide`` and ``==`` act on the readings (:func:`_read`)."""
+    ``scale``, ``divide`` and ``==`` act on the readings (:func:`_read`), so
+    an exact form never rounds, whatever the types of its entries."""
 
     __slots__ = ("field", "degree", "_coeffs", "_ints")
 
@@ -159,33 +162,27 @@ class GForm:
     # -- linear structure ---------------------------------------------------
 
     def _slotwise(self, op, *others: "GForm") -> "GForm":
-        """``op`` of the matching slots of this form and ``others`` (of the same
-        degree), under the field's context: float or non-integer entries."""
-        for other in others:
-            if other.degree != self.degree:
-                raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        """``op`` of the matching slots of this form and ``others`` (of its
+        degree), under the field's context: the route of float scalars."""
         rows = (self.coeffs, *(other.coeffs for other in others))
         with context(self.field):
             if self.degree == 0:
                 return GForm(self.field, 0, tuple(map(op, *rows)))
             return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
 
-    def _readings(self, *others: "GForm"):
-        """The integer readings of this form and ``others`` (of its degree)
-        when the field is exact and each reads as integers, else None."""
-        forms = (self, *others) if self.field.exact else ()
-        got = [f._ints or _read(f) for f in forms]
-        exact = all(d and f.degree == self.degree for (_, d), f in zip(got, forms))
-        return got if got and exact else None
-
     def _combine(self, other: "GForm", op) -> "GForm":
-        """``op`` (``add`` or ``sub``) of two exact readings over the lcm of
-        their denominators, reduced once; of the slots otherwise."""
-        if got := self._readings(other):
-            (n, d), (m, e) = got
-            return _integer_sum(self.field, len(n), [
-                (1, n, d, None, None, 1), (1 if op is operator.add else -1, m, e, None, None, 1)])
-        return self._slotwise(op, other)
+        """``op`` (``add`` or ``sub``) of two forms of one degree: of their
+        readings over the lcm of their denominators, reduced once, over exact
+        scalars (a float operand raises ``TypeError``); else of the slots."""
+        if other.degree != self.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        if not self.field.exact:
+            return self._slotwise(op, other)
+        if not other.field.exact:
+            raise TypeError("an exact form meets a scalar one")
+        (n, d), (m, e) = self._ints or _read(self), other._ints or _read(other)
+        return _integer_sum(self.field, len(n), [
+            (1, n, d, None, None, 1), (1 if op is operator.add else -1, m, e, None, None, 1)])
 
     def __add__(self, other: "GForm") -> "GForm":
         return self._combine(other, operator.add)
@@ -194,20 +191,21 @@ class GForm:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "GForm":
-        return self._slotwise(operator.neg) if self._readings() is None else self.scale(-1)
+        return self.scale(-1) if self.field.exact else self._slotwise(operator.neg)
 
     def _times(self, s, op) -> "GForm":
         """``op`` (``mul`` or ``truediv``) of each entry and the scalar ``s``:
-        of an exact reading and an int or ``Fraction`` by their integers,
-        reduced once; else slot by slot, ``s`` as a field element."""
-        exact = type(s) is Fraction or type(s) is int
-        if exact and (got := self._readings()):
-            (n, d), (num, den) = got[0], s.as_integer_ratio()
+        over exact scalars, of the reading and ``s``'s exact integer ratio,
+        reduced once; else slot by slot, an int or ``Fraction`` ``s`` as a
+        field element."""
+        if self.field.exact:
+            (n, d), (num, den) = self._ints or _read(self), s.as_integer_ratio()
             num, den = (den, num) if op is operator.truediv else (num, den)
             if not den:
                 raise ZeroDivisionError("GForm divided by zero")
             return _form(self.field, [x * num for x in n], d * den)
-        s = self.field.from_fraction(s) if exact else s
+        if type(s) is Fraction or type(s) is int:
+            s = self.field.from_fraction(s)
         return self._slotwise(lambda x: op(x, s))
 
     def scale(self, s) -> "GForm":
@@ -248,8 +246,8 @@ class GForm:
             return NotImplemented
         if self.degree != other.degree:
             return False
-        got = other.field.exact and self._readings(other)
-        return got[0] == got[1] if got else self.coeffs == other.coeffs
+        exact = self.field.exact and other.field.exact
+        return _read(self) == _read(other) if exact else self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"GForm(degree={self.degree}, coeffs={self.coeffs!r})"
@@ -276,22 +274,21 @@ def _table(terms):
 
 
 def _read(form: GForm):
-    """``(integer numerators, common denominator)`` of ``form`` when every
-    entry is a ``Fraction`` or an int, else ``(entries, None)`` with zeros
-    as None; tuples, kept on the form and shared by every reader.  A reading
-    is canonical: a positive denominator with no factor common to all numerators."""
+    """``(integer numerators, common denominator)`` of a form over exact
+    scalars, each entry read at its exact value (:func:`_ratios`), else
+    ``(entries, None)`` with zeros as None; tuples, kept on the form and shared
+    by every reader.  A reading is canonical: a positive denominator with no
+    factor common to all numerators."""
     if form._ints is None:
-        entries, exact = form.entries(), {Fraction, int}
-        if type(entries[0]) not in exact or not set(map(type, entries)) <= exact:
-            got = tuple([v or None for v in entries]), None
-        else:
-            got = _ratios(entries)
-        form._ints = got
+        entries = form.entries()
+        form._ints = (_ratios(entries) if form.field.exact
+                      else (tuple([v or None for v in entries]), None))
     return form._ints
 
 
 def _ratios(values):
-    """``(integer numerators, common denominator)`` of ints, ``Fraction``s or ``Decimal``s."""
+    """``(integer numerators, common denominator)`` of the exact values of
+    ints, ``Fraction``s, floats or ``Decimal``s."""
     ratios = [v.as_integer_ratio() for v in values]
     d = lcm(*[q for _, q in ratios])
     return tuple(n and n * (d // q) for n, q in ratios), d
@@ -386,18 +383,16 @@ def _products(field, slots, sign, x: GForm, op, y: GForm):
 
 
 class FormSum:
-    """A sum of terms ``coefficient * x``, ``coefficient * op(x)`` for a
-    linear ``op`` and ``coefficient * op(x, y)`` for a kernel ``op``
-    (:func:`star_wedge`, :func:`bracket_0_1`, :func:`star_bracket_star`)
-    into one form.
+    """A sum of terms ``coefficient * x`` and ``coefficient * op(x, y)`` for
+    a kernel ``op`` (:func:`star_wedge`, :func:`bracket_0_1`,
+    :func:`star_bracket_star`) into one form.
 
-    Terms whose operands read as integers (:func:`_read`) are kept read (a
-    linear ``op``'s result read) and summed by :func:`_integer_sum`.  On
-    other operands (float scalars) a kernel term with coefficient +-1 adds
-    each product straight into the scalar slots (:func:`_products`, as the
-    float frame operators do into their own); any other term is built as a
-    form, times its coefficient (``field.constant``), and added slot by slot,
-    each rounding through the field's :func:`~nahmpole.scalars.arithmetic`.
+    Terms over exact scalars are kept read (:func:`_read`) and summed by
+    :func:`_integer_sum`.  Over float scalars a kernel term with coefficient
+    +-1 adds each product straight into the scalar slots (:func:`_products`,
+    as the float frame operators do into their own); any other term is built
+    as a form, times its coefficient (``field.constant``), and added slot by
+    slot, each rounding through the field's :func:`~nahmpole.scalars.arithmetic`.
     Exact operands beside scalar ones are refused with ``TypeError``.
     """
 
@@ -408,19 +403,16 @@ class FormSum:
         self.slots = None  # made by the first scalar-loop term
 
     def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
-        """Add ``coefficient * x``, ``* op(x)`` or, given ``y``, ``* op(x, y)``,
+        """Add ``coefficient * x`` or, given ``op`` and ``y``, ``* op(x, y)``,
         and return the sum."""
         xs, den = x._ints or _read(x)
         ys, dy = (None, 1) if y is None else y._ints or _read(y)
         if den and dy:
-            if y is None and op is not None:
-                (xs, den), op = _read(op(x)), None
             self.read.append((coefficient, xs, den, op, ys, dy))
             return self
         if y is None or coefficient not in (1, -1):
             (mul, add, _), c = arithmetic(self.field), self.field.constant(coefficient)
-            term = [mul(v, c) for v in (x if op is None else op(x) if y is None
-                                        else op(x, y)).entries()]
+            term = [mul(v, c) for v in (x if y is None else op(x, y)).entries()]
             self.slots = term if self.slots is None else list(map(add, self.slots, term))
             return self
         self.slots = _products(self.field, self.slots or [self.field.zero] * self.size,
@@ -538,24 +530,27 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     On the eigenspaces this is division by ``k + eigenvalue``, so the
     divisors are ``k+2, k+1, k-1`` and the singular orders are
     ``k in {-2, -1, 1}``.  Summed over the three projections, the inverse
-    acts entrywise (on the numerators of ``rhs = n / D`` over the one divisor
-    ``D (k+2)(k^2-1)``, one gcd per form, for exact entries and integer k)::
+    acts entrywise::
 
         x_ij = (k r_ij + r_ji) / (k^2 - 1)              (i != j)
         x_ii = r_ii / (k - 1) - tr(r) / ((k + 2)(k - 1))
+
+    Over exact scalars, with ``k = l / q`` (``k.as_integer_ratio()``) and
+    ``rhs = n / D``, each numerator, homogeneous in ``(l, q)``, times ``q``,
+    lies over the one divisor ``D (l+2q)(l^2-q^2)``, one gcd per form.
 
     :raises ResonantOrder: when ``k`` hits a singular order, carrying the
         offending eigenspace(s).
     """
     if k in (-2, -1, 1):  # k + eigenvalue vanishes on some part
         raise ResonantOrder(k, [part for part in EigenPart if k + part.eigenvalue(1) == 0])
-    n, D = _read(rhs) if rhs.field.exact else (None, None)
-    if D and type(k) is int:
+    if rhs.field.exact:
+        (n, D), (l, q) = _read(rhs), k.as_integer_ratio()
         tr = n[0] + n[4] + n[8]
         return _form(rhs.field, [
-            (n[4 * i] * (k + 2) - tr) * (k + 1) if i == j
-            else (k * n[3 * i + j] + n[3 * j + i]) * (k + 2)
-            for i in range(3) for j in range(3)], D * (k + 2) * (k * k - 1))
+            (n[4 * i] * (l + 2 * q) - q * tr) * (l + q) * q if i == j
+            else (l * n[3 * i + j] + q * n[3 * j + i]) * (l + 2 * q) * q
+            for i in range(3) for j in range(3)], D * (l + 2 * q) * (l * l - q * q))
     r = rhs.entries()
     with context(rhs.field):
         less, square = k - 1, k * k - 1  # the divisors, formed once
@@ -576,15 +571,17 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     ``R`` over ``lam + 1`` there and over ``lam - 2`` on ``V-``; on ``V0``
     the system couples to ``phi`` with determinant ``d = (lam - 2)(lam + 1)``.
     With ``t = tr(R)/3``, ``Theta = (R - R^T)/2``, ``[e, S]_ij = eps_ijm S_m``
-    and ``Gamma(Theta)_m = eps_mij Theta_ij`` (on the numerators of ``R = n /
-    D``, ``S = s / D_S`` over the one divisor ``6 D D_S (lam+1)(lam-2)``, one
-    gcd per form, for exact entries and integer lam)::
+    and ``Gamma(Theta)_m = eps_mij Theta_ij``::
 
         a_ii  = (R_ii - t) / (lam + 1) + t / (lam - 2)
         a_ij  = (R_ij + R_ji) / (2 (lam + 1)) + (lam Theta_ij - [e, S]_ij) / d
         phi   = ((lam - 1) S - Gamma(Theta)) / d
 
-    :param lam: scalar, anything outside {2, -1}.
+    Over exact scalars, with ``lam = l / q`` (``lam.as_integer_ratio()``),
+    ``R = n / D`` and ``S = s / D_S``, each numerator, homogeneous in ``(l,
+    q)``, times ``q``, lies over ``6 D D_S (l + q)(l - 2q)``, one gcd per form.
+
+    :param lam: scalar outside {2, -1}; over exact scalars any rational.
     :param R: degree-1 form.
     :param S: degree-0 form.
     :raises SingularLambda: at ``lam in {2, -1}``.
@@ -592,24 +589,26 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     if R.degree != 1 or S.degree != 0:
         raise ValueError("resolve_coupled needs (degree-1, degree-0) data")
     field = R.field
+    if field.exact:
+        (l, q), (n, D), (s, DS) = lam.as_integer_ratio(), _read(R), _read(S)
+        if not (l + q) * (l - 2 * q):
+            raise SingularLambda(lam)
+        tr, a, phi = n[0] + n[4] + n[8], [0] * 9, [0] * 3
+        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
+            a[4 * i] = 2 * q * DS * ((3 * n[4 * i] - tr) * (l - 2 * q) + tr * (l + q))
+            curl = n[3 * i + j] - n[3 * j + i]
+            sym = 3 * q * DS * (l - 2 * q) * (n[3 * i + j] + n[3 * j + i])
+            anti = 3 * q * (l * DS * curl - 2 * q * D * s[m])
+            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
+            phi[m] = 6 * q * ((l - q) * D * s[m] - q * DS * curl)
+        den = 6 * D * DS * (l + q) * (l - 2 * q)
+        return _form(field, a, den), _form(field, phi, den)
     lam_s = field.from_fraction(lam) if isinstance(lam, Fraction) else lam
     with context(field):
         plus, minus = lam_s + 1, lam_s - 2  # the divisors on V+ and V-
         d = plus * minus
         if field.is_zero(d):
             raise SingularLambda(lam)
-        (n, D), (s, DS) = (_read(R), _read(S)) if field.exact else ((None, None),) * 2
-        if D and DS and type(lam) in (int, Fraction) and lam.denominator == 1:
-            lam, tr, a, phi = int(lam), n[0] + n[4] + n[8], [0] * 9, [0] * 3
-            for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
-                a[4 * i] = 2 * DS * ((3 * n[4 * i] - tr) * (lam - 2) + tr * (lam + 1))
-                curl = n[3 * i + j] - n[3 * j + i]
-                sym = 3 * DS * (lam - 2) * (n[3 * i + j] + n[3 * j + i])
-                anti = 3 * (lam * DS * curl - 2 * D * s[m])
-                a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
-                phi[m] = 6 * ((lam - 1) * D * s[m] - DS * curl)
-            den = 6 * D * DS * (lam + 1) * (lam - 2)
-            return _form(field, a, den), _form(field, phi, den)
         r, s, twice, less = R.entries(), S.entries(), 2 * plus, lam_s - 1  # formed once
         t = (r[0] + r[4] + r[8]) / 3
         a = [(r[n] - t) / plus + t / minus if n % 4 == 0 else None for n in range(9)]

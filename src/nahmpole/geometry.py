@@ -130,14 +130,14 @@ def _star_d(field, c, x: GForm):
     return out
 
 
-def _star_d_of(field, c, frame, x: GForm) -> GForm:
-    """``*(d x)`` as a form: over an exact background's integer ``frame``
-    (:func:`_exact_frame`) and an exact ``x``, ``(*dx)[a][m] = -sum_i x[a][i]
-    c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; else :func:`_star_d`
-    of ``c``, or of a float background's ``frame``, which reads as ``c``."""
+def _star_d_of(field, frame, x: GForm) -> GForm:
+    """``*(d x)`` as a form: over exact scalars, on the background's integer
+    ``frame`` (:func:`_exact_frame`) and the reading of ``x``, ``(*dx)[a][m] =
+    -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; over
+    floats :func:`_star_d` of the background's ``frame``, which reads as ``c``."""
+    if not field.exact:
+        return GForm.from_entries(field, _star_d(field, frame, x))
     xs, dx = _read(x)
-    if not field.exact or not dx:
-        return GForm.from_entries(field, _star_d(field, c if field.exact else frame, x))
     return _form(field, _star_d_ints(frame, xs), dx * frame[2])
 
 
@@ -156,7 +156,7 @@ def star_d(bg, x: GForm) -> GForm:
     frame table over exact scalars, :func:`_star_d` over others."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
-    return _star_d_of(bg.field, bg.c, bg._frame, x)
+    return _star_d_of(bg.field, bg._frame, x)
 
 
 def _exact_frame(field, c):
@@ -181,7 +181,7 @@ def _exact_frame(field, c):
     W = _form(field, [g[j][i][k] - g[k][i][j] for _, k, j, _ in _EPS[:3] for i in r], 4 * D)
     frame = (tuple((i, m, n[i][j][k]) for j, k, m, _ in _EPS[:3] for i in r if n[i][j][k]),
              tuple((i, t) for i in r if (t := sum(n[k][i][k] for k in r))), D)
-    starF = FormSum(field, 1).add(1, _star_d_of(field, c, frame, W)).add(
+    starF = FormSum(field, 1).add(1, _star_d_of(field, frame, W)).add(
         Fraction(1, 2), W, star_wedge, W).form()
     return conn, W, starF, frame
 
@@ -239,7 +239,7 @@ class FrameBackground:
                                  for row in plane for v in row), bound):
                 raise AssertionError("Koszul output has torsion")
             W, frame = connection_form(field, conn), _FloatFrame(field, c)
-            starF = _star_d_of(field, c, frame, W) + star_wedge(W, W).scale(
+            starF = _star_d_of(field, frame, W) + star_wedge(W, W).scale(
                 field.constant(Fraction(1, 2)))
         if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
@@ -282,13 +282,11 @@ def einstein_undecided(bg: FrameBackground) -> bool:
 
 
 def _frame_terms(bg: FrameBackground, op, x: GForm):
-    """The frame operator ``op`` on an exact ``x`` as the read terms of
-    :func:`~nahmpole.algebra._integer_sum` (None over floats): the frame's own
-    terms on the reading ``xs / dx`` over ``dx D``, and ``op``'s kernel in ``W``."""
-    xs, dx = x._ints or _read(x)
-    if not (bg.field.exact and dx):
-        return None
-    (ws, dw), (cyclic, traces, D) = bg.W._ints or _read(bg.W), bg._frame
+    """The frame operator ``op`` on ``x`` over exact scalars as the read terms
+    of :func:`~nahmpole.algebra._integer_sum`: the frame's own terms on the
+    reading ``xs / dx`` over ``dx D``, and ``op``'s kernel in ``W``."""
+    (xs, dx), (ws, dw) = x._ints or _read(x), bg.W._ints or _read(bg.W)
+    cyclic, traces, D = bg._frame
     if op is d_omega:  # -[x, W]
         return [(-1, xs, dx, bracket_0_1, ws, dw)]
     if op is star_d_omega:  # *(dx) + *[W, x]^
@@ -310,13 +308,13 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``, one integer
-    sum over exact scalars (:func:`_frame_terms`), else the products of
+    sum over exact scalars (:func:`_frame_terms`), over floats the products of
     ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
-    if terms := _frame_terms(bg, star_d_omega, x):
-        return _integer_sum(bg.field, 9, terms)
-    out = _star_d(bg.field, bg.c if bg.field.exact else bg._frame, x)
+    if bg.field.exact:
+        return _integer_sum(bg.field, 9, _frame_terms(bg, star_d_omega, x))
+    out = _star_d(bg.field, bg._frame, x)
     return GForm.from_entries(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
 
 
@@ -326,13 +324,13 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
     models, minus ``*[W, *x]``: the background's integer traces over exact
-    scalars (:func:`_frame_terms`), else skipping zeros of ``c`` and ``x``,
-    the products of ``*[W, *x]`` taken from the trace term's slot list.
+    scalars (:func:`_frame_terms`), over floats skipping zeros of ``c`` and
+    ``x``, the products of ``*[W, *x]`` taken from the trace term's slot list.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    if terms := _frame_terms(bg, d_omega_star, x):
-        return _integer_sum(bg.field, 3, terms)
+    if bg.field.exact:
+        return _integer_sum(bg.field, 3, _frame_terms(bg, d_omega_star, x))
     (mul, add, _), xs, out = arithmetic(bg.field), x.entries(), [bg.field.zero] * 3
     for i, k in itertools.product(range(3), repeat=2):
         if ckik := bg.c[k][i][k]:  # a trace term: the frame may be non-unimodular

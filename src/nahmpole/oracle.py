@@ -217,40 +217,17 @@ class ProfileSolution:
     background: FrameBackground
 
 
-def _build_s3(field):
+#: name -> (fA, fPhi, builtin background, ``c-`` of the matched free data as a
+#: multiple of ``e``).  Only the round sphere needs a nonzero ``c-``: its
+#: ``a_2 = -2/3 e`` sits in the free V- slot.
+_SOLUTIONS = {
     # fA = 6u / (u^2 + 4u + 1), fPhi = 6u(u+1) / ((u^2+4u+1)(u-1))
-    return ProfileSolution(
-        name="s3",
-        fA=ExpRational([0, 6], [1, 4, 1]),
-        fPhi=ExpRational([0, 6, 6], [-1, -3, 3, 1]),
-        background=builtin("round-s3", field=field),
-    )
-
-
-def _build_hyperbolic(field):
+    "s3": (ExpRational([0, 6], [1, 4, 1]), ExpRational([0, 6, 6], [-1, -3, 3, 1]),
+           "round-s3", Fraction(-2, 3)),
     # fA = 1 (the connection stays Levi-Civita), fPhi = coth y = (u+1)/(u-1);
     # transcribed over [t_a, t_b] = 2 eps_abc t_c, stored in the eps convention
-    return ProfileSolution(
-        name="hyperbolic",
-        fA=ConstantProfile(1),
-        fPhi=ExpRational([1, 1], [-1, 1]),
-        background=builtin("hyperbolic-h3", field=field),
-    )
-
-
-def _build_flat(field):
-    return ProfileSolution(
-        name="flat",
-        fA=ConstantProfile(1),
-        fPhi=InverseY(),
-        background=builtin("flat", field=field),
-    )
-
-
-_SOLUTIONS = {
-    "s3": _build_s3,
-    "hyperbolic": _build_hyperbolic,
-    "flat": _build_flat,
+    "hyperbolic": (ConstantProfile(1), ExpRational([1, 1], [-1, 1]), "hyperbolic-h3", 0),
+    "flat": (ConstantProfile(1), InverseY(), "flat", 0),
 }
 
 
@@ -258,37 +235,30 @@ def closed_solution_names():
     return list(_SOLUTIONS)
 
 
-def _solution_builder(name: str):
-    try:
-        return _SOLUTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"no closed-form solution registered under {name!r}; "
-            f"known: {', '.join(_SOLUTIONS)}"
-        ) from None
+def _registered(name: str):
+    """The ``_SOLUTIONS`` row of ``name``; ``ValueError`` for a name not in it."""
+    if name not in _SOLUTIONS:
+        raise ValueError(f"no closed-form solution registered under {name!r}; "
+                         f"known: {', '.join(_SOLUTIONS)}")
+    return _SOLUTIONS[name]
 
 
 def closed_solution(name: str, field=None) -> ProfileSolution:
     """Look up a registered closed-form solution by name."""
-    return _solution_builder(name)(field)
+    fA, fPhi, background, _ = _registered(name)
+    return ProfileSolution(name, fA, fPhi, builtin(background, field=field))
 
 
 def matched_free_data(name: str, field=None) -> FreeData:
-    """The free data whose expansion reproduces a closed-form solution.
-
-    Only the round sphere needs a nonzero choice: its ``a_2 = -2/3 e`` sits in
-    the free V- slot.  The hyperbolic and flat solutions match zero free data.
-    ``field`` defaults to rationals, as for the solution's background, which
-    is not built here.
+    """The free data whose expansion reproduces a closed-form solution: its
+    ``c-`` from ``_SOLUTIONS``, the rest zero.  ``field`` defaults to
+    rationals, as for the solution's background, which is not built here.
 
     :raises ValueError: for a name with no registered solution.
     """
-    _solution_builder(name)
-    field = field or RationalField()
-    if name == "s3":
-        e = vierbein(field)
-        return FreeData(field=field, c_minus=e.scale(Fraction(-2, 3)))
-    return FreeData.zero(field)
+    c_minus, field = _registered(name)[3], field or RationalField()
+    return (FreeData(field=field, c_minus=vierbein(field).scale(c_minus)) if c_minus
+            else FreeData.zero(field))
 
 
 def taylor_profile(sol: ProfileSolution, N: int):
@@ -298,24 +268,16 @@ def taylor_profile(sol: ProfileSolution, N: int):
     :return: ``(fA, fPhi)`` where ``fA[k]`` is the y^k coefficient
         (k = 0..N) and ``fPhi[j]`` the y^(j-1) coefficient (so ``fPhi[0]``
         multiplies the 1/y pole).
-    :raises ValueError: for N out of range or a profile whose pole order does
-        not fit this layout.
+    :raises ValueError: for N out of range or a profile whose Laurent
+        offsets are not exactly ``(0, -1)``: an fA with a pole, or an fPhi
+        that is regular or has a pole of higher order.
     """
     if not 0 <= N <= 12:
         raise ValueError("taylor_profile supports 0 <= N <= 12")
-    off_a, ca = sol.fA.taylor(N)
-    off_p, cp = sol.fPhi.taylor(N + 1)
-    if off_a > 0 or off_p > -1:
-        # leading zeros only deepen the offset representation; re-anchor
-        ca = [Fraction(0)] * off_a + ca
-        cp = [Fraction(0)] * (off_p + 1) + cp
-        off_a, off_p = 0, -1
-    if off_a < 0 or off_p < -1:
-        raise ValueError(
-            f"profile of {sol.name!r} falls outside the (fA regular, "
-            f"fPhi simple-pole) layout")
-    fa = ca[: N + 1] + [Fraction(0)] * max(0, N + 1 - len(ca))
-    fp = cp[: N + 2] + [Fraction(0)] * max(0, N + 2 - len(cp))
+    (off_a, fa), (off_p, fp) = sol.fA.taylor(N), sol.fPhi.taylor(N + 1)
+    if (off_a, off_p) != (0, -1):
+        raise ValueError(f"profile of {sol.name!r} falls outside the (fA regular, "
+                         "fPhi simple-pole) layout")
     return fa, fp
 
 
@@ -330,9 +292,6 @@ class _Float64Kit:
     zero = 0.0
     one = 1.0
     exact = False
-
-    def from_fraction(self, q):
-        return float(q)
 
 
 _F64 = _Float64Kit()
@@ -555,10 +514,8 @@ _DP_ERR_F = np.array([float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)])
 _DP_STAGES = [(s, _DP_A_F[s, :s], _DP_C_F[s]) for s in range(1, 7)]
 
 
-#: A rejected step stops the run when the error budget per unit length,
-#: ``tol / span``, is below this many ``eps * ||f||_inf``, the float64
-#: round-off of the error sum: no step size can then meet it but by chance.
-_ROUNDOFF_FACTOR = 1.0
+#: The most steps, accepted or rejected, one run may take.
+_MAX_STEPS = 1_000_000
 
 
 class StepUnderflow(RuntimeError):
@@ -594,7 +551,7 @@ def _unpack_states(W, ys, V):
 
 
 def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
-                   fixed_step=None, max_steps=1_000_000):
+                   fixed_step=None):
     """Integrate the flow from ``init.y`` to ``y_target``.
 
     Adaptive Dormand-Prince 5(4): a step is accepted when the embedded error
@@ -618,8 +575,11 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     :raises ValueError: for end points off ``0 < y < inf`` or where ``e/y`` overflows,
         a ``tol`` off ``0 < tol < inf``, or a fixed step that is zero or not finite.
     :raises StepUnderflow: when no acceptable step above the floor exists
-        (e.g. integrating into a finite-y blow-up) or below round-off
-        (:data:`_ROUNDOFF_FACTOR`); carries the last good state.
+        (e.g. integrating into a finite-y blow-up), or when a step is rejected
+        while the error budget per unit length, ``tol / span``, is below ``eps
+        * ||f||_inf``, the float64 round-off of the error sum, which no step
+        size can then meet but by chance; carries the last good state.
+    :raises RuntimeError: after :data:`_MAX_STEPS` steps short of ``y_target``.
     """
     y0, y1 = _pole_finite(float(init.y)), _pole_finite(float(y_target))
     if not (0 < y0 < math.inf and 0 < y1 < math.inf):
@@ -648,7 +608,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
     rhs(y, v, K[0])
     # an overflow in a stage makes err non-finite, which rejects the step
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_steps):
+        for _ in range(_MAX_STEPS):
             if (y1 - y) * direction <= 1e-15 * span:
                 return [init] + _unpack_states(W, ys, vs[:len(ys)])
             hb[()] = h = direction * min(abs(h), abs(y1 - y))
@@ -679,7 +639,7 @@ def integrate_flow(bg: FrameBackground, init: FlowState, y_target, tol=1e-10,
                     shrink = 0.9 * (budget / err) ** 0.25 if math.isfinite(err) else 0.2
                     h = h * min(0.9, max(0.1, shrink))
                 roundoff = not accepted and tol / span < (
-                    _ROUNDOFF_FACTOR * sys.float_info.epsilon * float(np.abs(K[0]).max()))
+                    sys.float_info.epsilon * float(np.abs(K[0]).max()))
                 if roundoff or abs(h) < floor:
                     raise StepUnderflow(_unpack_states(W, ys[-1:], vs[len(ys) - 1:len(ys)])[0]
                                         if ys else init, roundoff)

@@ -8,8 +8,6 @@ read; this statement stays here as the independent side of the tests that
 check the rows against it.
 """
 
-from functools import partial
-
 from nahmpole.algebra import FormSum
 from nahmpole.geometry import FRAME_TERMS, PAIR_TERMS, POLE_TERMS
 
@@ -22,11 +20,11 @@ def flow_rhs(bg, y, a, b, phi_y):
     v, field = (a, b, phi_y), bg.field
     pole = [FormSum(field, x.degree) for x in v]
     for i, op, j, coefficient in POLE_TERMS:
-        pole[i].add(coefficient, v[j], op)
+        pole[i].add(coefficient, op(v[j]))
     out = [FormSum(field, x.degree).add(1, p.form().divide(y)) for x, p in zip(v, pole)]
     out[1].add(1, bg.starF)
     for i, op, j, coefficient in FRAME_TERMS:
-        out[i].add(coefficient, v[j], partial(op, bg))
+        out[i].add(coefficient, op(bg, v[j]))
     for i, op, (j, k), coefficient in PAIR_TERMS:
         out[i].add(coefficient, v[j], op, v[k])
     return tuple(total.form() for total in out)

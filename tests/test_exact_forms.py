@@ -12,15 +12,16 @@ slot-by-slot route under their field's context, whatever the thread's.
 """
 
 import decimal
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nahmpole import cli
-from nahmpole.algebra import GForm, _form, _read
+from nahmpole.algebra import GForm, L_op, _form, _read, invert_cal_L, star_wedge
 from nahmpole.geometry import load_background
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import check_residuals, expand
@@ -105,6 +106,55 @@ def test_degree_mismatch_and_zero_divisor():
         for q in (0, Fraction(0)):
             with pytest.raises(ZeroDivisionError):
                 form.divide(q)
+
+
+#: Entries an exact form reads at their exact values: finite floats, Decimals
+#: of up to 20 digits at exponents -40..40, ints and Fractions.
+_inexact = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda n, e: decimal.Decimal(n).scaleb(e), st.integers(-10**20, 10**20),
+              st.integers(-40, 40)),
+    _entry)
+
+
+def _eps(i, j, k):
+    return (i - j) * (j - k) * (k - i) // 2
+
+
+@given(st.lists(_inexact, min_size=9, max_size=9), st.lists(_inexact, min_size=9, max_size=9),
+       _inexact)
+@example([0.1] * 9, [0.2] * 9, 0.1)
+@example([decimal.Decimal("0.1")] * 9, [decimal.Decimal("0.2")] * 9, decimal.Decimal("0.1"))
+def test_an_exact_form_never_rounds(xv, yv, s):
+    # an exact form reads each entry at its exact value, so every exact
+    # operator takes its integer route and returns a reading: 0.1 + 0.2 is
+    # the sum of the binary fractions the two floats stand for, not the float
+    # 0.30000000000000004, and two Decimals add to 3/10
+    x, y = GForm.from_entries(_FIELD, xv), GForm.from_entries(_FIELD, yv)
+    xs, ys, q = [Fraction(v) for v in xv], [Fraction(v) for v in yv], Fraction(s)
+    tr = xs[0] + xs[4] + xs[8]
+    assert_reads_as(x + y, [a + b for a, b in zip(xs, ys)])
+    assert_reads_as(x.scale(s), [a * q for a in xs])
+    assert_reads_as(L_op(x), [(tr if r == c else 0) - xs[3 * c + r]
+                              for r in range(3) for c in range(3)])
+    assert_reads_as(star_wedge(x, y), [
+        sum(_eps(i, j, k) * _eps(a, b, c) * xs[3 * a + i] * ys[3 * b + j]
+            for i, j, a, b in itertools.product(range(3), repeat=4))
+        for c in range(3) for k in range(3)])
+    if q not in (-2, -1, 1):  # the resonant orders
+        assert_reads_as(invert_cal_L(s, x), [
+            xs[4 * i] / (q - 1) - tr / ((q + 2) * (q - 1)) if i == j
+            else (q * xs[3 * i + j] + xs[3 * j + i]) / (q * q - 1)
+            for i in range(3) for j in range(3)])
+
+
+def test_exact_and_float_forms_do_not_mix():
+    exact, scalar = GForm.from_entries(_FIELD, [0.5] * 9), GForm.from_entries(_F128, [_F128.one] * 9)
+    for x, y in ((exact, scalar), (scalar, exact)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
 
 
 _decimal = st.builds(lambda n, d: _F128.from_fraction(Fraction(n, d)),

@@ -180,7 +180,8 @@ def test_invert_cal_L(k, r):
     assert_reads_as(invert_cal_L(k, form(r)), o_invert_cal_L(k, r))
 
 
-@given(st.integers(-30, 30).filter(lambda lam: lam not in (2, -1)), _one_form, _zero_form)
+@given(st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=30)).filter(
+    lambda lam: lam not in (2, -1)), _one_form, _zero_form)
 def test_resolve_coupled(lam, R, S):
     a, phi = resolve_coupled(lam, form(R), form(S))
     want_a, want_phi = o_resolve_coupled(lam, R, S)
@@ -205,14 +206,14 @@ _coefficient = st.one_of(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2)
 @given(st.lists(st.tuples(_coefficient, st.sampled_from(("x", "L", "wedge")),
                           _one_form, _one_form), min_size=1, max_size=4))
 def test_form_sum(terms):
-    # plain terms, the linear-op path and the kernel path into one sum
+    # plain terms, an L_op image and the kernel path into one sum
     total, want = FormSum(_FIELD, 1), [Fraction(0)] * 9
     for coefficient, kind, x, y in terms:
         if kind == "x":
             total.add(coefficient, form(x))
             term = x
         elif kind == "L":
-            total.add(coefficient, form(x), L_op)
+            total.add(coefficient, L_op(form(x)))
             term = o_L(x)
         else:
             total.add(coefficient, form(x), star_wedge, form(y))

@@ -32,6 +32,8 @@ from nahmpole.oracle import (
     trajectory_csv,
 )
 from nahmpole.oracle import (
+    ConstantProfile,
+    ExpRational,
     _DP_A,
     _DP_B4,
     _DP_B5,
@@ -174,6 +176,14 @@ class TestTaylorProfiles:
             assert fa == [Fraction(v) for v in a.split()]
             assert fp == [Fraction(v) for v in phi.split()]
             assert all(type(v) is Fraction for v in fa + fp)
+
+    @pytest.mark.parametrize("fPhi", [ExpRational([1], [1, -2, 1]), ConstantProfile(1)],
+                             ids=["double-pole", "regular"])
+    def test_refuses_a_profile_outside_its_layout(self, fPhi):
+        # only the offsets (0, -1) fit: fA regular and fPhi a simple pole
+        sol = replace(closed_solution("flat"), fPhi=fPhi)
+        with pytest.raises(ValueError, match="layout"):
+            taylor_profile(sol, 6)
 
     def test_order_window(self):
         sol = closed_solution("s3")
