@@ -171,9 +171,10 @@ class GForm:
             return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
 
     def _combine(self, other: "GForm", op) -> "GForm":
-        """``op`` (``add`` or ``sub``) of two forms of one degree: of their
-        readings over the lcm of their denominators, reduced once, over exact
-        scalars (a float operand raises ``TypeError``); else of the slots."""
+        """``op`` (``add`` or ``sub``) of two forms of one degree: over exact
+        scalars, ``op`` of their readings' numerators, each brought to the lcm
+        of the two denominators, in one list and one :func:`_form` (a float
+        operand raises ``TypeError``); else of the slots."""
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         if not self.field.exact:
@@ -181,8 +182,9 @@ class GForm:
         if not other.field.exact:
             raise TypeError("an exact form meets a scalar one")
         (n, d), (m, e) = self._ints or _read(self), other._ints or _read(other)
-        return _integer_sum(self.field, len(n), [
-            (1, n, d, None, None, 1), (1 if op is operator.add else -1, m, e, None, None, 1)])
+        den = lcm(d, e)
+        f, g = den // d, den // e
+        return _form(self.field, [op(x * f, y * g) for x, y in zip(n, m)], den)
 
     def __add__(self, other: "GForm") -> "GForm":
         return self._combine(other, operator.add)

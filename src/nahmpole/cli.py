@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
-    EigenPart, GForm, L_op, ResonantOrder, SingularLambda, cal_L, e_bracket,
+    EigenPart, GForm, L_op, ResonantOrder, SingularLambda, _form, cal_L, e_bracket,
     gamma_op, invert_cal_L, project, resolve_coupled, vierbein,
 )
 from .geometry import (
@@ -250,16 +250,22 @@ def _cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rand_fraction(rng):
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+_NUMERATORS, _DENOMINATORS = range(-9, 10), range(1, 8)
 
 
 def _rand_one_form(rng, field):
-    return GForm.one_form(field, [[_rand_fraction(rng) for _ in range(3)] for _ in range(3)])
+    """A degree-1 form over the exact ``field``, its nine entries drawn as
+    ``Fraction(rng.randint(-9, 9), rng.randint(1, 7))`` draws them (``choice``
+    of a range takes the same ``_randbelow`` stream as ``randint``), made
+    from its reading over the lcm of the denominators: no ``Fraction`` built."""
+    draws = [(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)) for _ in range(9)]
+    den = math.lcm(*[q for _, q in draws])
+    return _form(field, [n * (den // q) for n, q in draws], den)
 
 
 def _rand_zero_form(rng, field):
-    return GForm.zero_form(field, [_rand_fraction(rng) for _ in range(3)])
+    return GForm.zero_form(field, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                   for _ in range(3)])
 
 
 def _profile_checks(name, order, expect_flat_connection=False):
@@ -312,19 +318,19 @@ def _suite_flat():
 def _suite_identities():
     field = RationalField()
     rng = random.Random(20240901)
-    checks = []
+    checks, zero, eigen = [], GForm.zero(field, 1), tuple(EigenPart)  # an enum iterates slowly
 
     ok, detail = True, ""
     for _ in range(25):
         x = _rand_one_form(rng, field)
-        parts = {part: project(x, part) for part in EigenPart}
-        if sum(parts.values(), GForm.zero(field, 1)) != x:
+        parts = {part: project(x, part) for part in eigen}
+        if sum(parts.values(), zero) != x:
             ok, detail = False, f"completeness fails on {x!r}"
             break
-        for p1 in EigenPart:
-            for p2 in EigenPart:
+        for p1 in eigen:
+            for p2 in eigen:
                 pp = project(parts[p1], p2)
-                want = parts[p1] if p1 == p2 else GForm.zero(field, 1)
+                want = parts[p1] if p1 == p2 else zero
                 if pp != want:
                     ok, detail = False, f"idempotence fails at {p1},{p2}"
                     break

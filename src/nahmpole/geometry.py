@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _products, _read,
-    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _products, _ratios,
+    _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, arithmetic, context
 
@@ -164,10 +164,9 @@ def _exact_frame(field, c):
     the scalar route's refusals: ``W`` over ``4D`` and ``*F = *dW + 1/2 *[W, W]^`` are
     readings; ``frame`` is ``star_d``'s cyclic terms ``(i, m, n^i_jk)``,
     ``d_omega_star``'s traces ``(i, sum_k n^k_ik)`` and ``D``."""
-    ratios = [[[v.as_integer_ratio() for v in row] for row in plane] for plane in c]
-    D = math.lcm(*[q for plane in ratios for row in plane for _, q in row])
-    n = [[[p * (D // q) for p, q in row] for row in plane] for plane in ratios]  # D c^k_ij
+    flat, D = _ratios([v for plane in c for row in plane for v in row])
     r = range(3)
+    n = [[flat[9 * k + 3 * i:9 * k + 3 * i + 3] for i in r] for k in r]  # D c^k_ij
     for k, i, j in itertools.product(r, repeat=3):
         if n[k][i][j] + n[k][j][i]:
             raise ValueError(f"structure constants not antisymmetric at c^{k}_{{{i}{j}}}")
@@ -175,14 +174,15 @@ def _exact_frame(field, c):
     if [g[k][i][j] - g[k][j][i] for k in r for i in r for j in r] != [
             2 * v for plane in n for row in plane for v in row]:
         raise AssertionError("Koszul output has torsion")
-    conn = tuple(tuple(tuple(Fraction(v, 2 * D) if v else field.zero for v in row)
-                       for row in plane) for plane in g)
+    conn = tuple([tuple([tuple([Fraction(v, 2 * D) if v else field.zero for v in row])
+                         for row in plane]) for plane in g])
     # W[c][i] = -1/2 eps_ckj G^k_ij, over the cyclic (c, k, j)
     W = _form(field, [g[j][i][k] - g[k][i][j] for _, k, j, _ in _EPS[:3] for i in r], 4 * D)
     frame = (tuple((i, m, n[i][j][k]) for j, k, m, _ in _EPS[:3] for i in r if n[i][j][k]),
              tuple((i, t) for i in r if (t := sum(n[k][i][k] for k in r))), D)
-    starF = FormSum(field, 1).add(1, _star_d_of(field, frame, W)).add(
-        Fraction(1, 2), W, star_wedge, W).form()
+    ws, dw = W._ints  # 1/2 *[W, W]^ as *[W, W]^ over 2 dw dw
+    starF = _integer_sum(field, 9, [(1, _star_d_ints(frame, ws), dw * D, None, None, 1),
+                                    (1, ws, 2 * dw, star_wedge, ws, dw)])
     return conn, W, starF, frame
 
 
@@ -216,15 +216,18 @@ class FrameBackground:
     @staticmethod
     def from_structure_constants(name, c_rows, field=None, volume=None):
         """The background of ``c_rows`` over ``field`` (rational by default):
-        derived on one integer reading of ``c`` over exact scalars
-        (:func:`_exact_frame`), by the scalar formulas over floats, whose
-        background keeps the terms of ``*d``, with their +-1/2 converted once,
-        in a :class:`_FloatFrame` (:func:`_star_d` rounds through the field's
-        context methods).  Raises ``ValueError`` unless ``c`` is
-        antisymmetric with no antisymmetric Ricci part."""
+        derived on one integer reading of ``c`` over exact scalars, which
+        keep a ``Fraction`` entry as it is (:func:`_exact_frame`), by the
+        scalar formulas over floats, whose background keeps the terms of
+        ``*d``, with their +-1/2 converted once, in a :class:`_FloatFrame`
+        (:func:`_star_d` rounds through the field's context methods).  Raises
+        ``ValueError`` unless ``c`` is antisymmetric with no antisymmetric
+        Ricci part.  Nothing is kept across calls."""
         field = field or RationalField()
-        c = tuple(tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction))
-                              else v for v in row) for row in plane) for plane in c_rows)
+        keep = Fraction if field.exact else None
+        c = tuple([tuple([tuple([v if type(v) is keep or not isinstance(v, (int, Fraction))
+                                 else field.from_fraction(v) for v in row]) for row in plane])
+                   for plane in c_rows])
         if field.exact:
             conn, W, starF, frame = _exact_frame(field, c)
         else:
@@ -432,6 +435,7 @@ _PAIR_4Q = _compile_pairs()
 # ---------------------------------------------------------------------------
 
 _TWO_PI_SQ = 2.0 * math.pi**2
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 #: name -> (parameter name or None, docstring)
 _BUILTINS = {
@@ -450,7 +454,7 @@ def builtin_names():
 def _volume(pname, ratio: Fraction) -> float:
     """``2 pi^2 ratio`` as a float (inf past the float range); a ValueError
     names ``pname`` when that is not a normal positive float."""
-    volume = _TWO_PI_SQ * float(min(ratio, Fraction(sys.float_info.max)))
+    volume = _TWO_PI_SQ * float(min(ratio, _FLOAT_MAX))
     if not sys.float_info.min <= volume < math.inf:
         raise ValueError(f"{pname} out of range: the volume is not a normal "
                          "positive float")
@@ -484,20 +488,20 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     label = name if pname is None or param == 1 else f"{name}?{pname}={param}"
 
     if name == "round-s3":  # flat keeps c = 0
-        s = param
+        s = 2 * param
         for k, i, j, sgn in _EPS:
-            c[k][i][j] = 2 * s * sgn
-        volume = _volume(pname, s ** -3)
+            c[k][i][j] = s if sgn > 0 else -s
+        volume = _volume(pname, param ** -3)
     elif name == "hyperbolic-h3":
         s = param
         c[0][0][2], c[0][2][0] = -s, s
         c[1][1][2], c[1][2][1] = -s, s
     elif name == "berger-s3":
-        t = param
-        c[0][1][2], c[0][2][1] = 2 * t, -2 * t
-        c[1][2][0], c[1][0][2] = 2 / t, -2 / t
-        c[2][0][1], c[2][1][0] = 2 / t, -2 / t
-        volume = _volume(pname, t)
+        t, u = 2 * param, 2 / param
+        c[0][1][2], c[0][2][1] = t, -t
+        c[1][2][0], c[1][0][2] = u, -u
+        c[2][0][1], c[2][1][0] = u, -u
+        volume = _volume(pname, param)
     elif name == "h2xr":
         c[0][0][1], c[0][1][0] = Fraction(-1), Fraction(1)
 

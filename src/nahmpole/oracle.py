@@ -292,6 +292,7 @@ class _Float64Kit:
     zero = 0.0
     one = 1.0
     exact = False
+    from_fraction = float  # an int or Fraction factor of GForm.scale or divide
 
 
 _F64 = _Float64Kit()

@@ -88,6 +88,7 @@ class PhgSeries:
             background.name if background is not None else "?")
         self._a, self._b, self._phi = {}, {}, {}
         self._readings = {}  # (k, p) -> (a, b, phi_y, its 21-slot reading): _reading
+        self._zeros = (GForm.zero(self.field, 1),) * 2 + (GForm.zero(self.field, 0),)
 
     # -- storage ---------------------------------------------------------
 
@@ -419,11 +420,11 @@ def residual_at(series: PhgSeries, K: int, p: int):
     :mod:`nahmpole.geometry`, which the integrator reads too: the pole
     columns, the background's frame columns (a float background's images
     read exactly) and the symmetric pair table ``4Q``, through which each
-    unordered pair ``at1 <= at2`` enters once.  A cell no term reaches is
-    three exact zeros at once.  Over exact scalars the totals are returned
-    as readings (no ``Fraction``, no gcd when all cancel); over floats each
-    is rounded once, or is an exact zero against its equation's scale
-    (:func:`_rounded`).
+    unordered pair ``at1 <= at2`` enters once.  A cell whose totals all
+    vanish, or that no term reaches, builds no form: it is the series' three
+    shared zero readings.  Else over exact scalars the totals are returned as
+    readings (no ``Fraction``); over floats each is rounded once, or is an
+    exact zero against its equation's scale (:func:`_rounded`).
     """
     field, bg, terms = series.field, series.background, []
     if bg is None:
@@ -446,7 +447,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
              if ((at1 := (k1, p1)) in A or at1 in B or at1 in PHI)
              and ((at2 := (K - 1 - k1, p - p1)) in A or at2 in B or at2 in PHI)]
     if not (terms or pairs):
-        return GForm.zero(field, 1), GForm.zero(field, 1), GForm.zero(field, 0)
+        return series._zeros
     acc, den = [0] * 21, math.lcm(*(t[3] for t in terms), *(t[1] * t[3] for t in pairs))
     for n, u, x, d, rows in terms:
         x *= 4 * (den // d)
@@ -460,6 +461,8 @@ def residual_at(series: PhgSeries, K: int, p: int):
             for w, y in ys:
                 for o, c in row.get(w, ()):
                     acc[o] -= c * x * y
+    if not any(acc):  # a verified cell
+        return series._zeros
     if field.exact:
         return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
     return _rounded(field, acc, terms, pairs, den)
@@ -508,7 +511,7 @@ def check_residuals(series: PhgSeries, through: int = None):
     zeros (its exact total negligible next to its terms); an exact one is
     tested on its reading.  It makes one :func:`residual_at` call per
     ``(K, p)``, on either field one route, and these share the 21-slot
-    reading kept for each stored address.
+    reading kept for each stored address; a verified cell builds no form.
 
     ``through`` stops the check at a lower order; it must lie in
     ``1..order``, since no later coefficient was computed.
@@ -516,9 +519,10 @@ def check_residuals(series: PhgSeries, through: int = None):
     N = through if through is not None else series.order
     if not 1 <= N <= series.order:
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
-    pmax, exact = series.max_p() + 1, series.field.exact
+    pmax, exact, zeros = series.max_p() + 1, series.field.exact, series._zeros
     return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
-            for R, name in zip(residual_at(series, K, p), ("a", "b", "phi_y"))
+            if (cell := residual_at(series, K, p)) is not zeros  # else a verified cell
+            for R, name in zip(cell, ("a", "b", "phi_y"))
             if (name != "b" or K <= N) and (not R.is_zero() if exact else any(R.entries()))]
 
 

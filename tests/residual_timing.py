@@ -14,7 +14,10 @@ and of one ``algebra.gamma_op`` call on the stored berger-s3?squash=2 ``a`` at
 the stored tables hold no ``phi_y``); and of the float ``check_residuals`` at 64
 and 128 bits on N=12 tables expanded in float mode on the five builtins and
 berger-s3 at squash 5, 3/7 and 1e-6, each timed on a table fresh from
-``series.from_json`` on a background whose first check built its columns.
+``series.from_json`` on a background whose first check built its columns; and
+of ``geometry.builtin`` on each catalog entry, exact and at 64 bits, and of
+compiling all 21 ``_Columns`` of the flow's frame part on a background fresh
+from ``geometry.builtin`` (not timed), exact and at 64 bits.
 Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/residual_timing.py [REPEATS]
@@ -30,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from nahmpole import algebra, cli, oracle, series
+from nahmpole import algebra, cli, geometry, oracle, series
 from nahmpole.geometry import load_background
 from nahmpole.scalars import FloatField, RationalField
 
@@ -65,6 +68,12 @@ def first_and_second_flow(name, repeats):
             oracle.integrate_flow(sol.background, init, 0.5, tol=1e-10)
             times.append(time.perf_counter() - start)
     return 1e3 * min(firsts), 1e3 * min(seconds)
+
+
+def compile_columns(bg):
+    """Compile every column of ``bg``'s frame part ``M0``, one per slot."""
+    for u in range(21):
+        bg._columns[u]
 
 
 def main(repeats=30):
@@ -112,6 +121,17 @@ def main(repeats=30):
                 raise SystemExit(f"{name} at {bits} bits: nonzero residuals")
             times.append(best(series.check_residuals, repeats, load))
         print(f"{'check_residuals ' + name:<44}{times[0]:>10.3f}{times[1]:>11.3f}")
+    print(f"{'catalog frame (us)':<44}{'exact':>10}{'64 bit':>11}")
+    for entry in BUILTINS:
+        name, _, query = entry.partition("?")
+        param = query.partition("=")[2] or None
+        fields = (field, FloatField(64))
+        times = [1e3 * best(lambda _, f=f: geometry.builtin(name, param, f), repeats)
+                 for f in fields]
+        print(f"{'geometry.builtin ' + entry:<44}{times[0]:>10.1f}{times[1]:>11.1f}")
+        times = [1e3 * best(compile_columns, repeats, lambda f=f: geometry.builtin(name, param, f))
+                 for f in fields]
+        print(f"{'21 _Columns on a fresh ' + entry:<44}{times[0]:>10.1f}{times[1]:>11.1f}")
     print(f"{'flow y = 0.2 to 0.5':<44}{'first ms':>10}{'second ms':>11}")
     for name in FLOWS:
         first, second = first_and_second_flow(name, repeats)

@@ -71,6 +71,28 @@ def test_sum_difference_and_negation(pair):
     assert_reads_as(-x, [-a for a in xs])
 
 
+#: Readings over pairwise coprime, shared-factor and equal denominators, each
+#: made with either sign of its denominator.
+_signed_den = st.builds(lambda d, sign: sign * d,
+                        st.sampled_from((1, 2, 6, 7, 10, 11, 97, 10**30 + 57)),
+                        st.sampled_from((1, -1)))
+_made = st.sampled_from((3, 9)).flatmap(lambda n: st.tuples(*[st.tuples(
+    st.lists(_numerator, min_size=n, max_size=n), _signed_den)] * 2))
+
+
+@given(_made)
+@example((([1, 2, 3], -7), ([4, 5, 6], 11)))
+@example((([1, 2, 3], 6), ([-1, 1, 0], -10)))
+@example((([1, 2, 3], -5), ([1, 2, 3], -5)))
+def test_combine_is_fraction_arithmetic_on_readings(made):
+    (ns, d), (ms, e) = made
+    x, y = _form(_FIELD, ns, d), _form(_FIELD, ms, e)
+    xs, ys = [Fraction(n, d) for n in ns], [Fraction(m, e) for m in ms]
+    assert_reads_as(x + y, [a + b for a, b in zip(xs, ys)])
+    assert_reads_as(x - y, [a - b for a, b in zip(xs, ys)])
+    assert_reads_as(y - y, [Fraction(0)] * len(ys))
+
+
 @given(st.sampled_from((3, 9)).flatmap(_operand), _scalar)
 def test_scale_and_divide(operand, s):
     x, xs = operand
