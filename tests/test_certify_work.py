@@ -4,7 +4,7 @@ A verified residual cell returns the series' shared zero readings, so a
 second ``check_residuals`` on a stored table builds a form only where a
 residual is nonzero: the unchecked ``b`` equation at K = order + 1.  The
 ``verify identities`` draws are made as readings and take the same random
-stream as the ``Fraction`` draws they replace.  A flow state's float views
+stream as ``Fraction(rng.randint(-9, 9), rng.randint(1, 7))`` draws.  A flow state's float views
 scale by an int or a ``Fraction`` as by its float value.
 """
 
@@ -51,7 +51,7 @@ def test_a_verified_check_builds_almost_no_forms(monkeypatch):
     assert check_residuals(table) == []
     monkeypatch.undo()
     # three forms per cell at K = order + 1, whose b residual is not checked;
-    # every other cell is the shared zeros (the parent built 3 forms per cell)
+    # every other cell is the series' shared zeros
     depths = table.max_p() + 2
     assert len(built) <= 3 * depths
     zeros = residual_at(table, 4, 0)
