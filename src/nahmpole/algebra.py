@@ -24,9 +24,10 @@ antisymmetric.  All graded products below are written against that grading.
 
 The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
-import, and applied by sparse loops that skip zeros only: on integer
-numerators by :func:`_integer_sum`, over the lcm of the terms' denominators,
-and into a scalar slot list by :func:`_products` when both operands are scalars.
+import, and summed by one stateless function, :func:`_kernel_sum`, in
+sparse loops that skip zeros only: on integer numerators by
+:func:`_integer_sum`, over the lcm of the terms' denominators, and into a
+scalar slot list by :func:`_products` when both operands are scalars.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -55,7 +56,7 @@ from .scalars import RationalField, arithmetic, context
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
-    "L_op", "gamma_op", "project", "FormSum",
+    "L_op", "gamma_op", "project",
     "star_wedge", "bracket_0_1", "star_bracket_star", "e_bracket", "cal_L",
     "invert_cal_L", "resolve_coupled", "SigmaModule", "LeadingOrders",
     "FreeDims", "leading_order_structure",
@@ -103,6 +104,10 @@ class EigenPart(enum.IntEnum):
 
     def eigenvalue(self, sigma: int = 1) -> int:
         return {EigenPart.Minus: sigma + 1, EigenPart.Zero: 1, EigenPart.Plus: -sigma}[self]
+
+
+#: The members, bound once: an enum member lookup is slow on Python 3.11.
+_PARTS = _MINUS, _ZERO, _PLUS = tuple(EigenPart)
 
 
 class GForm:
@@ -313,21 +318,21 @@ def star_wedge(x: GForm, y: GForm) -> GForm:
     """``*[x, y]^`` for two degree-1 forms; symmetric in its arguments."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_wedge needs two degree-1 forms")
-    return FormSum(x.field, 1).add(1, x, star_wedge, y).form()
+    return _kernel_sum(x.field, 9, [(1, x, star_wedge, y)])
 
 
 def bracket_0_1(phi: GForm, x: GForm) -> GForm:
     """``[phi, x]`` of a 0-form with a 1-form (antisymmetric pairing)."""
     if phi.degree != 0 or x.degree != 1:
         raise ValueError("bracket_0_1 needs a 0-form then a 1-form")
-    return FormSum(phi.field, 1).add(1, phi, bracket_0_1, x).form()
+    return _kernel_sum(phi.field, 9, [(1, phi, bracket_0_1, x)])
 
 
 def star_bracket_star(x: GForm, y: GForm) -> GForm:
     """``*[x, *y]`` of two degree-1 forms (a 0-form; antisymmetric)."""
     if x.degree != 1 or y.degree != 1:
         raise ValueError("star_bracket_star needs two degree-1 forms")
-    return FormSum(x.field, 0).add(1, x, star_bracket_star, y).form()
+    return _kernel_sum(x.field, 3, [(1, x, star_bracket_star, y)])
 
 
 #: The table of each bilinear kernel, entry ``3a + i`` standing for ``x[a][i]``.
@@ -384,63 +389,27 @@ def _products(field, slots, sign, x: GForm, op, y: GForm):
     return slots
 
 
-class FormSum:
-    """A sum of terms ``coefficient * x`` and ``coefficient * op(x, y)`` for
-    a kernel ``op`` (:func:`star_wedge`, :func:`bracket_0_1`,
-    :func:`star_bracket_star`) into one form.
-
-    Terms over exact scalars are kept read (:func:`_read`) and summed by
-    :func:`_integer_sum`.  Over float scalars a kernel term with coefficient
-    +-1 adds each product straight into the scalar slots (:func:`_products`,
-    as the float frame operators do into their own); any other term is built
-    as a form, times its coefficient (``field.constant``), and added slot by
-    slot, each rounding through the field's :func:`~nahmpole.scalars.arithmetic`.
-    Exact operands beside scalar ones are refused with ``TypeError``.
-    """
-
-    __slots__ = ("field", "size", "read", "slots")
-
-    def __init__(self, field, degree: int):
-        self.field, self.size, self.read = field, 9 if degree else 3, []
-        self.slots = None  # made by the first scalar-loop term
-
-    def add(self, coefficient, x: GForm, op=None, y: GForm = None) -> "FormSum":
-        """Add ``coefficient * x`` or, given ``op`` and ``y``, ``* op(x, y)``,
-        and return the sum."""
-        xs, den = x._ints or _read(x)
-        ys, dy = (None, 1) if y is None else y._ints or _read(y)
-        if den and dy:
-            self.read.append((coefficient, xs, den, op, ys, dy))
-            return self
-        if y is None or coefficient not in (1, -1):
-            (mul, add, _), c = arithmetic(self.field), self.field.constant(coefficient)
-            term = [mul(v, c) for v in (x if y is None else op(x, y)).entries()]
-            self.slots = term if self.slots is None else list(map(add, self.slots, term))
-            return self
-        self.slots = _products(self.field, self.slots or [self.field.zero] * self.size,
-                               coefficient, x, op, y)
-        return self
-
-    def extend(self, terms) -> "FormSum":
-        """Add each kernel term ``(coefficient, x, op, y)`` of ``terms`` as
-        :meth:`add` does, and return the sum; exact operands are read in one pass."""
-        if self.field.exact:
-            self.read += [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y)))
-                          for c, x, op, y in terms]
-            return self
-        for term in terms:
-            self.add(*term)
-        return self
-
-    def form(self) -> GForm:
-        """The sum: the read terms' integer sum as a reading, or the scalar
-        slots; a sum of both is refused."""
-        if self.slots is None:
-            return (_integer_sum(self.field, self.size, self.read) if self.read
-                    else GForm.zero(self.field, self.size // 9))
-        if self.read:
-            raise TypeError("a FormSum holds exact terms beside scalar ones")
-        return GForm.from_entries(self.field, self.slots)
+def _kernel_sum(field, size: int, terms) -> GForm:
+    """The form ``sum c op(x, y)`` (3 or 9 slots) of the kernel terms ``(c, x,
+    op, y)``: over exact scalars the operands read once and summed by
+    :func:`_integer_sum`; over floats each product of a +-1 term added into
+    one slot list (:func:`_products`), any other term built as a form, times
+    ``field.constant(c)``, and added slot by slot, each rounding through the
+    field's :func:`~nahmpole.scalars.arithmetic`.  An exact operand beside a
+    scalar one is refused with ``TypeError``, on either field."""
+    if field.exact:
+        read = [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y))) for c, x, op, y in terms]
+        if all(d and e for _, _, d, _, _, e in read):  # else refused by _products below
+            return _integer_sum(field, size, read)
+    mul, add, _ = arithmetic(field)
+    slots = None
+    for c, x, op, y in terms:
+        if c == 1 or c == -1:
+            slots = _products(field, slots or [field.zero] * size, c, x, op, y)
+        else:
+            term = [mul(v, field.constant(c)) for v in op(x, y).entries()]
+            slots = term if slots is None else list(map(add, slots, term))
+    return GForm.from_entries(field, slots or [field.zero] * size)
 
 
 def e_bracket(phi: GForm) -> GForm:
@@ -449,7 +418,7 @@ def e_bracket(phi: GForm) -> GForm:
     reading of exact entries; other scalars take ``-[phi, e]`` by the kernel."""
     s, D = _read(phi)
     if not D:
-        return FormSum(phi.field, 1).add(-1, phi, bracket_0_1, vierbein(phi.field)).form()
+        return _kernel_sum(phi.field, 9, [(-1, phi, bracket_0_1, vierbein(phi.field))])
     return _form(phi.field, [0, s[2], -s[1], -s[2], 0, s[0], s[1], -s[0], 0], D)
 
 
@@ -498,9 +467,9 @@ def project(a: GForm, part: EigenPart) -> GForm:
     n, D = _read(a)
     if D:
         tr, nt = n[0] + n[4] + n[8], n[0::3] + n[1::3] + n[2::3]  # nt: n^T
-        if part is EigenPart.Minus:
+        if part is _MINUS:
             totals, den = [tr, 0, 0, 0, tr, 0, 0, 0, tr], 3 * D
-        elif part is EigenPart.Zero:
+        elif part is _ZERO:
             totals, den = list(map(operator.sub, n, nt)), 2 * D
         else:
             totals, den = [3 * (x + y) for x, y in zip(n, nt)], 6 * D
@@ -511,9 +480,9 @@ def project(a: GForm, part: EigenPart) -> GForm:
     zero = a.field.zero
     with context(a.field):
         third = (c[0][0] + c[1][1] + c[2][2]) / 3
-        if part is EigenPart.Minus:
+        if part is _MINUS:
             rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
-        elif part is EigenPart.Zero:
+        elif part is _ZERO:
             rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
         else:
             rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2

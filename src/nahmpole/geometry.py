@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    _EPS, _TABLES, EigenPart, FormSum, GForm, L_op, _form, _integer_sum, _products, _ratios,
-    _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, GForm, L_op, _form, _integer_sum, _kernel_sum, _products,
+    _ratios, _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import RationalField, arithmetic, context
 
@@ -306,7 +306,7 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
     2-form is only consumed through its Hodge dual, use :func:`star_d_omega`."""
     if x.degree != 0:
         raise ValueError("d_omega needs a degree-0 form")
-    return FormSum(bg.field, 1).add(-1, x, bracket_0_1, bg.W).form()
+    return _kernel_sum(bg.field, 9, [(-1, x, bracket_0_1, bg.W)])
 
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:

@@ -14,7 +14,7 @@ provided:
 ``Decimal`` operators round to the thread's current context, so float
 arithmetic never uses the thread's own.  The per-term loops of a float
 solve step (``algebra._products``, ``geometry._star_d`` and the slot sums of
-``FormSum`` and ``series._sum``) round through the methods of the field's
+``_kernel_sum`` and ``series._sum``) round through the methods of the field's
 context, :func:`arithmetic`, which round exactly as the operators do under
 it; any other routine that computes on float elements enters the field's
 context once per call (:func:`context`, a ``decimal.localcontext``), and

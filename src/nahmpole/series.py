@@ -38,8 +38,8 @@ from functools import partial
 from itertools import chain, repeat
 
 from .algebra import (
-    EigenPart, FormSum, GForm, _form, _integer_sum, _ratios, _read, bracket_0_1, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    _PARTS, EigenPart, GForm, _form, _integer_sum, _kernel_sum, _ratios, _read, bracket_0_1,
+    gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FrameBackground, _frame_terms,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
@@ -112,13 +112,13 @@ class PhgSeries:
                 table[(k, p)] = form
 
     def get_a(self, k, p) -> GForm:  # a GForm is always true
-        return self._a.get((k, p)) or GForm.zero(self.field, 1)
+        return self._a.get((k, p)) or self._zeros[0]
 
     def get_b(self, k, p) -> GForm:
-        return self._b.get((k, p)) or GForm.zero(self.field, 1)
+        return self._b.get((k, p)) or self._zeros[1]
 
     def get_phi(self, k, p) -> GForm:
-        return self._phi.get((k, p)) or GForm.zero(self.field, 0)
+        return self._phi.get((k, p)) or self._zeros[2]
 
     def at(self, k, p) -> PhgCoeff:
         return PhgCoeff(self.get_a(k, p), self.get_b(k, p), self.get_phi(k, p))
@@ -209,7 +209,7 @@ def seed_leading(bg: FrameBackground, free: FreeData = None) -> PhgSeries:
     if free is None:
         free = FreeData.zero(field)
     series = PhgSeries(background=bg, order=2)
-    minus, zero, plus = (partial(project, part=part) for part in EigenPart)
+    minus, zero, plus = (partial(project, part=part) for part in _PARTS)
     starF = bg.starF
     if not is_einstein(bg):  # the obstruction, by the Einstein verdict's rule
         series._b[(1, 1)] = plus(starF)
@@ -236,8 +236,9 @@ def _sum(field, degree: int, terms, images=(), bg=None):
     """The sum of the frame ``images`` ``(op, x)`` (``op(bg, x)``) and the
     ``terms`` ``(coefficient, x)``, an ``x`` of None adding nothing, and the
     slot lists of a float sum's parts (a store's scale).  Over exact scalars
-    it is summed in integers, an image stated as its terms (a ``FormSum`` per
-    sum slowed an exact ``expand`` 2-4% on a 2-core Xeon); over floats the
+    it is summed in integers, an image stated as its terms (summing these
+    linear terms through :func:`~nahmpole.algebra._kernel_sum` as well slowed
+    an exact ``expand`` about 5% on a 2-core Xeon); over floats the
     images, then the terms, each a slot list, are added slot by slot with
     ``ctx.add``, from the first one's entries, with no form built between."""
     if not field.exact:
@@ -263,8 +264,8 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
     entries contribute, found by probing the tables at each ``(k1, p1)``
     below order k in order; absent coefficients are zero and add no term, and
     a source no pair reaches is None.  Each source is one
-    :class:`~nahmpole.algebra.FormSum`: over exact scalars its terms are kept
-    read and summed once in integers, to a reading the solve step reads.
+    :func:`~nahmpole.algebra._kernel_sum` of its terms: over exact scalars
+    summed once in integers, to a reading the solve step reads.
     The ``a^a`` and ``b^b`` sums of ``Qb`` are symmetric, so each unordered
     pair is taken once: ``1/2 (x^y + y^x) = x^y`` off the diagonal, and the
     diagonal pair, added last, keeps its coefficient +-1/2.
@@ -293,8 +294,8 @@ def quadratic_source(series: PhgSeries, k: int, p: int) -> QuadSource:
         for table, sign in ((A, 1), (B, -1)):
             if at in table:
                 Qb.append((sign * _HALF, table[at], star_wedge, table[at]))
-    return QuadSource(*(FormSum(series.field, degree).extend(terms).form() if terms else None
-                        for degree, terms in zip((1, 1, 0), (Qa, Qb, Qphi))))
+    return QuadSource(*(_kernel_sum(series.field, size, terms) if terms else None
+                        for size, terms in zip((9, 9, 3), (Qa, Qb, Qphi))))
 
 
 def _top_depth(series: PhgSeries, k: int) -> int:
@@ -584,8 +585,7 @@ def to_json(series: PhgSeries) -> str:
     own numerator and denominator, so entries must be in lowest terms, or
     off an unbuilt reading's integers (:func:`_printed`)."""
     field = series.field
-    zero1, zero0 = GForm.zero(field, 1), GForm.zero(field, 0)
-    tables = (series._a, zero1), (series._b, zero1), (series._phi, zero0)
+    tables = tuple(zip((series._a, series._b, series._phi), series._zeros))
     entries = [_ENTRY.format(k, p, *chain(*(_printed(field, table.get((k, p), zero))
                                             for table, zero in tables)))
                for k, p in series.addresses()]

@@ -10,7 +10,6 @@ from nahmpole.algebra import (
     ResonantOrder,
     SigmaModule,
     SingularLambda,
-    FormSum,
     bracket_0_1,
     cal_L,
     e_bracket,
@@ -24,6 +23,7 @@ from nahmpole.algebra import (
     vierbein,
     L_op,
     _harmonic_basis,
+    _kernel_sum,
     _monomials,
 )
 from nahmpole.geometry import (
@@ -188,12 +188,13 @@ class TestSparseKernels:
     @kernels
     @pytest.mark.parametrize("sign", [1, -1])
     def test_accumulate_adds_signed_kernel(self, field, rng, kernel, dense, degree, sign):
-        for x, y in shaped_pairs(rng, field, degree):
-            want = dense(x, y)
-            start = GForm.from_entries(field, [field.from_fraction(rand_fraction(rng))
-                                               for _ in want.entries()])
-            got = FormSum(field, want.degree).add(1, start).add(sign, x, kernel, y)
-            assert got.form() == start + want.scale(field.from_int(sign))
+        # a signed kernel term summed after another one, into the same slots
+        pairs = list(shaped_pairs(rng, field, degree))
+        for (u, v), (x, y) in zip(pairs, pairs[1:]):
+            want = dense(u, v) + dense(x, y).scale(field.from_int(sign))
+            got = _kernel_sum(field, len(want.entries()), [(1, u, kernel, v),
+                                                           (sign, x, kernel, y)])
+            assert got == want
 
 
 #: Distinct primes, so the denominators of a form are pairwise coprime and
@@ -204,7 +205,7 @@ _PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
 
 class TestIntegerKernelPath:
     """All-Fraction operands take the integer-numerator loop of
-    :class:`FormSum`; any other entry type sends them down its scalar loop.
+    :func:`_kernel_sum`; any other entry type sends them down its scalar loop.
     Both are held against the dense formulas."""
 
     @kernels

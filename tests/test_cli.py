@@ -20,6 +20,12 @@ from conftest import rotated_h3_file
 MATCHED_S3 = {"c_minus": [["-2/3", "0", "0"],
                           ["0", "-2/3", "0"],
                           ["0", "0", "-2/3"]]}
+#: ``c^0_01 = 1`` with ``c^0_10 = 0``: structure constants that are not antisymmetric.
+_NOT_ANTISYMMETRIC = [[["0", "1", "0"], ["0"] * 3, ["0"] * 3], [["0"] * 3] * 3,
+                      [["0"] * 3] * 3]
+#: ``c^0_01 = c^1_12 = 1``, antisymmetric: the ``_non_jacobi_c`` of test_exact_frame.py.
+_NON_JACOBI = [[["0", "1", "0"], ["-1", "0", "0"], ["0"] * 3],
+               [["0"] * 3, ["0", "0", "1"], ["0", "-1", "0"]], [["0"] * 3] * 3]
 
 
 @pytest.fixture(autouse=True)
@@ -206,6 +212,9 @@ class TestExpand:
         ("builtin:berger-s3?squash=1e-400", None, "float"),
         ({"name": "x", "c": [[["0"] * 3] * 3] * 3, "volume": "-3"}, None, "rational"),
         ({"name": "x", "c": [[["0"] * 3] * 3] * 3, "volume": "0"}, None, "rational"),
+        ({"name": "x", "c": _NOT_ANTISYMMETRIC}, None, "rational"),
+        ({"name": "x", "c": _NOT_ANTISYMMETRIC}, None, "float"),
+        ({"name": "x", "c": _NON_JACOBI}, None, "float"),
     ], ids=["c-not-3x3x3", "c-not-a-list", "name-not-a-string",
             "free-slot-not-a-matrix",
             "float-bad-literal", "float-nan-literal", "float-overflow-literal",
@@ -214,7 +223,8 @@ class TestExpand:
             "builtin-volume-underflow", "builtin-volume-underflow-float",
             "builtin-scale-past-float", "builtin-scale-below-float",
             "builtin-volume-inf", "builtin-volume-zero",
-            "volume-negative", "volume-zero"])
+            "volume-negative", "volume-zero", "c-not-antisymmetric",
+            "c-not-antisymmetric-float", "c-non-jacobi-float"])
     def test_bad_input_is_one_line(self, capsys, tmp_path, background, free,
                                    scalar):
         if not isinstance(background, str):

@@ -1,6 +1,6 @@
 """Where float arithmetic rounds, and what the exact verdicts leave unbuilt.
 
-The float kernel and linear-term sums of ``FormSum`` and the frame table of
+The float kernel sums of ``algebra._kernel_sum`` and the frame table of
 ``geometry._star_d`` round through the methods of the field's context, not
 through operators under an entered context.  Those methods round as the
 operators do under that context, so a sum must come out digit for digit as
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole import cli, geometry, scalars
-from nahmpole.algebra import (_TABLES, FormSum, GForm, bracket_0_1, star_bracket_star,
+from nahmpole.algebra import (_TABLES, GForm, _kernel_sum, bracket_0_1, star_bracket_star,
                               star_wedge)
 from nahmpole.geometry import einstein_undecided, is_einstein, load_background
 from nahmpole.scalars import FloatField, RationalField
@@ -102,10 +102,7 @@ def test_float_kernel_terms_round_as_the_operators(bits, degree, raw):
                       op, GForm.from_entries(field, [field.from_fraction(v) for v in y])))
     want = _reference(field, degree, terms)
     with hostile():
-        total = FormSum(field, degree)
-        for term in terms:
-            total.add(*term)
-        got = total.form()
+        got = _kernel_sum(field, 9 if degree else 3, terms)
     assert [v.as_tuple() for v in got.entries()] == [v.as_tuple() for v in want]
 
 

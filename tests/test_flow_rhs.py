@@ -3,8 +3,8 @@
 The right-hand side is checked against the kernel statement of the flow
 (:mod:`flow_terms`): equal over rationals, and within a stated relative
 round-off bound over ``FloatField`` backgrounds and native floats.  The
-residual of the closed forms calls no ``FormSum`` and no kernel, and a
-kernel term or a sum that pairs exact with scalar operands is refused.
+residual of the closed forms calls no kernel sum and no kernel, and a
+kernel term that pairs exact with scalar operands is refused.
 """
 
 import random
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from nahmpole import algebra, geometry, oracle, series
-from nahmpole.algebra import FormSum, GForm, star_wedge
+from nahmpole.algebra import GForm, _kernel_sum, star_wedge
 from nahmpole.geometry import load_background
 from nahmpole.oracle import closed_solution, flow_residual, flow_rhs
 from nahmpole.scalars import FloatField, RationalField
@@ -92,12 +92,13 @@ def test_native_float_flow_rhs_is_the_kernel_statement(uri):
 
 #: The kernels and frame operators a form route would call.
 _OPERATORS = ("L_op", "gamma_op", "e_bracket", "star_wedge", "bracket_0_1",
-              "star_bracket_star", "star_d", "star_d_omega", "d_omega", "d_omega_star")
+              "star_bracket_star", "star_d", "star_d_omega", "d_omega", "d_omega_star",
+              "_kernel_sum")
 
 
 def test_flow_residual_takes_one_route(monkeypatch):
     # once a first call has built the columns, the residual of a closed form is
-    # sums over the compiled rows: no FormSum term, no kernel or frame operator
+    # sums over the compiled rows: no kernel sum, kernel or frame operator
     sols = [closed_solution(name) for name in ("s3", "hyperbolic")]
     points = (0.1, 0.5, 1.0, 2.0)
     want = [flow_residual(sol, y) for sol in sols for y in points]
@@ -107,8 +108,6 @@ def test_flow_residual_takes_one_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the flow residual took a form route")
 
-    monkeypatch.setattr(FormSum, "add", refuse)
-    monkeypatch.setattr(FormSum, "extend", refuse)
     for module in (algebra, geometry, series, oracle):
         for name in _OPERATORS:
             if hasattr(module, name):
@@ -119,12 +118,10 @@ def test_flow_residual_takes_one_route(monkeypatch):
 
 
 def test_exact_beside_scalar_operands_are_refused():
-    rng, f64 = random.Random(40), FloatField(64)
-    exact, scalar = rand_one_form(rng, RationalField()), rand_one_form(rng, f64)
-    with pytest.raises(TypeError, match="exact operand"):
-        FormSum(f64, 1).add(1, exact, star_wedge, scalar)
-    with pytest.raises(TypeError, match="exact operand"):
-        FormSum(f64, 1).add(-1, scalar, star_wedge, exact)
-    # an exact term read into a sum that also holds scalar slots
-    with pytest.raises(TypeError, match="exact terms beside scalar ones"):
-        FormSum(f64, 1).add(1, exact).add(Fraction(1, 2), scalar).form()
+    rng, f64, rat = random.Random(40), FloatField(64), RationalField()
+    exact, scalar = rand_one_form(rng, rat), rand_one_form(rng, f64)
+    for field in (f64, rat):  # on either field, in either order, at any coefficient
+        for c in (1, -1, Fraction(1, 2)):
+            for x, y in ((exact, scalar), (scalar, exact)):
+                with pytest.raises(TypeError, match="pairs an exact operand with a scalar"):
+                    _kernel_sum(field, 9, [(c, x, star_wedge, y)])

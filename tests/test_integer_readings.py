@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole.algebra import (
-    _EPS, EigenPart, FormSum, GForm, L_op, _form, _read, bracket_0_1, e_bracket, gamma_op,
-    invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
+    _EPS, EigenPart, GForm, L_op, _form, _kernel_sum, _read, bracket_0_1, e_bracket,
+    gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from nahmpole.geometry import (builtin, d_omega, d_omega_star, load_background, star_d,
                                star_d_omega)
 from nahmpole.scalars import FloatField, RationalField
-from nahmpole.series import expand
+from nahmpole.series import _sum, expand
 
 from conftest import CATALOG, rand_one_form, rand_zero_form
 
@@ -154,7 +154,7 @@ def _kernel_gamma_and_e_bracket(x, phi):
     """``Gamma(x)`` and ``[e, phi]`` by their kernel definitions on the vierbein."""
     e = vierbein(x.field)
     return (star_bracket_star(x, e),
-            FormSum(phi.field, 1).add(-1, phi, bracket_0_1, e).form())
+            _kernel_sum(phi.field, 9, [(-1, phi, bracket_0_1, e)]))
 
 
 @given(_one_form, _zero_form)
@@ -206,20 +206,24 @@ _coefficient = st.one_of(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2)
 @given(st.lists(st.tuples(_coefficient, st.sampled_from(("x", "L", "wedge")),
                           _one_form, _one_form), min_size=1, max_size=4))
 def test_form_sum(terms):
-    # plain terms, an L_op image and the kernel path into one sum
-    total, want = FormSum(_FIELD, 1), [Fraction(0)] * 9
+    # plain terms and L_op images summed by the solver's series._sum, and the
+    # kernel terms by _kernel_sum: each sum, and the two added, read as the oracle's
+    linear, kernel, want = [], [], [[Fraction(0)] * 9 for _ in range(2)]
     for coefficient, kind, x, y in terms:
         if kind == "x":
-            total.add(coefficient, form(x))
-            term = x
+            linear.append((coefficient, form(x)))
+            term, i = x, 0
         elif kind == "L":
-            total.add(coefficient, L_op(form(x)))
-            term = o_L(x)
+            linear.append((coefficient, L_op(form(x))))
+            term, i = o_L(x), 0
         else:
-            total.add(coefficient, form(x), star_wedge, form(y))
-            term = o_star_wedge(x, y)
-        want = [w + coefficient * Fraction(v) for w, v in zip(want, term)]
-    assert_reads_as(total.form(), want)
+            kernel.append((coefficient, form(x), star_wedge, form(y)))
+            term, i = o_star_wedge(x, y), 1
+        want[i] = [w + coefficient * Fraction(v) for w, v in zip(want[i], term)]
+    got = _sum(_FIELD, 1, linear)[0], _kernel_sum(_FIELD, 9, kernel)
+    for g, w in zip(got, want):
+        assert_reads_as(g, w)
+    assert_reads_as(got[0] + got[1], [a + b for a, b in zip(*want)])
 
 
 def test_a_decimal_form_gets_no_reading():

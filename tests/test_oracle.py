@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nahmpole.algebra import GForm, vierbein
-from nahmpole.geometry import _PAIR_4Q, _POLE_COLUMNS, load_background
+from nahmpole.geometry import _PAIR_4Q, _POLE_COLUMNS, background_to_json, load_background
 from nahmpole.oracle import (
     FlowState,
     StepUnderflow,
@@ -747,6 +747,19 @@ class TestGlobalReport:
         rep = global_report(expand(bg, N=4))
         assert rep.volume is None
         assert rep.k_number == rep.k_density
+
+    def test_declared_volume_scales_the_number(self, field, tmp_path):
+        # a background file's "p/q" volume multiplies the density exactly
+        doc = json.loads(background_to_json(load_background("builtin:round-s3", field)))
+        doc["volume"] = "3/2"
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(doc))
+        bg = load_background(str(path), field)
+        rep = global_report(expand(bg, matched_free_data("s3", field), N=4))
+        assert rep.volume == Fraction(3, 2)
+        assert rep.k_number == rep.k_density * Fraction(3, 2)
+        assert type(rep.k_number) is Fraction
+        assert json.loads(rep.to_json())["volume"] == "3/2"
 
     def test_requires_background_and_order(self, field):
         bg = load_background("builtin:round-s3", field)

@@ -7,7 +7,8 @@ kind of traffic is traced apart by ``sys.settrace``, restricted to the
 package's files.  Per module it prints the executable lines (``co_lines`` of
 every code object that makes a frame: module and class bodies run at import
 and are not counted), how many each kind reached, and the lines neither
-reached, grouped by function.  Limit: a CLI call made in a subprocess (a test
+reached, grouped by function; with ``--tier1``, also the lines the tests
+reach but no workload does, grouped alike: the code only tests keep.  Limit: a CLI call made in a subprocess (a test
 running ``python -m nahmpole``) is not traced, so its lines read as unreached.
 """
 
@@ -78,6 +79,13 @@ def spans(lines):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
+def show(lines, numbers):
+    """Print the sorted line ``numbers`` of a module grouped by the function
+    that holds them, ``lines`` being its :func:`executable` map."""
+    for name in dict.fromkeys(lines[n] for n in numbers):
+        print(f"    {name}: {spans([n for n in numbers if lines[n] == name])}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tier1", action="store_true", help="also trace the tier-1 tests")
@@ -91,8 +99,11 @@ def main(argv=None):
         cold = sorted(set(lines).difference(*reached.values()))
         counts = ", ".join(f"{kind} {len(got)}" for kind, got in reached.items())
         print(f"{path.name}: {len(lines)} executable; reached by {counts}; neither {len(cold)}")
-        for name in dict.fromkeys(lines[n] for n in cold):
-            print(f"    {name}: {spans([n for n in cold if lines[n] == name])}")
+        show(lines, cold)
+        if args.tier1:
+            only = sorted(reached["tier-1"] - reached["workloads"])
+            print(f"  {path.name}: reached by tier-1 but no workload {len(only)}")
+            show(lines, only)
 
 
 if __name__ == "__main__":
