@@ -98,28 +98,14 @@ def _star_d_terms(field, c):
                  if c[i][j][k])
 
 
-class _FloatFrame:
-    """A float background's structure constants ``c``, read as ``c[k][i][j]``,
-    with their :func:`_star_d_terms` built once and kept on the background."""
-
-    __slots__ = ("c", "star_d")
-
-    def __init__(self, field, c):
-        self.c, self.star_d = c, _star_d_terms(field, c)
-
-    def __getitem__(self, k):
-        return self.c[k]
-
-
-def _star_d(field, c, x: GForm):
+def _star_d(field, terms, x: GForm):
     """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
     :meth:`GForm.entries` order, by the scalar formula
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}``, rounding through the
-    field's :func:`~nahmpole.scalars.arithmetic`.  ``c`` is the structure
-    constants, or a float background's :class:`_FloatFrame`, which reads as
-    them and keeps their terms.  Zeros of ``c`` and ``x`` are skipped.
+    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}`` over ``terms``, the
+    :func:`_star_d_terms` of ``c`` (a float background keeps them as its frame),
+    rounding through the field's :func:`~nahmpole.scalars.arithmetic`.  Zeros
+    of ``x`` are skipped, as ``terms`` skip those of ``c``.
     """
-    terms = c.star_d if isinstance(c, _FloatFrame) else _star_d_terms(field, c)
     mul, _, sub = arithmetic(field)
     xc = x.coeffs
     out = [field.zero] * 9
@@ -128,17 +114,6 @@ def _star_d(field, c, x: GForm):
             if xc[a][i]:
                 out[3 * a + m] = sub(out[3 * a + m], mul(mul(xc[a][i], cijk), half))
     return out
-
-
-def _star_d_of(field, frame, x: GForm) -> GForm:
-    """``*(d x)`` as a form: over exact scalars, on the background's integer
-    ``frame`` (:func:`_exact_frame`) and the reading of ``x``, ``(*dx)[a][m] =
-    -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)`` with one gcd; over
-    floats :func:`_star_d` of the background's ``frame``, which reads as ``c``."""
-    if not field.exact:
-        return GForm.from_entries(field, _star_d(field, frame, x))
-    xs, dx = _read(x)
-    return _form(field, _star_d_ints(frame, xs), dx * frame[2])
 
 
 def _star_d_ints(frame, xs):
@@ -152,11 +127,16 @@ def _star_d_ints(frame, xs):
 
 def star_d(bg, x: GForm) -> GForm:
     """``*(d x)`` of a frame-constant degree-1 form on a background (no
-    connection term; compare :func:`star_d_omega`): the background's integer
-    frame table over exact scalars, :func:`_star_d` over others."""
+    connection term; compare :func:`star_d_omega`): over exact scalars, on the
+    background's integer frame (:func:`_exact_frame`) and the reading of ``x``,
+    ``(*dx)[a][m] = -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)`` with
+    one gcd; over floats :func:`_star_d` of the background's terms."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
-    return _star_d_of(bg.field, bg._frame, x)
+    if not bg.field.exact:
+        return GForm.from_entries(bg.field, _star_d(bg.field, bg._frame, x))
+    xs, dx = _read(x)
+    return _form(bg.field, _star_d_ints(bg._frame, xs), dx * bg._frame[2])
 
 
 def _exact_frame(field, c):
@@ -208,7 +188,7 @@ class FrameBackground:
     W: GForm
     starF: GForm
     volume: object = None
-    _frame: tuple = None  # the frame tables: integers (exact), a _FloatFrame (float)
+    _frame: tuple = None  # the frame tables: integers (exact), the *d terms (float)
 
     def __post_init__(self):  # the columns of M0, built on first read
         object.__setattr__(self, "_columns", _Columns(FRAME_TERMS, self))
@@ -219,7 +199,7 @@ class FrameBackground:
         derived on one integer reading of ``c`` over exact scalars, which
         keep a ``Fraction`` entry as it is (:func:`_exact_frame`), by the
         scalar formulas over floats, whose background keeps the terms of
-        ``*d``, with their +-1/2 converted once, in a :class:`_FloatFrame`
+        ``*d``, with their +-1/2 converted once, as its frame
         (:func:`_star_d` rounds through the field's context methods).  Raises
         ``ValueError`` unless ``c`` is antisymmetric with no antisymmetric
         Ricci part.  Nothing is kept across calls."""
@@ -241,9 +221,9 @@ class FrameBackground:
             if not field.within((v for plane in torsion_residual(field, c, conn)
                                  for row in plane for v in row), bound):
                 raise AssertionError("Koszul output has torsion")
-            W, frame = connection_form(field, conn), _FloatFrame(field, c)
-            starF = _star_d_of(field, frame, W) + star_wedge(W, W).scale(
-                field.constant(Fraction(1, 2)))
+            W, frame = connection_form(field, conn), _star_d_terms(field, c)
+            starF = GForm.from_entries(field, _star_d(field, frame, W)) + star_wedge(
+                W, W).scale(field.constant(Fraction(1, 2)))
         if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "

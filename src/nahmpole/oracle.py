@@ -401,56 +401,42 @@ def flow_residual(sol: ProfileSolution, y):
 # Numeric integration of the flow.
 # ---------------------------------------------------------------------------
 
-def _matrix(columns):
-    """The float64 matrix of compiled ``columns``: each int ``n / den``, rounded once."""
-    M = np.zeros((_NV, _NV))
-    for u in range(_NV):
-        rows, den = columns[u]
-        for o, n in rows:
-            M[o, u] = n / den
-    return M
-
-
 @functools.cache
-def _pole_and_pair_parts():
-    """``(M1, Q, pairs)`` in float64: the pole columns, the symmetric ``Q``, a quarter of
-    ``4Q``, and its :func:`_pair_columns`.  No background enters: built once per process."""
-    M1 = _matrix(_POLE_COLUMNS)
-    Q = np.zeros((_NV,) * 3)
-    for u, row in enumerate(_PAIR_4Q):
-        for w, terms in row.items():
-            for o, n in terms:
-                Q[o, u, w] = n / 4
-    M1.flags.writeable = Q.flags.writeable = False  # every caller shares them
-    return M1, Q, _pair_columns(Q)
-
-
-def _pair_columns(Q):
-    """``(I, J, Qp)``: the pairs ``i <= j`` of the symmetric ``Q`` nonzero for some
-    component, and their columns ``Qp``, the off-diagonal ones doubled."""
-    I, J = np.triu_indices(_NV)
-    QP = Q[:, I, J] * np.where(I == J, 1, 2)
-    keep = np.any(QP != 0, axis=0)
-    return I[keep], J[keep], QP[:, keep]
+def _pairs():
+    """``(I, J, block)``: the pairs ``u <= w`` that a row of ``4Q`` reads, ``w`` ascending
+    (126 of the 231), and the read-only float64 ``[M1 | Qp]``, each column ``n / den``
+    rounded once: the pole columns, then the pair columns, ``n / 4`` on the diagonal and
+    ``2n / 4`` off it.  No background enters: built once per process."""
+    I, J = zip(*[(u, w) for u, row in enumerate(_PAIR_4Q) for w in sorted(row) if w >= u])
+    block = np.zeros((_NV, _NV + len(I)))
+    columns = [_POLE_COLUMNS[u] for u in range(_NV)] + [
+        ([(o, n if u == w else 2 * n) for o, n in _PAIR_4Q[u][w]], 4) for u, w in zip(I, J)]
+    for k, (rows, den) in enumerate(columns):
+        for o, n in rows:
+            block[o, k] = n / den
+    block.flags.writeable = False  # every operator shares it
+    return np.array(I), np.array(J), block
 
 
 def _flow_operator(bg: FrameBackground):
-    """The integrator's ``(c, M0, M1, Q)`` in float64, ``rhs(y, v) = c + M0 v +
-    M1 v/y + Q(v, v)``: ``*F_w`` in the ``b`` slots, the background's frame columns
-    and :func:`_pole_and_pair_parts`, from the rows ``flow_rhs`` and the exact
-    residual read."""
-    c = np.concatenate([np.zeros(9), np.ravel(bg.starF.to_floats()), np.zeros(3)])
-    return (c, _matrix(bg._columns), *_pole_and_pair_parts()[:2])
+    """The integrator's ``(c, G)`` in float64, ``rhs(y, v) = c + G (v, v/y, v[I] v[J])``:
+    ``*F_w`` in the ``b`` slots of ``c``, and ``G = [M0 | M1 | Qp]``, the background's
+    frame columns beside the :func:`_pairs` block, from the rows ``flow_rhs`` and the
+    exact residual read.  Each entry is rounded once."""
+    c, G = np.zeros(_NV), np.concatenate([np.zeros((_NV, _NV)), _pairs()[2]], axis=1)
+    c[9:18] = bg.starF.entries()
+    for u in range(_NV):
+        rows, den = bg._columns[u]
+        for o, n in rows:
+            G[o, u] = n / den
+    return c, G
 
 
-def _stacked_rhs(c, M0, M1, Q):
-    """``rhs(y, v) = c + M0 v + M1 v/y + Q(v, v)`` applied as one stacked
-    matrix: ``c + G z`` with ``G = [M0 | M1 | Qp]`` and
-    ``z = (v, v/y, v[I] v[J])``.
-
-    ``Qp`` is :func:`_pair_columns` (126 of the 231 pairs; built once for the float64
-    ``Q``).  Exact over Fraction arrays; over float64 it sums in another order than
-    the dense form, so it agrees to round-off.
+def _stacked_rhs(c, G):
+    """``rhs(y, v) = c + G z`` with ``G = [M0 | M1 | Qp]`` and ``z = (v, v/y, v[I] v[J])``,
+    the pairs ``(I, J)`` of :func:`_pairs`: ``c + M0 v + M1 v/y + Q(v, v)`` as one
+    stacked matrix.  Exact over Fraction arrays; over float64 it sums in another order
+    than the dense form, so it agrees to round-off.
     ``z`` is made once, in ``G``'s dtype, and filled in place, so ``rhs`` is not
     reentrant; a ``v`` that is ``rhs.v``, its first slots, is not copied (any other
     is, and left unchanged).  ``y`` enters ``v/y`` from a 0-d buffer of ``G``'s dtype
@@ -458,9 +444,7 @@ def _stacked_rhs(c, M0, M1, Q):
     without its Python dispatcher frame.  ``rhs(y, v, out)`` writes into ``out``, else
     returns a new array.
     """
-    _, shared_Q, shared_pairs = _pole_and_pair_parts()
-    I, J, QP = shared_pairs if Q is shared_Q else _pair_columns(Q)
-    G = np.concatenate([M0, M1, QP], axis=1)
+    I, J, _ = _pairs()
     z, yb = np.empty(G.shape[1], dtype=G.dtype), np.empty((), dtype=G.dtype)
     zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
     dot, divide, multiply, add = G.dot, np.divide, np.multiply, np.add

@@ -482,6 +482,41 @@ class TestResolveCoupled:
                 assert err.value.lam == lam
 
 
+_Q, _F64 = RationalField(), FloatField(64)
+_ONE, _ZERO = GForm.zero(_Q, 1), GForm.zero(_Q, 0)
+
+#: (id, call, exception, message) of refusals that no other test reaches.
+REFUSALS = [
+    ("zero-degree-2", lambda: GForm.zero(_Q, 2), ValueError, "degree must be 0 or 1, got 2"),
+    ("one-form-2x3", lambda: GForm.one_form(_Q, [[1, 2, 3], [4, 5, 6]]), ValueError,
+     "degree-1 coefficients must be a 3x3 matrix"),
+    ("zero-form-2", lambda: GForm.zero_form(_Q, [1, 2]), ValueError,
+     "degree-0 coefficients must be a 3-vector"),
+    ("star_wedge", lambda: star_wedge(_ONE, _ZERO), ValueError,
+     "star_wedge needs two degree-1 forms"),
+    ("bracket_0_1", lambda: bracket_0_1(_ONE, _ONE), ValueError,
+     "bracket_0_1 needs a 0-form then a 1-form"),
+    ("star_bracket_star", lambda: star_bracket_star(_ZERO, _ONE), ValueError,
+     "star_bracket_star needs two degree-1 forms"),
+    ("L_op", lambda: L_op(_ZERO), ValueError, "L_op needs a degree-1 form"),
+    ("gamma_op", lambda: gamma_op(_ZERO), ValueError, "gamma_op needs a degree-1 form"),
+    ("project", lambda: project(_ZERO, MINUS), ValueError, "project needs a degree-1 form"),
+    ("resolve_coupled", lambda: resolve_coupled(Fraction(3), _ZERO, _ONE), ValueError,
+     "resolve_coupled needs (degree-1, degree-0) data"),
+    ("resolve_coupled-float-2", lambda: resolve_coupled(
+        Fraction(2), vierbein(_F64), GForm.zero(_F64, 0)), SingularLambda,
+     "coupled solve is singular at lambda=2"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusals(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
+
+
 def _sigma_one_vector(x):
     """A 3x3 form as a vector of the sigma=1 module, whose degree-1 monomial
     basis is ordered (z, y, x): su(2) index a sits in harmonic slot 2 - a."""

@@ -33,8 +33,8 @@ RICCI = ("curvature has an antisymmetric Ricci part; the structure "
 def _scalar_route(c):
     """``(conn, W, *F)`` of ``c`` by the scalar formulas."""
     conn = levi_civita(FIELD, c)
-    W = connection_form(FIELD, conn)
-    starF = (GForm.from_entries(FIELD, geometry._star_d(FIELD, c, W))
+    W, terms = connection_form(FIELD, conn), geometry._star_d_terms(FIELD, c)
+    starF = (GForm.from_entries(FIELD, geometry._star_d(FIELD, terms, W))
              + star_wedge(W, W).scale(Fraction(1, 2)))
     return conn, W, starF
 

@@ -44,17 +44,18 @@ def test_float_path_calls_star_d_through_the_module(monkeypatch):
     calls = []
     real = geometry._star_d
 
-    def counted(field, c, x):
-        calls.append([[[c[k][i][j] for j in range(3)] for i in range(3)] for k in range(3)])
-        return real(field, c, x)
+    def counted(field, terms, x):
+        calls.append(terms)
+        return real(field, terms, x)
 
     monkeypatch.setattr(geometry, "_star_d", counted)
     bg = load_background("builtin:berger-s3?squash=2", FloatField(64))
     loaded = len(calls)
     expand(bg, N=6)
     assert 0 < loaded < len(calls)
-    # every call reads the background's own structure constants as c
-    assert all(c == [[list(row) for row in plane] for plane in bg.c] for c in calls)
+    # every call reads the background's own frame: the *d terms of its c
+    assert all(terms is bg._frame for terms in calls)
+    assert bg._frame == geometry._star_d_terms(bg.field, bg.c)
 
 
 _value = st.one_of(st.just(0), st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,

@@ -13,10 +13,12 @@ from nahmpole.geometry import (
     builtin,
     builtin_names,
     connection_form,
+    d_omega,
     d_omega_star,
     is_einstein,
     levi_civita,
     load_background,
+    star_d,
     star_d_omega,
     torsion_residual,
 )
@@ -308,6 +310,28 @@ class TestLinearMaps:
         with context(f128):  # the dense reference's products, at 128 bits
             for got, want in _maps_and_references(bg, rng):
                 assert (got - want).is_zero()
+
+
+#: (id, call, message) of ValueError refusals that no other test reaches.
+REFUSALS = [
+    ("star_d", lambda bg, zero: star_d(bg, zero), "star_d needs a degree-1 form"),
+    ("d_omega", lambda bg, zero: d_omega(bg, bg.W), "d_omega needs a degree-0 form"),
+    ("star_d_omega", lambda bg, zero: star_d_omega(bg, zero),
+     "star_d_omega needs a degree-1 form"),
+    ("d_omega_star", lambda bg, zero: d_omega_star(bg, zero),
+     "d_omega_star needs a degree-1 form"),
+    ("builtin-flat-param", lambda bg, zero: builtin("flat", param=2),
+     "builtin 'flat' takes no parameter"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusals(field, call, message):
+    bg = load_background("builtin:round-s3", field)
+    with pytest.raises(ValueError) as err:
+        call(bg, GForm.zero(field, 0))
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 class TestLoaders:

@@ -41,6 +41,7 @@ from nahmpole.oracle import (
     _exp_fraction,
     _flow_operator,
     _flow_rhs,
+    _pairs,
     _stacked_rhs,
 )
 from nahmpole.scalars import FloatField, RationalField
@@ -185,6 +186,11 @@ class TestTaylorProfiles:
         with pytest.raises(ValueError, match="layout"):
             taylor_profile(sol, 6)
 
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError) as err:
+            ExpRational([1], [0]).taylor(2)
+        assert str(err.value) == "series division by zero"
+
     def test_order_window(self):
         sol = closed_solution("s3")
         with pytest.raises(ValueError):
@@ -271,6 +277,13 @@ def exact_operator(request):
     return bg, (c, M0, M1, Q)
 
 
+def _stacked_exact(c, M0, M1, Q):
+    """``(c, G)`` of the dense exact operator: ``G = [M0 | M1 | Qp]``, ``Qp`` the
+    columns of ``Q`` on the pairs of :func:`_pairs`, doubled off the diagonal."""
+    I, J, _ = _pairs()
+    return c, np.concatenate([M0, M1, Q[:, I, J] * np.where(I == J, 1, 2)], axis=1)
+
+
 class TestFlowOperator:
     """The integrator's ``c + M0 v + M1 v/y + Q(v, v)`` is ``flow_rhs``."""
 
@@ -291,7 +304,7 @@ class TestFlowOperator:
         # the integrator's stacked form c + [M0 | M1 | Qp] (v, v/y, v_i v_j)
         # is the dense c + M0 v + M1 v/y + Q(v, v), exactly
         bg, (c, M0, M1, Q) = exact_operator
-        rhs = _stacked_rhs(c, M0, M1, Q)
+        rhs = _stacked_rhs(*_stacked_exact(c, M0, M1, Q))
         rng = random.Random(52817)
         for _ in range(3):
             y = Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -301,8 +314,14 @@ class TestFlowOperator:
             assert list(rhs(y, v)) == list(want)
 
     def test_float_build_is_float_of_exact_build(self, exact_operator):
-        bg, exact = exact_operator
-        for got, want in zip(_flow_operator(bg), exact):
+        bg, (c, M0, M1, Q) = exact_operator
+        # the pairs are the upper-triangle pairs whose column of Q is nonzero, in order
+        I, J, _ = _pairs()
+        triu = [(i, j) for i, j in zip(*np.triu_indices(21)) if np.any(Q[:, i, j] != 0)]
+        assert list(zip(I.tolist(), J.tolist())) == triu
+        operator = _flow_operator(bg)
+        assert len(operator) == 2
+        for got, want in zip(operator, _stacked_exact(c, M0, M1, Q)):
             assert got.dtype == np.float64
             assert np.array_equal(got, np.vectorize(float, otypes=[float])(want))
 
@@ -748,6 +767,11 @@ class TestGlobalReport:
         assert rep.volume is None
         assert rep.k_number == rep.k_density
 
+    def test_volume_free_report_prints_null(self, field):
+        rep = global_report(expand(load_background("builtin:hyperbolic-h3", field), N=4))
+        assert '\n  "volume": null,\n' in rep.to_json()
+        assert json.loads(rep.to_json())["volume"] is None
+
     def test_declared_volume_scales_the_number(self, field, tmp_path):
         # a background file's "p/q" volume multiplies the density exactly
         doc = json.loads(background_to_json(load_background("builtin:round-s3", field)))
@@ -945,6 +969,14 @@ class TestConvergence:
             with pytest.raises(ValueError, match=reason) as err:
                 convergence_table("s3", **{"orders": (2,), **kwargs})
         assert "\n" not in str(err.value)
+
+    def test_rejects_a_series_with_log_terms(self):
+        bg = closed_solution("s3").background
+        s = expand(bg, matched_free_data("s3", bg.field), 2)
+        s._b[(3, 1)] = vierbein(bg.field)
+        with pytest.raises(ValueError) as err:
+            convergence_table("s3", orders=(2,), series=s)
+        assert str(err.value) == "the convergence oracle needs a log-free expansion"
 
     @pytest.mark.parametrize("name,order,reason", [
         ("s3", 2, "stops at N=2, short of N=6"),

@@ -608,14 +608,15 @@ def test_float_residuals_vanish(uri, tmp_path):
         assert check_residuals(got) == [], bits
 
 
-def _cyclic_star_d(field, c, x):
-    """``*(dx)`` summed over the cyclic pairs (j, k, m) without the 1/2: the
-    same map as ``geometry._star_d``, with another float summation order."""
+def _cyclic_star_d(field, terms, x):
+    """``*(dx)`` summed over the cyclic terms (``half > 0``) of ``terms`` without
+    the 1/2: the same map as ``geometry._star_d``, with another float summation
+    order."""
     out = [field.zero] * 9
-    for j, k, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        for i in range(3):
+    for i, m, cijk, half in terms:
+        if half > 0:
             for a in range(3):
-                out[3 * a + m] = out[3 * a + m] - x.coeffs[a][i] * c[i][j][k]
+                out[3 * a + m] = out[3 * a + m] - x.coeffs[a][i] * cijk
     return out
 
 
@@ -625,9 +626,9 @@ def test_float_residual_scale_covers_frame_products(tmp_path, monkeypatch):
     # (8, 0, 'phi_y') once *dx summed in this order
     source = rotated_h3_file(tmp_path, 10**5)
     exact = load_background(source, RationalField())
-    x = exact.W + exact.starF
-    assert (_cyclic_star_d(exact.field, exact.c, x)
-            == geometry._star_d(exact.field, exact.c, x))
+    x, terms = exact.W + exact.starF, geometry._star_d_terms(exact.field, exact.c)
+    assert (_cyclic_star_d(exact.field, terms, x)
+            == geometry._star_d(exact.field, terms, x))
     monkeypatch.setattr(geometry, "_star_d", _cyclic_star_d)
     got = expand(load_background(source, FloatField(64)), N=16)
     assert check_residuals(got) == []
@@ -653,3 +654,27 @@ def test_float_residuals_see_relative_errors(bits):
     b = s.get_b(5, 1)
     s._b[(5, 1)] = b + b.scale(field.from_fraction(Fraction(1, 10**12)))
     assert (5, 1, "b") in check_residuals(s)
+
+
+def _detached_series():
+    """A round-s3 series through N=2, read back from its JSON: no background."""
+    return from_json(to_json(expand(load_background("builtin:round-s3"), N=2)))
+
+
+#: (id, call, message) of ValueError refusals that no other test reaches.
+REFUSALS = [
+    ("series-no-field", lambda: PhgSeries(), "need a background or an explicit scalar field"),
+    ("advance-order-1", lambda: series_module.advance_order(
+        PhgSeries(field=RationalField()), 1),
+     "advance_order starts at k = 2; lower orders are seeded"),
+    ("evaluate-detached", lambda: evaluate(_detached_series(), 0.1),
+     "series has no background attached"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
