@@ -40,7 +40,7 @@ from .algebra import (
     _EPS, _TABLES, EigenPart, GForm, L_op, _form, _integer_sum, _kernel_sum, _products,
     _ratios, _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
-from .scalars import RationalField, arithmetic, context
+from .scalars import FloatField, RationalField, arithmetic, context
 
 __all__ = [
     "FrameBackground", "levi_civita", "torsion_residual", "connection_form",
@@ -416,6 +416,9 @@ _PAIR_4Q = _compile_pairs()
 
 _TWO_PI_SQ = 2.0 * math.pi**2
 _FLOAT_MAX = Fraction(sys.float_info.max)
+#: The catalog frames some holder keeps alive, by (name, parameter, field type,
+#: bits): :func:`builtin` returns the live one.  Held weakly, so none is kept.
+_LIVE = weakref.WeakValueDictionary()
 
 #: name -> (parameter name or None, docstring)
 _BUILTINS = {
@@ -442,12 +445,17 @@ def _volume(pname, ratio: Fraction) -> float:
 
 
 def builtin(name: str, param=None, field=None) -> FrameBackground:
-    """Construct a catalog background.
+    """Construct a catalog background, or return the one another holder keeps
+    alive for the same name, parameter and field kind (rational, or float of the
+    same ``bits``; any other field builds afresh), with the tables it derived.
+    Frames are immutable, so it gives a fresh frame's values; its ``field`` may
+    be an equal instance other than ``field``.
 
     :param name: one of ``flat``, ``round-s3``, ``hyperbolic-h3``,
         ``berger-s3``, ``h2xr``.
     :param param: the scale/squash parameter where the model takes one
-        (rational; must be positive).  Defaults to 1.
+        (rational; must be positive).  Defaults to 1, which names the same
+        frame as none.
     """
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin background {name!r}")
@@ -461,6 +469,10 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
             raise ValueError(f"builtin {name!r} takes no parameter")
     if param <= 0:
         raise ValueError(f"{pname or 'parameter'} must be positive, got {param}")
+    kind = type(field)
+    key = kind in (RationalField, FloatField) and (name, param, kind, getattr(field, "bits", 0))
+    if key and (bg := _LIVE.get(key)) is not None:
+        return bg
 
     zero = Fraction(0)
     c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
@@ -485,7 +497,8 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     elif name == "h2xr":
         c[0][0][1], c[0][1][0] = Fraction(-1), Fraction(1)
 
-    return FrameBackground.from_structure_constants(label, c, field=field, volume=volume)
+    bg = FrameBackground.from_structure_constants(label, c, field=field, volume=volume)
+    return _LIVE.setdefault(key, bg) if key else bg
 
 
 def _parse_builtin_uri(uri: str, field) -> FrameBackground:
@@ -510,6 +523,8 @@ def _is_array3(x, rank: int) -> bool:
 def load_background(source: str, field=None) -> FrameBackground:
     """Load a background from a ``builtin:<name>?param=value`` URI or a JSON
     file ``{"name": str, "c": 3x3x3 rational strings, "volume": "p/q"|null}``.
+    A URI goes through :func:`builtin`, which returns a frame another holder
+    keeps alive; a file, which can change on disk, is built fresh each call.
     """
     field = field or RationalField()
     if source.startswith("builtin:"):

@@ -244,7 +244,8 @@ def _registered(name: str):
 
 
 def closed_solution(name: str, field=None) -> ProfileSolution:
-    """Look up a registered closed-form solution by name."""
+    """Look up a registered closed-form solution by name, on the background
+    :func:`~nahmpole.geometry.builtin` gives: the frame another holder keeps alive."""
     fA, fPhi, background, _ = _registered(name)
     return ProfileSolution(name, fA, fPhi, builtin(background, field=field))
 

@@ -88,6 +88,7 @@ class PhgSeries:
             background.name if background is not None else "?")
         self._a, self._b, self._phi = {}, {}, {}
         self._readings = {}  # (k, p) -> (a, b, phi_y, its 21-slot reading): _reading
+        self._depths = None  # the stored depths per order while check_residuals runs
         self._zeros = (GForm.zero(self.field, 1),) * 2 + (GForm.zero(self.field, 0),)
 
     # -- storage ---------------------------------------------------------
@@ -402,6 +403,15 @@ def _reading(series: PhgSeries, at):
     return kept[3]
 
 
+def _stored_depths(series: PhgSeries):
+    """The stored depths of each order, ``{k: [p, ...]}`` ascending, from one pass
+    over the three tables' keys."""
+    depths = {}
+    for k, p in sorted(set(chain(series._a, series._b, series._phi))):
+        depths.setdefault(k, []).append(p)
+    return depths
+
+
 def residual_at(series: PhgSeries, K: int, p: int):
     """Residuals (LHS - RHS) of the three coefficient equations at (K, p).
 
@@ -421,9 +431,10 @@ def residual_at(series: PhgSeries, K: int, p: int):
     :mod:`nahmpole.geometry`, which the integrator reads too: the pole
     columns, the background's frame columns (a float background's images
     read exactly) and the symmetric pair table ``4Q``, through which each
-    unordered pair ``at1 <= at2`` enters once.  A cell whose totals all
-    vanish, or that no term reaches, builds no form: it is the series' three
-    shared zero readings.  Else over exact scalars the totals are returned as
+    unordered pair ``at1 <= at2`` enters once, found by the stored depths of each
+    order (:func:`_stored_depths`, kept on the series while :func:`check_residuals`
+    runs).  A cell whose totals all vanish, or that no term reaches, builds no
+    form: it is the series' three shared zero readings.  Else over exact scalars the totals are returned as
     readings (no ``Fraction``); over floats each is rounded once, or is an
     exact zero against its equation's scale (:func:`_rounded`).
     """
@@ -442,11 +453,12 @@ def residual_at(series: PhgSeries, K: int, p: int):
         ns, d = _read(bg.starF) if field.exact else _ratios(bg.starF.entries())
         terms += [(-1, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
     # over 4 den: Q(v1, v2) + Q(v2, v1) is twice 4Q off the diagonal, Q(v, v) once on it
+    depths = series._depths or _stored_depths(series)
     pairs = [(*_reading(series, at1), *_reading(series, at2), 1 if at1 == at2 else 2)
              for k1 in range(1, (K + 1) // 2)  # at1 <= at2, in (k1, p1) order
-             for p1 in range(p + 1 if 2 * k1 < K - 1 else p // 2 + 1)
-             if ((at1 := (k1, p1)) in A or at1 in B or at1 in PHI)
-             and ((at2 := (K - 1 - k1, p - p1)) in A or at2 in B or at2 in PHI)]
+             if k1 in depths and (k2 := K - 1 - k1) in depths
+             for p1 in depths[k1] if p1 <= (p if k1 < k2 else p // 2) and p - p1 in depths[k2]
+             for at1, at2 in [((k1, p1), (k2, p - p1))]]
     if not (terms or pairs):
         return series._zeros
     acc, den = [0] * 21, math.lcm(*(t[3] for t in terms), *(t[1] * t[3] for t in pairs))
@@ -521,10 +533,14 @@ def check_residuals(series: PhgSeries, through: int = None):
     if not 1 <= N <= series.order:
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
     pmax, exact, zeros = series.max_p() + 1, series.field.exact, series._zeros
-    return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
-            if (cell := residual_at(series, K, p)) is not zeros  # else a verified cell
-            for R, name in zip(cell, ("a", "b", "phi_y"))
-            if (name != "b" or K <= N) and (not R.is_zero() if exact else any(R.entries()))]
+    series._depths = _stored_depths(series)
+    try:
+        return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
+                if (cell := residual_at(series, K, p)) is not zeros  # else a verified cell
+                for R, name in zip(cell, ("a", "b", "phi_y"))
+                if (name != "b" or K <= N) and (not R.is_zero() if exact else any(R.entries()))]
+    finally:
+        series._depths = None
 
 
 def evaluate(series: PhgSeries, y, N: int = None):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from nahmpole import geometry
 from nahmpole.algebra import GForm
 from nahmpole.geometry import FrameBackground, background_to_json, load_background
 from nahmpole.scalars import RationalField
@@ -127,6 +128,14 @@ def rotated_h3_file(tmp_path, scale):
     path.write_text(background_to_json(FrameBackground.from_structure_constants(
         f"rotated-h3?scale={scale}", c)))
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_frames():
+    """Empty the table of live catalog frames before each test, so that a test's
+    first request builds its frame, lazy state unread, even while module-level
+    frames of another test module hold the same frame alive."""
+    geometry._LIVE.clear()
 
 
 @pytest.fixture

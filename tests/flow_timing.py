@@ -7,7 +7,8 @@ Prints, in microseconds:
   driven to 1 at tol 1e-12, and the s3 one at the fixed step 0.01) and on the
   one ``ode-compare s3`` makes with its defaults (the same s3 state driven to
   y = 0.1 at tol 1e-10): the minimum over the repeats of the whole call, divided
-  by its accepted steps, so each figure includes one set-up of the call;
+  by its accepted steps, so each figure includes one set-up of the call; each
+  runs on a background freshly built by ``oracle.closed_solution``;
 * per call of the right-hand side that ``oracle._flow_rhs`` builds, as the
   integrator calls it (``rhs(y, rhs.v, out)``) and without ``out``, on a state
   of its own (``rhs(y, v)``, as ``solve_ivp`` calls it);
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nahmpole import oracle
+from nahmpole import geometry, oracle
 from nahmpole.geometry import load_background
 from nahmpole.scalars import RationalField
 from nahmpole.series import expand, from_json
@@ -71,6 +72,10 @@ def best(run, repeats):
 
 
 def series_start(name, y0):
+    """The solution's background, freshly built by ``closed_solution`` (the table
+    of live catalog frames emptied first, since ``geometry.builtin`` returns the
+    frame another holder keeps alive), and the N=6 series state at ``y0``."""
+    geometry._LIVE.clear()
     sol = oracle.closed_solution(name)
     bg = sol.background
     table = expand(bg, oracle.matched_free_data(name, bg.field), ORDER)

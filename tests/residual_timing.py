@@ -2,12 +2,12 @@
 
 Prints the minimum wall time of ``series.check_residuals`` on the five stored
 rational N=12 tables (``benchmarks/refs/tables``), each timed on a table
-fresh from ``series.from_json`` attached to a freshly loaded background
+fresh from ``series.from_json`` attached to a freshly built background
 (whose first check builds what it keeps per background), on a fresh table on
 one background (no form read yet) and on one table reused across the
 repeats; of the five ``verify`` suites run through ``cli.main``; and of the
-first and the second ``oracle.integrate_flow`` from y = 0.2 to 0.5 on a fresh
-``oracle.closed_solution`` background (the first builds the flow operator); of
+first and the second ``oracle.integrate_flow`` from y = 0.2 to 0.5 on a freshly
+built ``oracle.closed_solution`` background (the first builds the flow operator); of
 ``oracle.taylor_profile`` for the three closed-form solutions at N = 6 and 12;
 and of one ``algebra.gamma_op`` call on the stored berger-s3?squash=2 ``a`` at
 (12, 0) and one ``algebra.e_bracket`` call on that ``Gamma(a)`` (the mean of 100;
@@ -15,9 +15,13 @@ the stored tables hold no ``phi_y``); and of the float ``check_residuals`` at 64
 and 128 bits on N=12 tables expanded in float mode on the five builtins and
 berger-s3 at squash 5, 3/7 and 1e-6, each timed on a table fresh from
 ``series.from_json`` on a background whose first check built its columns; and
-of ``geometry.builtin`` on each catalog entry, exact and at 64 bits, and of
-compiling all 21 ``_Columns`` of the flow's frame part on a background fresh
-from ``geometry.builtin`` (not timed), exact and at 64 bits.
+of ``geometry.builtin`` on each catalog entry, exact and at 64 bits, building
+the frame, and of compiling all 21 ``_Columns`` of the flow's frame part on a
+background freshly built by ``geometry.builtin`` (not timed), exact and at 64
+bits; and of a ``geometry.builtin`` request that finds its frame alive.
+A frame is built fresh by emptying ``geometry``'s table of live catalog frames
+first (:func:`built_anew`), since ``builtin`` returns the frame another holder keeps
+alive.
 Run it on two commits to compare them::
 
     PYTHONPATH=src python3 tests/residual_timing.py [REPEATS]
@@ -56,12 +60,19 @@ def best(run, repeats, setup=lambda: None):
     return 1e3 * min(times)
 
 
+def built_anew(request, *args):
+    """``request(*args)`` with the table of live catalog frames emptied first, so
+    that it builds its frame as when no holder keeps one alive."""
+    geometry._LIVE.clear()
+    return request(*args)
+
+
 def first_and_second_flow(name, repeats):
     """The minimum ms of the first and of the second ``integrate_flow`` on a
-    background fresh from ``closed_solution``."""
+    background freshly built by ``closed_solution``."""
     firsts, seconds = [], []
     for _ in range(repeats):
-        sol = oracle.closed_solution(name)
+        sol = built_anew(oracle.closed_solution, name)
         init = oracle.profile_state(sol, 0.2)
         for times in (firsts, seconds):
             start = time.perf_counter()
@@ -86,7 +97,7 @@ def main(repeats=30):
         if series.check_residuals(load()):
             raise SystemExit(f"{name}: nonzero residuals")
         new_bg = best(series.check_residuals, repeats, lambda: series.from_json(
-            text, background=load_background(f"builtin:{name}", field)))
+            text, background=built_anew(load_background, f"builtin:{name}", field)))
         fresh = best(series.check_residuals, repeats, load)
         table = load()
         reused = best(series.check_residuals, repeats, lambda: table)
@@ -126,12 +137,17 @@ def main(repeats=30):
         name, _, query = entry.partition("?")
         param = query.partition("=")[2] or None
         fields = (field, FloatField(64))
-        times = [1e3 * best(lambda _, f=f: geometry.builtin(name, param, f), repeats)
-                 for f in fields]
+        times = [1e3 * best(lambda _, f=f: geometry.builtin(name, param, f), repeats,
+                            geometry._LIVE.clear) for f in fields]
         print(f"{'geometry.builtin ' + entry:<44}{times[0]:>10.1f}{times[1]:>11.1f}")
-        times = [1e3 * best(compile_columns, repeats, lambda f=f: geometry.builtin(name, param, f))
+        times = [1e3 * best(compile_columns, repeats,
+                            lambda f=f: built_anew(geometry.builtin, name, param, f))
                  for f in fields]
         print(f"{'21 _Columns on a fresh ' + entry:<44}{times[0]:>10.1f}{times[1]:>11.1f}")
+    held = [geometry.builtin("berger-s3", 2, f) for f in fields]  # noqa: F841, kept alive
+    times = [1e3 * best(lambda _, f=f: geometry.builtin("berger-s3", 2, f), repeats)
+             for f in fields]
+    print(f"{'geometry.builtin berger-s3?squash=2, live':<44}{times[0]:>10.1f}{times[1]:>11.1f}")
     print(f"{'flow y = 0.2 to 0.5':<44}{'first ms':>10}{'second ms':>11}")
     for name in FLOWS:
         first, second = first_and_second_flow(name, repeats)

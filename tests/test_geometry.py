@@ -1,6 +1,8 @@
 """Backgrounds: Koszul connection, curvature catalog, loaders, serialization."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,10 +24,13 @@ from nahmpole.geometry import (
     star_d_omega,
     torsion_residual,
 )
-from nahmpole.scalars import FloatField, context
+from nahmpole.oracle import closed_solution
+from nahmpole.scalars import FloatField, RationalField, context
+from nahmpole.series import check_residuals, expand, from_json, to_json
 
-from conftest import (CATALOG, cayley_rotation, frame_c, rand_antisym_c,
-                      rand_frame_c, rand_one_form, rand_zero_form)
+from conftest import (CATALOG, SEED0_FREE_DATA, cayley_rotation, frame_c,
+                      free_data_from_doc, rand_antisym_c, rand_frame_c, rand_one_form,
+                      rand_zero_form)
 from curvature import metricity_residual, ricci_tensor
 from test_algebra import (dense_bracket_0_1, dense_star_bracket_star,
                           dense_star_wedge)
@@ -415,3 +420,81 @@ class TestLoaders:
         bg, _ = catalog_case
         conn = levi_civita(field, bg.c)
         assert connection_form(field, conn) == bg.W
+
+
+class TestSharedFrames:
+    """A catalog frame requested while another holder keeps it alive is that frame."""
+
+    def test_same_request_same_frame_while_held(self, field):
+        bg = builtin("berger-s3", Fraction(3, 7), field)
+        assert builtin("berger-s3", "3/7", RationalField()) is bg
+        assert load_background("builtin:berger-s3?squash=3/7", field) is bg
+        s3 = closed_solution("s3").background
+        assert builtin("round-s3") is s3
+        assert load_background("builtin:round-s3") is s3
+        assert closed_solution("s3").background is s3
+
+    def test_unit_parameter_is_no_parameter(self, field):
+        assert builtin("berger-s3", None, field) is builtin("berger-s3", 1, field)
+        assert builtin("flat") is load_background("builtin:flat")
+
+    def test_other_requests_other_frames(self, field):
+        held = [builtin("berger-s3", 2, field), builtin("berger-s3", Fraction(3, 7), field),
+                builtin("berger-s3", 2, FloatField(64)), builtin("berger-s3", 2, FloatField(128)),
+                builtin("round-s3", 2, field)]
+        assert len(set(map(id, held))) == len(held)
+        assert builtin("berger-s3", 2, FloatField(64)) is held[2]
+        assert builtin("berger-s3", 2, FloatField(64)).field.bits == 64
+
+    def test_unheld_frame_is_collected_and_rebuilt(self, field):
+        bg = builtin("hyperbolic-h3", 3, field)
+        kept = weakref.ref(bg)
+        del bg
+        gc.collect()
+        assert kept() is None
+        assert "hyperbolic-h3?scale=3" not in [bg.name for bg in geometry._LIVE.values()]
+        fresh = builtin("hyperbolic-h3", 3, field)
+        assert fresh.W == load_background("builtin:hyperbolic-h3?scale=3", field).W
+
+    def test_files_and_structure_constants_never_shared(self, field, tmp_path):
+        bg = builtin("round-s3", 2, field)
+        path = tmp_path / "s3.json"
+        path.write_text(background_to_json(bg))
+        assert load_background(str(path), field) is not load_background(str(path), field)
+        made = FrameBackground.from_structure_constants(bg.name, bg.c, volume=bg.volume)
+        assert made is not bg and builtin("round-s3", 2, field) is bg
+        assert FrameBackground.from_structure_constants(bg.name, bg.c) is not made
+
+    def test_other_field_types_built_fresh(self, field):
+        class Rationals(RationalField):
+            pass
+
+        assert builtin("h2xr", field=Rationals()) is not builtin("h2xr", field=Rationals())
+
+    @pytest.mark.parametrize("args", [("sphere",), ("flat", 2), ("round-s3", 0),
+                                      ("berger-s3", Fraction(-1, 2))])
+    def test_refusal_stores_nothing(self, field, args):
+        held = builtin("round-s3", None, field)
+        before = dict(geometry._LIVE)
+        with pytest.raises(ValueError):
+            builtin(*args, field=field)
+        assert dict(geometry._LIVE) == before and builtin("round-s3") is held
+
+    @pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG])
+    def test_shared_frame_gives_fresh_values(self, field, uri):
+        free = free_data_from_doc(field, SEED0_FREE_DATA)
+
+        def outputs(bg):  # the table, and the residuals with and without one b entry
+            table = to_json(expand(bg, free, N=6))
+            broken = from_json(table, background=bg)
+            del broken._b[max(broken._b)]
+            return table, check_residuals(from_json(table, background=bg)), check_residuals(broken)
+
+        shared = load_background(uri, field)
+        first = outputs(shared)  # reads the shared frame's columns
+        assert first[1] == [] and first[2]
+        assert load_background(uri, field) is shared
+        geometry._LIVE.clear()
+        fresh = load_background(uri, field)
+        assert fresh is not shared
+        assert outputs(fresh) == first == outputs(load_background(uri, field))
