@@ -405,7 +405,8 @@ def _reading(series: PhgSeries, at):
 
 def _stored_depths(series: PhgSeries):
     """The stored depths of each order, ``{k: [p, ...]}`` ascending, from one pass
-    over the three tables' keys."""
+    over the three tables' keys; :func:`check_residuals` keeps them on the series
+    while it runs, and :func:`residual_at` reads the tables as they stand else."""
     depths = {}
     for k, p in sorted(set(chain(series._a, series._b, series._phi))):
         depths.setdefault(k, []).append(p)
@@ -431,12 +432,12 @@ def residual_at(series: PhgSeries, K: int, p: int):
     :mod:`nahmpole.geometry`, which the integrator reads too: the pole
     columns, the background's frame columns (a float background's images
     read exactly) and the symmetric pair table ``4Q``, through which each
-    unordered pair ``at1 <= at2`` enters once, found by the stored depths of each
-    order (:func:`_stored_depths`, kept on the series while :func:`check_residuals`
-    runs).  A cell whose totals all vanish, or that no term reaches, builds no
-    form: it is the series' three shared zero readings.  Else over exact scalars the totals are returned as
-    readings (no ``Fraction``); over floats each is rounded once, or is an
-    exact zero against its equation's scale (:func:`_rounded`).
+    unordered pair ``at1 <= at2`` enters once, found by the stored depths of
+    each order (:func:`_stored_depths`).  A cell whose totals all vanish, or
+    that no term reaches, builds no form: it is the series' three shared zero
+    readings.  Else over exact scalars the totals are returned as readings (no
+    ``Fraction``); over floats each is rounded once, or is an exact zero
+    against its equation's scale (:func:`_rounded`).
     """
     field, bg, terms = series.field, series.background, []
     if bg is None:
