@@ -26,8 +26,7 @@ The three bilinear kernels (``star_wedge``, ``bracket_0_1``,
 ``star_bracket_star``) are tables read off the Levi-Civita symbol once, at
 import, and summed by one stateless function, :func:`_kernel_sum`, in
 sparse loops that skip zeros only: on integer numerators by
-:func:`_integer_sum`, over the lcm of the terms' denominators, and into a
-scalar slot list by :func:`_products` when both operands are scalars.
+:func:`_integer_sum`, over the lcm of the terms' denominators.
 
 The two solves of the expansion are closed forms that act entrywise, with no
 spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
@@ -38,8 +37,8 @@ Exact kernels pass integer readings to each other: each reads its operands'
 integer numerators over one denominator (:func:`_read`, every entry at its
 exact value, kept on the form) and returns its result as such a reading,
 reduced by one gcd (:func:`_form`), whose ``Fraction`` entries are built only
-when read.  Over exact scalars every operator takes that integer route; the
-scalar formulas serve float fields.
+when read.  Over exact scalars every operator takes that integer route; over
+floats, each dispatches once to its body in :mod:`nahmpole._float`.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from math import comb, factorial, gcd, lcm, perm
 
 import numpy as np
 
-from .scalars import RationalField, arithmetic, context
+from .scalars import RationalField
 
 __all__ = [
     "EigenPart", "GForm", "ResonantOrder", "SingularLambda", "vierbein",
@@ -116,9 +115,16 @@ class GForm:
     and builds its ``Fraction`` entries when ``coeffs`` is first read (by
     ``entries``, ``repr`` or a printer): over exact scalars ``+``, ``-``,
     ``scale``, ``divide`` and ``==`` act on the readings (:func:`_read`), so
-    an exact form never rounds, whatever the types of its entries."""
+    an exact form never rounds, whatever the types of its entries.  A form
+    over float scalars is made a :class:`nahmpole._float.FForm`."""
 
     __slots__ = ("field", "degree", "_coeffs", "_ints")
+
+    def __new__(cls, field, degree: int, coeffs):
+        return object.__new__(cls if field.exact else _float.FForm)
+
+    def __getnewargs__(self):  # a copied or unpickled form is made by __new__ too
+        return self.field, self.degree, None
 
     def __init__(self, field, degree: int, coeffs):
         self.field, self.degree, self._coeffs, self._ints = field, degree, coeffs, None
@@ -166,24 +172,12 @@ class GForm:
 
     # -- linear structure ---------------------------------------------------
 
-    def _slotwise(self, op, *others: "GForm") -> "GForm":
-        """``op`` of the matching slots of this form and ``others`` (of its
-        degree), under the field's context: the route of float scalars."""
-        rows = (self.coeffs, *(other.coeffs for other in others))
-        with context(self.field):
-            if self.degree == 0:
-                return GForm(self.field, 0, tuple(map(op, *rows)))
-            return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
-
     def _combine(self, other: "GForm", op) -> "GForm":
-        """``op`` (``add`` or ``sub``) of two forms of one degree: over exact
-        scalars, ``op`` of their readings' numerators, each brought to the lcm
-        of the two denominators, in one list and one :func:`_form` (a float
-        operand raises ``TypeError``); else of the slots."""
+        """``op`` (``add`` or ``sub``) of two forms of one degree: of their readings'
+        numerators, each brought to the lcm of the two denominators, in one list and one
+        :func:`_form` (a float operand raises ``TypeError``)."""
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        if not self.field.exact:
-            return self._slotwise(op, other)
         if not other.field.exact:
             raise TypeError("an exact form meets a scalar one")
         (n, d), (m, e) = self._ints or _read(self), other._ints or _read(other)
@@ -198,22 +192,16 @@ class GForm:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "GForm":
-        return self.scale(-1) if self.field.exact else self._slotwise(operator.neg)
+        return self.scale(-1)
 
     def _times(self, s, op) -> "GForm":
         """``op`` (``mul`` or ``truediv``) of each entry and the scalar ``s``:
-        over exact scalars, of the reading and ``s``'s exact integer ratio,
-        reduced once; else slot by slot, an int or ``Fraction`` ``s`` as a
-        field element."""
-        if self.field.exact:
-            (n, d), (num, den) = self._ints or _read(self), s.as_integer_ratio()
-            num, den = (den, num) if op is operator.truediv else (num, den)
-            if not den:
-                raise ZeroDivisionError("GForm divided by zero")
-            return _form(self.field, [x * num for x in n], d * den)
-        if type(s) is Fraction or type(s) is int:
-            s = self.field.from_fraction(s)
-        return self._slotwise(lambda x: op(x, s))
+        of the reading and ``s``'s exact integer ratio, reduced once."""
+        (n, d), (num, den) = self._ints or _read(self), s.as_integer_ratio()
+        num, den = (den, num) if op is operator.truediv else (num, den)
+        if not den:
+            raise ZeroDivisionError("GForm divided by zero")
+        return _form(self.field, [x * num for x in n], d * den)
 
     def scale(self, s) -> "GForm":
         return self._times(s, operator.mul)
@@ -228,19 +216,16 @@ class GForm:
         return c if self.degree == 0 else c[0] + c[1] + c[2]
 
     def is_zero(self, scale=None) -> bool:
-        """Whether every entry is zero by the field's rule against ``scale``;
-        over floats, ``tolerance * scale`` is computed once per form."""
+        """Whether every entry is zero by the field's rule against ``scale``,
+        which exact scalars do not read."""
         if self._coeffs is None:  # an unread exact reading: no nonzero numerator
             return not any(self._ints[0])
-        if self.field.exact:
-            return not any(self.entries())
-        return self.field.within(self.entries(), self.field.bound(scale))
+        return not any(self.entries())
 
     def trace(self):
         if self.degree != 1:
             raise ValueError("trace needs a degree-1 form")
-        with context(self.field):
-            return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
+        return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
 
     def to_floats(self):
         if self.degree == 0:
@@ -248,13 +233,10 @@ class GForm:
         return [[float(v) for v in row] for row in self.coeffs]
 
     def __eq__(self, other):
-        """Slot by slot; two exact forms compare their canonical readings."""
+        """Two exact forms compare their canonical readings (a float form, its slots)."""
         if not isinstance(other, GForm):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        exact = self.field.exact and other.field.exact
-        return _read(self) == _read(other) if exact else self.coeffs == other.coeffs
+        return self.degree == other.degree and _read(self) == _read(other)
 
     def __repr__(self):
         return f"GForm(degree={self.degree}, coeffs={self.coeffs!r})"
@@ -305,7 +287,8 @@ def _form(field, totals, den) -> GForm:
     """The exact form ``totals / den`` (3 or 9 slots), made from its reading:
     reduced by one gcd to the canonical one :func:`_read` gives, or the zero
     reading ``(0, ..., 0) / 1`` when every total is zero."""
-    form = GForm(field, 0 if len(totals) == 3 else 1, None)
+    form = object.__new__(GForm)  # an exact form: GForm.__new__'s dispatch is not needed
+    form.field, form.degree, form._coeffs = field, 0 if len(totals) == 3 else 1, None
     if not any(totals):
         form._ints = (0,) * len(totals), 1
         return form
@@ -369,47 +352,17 @@ def _integer_sum(field, size: int, terms) -> GForm:
     return _form(field, totals, den)
 
 
-def _products(field, slots, sign, x: GForm, op, y: GForm):
-    """``slots`` plus ``sign * op(x, y)`` (``sign`` +-1, ``op`` a kernel), in
-    place: each product of nonzero entries added to or subtracted from its
-    slot in turn, in the kernel table's order, through the field's
-    :func:`~nahmpole.scalars.arithmetic`; an exact operand beside a scalar
-    one is refused."""
-    mul, add, sub = arithmetic(field)
-    (xs, dx), (ys, dy) = x._ints or _read(x), y._ints or _read(y)
-    if dx or dy:
-        raise TypeError("a kernel term pairs an exact operand with a scalar one")
-    table = _TABLES[op]
-    for i, xi in enumerate(xs):
-        if xi is not None:
-            for j, o, s in table[i]:
-                yj = ys[j]
-                if yj is not None:
-                    slots[o] = (add if s == sign else sub)(slots[o], mul(xi, yj))
-    return slots
-
-
 def _kernel_sum(field, size: int, terms) -> GForm:
     """The form ``sum c op(x, y)`` (3 or 9 slots) of the kernel terms ``(c, x,
-    op, y)``: over exact scalars the operands read once and summed by
-    :func:`_integer_sum`; over floats each product of a +-1 term added into
-    one slot list (:func:`_products`), any other term built as a form, times
-    ``field.constant(c)``, and added slot by slot, each rounding through the
-    field's :func:`~nahmpole.scalars.arithmetic`.  An exact operand beside a
-    scalar one is refused with ``TypeError``, on either field."""
-    if field.exact:
-        read = [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y))) for c, x, op, y in terms]
-        if all(d and e for _, _, d, _, _, e in read):  # else refused by _products below
-            return _integer_sum(field, size, read)
-    mul, add, _ = arithmetic(field)
-    slots = None
-    for c, x, op, y in terms:
-        if c == 1 or c == -1:
-            slots = _products(field, slots or [field.zero] * size, c, x, op, y)
-        else:
-            term = [mul(v, field.constant(c)) for v in op(x, y).entries()]
-            slots = term if slots is None else list(map(add, slots, term))
-    return GForm.from_entries(field, slots or [field.zero] * size)
+    op, y)``: the operands read once and summed by :func:`_integer_sum` (over
+    floats, ``_float._kernel_sum``).  An exact operand beside a scalar one is
+    refused with ``TypeError``, on either field."""
+    if not field.exact:
+        return _float._kernel_sum(field, size, terms)
+    read = [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y))) for c, x, op, y in terms]
+    if not all(d and e for _, _, d, _, _, e in read):  # a reading of float scalars
+        raise TypeError("a kernel term pairs an exact operand with a scalar one")
+    return _integer_sum(field, size, read)
 
 
 def e_bracket(phi: GForm) -> GForm:
@@ -428,12 +381,11 @@ def L_op(a: GForm) -> GForm:
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
     n, D = _read(a)
-    c = n if D else a.entries()  # the integer numerators over D, or the scalars
-    with context(a.field):
-        tr = c[0] + c[4] + c[8]
-        out = [tr - c[3 * s + r] if r == s else -c[3 * s + r]
-               for r in range(3) for s in range(3)]
-    return _form(a.field, out, D) if D else GForm.from_entries(a.field, out)
+    if not D:
+        return _float.L_op(a)
+    tr = n[0] + n[4] + n[8]
+    return _form(a.field, [tr - n[3 * s + r] if r == s else -n[3 * s + r]
+                           for r in range(3) for s in range(3)], D)
 
 
 def gamma_op(a: GForm) -> GForm:
@@ -465,29 +417,18 @@ def project(a: GForm, part: EigenPart) -> GForm:
     if a.degree != 1:
         raise ValueError("project needs a degree-1 form")
     n, D = _read(a)
-    if D:
-        tr, nt = n[0] + n[4] + n[8], n[0::3] + n[1::3] + n[2::3]  # nt: n^T
-        if part is _MINUS:
-            totals, den = [tr, 0, 0, 0, tr, 0, 0, 0, tr], 3 * D
-        elif part is _ZERO:
-            totals, den = list(map(operator.sub, n, nt)), 2 * D
-        else:
-            totals, den = [3 * (x + y) for x, y in zip(n, nt)], 6 * D
-            for i in (0, 4, 8):
-                totals[i] -= 2 * tr
-        return _form(a.field, totals, den)
-    c = a.coeffs
-    zero = a.field.zero
-    with context(a.field):
-        third = (c[0][0] + c[1][1] + c[2][2]) / 3
-        if part is _MINUS:
-            rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
-        elif part is _ZERO:
-            rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
-        else:
-            rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2
-                     for j in range(3)] for i in range(3)]
-    return GForm(a.field, 1, tuple(tuple(r) for r in rows))
+    if not D:
+        return _float.project(a, part)
+    tr, nt = n[0] + n[4] + n[8], n[0::3] + n[1::3] + n[2::3]  # nt: n^T
+    if part is _MINUS:
+        totals, den = [tr, 0, 0, 0, tr, 0, 0, 0, tr], 3 * D
+    elif part is _ZERO:
+        totals, den = list(map(operator.sub, n, nt)), 2 * D
+    else:
+        totals, den = [3 * (x + y) for x, y in zip(n, nt)], 6 * D
+        for i in (0, 4, 8):
+            totals[i] -= 2 * tr
+    return _form(a.field, totals, den)
 
 
 def cal_L(k, a: GForm) -> GForm:
@@ -515,20 +456,14 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     """
     if k in (-2, -1, 1):  # k + eigenvalue vanishes on some part
         raise ResonantOrder(k, [part for part in EigenPart if k + part.eigenvalue(1) == 0])
-    if rhs.field.exact:
-        (n, D), (l, q) = _read(rhs), k.as_integer_ratio()
-        tr = n[0] + n[4] + n[8]
-        return _form(rhs.field, [
-            (n[4 * i] * (l + 2 * q) - q * tr) * (l + q) * q if i == j
-            else (l * n[3 * i + j] + q * n[3 * j + i]) * (l + 2 * q) * q
-            for i in range(3) for j in range(3)], D * (l + 2 * q) * (l * l - q * q))
-    r = rhs.entries()
-    with context(rhs.field):
-        less, square = k - 1, k * k - 1  # the divisors, formed once
-        trace = (r[0] + r[4] + r[8]) / ((k + 2) * less)
-        return GForm.from_entries(rhs.field, [
-            r[4 * i] / less - trace if i == j else (k * r[3 * i + j] + r[3 * j + i]) / square
-            for i in range(3) for j in range(3)])
+    if not rhs.field.exact:
+        return _float.invert_cal_L(k, rhs)
+    (n, D), (l, q) = _read(rhs), k.as_integer_ratio()
+    tr = n[0] + n[4] + n[8]
+    return _form(rhs.field, [
+        (n[4 * i] * (l + 2 * q) - q * tr) * (l + q) * q if i == j
+        else (l * n[3 * i + j] + q * n[3 * j + i]) * (l + 2 * q) * q
+        for i in range(3) for j in range(3)], D * (l + 2 * q) * (l * l - q * q))
 
 
 def resolve_coupled(lam, R: GForm, S: GForm):
@@ -560,38 +495,21 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     if R.degree != 1 or S.degree != 0:
         raise ValueError("resolve_coupled needs (degree-1, degree-0) data")
     field = R.field
-    if field.exact:
-        (l, q), (n, D), (s, DS) = lam.as_integer_ratio(), _read(R), _read(S)
-        if not (l + q) * (l - 2 * q):
-            raise SingularLambda(lam)
-        tr, a, phi = n[0] + n[4] + n[8], [0] * 9, [0] * 3
-        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
-            a[4 * i] = 2 * q * DS * ((3 * n[4 * i] - tr) * (l - 2 * q) + tr * (l + q))
-            curl = n[3 * i + j] - n[3 * j + i]
-            sym = 3 * q * DS * (l - 2 * q) * (n[3 * i + j] + n[3 * j + i])
-            anti = 3 * q * (l * DS * curl - 2 * q * D * s[m])
-            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
-            phi[m] = 6 * q * ((l - q) * D * s[m] - q * DS * curl)
-        den = 6 * D * DS * (l + q) * (l - 2 * q)
-        return _form(field, a, den), _form(field, phi, den)
-    lam_s = field.from_fraction(lam) if isinstance(lam, Fraction) else lam
-    with context(field):
-        plus, minus = lam_s + 1, lam_s - 2  # the divisors on V+ and V-
-        d = plus * minus
-        if field.is_zero(d):
-            raise SingularLambda(lam)
-        r, s, twice, less = R.entries(), S.entries(), 2 * plus, lam_s - 1  # formed once
-        t = (r[0] + r[4] + r[8]) / 3
-        a = [(r[n] - t) / plus + t / minus if n % 4 == 0 else None for n in range(9)]
-        phi = [None] * 3
-        for i, j, m, _ in _EPS[:3]:  # the cyclic triples, eps_ijm = 1
-            rij, rji = r[3 * i + j], r[3 * j + i]
-            sym = (rij + rji) / twice
-            curl = rij - rji  # 2 Theta_ij = Gamma(Theta)_m
-            anti = (lam_s * curl / 2 - s[m]) / d
-            a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
-            phi[m] = (less * s[m] - curl) / d
-        return GForm.from_entries(field, a), GForm(field, 0, tuple(phi))
+    if not field.exact:
+        return _float.resolve_coupled(lam, R, S)
+    (l, q), (n, D), (s, DS) = lam.as_integer_ratio(), _read(R), _read(S)
+    if not (l + q) * (l - 2 * q):
+        raise SingularLambda(lam)
+    tr, a, phi = n[0] + n[4] + n[8], [0] * 9, [0] * 3
+    for i, j, m, _ in _EPS[:3]:  # the cyclic triples, as below
+        a[4 * i] = 2 * q * DS * ((3 * n[4 * i] - tr) * (l - 2 * q) + tr * (l + q))
+        curl = n[3 * i + j] - n[3 * j + i]
+        sym = 3 * q * DS * (l - 2 * q) * (n[3 * i + j] + n[3 * j + i])
+        anti = 3 * q * (l * DS * curl - 2 * q * D * s[m])
+        a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
+        phi[m] = 6 * q * ((l - q) * D * s[m] - q * DS * curl)
+    den = 6 * D * DS * (l + q) * (l - 2 * q)
+    return _form(field, a, den), _form(field, phi, den)
 
 
 # ---------------------------------------------------------------------------
@@ -753,3 +671,6 @@ def leading_order_structure(sigma: int) -> LeadingOrders:
             plus=dims[EigenPart.Plus],
         ),
     )
+
+
+from . import _float  # noqa: E402  (the float route builds on the names above)

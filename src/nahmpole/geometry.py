@@ -10,7 +10,8 @@ Only frame-constant data is admitted, so every differential operator in the
 package reduces to finite-dimensional exact linear algebra.  The linear maps
 of the flow, ``*d_omega``, ``d_omega`` and ``d_omega^*``, are the bilinear
 kernels of :mod:`nahmpole.algebra` with ``W`` as one argument, plus a term
-in ``c``, summed in integers over exact scalars (:func:`_frame_terms`).
+in ``c``, summed in integers over exact scalars (:func:`_frame_terms`); a
+float background takes the scalar formulas of :mod:`nahmpole._float`.
 
 The flow equations are stated once, as data beside those operators: the
 term tables ``POLE_TERMS``, ``FRAME_TERMS`` and ``PAIR_TERMS``, compiled
@@ -36,11 +37,13 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _float
+from ._float import connection_form, einstein_undecided, levi_civita, torsion_residual
 from .algebra import (
-    _EPS, _TABLES, EigenPart, GForm, L_op, _form, _integer_sum, _kernel_sum, _products,
-    _ratios, _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, GForm, L_op, _form, _integer_sum, _kernel_sum, _ratios, _read,
+    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
-from .scalars import FloatField, RationalField, arithmetic, context
+from .scalars import FloatField, RationalField
 
 __all__ = [
     "FrameBackground", "levi_civita", "torsion_residual", "connection_form",
@@ -48,72 +51,6 @@ __all__ = [
     "d_omega_star", "POLE_TERMS", "FRAME_TERMS", "PAIR_TERMS", "builtin",
     "builtin_names", "load_background", "background_to_json",
 ]
-
-
-def _tensor3(f):
-    """The 3x3x3 tuple ``t[k][i][j] = f(k, i, j)``."""
-    return tuple(tuple(tuple(f(k, i, j) for j in range(3)) for i in range(3))
-                 for k in range(3))
-
-
-def levi_civita(field, c):
-    """Levi-Civita frame coefficients of structure constants ``c``.
-
-    Koszul formula in an orthonormal frame:
-    ``G^k_ij = 1/2 (c^k_ij - c^i_jk + c^j_ki)`` with ``nabla_{e_i} e_j =
-    G^k_ij e_k``.  The result is the unique metric-compatible torsion-free
-    frame connection (both residuals checkable below).
-    """
-    half = field.constant(Fraction(1, 2))
-    with context(field):
-        return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
-
-
-def torsion_residual(field, c, conn):
-    """``G^k_ij - G^k_ji - c^k_ij`` (identically zero for Levi-Civita)."""
-    with context(field):
-        return _tensor3(lambda k, i, j: conn[k][i][j] - conn[k][j][i] - c[k][i][j])
-
-
-def connection_form(field, conn) -> GForm:
-    """su(2) connection form ``W`` of the so(3) frame coefficients.
-
-    ``W[c][i] = -1/2 sum_{k,j} eps_{ckj} G^k_ij`` under the identification of
-    antisymmetric matrices with su(2) used everywhere in this package.
-    """
-    rows = [[field.zero] * 3 for _ in range(3)]
-    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
-    with context(field):
-        for cc, k, j, s in _EPS:
-            for i in range(3):
-                rows[cc][i] = rows[cc][i] - conn[k][i][j] * half[s]
-    return GForm(field, 1, tuple(tuple(r) for r in rows))
-
-
-def _star_d_terms(field, c):
-    """The terms ``(i, m, c^i_jk, +-1/2)`` of :func:`_star_d`, one per nonzero
-    ``c^i_jk`` and ``eps_{jkm} = +-1``."""
-    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
-    return tuple((i, m, c[i][j][k], half[s]) for j, k, m, s in _EPS for i in range(3)
-                 if c[i][j][k])
-
-
-def _star_d(field, terms, x: GForm):
-    """``*(d x)`` of a frame-constant degree-1 form, as a slot list in
-    :meth:`GForm.entries` order, by the scalar formula
-    ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}`` over ``terms``, the
-    :func:`_star_d_terms` of ``c`` (a float background keeps them as its frame),
-    rounding through the field's :func:`~nahmpole.scalars.arithmetic`.  Zeros
-    of ``x`` are skipped, as ``terms`` skip those of ``c``.
-    """
-    mul, _, sub = arithmetic(field)
-    xc = x.coeffs
-    out = [field.zero] * 9
-    for i, m, cijk, half in terms:
-        for a in range(3):
-            if xc[a][i]:
-                out[3 * a + m] = sub(out[3 * a + m], mul(mul(xc[a][i], cijk), half))
-    return out
 
 
 def _star_d_ints(frame, xs):
@@ -130,20 +67,20 @@ def star_d(bg, x: GForm) -> GForm:
     connection term; compare :func:`star_d_omega`): over exact scalars, on the
     background's integer frame (:func:`_exact_frame`) and the reading of ``x``,
     ``(*dx)[a][m] = -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)`` with
-    one gcd; over floats :func:`_star_d` of the background's terms."""
+    one gcd; over floats ``_float._star_d`` of the background's terms."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
     if not bg.field.exact:
-        return GForm.from_entries(bg.field, _star_d(bg.field, bg._frame, x))
+        return GForm.from_entries(bg.field, _float._star_d(bg.field, bg._frame, x))
     xs, dx = _read(x)
     return _form(bg.field, _star_d_ints(bg._frame, xs), dx * bg._frame[2])
 
 
 def _exact_frame(field, c):
-    """``(conn, W, *F, frame)`` of exact ``c`` on one integer reading ``n / D``, with
+    """``(conn, W, *F, frame, None)`` of exact ``c`` on one integer reading ``n / D``, with
     the scalar route's refusals: ``W`` over ``4D`` and ``*F = *dW + 1/2 *[W, W]^`` are
     readings; ``frame`` is ``star_d``'s cyclic terms ``(i, m, n^i_jk)``,
-    ``d_omega_star``'s traces ``(i, sum_k n^k_ik)`` and ``D``."""
+    ``d_omega_star``'s traces ``(i, sum_k n^k_ik)`` and ``D``; no zero-test scale."""
     flat, D = _ratios([v for plane in c for row in plane for v in row])
     r = range(3)
     n = [[flat[9 * k + 3 * i:9 * k + 3 * i + 3] for i in r] for k in r]  # D c^k_ij
@@ -163,7 +100,7 @@ def _exact_frame(field, c):
     ws, dw = W._ints  # 1/2 *[W, W]^ as *[W, W]^ over 2 dw dw
     starF = _integer_sum(field, 9, [(1, _star_d_ints(frame, ws), dw * D, None, None, 1),
                                     (1, ws, 2 * dw, star_wedge, ws, dw)])
-    return conn, W, starF, frame
+    return conn, W, starF, frame, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +126,7 @@ class FrameBackground:
     starF: GForm
     volume: object = None
     _frame: tuple = None  # the frame tables: integers (exact), the *d terms (float)
+    _scale: object = None  # the scale of zero tests on *F: none (exact), W's (float)
 
     def __post_init__(self):  # the columns of M0, built on first read
         object.__setattr__(self, "_columns", _Columns(FRAME_TERMS, self))
@@ -198,39 +136,22 @@ class FrameBackground:
         """The background of ``c_rows`` over ``field`` (rational by default):
         derived on one integer reading of ``c`` over exact scalars, which
         keep a ``Fraction`` entry as it is (:func:`_exact_frame`), by the
-        scalar formulas over floats, whose background keeps the terms of
-        ``*d``, with their +-1/2 converted once, as its frame
-        (:func:`_star_d` rounds through the field's context methods).  Raises
-        ``ValueError`` unless ``c`` is antisymmetric with no antisymmetric
-        Ricci part.  Nothing is kept across calls."""
+        scalar formulas over floats (``_float.frame``), whose background keeps
+        the terms of ``*d``, with their +-1/2 converted once, as its frame,
+        and the scale of its zero tests on ``*F``.  Raises ``ValueError``
+        unless ``c`` is antisymmetric with no antisymmetric Ricci part.
+        Nothing is kept across calls."""
         field = field or RationalField()
-        keep = Fraction if field.exact else None
-        c = tuple([tuple([tuple([v if type(v) is keep or not isinstance(v, (int, Fraction))
-                                 else field.from_fraction(v) for v in row]) for row in plane])
-                   for plane in c_rows])
-        if field.exact:
-            conn, W, starF, frame = _exact_frame(field, c)
-        else:
-            bound = field.bound(field.scale(v for plane in c for row in plane for v in row))
-            with context(field):
-                for k, i, j in itertools.product(range(3), repeat=3):
-                    if (c[k][i][j] + c[k][j][i]).copy_abs() > bound:
-                        raise ValueError("structure constants not antisymmetric "
-                                         f"at c^{k}_{{{i}{j}}}")
-            conn = levi_civita(field, c)
-            if not field.within((v for plane in torsion_residual(field, c, conn)
-                                 for row in plane for v in row), bound):
-                raise AssertionError("Koszul output has torsion")
-            W, frame = connection_form(field, conn), _star_d_terms(field, c)
-            starF = GForm.from_entries(field, _star_d(field, frame, W)) + star_wedge(
-                W, W).scale(field.constant(Fraction(1, 2)))
-        if not project(starF, EigenPart.Zero).is_zero(_curvature_scale(field, W)):
+        c = tuple([tuple([tuple([field.from_fraction(v) if isinstance(v, (int, Fraction))
+                                 else v for v in row]) for row in plane]) for plane in c_rows])
+        conn, W, starF, frame, scale = (_exact_frame if field.exact else _float.frame)(field, c)
+        if not project(starF, EigenPart.Zero).is_zero(scale):
             raise ValueError(
                 "curvature has an antisymmetric Ricci part; the structure "
                 "constants do not define a homogeneous Riemannian geometry"
             )
         return FrameBackground(name=name, field=field, c=c, conn=conn, W=W, starF=starF,
-                               volume=volume, _frame=frame)
+                               volume=volume, _frame=frame, _scale=scale)
 
     def is_einstein(self) -> bool:
         return is_einstein(self)
@@ -239,29 +160,11 @@ class FrameBackground:
         return f"FrameBackground({self.name!r})"
 
 
-def _curvature_scale(field, W: GForm):
-    """Scale of zero tests on ``*F``: its terms are ``c W``, ``W W``; |c| <= 2 max|W|.
-    None over exact scalars, whose zero test reads no scale."""
-    if field.exact:
-        return None
-    with context(field):
-        return field.scale(w * w for w in W.entries())
-
-
 def is_einstein(bg: FrameBackground) -> bool:
     """True iff ``(*F_omega)^+`` is zero by the field's rule: exactly over
     exact scalars, against the scale of the terms of ``*F`` over floats.
     ``series.seed_leading`` stores the obstruction ``b_{1,1}`` by this verdict."""
-    return project(bg.starF, EigenPart.Plus).is_zero(_curvature_scale(bg.field, bg.W))
-
-
-def einstein_undecided(bg: FrameBackground) -> bool:
-    """Whether the field's precision cannot decide :func:`is_einstein`:
-    ``(*F_omega)^+`` is zero against the terms of ``*F`` but not against
-    ``*F`` itself, a visible part of the curvature below the round-off of
-    the terms that make it.  Never over exact scalars."""
-    return not bg.field.exact and is_einstein(bg) and not project(
-        bg.starF, EigenPart.Plus).is_zero(bg.field.scale(bg.starF.entries()))
+    return project(bg.starF, EigenPart.Plus).is_zero(bg._scale)
 
 
 def _frame_terms(bg: FrameBackground, op, x: GForm):
@@ -291,14 +194,13 @@ def d_omega(bg: FrameBackground, x: GForm) -> GForm:
 
 def star_d_omega(bg: FrameBackground, x: GForm) -> GForm:
     """``* d_omega x`` for a degree-1 form: ``*(dx) + *[W, x]^``, one integer
-    sum over exact scalars (:func:`_frame_terms`), over floats the products of
-    ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
+    sum over exact scalars (:func:`_frame_terms`), over floats
+    ``_float.star_d_omega``."""
     if x.degree != 1:
         raise ValueError("star_d_omega needs a degree-1 form")
-    if bg.field.exact:
-        return _integer_sum(bg.field, 9, _frame_terms(bg, star_d_omega, x))
-    out = _star_d(bg.field, bg._frame, x)
-    return GForm.from_entries(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
+    if not bg.field.exact:
+        return _float.star_d_omega(bg, x)
+    return _integer_sum(bg.field, 9, _frame_terms(bg, star_d_omega, x))
 
 
 def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
@@ -307,20 +209,13 @@ def d_omega_star(bg: FrameBackground, x: GForm) -> GForm:
     For frame-constant coefficients this is the trace term
     ``sum_i x[a][i] sum_k c^k_ik``, nonzero exactly on the non-unimodular
     models, minus ``*[W, *x]``: the background's integer traces over exact
-    scalars (:func:`_frame_terms`), over floats skipping zeros of ``c`` and
-    ``x``, the products of ``*[W, *x]`` taken from the trace term's slot list.
+    scalars (:func:`_frame_terms`), over floats ``_float.d_omega_star``.
     """
     if x.degree != 1:
         raise ValueError("d_omega_star needs a degree-1 form")
-    if bg.field.exact:
-        return _integer_sum(bg.field, 3, _frame_terms(bg, d_omega_star, x))
-    (mul, add, _), xs, out = arithmetic(bg.field), x.entries(), [bg.field.zero] * 3
-    for i, k in itertools.product(range(3), repeat=2):
-        if ckik := bg.c[k][i][k]:  # a trace term: the frame may be non-unimodular
-            for a in range(3):
-                if xs[3 * a + i]:
-                    out[a] = add(out[a], mul(xs[3 * a + i], ckik))
-    return GForm.from_entries(bg.field, _products(bg.field, out, -1, bg.W, star_bracket_star, x))
+    if not bg.field.exact:
+        return _float.d_omega_star(bg, x)
+    return _integer_sum(bg.field, 3, _frame_terms(bg, d_omega_star, x))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +271,8 @@ class _Columns(dict):
         bg = self.bg and self.bg()
         field = bg.field if bg else _RATIONAL
         j = (u >= 9) + (u >= 18)  # slot u is in a, b or phi_y
-        unit = [int(n == u) for n in range(_SLOTS[j], _SLOTS[j] + (9 if j < 2 else 3))]
-        x = (_form(field, unit, 1) if field.exact  # a float op needs field elements
-             else GForm.from_entries(field, [field.one if n else field.zero for n in unit]))
+        x = GForm.from_entries(field, [field.one if n == u else field.zero
+                                       for n in range(_SLOTS[j], _SLOTS[j] + (9 if j < 2 else 3))])
         # each nonzero entry of each image as (n, q), a float one by as_integer_ratio
         images = [(_SLOTS[i] + o, c, (v, d) if d else v.as_integer_ratio())
                   for i, op, k, c in self.terms if k == j

@@ -12,20 +12,18 @@ provided:
   field owns the :class:`decimal.Context` they are computed in.
 
 ``Decimal`` operators round to the thread's current context, so float
-arithmetic never uses the thread's own.  The per-term loops of a float
-solve step (``algebra._products``, ``geometry._star_d`` and the slot sums of
-``_kernel_sum`` and ``series._sum``) round through the methods of the field's
-context, :func:`arithmetic`, which round exactly as the operators do under
-it; any other routine that computes on float elements enters the field's
-context once per call (:func:`context`, a ``decimal.localcontext``), and
-the zero tests round nothing (``copy_abs`` and ``copy_negate``).  Fields
+arithmetic never uses the thread's own.  The per-term loops of a float solve
+step (``_products``, ``_star_d`` and the slot sums of ``_kernel_sum`` and
+``_sum``, in :mod:`nahmpole._float`) round through a field's ``ops``, the
+methods of its context, which round as the operators do under it; any other
+float routine enters the context once per call (:func:`context`), and the
+zero tests round nothing (``copy_abs`` and ``copy_negate``).  Fields
 of different precision therefore coexist in one process.  An ``int`` or
 ``Fraction`` constant reaches a float element only through
 :meth:`FloatField.from_fraction`, or :meth:`FloatField.constant` for a term
 coefficient of the engine's tables, converted once per field: a ``Decimal``
 refuses a ``Fraction`` or a native ``float`` operand with ``TypeError``.
-Rational scalars, and the native floats of the flow integrator's form
-views, take the plain operators.
+Rational scalars take the plain operators, which are their ``ops``.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons.  An
 element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
@@ -41,7 +39,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-__all__ = ["RationalField", "FloatField", "context", "arithmetic"]
+__all__ = ["RationalField", "FloatField", "context"]
 
 
 #: The largest decimal exponent a rational literal may carry: Python's
@@ -60,6 +58,7 @@ class RationalField:
 
     name = "rational"
     exact = True
+    ops = (operator.mul, operator.add, operator.sub)  # (mul, add, sub), rounding nothing
 
     def __init__(self) -> None:
         self.zero = Fraction(0)
@@ -133,7 +132,7 @@ class FloatField:
         self.zero = Decimal(0)
         self.one = Decimal(1)
         self.tolerance = Decimal(1).scaleb(-(3 * self.digits // 4), self.ctx)
-        self.ops = (self.ctx.multiply, self.ctx.add, self.ctx.subtract)
+        self.ops = (self.ctx.multiply, self.ctx.add, self.ctx.subtract)  # round as the operators
         self._constants = {}
 
     def from_int(self, n: int) -> Decimal:
@@ -213,14 +212,3 @@ def context(field):
     native floats of the form views of a flow state)."""
     ctx = getattr(field, "ctx", None)
     return _NO_CONTEXT if ctx is None else decimal.localcontext(ctx)
-
-
-_OPERATORS = (operator.mul, operator.add, operator.sub)
-
-
-def arithmetic(field):
-    """``(mul, add, sub)`` over ``field``: the ``multiply``, ``add`` and
-    ``subtract`` methods of a :class:`FloatField`'s ``ctx``, which round as
-    ``*``, ``+`` and ``-`` do under :func:`context`, and the plain operators
-    for any field without ``ops`` (rationals, native floats)."""
-    return getattr(field, "ops", _OPERATORS)

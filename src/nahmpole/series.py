@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 
+from . import _float
 from .algebra import (
     _PARTS, EigenPart, GForm, _form, _integer_sum, _kernel_sum, _ratios, _read, bracket_0_1,
     gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
@@ -99,15 +99,15 @@ class PhgSeries:
         ``terms`` set the scale of the field's zero test: a solve step's
         terms and the entries they read, as forms or slot lists, or a parsed
         entry's own forms.  So over float scalars, small genuine values stay
-        and round-off goes; the bound ``tolerance * scale`` is formed once
-        per store, and a form is zero when its entries lie within it.
+        and round-off goes: a form is zero when its entries lie within
+        ``tolerance * scale``.  Exact scalars read no scale, nor its terms.
         """
-        bound = None if self.field.exact else self.field.bound(self.field.scale(
-            chain.from_iterable(t.entries() if isinstance(t, GForm) else t for t in terms)))
+        scale = self.field.scale(
+            chain.from_iterable(t.entries() if isinstance(t, GForm) else t for t in terms))
         for table, form in ((self._a, a), (self._b, b), (self._phi, phi_y)):
             if form is None:
                 continue
-            if form.is_zero() if bound is None else self.field.within(form.entries(), bound):
+            if form.is_zero(scale):
                 table.pop((k, p), None)
             else:
                 table[(k, p)] = form
@@ -239,19 +239,10 @@ def _sum(field, degree: int, terms, images=(), bg=None):
     slot lists of a float sum's parts (a store's scale).  Over exact scalars
     it is summed in integers, an image stated as its terms (summing these
     linear terms through :func:`~nahmpole.algebra._kernel_sum` as well slowed
-    an exact ``expand`` about 5% on a 2-core Xeon); over floats the
-    images, then the terms, each a slot list, are added slot by slot with
-    ``ctx.add``, from the first one's entries, with no form built between."""
+    an exact ``expand`` about 5% on a 2-core Xeon); over floats by
+    ``_float._sum``."""
     if not field.exact:
-        ctx = field.ctx
-        parts = [op(bg, x).entries() for op, x in images if x] + [
-            x.entries() if c == 1 else list(map(ctx.minus, x.entries())) if c == -1
-            else list(map(ctx.multiply, x.entries(), repeat(field.constant(c))))
-            for c, x in terms if x]
-        total = parts[0] if parts else [field.zero] * (9 if degree else 3)
-        for part in parts[1:]:
-            total = list(map(ctx.add, total, part))
-        return GForm.from_entries(field, total), parts
+        return _float._sum(field, degree, terms, images, bg)
     read = [term for op, x in images if x for term in _frame_terms(bg, op, x)]
     read += [(c, *(x._ints or _read(x)), None, None, 1) for c, x in terms if x]
     return _integer_sum(field, 9 if degree else 3, read), []
@@ -387,16 +378,20 @@ def assert_parity(series: PhgSeries):
             for k, p in sorted(table) if k % 2 == wrong]
 
 
+def _exactly(form):
+    """A form's entries at their exact values as ``(numerators, denominator)``: a float
+    form's ratios of its decimals are not kept on it, as its reading picks the kernels' loop."""
+    return form._ints or _read(form) if form.field.exact else _ratios(form.entries())
+
+
 def _reading(series: PhgSeries, at):
     """The entry at ``at`` as the nonzero ``(slot, numerator)`` of its 21 slots
-    ``(a | b | phi_y)`` over one denominator, kept on the series as long as
-    its three stored forms are the same objects.  A float form is read as the
-    exact ratios of its decimals, not kept on it: its reading picks the kernels' loop."""
+    ``(a | b | phi_y)`` over one denominator (:func:`_exactly`), kept on the
+    series as long as its three stored forms are the same objects."""
     a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
     kept = series._readings.get(at)
     if kept is None or kept[0] is not a or kept[1] is not b or kept[2] is not phi:
-        parts = [(start, f._ints or _read(f) if f.field.exact else _ratios(f.entries()))
-                 for start, f in zip(_SLOTS, (a, b, phi)) if f]
+        parts = [(start, _exactly(f)) for start, f in zip(_SLOTS, (a, b, phi)) if f]
         den = math.lcm(*(d for _, (_, d) in parts))
         kept = series._readings[at] = a, b, phi, ([(start + u, n * (den // d)) for start, (
             ns, d) in parts for u, n in enumerate(ns) if n], den)
@@ -437,7 +432,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
     that no term reaches, builds no form: it is the series' three shared zero
     readings.  Else over exact scalars the totals are returned as readings (no
     ``Fraction``); over floats each is rounded once, or is an exact zero
-    against its equation's scale (:func:`_rounded`).
+    against its equation's scale (``_float._rounded``).
     """
     field, bg, terms = series.field, series.background, []
     if bg is None:
@@ -451,7 +446,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
                 out, e = ((), 1) if columns is None else columns[u]
                 terms.append((n * e, u, x, d * e, out))
     if (K, p) == (1, 0):  # -*F_w
-        ns, d = _read(bg.starF) if field.exact else _ratios(bg.starF.entries())
+        ns, d = _exactly(bg.starF)
         terms += [(-1, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
     # over 4 den: Q(v1, v2) + Q(v2, v1) is twice 4Q off the diagonal, Q(v, v) once on it
     depths = series._depths or _stored_depths(series)
@@ -477,40 +472,9 @@ def residual_at(series: PhgSeries, K: int, p: int):
                     acc[o] -= c * x * y
     if not any(acc):  # a verified cell
         return series._zeros
-    if field.exact:
-        return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
-    return _rounded(field, acc, terms, pairs, den)
-
-
-def _rounded(field, acc, terms, pairs, den):
-    """The float residual of :func:`residual_at`'s ``terms`` and ``pairs``,
-    whose totals ``acc`` are over ``4 den``: each total rounded once, or an
-    exact zero where ``|total| <= tolerance * scale``, decided in integers.
-    An equation's scale is the largest per-slot sum of ``|term|`` in it (a
-    linear term can cancel to round-off: ``K b + L(b)`` on V+, a curl), so
-    the verdict does not hang on the summation order of the solver (Higham
-    2002, ch. 3)."""
-    mag = [0] * 21
-    for n, u, x, d, rows in terms:
-        x = abs(x) * 4 * (den // d)
-        mag[u] += abs(n) * x
-        for o, c in rows:
-            mag[o] += abs(c) * x
-    for xs, dx, ys, dy, weight in pairs:
-        f = weight * (den // (dx * dy))
-        for u, x in xs:
-            row, x = _PAIR_4Q[u], f * abs(x)
-            for w, y in ys:
-                for o, c in row.get(w, ()):
-                    mag[o] += abs(c * y) * x
-    tn, td = field.tolerance.as_integer_ratio()
-    D, out = Decimal(4 * den), []
-    for lo, hi in zip(_SLOTS, (9, 18, 21)):
-        bound = tn * max(mag[lo:hi]) // td  # over 4 den, floored
-        out.append(GForm.from_entries(field, [
-            field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
-            for t in acc[lo:hi]]))
-    return tuple(out)
+    if not field.exact:
+        return _float._rounded(field, acc, terms, pairs, den)
+    return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
 
 
 def check_residuals(series: PhgSeries, through: int = None):
@@ -520,10 +484,10 @@ def check_residuals(series: PhgSeries, through: int = None):
     K = order+1 (whose coefficients the last solve step determined), at every
     log depth up to one past the stored maximum.  Returns the list of
     ``(K, p, name)`` addresses with nonzero residual -- empty means the
-    series is an exact solution of the coefficient system.  Over float
-    scalars a residual is zero when :func:`residual_at` returns it as exact
-    zeros (its exact total negligible next to its terms); an exact one is
-    tested on its reading.  It makes one :func:`residual_at` call per
+    series is an exact solution of the coefficient system.  A residual is
+    zero when its reading's numerators are: over float scalars
+    :func:`residual_at` returns a total negligible next to its terms as an
+    exact zero.  It makes one :func:`residual_at` call per
     ``(K, p)``, on either field one route, and these share the 21-slot
     reading kept for each stored address; a verified cell builds no form.
 
@@ -533,13 +497,13 @@ def check_residuals(series: PhgSeries, through: int = None):
     N = through if through is not None else series.order
     if not 1 <= N <= series.order:
         raise ValueError(f"through={N} is outside the computed orders 1..{series.order}")
-    pmax, exact, zeros = series.max_p() + 1, series.field.exact, series._zeros
+    pmax, zeros = series.max_p() + 1, series._zeros
     series._depths = _stored_depths(series)
     try:
         return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
                 if (cell := residual_at(series, K, p)) is not zeros  # else a verified cell
                 for R, name in zip(cell, ("a", "b", "phi_y"))
-                if (name != "b" or K <= N) and (not R.is_zero() if exact else any(R.entries()))]
+                if (name != "b" or K <= N) and any(_read(R)[0])]
     finally:
         series._depths = None
 
@@ -630,7 +594,8 @@ def from_json(text: str, background: FrameBackground = None,
     if background is not None and background.field.exact != field.exact:
         raise ValueError(f"a {field.name} series cannot be read on a "
                          f"{background.field.name} background")
-    if background is not None and not field.exact and background.field.bits != field.bits:
+    if background is not None and getattr(background.field, "bits", 0) != getattr(
+            field, "bits", 0):
         raise ValueError(f"a {field.bits}-bit float series cannot be read on a "
                          f"{background.field.bits}-bit float background")
     series = PhgSeries(background=background, field=field,

@@ -4,7 +4,7 @@ No code path of the package calls these: they are independent routes that
 cross-check the Koszul connection and the ``(*F)^+`` Einstein test.
 """
 
-from nahmpole.geometry import _tensor3
+from nahmpole._float import _tensor3
 from nahmpole.scalars import context
 
 

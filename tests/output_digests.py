@@ -6,9 +6,14 @@ and prints as sorted JSON the sha256 of ``(exit code, stdout, stderr)`` for
 * ``expand`` at N=12 on flat, round-s3, hyperbolic-h3, h2xr and berger-s3 at
   squash 2, 5 and 3/7, in each format (json, csv, pretty) and in rational,
   64-bit and 128-bit float scalars (63 runs);
+* json ``expand`` at N=24 on berger-s3 at squash 3/7 and 2, in 64-bit and
+  128-bit float scalars (4 runs): squash 3/7's float frame is not its exact
+  frame rounded once, so these rows watch the float frame route at depth;
 * each ``verify`` suite;
 * ``ode-compare s3`` with its defaults;
-* ``backgrounds``.
+* ``backgrounds``;
+
+74 runs in all.
 
 ``SRC`` is the directory that ``nahmpole`` is imported from, by default this
 checkout's ``src``.  To check that a change moves no output byte, run it on
@@ -44,6 +49,10 @@ def runs():
                                            "--order", "12", "--format", fmt, *flags]
            for bg in BACKGROUNDS for fmt in ("json", "csv", "pretty")
            for scalar, flags in SCALARS.items()}
+    out.update({f"expand {bg} json {scalar} N=24": [
+        "expand", "--background", f"builtin:{bg}", "--order", "24", "--format", "json",
+        *SCALARS[scalar]] for bg in ("berger-s3?squash=3/7", "berger-s3?squash=2")
+        for scalar in ("64", "128")})
     out.update({f"verify {suite}": ["verify", suite] for suite in SUITES})
     out["ode-compare s3"] = ["ode-compare", "s3"]
     out["backgrounds"] = ["backgrounds"]

@@ -4,7 +4,7 @@ Over exact scalars ``FrameBackground.from_structure_constants`` reads ``c``
 once as integer numerators over one denominator and derives ``conn``, ``W``
 and ``*F`` on them.  The oracle is the scalar route the float backgrounds
 still take: :func:`levi_civita`, :func:`connection_form` and
-``geometry._star_d`` plus ``1/2 *[W, W]^``, in ``Fraction`` arithmetic.
+``_float._star_d`` plus ``1/2 *[W, W]^``, in ``Fraction`` arithmetic.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from nahmpole import cli, geometry
+from nahmpole import _float, cli
 from nahmpole.algebra import EigenPart, GForm, _read, project, star_wedge
 from nahmpole.geometry import (FrameBackground, connection_form, levi_civita,
                                load_background)
@@ -33,8 +33,8 @@ RICCI = ("curvature has an antisymmetric Ricci part; the structure "
 def _scalar_route(c):
     """``(conn, W, *F)`` of ``c`` by the scalar formulas."""
     conn = levi_civita(FIELD, c)
-    W, terms = connection_form(FIELD, conn), geometry._star_d_terms(FIELD, c)
-    starF = (GForm.from_entries(FIELD, geometry._star_d(FIELD, terms, W))
+    W, terms = connection_form(FIELD, conn), _float._star_d_terms(FIELD, c)
+    starF = (GForm.from_entries(FIELD, _float._star_d(FIELD, terms, W))
              + star_wedge(W, W).scale(Fraction(1, 2)))
     return conn, W, starF
 

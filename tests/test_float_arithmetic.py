@@ -1,7 +1,7 @@
 """Where float arithmetic rounds, and what the exact verdicts leave unbuilt.
 
 The float kernel sums of ``algebra._kernel_sum`` and the frame table of
-``geometry._star_d`` round through the methods of the field's context, not
+``_float._star_d`` round through the methods of the field's context, not
 through operators under an entered context.  Those methods round as the
 operators do under that context, so a sum must come out digit for digit as
 the operators give it inside ``decimal.localcontext(field.ctx)``, whatever
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nahmpole import cli, geometry, scalars
+from nahmpole import _float, cli, scalars
 from nahmpole.algebra import (_TABLES, GForm, _kernel_sum, bracket_0_1, star_bracket_star,
                               star_wedge)
 from nahmpole.geometry import einstein_undecided, is_einstein, load_background
@@ -39,23 +39,23 @@ def hostile():
 
 def test_float_path_calls_star_d_through_the_module(monkeypatch):
     # test_series.py::test_float_residual_scale_covers_frame_products swaps
-    # geometry._star_d for another summation order; it is void unless the
+    # _float._star_d for another summation order; it is void unless the
     # float path reaches *dx through that module global
     calls = []
-    real = geometry._star_d
+    real = _float._star_d
 
     def counted(field, terms, x):
         calls.append(terms)
         return real(field, terms, x)
 
-    monkeypatch.setattr(geometry, "_star_d", counted)
+    monkeypatch.setattr(_float, "_star_d", counted)
     bg = load_background("builtin:berger-s3?squash=2", FloatField(64))
     loaded = len(calls)
     expand(bg, N=6)
     assert 0 < loaded < len(calls)
     # every call reads the background's own frame: the *d terms of its c
     assert all(terms is bg._frame for terms in calls)
-    assert bg._frame == geometry._star_d_terms(bg.field, bg.c)
+    assert bg._frame == _float._star_d_terms(bg.field, bg.c)
 
 
 _value = st.one_of(st.just(0), st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,

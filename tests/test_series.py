@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nahmpole import geometry, series as series_module
+from nahmpole import _float, series as series_module
 from nahmpole.algebra import (
     EigenPart,
     GForm,
@@ -610,7 +610,7 @@ def test_float_residuals_vanish(uri, tmp_path):
 
 def _cyclic_star_d(field, terms, x):
     """``*(dx)`` summed over the cyclic terms (``half > 0``) of ``terms`` without
-    the 1/2: the same map as ``geometry._star_d``, with another float summation
+    the 1/2: the same map as ``_float._star_d``, with another float summation
     order."""
     out = [field.zero] * 9
     for i, m, cijk, half in terms:
@@ -626,10 +626,10 @@ def test_float_residual_scale_covers_frame_products(tmp_path, monkeypatch):
     # (8, 0, 'phi_y') once *dx summed in this order
     source = rotated_h3_file(tmp_path, 10**5)
     exact = load_background(source, RationalField())
-    x, terms = exact.W + exact.starF, geometry._star_d_terms(exact.field, exact.c)
+    x, terms = exact.W + exact.starF, _float._star_d_terms(exact.field, exact.c)
     assert (_cyclic_star_d(exact.field, terms, x)
-            == geometry._star_d(exact.field, terms, x))
-    monkeypatch.setattr(geometry, "_star_d", _cyclic_star_d)
+            == _float._star_d(exact.field, terms, x))
+    monkeypatch.setattr(_float, "_star_d", _cyclic_star_d)
     got = expand(load_background(source, FloatField(64)), N=16)
     assert check_residuals(got) == []
 
