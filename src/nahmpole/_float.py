@@ -93,15 +93,6 @@ def _kernel_sum(field, size: int, terms) -> GForm:
     return GForm.from_entries(field, slots or [field.zero] * size)
 
 
-def L_op(a: GForm) -> GForm:
-    c = a.entries()
-    with context(a.field):
-        tr = c[0] + c[4] + c[8]
-        out = [tr - c[3 * s + r] if r == s else -c[3 * s + r]
-               for r in range(3) for s in range(3)]
-    return GForm.from_entries(a.field, out)
-
-
 def project(a: GForm, part: EigenPart) -> GForm:
     c = a.coeffs
     zero = a.field.zero

@@ -376,13 +376,13 @@ def e_bracket(phi: GForm) -> GForm:
 
 
 def L_op(a: GForm) -> GForm:
-    """``L(a) = *[e, a]`` on degree-1 forms, in closed form
-    ``L(a) = tr(a) I - a^T``."""
+    """``L(a) = *[e, a]`` on degree-1 forms: ``tr(a) I - a^T`` on the integer reading
+    of exact entries; other scalars take :func:`star_wedge` with the vierbein."""
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
     n, D = _read(a)
     if not D:
-        return _float.L_op(a)
+        return star_wedge(vierbein(a.field), a)
     tr = n[0] + n[4] + n[8]
     return _form(a.field, [tr - n[3 * s + r] if r == s else -n[3 * s + r]
                            for r in range(3) for s in range(3)], D)

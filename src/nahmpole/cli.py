@@ -214,7 +214,7 @@ def _cmd_expand(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load background: {exc}", file=sys.stderr)
         return 1
-    if einstein_undecided(bg):
+    if not field.exact and einstein_undecided(bg):
         print(f"cannot decide at {args.prec} bits whether {bg.name} is Einstein: "
               "(*F)^+ is below the round-off of the terms of *F; raise --prec "
               "or use --scalar rational", file=sys.stderr)

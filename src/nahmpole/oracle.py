@@ -1,7 +1,7 @@
 """Ground truth for the expansion engine.
 
-Three independent instruments, none of which share code with the series
-recursion:
+Three instruments, of which only the flow integrator shares code with the
+series recursion:
 
 * **Closed-form solutions** on the round 3-sphere, hyperbolic space and the
   flat model, as scalar profiles multiplying the invariant frame forms:
@@ -10,12 +10,13 @@ recursion:
   ``Q(e^{2y})`` as integer exponential sums, divided by an integer
   recurrence, one Fraction per coefficient, no engine code involved.
 * **A flow integrator**: the three flow equations as a 21-component ODE system
-  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, read from the integer rows
-  the term tables of :mod:`nahmpole.geometry` compile to, which the series
-  residual reads too: in any field by ``flow_rhs``, exact over rationals, and
-  rounded once to float64 for an embedded Dormand-Prince 5(4) pair, as one
-  stacked matrix ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``.  A :class:`FlowState`
-  is one float64 row of the full ``(A, phi, phi_y)``.
+  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, read from the integer rows the
+  series residual reads too, a background's ``_columns``, compiled by calling the
+  solver's frame operators, and ``_PAIR_4Q``, compiled from the kernels' ``_TABLES``:
+  in any field by ``flow_rhs``, exact over rationals, and rounded once to float64 for
+  an embedded Dormand-Prince 5(4) pair, as one stacked matrix ``G`` in ``c + [M0 | M1
+  | Qp] (v, v/y, v_i v_j)``.  A :class:`FlowState` is one float64 row of the full
+  ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
 rational arithmetic (e^{2y} in fixed point), as integer numerators over one common
@@ -23,8 +24,8 @@ denominator per grid point, with one correctly rounded division per truncation o
 
 Convention lock-in: the orientation and the curvature sign of the frame
 backgrounds are pinned by requiring the closed-form profiles below to solve
-the flow equations to round-off (see ``flow_residual``); every other test in
-the package inherits these choices.  Sources that state a profile over a
+the flow equations, exactly at a ``Fraction`` ``y`` (see ``flow_residual``); every
+other test in the package inherits these choices.  Sources that state a profile over a
 frame normalized as ``[t_a, t_b] = 2 eps_{abc} t_c`` are converted to the
 internal ``eps`` convention when the solution object is built, so the stored
 coefficients are already internal.
@@ -84,25 +85,6 @@ def _exp_fraction(x: Fraction, bits: int = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class ConstantProfile:
-    """A constant profile; exact for exact arguments."""
-
-    def __init__(self, c):
-        self.c = Fraction(c)
-
-    def value(self, y):
-        return self.c if isinstance(y, Fraction) else float(self.c)
-
-    def ratio_exact(self, y: Fraction, u=None):
-        return self.c.as_integer_ratio()
-
-    def derivative(self, y):
-        return Fraction(0) if isinstance(y, Fraction) else 0.0
-
-    def taylor(self, n):
-        return 0, [self.c] + [Fraction(0)] * n
-
-
 class InverseY:
     """The pole profile ``1/y``; exact for exact arguments."""
 
@@ -121,19 +103,29 @@ class InverseY:
 
 class ExpRational:
     """``P(u)/Q(u)`` with ``u = e^{2y}``, P and Q polynomials with rational
-    coefficients (ascending).  Values and derivatives are analytic
-    (``du/dy = 2u``); Taylor coefficients are exact.
-    """
+    coefficients (ascending).  Values and derivatives are analytic (``du/dy = 2u``),
+    one Horner in the argument's number type: float64 at a float ``y``, exact at a
+    ``Fraction`` ``y`` on the u :meth:`ratio_exact` reads (2e-50 relative for
+    0 <= y <= 1/2), so ``value(y) == Fraction(*ratio_exact(y))``.  Taylor
+    coefficients are exact."""
 
     def __init__(self, P, Q):
         self.P = [Fraction(c) for c in P]
         self.Q = [Fraction(c) for c in Q]
 
+    def _at(self, y):
+        """``y``'s number type, ``Fraction`` or float, and u in it; 1 for a constant
+        quotient, which does not read u (e^{2y} overflows float64 past y = 354.89)."""
+        num = Fraction if isinstance(y, Fraction) else float
+        if len(self.P) == len(self.Q) == 1:
+            return num, num(1)
+        return num, _exp_fraction(2 * y) if num is Fraction else math.exp(2.0 * float(y))
+
     @staticmethod
-    def _polyval(poly, u):
-        acc = 0.0
+    def _polyval(poly, u, num):
+        acc = num(0)
         for c in reversed(poly):
-            acc = acc * u + float(c)
+            acc = acc * u + num(c)
         return acc
 
     @staticmethod
@@ -141,12 +133,8 @@ class ExpRational:
         return [k * c for k, c in enumerate(poly)][1:] or [Fraction(0)]
 
     def value(self, y):
-        u = math.exp(2.0 * float(y))
-        return self._polyval(self.P, u) / self._polyval(self.Q, u)
-
-    def value_exact(self, y: Fraction, u=None) -> Fraction:
-        """The :meth:`ratio_exact` pair as one normalized Fraction."""
-        return Fraction(*self.ratio_exact(y, u))
+        num, u = self._at(y)
+        return self._polyval(self.P, u, num) / self._polyval(self.Q, u, num)
 
     def ratio_exact(self, y: Fraction, u=None):
         """Value as an unnormalized integer pair ``(num, den)``, e^{2y} replaced
@@ -166,12 +154,12 @@ class ExpRational:
         return p * dq, q * dp
 
     def derivative(self, y):
-        u = math.exp(2.0 * float(y))
-        p = self._polyval(self.P, u)
-        q = self._polyval(self.Q, u)
-        dp = self._polyval(self._polyder(self.P), u)
-        dq = self._polyval(self._polyder(self.Q), u)
-        return 2.0 * u * (dp * q - p * dq) / (q * q)
+        num, u = self._at(y)
+        p = self._polyval(self.P, u, num)
+        q = self._polyval(self.Q, u, num)
+        dp = self._polyval(self._polyder(self.P), u, num)
+        dq = self._polyval(self._polyder(self.Q), u, num)
+        return 2 * u * (dp * q - p * dq) / (q * q)
 
     def taylor(self, n):
         """Laurent coefficients ``(offset, coeffs)``: the value is ``sum
@@ -226,8 +214,8 @@ _SOLUTIONS = {
            "round-s3", Fraction(-2, 3)),
     # fA = 1 (the connection stays Levi-Civita), fPhi = coth y = (u+1)/(u-1);
     # transcribed over [t_a, t_b] = 2 eps_abc t_c, stored in the eps convention
-    "hyperbolic": (ConstantProfile(1), ExpRational([1, 1], [-1, 1]), "hyperbolic-h3", 0),
-    "flat": (ConstantProfile(1), InverseY(), "flat", 0),
+    "hyperbolic": (ExpRational([1], [1]), ExpRational([1, 1], [-1, 1]), "hyperbolic-h3", 0),
+    "flat": (ExpRational([1], [1]), InverseY(), "flat", 0),
 }
 
 
@@ -388,7 +376,9 @@ def flow_rhs(bg: FrameBackground, y, a: GForm, b: GForm, phi_y: GForm):
 def flow_residual(sol: ProfileSolution, y):
     """Max-abs residuals ``(ra, rb, rphi)`` of the three flow equations on a closed
     form at ``y``, by :func:`_rhs` on its 21 scalars, with analytic derivatives: float
-    round-off, or nothing at all for a Fraction ``y`` on exact profiles (flat)."""
+    round-off at a float ``y``; exactly ``(0, 0, 0)`` at a ``Fraction`` ``y``: the flow is
+    autonomous in ``(A, Phi)``, so it holds identically in the rational u of the profiles,
+    :meth:`ExpRational.ratio_exact`'s (2e-50 of e^{2y} relative for 0 <= y <= 1/2)."""
     bg, one = sol.background, (Fraction(1) if isinstance(y, Fraction) else 1.0)
     W, e, zeros = bg.W.entries(), vierbein(bg.field).entries(), [0 * one] * 3
     fa, fphi = sol.fA.value(y) - one, sol.fPhi.value(y) - one / y

@@ -10,10 +10,11 @@ and prints as sorted JSON the sha256 of ``(exit code, stdout, stderr)`` for
   128-bit float scalars (4 runs): squash 3/7's float frame is not its exact
   frame rounded once, so these rows watch the float frame route at depth;
 * each ``verify`` suite;
-* ``ode-compare s3`` with its defaults;
+* ``ode-compare`` on s3, hyperbolic and flat with its defaults: the last two watch
+  the constant profile ``fA = 1`` at the CLI;
 * ``backgrounds``;
 
-74 runs in all.
+76 runs in all.
 
 ``SRC`` is the directory that ``nahmpole`` is imported from, by default this
 checkout's ``src``.  To check that a change moves no output byte, run it on
@@ -54,7 +55,8 @@ def runs():
         *SCALARS[scalar]] for bg in ("berger-s3?squash=3/7", "berger-s3?squash=2")
         for scalar in ("64", "128")})
     out.update({f"verify {suite}": ["verify", suite] for suite in SUITES})
-    out["ode-compare s3"] = ["ode-compare", "s3"]
+    out.update({f"ode-compare {name}": ["ode-compare", name]
+                for name in ("s3", "hyperbolic", "flat")})
     out["backgrounds"] = ["backgrounds"]
     return out
 

@@ -2,9 +2,9 @@
 
 Every function of ``nahmpole._float``, and every method of its float form
 type, is made to raise; rational expansions, their canonical JSON, their
-residual checks and the ``verify`` suites must then give what they give
-unpatched.  A float expansion must still enter the module, and a form keeps
-its kind, exact or float, through copy and pickle.
+residual checks, the ``verify`` suites and the rational ``expand`` command
+must then give what they give unpatched.  A float expansion must still enter
+the module, and a form keeps its kind, exact or float, through copy and pickle.
 """
 
 import contextlib
@@ -37,17 +37,20 @@ def _float_functions():
 
 def _exact_runs():
     """What the exact engine gives: each table's JSON and residual check, and
-    each ``verify`` suite's exit code and output."""
+    the exit code and output of each ``verify`` suite and of ``expand`` at N=8
+    on each catalog frame in each format."""
     geometry._LIVE.clear()  # build every frame afresh
     field = RationalField()
     tables = [expand(load_background(uri, field), N=8) for uri, _ in CATALOG]
     tables.append(expand(load_background("builtin:berger-s3?squash=2", field),
                          free_data_from_doc(field, SEED0_FREE_DATA), N=12))
     out = [(to_json(s), check_residuals(s)) for s in tables]
-    for suite in SUITES:
+    for argv in [["verify", suite] for suite in SUITES] + [
+            ["expand", "--background", uri, "--order", "8", "--format", fmt]
+            for uri, _ in CATALOG for fmt in ("json", "csv", "pretty")]:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(["verify", suite])
+            code = cli.main(argv)
         out.append((code, stdout.getvalue(), stderr.getvalue()))
     return out
 

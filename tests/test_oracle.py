@@ -32,7 +32,6 @@ from nahmpole.oracle import (
     trajectory_csv,
 )
 from nahmpole.oracle import (
-    ConstantProfile,
     ExpRational,
     _DP_A,
     _DP_B4,
@@ -178,7 +177,7 @@ class TestTaylorProfiles:
             assert fp == [Fraction(v) for v in phi.split()]
             assert all(type(v) is Fraction for v in fa + fp)
 
-    @pytest.mark.parametrize("fPhi", [ExpRational([1], [1, -2, 1]), ConstantProfile(1)],
+    @pytest.mark.parametrize("fPhi", [ExpRational([1], [1, -2, 1]), ExpRational([1], [1])],
                              ids=["double-pole", "regular"])
     def test_refuses_a_profile_outside_its_layout(self, fPhi):
         # only the offsets (0, -1) fit: fA regular and fPhi a simple pole
@@ -232,8 +231,8 @@ class TestTaylorProfiles:
     def test_exact_values_match_float_values(self):
         sol = closed_solution("s3")
         for q in (Fraction(1, 3), Fraction(7, 10), Fraction(3, 2)):
-            assert abs(float(sol.fA.value_exact(q)) - sol.fA.value(float(q))) <= 1e-13
-            assert abs(float(sol.fPhi.value_exact(q)) - sol.fPhi.value(float(q))) <= 1e-13
+            assert abs(float(sol.fA.value(q)) - sol.fA.value(float(q))) <= 1e-13
+            assert abs(float(sol.fPhi.value(q)) - sol.fPhi.value(float(q))) <= 1e-13
 
 
 class TestFlowResidual:
@@ -250,6 +249,30 @@ class TestFlowResidual:
         assert isinstance(ra, Fraction) and ra == 0
         assert isinstance(rb, Fraction) and rb == 0
         assert isinstance(rphi, Fraction) and rphi == 0
+
+
+@pytest.mark.parametrize("name", ["s3", "hyperbolic", "flat"])
+@pytest.mark.parametrize("y", [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2),
+                               Fraction(7, 5)])
+def test_closed_forms_solve_the_flow_exactly(name, y):
+    # the profiles are rational functions of a rational u, and the flow,
+    # autonomous in (A, Phi), holds identically in u: no tolerance
+    sol = closed_solution(name)
+    residual = flow_residual(sol, y)
+    assert residual == (0, 0, 0) and all(type(r) is Fraction for r in residual)
+    for profile in (sol.fA, sol.fPhi):
+        assert type(profile.value(y)) is Fraction
+        assert type(profile.derivative(y)) is Fraction
+
+
+@pytest.mark.parametrize("y", [360.0, 1e3])
+def test_constant_profiles_hold_where_e_2y_overflows(y):
+    # a constant quotient reads no u, so e^{2y} past float64 does not enter
+    flat, hyperbolic = closed_solution("flat"), closed_solution("hyperbolic")
+    assert profile_state(flat, y).v[9:18].tolist() == (np.eye(3).ravel() * (1 / y)).tolist()
+    assert flow_residual(flat, y) == (0.0, 0.0, 0.0)
+    value, slope = hyperbolic.fA.value(y), hyperbolic.fA.derivative(y)
+    assert (type(value), value, type(slope), slope) == (float, 1.0, float, 0.0)
 
 
 #: The catalog, and a squash whose structure constants 6/7 and 14/3 are no
@@ -893,8 +916,8 @@ class TestConvergence:
                         num = num * u + c
                     for c in reversed(profile.Q):
                         den = den * u + c
-                    assert profile.value_exact(y) == num / den
-                    assert profile.value_exact(y, u) == num / den
+                    assert profile.value(y) == num / den
+                    assert Fraction(*profile.ratio_exact(y, u)) == num / den
 
     @pytest.mark.parametrize("name,orders,kwargs,digest", CONVERGENCE_SHA256)
     def test_csv_bytes_pinned(self, name, orders, kwargs, digest):
