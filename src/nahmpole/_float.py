@@ -275,7 +275,7 @@ def _rounded(field, acc, terms, pairs, den):
     linear term can cancel to round-off: ``K b + L(b)`` on V+, a curl), so
     the verdict does not hang on the summation order of the solver (Higham
     2002, ch. 3)."""
-    from .geometry import _PAIR_4Q, _SLOTS  # read at call time: geometry imports this module
+    from .geometry import _BLOCKS, _PAIR_4Q  # read at call time: geometry imports this module
     mag = [0] * 21
     for n, u, x, d, rows in terms:
         x = abs(x) * 4 * (den // d)
@@ -291,9 +291,9 @@ def _rounded(field, acc, terms, pairs, den):
                     mag[o] += abs(c * y) * x
     tn, td = field.tolerance.as_integer_ratio()
     D, out = Decimal(4 * den), []
-    for lo, hi in zip(_SLOTS, (9, 18, 21)):
-        bound = tn * max(mag[lo:hi]) // td  # over 4 den, floored
+    for r in _BLOCKS:
+        bound = tn * max(mag[r.start:r.stop]) // td  # over 4 den, floored
         out.append(GForm.from_entries(field, [
             field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
-            for t in acc[lo:hi]]))
+            for t in acc[r.start:r.stop]]))
     return tuple(out)

@@ -253,9 +253,8 @@ PAIR_TERMS = (
     (2, star_bracket_star, (0, 1), -1),         # -*[a, *b]
 )
 
-#: Where ``a``, ``b`` and ``phi_y`` start among the 21 slots of ``v``, on which the
-#: tables below are compiled once, in integers, for the residual and the integrator.
-_SLOTS = (0, 9, 18)
+#: The slots of ``a``, ``b`` and ``phi_y`` in the 21 of ``v``, the one layout every table reads.
+_BLOCKS = (range(0, 9), range(9, 18), range(18, 21))
 _RATIONAL = RationalField()  # the pole columns' field, made once: each makes two Fractions
 
 
@@ -270,11 +269,10 @@ class _Columns(dict):
     def __missing__(self, u):
         bg = self.bg and self.bg()
         field = bg.field if bg else _RATIONAL
-        j = (u >= 9) + (u >= 18)  # slot u is in a, b or phi_y
-        x = GForm.from_entries(field, [field.one if n == u else field.zero
-                                       for n in range(_SLOTS[j], _SLOTS[j] + (9 if j < 2 else 3))])
+        j = next(j for j, block in enumerate(_BLOCKS) if u in block)
+        x = GForm.from_entries(field, [field.one if n == u else field.zero for n in _BLOCKS[j]])
         # each nonzero entry of each image as (n, q), a float one by as_integer_ratio
-        images = [(_SLOTS[i] + o, c, (v, d) if d else v.as_integer_ratio())
+        images = [(_BLOCKS[i][o], c, (v, d) if d else v.as_integer_ratio())
                   for i, op, k, c in self.terms if k == j
                   for ns, d in [_read(op(bg, x) if bg else op(x))]
                   for o, v in enumerate(ns) if v]
@@ -291,7 +289,7 @@ def _compile_pairs():
     for i, op, (j1, j2), c in PAIR_TERMS:
         for x, row in enumerate(_TABLES[op]):
             for y, o, s in row:
-                u, w, o = _SLOTS[j1] + x, _SLOTS[j2] + y, _SLOTS[i] + o
+                u, w, o = _BLOCKS[j1][x], _BLOCKS[j2][y], _BLOCKS[i][o]
                 for u, w in ((u, w), (w, u)):
                     out = table[u].setdefault(w, {})
                     out[o] = out.get(o, 0) + int(2 * c) * s

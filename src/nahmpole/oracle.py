@@ -9,14 +9,14 @@ series recursion:
 * **Exact Taylor oracles** for those profiles: ``P(e^{2y})`` and
   ``Q(e^{2y})`` as integer exponential sums, divided by an integer
   recurrence, one Fraction per coefficient, no engine code involved.
-* **A flow integrator**: the three flow equations as a 21-component ODE system
-  in ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, read from the integer rows the
-  series residual reads too, a background's ``_columns``, compiled by calling the
-  solver's frame operators, and ``_PAIR_4Q``, compiled from the kernels' ``_TABLES``:
-  in any field by ``flow_rhs``, exact over rationals, and rounded once to float64 for
-  an embedded Dormand-Prince 5(4) pair, as one stacked matrix ``G`` in ``c + [M0 | M1
-  | Qp] (v, v/y, v_i v_j)``.  A :class:`FlowState` is one float64 row of the full
-  ``(A, phi, phi_y)``.
+* **A flow integrator**: the three flow equations as a 21-component ODE system in
+  ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``
+  on one list of the integer columns the series residual reads too: a background's
+  ``_columns``, compiled by calling the solver's frame operators, then ``_pairs``'s,
+  from ``M1`` and ``_PAIR_4Q`` (compiled from the kernels' ``_TABLES``).  ``flow_rhs``
+  reads it sparsely in any field, exact over rationals, and an embedded Dormand-Prince
+  5(4) pair as one stacked float64 matrix ``G``, each entry rounded once.  A
+  :class:`FlowState` is one float64 row of the full ``(A, phi, phi_y)``.
 
 The convergence table compares the exact expansion with the closed forms in
 rational arithmetic (e^{2y} in fixed point), as integer numerators over one common
@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GForm, star_wedge, vierbein
-from .geometry import _PAIR_4Q, _POLE_COLUMNS, FrameBackground, builtin, star_d
+from .geometry import _BLOCKS, _PAIR_4Q, _POLE_COLUMNS, FrameBackground, builtin, star_d
 from .scalars import RationalField, context
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
@@ -91,7 +91,7 @@ class InverseY:
     def value(self, y):
         return 1 / y
 
-    def ratio_exact(self, y: Fraction, u=None):
+    def ratio_exact(self, y: Fraction, u):
         return y.denominator, y.numerator
 
     def derivative(self, y):
@@ -106,20 +106,28 @@ class ExpRational:
     coefficients (ascending).  Values and derivatives are analytic (``du/dy = 2u``),
     one Horner in the argument's number type: float64 at a float ``y``, exact at a
     ``Fraction`` ``y`` on the u :meth:`ratio_exact` reads (2e-50 relative for
-    0 <= y <= 1/2), so ``value(y) == Fraction(*ratio_exact(y))``.  Taylor
-    coefficients are exact."""
+    0 <= y <= 1/2), so ``value(y) == Fraction(*ratio_exact(y, _exp_fraction(2 * y)))``.
+    Where 1 falls below the ulp of u (a float ``2y >= 53 ln 2``), the Horner runs in
+    ``t = e^{-2y}`` on P and Q reversed to their common degree.  Taylor coefficients
+    are exact."""
 
     def __init__(self, P, Q):
         self.P = [Fraction(c) for c in P]
         self.Q = [Fraction(c) for c in Q]
 
     def _at(self, y):
-        """``y``'s number type, ``Fraction`` or float, and u in it; 1 for a constant
-        quotient, which does not read u (e^{2y} overflows float64 past y = 354.89)."""
-        num = Fraction if isinstance(y, Fraction) else float
-        if len(self.P) == len(self.Q) == 1:
-            return num, num(1)
-        return num, _exp_fraction(2 * y) if num is Fraction else math.exp(2.0 * float(y))
+        """``(num, s, x, P, Q)``: ``y``'s number type, ``Fraction`` or float, and the
+        quotient as ``P(x)/Q(x)`` with ``dx/dy = s x``; x is u, 1 for a constant quotient,
+        which does not read u (e^{2y} overflows float64 past y = 354.89), or t."""
+        num, m = (Fraction if isinstance(y, Fraction) else float), max(len(self.P), len(self.Q))
+        if m == 1:
+            return num, 2, num(1), self.P, self.Q
+        if num is Fraction:
+            return num, 2, _exp_fraction(2 * y), self.P, self.Q
+        if 2.0 * float(y) < 53 * math.log(2):
+            return num, 2, math.exp(2.0 * float(y)), self.P, self.Q
+        return (num, -2, math.exp(-2.0 * float(y)),
+                *([0] * (m - len(p)) + p[::-1] for p in (self.P, self.Q)))
 
     @staticmethod
     def _polyval(poly, u, num):
@@ -133,15 +141,13 @@ class ExpRational:
         return [k * c for k, c in enumerate(poly)][1:] or [Fraction(0)]
 
     def value(self, y):
-        num, u = self._at(y)
-        return self._polyval(self.P, u, num) / self._polyval(self.Q, u, num)
+        num, _, u, P, Q = self._at(y)
+        return self._polyval(P, u, num) / self._polyval(Q, u, num)
 
-    def ratio_exact(self, y: Fraction, u=None):
-        """Value as an unnormalized integer pair ``(num, den)``, e^{2y} replaced
-        by its rational Taylor truncation (2e-50 relative for 0 <= y <= 1/2);
-        callers evaluating several profiles at one ``y`` pass that as ``u``."""
-        if u is None:
-            u = _exp_fraction(2 * Fraction(y))
+    def ratio_exact(self, y: Fraction, u):
+        """Value as an unnormalized integer pair ``(num, den)`` at ``u``, e^{2y}'s
+        rational Taylor truncation (2e-50 relative for 0 <= y <= 1/2), which
+        callers evaluating several profiles at one ``y`` sum once."""
         # P and Q homogenized to degree m in u = n/d, over the lcm D of their
         # denominators, are integers
         n, d, m = u.numerator, u.denominator, max(len(self.P), len(self.Q)) - 1
@@ -154,12 +160,12 @@ class ExpRational:
         return p * dq, q * dp
 
     def derivative(self, y):
-        num, u = self._at(y)
-        p = self._polyval(self.P, u, num)
-        q = self._polyval(self.Q, u, num)
-        dp = self._polyval(self._polyder(self.P), u, num)
-        dq = self._polyval(self._polyder(self.Q), u, num)
-        return 2 * u * (dp * q - p * dq) / (q * q)
+        num, s, u, P, Q = self._at(y)
+        p = self._polyval(P, u, num)
+        q = self._polyval(Q, u, num)
+        dp = self._polyval(self._polyder(P), u, num)
+        dq = self._polyval(self._polyder(Q), u, num)
+        return s * u * (dp * q - p * dq) / (q * q)
 
     def taylor(self, n):
         """Laurent coefficients ``(offset, coeffs)``: the value is ``sum
@@ -291,8 +297,6 @@ _F64 = _Float64Kit()
 _NV = 21
 #: The largest y where the table's rational e^{2y} is exact to 2e-50 relative.
 _Y_EXACT_MAX = 0.5
-#: The rows of ``a``, ``b`` and ``phi_y`` (``A``, ``phi``, ``phi_y`` in a state row).
-_BLOCKS = (range(0, 9), range(9, 18), range(18, 21))
 #: The raveled vierbein ``e``: the pole of ``Phi`` is ``e/y``.
 _E = np.eye(3).ravel()
 
@@ -344,24 +348,20 @@ def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
 
 
 def _rhs(bg: FrameBackground, y, v):
-    """``c + M0 v + M1 v/y + Q(v, v)`` on the 21 scalars ``v``, from ``*F_w`` into one
-    list, under the field's context: slot by slot, the pole columns on ``v[u] / y``, the
-    frame columns on ``v[u]``, each over its denominator, then the rows of the symmetric
-    ``4Q`` on ``v[u] v[w] / 4`` for ``w >= u``, doubled off the diagonal."""
+    """``c + [M0 | M1 | Qp] z`` on the 21 scalars ``v``, ``z = (v, v/y, v[I] v[J])``, from
+    ``*F_w`` into one list, under the field's context: the columns :func:`_flow_operator`
+    makes dense, read sparsely, each nonzero ``z[k]`` over its column's denominator (a
+    zero in ``v`` makes zeros in ``z``, not quotients or products)."""
+    I, J, columns = _pairs()
     out = [bg.field.zero] * 9 + list(bg.starF.entries()) + [bg.field.zero] * 3
     with context(bg.field):
-        for u, x in enumerate(v):
+        z = [*v, *(x and x / y for x in v),
+             *(v[i] and v[j] and v[i] * v[j] for i, j in zip(I.tolist(), J.tolist()))]
+        for (rows, den), x in zip([bg._columns[u] for u in range(_NV)] + columns, z):
             if x:
-                for (rows, den), q in ((_POLE_COLUMNS[u], x / y), (bg._columns[u], x)):
-                    q /= den
-                    for o, n in rows:
-                        out[o] += n * q
-                x /= 4
-                for w, rows in _PAIR_4Q[u].items():
-                    if w >= u and v[w]:
-                        q = x * v[w]
-                        for o, n in rows:
-                            out[o] += (n if w == u else 2 * n) * q
+                x /= den
+                for o, n in rows:
+                    out[o] += n * x
     return out
 
 
@@ -394,32 +394,26 @@ def flow_residual(sol: ProfileSolution, y):
 
 @functools.cache
 def _pairs():
-    """``(I, J, block)``: the pairs ``u <= w`` that a row of ``4Q`` reads, ``w`` ascending
-    (126 of the 231), and the read-only float64 ``[M1 | Qp]``, each column ``n / den``
-    rounded once: the pole columns, then the pair columns, ``n / 4`` on the diagonal and
-    ``2n / 4`` off it.  No background enters: built once per process."""
+    """``(I, J, columns)``: the pairs ``u <= w`` that a row of ``4Q`` reads, ``w`` ascending
+    (126 of the 231), and the columns ``([(out slot, n), ...], den)`` of ``[M1 | Qp]``: the
+    pole columns, then one per pair, ``n / 4`` on the diagonal and ``2n / 4`` off it.  No
+    background enters: built once per process, for :func:`_rhs` and :func:`_flow_operator`."""
     I, J = zip(*[(u, w) for u, row in enumerate(_PAIR_4Q) for w in sorted(row) if w >= u])
-    block = np.zeros((_NV, _NV + len(I)))
-    columns = [_POLE_COLUMNS[u] for u in range(_NV)] + [
+    return np.array(I), np.array(J), [_POLE_COLUMNS[u] for u in range(_NV)] + [
         ([(o, n if u == w else 2 * n) for o, n in _PAIR_4Q[u][w]], 4) for u, w in zip(I, J)]
-    for k, (rows, den) in enumerate(columns):
-        for o, n in rows:
-            block[o, k] = n / den
-    block.flags.writeable = False  # every operator shares it
-    return np.array(I), np.array(J), block
 
 
 def _flow_operator(bg: FrameBackground):
     """The integrator's ``(c, G)`` in float64, ``rhs(y, v) = c + G (v, v/y, v[I] v[J])``:
     ``*F_w`` in the ``b`` slots of ``c``, and ``G = [M0 | M1 | Qp]``, the background's
-    frame columns beside the :func:`_pairs` block, from the rows ``flow_rhs`` and the
-    exact residual read.  Each entry is rounded once."""
-    c, G = np.zeros(_NV), np.concatenate([np.zeros((_NV, _NV)), _pairs()[2]], axis=1)
-    c[9:18] = bg.starF.entries()
-    for u in range(_NV):
-        rows, den = bg._columns[u]
+    frame columns and the :func:`_pairs` columns, which :func:`_rhs` reads sparsely,
+    made dense.  Each entry ``n / den`` is rounded once."""
+    I, J, columns = _pairs()
+    c, G = np.zeros(_NV), np.zeros((_NV, 2 * _NV + len(I)))
+    c[_BLOCKS[1]] = bg.starF.entries()
+    for k, (rows, den) in enumerate([bg._columns[u] for u in range(_NV)] + columns):
         for o, n in rows:
-            G[o, u] = n / den
+            G[o, k] = n / den
     return c, G
 
 

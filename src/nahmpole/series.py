@@ -41,7 +41,7 @@ from .algebra import (
     _PARTS, EigenPart, GForm, _form, _integer_sum, _kernel_sum, _ratios, _read, bracket_0_1,
     gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
-from .geometry import (_PAIR_4Q, _POLE_COLUMNS, _SLOTS, FrameBackground, _frame_terms,
+from .geometry import (_BLOCKS, _PAIR_4Q, _POLE_COLUMNS, FrameBackground, _frame_terms,
                        d_omega, d_omega_star, is_einstein, star_d_omega)
 from .scalars import RationalField
 
@@ -391,9 +391,9 @@ def _reading(series: PhgSeries, at):
     a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
     kept = series._readings.get(at)
     if kept is None or kept[0] is not a or kept[1] is not b or kept[2] is not phi:
-        parts = [(start, _exactly(f)) for start, f in zip(_SLOTS, (a, b, phi)) if f]
+        parts = [(block, _exactly(f)) for block, f in zip(_BLOCKS, (a, b, phi)) if f]
         den = math.lcm(*(d for _, (_, d) in parts))
-        kept = series._readings[at] = a, b, phi, ([(start + u, n * (den // d)) for start, (
+        kept = series._readings[at] = a, b, phi, ([(block[u], n * (den // d)) for block, (
             ns, d) in parts for u, n in enumerate(ns) if n], den)
     return kept[3]
 
@@ -447,7 +447,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
                 terms.append((n * e, u, x, d * e, out))
     if (K, p) == (1, 0):  # -*F_w
         ns, d = _exactly(bg.starF)
-        terms += [(-1, 9 + o, m, d, ()) for o, m in enumerate(ns) if m]
+        terms += [(-1, _BLOCKS[1][o], m, d, ()) for o, m in enumerate(ns) if m]
     # over 4 den: Q(v1, v2) + Q(v2, v1) is twice 4Q off the diagonal, Q(v, v) once on it
     depths = series._depths or _stored_depths(series)
     pairs = [(*_reading(series, at1), *_reading(series, at2), 1 if at1 == at2 else 2)
@@ -474,7 +474,7 @@ def residual_at(series: PhgSeries, K: int, p: int):
         return series._zeros
     if not field.exact:
         return _float._rounded(field, acc, terms, pairs, den)
-    return tuple(_form(field, acc[lo:hi], 4 * den) for lo, hi in ((0, 9), (9, 18), (18, 21)))
+    return tuple(_form(field, acc[r.start:r.stop], 4 * den) for r in _BLOCKS)
 
 
 def check_residuals(series: PhgSeries, through: int = None):

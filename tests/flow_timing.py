@@ -23,7 +23,9 @@ Prints, in microseconds:
 * per call of the exact ``oracle.flow_rhs`` on the operands of the
   ``oracle.flow_rhs_exact_us`` probe of ``benchmarks/layers.py`` (berger
   squash=2, y = 1/100, dense forms as wide as the N=12 table's largest
-  coefficient), and per call of ``oracle.flow_residual`` on the closed forms.
+  coefficient), and of the float one on the same operands rounded once, over a
+  ``FloatField(128)`` background and as native floats over the rational one;
+  and per call of ``oracle.flow_residual`` on the closed forms.
 
 Run it on two commits to compare them::
 
@@ -44,8 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from nahmpole import geometry, oracle
+from nahmpole.algebra import GForm
 from nahmpole.geometry import load_background
-from nahmpole.scalars import RationalField
+from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import expand, from_json
 
 #: (label, solution, y0, y1, integrate_flow keywords); each starts from the N=6
@@ -140,9 +143,15 @@ def main(repeats=20):
         call = partial(oracle.convergence_table, sol, orders, lo, hi, series=table)
         print(f"{label:<44}{'':>7}{1e6 * best(call, repeats):>10.2f}")
 
-    bg, x, y, phi = probe_operands()
+    bg, *forms = probe_operands()
+    f128 = load_background(f"builtin:{bg.name}", FloatField(128))
     calls = [("flow_rhs exact, layers probe operands",
-              partial(oracle.flow_rhs, bg, Fraction(1, 100), x, y, phi))]
+              partial(oracle.flow_rhs, bg, Fraction(1, 100), *forms))]
+    for label, at, num in (("FloatField(128)", f128, f128.field.from_fraction),
+                           ("native floats", bg, float)):
+        calls.append((f"flow_rhs {label}, probe operands", partial(
+            oracle.flow_rhs, at, num(Fraction(1, 100)),
+            *(GForm.from_entries(at.field, [num(v) for v in f.entries()]) for f in forms))))
     for name, at in (("s3", 0.5), ("hyperbolic", 0.5), ("flat", Fraction(1, 3))):
         calls.append((f"flow_residual {name} y={at}",
                       partial(oracle.flow_residual, oracle.closed_solution(name), at)))

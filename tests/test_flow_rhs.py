@@ -10,6 +10,7 @@ kernel term that pairs exact with scalar operands is refused.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nahmpole import algebra, geometry, oracle, series
@@ -75,8 +76,10 @@ def test_float_flow_rhs_is_the_kernel_statement(uri, bits):
 @pytest.mark.parametrize("uri", CASES, ids=IDS)
 def test_native_float_flow_rhs_is_the_kernel_statement(uri):
     # native float operands over the rational background: the kernel statement
-    # of the same floats read exactly, to 2^-48 relative to _scale
+    # of the same floats read exactly, to 2^-48 relative to _scale; so is the
+    # integrator's float64 rhs, the same columns made dense, on the same 21 floats
     bg = load_background(uri, RationalField())
+    rhs = oracle._flow_rhs(bg)
     for y, *forms in _operands(random.Random(39)):
         floats = [GForm.from_entries(bg.field, [float(v) for v in f.entries()]) for f in forms]
         exact = [GForm.from_entries(bg.field, [Fraction(v) for v in f.entries()])
@@ -85,9 +88,11 @@ def test_native_float_flow_rhs_is_the_kernel_statement(uri):
         got = flow_rhs(bg, yf, *floats)
         want = flow_terms.flow_rhs(bg, Fraction(yf), *exact)
         bound = Fraction(1, 2 ** 48) * _scale(yf, floats, bg)
-        for g, w in zip(_entries(got), _entries(want)):
+        dense = rhs(yf, np.array(_entries(floats))).tolist()
+        for g, d, w in zip(_entries(got), dense, _entries(want)):
             assert isinstance(g, (float, Fraction))
             assert abs(Fraction(g) - w) <= bound
+            assert abs(Fraction(d) - w) <= bound
 
 
 #: The kernels and frame operators a form route would call.

@@ -275,6 +275,26 @@ def test_constant_profiles_hold_where_e_2y_overflows(y):
     assert (type(value), value, type(slope), slope) == (float, 1.0, float, 0.0)
 
 
+@pytest.mark.parametrize("name", ["s3", "hyperbolic"])
+def test_profiles_hold_where_1_is_below_the_ulp_of_e_2y(name):
+    # from 2y = 53 ln 2 on, the profiles run in t = e^{-2y}: each value and slope is
+    # within 2 ulp of mpmath at 2y/ln 10 + 25 digits, and the residual stays finite
+    # where e^{2y} overflows float64
+    import mpmath as mp
+
+    sol = closed_solution(name)
+    fA, yfPhi = _mp_profiles(name)
+    for y in (18.4, 20.0, 30.0, 50.0, 60.0, 100.0, 300.0, 354.0):
+        got = [sol.fA.value(y), sol.fPhi.value(y), sol.fA.derivative(y), sol.fPhi.derivative(y)]
+        with mp.workdps(int(2 * y / math.log(10)) + 25):
+            Y = mp.mpf(y)
+            want = [fA(Y), yfPhi(Y) / Y, mp.diff(fA, Y), mp.diff(lambda t: yfPhi(t) / t, Y)]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= abs(w) * 2 ** -52, (y, g, w)
+    for y in (100.0, 300.0, 360.0, 1e3):
+        assert all(map(math.isfinite, flow_residual(sol, y))), y
+
+
 #: The catalog, and a squash whose structure constants 6/7 and 14/3 are no
 #: float64 numbers, so that the float operator must round each exact entry once.
 OPERATOR_CASES = CATALOG + (("builtin:berger-s3?squash=3/7", False),)
