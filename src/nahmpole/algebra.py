@@ -283,6 +283,12 @@ def _ratios(values):
     return tuple(n and n * (d // q) for n, q in ratios), d
 
 
+def _exactly(form):
+    """A form's entries at their exact values as ``(numerators, denominator)``: a float
+    form's ratios of its decimals are not kept on it, as its reading picks the kernels' loop."""
+    return form._ints or _read(form) if form.field.exact else _ratios(form.entries())
+
+
 def _form(field, totals, den) -> GForm:
     """The exact form ``totals / den`` (3 or 9 slots), made from its reading:
     reduced by one gcd to the canonical one :func:`_read` gives, or the zero

@@ -40,8 +40,8 @@ from fractions import Fraction
 from . import _float
 from ._float import connection_form, einstein_undecided, levi_civita, torsion_residual
 from .algebra import (
-    _EPS, _TABLES, EigenPart, GForm, L_op, _form, _integer_sum, _kernel_sum, _ratios, _read,
-    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _EPS, _TABLES, EigenPart, GForm, L_op, _exactly, _form, _integer_sum, _kernel_sum, _ratios,
+    _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import FloatField, RationalField
 
@@ -271,13 +271,13 @@ class _Columns(dict):
         field = bg.field if bg else _RATIONAL
         j = next(j for j, block in enumerate(_BLOCKS) if u in block)
         x = GForm.from_entries(field, [field.one if n == u else field.zero for n in _BLOCKS[j]])
-        # each nonzero entry of each image as (n, q), a float one by as_integer_ratio
-        images = [(_BLOCKS[i][o], c, (v, d) if d else v.as_integer_ratio())
+        # each nonzero entry of each image as (n, d), on the image's exact reading
+        images = [(_BLOCKS[i][o], c, n, d)
                   for i, op, k, c in self.terms if k == j
-                  for ns, d in [_read(op(bg, x) if bg else op(x))]
-                  for o, v in enumerate(ns) if v]
-        den = math.lcm(*(q for *_, (_, q) in images))
-        self[u] = column = [(o, c * n * (den // q)) for o, c, (n, q) in images], den
+                  for ns, d in [_exactly(op(bg, x) if bg else op(x))]
+                  for o, n in enumerate(ns) if n]
+        den = math.lcm(*(d for *_, d in images))
+        self[u] = column = [(o, c * n * (den // d)) for o, c, n, d in images], den
         return column
 
 
@@ -300,6 +300,11 @@ def _compile_pairs():
 #: The columns of ``M1``; a background keeps its own ``M0`` columns.
 _POLE_COLUMNS = _Columns(POLE_TERMS)
 _PAIR_4Q = _compile_pairs()
+#: The flow's ``[M1 | Qp]`` for ``oracle``: the pairs ``u <= w`` that ``4Q`` reads (126 of 231),
+#: and the pole columns, then one column per pair, ``n / 4`` on the diagonal, ``2n / 4`` off it.
+_I, _J = zip(*[(u, w) for u, row in enumerate(_PAIR_4Q) for w in sorted(row) if w >= u])
+_M1_QP = [_POLE_COLUMNS[u] for u in range(21)] + [
+    ([(o, n if u == w else 2 * n) for o, n in _PAIR_4Q[u][w]], 4) for u, w in zip(_I, _J)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +450,17 @@ def load_background(source: str, field=None) -> FrameBackground:
     return FrameBackground.from_structure_constants(name, c, field=field, volume=volume)
 
 
+def _json_scalar(v):
+    """A scalar in JSON: None as null, a ``Fraction`` as ``"p/q"``, else its float's repr."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return None if v is None else repr(float(v))
+
+
 def background_to_json(bg: FrameBackground) -> str:
     """Serialize a background to the JSON file format (canonical bytes)."""
     field = bg.field
     c = [[[RationalField().format(field.to_fraction(v)) for v in row] for row in plane]
          for plane in bg.c]
-    if bg.volume is None:
-        vol = None
-    elif isinstance(bg.volume, Fraction):
-        vol = f"{bg.volume.numerator}/{bg.volume.denominator}"
-    else:
-        vol = repr(float(bg.volume))
-    doc = {"name": bg.name, "c": c, "volume": vol}
+    doc = {"name": bg.name, "c": c, "volume": _json_scalar(bg.volume)}
     return json.dumps(doc, indent=2) + "\n"

@@ -12,8 +12,8 @@ series recursion:
 * **A flow integrator**: the three flow equations as a 21-component ODE system in
   ``(a, b, phi_y) = (A - W, Phi - e/y, Phi_y)``, ``c + [M0 | M1 | Qp] (v, v/y, v_i v_j)``
   on one list of the integer columns the series residual reads too: a background's
-  ``_columns``, compiled by calling the solver's frame operators, then ``_pairs``'s,
-  from ``M1`` and ``_PAIR_4Q`` (compiled from the kernels' ``_TABLES``).  ``flow_rhs``
+  ``_columns``, compiled by calling the solver's frame operators, then ``geometry._M1_QP``,
+  built at import from ``M1`` and ``4Q`` (compiled from the kernels' ``_TABLES``).  ``flow_rhs``
   reads it sparsely in any field, exact over rationals, and an embedded Dormand-Prince
   5(4) pair as one stacked float64 matrix ``G``, each entry rounded once.  A
   :class:`FlowState` is one float64 row of the full ``(A, phi, phi_y)``.
@@ -33,7 +33,6 @@ coefficients are already internal.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -43,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GForm, star_wedge, vierbein
-from .geometry import _BLOCKS, _PAIR_4Q, _POLE_COLUMNS, FrameBackground, builtin, star_d
+from .geometry import _BLOCKS, _I, _J, _M1_QP, FrameBackground, _json_scalar, builtin, star_d
 from .scalars import RationalField, context
 from .series import FreeData, PhgSeries, evaluate as evaluate_series, expand
 
@@ -299,6 +298,7 @@ _NV = 21
 _Y_EXACT_MAX = 0.5
 #: The raveled vierbein ``e``: the pole of ``Phi`` is ``e/y``.
 _E = np.eye(3).ravel()
+_IJ = np.array(_I), np.array(_J)  # the pairs of ``4Q`` as :func:`_stacked_rhs`'s indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,12 +352,11 @@ def _rhs(bg: FrameBackground, y, v):
     ``*F_w`` into one list, under the field's context: the columns :func:`_flow_operator`
     makes dense, read sparsely, each nonzero ``z[k]`` over its column's denominator (a
     zero in ``v`` makes zeros in ``z``, not quotients or products)."""
-    I, J, columns = _pairs()
     out = [bg.field.zero] * 9 + list(bg.starF.entries()) + [bg.field.zero] * 3
     with context(bg.field):
         z = [*v, *(x and x / y for x in v),
-             *(v[i] and v[j] and v[i] * v[j] for i, j in zip(I.tolist(), J.tolist()))]
-        for (rows, den), x in zip([bg._columns[u] for u in range(_NV)] + columns, z):
+             *(v[i] and v[j] and v[i] * v[j] for i, j in zip(_I, _J))]
+        for (rows, den), x in zip([bg._columns[u] for u in range(_NV)] + _M1_QP, z):
             if x:
                 x /= den
                 for o, n in rows:
@@ -392,26 +391,15 @@ def flow_residual(sol: ProfileSolution, y):
 # Numeric integration of the flow.
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _pairs():
-    """``(I, J, columns)``: the pairs ``u <= w`` that a row of ``4Q`` reads, ``w`` ascending
-    (126 of the 231), and the columns ``([(out slot, n), ...], den)`` of ``[M1 | Qp]``: the
-    pole columns, then one per pair, ``n / 4`` on the diagonal and ``2n / 4`` off it.  No
-    background enters: built once per process, for :func:`_rhs` and :func:`_flow_operator`."""
-    I, J = zip(*[(u, w) for u, row in enumerate(_PAIR_4Q) for w in sorted(row) if w >= u])
-    return np.array(I), np.array(J), [_POLE_COLUMNS[u] for u in range(_NV)] + [
-        ([(o, n if u == w else 2 * n) for o, n in _PAIR_4Q[u][w]], 4) for u, w in zip(I, J)]
-
-
 def _flow_operator(bg: FrameBackground):
     """The integrator's ``(c, G)`` in float64, ``rhs(y, v) = c + G (v, v/y, v[I] v[J])``:
     ``*F_w`` in the ``b`` slots of ``c``, and ``G = [M0 | M1 | Qp]``, the background's
-    frame columns and the :func:`_pairs` columns, which :func:`_rhs` reads sparsely,
-    made dense.  Each entry ``n / den`` is rounded once."""
-    I, J, columns = _pairs()
-    c, G = np.zeros(_NV), np.zeros((_NV, 2 * _NV + len(I)))
+    frame columns and ``geometry._M1_QP``, which :func:`_rhs` reads sparsely, made
+    dense.  Each entry ``n / den`` is rounded once."""
+    columns = [bg._columns[u] for u in range(_NV)] + _M1_QP
+    c, G = np.zeros(_NV), np.zeros((_NV, len(columns)))
     c[_BLOCKS[1]] = bg.starF.entries()
-    for k, (rows, den) in enumerate([bg._columns[u] for u in range(_NV)] + columns):
+    for k, (rows, den) in enumerate(columns):
         for o, n in rows:
             G[o, k] = n / den
     return c, G
@@ -419,7 +407,7 @@ def _flow_operator(bg: FrameBackground):
 
 def _stacked_rhs(c, G):
     """``rhs(y, v) = c + G z`` with ``G = [M0 | M1 | Qp]`` and ``z = (v, v/y, v[I] v[J])``,
-    the pairs ``(I, J)`` of :func:`_pairs`: ``c + M0 v + M1 v/y + Q(v, v)`` as one
+    the pairs ``(I, J)`` of ``geometry._I`` and ``_J``: ``c + M0 v + M1 v/y + Q(v, v)`` as one
     stacked matrix.  Exact over Fraction arrays; over float64 it sums in another order
     than the dense form, so it agrees to round-off.
     ``z`` is made once, in ``G``'s dtype, and filled in place, so ``rhs`` is not
@@ -429,7 +417,7 @@ def _stacked_rhs(c, G):
     without its Python dispatcher frame.  ``rhs(y, v, out)`` writes into ``out``, else
     returns a new array.
     """
-    I, J, _ = _pairs()
+    I, J = _IJ
     z, yb = np.empty(G.shape[1], dtype=G.dtype), np.empty((), dtype=G.dtype)
     zv, zy, zp = z[:_NV], z[_NV:2 * _NV], z[2 * _NV:]
     dot, divide, multiply, add = G.dot, np.divide, np.multiply, np.add
@@ -664,14 +652,7 @@ class GlobalReport:
     a21_vanishes: bool
 
     def to_json(self) -> str:
-        def fmt(v):
-            if v is None:
-                return None
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
-            return repr(float(v))
-
-        doc = {name: fmt(getattr(self, name)) for name in
+        doc = {name: _json_scalar(getattr(self, name)) for name in
                ("a21_trace", "k_density", "k_number", "cs_density", "volume")}
         doc["a21_vanishes"] = self.a21_vanishes
         return json.dumps(doc, indent=2) + "\n"

@@ -38,7 +38,7 @@ from itertools import chain
 
 from . import _float
 from .algebra import (
-    _PARTS, EigenPart, GForm, _form, _integer_sum, _kernel_sum, _ratios, _read, bracket_0_1,
+    _PARTS, EigenPart, GForm, _exactly, _form, _integer_sum, _kernel_sum, _read, bracket_0_1,
     gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (_BLOCKS, _PAIR_4Q, _POLE_COLUMNS, FrameBackground, _frame_terms,
@@ -378,15 +378,9 @@ def assert_parity(series: PhgSeries):
             for k, p in sorted(table) if k % 2 == wrong]
 
 
-def _exactly(form):
-    """A form's entries at their exact values as ``(numerators, denominator)``: a float
-    form's ratios of its decimals are not kept on it, as its reading picks the kernels' loop."""
-    return form._ints or _read(form) if form.field.exact else _ratios(form.entries())
-
-
 def _reading(series: PhgSeries, at):
     """The entry at ``at`` as the nonzero ``(slot, numerator)`` of its 21 slots
-    ``(a | b | phi_y)`` over one denominator (:func:`_exactly`), kept on the
+    ``(a | b | phi_y)`` over one denominator (:func:`~nahmpole.algebra._exactly`), kept on the
     series as long as its three stored forms are the same objects."""
     a, b, phi = series._a.get(at), series._b.get(at), series._phi.get(at)
     kept = series._readings.get(at)

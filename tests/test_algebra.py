@@ -506,6 +506,10 @@ REFUSALS = [
     ("resolve_coupled-float-2", lambda: resolve_coupled(
         Fraction(2), vierbein(_F64), GForm.zero(_F64, 0)), SingularLambda,
      "coupled solve is singular at lambda=2"),
+    ("float-add-degrees", lambda: vierbein(_F64) + GForm.zero(_F64, 0), ValueError,
+     "degree mismatch: 1 vs 0"),
+    ("float-sub-degrees", lambda: vierbein(_F64) - GForm.zero(_F64, 0), ValueError,
+     "degree mismatch: 1 vs 0"),
 ]
 
 
@@ -515,6 +519,12 @@ def test_refusals(call, kind, message):
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind and str(err.value) == message
+
+
+@pytest.mark.parametrize("field", [_Q, _F64], ids=["rational", "float64"])
+def test_form_is_unequal_to_a_non_form(field):
+    assert vierbein(field).__eq__(1) is NotImplemented
+    assert vierbein(field) != 1 and not vierbein(field) == 1
 
 
 def _sigma_one_vector(x):

@@ -19,11 +19,11 @@ SRC = Path(nahmpole.__file__).resolve().parent
 
 #: The functions of each module that touch the float route, by qualified name.
 LISTED = {
-    "algebra": {"GForm.__new__", "GForm.zero", "GForm._combine", "_read", "_kernel_sum",
-                "invert_cal_L", "resolve_coupled"},
+    "algebra": {"GForm.__new__", "GForm.zero", "GForm._combine", "_read", "_exactly",
+                "_kernel_sum", "invert_cal_L", "resolve_coupled"},
     "geometry": {"star_d", "FrameBackground.from_structure_constants", "star_d_omega",
                  "d_omega_star", "builtin"},
-    "series": {"FreeData.__init__", "_sum", "_exactly", "residual_at", "from_json"},
+    "series": {"FreeData.__init__", "_sum", "residual_at", "from_json"},
 }
 _CALLS = {"arithmetic", "context"}
 _NAMES = {"Decimal", "FloatField"}

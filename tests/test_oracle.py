@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nahmpole.algebra import GForm, vierbein
-from nahmpole.geometry import _PAIR_4Q, _POLE_COLUMNS, background_to_json, load_background
+from nahmpole.geometry import _I, _J, _PAIR_4Q, _POLE_COLUMNS, background_to_json, load_background
 from nahmpole.oracle import (
     FlowState,
     StepUnderflow,
@@ -40,7 +40,6 @@ from nahmpole.oracle import (
     _exp_fraction,
     _flow_operator,
     _flow_rhs,
-    _pairs,
     _stacked_rhs,
 )
 from nahmpole.scalars import FloatField, RationalField
@@ -322,8 +321,8 @@ def exact_operator(request):
 
 def _stacked_exact(c, M0, M1, Q):
     """``(c, G)`` of the dense exact operator: ``G = [M0 | M1 | Qp]``, ``Qp`` the
-    columns of ``Q`` on the pairs of :func:`_pairs`, doubled off the diagonal."""
-    I, J, _ = _pairs()
+    columns of ``Q`` on the pairs ``geometry._I`` and ``_J``, doubled off the diagonal."""
+    I, J = np.array(_I), np.array(_J)
     return c, np.concatenate([M0, M1, Q[:, I, J] * np.where(I == J, 1, 2)], axis=1)
 
 
@@ -359,9 +358,8 @@ class TestFlowOperator:
     def test_float_build_is_float_of_exact_build(self, exact_operator):
         bg, (c, M0, M1, Q) = exact_operator
         # the pairs are the upper-triangle pairs whose column of Q is nonzero, in order
-        I, J, _ = _pairs()
         triu = [(i, j) for i, j in zip(*np.triu_indices(21)) if np.any(Q[:, i, j] != 0)]
-        assert list(zip(I.tolist(), J.tolist())) == triu
+        assert list(zip(_I, _J)) == triu
         operator = _flow_operator(bg)
         assert len(operator) == 2
         for got, want in zip(operator, _stacked_exact(c, M0, M1, Q)):
