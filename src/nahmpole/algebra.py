@@ -278,7 +278,7 @@ def _read(form: GForm):
 def _ratios(values):
     """``(integer numerators, common denominator)`` of the exact values of
     ints, ``Fraction``s, floats or ``Decimal``s."""
-    ratios = [v.as_integer_ratio() for v in values]
+    ratios = [v.as_integer_ratio() if v else (0, 1) for v in values]
     d = lcm(*[q for _, q in ratios])
     return tuple(n and n * (d // q) for n, q in ratios), d
 

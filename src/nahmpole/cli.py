@@ -39,7 +39,7 @@ from .oracle import (
 )
 from .scalars import _MAX_BITS, _MIN_BITS, FloatField, RationalField, context
 from .series import (
-    FreeData, assert_parity, check_residuals, expand, is_log_free,
+    FreeData, _printed, assert_parity, check_residuals, expand, is_log_free,
     to_json as series_to_json,
 )
 
@@ -199,11 +199,8 @@ def _csv_series(series) -> str:
             + [f"phiy{a}" for a in range(1, 4)])
     lines = [",".join(cols)]
     for k, p in series.addresses():
-        row = [str(k), str(p)]
-        for form in (series.get_a(k, p), series.get_b(k, p)):
-            row += [field.format(v) for r in form.coeffs for v in r]
-        row += [field.format(v) for v in series.get_phi(k, p).coeffs]
-        lines.append(",".join(row))
+        forms = series.get_a(k, p), series.get_b(k, p), series.get_phi(k, p)
+        lines.append(",".join([str(k), str(p), *(v for f in forms for v in _printed(field, f))]))
     return "\n".join(lines) + "\n"
 
 

@@ -317,13 +317,19 @@ _FLOAT_MAX = Fraction(sys.float_info.max)
 #: bits): :func:`builtin` returns the live one.  Held weakly, so none is kept.
 _LIVE = weakref.WeakValueDictionary()
 
-#: name -> (parameter name or None, docstring)
+#: name -> (parameter name or None, docstring, the entries ``{(k, i, j): c^k_ij}`` of a
+#: parameter, one key per antisymmetric pair, and its volume over ``2 pi^2`` or None)
 _BUILTINS = {
-    "flat": (None, "flat R^3 / T^3 local model (zero structure constants)"),
-    "round-s3": ("scale", "round 3-sphere, c^k_ij = 2 s eps_kij (radius 1/s)"),
-    "hyperbolic-h3": ("scale", "hyperbolic space H^3 at curvature scale s"),
-    "berger-s3": ("squash", "Berger sphere: Hopf fiber rescaled by t (t=1 is round)"),
-    "h2xr": (None, "product H^2 x R local model (not Einstein)"),
+    "flat": (None, "flat R^3 / T^3 local model (zero structure constants)", lambda _: {}, None),
+    "round-s3": ("scale", "round 3-sphere, c^k_ij = 2 s eps_kij (radius 1/s)",
+                 lambda s: {(k, i, j): 2 * s for k, i, j, sgn in _EPS if sgn > 0},
+                 lambda s: s ** -3),
+    "hyperbolic-h3": ("scale", "hyperbolic space H^3 at curvature scale s",
+                      lambda s: {(0, 0, 2): -s, (1, 1, 2): -s}, None),
+    "berger-s3": ("squash", "Berger sphere: Hopf fiber rescaled by t (t=1 is round)",
+                  lambda t: {(0, 1, 2): 2 * t, (1, 2, 0): 2 / t, (2, 0, 1): 2 / t}, lambda t: t),
+    "h2xr": (None, "product H^2 x R local model (not Einstein)",
+             lambda _: {(0, 0, 1): Fraction(-1)}, None),
 }
 
 
@@ -357,7 +363,7 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin background {name!r}")
     field = field or RationalField()
-    pname = _BUILTINS[name][0]
+    pname, _, entries, ratio = _BUILTINS[name]
     if param is None:
         param = Fraction(1)
     else:
@@ -371,30 +377,12 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     if key and (bg := _LIVE.get(key)) is not None:
         return bg
 
-    zero = Fraction(0)
-    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    volume = None
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for (k, i, j), v in entries(param).items():
+        c[k][i][j], c[k][j][i] = v, -v
     label = name if pname is None or param == 1 else f"{name}?{pname}={param}"
-
-    if name == "round-s3":  # flat keeps c = 0
-        s = 2 * param
-        for k, i, j, sgn in _EPS:
-            c[k][i][j] = s if sgn > 0 else -s
-        volume = _volume(pname, param ** -3)
-    elif name == "hyperbolic-h3":
-        s = param
-        c[0][0][2], c[0][2][0] = -s, s
-        c[1][1][2], c[1][2][1] = -s, s
-    elif name == "berger-s3":
-        t, u = 2 * param, 2 / param
-        c[0][1][2], c[0][2][1] = t, -t
-        c[1][2][0], c[1][0][2] = u, -u
-        c[2][0][1], c[2][1][0] = u, -u
-        volume = _volume(pname, param)
-    elif name == "h2xr":
-        c[0][0][1], c[0][1][0] = Fraction(-1), Fraction(1)
-
-    bg = FrameBackground.from_structure_constants(label, c, field=field, volume=volume)
+    bg = FrameBackground.from_structure_constants(
+        label, c, field=field, volume=ratio and _volume(pname, ratio(param)))
     return _LIVE.setdefault(key, bg) if key else bg
 
 

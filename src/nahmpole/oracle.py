@@ -280,18 +280,6 @@ def taylor_profile(sol: ProfileSolution, N: int):
 # ---------------------------------------------------------------------------
 
 
-class _Float64Kit:
-    """Minimal scalar-field shim over native floats for FlowState's form views."""
-
-    zero = 0.0
-    one = 1.0
-    exact = False
-    from_fraction = float  # an int or Fraction factor of GForm.scale or divide
-
-
-_F64 = _Float64Kit()
-
-
 #: Size of the packed state ``v = (a, b, phi_y)``: 9 + 9 + 3 coefficients.
 _NV = 21
 #: The largest y where the table's rational e^{2y} is exact to 2e-50 relative.
@@ -299,6 +287,7 @@ _Y_EXACT_MAX = 0.5
 #: The raveled vierbein ``e``: the pole of ``Phi`` is ``e/y``.
 _E = np.eye(3).ravel()
 _IJ = np.array(_I), np.array(_J)  # the pairs of ``4Q`` as :func:`_stacked_rhs`'s indices
+_VIEWS = RationalField()  # the field of FlowState's views: exact forms of float64 entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +296,10 @@ class FlowState:
     row ``v`` of the full variables ``(A, phi, phi_y)``, 9 + 9 + 3 entries
     (``phi`` carries the 1/y pole).  Any other row is copied into one.
 
-    ``A``, ``phi`` (degree 1) and ``phi_y`` (degree 0) are float
-    :class:`GForm` views of the blocks of ``v``, built when read.  States
-    compare by identity.
+    ``A``, ``phi`` (degree 1) and ``phi_y`` (degree 0) are exact
+    :class:`GForm` views of the blocks of ``v``, built when read, whose
+    entries are the row's float64 values as they are.  States compare by
+    identity.
     """
 
     y: float
@@ -321,7 +311,7 @@ class FlowState:
             object.__setattr__(self, "v", np.array(self.v, dtype=float))
             self.v.flags.writeable = False
 
-    A, phi, phi_y = (property(lambda self, r=r: GForm.from_entries(_F64, self.v[r].tolist()))
+    A, phi, phi_y = (property(lambda self, r=r: GForm.from_entries(_VIEWS, self.v[r].tolist()))
                      for r in _BLOCKS)
 
 

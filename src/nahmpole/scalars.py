@@ -208,7 +208,6 @@ _NO_CONTEXT = contextlib.nullcontext()
 def context(field):
     """The context manager a computation over ``field`` runs under:
     ``decimal.localcontext(field.ctx)`` for a :class:`FloatField`, and one
-    that does nothing for any field without a ``ctx`` (rationals, the
-    native floats of the form views of a flow state)."""
+    that does nothing for any field without a ``ctx`` (rationals)."""
     ctx = getattr(field, "ctx", None)
     return _NO_CONTEXT if ctx is None else decimal.localcontext(ctx)

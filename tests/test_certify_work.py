@@ -1,11 +1,12 @@
-"""What the exact certify path builds, and the float views' scalar factors.
+"""What the exact certify path builds, and the exact views of a flow state.
 
 A verified residual cell returns the series' shared zero readings, so a
 second ``check_residuals`` on a stored table builds a form only where a
 residual is nonzero: the unchecked ``b`` equation at K = order + 1.  The
 ``verify identities`` draws are made as readings and take the same random
-stream as ``Fraction(rng.randint(-9, 9), rng.randint(1, 7))`` draws.  A flow state's float views
-scale by an int or a ``Fraction`` as by its float value.
+stream as ``Fraction(rng.randint(-9, 9), rng.randint(1, 7))`` draws.  A flow
+state's views are exact forms whose entries are its row's float64 values, and
+scale by a factor exactly.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 
 from nahmpole import cli
 from nahmpole.algebra import GForm
-from nahmpole.geometry import load_background
+from nahmpole.geometry import _BLOCKS, load_background
 from nahmpole.oracle import closed_solution, profile_state
 from nahmpole.scalars import RationalField
 from nahmpole.series import check_residuals, from_json, residual_at
@@ -59,11 +60,13 @@ def test_a_verified_check_builds_almost_no_forms(monkeypatch):
 
 
 @pytest.mark.parametrize("factor", (2, -3, Fraction(1, 2), Fraction(-3, 7), 0.25))
-def test_float_views_scale_by_int_and_fraction(factor):
+def test_flow_state_views_are_exact_forms_of_the_row(factor):
     state = profile_state(closed_solution("s3"), 0.5)
-    for view in (state.A, state.phi, state.phi_y):
-        scaled, divided = view.scale(factor), view.divide(factor)
-        assert scaled.field is view.field and divided.field is view.field
-        assert list(scaled.entries()) == [v * float(factor) for v in view.entries()]
-        assert list(divided.entries()) == [v / float(factor) for v in view.entries()]
-        assert all(type(v) is float for v in (*scaled.entries(), *divided.entries()))
+    for view, r in zip((state.A, state.phi, state.phi_y), _BLOCKS):
+        assert view.field.exact
+        assert all(type(v) is float for v in view.entries())
+        assert list(view.entries()) == state.v[r].tolist()
+        exact = [Fraction(v) for v in view.entries()]
+        assert list(view.scale(factor).entries()) == [v * Fraction(factor) for v in exact]
+        assert list(view.divide(factor).entries()) == [v / Fraction(factor) for v in exact]
+    assert state.phi_y.is_zero()
