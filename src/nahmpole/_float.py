@@ -14,14 +14,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import (_EPS, _MINUS, _PLUS, _TABLES, _ZERO, EigenPart, GForm, SingularLambda,
-                      _read, star_bracket_star, star_wedge)
+                      star_bracket_star, star_wedge)
 from .scalars import context
 
 
 class FForm(GForm):
-    """A form over float scalars: ``GForm``'s slot-wise methods, under the field's context."""
+    """A form over float scalars, with no integer reading: ``GForm``'s slot-wise methods."""
 
     __slots__ = ()
+
+    def __init__(self, field, degree: int, coeffs):
+        self.field, self.degree, self._coeffs, self._ints = field, degree, coeffs, None
 
     def _slotwise(self, op, *others: GForm) -> GForm:
         """``op`` of the matching slots of this form and ``others`` (of its
@@ -65,16 +68,14 @@ def _products(field, slots, sign, x: GForm, op, y: GForm):
     place: each product of nonzero entries added to or subtracted from its
     slot in turn, in the kernel table's order, through the field's ``ops``;
     an exact operand beside a scalar one is refused."""
-    (xs, dx), (ys, dy) = x._ints or _read(x), y._ints or _read(y)
-    if dx or dy:
+    if x.field.exact or y.field.exact:
         raise TypeError("a kernel term pairs an exact operand with a scalar one")
     mul, add, sub = field.ops
-    table = _TABLES[op]
-    for i, xi in enumerate(xs):
-        if xi is not None:
+    table, ys = _TABLES[op], y.entries()
+    for i, xi in enumerate(x.entries()):
+        if xi:
             for j, o, s in table[i]:
-                yj = ys[j]
-                if yj is not None:
+                if yj := ys[j]:
                     slots[o] = (add if s == sign else sub)(slots[o], mul(xi, yj))
     return slots
 

@@ -33,12 +33,12 @@ spectral projection built: :func:`invert_cal_L` inverts ``k + L``, and
 :func:`resolve_coupled` solves the whole a/phi_y step, ``(lam - L) a +
 [e, phi] = R`` with ``lam phi + Gamma(a) = S``, for any degree-1 ``R``.
 
-Exact kernels pass integer readings to each other: each reads its operands'
-integer numerators over one denominator (:func:`_read`, every entry at its
-exact value, kept on the form) and returns its result as such a reading,
-reduced by one gcd (:func:`_form`), whose ``Fraction`` entries are built only
-when read.  Over exact scalars every operator takes that integer route; over
-floats, each dispatches once to its body in :mod:`nahmpole._float`.
+Exact kernels pass integer readings to each other: every exact form holds its
+integer numerators over one denominator from construction (:func:`_ratios` of
+its entries, each at its exact value, or :func:`_form`'s reduced result), whose
+``Fraction`` entries are built only when read.  Over exact scalars every
+operator takes that integer route; over floats, each dispatches once, on the
+field, to its body in :mod:`nahmpole._float`.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ _PARTS = _MINUS, _ZERO, _PLUS = tuple(EigenPart)
 
 
 class GForm:
-    """Frame-constant g-valued form of degree 0 or 1 over a scalar field.  A
-    form never changes; one made by :func:`_form` holds its integer reading
-    and builds its ``Fraction`` entries when ``coeffs`` is first read (by
-    ``entries``, ``repr`` or a printer): over exact scalars ``+``, ``-``,
-    ``scale``, ``divide`` and ``==`` act on the readings (:func:`_read`), so
-    an exact form never rounds, whatever the types of its entries.  A form
-    over float scalars is made a :class:`nahmpole._float.FForm`."""
+    """Frame-constant g-valued form of degree 0 or 1 over a scalar field.  A form
+    never changes.  An exact one holds its canonical integer reading from construction,
+    :func:`_ratios` of its entries, or is made from one by :func:`_form` and builds its
+    ``Fraction`` entries when ``coeffs`` is first read: ``+``, ``-``, ``scale``,
+    ``divide`` and ``==`` act on the readings, so an exact form never rounds, whatever
+    the types of its entries.  A form over float scalars is made a
+    :class:`nahmpole._float.FForm`, which holds no reading."""
 
     __slots__ = ("field", "degree", "_coeffs", "_ints")
 
@@ -127,7 +127,8 @@ class GForm:
         return self.field, self.degree, None
 
     def __init__(self, field, degree: int, coeffs):
-        self.field, self.degree, self._coeffs, self._ints = field, degree, coeffs, None
+        self.field, self.degree, self._coeffs = field, degree, coeffs
+        self._ints = _ratios(self.entries())
 
     @property
     def coeffs(self):
@@ -180,7 +181,7 @@ class GForm:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         if not other.field.exact:
             raise TypeError("an exact form meets a scalar one")
-        (n, d), (m, e) = self._ints or _read(self), other._ints or _read(other)
+        (n, d), (m, e) = self._ints, other._ints
         den = lcm(d, e)
         f, g = den // d, den // e
         return _form(self.field, [op(x * f, y * g) for x, y in zip(n, m)], den)
@@ -197,7 +198,7 @@ class GForm:
     def _times(self, s, op) -> "GForm":
         """``op`` (``mul`` or ``truediv``) of each entry and the scalar ``s``:
         of the reading and ``s``'s exact integer ratio, reduced once."""
-        (n, d), (num, den) = self._ints or _read(self), s.as_integer_ratio()
+        (n, d), (num, den) = self._ints, s.as_integer_ratio()
         num, den = (den, num) if op is operator.truediv else (num, den)
         if not den:
             raise ZeroDivisionError("GForm divided by zero")
@@ -217,10 +218,8 @@ class GForm:
 
     def is_zero(self, scale=None) -> bool:
         """Whether every entry is zero by the field's rule against ``scale``,
-        which exact scalars do not read."""
-        if self._coeffs is None:  # an unread exact reading: no nonzero numerator
-            return not any(self._ints[0])
-        return not any(self.entries())
+        which exact scalars do not read: no nonzero numerator."""
+        return not any(self._ints[0])
 
     def trace(self):
         if self.degree != 1:
@@ -236,7 +235,7 @@ class GForm:
         """Two exact forms compare their canonical readings (a float form, its slots)."""
         if not isinstance(other, GForm):
             return NotImplemented
-        return self.degree == other.degree and _read(self) == _read(other)
+        return self.degree == other.degree and self._ints == other._ints
 
     def __repr__(self):
         return f"GForm(degree={self.degree}, coeffs={self.coeffs!r})"
@@ -262,36 +261,24 @@ def _table(terms):
     return rows
 
 
-def _read(form: GForm):
-    """``(integer numerators, common denominator)`` of a form over exact
-    scalars, each entry read at its exact value (:func:`_ratios`), else
-    ``(entries, None)`` with zeros as None; tuples, kept on the form and shared
-    by every reader.  A reading is canonical: a positive denominator with no
-    factor common to all numerators."""
-    if form._ints is None:
-        entries = form.entries()
-        form._ints = (_ratios(entries) if form.field.exact
-                      else (tuple([v or None for v in entries]), None))
-    return form._ints
-
-
 def _ratios(values):
-    """``(integer numerators, common denominator)`` of the exact values of
-    ints, ``Fraction``s, floats or ``Decimal``s."""
+    """The canonical reading of the exact values of ints, ``Fraction``s, floats or
+    ``Decimal``s: integer numerators over a positive common denominator with no factor
+    common to them all, ``(0, ..., 0) / 1`` when every value is zero."""
     ratios = [v.as_integer_ratio() if v else (0, 1) for v in values]
     d = lcm(*[q for _, q in ratios])
     return tuple(n and n * (d // q) for n, q in ratios), d
 
 
 def _exactly(form):
-    """A form's entries at their exact values as ``(numerators, denominator)``: a float
-    form's ratios of its decimals are not kept on it, as its reading picks the kernels' loop."""
-    return form._ints or _read(form) if form.field.exact else _ratios(form.entries())
+    """A form's entries at their exact values as ``(numerators, denominator)``: an exact
+    form's reading, a float form's ratios of its decimals, which are not kept on it."""
+    return form._ints if form.field.exact else _ratios(form.entries())
 
 
 def _form(field, totals, den) -> GForm:
     """The exact form ``totals / den`` (3 or 9 slots), made from its reading:
-    reduced by one gcd to the canonical one :func:`_read` gives, or the zero
+    reduced by one gcd to the canonical one :func:`_ratios` gives, or the zero
     reading ``(0, ..., 0) / 1`` when every total is zero."""
     form = object.__new__(GForm)  # an exact form: GForm.__new__'s dispatch is not needed
     form.field, form.degree, form._coeffs = field, 0 if len(totals) == 3 else 1, None
@@ -360,24 +347,23 @@ def _integer_sum(field, size: int, terms) -> GForm:
 
 def _kernel_sum(field, size: int, terms) -> GForm:
     """The form ``sum c op(x, y)`` (3 or 9 slots) of the kernel terms ``(c, x,
-    op, y)``: the operands read once and summed by :func:`_integer_sum` (over
+    op, y)``: the operands' readings summed by :func:`_integer_sum` (over
     floats, ``_float._kernel_sum``).  An exact operand beside a scalar one is
     refused with ``TypeError``, on either field."""
-    if not field.exact:
+    if not (field.exact and all(x.field.exact and y.field.exact for _, x, _, y in terms)):
+        if field.exact:
+            raise TypeError("a kernel term pairs an exact operand with a scalar one")
         return _float._kernel_sum(field, size, terms)
-    read = [(c, *(x._ints or _read(x)), op, *(y._ints or _read(y))) for c, x, op, y in terms]
-    if not all(d and e for _, _, d, _, _, e in read):  # a reading of float scalars
-        raise TypeError("a kernel term pairs an exact operand with a scalar one")
-    return _integer_sum(field, size, read)
+    return _integer_sum(field, size, [(c, *x._ints, op, *y._ints) for c, x, op, y in terms])
 
 
 def e_bracket(phi: GForm) -> GForm:
     """``[e, phi]`` for a 0-form ``phi`` (a V0-valued 1-form): ``[e, phi]_ij =
     -[e, phi]_ji = phi_m`` over the cyclic ``(i, j, m)``, on the integer
     reading of exact entries; other scalars take ``-[phi, e]`` by the kernel."""
-    s, D = _read(phi)
-    if not D:
+    if not phi.field.exact:
         return _kernel_sum(phi.field, 9, [(-1, phi, bracket_0_1, vierbein(phi.field))])
+    s, D = phi._ints
     return _form(phi.field, [0, s[2], -s[1], -s[2], 0, s[0], s[1], -s[0], 0], D)
 
 
@@ -386,9 +372,9 @@ def L_op(a: GForm) -> GForm:
     of exact entries; other scalars take :func:`star_wedge` with the vierbein."""
     if a.degree != 1:
         raise ValueError("L_op needs a degree-1 form")
-    n, D = _read(a)
-    if not D:
+    if not a.field.exact:
         return star_wedge(vierbein(a.field), a)
+    n, D = a._ints
     tr = n[0] + n[4] + n[8]
     return _form(a.field, [tr - n[3 * s + r] if r == s else -n[3 * s + r]
                            for r in range(3) for s in range(3)], D)
@@ -400,9 +386,9 @@ def gamma_op(a: GForm) -> GForm:
     scalars take :func:`star_bracket_star` with the vierbein."""
     if a.degree != 1:
         raise ValueError("gamma_op needs a degree-1 form")
-    n, D = _read(a)
-    if not D:
+    if not a.field.exact:
         return star_bracket_star(a, vierbein(a.field))
+    n, D = a._ints
     return _form(a.field, [n[5] - n[7], n[6] - n[2], n[1] - n[3]], D)
 
 
@@ -422,9 +408,9 @@ def project(a: GForm, part: EigenPart) -> GForm:
     """
     if a.degree != 1:
         raise ValueError("project needs a degree-1 form")
-    n, D = _read(a)
-    if not D:
+    if not a.field.exact:
         return _float.project(a, part)
+    n, D = a._ints
     tr, nt = n[0] + n[4] + n[8], n[0::3] + n[1::3] + n[2::3]  # nt: n^T
     if part is _MINUS:
         totals, den = [tr, 0, 0, 0, tr, 0, 0, 0, tr], 3 * D
@@ -464,7 +450,7 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
         raise ResonantOrder(k, [part for part in EigenPart if k + part.eigenvalue(1) == 0])
     if not rhs.field.exact:
         return _float.invert_cal_L(k, rhs)
-    (n, D), (l, q) = _read(rhs), k.as_integer_ratio()
+    (n, D), (l, q) = rhs._ints, k.as_integer_ratio()
     tr = n[0] + n[4] + n[8]
     return _form(rhs.field, [
         (n[4 * i] * (l + 2 * q) - q * tr) * (l + q) * q if i == j
@@ -503,7 +489,7 @@ def resolve_coupled(lam, R: GForm, S: GForm):
     field = R.field
     if not field.exact:
         return _float.resolve_coupled(lam, R, S)
-    (l, q), (n, D), (s, DS) = lam.as_integer_ratio(), _read(R), _read(S)
+    (l, q), (n, D), (s, DS) = lam.as_integer_ratio(), R._ints, S._ints
     if not (l + q) * (l - 2 * q):
         raise SingularLambda(lam)
     tr, a, phi = n[0] + n[4] + n[8], [0] * 9, [0] * 3

@@ -29,7 +29,7 @@ from .algebra import (
     gamma_op, invert_cal_L, project, resolve_coupled, vierbein,
 )
 from .geometry import (
-    _is_array3, builtin, builtin_names, d_omega_star, einstein_undecided,
+    _BUILTINS, _is_array3, builtin, builtin_names, d_omega_star, einstein_undecided,
     is_einstein, load_background, star_d_omega,
 )
 from .oracle import (
@@ -497,8 +497,8 @@ def _cmd_backgrounds(_args) -> int:
         flag = "einstein" if is_einstein(bg) else "non-einstein"
         vol = "noncompact" if bg.volume is None else f"volume {bg.volume:g}"
         print(f"builtin:{name:<16} {flag:<13} {vol}")
-    print("parametrized: builtin:round-s3?scale=Q  "
-          "builtin:hyperbolic-h3?scale=Q  builtin:berger-s3?squash=Q")
+    print("parametrized: " + "  ".join(f"builtin:{name}?{pname}=Q"
+                                       for name, (pname, *_) in _BUILTINS.items() if pname))
     return 0
 
 

@@ -41,7 +41,7 @@ from . import _float
 from ._float import connection_form, einstein_undecided, levi_civita, torsion_residual
 from .algebra import (
     _EPS, _TABLES, EigenPart, GForm, L_op, _exactly, _form, _integer_sum, _kernel_sum, _ratios,
-    _read, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import FloatField, RationalField
 
@@ -72,7 +72,7 @@ def star_d(bg, x: GForm) -> GForm:
         raise ValueError("star_d needs a degree-1 form")
     if not bg.field.exact:
         return GForm.from_entries(bg.field, _float._star_d(bg.field, bg._frame, x))
-    xs, dx = _read(x)
+    xs, dx = x._ints
     return _form(bg.field, _star_d_ints(bg._frame, xs), dx * bg._frame[2])
 
 
@@ -171,7 +171,7 @@ def _frame_terms(bg: FrameBackground, op, x: GForm):
     """The frame operator ``op`` on ``x`` over exact scalars as the read terms
     of :func:`~nahmpole.algebra._integer_sum`: the frame's own terms on the
     reading ``xs / dx`` over ``dx D``, and ``op``'s kernel in ``W``."""
-    (xs, dx), (ws, dw) = x._ints or _read(x), bg.W._ints or _read(bg.W)
+    (xs, dx), (ws, dw) = x._ints, bg.W._ints
     cyclic, traces, D = bg._frame
     if op is d_omega:  # -[x, W]
         return [(-1, xs, dx, bracket_0_1, ws, dw)]
@@ -317,19 +317,16 @@ _FLOAT_MAX = Fraction(sys.float_info.max)
 #: bits): :func:`builtin` returns the live one.  Held weakly, so none is kept.
 _LIVE = weakref.WeakValueDictionary()
 
-#: name -> (parameter name or None, docstring, the entries ``{(k, i, j): c^k_ij}`` of a
-#: parameter, one key per antisymmetric pair, and its volume over ``2 pi^2`` or None)
+#: name -> (parameter name or None, the entries ``{(k, i, j): c^k_ij}`` of a parameter,
+#: one key per antisymmetric pair, and its volume over ``2 pi^2`` or None)
 _BUILTINS = {
-    "flat": (None, "flat R^3 / T^3 local model (zero structure constants)", lambda _: {}, None),
-    "round-s3": ("scale", "round 3-sphere, c^k_ij = 2 s eps_kij (radius 1/s)",
-                 lambda s: {(k, i, j): 2 * s for k, i, j, sgn in _EPS if sgn > 0},
+    "flat": (None, lambda _: {}, None),
+    "round-s3": ("scale", lambda s: {(k, i, j): 2 * s for k, i, j, sgn in _EPS if sgn > 0},
                  lambda s: s ** -3),
-    "hyperbolic-h3": ("scale", "hyperbolic space H^3 at curvature scale s",
-                      lambda s: {(0, 0, 2): -s, (1, 1, 2): -s}, None),
-    "berger-s3": ("squash", "Berger sphere: Hopf fiber rescaled by t (t=1 is round)",
-                  lambda t: {(0, 1, 2): 2 * t, (1, 2, 0): 2 / t, (2, 0, 1): 2 / t}, lambda t: t),
-    "h2xr": (None, "product H^2 x R local model (not Einstein)",
-             lambda _: {(0, 0, 1): Fraction(-1)}, None),
+    "hyperbolic-h3": ("scale", lambda s: {(0, 0, 2): -s, (1, 1, 2): -s}, None),
+    "berger-s3": ("squash", lambda t: {(0, 1, 2): 2 * t, (1, 2, 0): 2 / t, (2, 0, 1): 2 / t},
+                  lambda t: t),
+    "h2xr": (None, lambda _: {(0, 0, 1): Fraction(-1)}, None),
 }
 
 
@@ -354,8 +351,10 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     Frames are immutable, so it gives a fresh frame's values; its ``field`` may
     be an equal instance other than ``field``.
 
-    :param name: one of ``flat``, ``round-s3``, ``hyperbolic-h3``,
-        ``berger-s3``, ``h2xr``.
+    :param name: ``flat`` (R^3 / T^3, zero structure constants), ``round-s3``
+        (``c^k_ij = 2 s eps_kij``, radius ``1/s``), ``hyperbolic-h3`` (H^3 at curvature
+        scale ``s``), ``berger-s3`` (Hopf fiber rescaled by the squash ``t``; ``t = 1``
+        is round) or ``h2xr`` (H^2 x R, not Einstein).
     :param param: the scale/squash parameter where the model takes one
         (rational; must be positive).  Defaults to 1, which names the same
         frame as none.
@@ -363,7 +362,7 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin background {name!r}")
     field = field or RationalField()
-    pname, _, entries, ratio = _BUILTINS[name]
+    pname, entries, ratio = _BUILTINS[name]
     if param is None:
         param = Fraction(1)
     else:
@@ -387,13 +386,11 @@ def builtin(name: str, param=None, field=None) -> FrameBackground:
 
 
 def _parse_builtin_uri(uri: str, field) -> FrameBackground:
-    body = uri[len("builtin:"):]
-    name, _, query = body.partition("?")
+    name, _, query = uri[len("builtin:"):].partition("?")
     param = None
-    if query:
+    if query and name in _BUILTINS:  # builtin refuses an unknown name, whatever its query
         key, _, value = query.partition("=")
-        expected = _BUILTINS.get(name, (None, ""))[0]
-        if expected is None or key != expected:
+        if key != _BUILTINS[name][0]:
             raise ValueError(f"builtin {name!r} does not take parameter {key!r}")
         param = RationalField().parse(value)
     return builtin(name, param=param, field=field)

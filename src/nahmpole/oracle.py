@@ -298,8 +298,9 @@ class FlowState:
 
     ``A``, ``phi`` (degree 1) and ``phi_y`` (degree 0) are exact
     :class:`GForm` views of the blocks of ``v``, built when read, whose
-    entries are the row's float64 values as they are.  States compare by
-    identity.
+    entries are the row's float64 values as they are; that of a block with
+    an inf or a NaN, which no exact form holds (a fixed-step integration into
+    a blow-up), raises ``ValueError`` naming it.  States compare by identity.
     """
 
     y: float
@@ -311,8 +312,15 @@ class FlowState:
             object.__setattr__(self, "v", np.array(self.v, dtype=float))
             self.v.flags.writeable = False
 
-    A, phi, phi_y = (property(lambda self, r=r: GForm.from_entries(_VIEWS, self.v[r].tolist()))
-                     for r in _BLOCKS)
+    def _view(self, r):
+        try:
+            return GForm.from_entries(_VIEWS, self.v[r].tolist())
+        except (OverflowError, ValueError):  # as_integer_ratio of an inf or a NaN
+            bad = next(x for x in self.v[r].tolist() if not math.isfinite(x))
+            raise ValueError(f"flow state at y = {self.y!r} has the non-finite "
+                             f"entry {bad!r}") from None
+
+    A, phi, phi_y = (property(lambda self, r=r: self._view(r)) for r in _BLOCKS)
 
 
 def profile_state(sol: ProfileSolution, y) -> FlowState:

@@ -38,7 +38,7 @@ from itertools import chain
 
 from . import _float
 from .algebra import (
-    _PARTS, EigenPart, GForm, _exactly, _form, _integer_sum, _kernel_sum, _read, bracket_0_1,
+    _PARTS, EigenPart, GForm, _exactly, _form, _integer_sum, _kernel_sum, bracket_0_1,
     gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from .geometry import (_BLOCKS, _PAIR_4Q, _POLE_COLUMNS, FrameBackground, _frame_terms,
@@ -244,7 +244,7 @@ def _sum(field, degree: int, terms, images=(), bg=None):
     if not field.exact:
         return _float._sum(field, degree, terms, images, bg)
     read = [term for op, x in images if x for term in _frame_terms(bg, op, x)]
-    read += [(c, *(x._ints or _read(x)), None, None, 1) for c, x in terms if x]
+    read += [(c, *x._ints, None, None, 1) for c, x in terms if x]
     return _integer_sum(field, 9 if degree else 3, read), []
 
 
@@ -497,7 +497,7 @@ def check_residuals(series: PhgSeries, through: int = None):
         return [(K, p, name) for K in range(1, N + 2) for p in range(pmax, -1, -1)
                 if (cell := residual_at(series, K, p)) is not zeros  # else a verified cell
                 for R, name in zip(cell, ("a", "b", "phi_y"))
-                if (name != "b" or K <= N) and any(_read(R)[0])]
+                if (name != "b" or K <= N) and any(_exactly(R)[0])]
     finally:
         series._depths = None
 

@@ -6,9 +6,10 @@ residual is nonzero: the unchecked ``b`` equation at K = order + 1.  The
 ``verify identities`` draws are made as readings and take the same random
 stream as ``Fraction(rng.randint(-9, 9), rng.randint(1, 7))`` draws.  A flow
 state's views are exact forms whose entries are its row's float64 values, and
-scale by a factor exactly.
+scale by a factor exactly; a block holding an inf or a NaN has no exact view.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from nahmpole import cli
 from nahmpole.algebra import GForm
 from nahmpole.geometry import _BLOCKS, load_background
-from nahmpole.oracle import closed_solution, profile_state
+from nahmpole.oracle import FlowState, closed_solution, profile_state
 from nahmpole.scalars import RationalField
 from nahmpole.series import check_residuals, from_json, residual_at
 
@@ -70,3 +71,21 @@ def test_flow_state_views_are_exact_forms_of_the_row(factor):
         assert list(view.scale(factor).entries()) == [v * Fraction(factor) for v in exact]
         assert list(view.divide(factor).entries()) == [v / Fraction(factor) for v in exact]
     assert state.phi_y.is_zero()
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("slot", (0, 13, 20))
+def test_a_non_finite_block_has_no_view(bad, slot):
+    # a fixed-step integration into a blow-up can return such a row: the view of
+    # its block is refused in one line naming the entry, the others and v stay
+    row = [0.25 * n for n in range(21)]
+    row[slot] = bad
+    state = FlowState(0.5, row)
+    assert repr(state.v.tolist()[slot]) == repr(bad)
+    for name, r in zip(("A", "phi", "phi_y"), _BLOCKS):
+        if slot in r:
+            with pytest.raises(ValueError, match=f"non-finite entry {bad!r}") as err:
+                getattr(state, name)
+            assert "\n" not in str(err.value)
+        else:
+            assert list(getattr(state, name).entries()) == row[r.start:r.stop]

@@ -171,6 +171,13 @@ class TestExpand:
         assert cli.main(["expand", "--background", "builtin:nosuch"]) == 1
         assert "cannot load background" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("query", ["scale=2", "squash=1/2", "nosuch=x"])
+    def test_unknown_background_with_a_parameter(self, capsys, query):
+        # the name is judged before its parameter
+        assert cli.main(["expand", "--background", f"builtin:nosuch?{query}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cannot load background: unknown builtin background 'nosuch'\n"
+
     def test_missing_background_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert cli.main(["expand", "--background", missing]) == 1

@@ -4,27 +4,30 @@ Over exact scalars ``+``, ``-``, unary ``-``, ``scale``, ``divide`` and
 ``==`` read each operand's integer numerators over one denominator and
 build no ``Fraction``.  The oracle is plain ``Fraction`` arithmetic, entry
 by entry.  Every result must hold the oracle's entries and the canonical
-reading that :func:`nahmpole.algebra._read` makes of a fresh form with those
-entries.  The operands are made from entries (ints among them) and straight
-from readings (:func:`nahmpole.algebra._form`), with zero forms, pairwise
-coprime denominators and thousand-digit numerators.  Float forms keep the
-slot-by-slot route under their field's context, whatever the thread's.
+reading that a fresh form with those entries holds from construction.  The
+operands are made from entries (ints among them) and straight from readings
+(:func:`nahmpole.algebra._form`), with zero forms, pairwise coprime
+denominators and thousand-digit numerators.  Float forms keep the
+slot-by-slot route under their field's context, whatever the thread's, and
+hold no reading.
 """
 
 import decimal
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from nahmpole import cli
-from nahmpole.algebra import GForm, L_op, _form, _read, invert_cal_L, star_wedge
+from nahmpole._float import FForm
+from nahmpole.algebra import GForm, L_op, _form, _ratios, invert_cal_L, star_wedge, vierbein
 from nahmpole.geometry import load_background
 from nahmpole.scalars import FloatField, RationalField
-from nahmpole.series import check_residuals, expand
+from nahmpole.series import check_residuals, expand, from_json
 
 _FIELD = RationalField()
 _F128 = FloatField(128)
@@ -59,7 +62,7 @@ def assert_reads_as(got, want):
     """``got`` holds the oracle's entries ``want`` as their canonical reading,
     made without building an entry."""
     assert got._coeffs is None
-    assert got._ints == _read(GForm.from_entries(_FIELD, want))
+    assert got._ints == GForm.from_entries(_FIELD, want)._ints
     assert list(got.entries()) == want
 
 
@@ -233,26 +236,80 @@ def test_exact_check_residuals_builds_no_fraction(uri, monkeypatch):
     assert bg.W._coeffs is None and bg.starF._coeffs is None
 
 
-def test_exact_zero_forms_are_made_read(monkeypatch):
-    # GForm.zero over exact scalars carries its reading from the start, so no
-    # all-zero form computes one; over floats it keeps its entries
-    from nahmpole import algebra, geometry
-
+def test_exact_zero_forms_are_made_read():
+    # GForm.zero over exact scalars is made from its reading and builds no
+    # entry until one is read; over floats it keeps its entries
     for degree, size in ((0, 3), (1, 9)):
         zero = GForm.zero(_FIELD, degree)
         assert zero._coeffs is None and zero._ints == ((0,) * size, 1)
         assert list(zero.entries()) == [_FIELD.zero] * size
         assert GForm.zero(_F128, degree)._ints is None
-    computed, read = [], algebra._read
 
-    def counting(form):
-        if form._ints is None:
-            computed.append(not any(form.entries()))
-        return read(form)
-    for module in (algebra, geometry):
-        monkeypatch.setattr(module, "_read", counting)
-    assert cli.main(["verify", "identities"]) == 0
-    assert computed and sum(computed) == 0
+
+#: The entries of a built form: ints, Fractions, finite floats and Decimals, signed zeros too.
+_built = st.one_of(_inexact, st.sampled_from((0.0, -0.0, decimal.Decimal("-0"))))
+#: Entries of one type each: ints, Fractions, floats and Decimals, for ``from_entries``.
+_typed = st.tuples(*[st.lists(entry, min_size=n, max_size=n) for entry, n in (
+    (st.integers(-10**30, 10**30), 9), (st.builds(Fraction, _numerator, _denominator), 3),
+    (st.floats(allow_nan=False, allow_infinity=False), 9),
+    (st.decimals(allow_nan=False, allow_infinity=False, places=12), 3))])
+_FLOATS = (FloatField(64), _F128)
+
+
+def _json_forms(field, a, b, phi):
+    """``(form, its entries)`` of each form ``from_json`` stores (a zero one it drops) of a
+    one-entry document with these entries."""
+    def text(v):
+        q = Fraction(v)
+        return f"{q.numerator}/{q.denominator}"
+    doc = {"background": "flat", "order": 1, "entries": [
+        {"k": 1, "p": 0, "a": [[text(v) for v in a[r:r + 3]] for r in (0, 3, 6)],
+         "b": [[text(v) for v in b[r:r + 3]] for r in (0, 3, 6)],
+         "phi_y": [text(v) for v in phi]}]}
+    series = from_json(json.dumps(doc), field=field)
+    return [(table[1, 0], want) for table, want in zip((series._a, series._b, series._phi),
+                                                        (a, b, phi)) if (1, 0) in table]
+
+
+def _builds(field, nine, three, typed, made):
+    """One form of each way to build one over ``field``: ``(form, its exact values)``."""
+    rows = [nine[r:r + 3] for r in (0, 3, 6)]
+    built = [(GForm.one_form(field, rows), nine), (GForm.zero_form(field, three), three),
+             (GForm.zero(field, 0), [0] * 3), (GForm.zero(field, 1), [0] * 9),
+             (vierbein(field), [1, 0, 0, 0, 1, 0, 0, 0, 1])]
+    if field.exact:
+        ns, den = made
+        built += [(GForm.from_entries(field, v), v) for v in [nine, three, *typed]]
+        built.append((_form(field, ns, den), [Fraction(n, den) for n in ns]))
+    else:
+        values = [[field.from_fraction(Fraction(v)) for v in w] for w in (nine, three)]
+        built += [(GForm.from_entries(field, v), v) for v in values]
+    built += _json_forms(field, nine, nine[::-1], three)
+    return [(form, [Fraction(v) for v in want]) for form, want in built]
+
+
+@given(st.lists(_built, min_size=9, max_size=9), st.lists(_built, min_size=3, max_size=3),
+       _typed, st.tuples(st.lists(_numerator, min_size=9, max_size=9),
+                         st.sampled_from((1, -1, 7, -12, 10**30))))
+@example([0] * 9, [0] * 3, ([0] * 9, [0] * 3, [0.0] * 9, [decimal.Decimal(0)] * 3),
+         ([0] * 9, -7))
+@example([-0.0] * 9, [decimal.Decimal("-0")] * 3,
+         ([-4] * 9, [Fraction(-1, 2)] * 3, [-0.0, 0.5] * 4 + [0.1],
+          [decimal.Decimal("-0.00")] * 3),
+         ([6, 0, -4, 2, 0, 0, 0, 0, 8], -12))
+def test_every_form_holds_its_reading_from_construction(nine, three, typed, made):
+    # every exact form, however it is built, holds the canonical reading of its
+    # entries' exact values before any of them is read; a float form holds none
+    for form, want in _builds(_FIELD, nine, three, typed, made):
+        assert type(form) is GForm
+        ns, d = form._ints  # read first: no entry is read to make it
+        assert type(d) is int and d > 0 and all(type(n) is int for n in ns)
+        assert gcd(d, *ns) == 1 and (any(ns) or d == 1)
+        assert [Fraction(n, d) for n in ns] == want
+        assert form._ints == _ratios(form.entries())
+    for field in _FLOATS:
+        for form, _ in _builds(field, nine, three, typed, made):
+            assert type(form) is FForm and form._ints is None
 
 
 def test_exact_free_data_builds_only_its_literals(tmp_path, monkeypatch):
@@ -281,7 +338,7 @@ def test_exact_free_data_builds_only_its_literals(tmp_path, monkeypatch):
 def test_an_all_zero_reading_is_the_canonical_zero(den):
     for size in (3, 9):
         zero = _form(_FIELD, [0] * size, den)
-        assert zero._ints == ((0,) * size, 1) == _read(GForm.from_entries(_FIELD, [0] * size))
+        assert zero._ints == ((0,) * size, 1) == GForm.from_entries(_FIELD, [0] * size)._ints
         assert zero == GForm.zero(_FIELD, 0 if size == 3 else 1)
 
 

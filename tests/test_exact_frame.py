@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole import _float, cli
-from nahmpole.algebra import EigenPart, GForm, _read, project, star_wedge
+from nahmpole.algebra import EigenPart, GForm, _ratios, project, star_wedge
 from nahmpole.geometry import (FrameBackground, connection_form, levi_civita,
                                load_background)
 from nahmpole.scalars import FloatField, RationalField
@@ -75,7 +75,7 @@ def test_integer_derivation_is_the_scalar_route(bg):
     assert bg.W == W
     assert bg.starF == starF
     for form in (bg.W, bg.starF):  # each reads canonically
-        assert form._ints == _read(GForm.from_entries(FIELD, form.entries()))
+        assert form._ints == _ratios(form.entries())
 
 
 @given(st.integers(0, 10**6), st.none() | st.tuples(*[st.integers(0, 2)] * 3))

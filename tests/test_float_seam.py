@@ -3,11 +3,14 @@
 ``algebra``, ``geometry`` and ``series`` hold the exact engine; the bodies
 that compute on float scalars live in ``nahmpole._float``.  A function of the
 three modules touches the float route when its code (docstring excluded) reads
-``.exact``, calls ``arithmetic`` or ``context``, or names ``Decimal`` or
-``FloatField``.  This guard lists those functions, which must be the committed
-list below, and each of them must name the float route in one statement of its
-body: a dispatch into ``_float`` or a check of its input's field kind.  The rule
-reads the source with the standard library's ``ast``.
+``.exact``, calls ``arithmetic`` or ``context``, names ``Decimal`` or
+``FloatField``, or tests a form's integer reading ``_ints`` for truth or
+against None: a float form holds no reading, so such a test would be a
+dispatch on the field that hides from the first rules.  This guard lists
+those functions, which must be the committed list below, and each of them
+must name the float route in one statement of its body: a dispatch into
+``_float`` or a check of its input's field kind.  The rule reads the source
+with the standard library's ``ast``.
 """
 
 import ast
@@ -19,8 +22,8 @@ SRC = Path(nahmpole.__file__).resolve().parent
 
 #: The functions of each module that touch the float route, by qualified name.
 LISTED = {
-    "algebra": {"GForm.__new__", "GForm.zero", "GForm._combine", "_read", "_exactly",
-                "_kernel_sum", "invert_cal_L", "resolve_coupled"},
+    "algebra": {"GForm.__new__", "GForm.zero", "GForm._combine", "_exactly", "_kernel_sum",
+                "e_bracket", "L_op", "gamma_op", "project", "invert_cal_L", "resolve_coupled"},
     "geometry": {"star_d", "FrameBackground.from_structure_constants", "star_d_omega",
                  "d_omega_star", "builtin"},
     "series": {"FreeData.__init__", "_sum", "residual_at", "from_json"},
@@ -33,12 +36,36 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
+def _is_reading(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_ints"
+
+
+def _tests_reading(n) -> bool:
+    """Whether ``n`` takes the truth value of a reading ``x._ints`` (``or``/``and``,
+    ``not``, a condition) or compares one with None."""
+    if isinstance(n, ast.BoolOp):
+        return any(map(_is_reading, n.values))
+    if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not):
+        return _is_reading(n.operand)
+    if isinstance(n, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+        return _is_reading(n.test)
+    if isinstance(n, ast.comprehension):
+        return any(map(_is_reading, n.ifs))
+    if isinstance(n, ast.Compare):
+        sides = [n.left, *n.comparators]
+        return any(map(_is_reading, sides)) and any(
+            isinstance(s, ast.Constant) and s.value is None for s in sides)
+    return False
+
+
 def _touches(node) -> bool:
-    """Whether ``node`` reads ``.exact``, calls ``arithmetic``/``context`` or
-    names ``Decimal``/``FloatField``: the guard's rule."""
+    """Whether ``node`` reads ``.exact``, calls ``arithmetic``/``context``,
+    names ``Decimal``/``FloatField`` or tests a reading (:func:`_tests_reading`):
+    the guard's rule."""
     return any(isinstance(n, ast.Attribute) and n.attr == "exact"
                or isinstance(n, ast.Call) and _name(n.func) in _CALLS
                or isinstance(n, (ast.Name, ast.Attribute)) and _name(n) in _NAMES
+               or _tests_reading(n)
                for n in ast.walk(node))
 
 
@@ -81,6 +108,16 @@ def test_each_listed_function_names_the_float_route_once():
             if name in listed:
                 naming = [stmt for stmt in body if _names_route(stmt)]
                 assert len(naming) == 1, (module, name, [ast.unparse(s) for s in naming])
+
+
+def test_a_test_of_a_reading_touches_the_float_route():
+    # the hidden dispatch the readings once carried: each of these counts
+    for code in ("n, d = x._ints or f(x)", "y = x._ints and 1", "y = not x._ints",
+                 "if x._ints:\n    pass", "y = 1 if form._ints else 2", "assert x._ints",
+                 "y = x._ints is None", "y = None != x._ints", "y = [f for f in fs if f._ints]"):
+        assert _touches(ast.parse(code)), code
+    for code in ("n, d = x._ints", "y = x._ints == z._ints", "y = any(x._ints[0])"):
+        assert not _touches(ast.parse(code)), code
 
 
 def test_exact_modules_compute_no_float_body():

@@ -4,8 +4,8 @@ Each exact kernel returns its result as an integer reading (numerators over
 one denominator) and builds ``Fraction`` entries only when they are read.
 The oracle is plain ``Fraction`` arithmetic of each definition, term by
 term.  Every result must have the oracle's entries, and a reading equal to
-the one :func:`nahmpole.algebra._read` makes of a fresh form with those
-entries: the denominator positive and sharing no factor with every
+the one :func:`nahmpole.algebra._ratios` makes of those entries, which a
+fresh form holds: the denominator positive and sharing no factor with every
 numerator.  The forms are drawn with ints, negatives, zero slots and
 thousand-digit entries.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole.algebra import (
-    _EPS, EigenPart, GForm, L_op, _form, _kernel_sum, _read, bracket_0_1, e_bracket,
+    _EPS, EigenPart, GForm, L_op, _form, _kernel_sum, _ratios, bracket_0_1, e_bracket,
     gamma_op, invert_cal_L, project, resolve_coupled, star_bracket_star, star_wedge, vierbein,
 )
 from nahmpole.geometry import (builtin, d_omega, d_omega_star, load_background, star_d,
@@ -55,8 +55,8 @@ def form(entries):
 
 def assert_reads_as(got, want):
     """``got`` holds the oracle's values ``want`` and their canonical reading."""
-    reading = _read(got)
-    assert reading == _read(form(want))
+    reading = got._ints
+    assert reading == _ratios(want)
     assert reading[1] > 0
     assert list(got.entries()) == [Fraction(v) for v in want]
 
@@ -161,7 +161,7 @@ def _kernel_gamma_and_e_bracket(x, phi):
 def test_gamma_and_e_bracket_are_their_kernel_definitions(x, phi):
     got = gamma_op(form(x)), e_bracket(form(phi))
     for g, want in zip(got, _kernel_gamma_and_e_bracket(form(x), form(phi))):
-        assert _read(g) == _read(want) and g == want
+        assert g._ints == want._ints and g == want
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -231,7 +231,7 @@ def test_a_decimal_form_gets_no_reading():
     x = GForm.from_entries(field, [Decimal(v) for v in "1 -2 0 3 0.5 7 0 -1 2".split()])
     for got in (L_op(x), project(x, EigenPart.Plus), invert_cal_L(3, x),
                 *resolve_coupled(4, x, GForm.zero(field, 0))):
-        assert _read(got)[1] is None
+        assert got._ints is None
         assert all(type(v) is Decimal for v in got.entries())
 
 
@@ -240,7 +240,7 @@ def test_stored_forms_read_canonically(uri):
     series = expand(load_background(uri, _FIELD), N=12)
     for table in (series._a, series._b, series._phi):
         for f in table.values():
-            assert _read(f) == _read(form(f.entries()))
+            assert f._ints == _ratios(f.entries())
 
 
 @pytest.mark.parametrize("uri", [uri for uri, _ in CATALOG])
