@@ -1,4 +1,5 @@
-"""The expansion is covariant under a change of frame, exactly.
+"""The expansion is covariant under a change of frame, exactly, and each
+exact form holds its reading as integers from the moment it is made.
 
 Rescaling the structure constants by ``s`` and rotating frame and gauge
 together by ``R`` maps the order-k coefficient ``x`` of a 1-form to
@@ -6,9 +7,12 @@ together by ``R`` maps the order-k coefficient ``x`` of a 1-form to
 tables too, when the free data is mapped the same way (``c_plus`` sits at
 order 1, ``c_zero`` and ``c_minus`` at order 2)."""
 
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nahmpole.algebra import EigenPart, GForm, project
 from nahmpole.geometry import FrameBackground, is_einstein, load_background
@@ -91,7 +95,29 @@ def test_float128_tracks_exact_per_form_on_moved_frames(uri, s):
             assert all(abs(Fraction(g) - w) <= bound for g, w in zip(have, want)), (k, p, name)
 
 
+_entry = st.one_of(st.integers(-50, 50),
+                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)))
+
+
+@given(st.one_of(st.lists(_entry, min_size=3, max_size=3),
+                 st.lists(_entry, min_size=9, max_size=9)))
+def test_read_is_the_integer_view_made_once(entries):
+    form = GForm.from_entries(_FIELD, entries)
+    d = lcm(*(Fraction(v).denominator for v in entries))
+    got = form._ints
+    assert got == (tuple(Fraction(v).numerator * (d // Fraction(v).denominator)
+                         for v in entries), d)
+    form.entries()
+    assert form._ints is got
+
+
 def test_expand_is_pure():
     # the second call meets the background the first one used
     bg = load_background("builtin:berger-s3?squash=2", _FIELD)
     assert to_json(expand(bg, N=8)) == to_json(expand(bg, N=8))
+
+
+def test_read_of_a_decimal_form_keeps_its_entries():
+    form = GForm.from_entries(FloatField(64), [Decimal("1.5"), Decimal(0), Decimal("-2")])
+    assert form._ints is None
+    assert form.entries() == (Decimal("1.5"), Decimal(0), Decimal("-2"))
