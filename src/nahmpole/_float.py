@@ -2,8 +2,10 @@
 :mod:`nahmpole.series` that computes on float scalars, so those hold the exact engine alone.
 Their operators check the field kind once and call their namesakes here (``frame``
 derives a float background, ``_rounded`` is ``residual_at``'s float verdict); a float
-form is a :class:`FForm`.  Each body is op for op the one the float pins were taken on,
-not its exact twin rounded: berger 3/7's float frame is not its exact frame rounded once.
+form is a :class:`FForm`, whose entries are flat: each body reads and writes slot lists
+in ``entries()`` order and makes its result by :func:`_fform`.  Each body is op for op the
+one the float pins were taken on, not its exact twin rounded: berger 3/7's float frame is
+not its exact frame rounded once.
 """
 
 from __future__ import annotations
@@ -19,21 +21,20 @@ from .scalars import context
 
 
 class FForm(GForm):
-    """A form over float scalars, with no integer reading: ``GForm``'s slot-wise methods."""
+    """A form over float scalars, its entries held flat and no integer reading:
+    ``GForm``'s slot-wise methods."""
 
     __slots__ = ()
 
-    def __init__(self, field, degree: int, coeffs):
-        self.field, self.degree, self._coeffs, self._ints = field, degree, coeffs, None
+    def _hold(self, field, entries: tuple):
+        self.field, self.degree, self._coeffs = field, 0 if len(entries) == 3 else 1, entries
+        self._ints = None
 
     def _slotwise(self, op, *others: GForm) -> GForm:
         """``op`` of the matching slots of this form and ``others`` (of its
         degree), under the field's context: the route of float scalars."""
-        rows = (self.coeffs, *(other.coeffs for other in others))
         with context(self.field):
-            if self.degree == 0:
-                return GForm(self.field, 0, tuple(map(op, *rows)))
-            return GForm(self.field, 1, tuple(tuple(map(op, *r)) for r in zip(*rows)))
+            return _fform(self.field, map(op, self._coeffs, *(o.entries() for o in others)))
 
     def _combine(self, other: GForm, op) -> GForm:
         if other.degree != self.degree:
@@ -60,7 +61,14 @@ class FForm(GForm):
     def __eq__(self, other):
         if not isinstance(other, GForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and self._coeffs == other.entries()
+
+
+def _fform(field, slots) -> FForm:
+    """The float form whose entries are ``slots`` (3 or 9, an iterable), kept as they are."""
+    form = object.__new__(FForm)
+    form._hold(field, tuple(slots))
+    return form
 
 
 def _products(field, slots, sign, x: GForm, op, y: GForm):
@@ -89,24 +97,23 @@ def _kernel_sum(field, size: int, terms) -> GForm:
         if c == 1 or c == -1:
             slots = _products(field, slots or [field.zero] * size, c, x, op, y)
         else:
-            term = [mul(v, field.constant(c)) for v in op(x, y).entries()]
+            term = list(map(mul, op(x, y).entries(), itertools.repeat(field.constant(c))))
             slots = term if slots is None else list(map(add, slots, term))
-    return GForm.from_entries(field, slots or [field.zero] * size)
+    return _fform(field, slots or [field.zero] * size)
 
 
 def project(a: GForm, part: EigenPart) -> GForm:
-    c = a.coeffs
-    zero = a.field.zero
+    e, zero = a.entries(), a.field.zero
     with context(a.field):
-        third = (c[0][0] + c[1][1] + c[2][2]) / 3
+        third = (e[0] + e[4] + e[8]) / 3
         if part is _MINUS:
-            rows = [[third if i == j else zero for j in range(3)] for i in range(3)]
+            slots = [third if n % 4 == 0 else zero for n in range(9)]
         elif part is _ZERO:
-            rows = [[(c[i][j] - c[j][i]) / 2 for j in range(3)] for i in range(3)]
+            slots = [(e[3 * i + j] - e[3 * j + i]) / 2 for i in range(3) for j in range(3)]
         else:
-            rows = [[c[i][i] - third if i == j else (c[i][j] + c[j][i]) / 2
-                     for j in range(3)] for i in range(3)]
-    return GForm(a.field, 1, tuple(tuple(r) for r in rows))
+            slots = [e[4 * i] - third if i == j else (e[3 * i + j] + e[3 * j + i]) / 2
+                     for i in range(3) for j in range(3)]
+    return _fform(a.field, slots)
 
 
 def invert_cal_L(k: int, rhs: GForm) -> GForm:
@@ -114,7 +121,7 @@ def invert_cal_L(k: int, rhs: GForm) -> GForm:
     with context(rhs.field):
         less, square = k - 1, k * k - 1  # the divisors, formed once
         trace = (r[0] + r[4] + r[8]) / ((k + 2) * less)
-        return GForm.from_entries(rhs.field, [
+        return _fform(rhs.field, [
             r[4 * i] / less - trace if i == j else (k * r[3 * i + j] + r[3 * j + i]) / square
             for i in range(3) for j in range(3)])
 
@@ -138,7 +145,7 @@ def resolve_coupled(lam, R: GForm, S: GForm):
             anti = (lam_s * curl / 2 - s[m]) / d
             a[3 * i + j], a[3 * j + i] = sym + anti, sym - anti
             phi[m] = (less * s[m] - curl) / d
-        return GForm.from_entries(field, a), GForm(field, 0, tuple(phi))
+        return _fform(field, a), _fform(field, phi)
 
 
 def _tensor3(f):
@@ -172,13 +179,13 @@ def connection_form(field, conn) -> GForm:
     ``W[c][i] = -1/2 sum_{k,j} eps_{ckj} G^k_ij`` under the identification of
     antisymmetric matrices with su(2) used everywhere in this package.
     """
-    rows = [[field.zero] * 3 for _ in range(3)]
+    out = [field.zero] * 9
     half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
     with context(field):
         for cc, k, j, s in _EPS:
             for i in range(3):
-                rows[cc][i] = rows[cc][i] - conn[k][i][j] * half[s]
-    return GForm(field, 1, tuple(tuple(r) for r in rows))
+                out[3 * cc + i] = out[3 * cc + i] - conn[k][i][j] * half[s]
+    return GForm.from_entries(field, out)
 
 
 def _star_d_terms(field, c):
@@ -198,12 +205,12 @@ def _star_d(field, terms, x: GForm):
     ``terms`` skip those of ``c``.
     """
     mul, _, sub = field.ops
-    xc = x.coeffs
+    xs = x.entries()
     out = [field.zero] * 9
     for i, m, cijk, half in terms:
         for a in range(3):
-            if xc[a][i]:
-                out[3 * a + m] = sub(out[3 * a + m], mul(mul(xc[a][i], cijk), half))
+            if xs[3 * a + i]:
+                out[3 * a + m] = sub(out[3 * a + m], mul(mul(xs[3 * a + i], cijk), half))
     return out
 
 
@@ -220,7 +227,7 @@ def frame(field, c):
                          for row in plane for v in row), bound):
         raise AssertionError("Koszul output has torsion")
     W, terms = connection_form(field, conn), _star_d_terms(field, c)
-    starF = GForm.from_entries(field, _star_d(field, terms, W)) + star_wedge(
+    starF = _fform(field, _star_d(field, terms, W)) + star_wedge(
         W, W).scale(field.constant(Fraction(1, 2)))
     with context(field):  # the terms of *F are c W, W W, and |c| <= 2 max|W|
         return conn, W, starF, terms, field.scale(w * w for w in W.entries())
@@ -241,7 +248,7 @@ def einstein_undecided(bg) -> bool:
 def star_d_omega(bg, x: GForm) -> GForm:
     """The products of ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
     out = _star_d(bg.field, bg._frame, x)
-    return GForm.from_entries(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
+    return _fform(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
 
 
 def d_omega_star(bg, x: GForm) -> GForm:
@@ -252,7 +259,7 @@ def d_omega_star(bg, x: GForm) -> GForm:
             for a in range(3):
                 if xs[3 * a + i]:
                     out[a] = add(out[a], mul(xs[3 * a + i], ckik))
-    return GForm.from_entries(bg.field, _products(bg.field, out, -1, bg.W, star_bracket_star, x))
+    return _fform(bg.field, _products(bg.field, out, -1, bg.W, star_bracket_star, x))
 
 
 def _sum(field, degree: int, terms, images, bg):
@@ -265,7 +272,7 @@ def _sum(field, degree: int, terms, images, bg):
     total = parts[0] if parts else [field.zero] * (9 if degree else 3)
     for part in parts[1:]:
         total = list(map(ctx.add, total, part))
-    return GForm.from_entries(field, total), parts
+    return _fform(field, total), parts
 
 
 def _rounded(field, acc, terms, pairs, den):
@@ -294,7 +301,7 @@ def _rounded(field, acc, terms, pairs, den):
     D, out = Decimal(4 * den), []
     for r in _BLOCKS:
         bound = tn * max(mag[r.start:r.stop]) // td  # over 4 den, floored
-        out.append(GForm.from_entries(field, [
+        out.append(_fform(field, [
             field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
             for t in acc[r.start:r.stop]]))
     return tuple(out)

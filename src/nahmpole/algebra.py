@@ -7,10 +7,10 @@ Conventions (fixed once, used by every module):
   ``*e_1 = e_2 ^ e_3`` cyclically and ``*(e_1 ^ e_2 ^ e_3) = 1``.
 * Trace pairing ``Tr(t_a t_b) = -1/2 delta_{ab}``.
 
-A frame-constant g-valued form of degree 1 is stored as the 3x3 coefficient
-matrix ``c[a][i]`` of ``sum_a,i c[a][i] t_a (x) e_i``; degree 0 as the 3-vector
-``c[a]`` of ``sum_a c[a] t_a``.  The vierbein form ``e`` is then the identity
-matrix.
+A frame-constant g-valued form of degree 1 is the 3x3 coefficient matrix
+``c[a][i]`` of ``sum_a,i c[a][i] t_a (x) e_i``, stored flat, row by row
+(``c[a][i]`` at slot ``3a + i``); degree 0 is the 3-vector ``c[a]`` of
+``sum_a c[a] t_a``.  The vierbein form ``e`` is then the identity matrix.
 
 The operator ``L(a) = *[e, a]`` has eigenvalues ``(2, 1, -1)`` on the
 eigenspaces ``V-`` (multiples of ``e``), ``V0`` (antisymmetric coefficient
@@ -111,11 +111,13 @@ _PARTS = _MINUS, _ZERO, _PLUS = tuple(EigenPart)
 
 class GForm:
     """Frame-constant g-valued form of degree 0 or 1 over a scalar field.  A form
-    never changes.  An exact one holds its canonical integer reading from construction,
-    :func:`_ratios` of its entries, or is made from one by :func:`_form` and builds its
-    ``Fraction`` entries when ``coeffs`` is first read: ``+``, ``-``, ``scale``,
-    ``divide`` and ``==`` act on the readings, so an exact form never rounds, whatever
-    the types of its entries.  A form over float scalars is made a
+    never changes.  It keeps its entries as one flat tuple ``_coeffs`` in
+    :meth:`entries` order (``c[a][i]`` at slot ``3a + i``); ``coeffs``, the rows, is a
+    view built on read.  An exact one holds its canonical integer reading from
+    construction, :func:`_ratios` of its entries, or is made from one by :func:`_form`
+    and builds its ``Fraction`` entries when they are first read: ``+``, ``-``,
+    ``scale``, ``divide`` and ``==`` act on the readings, so an exact form never rounds,
+    whatever the types of its entries.  A form over float scalars is made a
     :class:`nahmpole._float.FForm`, which holds no reading."""
 
     __slots__ = ("field", "degree", "_coeffs", "_ints")
@@ -127,16 +129,17 @@ class GForm:
         return self.field, self.degree, None
 
     def __init__(self, field, degree: int, coeffs):
-        self.field, self.degree, self._coeffs = field, degree, coeffs
-        self._ints = _ratios(self.entries())
+        self._hold(field, tuple(coeffs) if degree == 0 else tuple(v for r in coeffs for v in r))
+
+    def _hold(self, field, entries: tuple):
+        """Keep the 3 or 9 ``entries`` and their reading."""
+        self.field, self.degree, self._coeffs = field, 0 if len(entries) == 3 else 1, entries
+        self._ints = _ratios(entries)
 
     @property
     def coeffs(self):
-        if self._coeffs is None:
-            ns, d = self._ints
-            v = tuple(Fraction(n, d) if n else self.field.zero for n in ns)
-            self._coeffs = v if self.degree == 0 else (v[:3], v[3:6], v[6:])
-        return self._coeffs
+        v = self.entries()
+        return v if self.degree == 0 else (v[:3], v[3:6], v[6:])
 
     # -- constructors -------------------------------------------------------
 
@@ -167,9 +170,9 @@ class GForm:
     @staticmethod
     def from_entries(field, v) -> "GForm":
         """The form whose :meth:`entries` are ``v`` (3 or 9)."""
-        if len(v) == 3:
-            return GForm(field, 0, tuple(v))
-        return GForm(field, 1, (tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
+        form = GForm.__new__(GForm, field, 0, None)
+        form._hold(field, tuple(v))
+        return form
 
     # -- linear structure ---------------------------------------------------
 
@@ -213,8 +216,10 @@ class GForm:
     # -- queries ------------------------------------------------------------
 
     def entries(self):
-        c = self.coeffs if self._coeffs is None else self._coeffs
-        return c if self.degree == 0 else c[0] + c[1] + c[2]
+        if self._coeffs is None:
+            ns, d = self._ints
+            self._coeffs = tuple(Fraction(n, d) if n else self.field.zero for n in ns)
+        return self._coeffs
 
     def is_zero(self, scale=None) -> bool:
         """Whether every entry is zero by the field's rule against ``scale``,
@@ -224,12 +229,12 @@ class GForm:
     def trace(self):
         if self.degree != 1:
             raise ValueError("trace needs a degree-1 form")
-        return self.coeffs[0][0] + self.coeffs[1][1] + self.coeffs[2][2]
+        e = self.entries()
+        return e[0] + e[4] + e[8]
 
     def to_floats(self):
-        if self.degree == 0:
-            return [float(v) for v in self.coeffs]
-        return [[float(v) for v in row] for row in self.coeffs]
+        v = [float(x) for x in self.entries()]
+        return v if self.degree == 0 else [v[:3], v[3:6], v[6:]]
 
     def __eq__(self, other):
         """Two exact forms compare their canonical readings (a float form, its slots)."""

@@ -287,6 +287,8 @@ _Y_EXACT_MAX = 0.5
 #: The raveled vierbein ``e``: the pole of ``Phi`` is ``e/y``.
 _E = np.eye(3).ravel()
 _IJ = np.array(_I), np.array(_J)  # the pairs of ``4Q`` as :func:`_stacked_rhs`'s indices
+#: Per slot u, ``(w, column)`` of each pair ``(u, w)`` of ``4Q`` in ``_M1_QP``, in its order.
+_PAIRS_OF = [[(w, c) for i, w, c in zip(_I, _J, _M1_QP[_NV:]) if i == u] for u in range(_NV)]
 _VIEWS = RationalField()  # the field of FlowState's views: exact forms of float64 entries
 
 
@@ -348,13 +350,14 @@ def state_from_series(series: PhgSeries, y, N: int = None) -> FlowState:
 def _rhs(bg: FrameBackground, y, v):
     """``c + [M0 | M1 | Qp] z`` on the 21 scalars ``v``, ``z = (v, v/y, v[I] v[J])``, from
     ``*F_w`` into one list, under the field's context: the columns :func:`_flow_operator`
-    makes dense, read sparsely, each nonzero ``z[k]`` over its column's denominator (a
-    zero in ``v`` makes zeros in ``z``, not quotients or products)."""
+    makes dense, read sparsely in their order, each nonzero ``z[k]`` over its column's
+    denominator: only those of the nonzero slots of ``v`` and of their pairs are visited."""
     out = [bg.field.zero] * 9 + list(bg.starF.entries()) + [bg.field.zero] * 3
+    nonzero = [u for u in range(_NV) if v[u]]
     with context(bg.field):
-        z = [*v, *(x and x / y for x in v),
-             *(v[i] and v[j] and v[i] * v[j] for i, j in zip(_I, _J))]
-        for (rows, den), x in zip([bg._columns[u] for u in range(_NV)] + _M1_QP, z):
+        z = [(bg._columns[u], v[u]) for u in nonzero] + [(_M1_QP[u], v[u] / y) for u in nonzero]
+        z += [(column, v[u] * v[w]) for u in nonzero for w, column in _PAIRS_OF[u] if v[w]]
+        for (rows, den), x in z:
             if x:
                 x /= den
                 for o, n in rows:
@@ -619,11 +622,8 @@ def trajectory_csv(traj) -> str:
 
 
 def _pairing(x: GForm, y: GForm):
-    acc = None
-    for ra, rb in zip(x.coeffs, y.coeffs):
-        for va, vb in zip(ra, rb):
-            acc = va * vb if acc is None else acc + va * vb
-    return acc
+    terms = [va * vb for va, vb in zip(x.entries(), y.entries())]
+    return sum(terms[1:], terms[0])  # from the first term: 0 + Decimal('-0') is +0
 
 
 @dataclass(frozen=True)

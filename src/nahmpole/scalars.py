@@ -139,8 +139,9 @@ class FloatField:
         return self.ctx.plus(Decimal(n))
 
     def from_fraction(self, q) -> Decimal:
-        q = Fraction(q)
-        return self.ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+        """An int or ``Fraction`` rounded once: its numerator over its denominator."""
+        n, d = q.as_integer_ratio()
+        return self.ctx.divide(Decimal(n), Decimal(d))
 
     def constant(self, q) -> Decimal:
         """:meth:`from_fraction` of a term coefficient of the engine's tables

@@ -9,9 +9,12 @@ scalars on berger-s3?squash=2 and h2xr at N=12; of the three frame operators
 per call, over every stored form of each N=12 table that the operator takes
 (a and b, phi_y, a and b); and of ``series.quadratic_source`` over the cells
 ``expand`` visits, in the order it visits them (recorded once by wrapping
-the module global, which is what ``advance_order`` calls).  The sources of
-order k read no entry that the step at order k stores, so each cell is timed
-on the finished table.  Run it on two commits to compare them::
+the module global, which is what ``advance_order`` calls); and of
+``series.seed_leading`` with no free data on each of the five builtins, over
+rational scalars and at 64 and 128 bits, in microseconds per call, on a
+background loaded once.  The sources of order k read no entry that the step at
+order k stores, so each cell is timed on the finished table.  Run it on two
+commits to compare them::
 
     PYTHONPATH=src python3 tests/solve_timing.py [REPEATS]
 
@@ -36,6 +39,7 @@ JOBS = (("berger-s3?squash=2", 12, False), ("berger-s3?squash=2", 24, False),
         ("h2xr", 12, False), ("h2xr", 24, False), ("berger-s3?squash=2", 12, True))
 #: (background, bits) of the float jobs, at N=12 with no free data
 FLOAT_JOBS = tuple((name, bits) for bits in (64, 128) for name in ("berger-s3?squash=2", "h2xr"))
+BUILTINS = ("flat", "round-s3", "hyperbolic-h3", "berger-s3?squash=2", "h2xr")
 
 
 def best(run, repeats):
@@ -104,6 +108,13 @@ def main(repeats=20):
             us = 1e6 * best(lambda: [op(bg, x) for x in forms], repeats) / len(forms)
             row.append(f"{us:.2f}")
         print(f"{job:<44}{row[0]:>13}{row[1]:>9}{row[2]:>13}")
+    print(f"{'seed_leading, no free data (us)':<44}{'exact':>10}{'64 bit':>11}{'128 bit':>11}")
+    for name in BUILTINS:
+        row = []
+        for field in (RationalField(), FloatField(64), FloatField(128)):
+            bg = geometry.load_background(f"builtin:{name}", field)
+            row.append(1e6 * best(lambda: series.seed_leading(bg), repeats))
+        print(f"{'series.seed_leading ' + name:<44}{row[0]:>10.1f}{row[1]:>11.1f}{row[2]:>11.1f}")
 
 
 if __name__ == "__main__":

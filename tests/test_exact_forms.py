@@ -24,9 +24,10 @@ from hypothesis import example, given, strategies as st
 
 from nahmpole import cli
 from nahmpole._float import FForm
-from nahmpole.algebra import GForm, L_op, _form, _ratios, invert_cal_L, star_wedge, vierbein
-from nahmpole.geometry import load_background
-from nahmpole.scalars import FloatField, RationalField
+from nahmpole.algebra import (EigenPart, GForm, L_op, _form, _ratios, invert_cal_L, project,
+                              resolve_coupled, star_wedge, vierbein)
+from nahmpole.geometry import d_omega_star, load_background, star_d_omega
+from nahmpole.scalars import FloatField, RationalField, context
 from nahmpole.series import check_residuals, expand, from_json
 
 _FIELD = RationalField()
@@ -288,6 +289,39 @@ def _builds(field, nine, three, typed, made):
     return [(form, [Fraction(v) for v in want]) for form, want in built]
 
 
+def _holds_flat(form):
+    """The form keeps its entries as one flat tuple, ``coeffs`` is their row view,
+    and ``trace`` sums the diagonal slots under the field's context."""
+    e = form.entries()
+    assert type(e) is tuple and form._coeffs is e and len(e) == (9 if form.degree else 3)
+    assert form.coeffs == (e if form.degree == 0 else (e[:3], e[3:6], e[6:]))
+    if form.degree == 1:
+        with context(form.field):
+            try:
+                want = e[0] + e[4] + e[8]
+            except (TypeError, OverflowError) as error:  # entries kept as given
+                with pytest.raises(type(error)):
+                    form.trace()
+            else:
+                assert form.trace() == want
+
+
+def _float_outputs(field, built):
+    """The float route's results on the built forms of ``Decimal`` entries: the
+    projections, the two solves, the frame operators, a kernel, ``+``, ``-`` and
+    ``scale``."""
+    bg = load_background("builtin:berger-s3?squash=2", field)
+    built = [form for form, _ in built
+             if all(type(v) is decimal.Decimal for v in form.entries())]
+    ones = [form for form in built if form.degree == 1]
+    zero = next(form for form in built if form.degree == 0)
+    for x, y in zip(ones, ones[1:] + ones[:1]):
+        yield from (project(x, part) for part in EigenPart)
+        yield from (invert_cal_L(3, x), *resolve_coupled(4, x, zero), star_d_omega(bg, x),
+                    d_omega_star(bg, x), star_wedge(x, y), x + y, x - y,
+                    x.scale(Fraction(1, 3)))
+
+
 @given(st.lists(_built, min_size=9, max_size=9), st.lists(_built, min_size=3, max_size=3),
        _typed, st.tuples(st.lists(_numerator, min_size=9, max_size=9),
                          st.sampled_from((1, -1, 7, -12, 10**30))))
@@ -299,7 +333,8 @@ def _builds(field, nine, three, typed, made):
          ([6, 0, -4, 2, 0, 0, 0, 0, 8], -12))
 def test_every_form_holds_its_reading_from_construction(nine, three, typed, made):
     # every exact form, however it is built, holds the canonical reading of its
-    # entries' exact values before any of them is read; a float form holds none
+    # entries' exact values before any of them is read; a float form holds none;
+    # every form, and every float route's result, holds its entries flat
     for form, want in _builds(_FIELD, nine, three, typed, made):
         assert type(form) is GForm
         ns, d = form._ints  # read first: no entry is read to make it
@@ -307,9 +342,15 @@ def test_every_form_holds_its_reading_from_construction(nine, three, typed, made
         assert gcd(d, *ns) == 1 and (any(ns) or d == 1)
         assert [Fraction(n, d) for n in ns] == want
         assert form._ints == _ratios(form.entries())
+        _holds_flat(form)
     for field in _FLOATS:
-        for form, _ in _builds(field, nine, three, typed, made):
+        built = _builds(field, nine, three, typed, made)
+        for form, _ in built:
             assert type(form) is FForm and form._ints is None
+            _holds_flat(form)
+        for form in _float_outputs(field, built):
+            assert type(form) is FForm and form._ints is None
+            _holds_flat(form)
 
 
 def test_exact_free_data_builds_only_its_literals(tmp_path, monkeypatch):
