@@ -3,9 +3,11 @@
 Their operators check the field kind once and call their namesakes here (``frame``
 derives a float background, ``_rounded`` is ``residual_at``'s float verdict); a float
 form is a :class:`FForm`, whose entries are flat: each body reads and writes slot lists
-in ``entries()`` order and makes its result by :func:`_fform`.  Each body is op for op the
-one the float pins were taken on, not its exact twin rounded: berger 3/7's float frame is
-not its exact frame rounded once.
+in ``entries()`` order and makes its result by :func:`_fform`.  Each body enters its
+field's context once per call (:func:`~nahmpole.scalars.context`) and rounds by the
+``Decimal`` operators under it; a coefficient enters the field by ``from_fraction``.  Each
+body is op for op the one the float pins were taken on, not its exact twin rounded: berger
+3/7's float frame is not its exact frame rounded once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import (_EPS, _MINUS, _PLUS, _TABLES, _ZERO, EigenPart, GForm, SingularLambda,
-                      star_bracket_star, star_wedge)
+                      _scalar, star_bracket_star, star_wedge)
 from .scalars import context
 
 
@@ -45,9 +47,8 @@ class FForm(GForm):
         return self._slotwise(operator.neg)
 
     def _times(self, s, op) -> GForm:
-        """Slot by slot, an int or ``Fraction`` ``s`` as a field element."""
-        if type(s) is Fraction or type(s) is int:
-            s = self.field.from_fraction(s)
+        """Slot by slot, an int, float or ``Fraction`` ``s`` as a field element."""
+        s = _scalar(self.field, s)
         return self._slotwise(lambda x: op(x, s))
 
     def is_zero(self, scale=None) -> bool:
@@ -71,34 +72,34 @@ def _fform(field, slots) -> FForm:
     return form
 
 
-def _products(field, slots, sign, x: GForm, op, y: GForm):
+def _products(slots, sign, x: GForm, op, y: GForm):
     """``slots`` plus ``sign * op(x, y)`` (``sign`` +-1, ``op`` a kernel), in
-    place: each product of nonzero entries added to or subtracted from its
-    slot in turn, in the kernel table's order, through the field's ``ops``;
-    an exact operand beside a scalar one is refused."""
+    place, under the caller's context: each product of nonzero entries added to
+    or subtracted from its slot in turn, in the kernel table's order; an exact
+    operand beside a scalar one is refused."""
     if x.field.exact or y.field.exact:
         raise TypeError("a kernel term pairs an exact operand with a scalar one")
-    mul, add, sub = field.ops
     table, ys = _TABLES[op], y.entries()
     for i, xi in enumerate(x.entries()):
         if xi:
             for j, o, s in table[i]:
                 if yj := ys[j]:
-                    slots[o] = (add if s == sign else sub)(slots[o], mul(xi, yj))
+                    slots[o] = slots[o] + xi * yj if s == sign else slots[o] - xi * yj
     return slots
 
 
 def _kernel_sum(field, size: int, terms) -> GForm:
     """A +-1 term's products added into one slot list (:func:`_products`); any other
-    term built as a form, times ``field.constant(c)``, and added slot by slot."""
-    mul, add, _ = field.ops
+    term built as a form, times ``c``, and added slot by slot."""
     slots = None
-    for c, x, op, y in terms:
-        if c == 1 or c == -1:
-            slots = _products(field, slots or [field.zero] * size, c, x, op, y)
-        else:
-            term = list(map(mul, op(x, y).entries(), itertools.repeat(field.constant(c))))
-            slots = term if slots is None else list(map(add, slots, term))
+    with context(field):
+        for c, x, op, y in terms:
+            if c == 1 or c == -1:
+                slots = _products(slots or [field.zero] * size, c, x, op, y)
+            else:
+                c = field.from_fraction(c)
+                term = [v * c for v in op(x, y).entries()]
+                slots = term if slots is None else list(map(operator.add, slots, term))
     return _fform(field, slots or [field.zero] * size)
 
 
@@ -162,7 +163,7 @@ def levi_civita(field, c):
     G^k_ij e_k``.  The result is the unique metric-compatible torsion-free
     frame connection (both residuals checkable below).
     """
-    half = field.constant(Fraction(1, 2))
+    half = field.from_fraction(Fraction(1, 2))
     with context(field):
         return _tensor3(lambda k, i, j: (c[k][i][j] - c[i][j][k] + c[j][k][i]) * half)
 
@@ -180,7 +181,7 @@ def connection_form(field, conn) -> GForm:
     antisymmetric matrices with su(2) used everywhere in this package.
     """
     out = [field.zero] * 9
-    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
+    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     with context(field):
         for cc, k, j, s in _EPS:
             for i in range(3):
@@ -191,7 +192,7 @@ def connection_form(field, conn) -> GForm:
 def _star_d_terms(field, c):
     """The terms ``(i, m, c^i_jk, +-1/2)`` of :func:`_star_d`, one per nonzero
     ``c^i_jk`` and ``eps_{jkm} = +-1``."""
-    half = {s: field.constant(Fraction(s, 2)) for s in (1, -1)}
+    half = {s: field.from_fraction(Fraction(s, 2)) for s in (1, -1)}
     return tuple((i, m, c[i][j][k], half[s]) for j, k, m, s in _EPS for i in range(3)
                  if c[i][j][k])
 
@@ -201,16 +202,15 @@ def _star_d(field, terms, x: GForm):
     :meth:`GForm.entries` order, by the scalar formula
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}`` over ``terms``, the
     :func:`_star_d_terms` of ``c`` (a float background keeps them as its frame),
-    rounding through the field's ``ops``.  Zeros of ``x`` are skipped, as
-    ``terms`` skip those of ``c``.
+    under the field's context.  Zeros of ``x`` are skipped, as ``terms`` skip
+    those of ``c``.
     """
-    mul, _, sub = field.ops
-    xs = x.entries()
-    out = [field.zero] * 9
-    for i, m, cijk, half in terms:
-        for a in range(3):
-            if xs[3 * a + i]:
-                out[3 * a + m] = sub(out[3 * a + m], mul(mul(xs[3 * a + i], cijk), half))
+    xs, out = x.entries(), [field.zero] * 9
+    with context(field):
+        for i, m, cijk, half in terms:
+            for a in range(3):
+                if xs[3 * a + i]:
+                    out[3 * a + m] = out[3 * a + m] - xs[3 * a + i] * cijk * half
     return out
 
 
@@ -228,7 +228,7 @@ def frame(field, c):
         raise AssertionError("Koszul output has torsion")
     W, terms = connection_form(field, conn), _star_d_terms(field, c)
     starF = _fform(field, _star_d(field, terms, W)) + star_wedge(
-        W, W).scale(field.constant(Fraction(1, 2)))
+        W, W).scale(Fraction(1, 2))
     with context(field):  # the terms of *F are c W, W W, and |c| <= 2 max|W|
         return conn, W, starF, terms, field.scale(w * w for w in W.entries())
 
@@ -248,30 +248,33 @@ def einstein_undecided(bg) -> bool:
 def star_d_omega(bg, x: GForm) -> GForm:
     """The products of ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
     out = _star_d(bg.field, bg._frame, x)
-    return _fform(bg.field, _products(bg.field, out, 1, bg.W, star_wedge, x))
+    with context(bg.field):
+        return _fform(bg.field, _products(out, 1, bg.W, star_wedge, x))
 
 
 def d_omega_star(bg, x: GForm) -> GForm:
     """The products of ``*[W, *x]`` taken from the trace term's slot list."""
-    (mul, add, _), xs, out = bg.field.ops, x.entries(), [bg.field.zero] * 3
-    for i, k in itertools.product(range(3), repeat=2):
-        if ckik := bg.c[k][i][k]:  # a trace term: the frame may be non-unimodular
-            for a in range(3):
-                if xs[3 * a + i]:
-                    out[a] = add(out[a], mul(xs[3 * a + i], ckik))
-    return _fform(bg.field, _products(bg.field, out, -1, bg.W, star_bracket_star, x))
+    xs, out = x.entries(), [bg.field.zero] * 3
+    with context(bg.field):
+        for i, k in itertools.product(range(3), repeat=2):
+            if ckik := bg.c[k][i][k]:  # a trace term: the frame may be non-unimodular
+                for a in range(3):
+                    if xs[3 * a + i]:
+                        out[a] = out[a] + xs[3 * a + i] * ckik
+        return _fform(bg.field, _products(out, -1, bg.W, star_bracket_star, x))
 
 
 def _sum(field, degree: int, terms, images, bg):
-    """The images' then the terms' slot lists added slot by slot with ``ctx.add``."""
-    ctx = field.ctx
-    parts = [op(bg, x).entries() for op, x in images if x] + [
-        x.entries() if c == 1 else list(map(ctx.minus, x.entries())) if c == -1
-        else list(map(ctx.multiply, x.entries(), itertools.repeat(field.constant(c))))
-        for c, x in terms if x]
-    total = parts[0] if parts else [field.zero] * (9 if degree else 3)
-    for part in parts[1:]:
-        total = list(map(ctx.add, total, part))
+    """The images' then the terms' slot lists (a term's times ``c``) added slot by slot."""
+    parts = [op(bg, x).entries() for op, x in images if x]
+    with context(field):
+        parts += [x.entries() if c == 1 else [-v for v in x.entries()] if c == -1
+                  else list(map(operator.mul, x.entries(),
+                                itertools.repeat(field.from_fraction(c))))
+                  for c, x in terms if x]
+        total = parts[0] if parts else [field.zero] * (9 if degree else 3)
+        for part in parts[1:]:
+            total = list(map(operator.add, total, part))
     return _fform(field, total), parts
 
 
@@ -299,9 +302,9 @@ def _rounded(field, acc, terms, pairs, den):
                     mag[o] += abs(c * y) * x
     tn, td = field.tolerance.as_integer_ratio()
     D, out = Decimal(4 * den), []
-    for r in _BLOCKS:
-        bound = tn * max(mag[r.start:r.stop]) // td  # over 4 den, floored
-        out.append(_fform(field, [
-            field.ctx.divide(Decimal(t), D) if abs(t) > bound else field.zero
-            for t in acc[r.start:r.stop]]))
+    with context(field):
+        for r in _BLOCKS:
+            bound = tn * max(mag[r.start:r.stop]) // td  # over 4 den, floored
+            out.append(_fform(field, [Decimal(t) / D if abs(t) > bound else field.zero
+                                      for t in acc[r.start:r.stop]]))
     return tuple(out)

@@ -153,16 +153,14 @@ class GForm:
 
     @staticmethod
     def one_form(field, rows) -> "GForm":
-        rows = tuple(tuple(field.from_fraction(v) if isinstance(v, (int, Fraction)) else v
-                           for v in row) for row in rows)
+        rows = tuple(tuple(_scalar(field, v) for v in row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("degree-1 coefficients must be a 3x3 matrix")
         return GForm(field, 1, rows)
 
     @staticmethod
     def zero_form(field, vec) -> "GForm":
-        vec = tuple(field.from_fraction(v) if isinstance(v, (int, Fraction)) else v
-                    for v in vec)
+        vec = tuple(_scalar(field, v) for v in vec)
         if len(vec) != 3:
             raise ValueError("degree-0 coefficients must be a 3-vector")
         return GForm(field, 0, vec)
@@ -273,6 +271,12 @@ def _ratios(values):
     ratios = [v.as_integer_ratio() if v else (0, 1) for v in values]
     d = lcm(*[q for _, q in ratios])
     return tuple(n and n * (d // q) for n, q in ratios), d
+
+
+def _scalar(field, v):
+    """``v`` as an element of ``field``: an int, float or ``Fraction`` through
+    ``field.from_fraction``, any other value (an element already) as given."""
+    return field.from_fraction(v) if isinstance(v, (int, float, Fraction)) else v
 
 
 def _exactly(form):

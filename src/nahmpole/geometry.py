@@ -41,7 +41,7 @@ from . import _float
 from ._float import connection_form, einstein_undecided, levi_civita, torsion_residual
 from .algebra import (
     _EPS, _TABLES, EigenPart, GForm, L_op, _exactly, _form, _integer_sum, _kernel_sum, _ratios,
-    bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
+    _scalar, bracket_0_1, e_bracket, gamma_op, project, star_bracket_star, star_wedge,
 )
 from .scalars import FloatField, RationalField
 
@@ -142,8 +142,8 @@ class FrameBackground:
         unless ``c`` is antisymmetric with no antisymmetric Ricci part.
         Nothing is kept across calls."""
         field = field or RationalField()
-        c = tuple([tuple([tuple([field.from_fraction(v) if isinstance(v, (int, Fraction))
-                                 else v for v in row]) for row in plane]) for plane in c_rows])
+        c = tuple([tuple([tuple([_scalar(field, v) for v in row]) for row in plane])
+                   for plane in c_rows])
         conn, W, starF, frame, scale = (_exact_frame if field.exact else _float.frame)(field, c)
         if not project(starF, EigenPart.Zero).is_zero(scale):
             raise ValueError(

@@ -12,18 +12,14 @@ provided:
   field owns the :class:`decimal.Context` they are computed in.
 
 ``Decimal`` operators round to the thread's current context, so float
-arithmetic never uses the thread's own.  The per-term loops of a float solve
-step (``_products``, ``_star_d`` and the slot sums of ``_kernel_sum`` and
-``_sum``, in :mod:`nahmpole._float`) round through a field's ``ops``, the
-methods of its context, which round as the operators do under it; any other
-float routine enters the context once per call (:func:`context`), and the
-zero tests round nothing (``copy_abs`` and ``copy_negate``).  Fields
-of different precision therefore coexist in one process.  An ``int`` or
-``Fraction`` constant reaches a float element only through
-:meth:`FloatField.from_fraction`, or :meth:`FloatField.constant` for a term
-coefficient of the engine's tables, converted once per field: a ``Decimal``
-refuses a ``Fraction`` or a native ``float`` operand with ``TypeError``.
-Rational scalars take the plain operators, which are their ``ops``.
+arithmetic never uses the thread's own: every float routine enters its
+field's context once per call (:func:`context`) and computes with the
+operators under it, and the zero tests round nothing (``copy_abs`` and
+``copy_negate``).  Fields of different precision therefore coexist in one
+process.  An ``int``, ``float`` or ``Fraction`` constant reaches a float
+element only through :meth:`FloatField.from_fraction`, rounded once: a
+``Decimal`` refuses a ``Fraction`` or a native ``float`` operand with
+``TypeError``.  Over rationals the context does nothing.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons.  An
 element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
@@ -34,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import decimal
-import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -49,8 +44,6 @@ _EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 #: The float precision range in bits.  The top keeps a ``decimal`` context
 #: within memory: 65536 bits at order 4 on berger-s3 runs in seconds.
 _MIN_BITS, _MAX_BITS = 64, 1 << 16
-#: How many term coefficients a float field keeps converted.
-_CONSTANTS = 64
 
 
 class RationalField:
@@ -58,7 +51,6 @@ class RationalField:
 
     name = "rational"
     exact = True
-    ops = (operator.mul, operator.add, operator.sub)  # (mul, add, sub), rounding nothing
 
     def __init__(self) -> None:
         self.zero = Fraction(0)
@@ -69,8 +61,6 @@ class RationalField:
 
     def from_fraction(self, q) -> Fraction:
         return q if type(q) is Fraction else Fraction(q)
-
-    constant = from_fraction
 
     def parse(self, text: str) -> Fraction:
         """Parse ``"p/q"`` (or a plain integer / decimal literal); anything
@@ -132,27 +122,14 @@ class FloatField:
         self.zero = Decimal(0)
         self.one = Decimal(1)
         self.tolerance = Decimal(1).scaleb(-(3 * self.digits // 4), self.ctx)
-        self.ops = (self.ctx.multiply, self.ctx.add, self.ctx.subtract)  # round as the operators
-        self._constants = {}
 
     def from_int(self, n: int) -> Decimal:
         return self.ctx.plus(Decimal(n))
 
     def from_fraction(self, q) -> Decimal:
-        """An int or ``Fraction`` rounded once: its numerator over its denominator."""
+        """An int, float or ``Fraction`` rounded once: its numerator over its denominator."""
         n, d = q.as_integer_ratio()
         return self.ctx.divide(Decimal(n), Decimal(d))
-
-    def constant(self, q) -> Decimal:
-        """:meth:`from_fraction` of a term coefficient of the engine's tables
-        (an int or ``Fraction``), kept for the next call; the first
-        ``_CONSTANTS`` coefficients are kept, so the table stays bounded."""
-        value = self._constants.get(q)
-        if value is None:
-            value = self.from_fraction(q)
-            if len(self._constants) < _CONSTANTS:
-                self._constants[q] = value
-        return value
 
     def parse(self, text: str) -> Decimal:
         """Parse a finite decimal literal or ``"p/q"``; anything else raises

@@ -23,6 +23,12 @@ settings.register_profile("tier1", derandomize=True, deadline=None,
 settings.load_profile("tier1")
 
 
+def pytest_report_header(config):
+    """Name the ``nahmpole`` under test: ``pyproject.toml`` puts this checkout's
+    ``src`` ahead of ``PYTHONPATH``."""
+    return f"nahmpole: {Path(geometry.__file__).resolve().parent}"
+
+
 #: (builtin URI, is Einstein) for the whole catalog, h2xr included.
 CATALOG = (
     ("builtin:flat", True),

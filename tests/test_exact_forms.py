@@ -331,10 +331,20 @@ def _float_outputs(field, built):
          ([-4] * 9, [Fraction(-1, 2)] * 3, [-0.0, 0.5] * 4 + [0.1],
           [decimal.Decimal("-0.00")] * 3),
          ([6, 0, -4, 2, 0, 0, 0, 0, 8], -12))
+@example([0.5, 0, 0, 0, 1, 0, 0, 0, 0.1], [0.5, Fraction(1, 3), 2], ([0] * 9, [0] * 3,
+         [0.0] * 9, [decimal.Decimal(0)] * 3), ([0] * 9, 1))
 def test_every_form_holds_its_reading_from_construction(nine, three, typed, made):
     # every exact form, however it is built, holds the canonical reading of its
     # entries' exact values before any of them is read; a float form holds none;
-    # every form, and every float route's result, holds its entries flat
+    # every form, and every float route's result, holds its entries flat; one_form
+    # and zero_form enter an int, float or Fraction entry by from_fraction, and keep
+    # a Decimal as given
+    for field in (_FIELD, *_FLOATS):
+        for form, values in ((GForm.one_form(field, [nine[r:r + 3] for r in (0, 3, 6)]), nine),
+                             (GForm.zero_form(field, three), three)):
+            entered = [v if type(v) is decimal.Decimal else field.from_fraction(v)
+                       for v in values]
+            assert [(type(v), v) for v in form.entries()] == [(type(v), v) for v in entered]
     for form, want in _builds(_FIELD, nine, three, typed, made):
         assert type(form) is GForm
         ns, d = form._ints  # read first: no entry is read to make it

@@ -1,31 +1,34 @@
 """Where float arithmetic rounds, and what the exact verdicts leave unbuilt.
 
-The float kernel sums of ``algebra._kernel_sum`` and the frame table of
-``_float._star_d`` round through the methods of the field's context, not
-through operators under an entered context.  Those methods round as the
-operators do under that context, so a sum must come out digit for digit as
-the operators give it inside ``decimal.localcontext(field.ctx)``, whatever
-the thread's own context is.  The term coefficients of the engine's tables
-are converted once per field, into a bounded table.
+Every float body of :mod:`nahmpole._float` (the kernel sums of
+``algebra._kernel_sum``, the frame table of ``_star_d``, the frame operators,
+the slot sums of ``_sum`` and ``residual_at``'s ``_rounded``) enters its
+field's context once per call and rounds by the ``Decimal`` operators under
+it, so each result must come out digit for digit as those operators give it
+inside ``decimal.localcontext(field.ctx)``, whatever the thread's own context
+is.  A coefficient enters a field only through ``from_fraction``: neither
+field offers the context's methods or a table of converted constants.
 """
 
+import ast
 import contextlib
 import decimal
-import json
-from decimal import Decimal
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nahmpole import _float, cli, scalars
+from nahmpole import _float, scalars
 from nahmpole.algebra import (_TABLES, GForm, _kernel_sum, bracket_0_1, star_bracket_star,
                               star_wedge)
-from nahmpole.geometry import einstein_undecided, is_einstein, load_background
+from nahmpole.geometry import (FrameBackground, einstein_undecided, is_einstein,
+                               load_background, star_d_omega)
 from nahmpole.scalars import FloatField, RationalField
-from nahmpole.series import expand
+from nahmpole.series import expand, residual_at
 
-from conftest import SEED0_FREE_DATA
+from conftest import rand_frame_c, rand_one_form
 
 
 @contextlib.contextmanager
@@ -107,32 +110,66 @@ def test_float_kernel_terms_round_as_the_operators(bits, degree, raw):
     assert [v.as_tuple() for v in got.entries()] == [v.as_tuple() for v in want]
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
-def test_constants_are_fresh_divisions(bits):
-    field = FloatField(bits)
-    for q in (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
-              Fraction(-1, 9), *range(-13, 0), *range(2, 14)):
-        got = field.constant(q)
-        want = field.ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
-        assert got.as_tuple() == want.as_tuple(), q
-        assert field.constant(q) is got, q
+def _residuals(bg, x, y):
+    """``residual_at`` over every cell of a float table whose b at (3, 0) is off by ``x``,
+    so the totals are not round-off and ``_rounded`` divides them."""
+    table = expand(bg, N=4)
+    table._b[(3, 0)] = table.get_b(3, 0) + x
+    cells = [residual_at(table, K, p) for K in range(1, 6) for p in range(table.max_p() + 2)]
+    return [R for cell in cells if cell is not table._zeros for R in cell]
 
 
-def test_constant_table_stays_bounded(tmp_path):
-    field = FloatField(64)
-    expand(load_background("builtin:berger-s3?squash=2", field), N=12)
-    kept = dict(field._constants)
-    assert kept
-    path = tmp_path / "free.json"
-    path.write_text(json.dumps(SEED0_FREE_DATA))
-    cli._load_free_data(str(path), field)
-    for n in range(1, 200):
-        field.parse(f"{n}/7")
-        field.parse(f"{n}.25")
-    assert field._constants == kept
-    for n in range(1, 500):
-        field.constant(Fraction(n, 11))
-    assert len(field._constants) == scalars._CONSTANTS
+def _sum_and_parts(bg, x, y):
+    """``_float._sum`` of an image and of terms with each kind of coefficient: its total
+    and its parts."""
+    total, parts = _float._sum(bg.field, 1, [(1, x), (-1, y), (Fraction(-1, 9), x), (3, y)],
+                               [(star_d_omega, y)], bg)
+    return [total, *parts]
+
+
+#: Each float body whose rounding route is stated here: its results on a background, a
+#: degree-1 form ``x`` and a second one ``y``, as forms or slot lists.
+_BODIES = {
+    "_star_d": lambda bg, x, y: [_float._star_d(bg.field, bg._frame, x)],
+    "star_d_omega": lambda bg, x, y: [_float.star_d_omega(bg, x)],
+    "d_omega_star": lambda bg, x, y: [_float.d_omega_star(bg, x)],
+    "_sum": _sum_and_parts,
+    "_rounded": _residuals,
+}
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("body", list(_BODIES))
+def test_float_bodies_round_in_their_context(body, bits):
+    # on a rotated h2xr, every c^k_ij is filled and the frame is not unimodular,
+    # so the trace terms of d_omega_star are read too
+    rng, field = random.Random(bits), FloatField(bits)
+    bg = FrameBackground.from_structure_constants(
+        "rotated-h2xr", rand_frame_c(rng, "builtin:h2xr"), field)
+    x, y = rand_one_form(rng, field), rand_one_form(rng, field)
+
+    def digits():
+        return [v.as_tuple() for out in _BODIES[body](bg, x, y)
+                for v in (out.entries() if isinstance(out, GForm) else out)]
+
+    with decimal.localcontext(field.ctx):
+        want = digits()
+    with hostile():
+        got = digits()
+    assert got == want and any(t.digits != (0,) for t in want)
+
+
+def test_one_rounding_route():
+    # neither field offers its context's methods or a table of converted
+    # constants, and _float reaches no decimal context but through ``context``
+    for field in (RationalField(), FloatField(64)):
+        assert not hasattr(field, "ops") and not hasattr(field, "constant"), field
+    assert not hasattr(FloatField(64), "_constants") and not hasattr(scalars, "_CONSTANTS")
+    tree = ast.parse(Path(_float.__file__).read_text())
+    assert not [ast.unparse(n) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr in {"ctx", "ops", "constant"}
+                or isinstance(n, ast.Name) and n.id in {"ctx", "decimal", "localcontext"}
+                or isinstance(n, ast.withitem) and n.optional_vars is not None]
 
 
 @pytest.mark.parametrize("uri", ["builtin:round-s3", "builtin:berger-s3?squash=2"])

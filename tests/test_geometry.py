@@ -420,6 +420,15 @@ class TestLoaders:
         bg, _ = catalog_case
         conn = levi_civita(field, bg.c)
         assert connection_form(field, conn) == bg.W
+        # a native float c^k_ij enters through from_fraction: these are dyadic, so
+        # each field builds the frame of their Fractions
+        floats = [[[float(v) for v in row] for row in plane] for plane in bg.c]
+        def held(c, f):
+            b = FrameBackground.from_structure_constants(bg.name, c, f)
+            return repr((b.c, b.conn, b.W.entries(), b.starF.entries(), b._frame, b._scale))
+
+        for f in (field, FloatField(64)):
+            assert held(floats, f) == held(bg.c, f)
 
 
 class TestSharedFrames:

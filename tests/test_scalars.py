@@ -85,15 +85,18 @@ class TestFloatField:
         # a Fraction operand is refused, never silently rounded
         with pytest.raises(TypeError):
             x * Fraction(4, 3)
-        # an int or Fraction is its numerator over its denominator, rounded once
+        # an int, float or Fraction is its numerator over its denominator,
+        # rounded once: the engine's term coefficients among them
         big = 10**299 + 7  # 300 digits
-        for bits in (64, 128):
+        for bits in (64, 128, 256):
             g = FloatField(bits)
             for q in (7, 0, -7, big, Fraction(-22, 7), Fraction(big, 3),
-                      Fraction(-big, big + 2), Fraction(1, big)):
-                n, d = (q, 1) if type(q) is int else (q.numerator, q.denominator)
+                      Fraction(-big, big + 2), Fraction(1, big), 0.1, -2.5,
+                      Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
+                      Fraction(-1, 9), *range(-13, 14)):
+                n, d = Fraction(q).as_integer_ratio()
                 got, want = g.from_fraction(q), g.ctx.divide(Decimal(n), Decimal(d))
-                assert type(got) is Decimal and got.as_tuple() == want.as_tuple()
+                assert type(got) is Decimal and got.as_tuple() == want.as_tuple(), q
 
     def test_raw_float_operand_is_rejected(self):
         # native floats must go through from_fraction/parse, never silently mix
