@@ -5,9 +5,10 @@ derives a float background, ``_rounded`` is ``residual_at``'s float verdict); a 
 form is a :class:`FForm`, whose entries are flat: each body reads and writes slot lists
 in ``entries()`` order and makes its result by :func:`_fform`.  Each body enters its
 field's context once per call (:func:`~nahmpole.scalars.context`) and rounds by the
-``Decimal`` operators under it; a coefficient enters the field by ``from_fraction``.  Each
-body is op for op the one the float pins were taken on, not its exact twin rounded: berger
-3/7's float frame is not its exact frame rounded once.
+``Decimal`` operators under it, its helpers (``_products``, ``_star_d``) under that one
+context; a coefficient enters the field by ``from_fraction``.  Each body is op for op the
+one the float pins were taken on, not its exact twin rounded: berger 3/7's float frame is
+not its exact frame rounded once.
 """
 
 from __future__ import annotations
@@ -202,16 +203,21 @@ def _star_d(field, terms, x: GForm):
     :meth:`GForm.entries` order, by the scalar formula
     ``(*dx)[a][m] = -1/2 sum x[a][i] c^i_jk eps_{jkm}`` over ``terms``, the
     :func:`_star_d_terms` of ``c`` (a float background keeps them as its frame),
-    under the field's context.  Zeros of ``x`` are skipped, as ``terms`` skip
+    under the caller's context.  Zeros of ``x`` are skipped, as ``terms`` skip
     those of ``c``.
     """
     xs, out = x.entries(), [field.zero] * 9
-    with context(field):
-        for i, m, cijk, half in terms:
-            for a in range(3):
-                if xs[3 * a + i]:
-                    out[3 * a + m] = out[3 * a + m] - xs[3 * a + i] * cijk * half
+    for i, m, cijk, half in terms:
+        for a in range(3):
+            if xs[3 * a + i]:
+                out[3 * a + m] = out[3 * a + m] - xs[3 * a + i] * cijk * half
     return out
+
+
+def star_d(bg, x: GForm) -> GForm:
+    """``*(d x)``: :func:`_star_d` of the background's terms."""
+    with context(bg.field):
+        return _fform(bg.field, _star_d(bg.field, bg._frame, x))
 
 
 def frame(field, c):
@@ -222,14 +228,13 @@ def frame(field, c):
             if (c[k][i][j] + c[k][j][i]).copy_abs() > bound:
                 raise ValueError("structure constants not antisymmetric "
                                  f"at c^{k}_{{{i}{j}}}")
-    conn = levi_civita(field, c)
-    if not field.within((v for plane in torsion_residual(field, c, conn)
-                         for row in plane for v in row), bound):
-        raise AssertionError("Koszul output has torsion")
-    W, terms = connection_form(field, conn), _star_d_terms(field, c)
-    starF = _fform(field, _star_d(field, terms, W)) + star_wedge(
-        W, W).scale(Fraction(1, 2))
-    with context(field):  # the terms of *F are c W, W W, and |c| <= 2 max|W|
+        conn = levi_civita(field, c)
+        if not field.within((v for plane in torsion_residual(field, c, conn)
+                             for row in plane for v in row), bound):
+            raise AssertionError("Koszul output has torsion")
+        W, terms = connection_form(field, conn), _star_d_terms(field, c)
+        starF = _fform(field, _star_d(field, terms, W)) + star_wedge(W, W).scale(Fraction(1, 2))
+        # the terms of *F are c W, W W, and |c| <= 2 max|W|
         return conn, W, starF, terms, field.scale(w * w for w in W.entries())
 
 
@@ -247,9 +252,8 @@ def einstein_undecided(bg) -> bool:
 
 def star_d_omega(bg, x: GForm) -> GForm:
     """The products of ``*[W, x]^`` added into the slot list of :func:`_star_d` itself."""
-    out = _star_d(bg.field, bg._frame, x)
     with context(bg.field):
-        return _fform(bg.field, _products(out, 1, bg.W, star_wedge, x))
+        return _fform(bg.field, _products(_star_d(bg.field, bg._frame, x), 1, bg.W, star_wedge, x))
 
 
 def d_omega_star(bg, x: GForm) -> GForm:

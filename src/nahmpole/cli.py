@@ -95,9 +95,10 @@ def _make_field(args):
 
 def _load_free_data(path: str, field) -> FreeData:
     """Read a free-data file: raw 3x3 matrices under keys ``c_plus`` /
-    ``c_zero`` / ``c_minus``.  Each matrix is projected onto its declared
-    eigenspace; inputs whose projection residual is nonzero (exact mode) or
-    above 1e-10 times the matrix's largest entry (float mode) are rejected.
+    ``c_zero`` / ``c_minus``, each in its declared eigenspace.  An exact
+    matrix goes to :class:`FreeData` as read, whose check rejects any nonzero
+    projection residual; a float matrix is rejected when its residual is above
+    1e-10 times its largest entry, and is otherwise replaced by its projection.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -117,13 +118,8 @@ def _load_free_data(path: str, field) -> FreeData:
             raise ValueError(f"{key} must be a 3x3 matrix")
         form = GForm.one_form(
             field, [[field.parse(str(v)) for v in row] for row in mat])
-        proj = project(form, part)
-        if field.exact:
-            if form != proj:
-                raise ValueError(
-                    f"{key} is not in its declared eigenspace "
-                    "(nonzero projection residual)")
-        else:  # in the field's scalars: a native float overflows past 1e308
+        if not field.exact:  # in the field's scalars: a native float overflows past 1e308
+            proj = project(form, part)
             with context(field):
                 worst = max(abs(v) for v in (form - proj).entries())
                 largest = max(abs(v) for v in form.entries())
@@ -131,7 +127,8 @@ def _load_free_data(path: str, field) -> FreeData:
                     raise ValueError(f"{key} is off its declared eigenspace by "
                                      f"{float(worst / largest):g} of its largest entry "
                                      "(bound 1e-10)")
-        kwargs[key] = proj
+            form = proj
+        kwargs[key] = form
     return FreeData(field=field, **kwargs)
 
 
@@ -153,8 +150,8 @@ def _pretty_form(field, form: GForm, indent: str):
     scale = field.scale(form.entries())
     zero = project(form, EigenPart.Zero)
     with context(field):
-        e_part = form.trace() / field.from_int(3)
-        axial = [(zero.coeffs[i][j] - zero.coeffs[j][i]) / field.from_int(2)
+        e_part = form.trace() / field.from_fraction(3)
+        axial = [(zero.coeffs[i][j] - zero.coeffs[j][i]) / field.from_fraction(2)
                  for i, j in _AXIAL]
     if not field.is_zero(e_part, scale):
         lines.append(f"{indent}e-part:  {field.format(e_part)} * e")
@@ -292,14 +289,6 @@ def _profile_checks(name, order, expect_flat_connection=False):
     return checks
 
 
-def _suite_s3():
-    return _profile_checks("s3", 6)
-
-
-def _suite_hyperbolic():
-    return _profile_checks("hyperbolic", 6, expect_flat_connection=True)
-
-
 def _suite_flat():
     field = RationalField()
     bg = builtin("flat", field=field)
@@ -414,8 +403,8 @@ def _suite_einstein_catalog():
 
 
 _SUITES = {
-    "s3": _suite_s3,
-    "hyperbolic": _suite_hyperbolic,
+    "s3": functools.partial(_profile_checks, "s3", 6),
+    "hyperbolic": functools.partial(_profile_checks, "hyperbolic", 6, expect_flat_connection=True),
     "flat": _suite_flat,
     "identities": _suite_identities,
     "einstein-catalog": _suite_einstein_catalog,

@@ -67,11 +67,11 @@ def star_d(bg, x: GForm) -> GForm:
     connection term; compare :func:`star_d_omega`): over exact scalars, on the
     background's integer frame (:func:`_exact_frame`) and the reading of ``x``,
     ``(*dx)[a][m] = -sum_i x[a][i] c^i_jk`` over the cyclic ``(j, k, m)`` with
-    one gcd; over floats ``_float._star_d`` of the background's terms."""
+    one gcd; over floats ``_float.star_d`` of the background's terms."""
     if x.degree != 1:
         raise ValueError("star_d needs a degree-1 form")
     if not bg.field.exact:
-        return GForm.from_entries(bg.field, _float._star_d(bg.field, bg._frame, x))
+        return _float.star_d(bg, x)
     xs, dx = x._ints
     return _form(bg.field, _star_d_ints(bg._frame, xs), dx * bg._frame[2])
 
@@ -444,8 +444,6 @@ def _json_scalar(v):
 
 def background_to_json(bg: FrameBackground) -> str:
     """Serialize a background to the JSON file format (canonical bytes)."""
-    field = bg.field
-    c = [[[RationalField().format(field.to_fraction(v)) for v in row] for row in plane]
-         for plane in bg.c]
+    c = [[[RationalField().format(v) for v in row] for row in plane] for plane in bg.c]
     doc = {"name": bg.name, "c": c, "volume": _json_scalar(bg.volume)}
     return json.dumps(doc, indent=2) + "\n"

@@ -16,10 +16,11 @@ arithmetic never uses the thread's own: every float routine enters its
 field's context once per call (:func:`context`) and computes with the
 operators under it, and the zero tests round nothing (``copy_abs`` and
 ``copy_negate``).  Fields of different precision therefore coexist in one
-process.  An ``int``, ``float`` or ``Fraction`` constant reaches a float
-element only through :meth:`FloatField.from_fraction`, rounded once: a
-``Decimal`` refuses a ``Fraction`` or a native ``float`` operand with
-``TypeError``.  Over rationals the context does nothing.
+process.  An ``int``, ``float`` or ``Fraction`` constant enters either
+field only by ``from_fraction``, a float element rounded once (a ``Decimal``
+refuses a ``Fraction`` or a native ``float`` operand with ``TypeError``), and
+an element of either leaves it exactly by ``Fraction(x)``.  Over rationals
+the context does nothing.
 
 Elements of both fields support ``+ - * /``, ``abs`` and comparisons.  An
 element is false exactly when it is zero (a ``Decimal`` ``-0`` included),
@@ -56,9 +57,6 @@ class RationalField:
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def from_fraction(self, q) -> Fraction:
         return q if type(q) is Fraction else Fraction(q)
 
@@ -83,9 +81,6 @@ class RationalField:
         if type(x) is not Fraction and type(x) is not int:
             x = Fraction(x)
         return f"{x.numerator}/{x.denominator}" if x else "0/1"
-
-    def to_fraction(self, x) -> Fraction:
-        return Fraction(x)
 
     def scale(self, values) -> None:
         """Exact zero tests need no scale, so ``values`` are not read."""
@@ -123,9 +118,6 @@ class FloatField:
         self.one = Decimal(1)
         self.tolerance = Decimal(1).scaleb(-(3 * self.digits // 4), self.ctx)
 
-    def from_int(self, n: int) -> Decimal:
-        return self.ctx.plus(Decimal(n))
-
     def from_fraction(self, q) -> Decimal:
         """An int, float or ``Fraction`` rounded once: its numerator over its denominator."""
         n, d = q.as_integer_ratio()
@@ -149,9 +141,6 @@ class FloatField:
         """Canonical decimal literal: equal values give equal strings (no
         trailing zeros, and every zero, ``-0`` included, is ``"0"``)."""
         return "0" if x.is_zero() else str(x.normalize(self.ctx))
-
-    def to_fraction(self, x: Decimal) -> Fraction:
-        return Fraction(x)
 
     def scale(self, values) -> Decimal:
         """The largest ``|v|`` of the ``Decimal`` ``values`` (zero if none),

@@ -161,8 +161,7 @@ class FreeData:
                                   (c_minus, EigenPart.Minus, "c_minus")):
             if form is None:
                 form = GForm.zero(field, 1)
-            elif not (form - project(form, part)).is_zero(
-                    None if field.exact else field.scale(form.entries())):
+            elif not (form - project(form, part)).is_zero(field.scale(form.entries())):
                 raise ValueError(f"{label} is not in its declared eigenspace")
             setattr(self, label, form)
 

@@ -203,7 +203,7 @@ def test_c07_algebra_suites_exact():
         n = mod.dim
         for part in EigenPart:
             P = mod.projectors[part]
-            mu = mod.field.from_int(part.eigenvalue(sigma))
+            mu = mod.field.from_fraction(part.eigenvalue(sigma))
             for r in range(n):
                 for c in range(n):
                     acc = sum((mod.L[r][k] * P[k][c] for k in range(n)),

@@ -101,7 +101,7 @@ class TestProducts:
                 want = field.zero
                 for (a, b, cc), s in eps.items():
                     if cc == c:
-                        want = want + phi.coeffs[a] * x.coeffs[b][k] * field.from_int(s)
+                        want = want + phi.coeffs[a] * x.coeffs[b][k] * field.from_fraction(s)
                 assert got.coeffs[c][k] == want
 
 
@@ -191,7 +191,7 @@ class TestSparseKernels:
         # a signed kernel term summed after another one, into the same slots
         pairs = list(shaped_pairs(rng, field, degree))
         for (u, v), (x, y) in zip(pairs, pairs[1:]):
-            want = dense(u, v) + dense(x, y).scale(field.from_int(sign))
+            want = dense(u, v) + dense(x, y).scale(field.from_fraction(sign))
             got = _kernel_sum(field, len(want.entries()), [(1, u, kernel, v),
                                                            (sign, x, kernel, y)])
             assert got == want
@@ -353,7 +353,7 @@ def spectral_inverse(k, rhs):
     """Reference inverse of ``k + L``: each projection over its divisor."""
     out = GForm.zero(rhs.field, 1)
     for part in EigenPart:
-        out = out + project(rhs, part).divide(rhs.field.from_int(k + part.eigenvalue(1)))
+        out = out + project(rhs, part).divide(rhs.field.from_fraction(k + part.eigenvalue(1)))
     return out
 
 
@@ -414,7 +414,7 @@ class TestResolveCoupled:
                         A[r][4 * j] = A[r][4 * j] - field.one
                 for (cc, ii, a), s in eps.items():
                     if ii == i and cc == c:
-                        A[r][9 + a] = A[r][9 + a] + field.from_int(s)
+                        A[r][9 + a] = A[r][9 + a] + field.from_fraction(s)
                 rhs[r] = R.coeffs[c][i]
         # lam phi_c + Gamma(a)_c = S_c; Gamma(a)_c = eps_{cij} a_{ij}
         for c in range(3):
@@ -422,7 +422,7 @@ class TestResolveCoupled:
             A[r][9 + c] = lam_s
             for (cc, i, j), s in eps.items():
                 if cc == c:
-                    A[r][3 * i + j] = A[r][3 * i + j] + field.from_int(s)
+                    A[r][3 * i + j] = A[r][3 * i + j] + field.from_fraction(s)
             rhs[r] = S.coeffs[c]
         sol = solve_dense(field, A, rhs)
         a = GForm.one_form(field, [sol[0:3], sol[3:6], sol[6:9]])
@@ -619,7 +619,7 @@ class TestSigmaModule:
                 assert total[r][c] == (1 if r == c else 0)
         for part in EigenPart:
             P = mod.projectors[part]
-            lam = f.from_int(part.eigenvalue(sigma))
+            lam = f.from_fraction(part.eigenvalue(sigma))
             LP = mul(mod.L, P)
             for r in range(n):
                 for c in range(n):
@@ -634,7 +634,7 @@ class TestSigmaModule:
         # eigen-projections stay eigen under apply_L
         for part in EigenPart:
             pv = mod.project_vector(vec, part)
-            lam = field.from_int(part.eigenvalue(1))
+            lam = field.from_fraction(part.eigenvalue(1))
             lv = mod.apply_L(pv)
             for r in range(9):
                 assert lv[r] == lam * pv[r]

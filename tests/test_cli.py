@@ -352,6 +352,15 @@ class TestFreeDataLoader:
         assert ("c_plus is off its declared eigenspace by 0.333333 of its "
                 "largest entry (bound 1e-10)") in err
 
+    def test_exact_refusal_is_the_free_data_check(self, tmp_path, capsys):
+        # an exact matrix is checked once, by FreeData, whose message is the line
+        off = {"c_plus": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
+        free = _write_json(tmp_path, "off.json", off)
+        assert cli.main(["expand", "--background", "builtin:round-s3",
+                         "--free-data", free, "--order", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "cannot load free data: c_plus is not in its declared eigenspace\n")
+
     def test_float_mode_accepts_large_near_eigenspace(self, tmp_path, capsys):
         # a V+ matrix at scale 1e12 whose trace is 1e-2: off by a relative 3e-15
         large = {"c_plus": [["1e12", "0", "0"], ["0", "-5e11", "0"],

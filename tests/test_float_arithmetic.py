@@ -1,13 +1,14 @@
 """Where float arithmetic rounds, and what the exact verdicts leave unbuilt.
 
 Every float body of :mod:`nahmpole._float` (the kernel sums of
-``algebra._kernel_sum``, the frame table of ``_star_d``, the frame operators,
+``algebra._kernel_sum``, the frame table of ``star_d``, the frame operators,
 the slot sums of ``_sum`` and ``residual_at``'s ``_rounded``) enters its
 field's context once per call and rounds by the ``Decimal`` operators under
 it, so each result must come out digit for digit as those operators give it
 inside ``decimal.localcontext(field.ctx)``, whatever the thread's own context
-is.  A coefficient enters a field only through ``from_fraction``: neither
-field offers the context's methods or a table of converted constants.
+is.  A coefficient enters a field only through ``from_fraction`` and an
+element leaves it by ``Fraction(x)``: neither field offers the context's
+methods, a table of converted constants or a second way in or out.
 """
 
 import ast
@@ -21,14 +22,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nahmpole import _float, scalars
-from nahmpole.algebra import (_TABLES, GForm, _kernel_sum, bracket_0_1, star_bracket_star,
+from nahmpole.algebra import (_TABLES, EigenPart, GForm, _kernel_sum, bracket_0_1,
+                              invert_cal_L, project, resolve_coupled, star_bracket_star,
                               star_wedge)
-from nahmpole.geometry import (FrameBackground, einstein_undecided, is_einstein,
-                               load_background, star_d_omega)
+from nahmpole.geometry import (FrameBackground, d_omega_star, einstein_undecided, is_einstein,
+                               load_background, star_d, star_d_omega)
 from nahmpole.scalars import FloatField, RationalField
 from nahmpole.series import expand, residual_at
 
-from conftest import rand_frame_c, rand_one_form
+from conftest import rand_frame_c, rand_one_form, rand_zero_form
 
 
 @contextlib.contextmanager
@@ -130,7 +132,7 @@ def _sum_and_parts(bg, x, y):
 #: Each float body whose rounding route is stated here: its results on a background, a
 #: degree-1 form ``x`` and a second one ``y``, as forms or slot lists.
 _BODIES = {
-    "_star_d": lambda bg, x, y: [_float._star_d(bg.field, bg._frame, x)],
+    "star_d": lambda bg, x, y: [_float.star_d(bg, x)],
     "star_d_omega": lambda bg, x, y: [_float.star_d_omega(bg, x)],
     "d_omega_star": lambda bg, x, y: [_float.d_omega_star(bg, x)],
     "_sum": _sum_and_parts,
@@ -164,12 +166,43 @@ def test_one_rounding_route():
     # constants, and _float reaches no decimal context but through ``context``
     for field in (RationalField(), FloatField(64)):
         assert not hasattr(field, "ops") and not hasattr(field, "constant"), field
+        # one way in, and no conversion out: an element leaves by Fraction(x)
+        assert [a for a in dir(field) if a.startswith(("from_", "to_"))] == ["from_fraction"]
     assert not hasattr(FloatField(64), "_constants") and not hasattr(scalars, "_CONSTANTS")
     tree = ast.parse(Path(_float.__file__).read_text())
     assert not [ast.unparse(n) for n in ast.walk(tree)
                 if isinstance(n, ast.Attribute) and n.attr in {"ctx", "ops", "constant"}
                 or isinstance(n, ast.Name) and n.id in {"ctx", "decimal", "localcontext"}
                 or isinstance(n, ast.withitem) and n.optional_vars is not None]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_each_float_call_enters_one_context(bits, monkeypatch):
+    # a helper (_products, _star_d) computes under its caller's context, and no
+    # body enters a second one around a helper's work
+    entered, real = [], _float.context
+
+    def counted(field):
+        entered.append(field)
+        return real(field)
+
+    rng, field = random.Random(bits), FloatField(bits)
+    bg = load_background("builtin:berger-s3?squash=2", field)
+    x, y, z = rand_one_form(rng, field), rand_one_form(rng, field), rand_zero_form(rng, field)
+    calls = {"star_d": lambda: star_d(bg, x), "star_d_omega": lambda: star_d_omega(bg, x),
+             "d_omega_star": lambda: d_omega_star(bg, x),
+             **{f"project {part.name}": lambda part=part: project(x, part)
+                for part in EigenPart},
+             "invert_cal_L": lambda: invert_cal_L(5, x),
+             "resolve_coupled int": lambda: resolve_coupled(4, x, z),
+             "resolve_coupled Fraction": lambda: resolve_coupled(Fraction(7, 2), x, z),
+             "star_wedge": lambda: star_wedge(x, y), "+": lambda: x + y,
+             "scale": lambda: x.scale(Fraction(-1, 3)), "trace": x.trace}
+    monkeypatch.setattr(_float, "context", counted)
+    for name, call in calls.items():
+        entered.clear()
+        call()
+        assert entered == [field], name
 
 
 @pytest.mark.parametrize("uri", ["builtin:round-s3", "builtin:berger-s3?squash=2"])

@@ -26,7 +26,7 @@ LISTED = {
                 "e_bracket", "L_op", "gamma_op", "project", "invert_cal_L", "resolve_coupled"},
     "geometry": {"star_d", "FrameBackground.from_structure_constants", "star_d_omega",
                  "d_omega_star", "builtin"},
-    "series": {"FreeData.__init__", "_sum", "residual_at", "from_json"},
+    "series": {"_sum", "residual_at", "from_json"},
 }
 _CALLS = {"arithmetic", "context"}
 _NAMES = {"Decimal", "FloatField"}
@@ -99,7 +99,7 @@ def test_float_route_touches_only_the_listed_functions():
         found = {name for name, body in _functions(_module(module))
                  if any(_touches(stmt) for stmt in body)}
         assert found == listed, module
-    assert sum(map(len, LISTED.values())) <= 20
+    assert sum(map(len, LISTED.values())) <= 19
 
 
 def test_each_listed_function_names_the_float_route_once():

@@ -76,12 +76,12 @@ class TestFloatField:
     def test_int_and_fraction_enter_through_from_fraction(self):
         f = FloatField(96)
         x = f.from_fraction(Fraction(3, 4))
-        assert f.from_fraction(2) == f.from_int(2) == 2
+        assert f.from_fraction(2) == 2
         with context(f):
             assert float(x + f.from_fraction(1)) == 1.75
             assert float(x * f.from_fraction(Fraction(4, 3))) == 1.0
             assert float(x - decimal.Decimal("0.25")) == 0.5
-            assert float(f.from_fraction(2) / f.from_int(4)) == 0.5
+            assert float(f.from_fraction(2) / f.from_fraction(4)) == 0.5
         # a Fraction operand is refused, never silently rounded
         with pytest.raises(TypeError):
             x * Fraction(4, 3)
@@ -116,7 +116,7 @@ class TestFloatField:
         f = FloatField(128)
         tiny = f.one
         for _ in range(40):
-            tiny = tiny / f.from_int(10)
+            tiny = tiny / f.from_fraction(10)
         assert f.is_zero(tiny * tiny)
         assert not f.is_zero(f.parse("1e-3"))
 
@@ -134,32 +134,28 @@ class TestFloatField:
         f = FloatField(128)
         third = f.from_fraction(Fraction(1, 3))
         zeros = [f.zero, f.parse("0.000"), f.parse("0E-98"), f.parse("-0"),
-                 -f.zero, f.from_int(-1) * f.zero, third - third,
+                 -f.zero, f.from_fraction(-1) * f.zero, third - third,
                  f.parse("1.5") - f.from_fraction(Fraction(3, 2))]
         assert {f.format(z) for z in zeros} == {"0"}
-        ones = [f.one, f.parse("1.000"), f.parse("1.0"), f.from_int(1),
-                f.parse("0.25") * 4, f.parse("10") / f.from_int(10)]
+        ones = [f.one, f.parse("1.000"), f.parse("1.0"), f.from_fraction(1),
+                f.parse("0.25") * 4, f.parse("10") / f.from_fraction(10)]
         assert {f.format(v) for v in ones} == {"1"}
         assert f.format(f.parse("2.50")) == f.format(f.from_fraction(Fraction(5, 2)))
-        for v in (third, f.parse("-1234.5e-40"), f.from_int(1000)):
+        for v in (third, f.parse("-1234.5e-40"), f.from_fraction(1000)):
             assert f.parse(f.format(v)) == v
-
-    def test_to_fraction(self):
-        f = FloatField(64)
-        assert f.to_fraction(f.from_int(7)) == Fraction(7)
 
 
 class TestFloatElements:
     def test_elements_are_plain_decimals(self):
         f = FloatField(64)
-        values = (f.zero, f.one, f.tolerance, f.from_int(3),
+        values = (f.zero, f.one, f.tolerance, f.from_fraction(3),
                   f.from_fraction(Fraction(1, 3)), f.parse("0.25"), f.parse("2/7"))
         assert all(type(v) is Decimal for v in values)
 
     def test_comparisons(self):
         f = FloatField(64)
-        assert f.from_int(2) > 1
-        assert f.from_int(2) <= Fraction(5, 2)
+        assert f.from_fraction(2) > 1
+        assert f.from_fraction(2) <= Fraction(5, 2)
         with context(f):
             assert abs(-f.one) == f.one
         # a Decimal compares with a Fraction exactly: the rounded third is not 1/3
@@ -167,7 +163,7 @@ class TestFloatElements:
 
     def test_hash_consistent_with_eq(self):
         f = FloatField(64)
-        assert hash(f.from_int(3)) == hash(f.from_int(3))
+        assert hash(f.from_fraction(3)) == hash(f.from_fraction(3))
 
     def test_two_precisions_coexist(self):
         # each solve rounds to its own field's digits, whatever the
@@ -176,7 +172,7 @@ class TestFloatElements:
         before = decimal.getcontext()
         for _ in range(2):
             for f in (lo, hi):
-                third = solve_dense(f, [[f.from_int(3)]], [f.one])[0]
+                third = solve_dense(f, [[f.from_fraction(3)]], [f.one])[0]
                 assert third == f.from_fraction(Fraction(1, 3))
                 assert len(third.as_tuple().digits) == f.digits
         assert decimal.getcontext() is before
@@ -207,8 +203,8 @@ class TestDenseSolvers:
 
     def test_solve_float_field(self):
         f = FloatField(128)
-        A = [[f.from_int(3), f.from_int(1)], [f.from_int(1), f.from_int(2)]]
-        got = solve_dense(f, A, [f.from_int(5), f.from_int(5)])
+        A = [[f.from_fraction(3), f.from_fraction(1)], [f.from_fraction(1), f.from_fraction(2)]]
+        got = solve_dense(f, A, [f.from_fraction(5), f.from_fraction(5)])
         assert abs(float(got[0]) - 1.0) < 1e-20
         assert abs(float(got[1]) - 2.0) < 1e-20
 

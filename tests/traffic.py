@@ -8,8 +8,10 @@ package's files.  Per module it prints the executable lines (``co_lines`` of
 every code object that makes a frame: module and class bodies run at import
 and are not counted), how many each kind reached, and the lines neither
 reached, grouped by function; with ``--tier1``, also the lines the tests
-reach but no workload does, grouped alike: the code only tests keep.  Limit: a CLI call made in a subprocess (a test
-running ``python -m nahmpole``) is not traced, so its lines read as unreached.
+reach but no workload does, grouped alike: the code only tests keep.  A last line
+gives the same counts for the whole package.  Limit: a CLI call made in a
+subprocess (a test running ``python -m nahmpole``) is not traced, so its lines
+read as unreached.
 """
 
 import argparse
@@ -86,6 +88,14 @@ def show(lines, numbers):
         print(f"    {name}: {spans([n for n in numbers if lines[n] == name])}")
 
 
+def summary(name, kinds, counts):
+    """The count line of ``name``: ``counts`` are its executable lines, those each
+    of ``kinds`` reached, and those none reached."""
+    n, *got, cold = counts
+    by = ", ".join(f"{kind} {g}" for kind, g in zip(kinds, got))
+    return f"{name}: {n} executable; reached by {by}; neither {cold}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tier1", action="store_true", help="also trace the tier-1 tests")
@@ -93,17 +103,19 @@ def main(argv=None):
     kinds = {"workloads": traced(workloads)}
     if args.tier1:
         kinds["tier-1"] = traced(lambda: pytest.main(["-q", str(ROOT / "tests")]))
+    rows = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines, key = executable(path), str(path)
         reached = {kind: {n for n in lines if (key, n) in seen} for kind, seen in kinds.items()}
         cold = sorted(set(lines).difference(*reached.values()))
-        counts = ", ".join(f"{kind} {len(got)}" for kind, got in reached.items())
-        print(f"{path.name}: {len(lines)} executable; reached by {counts}; neither {len(cold)}")
+        rows.append([len(lines), *map(len, reached.values()), len(cold)])
+        print(summary(path.name, kinds, rows[-1]))
         show(lines, cold)
         if args.tier1:
             only = sorted(reached["tier-1"] - reached["workloads"])
             print(f"  {path.name}: reached by tier-1 but no workload {len(only)}")
             show(lines, only)
+    print(summary("total", kinds, map(sum, zip(*rows))))
 
 
 if __name__ == "__main__":
